@@ -15,7 +15,9 @@ conflicting certificates raise instead of being resolved.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,10 +55,9 @@ LIMIT_POINT = "LimitPoint"
 LIMIT_CIRCLE = "LimitCircle"
 NOT_LIMIT_CIRCLE = "NotLimitCircle"
 INCONCLUSIVE_CLASS = "Inconclusive"
+CERTIFIED = "Certified"
 
-VALID_CRITERIA = ("t1", "t5_diag", "t5_offdiag", "cor1", "cor2", "t2",
-                  "t4", "carleman", "t7", "cor3")
-_CONTINUOUS = {"t1", "t5_diag", "t5_offdiag", "cor1", "cor2", "t2"}
+_KERNEL_MODELS = (StepSigma, DeltaNodes, GeneralTriple, Distributional)
 
 
 class ConflictingEvidenceError(RuntimeError):
@@ -93,7 +94,7 @@ class ClassifyConfig:
 
     intervals feed the interval series (t1) and the monotonicity test
     (t2); segments feed the discrete segment series (t4); N bounds every
-    lattice series; criteria, when given, restricts which codes run.
+    lattice series; criteria, when given, picks which CRITERIA codes run.
     """
 
     intervals: IntervalSeq | None = None
@@ -103,9 +104,10 @@ class ClassifyConfig:
 
     def __post_init__(self):
         if self.criteria is not None:
-            bad = [c for c in self.criteria if c not in VALID_CRITERIA]
+            valid = [c.code for c in CRITERIA]
+            bad = [c for c in self.criteria if c not in valid]
             if bad:
-                raise ValueError(f"unknown criteria {bad}; valid: {VALID_CRITERIA}")
+                raise ValueError(f"unknown criteria {bad}; valid: {', '.join(valid)}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +204,110 @@ def _lattice_data(problem):
         H = tuple(problem.values[k] - problem.values[k - 1]
                   for k in range(1, len(problem.values)))
         return d, H
-    return None
+    if isinstance(problem, JacobiBlocks) and problem.provenance is not None:
+        return problem.provenance.d, problem.provenance.H
+    return (), ()  # no lattice
+
+
+class _Subject:
+    """A problem under classification, its lattice data and, on first use, its blocks."""
+
+    def __init__(self, problem, config: ClassifyConfig):
+        self.problem = problem
+        self.config = config
+        self.d, self.H = _lattice_data(problem)
+
+    @cached_property
+    def blocks(self) -> JacobiBlocks | None:
+        if isinstance(self.problem, JacobiBlocks):
+            return self.problem
+        if len(self.d) >= 3:
+            return blocks_from_delta(self.d, self.H)
+        return None
 
 
 def _channels(n: int):
+    """(name, channel) pairs; the names are the CLI channel spellings."""
     for i in range(1, n + 1):
-        yield Diagonal(i)
+        yield f"diag:{i}", Diagonal(i)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            yield OffDiagonal(i, j)
+            yield f"offdiag:{i},{j}", OffDiagonal(i, j)
 
 
-def _series_evidence(name, report, implies_on_divergence):
-    implies = implies_on_divergence if report.verdict == DIVERGES else None
-    return Evidence(name, report.verdict, report.verdict_basis, implies)
+def _series(tag, report):
+    return tag, [report], report.verdict, report.verdict_basis
+
+
+def _check(tag, reports, certified, basis):
+    return tag, reports, CERTIFIED if certified else "NotCertified", basis
+
+
+def _run_t1(s):
+    if isinstance(s.problem, _KERNEL_MODELS) and s.config.intervals:
+        yield _series("t1", t1_series(s.problem, s.config.intervals))
+
+
+def _run_t2(s):
+    if isinstance(s.problem, LinearSigma) and s.config.intervals is not None:
+        res = t2_predicate(s.problem, s.config.intervals)
+        basis = (f"hypothesis_ok={res.hypothesis_ok}; series {res.series.verdict}: "
+                 f"{res.series.verdict_basis}")
+        yield _check("t2", [res.series], res.limit_point_certified, basis)
+
+
+def _run_cor2(s):
+    if len(s.d) >= 2 and len(s.H) >= 1:
+        for name, ch in _channels(s.H[0].shape[0]):
+            yield _series(f"cor2:{name}", cor2_series(s.d, s.H, ch))
+
+
+def _run_carleman(s):
+    if s.blocks is not None and len(s.blocks.B) >= 2:
+        n_eff = min(s.config.N, len(s.blocks.B) - 1)
+        yield _series("carleman", carleman_report(s.blocks, n_eff))
+
+
+def _run_t4(s):
+    if s.config.segments and s.blocks is not None:
+        yield _series("t4", t4_report(s.blocks, s.config.segments))
+
+
+def _run_t7(s):
+    n_eff = min(s.config.N, (len(s.d) - 2) // 2, (len(s.H) - 1) // 2)
+    if n_eff >= 1:
+        res = t7_check(s.d, s.H, n_eff)
+        basis = "; ".join(f"{r.criterion}: {r.verdict}" for r in res.reports())
+        yield _check("t7", res.reports(), res.limit_circle_certified, basis)
+
+
+def _run_cor3(s):
+    n_eff = min(s.config.N, len(s.d) - 3, len(s.H))
+    if n_eff >= 2:
+        res = cor3_check(s.d, s.H, n_eff)
+        basis = (f"comparability {res.cond1_direction}; "
+                 f"spacing series {res.cond2.verdict}; "
+                 f"jump series {res.cond3.verdict}")
+        yield _check("cor3", res.reports(), res.limit_circle_certified, basis)
+
+
+# One classify criterion: its code, its side ("Continuous" or "Discrete"),
+# the classification a fired certificate implies, and its runner.
+# run(subject) yields (tag, reports, verdict, basis) for each evidence
+# item, and nothing when the criterion does not apply.
+Criterion = namedtuple("Criterion", "code side implies run")
+
+
+# Run order is report and evidence order.
+CRITERIA = (
+    Criterion("t1", "Continuous", NOT_LIMIT_CIRCLE, _run_t1),
+    Criterion("t2", "Continuous", LIMIT_POINT, _run_t2),
+    Criterion("cor2", "Continuous", NOT_LIMIT_CIRCLE, _run_cor2),
+    Criterion("carleman", "Discrete", LIMIT_POINT, _run_carleman),
+    Criterion("t4", "Discrete", NOT_LIMIT_CIRCLE, _run_t4),
+    Criterion("t7", "Discrete", LIMIT_CIRCLE, _run_t7),
+    Criterion("cor3", "Discrete", LIMIT_CIRCLE, _run_cor3),
+)
 
 
 def classify(problem, config: ClassifyConfig | None = None) -> Verdict:
@@ -233,96 +325,25 @@ def classify(problem, config: ClassifyConfig | None = None) -> Verdict:
 def classify_detailed(problem, config: ClassifyConfig | None = None):
     """classify plus the full list of CriterionReports behind the evidence."""
     config = config or ClassifyConfig()
-    want = lambda code: config.criteria is None or code in config.criteria
+    subject = _Subject(problem, config)
     evidence: list[Evidence] = []
     reports: list[CriterionReport] = []
-
-    continuous_model = isinstance(problem, (StepSigma, DeltaNodes, GeneralTriple,
-                                            Distributional, LinearSigma))
-
-    if isinstance(problem, (StepSigma, DeltaNodes, GeneralTriple, Distributional)):
-        if want("t1") and config.intervals is not None and len(config.intervals):
-            rep = t1_series(problem, config.intervals)
-            reports.append(rep)
-            evidence.append(_series_evidence("t1", rep, NOT_LIMIT_CIRCLE))
-
-    if isinstance(problem, LinearSigma) and want("t2") and config.intervals is not None:
-        res = t2_predicate(problem, config.intervals)
-        reports.append(res.series)
-        basis = (f"hypothesis_ok={res.hypothesis_ok}; series {res.series.verdict}: "
-                 f"{res.series.verdict_basis}")
-        evidence.append(Evidence(
-            "t2", "Certified" if res.limit_point_certified else "NotCertified",
-            basis, LIMIT_POINT if res.limit_point_certified else None))
-
-    lattice = None
-    if isinstance(problem, (StepSigma, DeltaNodes)):
-        lattice = _lattice_data(problem)
-    blocks = None
-    if isinstance(problem, JacobiBlocks):
-        blocks = problem
-        if problem.provenance is not None:
-            lattice = problem.provenance.d, problem.provenance.H
-
-    if lattice is not None:
-        d, H = lattice
-        if want("cor2") and len(d) >= 2 and len(H) >= 1:
-            n = H[0].shape[0]
-            for ch in _channels(n):
-                tag = (f"cor2:diag:{ch.i}" if isinstance(ch, Diagonal)
-                       else f"cor2:offdiag:{ch.i},{ch.j}")
-                rep = cor2_series(d, H, ch)
-                reports.append(rep)
-                evidence.append(_series_evidence(tag, rep, NOT_LIMIT_CIRCLE))
-        if blocks is None and len(d) >= 3:
-            blocks = blocks_from_delta(d, H)
-
-    if blocks is not None:
-        if want("carleman") and len(blocks.B) >= 2:
-            n_eff = min(config.N, len(blocks.B) - 1)
-            rep = carleman_report(blocks, n_eff)
-            reports.append(rep)
-            evidence.append(_series_evidence("carleman", rep, LIMIT_POINT))
-        if want("t4") and config.segments:
-            rep = t4_report(blocks, config.segments)
-            reports.append(rep)
-            evidence.append(_series_evidence("t4", rep, NOT_LIMIT_CIRCLE))
-
-    if lattice is not None:
-        d, H = lattice
-        if want("t7"):
-            n_eff = min(config.N, (len(d) - 2) // 2, (len(H) - 1) // 2)
-            if n_eff >= 1:
-                res = t7_check(d, H, n_eff)
-                reports.extend(res.reports())
-                basis = "; ".join(f"{r.criterion}: {r.verdict}" for r in res.reports())
-                evidence.append(Evidence(
-                    "t7", "Certified" if res.limit_circle_certified else "NotCertified",
-                    basis, LIMIT_CIRCLE if res.limit_circle_certified else None))
-        if want("cor3"):
-            n_eff = min(config.N, len(d) - 3, len(H))
-            if n_eff >= 2:
-                res = cor3_check(d, H, n_eff)
-                reports.extend(res.reports())
-                basis = (f"comparability {res.cond1_direction}; "
-                         f"spacing series {res.cond2.verdict}; "
-                         f"jump series {res.cond3.verdict}")
-                evidence.append(Evidence(
-                    "cor3", "Certified" if res.limit_circle_certified else "NotCertified",
-                    basis, LIMIT_CIRCLE if res.limit_circle_certified else None))
-
-    classification = resolve_classification(evidence)
-    kinds = {e.criterion.split(":")[0] for e in evidence}
-    has_cont = bool(kinds & _CONTINUOUS)
-    has_disc = bool(kinds - _CONTINUOUS)
-    if has_cont and has_disc:
+    sides = set()
+    for crit in CRITERIA:
+        if config.criteria is not None and crit.code not in config.criteria:
+            continue
+        for tag, reps, verdict, basis in crit.run(subject):
+            reports.extend(reps)
+            fired = verdict in (DIVERGES, CERTIFIED)
+            evidence.append(Evidence(tag, verdict, basis, crit.implies if fired else None))
+            sides.add(crit.side)
+    if len(sides) == 2:
         side = "Both"
-    elif has_disc:
-        side = "Discrete"
-    elif has_cont:
-        side = "Continuous"
+    elif sides:
+        side = sides.pop()
     else:
-        side = "Continuous" if continuous_model else "Discrete"
+        side = "Continuous" if isinstance(problem, (*_KERNEL_MODELS, LinearSigma)) else "Discrete"
+    classification = resolve_classification(evidence)
     return Verdict(classification, tuple(evidence), side), reports
 
 

@@ -3,7 +3,9 @@
 Reports are JSON documents with schema tag ``sldl/1`` and a fixed field
 order; floats are printed with 17 significant digits so identical
 configurations produce byte-identical output. Exit codes: 0 success,
-2 configuration or input error, 3 conflicting certified evidence.
+2 configuration or input error (a model whose kernel quadrature
+overflows or does not stabilize included), 3 conflicting certified
+evidence.
 
 Sequence shorthands accepted by ``--d``: ``const:V``, ``harmonic``
 (1/k), ``power:P`` (k**P), ``list:a,b,c`` and ``file:PATH``. Jump
@@ -18,13 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from .bridge import (
-    VALID_CRITERIA,
     ClassifyConfig,
     ConflictingEvidenceError,
     classify_detailed,
@@ -38,6 +38,7 @@ from .criteria import (
     IntervalSeq,
     LinearSigma,
     OffDiagonal,
+    QuadratureError,
     cor1_series,
     cor2_series,
     linear_sigma_from_json,
@@ -247,13 +248,10 @@ def load_blocks(path: str):
 
 
 def _criteria_list(spec: str | None):
+    """Comma-separated codes; ClassifyConfig checks them against the table."""
     if spec is None:
         return None
-    names = tuple(s.strip() for s in spec.split(",") if s.strip())
-    bad = [c for c in names if c not in VALID_CRITERIA]
-    if bad:
-        raise ConfigError(f"unknown criteria {bad}; valid: {list(VALID_CRITERIA)}")
-    return names
+    return tuple(s.strip() for s in spec.split(",") if s.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -307,25 +305,22 @@ def _cmd_classify(args) -> dict:
     intervals = parse_intervals(args.intervals) if args.intervals else None
     segments = parse_segments(args.segments) if args.segments else None
     criteria_names = _criteria_list(args.criteria)
+    base = ClassifyConfig()
     if args.gallery:
         entry = _gallery_entry_checked(args.gallery)
         problem, base = entry.problem, entry.config
-        config = ClassifyConfig(
-            intervals=intervals if intervals is not None else base.intervals,
-            N=args.N if args.N is not None else base.N,
-            segments=segments if segments is not None else base.segments,
-            criteria=criteria_names if criteria_names is not None else base.criteria)
         source = f"gallery:{args.gallery}"
+    elif args.model:
+        problem = load_problem(args.model)
+        source = args.model
     else:
-        if args.model:
-            problem = load_problem(args.model)
-            source = args.model
-        else:
-            problem = load_blocks(args.blocks)
-            source = args.blocks
-        config = ClassifyConfig(intervals=intervals,
-                                N=args.N if args.N is not None else 200,
-                                segments=segments, criteria=criteria_names)
+        problem = load_blocks(args.blocks)
+        source = args.blocks
+    config = ClassifyConfig(
+        intervals=intervals if intervals is not None else base.intervals,
+        N=args.N if args.N is not None else base.N,
+        segments=segments if segments is not None else base.segments,
+        criteria=criteria_names if criteria_names is not None else base.criteria)
     verdict, reports = classify_detailed(problem, config)
     config_echo = {"problem": source, "intervals": args.intervals,
                    "N": config.N, "segments": args.segments,
@@ -528,6 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output",
                         help="write the report here instead of stdout")
     common.add_argument("--format", choices=("json", "text"), default="json")
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--H", default="zero")
+    lattice.add_argument("--n", type=int, default=1)
+    lattice.add_argument("--count", type=int, default=50)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", parents=[common],
@@ -554,11 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--data", required=True)
         q.add_argument("--channel", required=True)
         q.add_argument("--threshold", type=float)
-    q = crs.add_parser("cor2", parents=[common])
+    q = crs.add_parser("cor2", parents=[common, lattice])
     q.add_argument("--d", required=True)
-    q.add_argument("--H", default="zero")
-    q.add_argument("--n", type=int, default=1)
-    q.add_argument("--count", type=int, default=50)
     q.add_argument("--channel", required=True)
     q.add_argument("--threshold", type=float)
     cr.set_defaults(handler=_cmd_criterion)
@@ -568,31 +564,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     def jacobi_common(q):
         q.add_argument("--d")
-        q.add_argument("--H", default="zero")
-        q.add_argument("--n", type=int, default=1)
-        q.add_argument("--count", type=int, default=50)
         q.add_argument("--data", help='JSON file {"d": [...], "H": [...], "N": int}')
 
-    jacobi_common(js.add_parser("build", parents=[common]))
-    q = js.add_parser("recurrence", parents=[common])
+    jacobi_common(js.add_parser("build", parents=[common, lattice]))
+    q = js.add_parser("recurrence", parents=[common, lattice])
     jacobi_common(q)
     q.add_argument("--u0", required=True)
     q.add_argument("--u1", required=True)
     q.add_argument("--steps", type=int, default=20)
-    q = js.add_parser("cauchy", parents=[common])
+    q = js.add_parser("cauchy", parents=[common, lattice])
     jacobi_common(q)
     q.add_argument("--i", type=int, required=True)
     q.add_argument("--j", type=int, required=True)
-    q = js.add_parser("t4", parents=[common])
+    q = js.add_parser("t4", parents=[common, lattice])
     jacobi_common(q)
     q.add_argument("--segments", required=True)
-    q = js.add_parser("carleman", parents=[common])
+    q = js.add_parser("carleman", parents=[common, lattice])
     jacobi_common(q)
     q.add_argument("--N", type=int, default=50)
-    q = js.add_parser("t7", parents=[common])
+    q = js.add_parser("t7", parents=[common, lattice])
     jacobi_common(q)
     q.add_argument("--N", type=int, default=100)
-    q = js.add_parser("cor3", parents=[common])
+    q = js.add_parser("cor3", parents=[common, lattice])
     jacobi_common(q)
     q.add_argument("--N", type=int, default=100)
     j.set_defaults(handler=_cmd_jacobi)
@@ -604,11 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--count", type=int)
     q.add_argument("--f")
     q.add_argument("--f1")
-    q = bs.add_parser("l2", parents=[common])
+    q = bs.add_parser("l2", parents=[common, lattice])
     q.add_argument("--d", required=True)
-    q.add_argument("--H", default="zero")
-    q.add_argument("--n", type=int, default=1)
-    q.add_argument("--count", type=int, default=50)
     q.add_argument("--u0", required=True)
     q.add_argument("--u1", required=True)
     q.add_argument("--steps", type=int, default=50)
@@ -623,28 +613,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_threads_env() -> None:
-    raw = os.environ.get("SLDL_THREADS")
-    if raw is None:
-        return
-    try:
-        if int(raw) < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"SLDL_THREADS must be a positive integer, got {raw!r}")
-    # evaluation is sequential and deterministic; the bound is recorded only
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         envelope = args.handler(args)
     except ConflictingEvidenceError as exc:
         print(f"conflicting evidence: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ConfigError, QuadratureError, ValueError, KeyError, TypeError,
+            IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render_text(envelope) if args.format == "text" else canonical_json(envelope) + "\n"

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ShapeMismatchError, as_matrix, frobenius_norm
+from .matcore import (
+    ShapeMismatchError,
+    as_matrix,
+    frobenius_norm,
+    matrix_from_json,
+    real_symmetric,
+)
 from .quasidiff import (
     DeltaNodes,
     FundamentalPair,
@@ -49,6 +55,10 @@ _GL_W = _GL_W / 2.0
 QUAD_REL_TOL = 1e-8
 _MAX_SPLIT = 256
 PSD_TOL = 1e-10
+
+
+class QuadratureError(RuntimeError):
+    """Kernel quadrature overflowed or did not reach its stability target."""
 
 
 @dataclass(frozen=True)
@@ -136,19 +146,25 @@ def _kernel_pass(model, bounds: list[float]) -> np.ndarray:
 
 
 def _refined(model, a, b, one_pass, rel_tol):
-    """Single exact pass for step models, stability-driven refinement otherwise."""
+    """Single exact pass for step models, stability-driven refinement otherwise.
+
+    Refinement stops at the first non-finite pass: finer cells cannot
+    bring an overflowed propagation back.
+    """
     if isinstance(model, (StepSigma, DeltaNodes)):
         return one_pass(_cell_bounds(model, a, b, 1))
-    prev = one_pass(_cell_bounds(model, a, b, 1))
-    splits = 2
+    prev = None
+    splits = 1
     while splits <= _MAX_SPLIT:
         cur = one_pass(_cell_bounds(model, a, b, splits))
+        if not np.all(np.isfinite(cur)):
+            raise QuadratureError(f"kernel quadrature overflowed on ({a}, {b})")
         scale = max(float(np.max(np.abs(cur))), 1e-300)
-        if float(np.max(np.abs(cur - prev))) <= rel_tol * scale:
+        if prev is not None and float(np.max(np.abs(cur - prev))) <= rel_tol * scale:
             return cur
         prev = cur
         splits *= 2
-    raise RuntimeError("kernel quadrature did not stabilize; refine the model pieces")
+    raise QuadratureError("kernel quadrature did not stabilize; refine the model pieces")
 
 
 def kernel_square_integrals(model, a: float, b: float,
@@ -316,25 +332,30 @@ def _jump_list(jumps, count: int) -> list[np.ndarray]:
     return mats
 
 
+def _jump_term(channel, h: np.ndarray, rho: float, s: float) -> float:
+    """Jump-series term of h at distances rho and s from its interval's ends.
+
+    Diagonal channel: rho s sqrt(rho + s) sqrt|h_ii + 1.5 (1/rho + 1/s)|.
+    Off-diagonal channel: (rho s)^(3/2) |h_ij|.
+    """
+    entry, diag = _channel_entry(channel, h)
+    if diag:
+        shift = 1.5 * (1.0 / rho + 1.0 / s)
+        return rho * s * math.sqrt(rho + s) * math.sqrt(abs(entry + shift))
+    return (rho * s) ** 1.5 * abs(entry)
+
+
 def t5_series(intervals: IntervalSeq, jumps, channel,
               threshold: float | None = None) -> CriterionReport:
     """Jump series over marked intervals; divergence means not limit circle.
 
-    Diagonal channel terms: rho s sqrt(rho + s) sqrt|h_ii + 1.5 (1/rho + 1/s)|.
-    Off-diagonal channel terms: (rho s)^(3/2) |h_ij|.
+    Terms are _jump_term with rho = c - a and s = b - c for marker c.
     """
     if intervals.markers is None:
         raise ValueError("jump series needs interval markers")
     mats = _jump_list(jumps, len(intervals))
-    terms = []
-    for (a, b), c, h in zip(intervals.intervals, intervals.markers, mats):
-        rho, s = c - a, b - c
-        entry, is_diag = _channel_entry(channel, h)
-        if is_diag:
-            shift = 1.5 * (1.0 / rho + 1.0 / s)
-            terms.append(rho * s * math.sqrt(rho + s) * math.sqrt(abs(entry + shift)))
-        else:
-            terms.append((rho * s) ** 1.5 * abs(entry))
+    terms = [_jump_term(channel, h, c - a, b - c)
+             for (a, b), c, h in zip(intervals.intervals, intervals.markers, mats)]
     name = "t5_offdiag" if isinstance(channel, OffDiagonal) else "t5_diag"
     return build_report(name, terms, threshold=threshold)
 
@@ -363,27 +384,18 @@ def cor2_series(d, jumps, channel,
                 threshold: float | None = None) -> CriterionReport:
     """Delta-lattice jump series in the spacings d_k = x_k - x_{k-1}.
 
-    Diagonal terms: d_k d_{k+1} sqrt(d_k + d_{k+1}) sqrt|h_ii + 1.5 (1/d_k + 1/d_{k+1})|.
-    Off-diagonal: (d_k d_{k+1})^(3/2) |h_ij|. Term k needs d_{k+1}, so the
+    Terms are _jump_term with rho = d_k and s = d_{k+1}: diagonal terms
+    d_k d_{k+1} sqrt(d_k + d_{k+1}) sqrt|h_ii + 1.5 (1/d_k + 1/d_{k+1})|,
+    off-diagonal (d_k d_{k+1})^(3/2) |h_ij|. Term k needs d_{k+1}, so the
     series runs over k = 1 .. min(len(d) - 1, len(jumps)).
     """
-    from .jacobi import reciprocal_sum
-
     d = [float(v) for v in d]
     if any(v <= 0.0 for v in d):
         raise ValueError("spacings must be positive")
     count = min(len(d) - 1, len(jumps))
     mats = _jump_list(list(jumps)[:count], count)
-    terms = []
-    for k in range(1, count + 1):
-        dk, dk1 = d[k - 1], d[k]
-        h = mats[k - 1]
-        entry, diag = _channel_entry(channel, h)
-        if diag:
-            shift = 1.5 * reciprocal_sum(d, k)
-            terms.append(dk * dk1 * math.sqrt(dk + dk1) * math.sqrt(abs(entry + shift)))
-        else:
-            terms.append((dk * dk1) ** 1.5 * abs(entry))
+    terms = [_jump_term(channel, mats[k - 1], d[k - 1], d[k])
+             for k in range(1, count + 1)]
     return build_report("cor2", terms, threshold=threshold)
 
 
@@ -409,7 +421,7 @@ class LinearSigma:
             raise ValueError("knots must start at 0.0 and contain the endpoint")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise ValueError("knots must be strictly increasing")
-        vals = tuple(_real_sym(as_matrix(v, self.n)) for v in self.values)
+        vals = tuple(real_symmetric(v, "sigma values", self.n) for v in self.values)
         if len(vals) != len(knots):
             raise ShapeMismatchError("need one sigma value per knot")
         object.__setattr__(self, "knots", knots)
@@ -423,25 +435,10 @@ class LinearSigma:
         return (self.values[i + 1] - self.values[i]) / (self.knots[i + 1] - self.knots[i])
 
 
-def _real_sym(m: np.ndarray) -> np.ndarray:
-    if np.max(np.abs(m.imag)) > PSD_TOL or np.max(np.abs(m - m.T)) > PSD_TOL:
-        raise ValueError("sigma values must be real symmetric")
-    return m
-
-
 def linear_sigma_from_json(obj: dict) -> LinearSigma:
-    from .matcore import matrix_from_json
-
     n = int(obj["n"])
     return LinearSigma(n, tuple(obj["knots"]),
                        tuple(matrix_from_json(v, n) for v in obj["values"]))
-
-
-def linear_sigma_to_json(model: LinearSigma) -> dict:
-    from .matcore import matrix_to_json
-
-    return {"n": model.n, "variant": "linear_sigma", "knots": list(model.knots),
-            "values": [matrix_to_json(v) for v in model.values]}
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
+    COND_LIMIT,
+    HERMITIAN_TOL,
+    NonSymmetricError,
     ShapeMismatchError,
     as_matrix,
     frobenius_norm,
@@ -38,6 +41,7 @@ from .matcore import (
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
+    real_symmetric,
 )
 from .reports import (
     CONVERGES,
@@ -47,12 +51,10 @@ from .reports import (
     periodic_positive_floor,
 )
 
-HERMITIAN_TOL = 1e-10
 _LOG_MAX = math.log(np.finfo(float).max)
 
-
-class NonSymmetricJumpError(ValueError):
-    """A jump matrix is not real symmetric."""
+# raised for jump matrices that are not real symmetric
+NonSymmetricJumpError = NonSymmetricError
 
 
 class NonPositiveSpacingError(ValueError):
@@ -104,13 +106,6 @@ def _check_spacings(d) -> tuple[float, ...]:
     return d
 
 
-def _check_jump(h, n: int | None = None) -> np.ndarray:
-    h = as_matrix(h, n)
-    if np.max(np.abs(h.imag)) > HERMITIAN_TOL or not is_hermitian(h, HERMITIAN_TOL):
-        raise NonSymmetricJumpError("jump matrices must be real symmetric")
-    return h
-
-
 # ---------------------------------------------------------------------------
 # blocks
 
@@ -138,7 +133,7 @@ class JacobiBlocks:
                 raise ValueError("diagonal blocks must be Hermitian")
         for b in B:
             cond = np.linalg.cond(b)
-            if not np.isfinite(cond) or cond > 1e14:
+            if not np.isfinite(cond) or cond > COND_LIMIT:
                 raise ValueError("off-diagonal blocks must be invertible")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -167,7 +162,7 @@ def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
     m = len(d)
     if m < 2:
         raise ValueError("need at least two spacings")
-    H = [_check_jump(h) for h in H]
+    H = [real_symmetric(h, "jump matrices") for h in H]
     if len(H) not in (m - 1, m):
         raise ShapeMismatchError(f"need {m - 1} (or {m}) jumps for {m} spacings")
     n = H[0].shape[0] if H else 1
@@ -176,7 +171,7 @@ def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
         a0, b0 = np.zeros((n, n), dtype=complex), -np.eye(n, dtype=complex)
         default = True
     else:
-        a0, b0 = (_check_jump(x, n) for x in boundary)
+        a0, b0 = (real_symmetric(x, "boundary blocks", n) for x in boundary)
         invert(b0)
         default = False
     A = [a0]
@@ -220,6 +215,17 @@ def recurrence_apply(blocks: JacobiBlocks, u, j: int) -> np.ndarray:
             + blocks.B_at(j - 1).conj().T @ seq[j - 1])
 
 
+def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int):
+    """Yield u_{m+1} = -B_m^{-1} (A_m u_m + B*_{m-1} u_{m-1}) for m = start .. stop - 1.
+
+    (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike.
+    """
+    for m in range(start, stop):
+        rhs = blocks.A_at(m) @ cur + blocks.B_at(m - 1).conj().T @ prev
+        prev, cur = cur, -np.linalg.solve(blocks.B_at(m), rhs)
+        yield cur
+
+
 def solve_recurrence(blocks: JacobiBlocks, u0, u1, count: int) -> np.ndarray:
     """March u_{j+1} = -B_j^{-1} (A_j u_j + B*_{j-1} u_{j-1}) from (u_0, u_1).
 
@@ -232,9 +238,8 @@ def solve_recurrence(blocks: JacobiBlocks, u0, u1, count: int) -> np.ndarray:
     out = np.empty((count, n), dtype=complex)
     out[0] = _as_vec(u0, n)
     out[1] = _as_vec(u1, n)
-    for j in range(1, count - 1):
-        rhs = blocks.A_at(j) @ out[j] + blocks.B_at(j - 1).conj().T @ out[j - 1]
-        out[j + 1] = -np.linalg.solve(blocks.B_at(j), rhs)
+    for j, u in enumerate(_march(blocks, out[0], out[1], 1, count - 1), start=2):
+        out[j] = u
     return out
 
 
@@ -245,11 +250,9 @@ def discrete_cauchy(blocks: JacobiBlocks, i: int, j: int) -> np.ndarray:
     n = blocks.n
     if i == j:
         return np.zeros((n, n), dtype=complex)
-    prev = np.zeros((n, n), dtype=complex)
     cur = invert(blocks.B_at(j))
-    for m in range(j + 1, i):
-        rhs = blocks.A_at(m) @ cur + blocks.B_at(m - 1).conj().T @ prev
-        prev, cur = cur, -np.linalg.solve(blocks.B_at(m), rhs)
+    for cur in _march(blocks, np.zeros((n, n), dtype=complex), cur, j + 1, i):
+        pass
     return cur
 
 
@@ -257,17 +260,12 @@ def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
     """(sum_{i=n_k}^{m_k} sum_{j=n_k}^{i} ||K_ij||_F^2)^(1/2) for one segment."""
     if n_k < 1 or m_k < n_k:
         raise IndexOutOfRangeError("need 1 <= n_k <= m_k")
+    zero = np.zeros((blocks.n, blocks.n), dtype=complex)
     total = 0.0
-    for j in range(n_k, m_k + 1):
-        prev = np.zeros((blocks.n, blocks.n), dtype=complex)
-        if j < m_k:
-            cur = invert(blocks.B_at(j))
-            total += frobenius_norm(cur) ** 2
-        else:
-            cur = prev
-        for m in range(j + 1, m_k):
-            rhs = blocks.A_at(m) @ cur + blocks.B_at(m - 1).conj().T @ prev
-            prev, cur = cur, -np.linalg.solve(blocks.B_at(m), rhs)
+    for j in range(n_k, m_k):  # column m_k holds only K_{m_k, m_k} = O
+        cur = invert(blocks.B_at(j))
+        total += frobenius_norm(cur) ** 2
+        for cur in _march(blocks, zero, cur, j + 1, m_k):
             total += frobenius_norm(cur) ** 2
     return math.sqrt(total)
 
@@ -397,7 +395,7 @@ def t7_check(d, H, N: int) -> T7Result:
     if N < 1:
         raise ValueError("N must be at least 1")
     d = _check_spacings(d)
-    H = [_check_jump(h) for h in H]
+    H = [real_symmetric(h, "jump matrices") for h in H]
     if len(d) < 2 * N + 2:
         raise IndexOutOfRangeError(f"need at least {2 * N + 2} spacings for N = {N}")
     if len(H) < 2 * N + 1:
@@ -461,7 +459,7 @@ def cor3_check(d, H, N: int) -> Cor3Result:
     if N < 2:
         raise ValueError("N must be at least 2")
     d = _check_spacings(d)
-    H = [_check_jump(h) for h in H]
+    H = [real_symmetric(h, "jump matrices") for h in H]
     if len(d) < N + 3:
         raise IndexOutOfRangeError(f"need at least {N + 3} spacings for N = {N}")
     if len(H) < N:

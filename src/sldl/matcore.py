@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 COND_LIMIT = 1e14
+HERMITIAN_TOL = 1e-10
 
 
 class SingularMatrixError(ValueError):
@@ -19,6 +20,10 @@ class SingularMatrixError(ValueError):
 
 class ShapeMismatchError(ValueError):
     """Operands have incompatible orders or lengths."""
+
+
+class NonSymmetricError(ValueError):
+    """A matrix that must be real symmetric is not (within HERMITIAN_TOL)."""
 
 
 def as_matrix(entries, n: int | None = None) -> np.ndarray:
@@ -40,14 +45,6 @@ def as_matrix(entries, n: int | None = None) -> np.ndarray:
     m = m.copy()
     m.flags.writeable = False
     return m
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
-
-
-def zeros(n: int) -> np.ndarray:
-    return np.zeros((n, n), dtype=complex)
 
 
 def frobenius_norm(m) -> float:
@@ -81,6 +78,14 @@ def is_hermitian(m, tol: float = 0.0) -> bool:
     """True iff max |m_ij - conj(m_ji)| <= tol."""
     m = np.asarray(m, dtype=complex)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+
+
+def real_symmetric(m, what: str, n: int | None = None) -> np.ndarray:
+    """as_matrix(m, n), checked to be real symmetric within HERMITIAN_TOL."""
+    m = as_matrix(m, n)
+    if np.max(np.abs(m.imag)) > HERMITIAN_TOL or not is_hermitian(m, HERMITIAN_TOL):
+        raise NonSymmetricError(f"{what} must be real symmetric")
+    return m
 
 
 def block2n(tl, tr, bl, br) -> np.ndarray:

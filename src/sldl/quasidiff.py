@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
+    HERMITIAN_TOL,
     ShapeMismatchError,
     as_matrix,
     block2n,
@@ -32,9 +33,8 @@ from .matcore import (
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
+    real_symmetric,
 )
-
-HERMITIAN_TOL = 1e-10
 
 
 class SingularPieceError(ValueError):
@@ -64,13 +64,6 @@ def _check_cuts(cuts, X: float) -> tuple[float, ...]:
     return cuts
 
 
-def _real_symmetric(m, what: str) -> np.ndarray:
-    m = as_matrix(m)
-    if np.max(np.abs(m.imag)) > HERMITIAN_TOL or not is_hermitian(m, HERMITIAN_TOL):
-        raise ValueError(f"{what} must be real symmetric")
-    return m
-
-
 @dataclass(frozen=True)
 class StepSigma:
     """Piecewise-constant real symmetric potential sigma.
@@ -86,8 +79,7 @@ class StepSigma:
 
     def __post_init__(self):
         object.__setattr__(self, "cuts", _check_cuts(self.cuts, self.X))
-        vals = tuple(_real_symmetric(as_matrix(v, self.n), "sigma piece")
-                     for v in self.values)
+        vals = tuple(real_symmetric(v, "sigma piece", self.n) for v in self.values)
         if len(vals) != len(self.cuts):
             raise ShapeMismatchError("need one sigma value per piece")
         object.__setattr__(self, "values", vals)
@@ -116,8 +108,7 @@ class DeltaNodes:
             raise ValueError("nodes must be positive")
         if any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
-        jumps = tuple(_real_symmetric(as_matrix(h, self.n), "jump matrix")
-                      for h in self.jumps)
+        jumps = tuple(real_symmetric(h, "jump matrix", self.n) for h in self.jumps)
         if len(jumps) != len(nodes):
             raise ShapeMismatchError("need one jump matrix per node")
         object.__setattr__(self, "nodes", nodes)

@@ -4,7 +4,8 @@ Every criterion in this package reduces to a nonnegative term sequence
 whose divergence or convergence carries the spectral information. On a
 finite window neither property is decidable, so verdicts are issued only
 when an explicit certificate fires, and the certificate is named in
-``verdict_basis``. Anything else stays Inconclusive.
+``verdict_basis``. Anything else stays Inconclusive, and so does every
+window that contains a NaN term.
 
 Divergence certificates (lower bound on infinitely many terms, assuming
 the observed structure continues):
@@ -26,6 +27,7 @@ blocking to absorb even/odd oscillation):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 DIVERGES = "DivergesProven"
@@ -170,6 +172,12 @@ def build_report(criterion: str, terms, threshold: float | None = None,
     if not terms:
         return CriterionReport(criterion, (), (), INCONCLUSIVE,
                                "empty term sequence", tuple(notes))
+    # NaN fails every comparison, so the certificates would read it as passing
+    nan_at = next((i for i, t in enumerate(terms) if math.isnan(t)), None)
+    if nan_at is not None:
+        return CriterionReport(criterion, terms, sums, INCONCLUSIVE,
+                               f"terms[{nan_at}] is NaN; no certificate applies",
+                               tuple(notes))
     basis = divergence_certificate(terms, threshold)
     if basis is not None:
         return CriterionReport(criterion, terms, sums, DIVERGES, basis, tuple(notes))

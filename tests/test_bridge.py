@@ -23,7 +23,7 @@ from sldl import (
     resolve_classification,
     solve_recurrence,
 )
-from sldl.bridge import classify_detailed
+from sldl.bridge import CRITERIA, classify_detailed
 from sldl.matcore import ShapeMismatchError
 from sldl.reports import CONVERGES, DIVERGES
 
@@ -200,6 +200,16 @@ def test_classify_criteria_filter():
 def test_classify_config_rejects_unknown_names():
     with pytest.raises(ValueError):
         ClassifyConfig(criteria=("t1", "bogus"))
+
+
+def test_gallery_evidence_codes_and_sides_come_from_the_table():
+    side_of = {c.code: c.side for c in CRITERIA}
+    for entry in gallery():
+        verdict = entry.run()
+        codes = [e.criterion.split(":")[0] for e in verdict.evidence]
+        assert codes and set(codes) <= set(side_of)
+        sides = {side_of[c] for c in codes}
+        assert verdict.side == ("Both" if len(sides) == 2 else sides.pop())
 
 
 def test_classify_reports_align_with_evidence():

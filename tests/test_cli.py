@@ -1,10 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sldl
+from sldl.bridge import CRITERIA
 from sldl.cli import canonical_json, run, validate_report
 from sldl.quasidiff import StepSigma, model_to_json
 
@@ -212,11 +217,25 @@ def test_argparse_rejects_unknown_subcommand():
     assert exc.value.code == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SLDL_THREADS", "zero")
-    assert run(["gallery", "list"]) == 2
-    monkeypatch.setenv("SLDL_THREADS", "4")
-    assert run(["gallery", "list"]) == 0
+def test_criterion_outside_the_classify_table_rejected(capsys):
+    # t5 and cor1 need marked interval data; they run through `criterion` only
+    assert run(["classify", "--gallery", "free-lattice", "--criteria", "t5_diag"]) == 2
+    err = capsys.readouterr().err
+    assert "t5_diag" in err
+    assert ", ".join(c.code for c in CRITERIA) in err
+
+
+def test_quadrature_overflow_exits_2_fast(capsys, tmp_path):
+    model = {"n": 1, "X": 1.0, "variant": "general_triple", "cuts": [0.0],
+             "P": [[[1.0]]], "Q": [[[1e6]]], "R": [[[0.0]]]}
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(model))
+    start = time.perf_counter()
+    code = run(["criterion", "t1", "--model", str(path), "--intervals", "unit:1"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "quadrature" in capsys.readouterr().err
+    assert elapsed < 1.0
 
 
 def test_output_file_and_io_failure(capsys, tmp_path, free_model_file):
@@ -267,8 +286,12 @@ def test_validate_report_rejects_bad_documents():
 
 
 def test_module_entry_point():
+    # the child imports the same sldl as this process, installed or not
+    src = str(Path(sldl.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-m", "sldl.cli", "gallery", "list"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "christ-stolz" in out.stdout
 

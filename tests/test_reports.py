@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,18 @@ def test_threshold_mode_fires_only_with_slow_decay():
 def test_negative_terms_rejected():
     with pytest.raises(ValueError):
         build_report("x", [1.0, -0.5])
+
+
+def test_nan_term_never_certifies():
+    terms = [2.0 ** -k for k in range(20)]
+    assert build_report("x", terms).verdict == CONVERGES
+    terms[15] = math.nan
+    rep = build_report("x", terms)
+    assert rep.verdict == INCONCLUSIVE
+    assert "terms[15]" in rep.verdict_basis
+    rep = build_report("x", [0.3] * 9 + [math.nan] + [0.3] * 10)
+    assert rep.verdict == INCONCLUSIVE
+    assert "terms[9]" in rep.verdict_basis
 
 
 def test_short_windows_stay_inconclusive():
