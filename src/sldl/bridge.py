@@ -47,7 +47,7 @@ from .quasidiff import (
     GeneralTriple,
     QuasiState,
     StepSigma,
-    propagate,
+    _flow,
 )
 from .reports import DIVERGES, CriterionReport, build_report
 
@@ -104,6 +104,8 @@ class ClassifyConfig:
 
     def __post_init__(self):
         if self.criteria is not None:
+            if not self.criteria:
+                raise ValueError("empty criteria selection; omit it to run every criterion")
             valid = [c.code for c in CRITERIA]
             bad = [c for c in self.criteria if c not in valid]
             if bad:
@@ -127,7 +129,7 @@ def nodes_to_Z(f_at_nodes, d) -> np.ndarray:
 def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) -> float:
     """Largest normalized recurrence residual of the rescaled node samples.
 
-    Propagates the seed through the delta model, samples f at the nodes,
+    Marches the seed through the delta model once, samples f at the nodes,
     forms Z, and applies the block recurrence for the canonical indices
     k = 2 .. count + 1 (index 1 touches the free boundary block and is
     skipped). Each residual is divided by the size of the largest of the
@@ -140,13 +142,8 @@ def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) 
     if count < 1 or m < count + 3:
         raise ValueError(f"need at least count + 3 = {count + 3} nodes, have {m}")
     d = model.spacings
-    state = seed_state
-    prev = 0.0
-    samples = []
-    for x in model.nodes:
-        state = propagate(model, 0.0, state, prev, x)
-        samples.append(state.f)
-        prev = x
+    y = np.concatenate([seed_state.f, seed_state.f1])
+    samples = [y[:model.n] for _, y in _flow(model, 0.0, y, 0.0, model.nodes[-1])]
     z = nodes_to_Z(samples, d)
     blocks = blocks_from_delta(d, model.jumps)
     u = np.vstack([np.zeros((1, model.n), dtype=complex), z])
@@ -413,14 +410,17 @@ def _offdiagonal_divergence() -> GalleryEntry:
         "only, certifying not limit circle")
 
 
+_GALLERY = {"free-lattice": _free_lattice, "christ-stolz": _christ_stolz,
+            "monotone-sigma": _monotone_sigma,
+            "offdiagonal-divergence": _offdiagonal_divergence}
+
+
 def gallery() -> list[GalleryEntry]:
     """Reference problems with their expected classifications."""
-    return [_free_lattice(), _christ_stolz(), _monotone_sigma(),
-            _offdiagonal_divergence()]
+    return [build() for build in _GALLERY.values()]
 
 
 def gallery_entry(name: str) -> GalleryEntry:
-    for entry in gallery():
-        if entry.name == name:
-            return entry
-    raise KeyError(f"no gallery entry named {name!r}")
+    if name not in _GALLERY:
+        raise KeyError(f"no gallery entry named {name!r}")
+    return _GALLERY[name]()

@@ -497,10 +497,8 @@ def _cmd_gallery(args) -> dict:
         entries = [{"name": e.name, "expected": e.expected, "note": e.note}
                    for e in gallery()]
         return make_envelope("gallery list", {}, {"entries": entries})
-    names = [args.name] if args.name else [e.name for e in gallery()]
     entries = []
-    for name in names:
-        entry = _gallery_entry_checked(name)
+    for entry in [_gallery_entry_checked(args.name)] if args.name else gallery():
         verdict, reports = classify_detailed(entry.problem, entry.config)
         entries.append({"name": entry.name, "expected": entry.expected,
                         "classification": verdict.classification,

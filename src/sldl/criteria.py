@@ -14,10 +14,13 @@ criteria ``t5_diag`` / ``t5_offdiag`` and their midpoint and lattice
 specializations ``cor1`` / ``cor2``. A monotonicity test (code ``t2``)
 covers piecewise-linear potentials.
 
-Quadrature: for step and delta models the kernel is piecewise bilinear,
-the integrand is piecewise polynomial of low degree, and one 7-point
-Gauss-Legendre pass per cell is exact. Other variants are refined until
-the estimate is stable to a relative tolerance.
+Quadrature: one pass over the cells of [a, b] carries, per kernel column,
+the Gram matrix of the solutions started at the points already passed, so
+the cost is linear in the cells and each cell adds one-dimensional 7-point
+Gauss-Legendre rules. Step and delta models march in classical
+coordinates, where cell propagators are linear and the rules are exact
+whatever the accumulated potential. Other variants repeat the pass on
+refined cells until the estimate is stable to a relative tolerance.
 """
 
 from __future__ import annotations
@@ -40,10 +43,8 @@ from .quasidiff import (
     OffGridError,
     StepSigma,
     VariantUnsupportedError,
+    _cells,
     expm,
-    piece_cuts,
-    piece_index,
-    piece_system,
     transfer,
 )
 from .reports import DIVERGES, CriterionReport, build_report
@@ -99,64 +100,59 @@ class IntervalSeq:
 # kernel quadrature
 
 
-def _cell_bounds(model, a: float, b: float, splits: int) -> list[float]:
-    cuts = [c for c in piece_cuts(model) if a < c < b]
-    base = [a] + cuts + [b]
-    out = []
-    for lo, hi in zip(base, base[1:]):
-        step = (hi - lo) / splits
-        out.extend(lo + i * step for i in range(splits))
-    out.append(b)
-    return out
+def _kernel_pass(model, a: float, b: float, splits: int) -> np.ndarray:
+    """Per-entry double integrals in one pass over the cells of [a, b].
 
-
-def _kernel_pass(model, bounds: list[float]) -> np.ndarray:
-    """One Gauss-Legendre pass of the per-entry double integrals."""
+    gram[j] = int w_j w_j* dt over the t passed so far, w_j the current state
+    of the solution started at t with data (O, e_j). For x at s in a later
+    cell, int |k_ij(x, t)|^2 dt over those t is [E(s) gram[j] E(s)*]_ii; x and
+    t in one cell reduce to int_0^L (L - s) |E(s)_12|^2 ds.
+    """
     n = model.n
-    ncells = len(bounds) - 1
-    lens = [bounds[i + 1] - bounds[i] for i in range(ncells)]
-    sysm = [piece_system(model, 0.0, piece_index(model, (bounds[i] + bounds[i + 1]) / 2.0))
-            for i in range(ncells)]
-    node_prop = [[expm(sysm[i] * (x * lens[i])) for x in _GL_X] for i in range(ncells)]
-    cell_prop = [expm(sysm[i] * lens[i]) for i in range(ncells)]
-    w0 = np.zeros((2 * n, n), dtype=complex)
-    w0[n:] = np.eye(n)
+    gram = np.zeros((n, 2 * n, 2 * n), dtype=complex)
     total = np.zeros((n, n))
+    for _, jump, gen, length in _cells(model, 0.0, a, b, splits):
+        if jump is not None:
+            gram = jump @ gram @ jump.conj().T
+        e = np.array([expm(gen * (x * length)) for x in _GL_X])
+        w, top, right = _GL_W * length, e[:, :n, :], e[:, :, n:]
+        total += np.einsum("p,pik,jkl,pil->ij", w, top, gram, top.conj()).real
+        total += np.einsum("p,pij->ij", w * (1.0 - _GL_X) * length, np.abs(right[:, :n]) ** 2)
+        step = expm(gen * length)
+        gram = step @ gram @ step.conj().T + np.einsum("p,pkj,plj->jkl", w, right, right.conj())
+    return total
 
-    # rectangles: t in cell j, x in a later cell i
-    for j in range(ncells - 1):
-        for uq, wq in zip(_GL_X, _GL_W):
-            wt = wq * lens[j]
-            w = expm(sysm[j] * (lens[j] * (1.0 - uq))) @ w0
-            for i in range(j + 1, ncells):
-                for p in range(7):
-                    k = (node_prop[i][p] @ w)[:n]
-                    total += (wt * _GL_W[p] * lens[i]) * (np.abs(k) ** 2)
-                w = cell_prop[i] @ w
 
-    # triangles: t and x share a cell; K depends only on x - t there
-    for i in range(ncells):
-        for xp, wp in zip(_GL_X, _GL_W):
-            xrel = xp * lens[i]
-            wx = wp * lens[i] * xrel
-            for uq, wq in zip(_GL_X, _GL_W):
-                k = expm(sysm[i] * (xrel * (1.0 - uq)))[:n, n:]
-                total += (wx * wq) * (np.abs(k) ** 2)
+def _solution_norm_pass(model, a: float, b: float, splits: int,
+                        t_start: np.ndarray) -> float:
+    n = model.n
+    total = 0.0
+    t = t_start
+    for _, jump, gen, length in _cells(model, 0.0, a, b, splits):
+        if jump is not None:
+            t = jump @ t
+        e = np.array([expm(gen * (x * length)) for x in _GL_X])
+        total += float(np.einsum("p,pij->", _GL_W * length, np.abs((e @ t)[:, :n]) ** 2))
+        t = expm(gen * length) @ t
     return total
 
 
 def _refined(model, a, b, one_pass, rel_tol):
     """Single exact pass for step models, stability-driven refinement otherwise.
 
-    Refinement stops at the first non-finite pass: finer cells cannot
-    bring an overflowed propagation back.
+    one_pass(splits) integrates over the cells of [a, b] with every piece
+    split into ``splits`` equal parts. Refinement stops at the first
+    non-finite pass: finer cells cannot bring an overflowed propagation
+    back, and the overflow is reported as a QuadratureError, not as a
+    numpy warning.
     """
     if isinstance(model, (StepSigma, DeltaNodes)):
-        return one_pass(_cell_bounds(model, a, b, 1))
+        return one_pass(1)
     prev = None
     splits = 1
     while splits <= _MAX_SPLIT:
-        cur = one_pass(_cell_bounds(model, a, b, splits))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur = one_pass(splits)
         if not np.all(np.isfinite(cur)):
             raise QuadratureError(f"kernel quadrature overflowed on ({a}, {b})")
         scale = max(float(np.max(np.abs(cur))), 1e-300)
@@ -174,22 +170,7 @@ def kernel_square_integrals(model, a: float, b: float,
         raise ValueError("need 0 <= a <= b <= X")
     if a == b:
         return np.zeros((model.n, model.n))
-    return _refined(model, a, b, lambda bounds: _kernel_pass(model, bounds), rel_tol)
-
-
-def _solution_norm_pass(model, bounds: list[float], t_start: np.ndarray) -> float:
-    n = model.n
-    total = 0.0
-    t = t_start
-    for lo, hi in zip(bounds, bounds[1:]):
-        length = hi - lo
-        s = piece_system(model, 0.0, piece_index(model, (lo + hi) / 2.0))
-        for xp, wp in zip(_GL_X, _GL_W):
-            sample = expm(s * (xp * length)) @ t
-            total += wp * length * (frobenius_norm(sample[:n, :n]) ** 2
-                                    + frobenius_norm(sample[:n, n:]) ** 2)
-        t = expm(s * length) @ t
-    return total
+    return _refined(model, a, b, lambda splits: _kernel_pass(model, a, b, splits), rel_tol)
 
 
 def solution_norm_integral(model, a: float, b: float,
@@ -201,7 +182,8 @@ def solution_norm_integral(model, a: float, b: float,
         return 0.0
     t_start = transfer(model, 0.0, 0.0, a)
     return _refined(model, a, b,
-                    lambda bounds: _solution_norm_pass(model, bounds, t_start), rel_tol)
+                    lambda splits: _solution_norm_pass(model, a, b, splits, t_start),
+                    rel_tol)
 
 
 # ---------------------------------------------------------------------------

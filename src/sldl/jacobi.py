@@ -257,16 +257,26 @@ def discrete_cauchy(blocks: JacobiBlocks, i: int, j: int) -> np.ndarray:
 
 
 def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
-    """(sum_{i=n_k}^{m_k} sum_{j=n_k}^{i} ||K_ij||_F^2)^(1/2) for one segment."""
+    """(sum_{i=n_k}^{m_k} sum_{j=n_k}^{i} ||K_ij||_F^2)^(1/2) for one segment.
+
+    One step per row i: gram = sum_j S_j S_j* over the stacked columns
+    S_j = (K_ij; K_{i-1,j}), n_k <= j < i, whose top-left trace is row i's
+    share; each row steps gram by the recurrence and adds (B_i^{-1}; O).
+    """
     if n_k < 1 or m_k < n_k:
         raise IndexOutOfRangeError("need 1 <= n_k <= m_k")
-    zero = np.zeros((blocks.n, blocks.n), dtype=complex)
+    n = blocks.n
+    eye = np.eye(2 * n)
+    gram = np.zeros((2 * n, 2 * n), dtype=complex)
     total = 0.0
-    for j in range(n_k, m_k):  # column m_k holds only K_{m_k, m_k} = O
-        cur = invert(blocks.B_at(j))
-        total += frobenius_norm(cur) ** 2
-        for cur in _march(blocks, zero, cur, j + 1, m_k):
-            total += frobenius_norm(cur) ** 2
+    for i in range(n_k, m_k):  # row i + 1
+        if i > n_k:
+            (top,) = _march(blocks, eye[n:], eye[:n], i, i + 1)
+            step = np.vstack([top, eye[:n]])
+            gram = step @ gram @ step.conj().T
+        binv = invert(blocks.B_at(i))
+        gram[:n, :n] += binv @ binv.conj().T
+        total += float(np.trace(gram[:n, :n]).real)
     return math.sqrt(total)
 
 

@@ -6,10 +6,11 @@ Y = (f, f1), where f1 = P (f' - R f) is the first quasi-derivative and
 
     F = [[R, P^-1], [Q, -R*]],      L = [[O, O], [lam*I, O]].
 
-Coefficients are restricted to piecewise-constant pieces, so propagation
-across a piece is an exact matrix exponential and no quadrature error
-enters the kernels. Step potentials (sigma models) make F nilpotent at
-lam = 0 and propagation is then exactly piecewise linear.
+Coefficients are piecewise constant, so propagation across a piece is an
+exact matrix exponential. One cell walker, ``_cells``, enumerates pieces
+and picks the working coordinates for transfer matrices, kernel integrals
+and node samples: classical (f, f') with free flights and jumps of f' for
+step and delta models, (f, f1) with the piece generator otherwise.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -318,66 +319,70 @@ def expm(a) -> np.ndarray:
     return x
 
 
-def _segments(model, x0: float, x1: float):
-    """Yield (piece index, length) covering [x0, x1]."""
+def _jump(ds: np.ndarray) -> np.ndarray:
+    """[[I, O], [dS, I]]: f' picks up dS f."""
+    eye = np.eye(ds.shape[0])
+    return block2n(eye, 0 * eye, ds, eye)
+
+
+def _cells(model, lam: complex, x0: float, x1: float, splits: int = 1):
+    """Yield the cells of [x0, x1] as (piece, jump, generator, length).
+
+    Cells are the pieces clipped to [x0, x1], each split into ``splits``
+    equal parts; ``jump`` (or None) applies at the cell's start and
+    exp(generator * length) carries the state across. Step and delta models
+    work in classical coordinates (f, f'), since quasi generators carry
+    sigma**2 and lose about that factor once the accumulated potential is
+    large: a free flight inside each cell, a jump by the change of sigma at
+    each cut (the stored jump and spacing for full delta cells), and a first
+    jump by sigma itself, from (f, f1) into (f, f'), that ``_to_quasi``
+    undoes. Other models keep quasi coordinates and the piece generator.
+    """
+    sigma = _sigma_of(model)
+    delta = model if isinstance(model, DeltaNodes) else None
+    eye = np.eye(model.n)
+    flight = block2n(0 * eye, eye, -lam * eye, 0 * eye)
     cuts = piece_cuts(model)
-    i = piece_index(model, x0)
-    pos = x0
+    i, pos = piece_index(model, x0), x0
     while pos < x1:
         end = cuts[i + 1] if i + 1 < len(cuts) else model.X
         stop = min(end, x1)
-        if stop > pos:
-            yield i, stop - pos
-        pos = stop
-        i += 1
+        if sigma is None:
+            jump, gen = None, piece_system(model, lam, i)
+        else:
+            jump = _jump(sigma.values[i] if pos == x0 else delta.jumps[i - 1] if delta
+                         else sigma.values[i] - sigma.values[i - 1])
+            gen = flight
+        full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
+        length = (delta.spacings[i] if full else stop - pos) / splits
+        for _ in range(splits):
+            yield i, jump, gen, length
+            jump = None
+        pos, i = stop, i + 1
 
 
-def _sigma_ops(sigma: StepSigma, model, lam: complex, x0: float, x1: float):
-    """Factor propagation of a step potential through classical coordinates.
-
-    In quasi coordinates the piece generators carry sigma**2 and long
-    products lose roughly that factor in precision once the accumulated
-    potential is large. Classically the same flow is a free flight
-    between cuts, a jump [[I, O], [dC, I]] at each cut, and one
-    coordinate change at either end, all well conditioned. Yields 2n x 2n
-    factors to apply left to right.
-    """
-    n = sigma.n
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    i0 = piece_index(model, x0)
-    yield block2n(eye, zero, sigma.values[i0], eye)  # (f, f1) -> (f, f')
-    flight = block2n(zero, eye, -lam * eye, zero)
-    last = i0
-    for i, dt in _segments(model, x0, x1):
-        if i > last:
-            jump = sigma.values[i] - sigma.values[i - 1]
-            yield block2n(eye, zero, jump, eye)
-            last = i
-        yield expm(flight * dt)
-    i1 = piece_index(model, x1)
-    for i in range(last + 1, i1 + 1):  # x1 sits exactly on one or more cuts
-        yield block2n(eye, zero, sigma.values[i] - sigma.values[i - 1], eye)
-    yield block2n(eye, zero, -sigma.values[i1], eye)  # (f, f') -> (f, f1)
+def _flow(model, lam: complex, y: np.ndarray, x0: float, x1: float):
+    """Yield (piece, y) at the end of each cell of [x0, x1], y in working coordinates."""
+    for piece, jump, gen, length in _cells(model, lam, x0, x1):
+        if jump is not None:
+            y = jump @ y
+        y = expm(gen * length) @ y
+        yield piece, y
 
 
-def _propagation_ops(model, lam: complex, x0: float, x1: float):
+def _to_quasi(model, piece: int, y: np.ndarray) -> np.ndarray:
     sigma = _sigma_of(model)
-    if sigma is not None:
-        yield from _sigma_ops(sigma, model, lam, x0, x1)
-        return
-    for i, dt in _segments(model, x0, x1):
-        yield expm(piece_system(model, lam, i) * dt)
+    return y if sigma is None else _jump(-sigma.values[piece]) @ y
 
 
 def transfer(model, lam: complex, x0: float, x1: float) -> np.ndarray:
     """Fundamental 2n x 2n propagator of Y' = (F - L) Y from x0 to x1."""
     if not 0.0 <= x0 <= x1 <= model.X:
         raise ValueError("need 0 <= x0 <= x1 <= X")
-    m = np.eye(2 * model.n, dtype=complex)
-    for op in _propagation_ops(model, lam, x0, x1):
-        m = op @ m
-    return m
+    m, piece = np.eye(2 * model.n, dtype=complex), None
+    for piece, m in _flow(model, lam, m, x0, x1):
+        pass
+    return m if piece is None else _to_quasi(model, piece, m)
 
 
 @dataclass(frozen=True)
@@ -410,11 +415,7 @@ def propagate(model, lam: complex, state: QuasiState, x0: float, x1: float) -> Q
     """
     if state.n != model.n:
         raise ShapeMismatchError("state order does not match the model")
-    if not 0.0 <= x0 <= x1 <= model.X:
-        raise ValueError("need 0 <= x0 <= x1 <= X")
-    y = np.concatenate([state.f, state.f1])
-    for op in _propagation_ops(model, lam, x0, x1):
-        y = op @ y
+    y = transfer(model, lam, x0, x1) @ np.concatenate([state.f, state.f1])
     n = model.n
     return QuasiState(y[:n], y[n:])
 

@@ -78,6 +78,14 @@ def test_equivalence_residual_cancel_family():
     assert res <= 1e-9
 
 
+def test_equivalence_residual_christ_stolz_2000_nodes():
+    # sigma reaches about -4e6 here; the node samples come from one
+    # classical march, not from per-node round trips through quasi coordinates
+    d, H = christ_stolz_family(2001)
+    model = DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000])
+    assert equivalence_residual(model, 1997, QuasiState([0.0], [1.0])) <= 1e-11
+
+
 def test_equivalence_residual_requires_delta_model():
     from sldl import StepSigma
 
@@ -241,6 +249,24 @@ def test_gallery_reproduces_expected(name):
     entry = gallery_entry(name)
     verdict = entry.run()
     assert verdict.classification == entry.expected
+
+
+def test_gallery_run_builds_each_entry_once(monkeypatch, capsys):
+    from sldl import bridge
+    from sldl.cli import run
+
+    calls = {}
+    for name, build in list(bridge._GALLERY.items()):
+        def counted(name=name, build=build):
+            calls[name] = calls.get(name, 0) + 1
+            return build()
+        monkeypatch.setitem(bridge._GALLERY, name, counted)
+    assert run(["gallery", "run"]) == 0
+    assert calls == {name: 1 for name in bridge._GALLERY}
+    calls.clear()
+    assert run(["gallery", "run", "christ-stolz"]) == 0
+    assert calls == {"christ-stolz": 1}
+    capsys.readouterr()
 
 
 def test_gallery_verdicts_deterministic():

@@ -225,6 +225,14 @@ def test_criterion_outside_the_classify_table_rejected(capsys):
     assert ", ".join(c.code for c in CRITERIA) in err
 
 
+def test_empty_criteria_selection_rejected(capsys):
+    # "," names no code; it must not run nothing and echo "criteria": null
+    assert run(["classify", "--gallery", "free-lattice", "--criteria", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty criteria selection" in captured.err
+
+
 def test_quadrature_overflow_exits_2_fast(capsys, tmp_path):
     model = {"n": 1, "X": 1.0, "variant": "general_triple", "cuts": [0.0],
              "P": [[[1.0]]], "Q": [[[1e6]]], "R": [[[0.0]]]}

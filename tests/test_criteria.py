@@ -14,6 +14,7 @@ from sldl import (
     LinearSigma,
     OffDiagonal,
     StepSigma,
+    christ_stolz_family,
     cor1_series,
     cor2_series,
     fundamental_pair,
@@ -235,6 +236,28 @@ def test_general_triple_refinement_matches_exact_path():
     exact = float(kernel_square_integrals(step, 0.0, 2.0)[0, 0])
     general = float(kernel_square_integrals(triple, 0.0, 2.0)[0, 0])
     assert general == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("S", [1e4, 1e6, 1e8])
+def test_quadrature_exact_after_large_accumulated_potential(S):
+    # a jump S before the interval shifts sigma by S but leaves the kernel
+    # inside (2, 4.5), and so the one-jump closed form, unchanged
+    m = DeltaNodes(1, (1.0, 3.0), (S * np.eye(1), -2.0 * np.eye(1)), 5.0)
+    got = float(kernel_square_integrals(m, 2.0, 4.5)[0, 0])
+    want = jump_kernel_diag_integral(-2.0, 1.0, 1.5)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [110, 1000, 2000])
+def test_christ_stolz_single_node_interval_matches_closed_form(k):
+    # deep in the harmonic lattice the accumulated potential is about -k**2
+    d, H = christ_stolz_family(2001)
+    model = DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000])
+    x = model.nodes[k - 1]
+    a, b = x - 0.4 * d[k - 1], x + 0.4 * d[k]
+    got = float(kernel_square_integrals(model, a, b)[0, 0])
+    want = jump_kernel_diag_integral(float(H[k - 1][0, 0].real), x - a, b - x)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

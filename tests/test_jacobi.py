@@ -166,6 +166,23 @@ def test_t4_values():
     assert t4_term(blocks, 3, 5) == pytest.approx(math.sqrt(24.0))
 
 
+def test_t4_term_matches_direct_double_sum():
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        A, B = [], []
+        for _ in range(16):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            A.append((a + a.conj().T) / 2.0)
+            B.append(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2.0 * np.eye(n))
+        blocks = JacobiBlocks(n, tuple(A), tuple(B))
+        n_k = int(rng.integers(1, 6))
+        m_k = int(rng.integers(n_k, 15))
+        direct = math.sqrt(sum(frobenius_norm(discrete_cauchy(blocks, i, j)) ** 2
+                               for i in range(n_k, m_k + 1) for j in range(n_k, i + 1)))
+        assert t4_term(blocks, n_k, m_k) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
 def test_t4_report_and_segment_validation():
     blocks = constant_blocks(40)
     rep = t4_report(blocks, [(1, 4), (5, 8), (9, 12)])
