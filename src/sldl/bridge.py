@@ -143,7 +143,7 @@ def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) 
         raise ValueError(f"need at least count + 3 = {count + 3} nodes, have {m}")
     d = model.spacings
     y = np.concatenate([seed_state.f, seed_state.f1])
-    samples = [y[:model.n] for _, y in _flow(model, 0.0, y, 0.0, model.nodes[-1])]
+    samples = [y[:model.n] for _, y, _ in _flow(model, 0.0, y, 0.0, model.nodes[-1])]
     z = nodes_to_Z(samples, d)
     blocks = blocks_from_delta(d, model.jumps)
     u = np.vstack([np.zeros((1, model.n), dtype=complex), z])
@@ -198,9 +198,7 @@ def _lattice_data(problem):
         return problem.spacings, problem.jumps
     if isinstance(problem, StepSigma) and len(problem.cuts) >= 3:
         d = tuple(b - a for a, b in zip(problem.cuts, problem.cuts[1:]))
-        H = tuple(problem.values[k] - problem.values[k - 1]
-                  for k in range(1, len(problem.values)))
-        return d, H
+        return d, np.diff(problem.values, axis=0)
     if isinstance(problem, JacobiBlocks) and problem.provenance is not None:
         return problem.provenance.d, problem.provenance.H
     return (), ()  # no lattice
@@ -363,7 +361,7 @@ class GalleryEntry:
 def _free_lattice() -> GalleryEntry:
     n_nodes = 60
     model = DeltaNodes(1, tuple(float(k) for k in range(1, n_nodes + 1)),
-                       tuple(np.zeros((1, 1)) for _ in range(n_nodes)),
+                       np.zeros((n_nodes, 1, 1)),
                        float(n_nodes + 1))
     return GalleryEntry(
         "free-lattice", model,
@@ -375,7 +373,7 @@ def _free_lattice() -> GalleryEntry:
 
 def _christ_stolz() -> GalleryEntry:
     d, H = christ_stolz_family(2001)
-    model = DeltaNodes.from_spacings(1, d[:2000], tuple(H[:2000]), tail=d[2000])
+    model = DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000])
     return GalleryEntry(
         "christ-stolz", model,
         ClassifyConfig(N=999),
@@ -400,7 +398,7 @@ def _offdiagonal_divergence() -> GalleryEntry:
     n_nodes = 60
     jump = np.array([[-3.0, 1.0], [1.0, -3.0]])
     model = DeltaNodes(2, tuple(float(k) for k in range(1, n_nodes + 1)),
-                       tuple(jump for _ in range(n_nodes)), float(n_nodes + 1))
+                       [jump] * n_nodes, float(n_nodes + 1))
     return GalleryEntry(
         "offdiagonal-divergence", model,
         ClassifyConfig(N=40, criteria=("cor2",)),

@@ -32,7 +32,7 @@ import numpy as np
 
 from .matcore import (
     ShapeMismatchError,
-    as_matrix,
+    as_stack,
     frobenius_norm,
     matrix_from_json,
     real_symmetric,
@@ -111,7 +111,7 @@ def _kernel_pass(model, a: float, b: float, splits: int) -> np.ndarray:
     n = model.n
     gram = np.zeros((n, 2 * n, 2 * n), dtype=complex)
     total = np.zeros((n, n))
-    for _, jump, gen, length in _cells(model, 0.0, a, b, splits):
+    for _, jump, gen, length, _ in _cells(model, 0.0, a, b, splits):
         if jump is not None:
             gram = jump @ gram @ jump.conj().T
         e = np.array([expm(gen * (x * length)) for x in _GL_X])
@@ -128,7 +128,7 @@ def _solution_norm_pass(model, a: float, b: float, splits: int,
     n = model.n
     total = 0.0
     t = t_start
-    for _, jump, gen, length in _cells(model, 0.0, a, b, splits):
+    for _, jump, gen, length, _ in _cells(model, 0.0, a, b, splits):
         if jump is not None:
             t = jump @ t
         e = np.array([expm(gen * (x * length)) for x in _GL_X])
@@ -307,8 +307,8 @@ def _channel_entry(channel, h: np.ndarray):
     raise TypeError("channel must be Diagonal or OffDiagonal")
 
 
-def _jump_list(jumps, count: int) -> list[np.ndarray]:
-    mats = [as_matrix(h) for h in jumps]
+def _jump_list(jumps, count: int) -> np.ndarray:
+    mats = as_stack(jumps)
     if len(mats) != count:
         raise ShapeMismatchError(f"need {count} jump matrices, got {len(mats)}")
     return mats
@@ -375,7 +375,7 @@ def cor2_series(d, jumps, channel,
     if any(v <= 0.0 for v in d):
         raise ValueError("spacings must be positive")
     count = min(len(d) - 1, len(jumps))
-    mats = _jump_list(list(jumps)[:count], count)
+    mats = _jump_list(jumps[:count], count)
     terms = [_jump_term(channel, mats[k - 1], d[k - 1], d[k])
              for k in range(1, count + 1)]
     return build_report("cor2", terms, threshold=threshold)
@@ -395,7 +395,7 @@ class LinearSigma:
 
     n: int
     knots: tuple[float, ...]
-    values: tuple[np.ndarray, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         knots = tuple(float(x) for x in self.knots)
@@ -403,7 +403,7 @@ class LinearSigma:
             raise ValueError("knots must start at 0.0 and contain the endpoint")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise ValueError("knots must be strictly increasing")
-        vals = tuple(real_symmetric(v, "sigma values", self.n) for v in self.values)
+        vals = real_symmetric(as_stack(self.values, self.n), "sigma values")
         if len(vals) != len(knots):
             raise ShapeMismatchError("need one sigma value per knot")
         object.__setattr__(self, "knots", knots)

@@ -18,9 +18,12 @@ diagnostics: a divergent sum of 1 / ||B_k|| certifies the determinate
 (limit point) case; the paired product series checks (codes t7 and cor3)
 certify the completely indeterminate (limit circle) case.
 
-Sequence storage is 0-based; ``offset`` records the recurrence index of
-slot 0 so block A[k - offset] is A_k. All spacing indices k in this module
-are 1-based to match the recurrence above.
+Sequence storage: each block or jump sequence is one read-only (K, n, n)
+complex array, validated once by ``matcore.as_stack``, and the block
+formulas and series terms above are array expressions over it. Storage is
+0-based; ``offset`` records the recurrence index of slot 0 so block
+A[k - offset] is A_k. All spacing indices k in this module are 1-based to
+match the recurrence above.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .matcore import (
     HERMITIAN_TOL,
     NonSymmetricError,
     ShapeMismatchError,
-    as_matrix,
+    as_stack,
     frobenius_norm,
     invert,
     is_hermitian,
@@ -74,29 +77,24 @@ def reciprocal_sum(d, k: int) -> float:
     return 1.0 / d[k - 1] + 1.0 / d[k]
 
 
-def _rr(d, k: int) -> float:
-    """r_{k+1} r_{k+2} = sqrt((d_k + d_{k+1})(d_{k+1} + d_{k+2})).
-
-    Computed with a single square root so that integer-valued products
-    stay exact (d == 1 gives exactly 2.0).
-    """
-    return math.sqrt((d[k - 1] + d[k]) * (d[k] + d[k + 1]))
+def _shifted_jumps(d, H: np.ndarray, count: int) -> np.ndarray:
+    """H_k + (1/d_k + 1/d_{k+1}) I for k = 1..count, with reciprocal_sum's float operations."""
+    d = np.asarray(d[:count + 1])
+    return H[:count] + (1.0 / d[:-1] + 1.0 / d[1:])[:, None, None] * np.eye(H.shape[1])
 
 
-def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
+def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.ndarray]:
     """Harmonic lattice d_k = 1/k with jumps H_k = -(1/d_k + 1/d_{k+1}) I.
 
     In exact arithmetic the jumps equal -(2k + 1) I. They are computed
-    from the stored spacings through reciprocal_sum so that the defining
+    from the stored spacings as in reciprocal_sum so that the defining
     cancellation H_k + (1/d_k + 1/d_{k+1}) I = O holds exactly in floats
     as well, which is what every criterion of this family measures.
     """
     if count < 2:
         raise ValueError("need at least two spacings")
     d = tuple(1.0 / k for k in range(1, count + 1))
-    eye = np.eye(n)
-    H = tuple(-reciprocal_sum(d, k) * eye for k in range(1, count))
-    return d, H
+    return d, as_stack(-_shifted_jumps(d, np.zeros((count - 1, n, n)), count - 1))
 
 
 def _check_spacings(d) -> tuple[float, ...]:
@@ -113,28 +111,25 @@ def _check_spacings(d) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class DeltaProvenance:
     d: tuple[float, ...]
-    H: tuple[np.ndarray, ...]
+    H: np.ndarray
     boundary_default: bool
 
 
 @dataclass(frozen=True)
 class JacobiBlocks:
     n: int
-    A: tuple[np.ndarray, ...]
-    B: tuple[np.ndarray, ...]
+    A: np.ndarray
+    B: np.ndarray
     offset: int = 0
     provenance: DeltaProvenance | None = None
 
     def __post_init__(self):
-        A = tuple(as_matrix(a, self.n) for a in self.A)
-        B = tuple(as_matrix(b, self.n) for b in self.B)
-        for a in A:
-            if not is_hermitian(a, HERMITIAN_TOL):
-                raise ValueError("diagonal blocks must be Hermitian")
-        for b in B:
-            cond = np.linalg.cond(b)
-            if not np.isfinite(cond) or cond > COND_LIMIT:
-                raise ValueError("off-diagonal blocks must be invertible")
+        A = as_stack(self.A, self.n)
+        B = as_stack(self.B, self.n)
+        if not is_hermitian(A, HERMITIAN_TOL):
+            raise ValueError("diagonal blocks must be Hermitian")
+        if not np.all(np.linalg.cond(B) <= COND_LIMIT):
+            raise ValueError("off-diagonal blocks must be invertible")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -162,26 +157,25 @@ def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
     m = len(d)
     if m < 2:
         raise ValueError("need at least two spacings")
-    H = [real_symmetric(h, "jump matrices") for h in H]
+    H = real_symmetric(as_stack(H), "jump matrices")
     if len(H) not in (m - 1, m):
         raise ShapeMismatchError(f"need {m - 1} (or {m}) jumps for {m} spacings")
-    n = H[0].shape[0] if H else 1
-    eye = np.eye(n)
+    n = H.shape[1]
     if boundary is None:
         a0, b0 = np.zeros((n, n), dtype=complex), -np.eye(n, dtype=complex)
         default = True
     else:
-        a0, b0 = (real_symmetric(x, "boundary blocks", n) for x in boundary)
+        a0, b0 = real_symmetric(as_stack(boundary, n), "boundary blocks")
         invert(b0)
         default = False
-    A = [a0]
-    B = [b0]
-    for k in range(1, m):
-        A.append((H[k - 1] + reciprocal_sum(d, k) * eye) / (d[k - 1] + d[k]))
-        if k <= m - 2:
-            B.append(-eye / (_rr(d, k) * d[k]))
-    return JacobiBlocks(n, tuple(A), tuple(B), 0,
-                        DeltaProvenance(d, tuple(H[:m - 1]), default))
+    # r_{k+1}^2 = d_k + d_{k+1}; one square root per r_{k+1} r_{k+2} keeps
+    # integer-valued products exact (d == 1 gives exactly 2.0)
+    dd = np.array(d)
+    r2 = (dd[:-1] + dd[1:])[:, None, None]
+    A = _shifted_jumps(d, H, m - 1) / r2
+    B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * dd[1:-1, None, None])
+    return JacobiBlocks(n, np.concatenate([a0[None], A]), np.concatenate([b0[None], B]), 0,
+                        DeltaProvenance(d, H[:m - 1], default))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +338,10 @@ def carleman_report(blocks: JacobiBlocks, N: int) -> CriterionReport:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    terms = [1.0 / frobenius_norm(blocks.B_at(k)) for k in range(1, N + 1)]
+    i = 1 - blocks.offset
+    if i < 0 or i + N > len(blocks.B):
+        raise IndexOutOfRangeError(f"B_1 .. B_{N} not all stored")
+    terms = (1.0 / frobenius_norm(blocks.B[i:i + N])).tolist()
     report = build_report("carleman", terms)
     if report.verdict != DIVERGES and blocks.provenance is not None:
         d = blocks.provenance.d[:N + 2]
@@ -366,15 +363,12 @@ def carleman_spacing_bounds(d, n: int = 1) -> bool:
     if len(d) < 3:
         raise ValueError("need at least three spacings")
     rn = math.sqrt(n)
-    eye = np.eye(n)
-    for k in range(1, len(d) - 1):
-        val = 1.0 / frobenius_norm(-eye / (_rr(d, k) * d[k]))
-        lower = d[k] ** 2 / rn
-        upper = (d[k - 1] ** 2 + 6.0 * d[k] ** 2 + d[k + 1] ** 2) / (4.0 * rn)
-        slack = 1e-12 * max(lower, val, upper)
-        if val < lower - slack or val > upper + slack:
-            return False
-    return True
+    val = 1.0 / frobenius_norm(blocks_from_delta(d, np.zeros((len(d) - 1, n, n))).B[1:])
+    d = np.array(d)
+    lower = d[1:-1] ** 2 / rn
+    upper = (d[:-2] ** 2 + 6.0 * d[1:-1] ** 2 + d[2:] ** 2) / (4.0 * rn)
+    slack = 1e-12 * np.maximum(np.maximum(lower, val), upper)
+    return bool(np.all((val >= lower - slack) & (val <= upper + slack)))
 
 
 @dataclass(frozen=True)
@@ -405,13 +399,12 @@ def t7_check(d, H, N: int) -> T7Result:
     if N < 1:
         raise ValueError("N must be at least 1")
     d = _check_spacings(d)
-    H = [real_symmetric(h, "jump matrices") for h in H]
+    H = real_symmetric(as_stack(H), "jump matrices")
     if len(d) < 2 * N + 2:
         raise IndexOutOfRangeError(f"need at least {2 * N + 2} spacings for N = {N}")
     if len(H) < 2 * N + 1:
         raise IndexOutOfRangeError(f"need at least {2 * N + 1} jumps for N = {N}")
-    n = H[0].shape[0]
-    eye = np.eye(n)
+    norms = frobenius_norm(_shifted_jumps(d, H, 2 * N + 1)).tolist()
     series_a, series_b, logs_a = [], [], []
     for s in (1, 2):
         lr = 0.0
@@ -427,7 +420,7 @@ def t7_check(d, H, N: int) -> T7Result:
                 ta.append(math.inf)
             else:
                 ta.append(math.exp(log_a))
-            nf = frobenius_norm(H[m - 1] + reciprocal_sum(d, m) * eye)
+            nf = norms[m - 1]
             if nf == 0.0:
                 tb.append(0.0)
             else:
@@ -469,32 +462,28 @@ def cor3_check(d, H, N: int) -> Cor3Result:
     if N < 2:
         raise ValueError("N must be at least 2")
     d = _check_spacings(d)
-    H = [real_symmetric(h, "jump matrices") for h in H]
+    H = real_symmetric(as_stack(H), "jump matrices")
     if len(d) < N + 3:
         raise IndexOutOfRangeError(f"need at least {N + 3} spacings for N = {N}")
     if len(H) < N:
         raise IndexOutOfRangeError(f"need at least {N} jumps for N = {N}")
-    n = H[0].shape[0]
-    eye = np.eye(n)
 
-    above = below = True
-    for k in range(2, N + 1):
-        lhs = math.sqrt((d[k - 2] + d[k - 1]) * (d[k + 1] + d[k + 2])) * d[k - 1] * d[k + 1]
-        rhs = _rr(d, k) * d[k] ** 2
-        tol = 1e-12 * max(lhs, rhs)
-        if lhs < rhs - tol:
-            above = False
-        if lhs > rhs + tol:
-            below = False
+    # over k = 2..N, slice [j:N - 1 + j] picks index k - 2 + j of x[i] = d_{i+1}
+    # and of r2[i] = d_{i+1} + d_{i+2} = r_{i+2}^2
+    x = np.array(d[:N + 3])
+    r2 = x[:-1] + x[1:]
+    lhs = np.sqrt(r2[:N - 1] * r2[3:N + 2]) * x[1:N] * x[3:N + 2]
+    rhs = np.sqrt(r2[1:N] * r2[2:N + 1]) * x[2:N + 1] ** 2
+    tol = 1e-12 * np.maximum(lhs, rhs)
+    above = not np.any(lhs < rhs - tol)
+    below = not np.any(lhs > rhs + tol)
     cond1 = above or below
     direction = ("equal" if above and below else
                  ">=" if above else "<=" if below else "mixed")
 
     cond2 = build_report("cor3_spacing", [d[k - 1] ** 2 for k in range(1, N + 1)])
-    cond3 = build_report(
-        "cor3_jump",
-        [d[k] * frobenius_norm(H[k - 1] + reciprocal_sum(d, k) * eye)
-         for k in range(1, N + 1)])
+    norms = frobenius_norm(_shifted_jumps(d, H, N)).tolist()
+    cond3 = build_report("cor3_jump", [d[k] * norms[k - 1] for k in range(1, N + 1)])
     certified = cond1 and cond2.verdict == CONVERGES and cond3.verdict == CONVERGES
     return Cor3Result(cond1, direction, cond2, cond3, certified)
 
@@ -524,6 +513,6 @@ def blocks_from_json(obj: dict) -> JacobiBlocks:
     if "provenance" in obj:
         p = obj["provenance"]
         prov = DeltaProvenance(tuple(float(v) for v in p["d"]),
-                               tuple(matrix_from_json(h, n) for h in p["H"]),
+                               as_stack([matrix_from_json(h, n) for h in p["H"]], n),
                                bool(p.get("boundary_default", True)))
     return JacobiBlocks(n, A, B, int(obj.get("offset", 0)), prov)

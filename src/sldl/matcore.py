@@ -1,9 +1,12 @@
 """Dense complex linear algebra for small matrix orders.
 
-All matrices in this package are square numpy arrays of dtype complex128.
-The norm used everywhere is the Frobenius norm, which is self-adjoint
-(invariant under conjugate transposition); every series criterion in the
-package is stated in terms of it.
+All matrices in this package are square numpy arrays of dtype complex128,
+and a matrix sequence is one read-only (K, n, n) stack, validated by one
+``as_stack`` call; the checks below act on the trailing two axes, so one
+rule serves a matrix and a stack. The norm used everywhere is the
+Frobenius norm, which is self-adjoint (invariant under conjugate
+transposition); every series criterion in the package is stated in terms
+of it.
 """
 
 from __future__ import annotations
@@ -26,31 +29,44 @@ class NonSymmetricError(ValueError):
     """A matrix that must be real symmetric is not (within HERMITIAN_TOL)."""
 
 
-def as_matrix(entries, n: int | None = None) -> np.ndarray:
-    """Validate and freeze a square complex matrix.
+def as_stack(entries, n: int | None = None) -> np.ndarray:
+    """Validate and freeze a matrix sequence as one (K, n, n) complex array.
 
-    Accepts anything ``np.asarray`` does. Entries must be finite. When ``n``
-    is given the order is checked against it. The returned array is
-    read-only so shared values cannot be mutated downstream.
+    Accepts anything ``np.array`` does; a sequence of scalars is a stack of
+    1 x 1 matrices and an empty sequence a stack of K = 0 (of order n, or 1).
+    Entries must be finite and every matrix square of one order, checked
+    against ``n`` when given. The returned array is a read-only copy.
     """
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim == 0:
-        m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ShapeMismatchError(f"expected a square matrix, got shape {m.shape}")
+    try:
+        m = np.array(entries, dtype=complex)
+    except ValueError as exc:
+        raise ShapeMismatchError("matrices of one sequence must share one order") from exc
+    if m.ndim == 1:
+        m = m.reshape(-1, 1, 1) if len(m) or n is None else m.reshape(0, n, n)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
+        raise ShapeMismatchError(f"expected a square matrix, got shape {m.shape[1:]}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix entries must be finite")
-    if n is not None and m.shape[0] != n:
-        raise ShapeMismatchError(f"expected order {n}, got {m.shape[0]}")
-    m = m.copy()
+    if n is not None and m.shape[1] != n:
+        raise ShapeMismatchError(f"expected order {n}, got {m.shape[1]}")
     m.flags.writeable = False
     return m
 
 
-def frobenius_norm(m) -> float:
-    """Self-adjoint matrix norm: (sum of squared entry moduli)**0.5."""
+def as_matrix(entries, n: int | None = None) -> np.ndarray:
+    """as_stack of the one matrix ``entries`` (a scalar is 1 x 1), unstacked."""
+    return as_stack(np.asarray(entries, dtype=complex)[None], n)[0]
+
+
+def frobenius_norm(m):
+    """Self-adjoint matrix norm: (sum of squared entry moduli)**0.5.
+
+    Acts on the trailing two axes: a float for one matrix, an array of
+    norms for a stack.
+    """
     m = np.asarray(m, dtype=complex)
-    return float(np.sqrt(np.sum(np.abs(m) ** 2)))
+    norm = np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def invert(m) -> np.ndarray:
@@ -75,15 +91,14 @@ def invert(m) -> np.ndarray:
 
 
 def is_hermitian(m, tol: float = 0.0) -> bool:
-    """True iff max |m_ij - conj(m_ji)| <= tol."""
+    """True iff |m_ij - conj(m_ji)| <= tol for a matrix, or for every matrix of a stack."""
     m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.all(np.abs(m - np.swapaxes(m, -1, -2).conj()) <= tol))
 
 
-def real_symmetric(m, what: str, n: int | None = None) -> np.ndarray:
-    """as_matrix(m, n), checked to be real symmetric within HERMITIAN_TOL."""
-    m = as_matrix(m, n)
-    if np.max(np.abs(m.imag)) > HERMITIAN_TOL or not is_hermitian(m, HERMITIAN_TOL):
+def real_symmetric(m: np.ndarray, what: str) -> np.ndarray:
+    """The validated matrix or stack ``m``, checked to be real symmetric within HERMITIAN_TOL."""
+    if not (np.all(np.abs(m.imag) <= HERMITIAN_TOL) and is_hermitian(m, HERMITIAN_TOL)):
         raise NonSymmetricError(f"{what} must be real symmetric")
     return m
 

@@ -21,13 +21,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .matcore import (
+    COND_LIMIT,
     HERMITIAN_TOL,
     ShapeMismatchError,
-    as_matrix,
+    as_stack,
     block2n,
     frobenius_norm,
     invert,
@@ -75,12 +77,12 @@ class StepSigma:
 
     n: int
     cuts: tuple[float, ...]
-    values: tuple[np.ndarray, ...]
+    values: np.ndarray
     X: float
 
     def __post_init__(self):
         object.__setattr__(self, "cuts", _check_cuts(self.cuts, self.X))
-        vals = tuple(real_symmetric(v, "sigma piece", self.n) for v in self.values)
+        vals = real_symmetric(as_stack(self.values, self.n), "sigma piece")
         if len(vals) != len(self.cuts):
             raise ShapeMismatchError("need one sigma value per piece")
         object.__setattr__(self, "values", vals)
@@ -98,7 +100,7 @@ class DeltaNodes:
 
     n: int
     nodes: tuple[float, ...]
-    jumps: tuple[np.ndarray, ...]
+    jumps: np.ndarray
     X: float
     spacings: tuple[float, ...] | None = None
     sigma: StepSigma = field(init=False, repr=False, compare=False)
@@ -109,34 +111,24 @@ class DeltaNodes:
             raise ValueError("nodes must be positive")
         if any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
-        jumps = tuple(real_symmetric(h, "jump matrix", self.n) for h in self.jumps)
+        jumps = real_symmetric(as_stack(self.jumps, self.n), "jump matrix")
         if len(jumps) != len(nodes):
             raise ShapeMismatchError("need one jump matrix per node")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "X", float(self.X))
         if self.spacings is None:
-            prev = 0.0
-            sp = []
-            for x in nodes:
-                sp.append(x - prev)
-                prev = x
-            object.__setattr__(self, "spacings", tuple(sp))
+            sp = tuple(b - a for a, b in zip((0.0,) + nodes, nodes))
         else:
             sp = tuple(float(v) for v in self.spacings)
             if len(sp) != len(nodes) or any(v <= 0.0 for v in sp):
                 raise ValueError("spacings must be positive, one per node")
-            if any(abs(sum(sp[:k + 1]) - nodes[k]) > 1e-9 * max(1.0, nodes[k])
-                   for k in range(len(nodes))):
+            if any(abs(s - x) > 1e-9 * max(1.0, x) for s, x in zip(accumulate(sp), nodes)):
                 raise ValueError("spacings are inconsistent with the nodes")
-            object.__setattr__(self, "spacings", sp)
-        acc = np.zeros((self.n, self.n), dtype=complex)
-        values = [acc]
-        for h in jumps:
-            acc = acc + h
-            values.append(acc)
-        sigma = StepSigma(self.n, (0.0,) + nodes, tuple(values), self.X)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "spacings", sp)
+        # sequential sums from a zero first piece: sigma on piece k is H_1 + ... + H_k
+        values = np.cumsum(np.concatenate([np.zeros((1, self.n, self.n)), jumps]), axis=0)
+        object.__setattr__(self, "sigma", StepSigma(self.n, (0.0,) + nodes, values, self.X))
 
     @classmethod
     def from_spacings(cls, n: int, spacings, jumps, tail: float = 1.0) -> "DeltaNodes":
@@ -152,39 +144,39 @@ class DeltaNodes:
         return cls(n, nodes, jumps, nodes[-1] + tail, spacings)
 
 
+def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
+    """Check the cuts and replace each named piece sequence by its validated stack.
+
+    Each stack needs one piece per cut; those named in ``hermitian`` must
+    be Hermitian and the first, the leading coefficient, invertible (a
+    finite condition estimate at most COND_LIMIT, as in ``invert``).
+    """
+    object.__setattr__(model, "cuts", _check_cuts(model.cuts, model.X))
+    for name in names:
+        seq = as_stack(getattr(model, name), model.n)
+        if len(seq) != len(model.cuts):
+            raise ShapeMismatchError(f"need one {name} piece per cut")
+        if name in hermitian and not is_hermitian(seq, HERMITIAN_TOL):
+            raise ValueError(f"{name} pieces must be Hermitian")
+        if name == names[0] and not np.all(np.linalg.cond(seq) <= COND_LIMIT):
+            raise SingularPieceError(f"{name} pieces must be invertible")
+        object.__setattr__(model, name, seq)
+    object.__setattr__(model, "X", float(model.X))
+
+
 @dataclass(frozen=True)
 class GeneralTriple:
     """Piecewise-constant (P, Q, R): P nonsingular, P and Q Hermitian."""
 
     n: int
     cuts: tuple[float, ...]
-    P: tuple[np.ndarray, ...]
-    Q: tuple[np.ndarray, ...]
-    R: tuple[np.ndarray, ...]
+    P: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
     X: float
 
     def __post_init__(self):
-        object.__setattr__(self, "cuts", _check_cuts(self.cuts, self.X))
-        m = len(self.cuts)
-        P = tuple(as_matrix(p, self.n) for p in self.P)
-        Q = tuple(as_matrix(q, self.n) for q in self.Q)
-        R = tuple(as_matrix(r, self.n) for r in self.R)
-        if not (len(P) == len(Q) == len(R) == m):
-            raise ShapeMismatchError("need one (P, Q, R) triple per piece")
-        for p in P:
-            if not is_hermitian(p, HERMITIAN_TOL):
-                raise ValueError("P pieces must be Hermitian")
-            try:
-                invert(p)
-            except ValueError as exc:
-                raise SingularPieceError("P pieces must be invertible") from exc
-        for q in Q:
-            if not is_hermitian(q, HERMITIAN_TOL):
-                raise ValueError("Q pieces must be Hermitian")
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "X", float(self.X))
+        _freeze_pieces(self, ("P", "Q", "R"), hermitian=("P", "Q"))
 
 
 @dataclass(frozen=True)
@@ -197,31 +189,14 @@ class Distributional:
 
     n: int
     cuts: tuple[float, ...]
-    P0: tuple[np.ndarray, ...]
-    Q0: tuple[np.ndarray, ...]
-    P1: tuple[np.ndarray, ...]
+    P0: np.ndarray
+    Q0: np.ndarray
+    P1: np.ndarray
     X: float
 
     def __post_init__(self):
-        object.__setattr__(self, "cuts", _check_cuts(self.cuts, self.X))
-        m = len(self.cuts)
-        mats = {}
-        for name in ("P0", "Q0", "P1"):
-            seq = tuple(as_matrix(v, self.n) for v in getattr(self, name))
-            if len(seq) != m:
-                raise ShapeMismatchError(f"need one {name} piece per cut")
-            for v in seq:
-                if not is_hermitian(v, HERMITIAN_TOL):
-                    raise ValueError(f"{name} pieces must be Hermitian")
-                if name == "P0":
-                    try:
-                        invert(v)
-                    except ValueError as exc:
-                        raise SingularPieceError("P0 pieces must be invertible") from exc
-            mats[name] = seq
-        for name, seq in mats.items():
-            object.__setattr__(self, name, seq)
-        object.__setattr__(self, "X", float(self.X))
+        names = ("P0", "Q0", "P1")
+        _freeze_pieces(self, names, hermitian=names)
 
 
 CoefficientModel = StepSigma | DeltaNodes | GeneralTriple | Distributional
@@ -325,11 +300,12 @@ def _jump(ds: np.ndarray) -> np.ndarray:
     return block2n(eye, 0 * eye, ds, eye)
 
 
-def _cells(model, lam: complex, x0: float, x1: float, splits: int = 1):
-    """Yield the cells of [x0, x1] as (piece, jump, generator, length).
+def _cells(model, lam: complex, x0: float, x1: float, splits: int = 1, stops=()):
+    """Yield the cells of [x0, x1] as (piece, jump, generator, length, end).
 
-    Cells are the pieces clipped to [x0, x1], each split into ``splits``
-    equal parts; ``jump`` (or None) applies at the cell's start and
+    Cells are the pieces clipped to [x0, x1] and cut again at the sorted
+    points ``stops``, each split into ``splits`` equal parts that share the
+    ``end`` of their cell; ``jump`` (or None) applies at the cell's start and
     exp(generator * length) carries the state across. Step and delta models
     work in classical coordinates (f, f'), since quasi generators carry
     sigma**2 and lose about that factor once the accumulated potential is
@@ -343,31 +319,39 @@ def _cells(model, lam: complex, x0: float, x1: float, splits: int = 1):
     eye = np.eye(model.n)
     flight = block2n(0 * eye, eye, -lam * eye, 0 * eye)
     cuts = piece_cuts(model)
+    marks = iter([x for x in stops if x0 < x < x1])
+    mark = next(marks, x1)
     i, pos = piece_index(model, x0), x0
     while pos < x1:
         end = cuts[i + 1] if i + 1 < len(cuts) else model.X
-        stop = min(end, x1)
+        stop = min(end, mark)
         if sigma is None:
             jump, gen = None, piece_system(model, lam, i)
         else:
-            jump = _jump(sigma.values[i] if pos == x0 else delta.jumps[i - 1] if delta
-                         else sigma.values[i] - sigma.values[i - 1])
-            gen = flight
+            jump, gen = None, flight
+            if pos == x0:
+                jump = _jump(sigma.values[i])
+            elif pos == cuts[i]:
+                jump = _jump(delta.jumps[i - 1] if delta else sigma.values[i] - sigma.values[i - 1])
         full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
         length = (delta.spacings[i] if full else stop - pos) / splits
         for _ in range(splits):
-            yield i, jump, gen, length
+            yield i, jump, gen, length, stop
             jump = None
-        pos, i = stop, i + 1
+        if stop == mark:
+            mark = next(marks, x1)
+        if stop == end:
+            i += 1
+        pos = stop
 
 
-def _flow(model, lam: complex, y: np.ndarray, x0: float, x1: float):
-    """Yield (piece, y) at the end of each cell of [x0, x1], y in working coordinates."""
-    for piece, jump, gen, length in _cells(model, lam, x0, x1):
+def _flow(model, lam: complex, y: np.ndarray, x0: float, x1: float, stops=()):
+    """Yield (piece, y, end) at the end of each cell of [x0, x1], y in working coordinates."""
+    for piece, jump, gen, length, end in _cells(model, lam, x0, x1, stops=stops):
         if jump is not None:
             y = jump @ y
         y = expm(gen * length) @ y
-        yield piece, y
+        yield piece, y, end
 
 
 def _to_quasi(model, piece: int, y: np.ndarray) -> np.ndarray:
@@ -380,7 +364,7 @@ def transfer(model, lam: complex, x0: float, x1: float) -> np.ndarray:
     if not 0.0 <= x0 <= x1 <= model.X:
         raise ValueError("need 0 <= x0 <= x1 <= X")
     m, piece = np.eye(2 * model.n, dtype=complex), None
-    for piece, m in _flow(model, lam, m, x0, x1):
+    for piece, m, _ in _flow(model, lam, m, x0, x1):
         pass
     return m if piece is None else _to_quasi(model, piece, m)
 
@@ -490,7 +474,11 @@ class FundamentalPair:
 
 
 def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
-    """Propagate the canonical matrix initial data along a sample grid."""
+    """Propagate the canonical matrix initial data along a sample grid.
+
+    One working-coordinate march over [0, grid[-1]], its cells also ending at
+    the grid points; only the samples are converted to quasi coordinates.
+    """
     grid = tuple(float(g) for g in grid)
     if not grid or grid[0] != 0.0:
         raise ValueError("grid must start at 0.0")
@@ -499,21 +487,14 @@ def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
     if grid[-1] > model.X:
         raise ValueError("grid exceeds the model domain")
     n = model.n
-    G = len(grid)
-    phi = np.empty((G, n, n), dtype=complex)
-    psi = np.empty((G, n, n), dtype=complex)
-    phi1 = np.empty((G, n, n), dtype=complex)
-    psi1 = np.empty((G, n, n), dtype=complex)
-    t = np.eye(2 * n, dtype=complex)
-    prev = 0.0
-    for k, x in enumerate(grid):
-        if x > prev:
-            t = transfer(model, lam, prev, x) @ t
-            prev = x
-        phi[k] = t[:n, :n]
-        psi[k] = t[:n, n:]
-        phi1[k] = t[n:, :n]
-        psi1[k] = t[n:, n:]
+    t = np.empty((len(grid), 2 * n, 2 * n), dtype=complex)
+    t[0] = np.eye(2 * n)
+    k = 1
+    for piece, y, end in _flow(model, lam, t[0], 0.0, grid[-1], stops=grid):
+        if end == grid[k]:
+            t[k] = _to_quasi(model, piece, y)
+            k += 1
+    phi, psi, phi1, psi1 = (np.array(t[:, r:r + n, c:c + n]) for r in (0, n) for c in (0, n))
     for arr in (phi, psi, phi1, psi1):
         arr.flags.writeable = False
     return FundamentalPair(grid, phi, psi, phi1, psi1, complex(lam), model)

@@ -63,6 +63,23 @@ def test_blocks_cancel_family_diagonal_exactly_zero():
     assert all(float(np.max(np.abs(a))) == 0.0 for a in blocks.A[1:])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vectorized_blocks_are_bit_exact(n):
+    rng = np.random.default_rng(70 + n)
+    d = tuple(np.exp(rng.uniform(-5.0, 5.0, 40)).tolist())
+    H = [(a + a.T) / 2 for a in rng.normal(size=(39, n, n))]
+    blocks = blocks_from_delta(d, H)
+    eye = np.eye(n)
+    for k in range(1, len(d)):
+        h = np.asarray(H[k - 1], dtype=complex)
+        assert np.array_equal(blocks.A[k], (h + reciprocal_sum(d, k) * eye) / (d[k - 1] + d[k]))
+    for k in range(1, len(d) - 1):
+        r = math.sqrt((d[k - 1] + d[k]) * (d[k] + d[k + 1]))
+        assert np.array_equal(blocks.B[k], -eye / (r * d[k]))
+    d, H = christ_stolz_family(300, n)
+    assert np.array_equal(blocks_from_delta(d, H).A[1:], np.zeros((299, n, n)))
+
+
 def test_blocks_boundary_override():
     a0 = np.array([[2.0]])
     b0 = np.array([[3.0]])
@@ -329,6 +346,27 @@ def test_cor3_constructed_degenerate_family():
     assert res.cond2.verdict == CONVERGES
     assert res.cond1
     assert res.limit_circle_certified
+
+
+@pytest.mark.parametrize("family", ["random", "power:-1", "power:0.5", "const"])
+def test_cor3_comparability_matches_scalar_loop(family):
+    if family == "random":
+        d = tuple(np.random.default_rng(3).uniform(0.1, 2.0, 40).tolist())
+    elif family == "const":
+        d = (0.7,) * 40
+    else:
+        d = tuple(float(k) ** float(family[6:]) for k in range(1, 41))
+    N = len(d) - 3
+    above = below = True
+    for k in range(2, N + 1):
+        lhs = math.sqrt((d[k - 2] + d[k - 1]) * (d[k + 1] + d[k + 2])) * d[k - 1] * d[k + 1]
+        rhs = math.sqrt((d[k - 1] + d[k]) * (d[k] + d[k + 1])) * d[k] ** 2
+        tol = 1e-12 * max(lhs, rhs)
+        above = above and not lhs < rhs - tol
+        below = below and not lhs > rhs + tol
+    want = "equal" if above and below else ">=" if above else "<=" if below else "mixed"
+    res = cor3_check(d, [np.zeros((1, 1))] * N, N)
+    assert (res.cond1, res.cond1_direction) == (above or below, want)
 
 
 def test_cor3_cancel_family_certified():

@@ -5,15 +5,34 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import complex_matrices
-from sldl import frobenius_norm, invert, is_hermitian
+from sldl import (
+    DeltaNodes,
+    Diagonal,
+    Distributional,
+    GeneralTriple,
+    JacobiBlocks,
+    StepSigma,
+    blocks_from_delta,
+    cor2_series,
+    cor3_check,
+    frobenius_norm,
+    invert,
+    is_hermitian,
+    t7_check,
+)
+from sldl.jacobi import blocks_from_json
 from sldl.matcore import (
+    NonSymmetricError,
+    ShapeMismatchError,
     SingularMatrixError,
     as_matrix,
+    as_stack,
     block2n,
     matrix_from_json,
     matrix_to_json,
     split2n,
 )
+from sldl.quasidiff import SingularPieceError
 
 
 def test_frobenius_identity_is_sqrt_n():
@@ -106,3 +125,107 @@ def test_real_matrix_json_plain_numbers():
     out = matrix_to_json(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert out == [[1.0, 2.0], [3.0, 4.0]]
     assert np.array_equal(matrix_from_json(out), np.array([[1, 2], [3, 4]], dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# matrix sequences: one (K, n, n) stack, validated in one call
+
+
+def test_as_stack_shapes():
+    assert as_stack([]).shape == (0, 1, 1)
+    assert as_stack([], 3).shape == (0, 3, 3)
+    assert as_stack([1.0, 2.0]).shape == (2, 1, 1)
+    stack = as_stack([np.eye(2), 2 * np.eye(2)], 2)
+    assert stack.dtype == complex and not stack.flags.writeable
+    assert as_matrix(3.0).shape == (1, 1)
+    with pytest.raises(ShapeMismatchError):
+        as_stack([np.eye(2), np.eye(3)])
+    with pytest.raises(ShapeMismatchError):
+        as_stack([np.eye(2)], 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stack_rules_match_per_matrix_rules(n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n))
+    assert np.array_equal(frobenius_norm(stack), [frobenius_norm(m) for m in stack])
+    herm = stack + np.swapaxes(stack, -1, -2).conj()
+    assert is_hermitian(herm) and all(is_hermitian(m) for m in herm)
+    herm[-1, 0, -1] += 1e-9 if n > 1 else 1e-9j
+    assert not is_hermitian(herm, 1e-10)
+
+
+GOOD = np.array([[1.0, 0.5], [0.5, -1.0]])
+BAD = {"nonsymmetric": np.array([[1.0, 0.5], [0.0, -1.0]]),
+       "nonfinite": np.array([[1.0, np.nan], [np.nan, -1.0]]),
+       "order": np.eye(3),
+       "singular": np.array([[1.0, 1.0], [1.0, 1.0]])}
+SPACINGS = [1.0 + 0.1 * k for k in range(8)]
+CUTS = (0.0, 1.0, 2.0, 3.0)
+
+
+def _last_bad(bad, good=GOOD, count=7):
+    return [good] * (count - 1) + [bad]
+
+
+def _pieces(cls, slot, bad):
+    pieces = [[np.eye(2)] * 4, [GOOD] * 4, [GOOD] * 4]
+    pieces[slot] = _last_bad(bad, pieces[slot][0], 4)
+    return cls(2, CUTS, *pieces, 4.0)
+
+
+SEQUENCE_CONSUMERS = {
+    "blocks_from_delta": lambda b: blocks_from_delta(SPACINGS, _last_bad(b)),
+    "t7_check": lambda b: t7_check(SPACINGS, _last_bad(b), 3),
+    "cor3_check": lambda b: cor3_check(SPACINGS, _last_bad(b), 5),
+    "cor2_series": lambda b: cor2_series(SPACINGS, _last_bad(b), Diagonal(1)),
+    "DeltaNodes": lambda b: DeltaNodes(2, tuple(np.cumsum(SPACINGS[:7])), _last_bad(b), 12.0),
+    "StepSigma": lambda b: StepSigma(2, CUTS, _last_bad(b, count=4), 4.0),
+    "JacobiBlocks.A": lambda b: JacobiBlocks(2, _last_bad(b), [-np.eye(2)] * 7),
+    "JacobiBlocks.B": lambda b: JacobiBlocks(2, [GOOD] * 7, _last_bad(b, -np.eye(2))),
+    "GeneralTriple.P": lambda b: _pieces(GeneralTriple, 0, b),
+    "GeneralTriple.Q": lambda b: _pieces(GeneralTriple, 1, b),
+    "GeneralTriple.R": lambda b: _pieces(GeneralTriple, 2, b),
+    "Distributional.P0": lambda b: _pieces(Distributional, 0, b),
+    "Distributional.Q0": lambda b: _pieces(Distributional, 1, b),
+    "Distributional.P1": lambda b: _pieces(Distributional, 2, b),
+}
+
+# (consumer, bad kind, exception): every rejection the per-matrix checks made.
+# Mixed orders in one jump sequence are also rejected by cor3 and cor2 now.
+LAST_BAD_CASES = [
+    *[(name, "nonfinite", ValueError) for name in SEQUENCE_CONSUMERS],
+    *[(name, "order", ShapeMismatchError) for name in SEQUENCE_CONSUMERS
+      if name not in ("blocks_from_delta", "t7_check")],
+    ("blocks_from_delta", "order", ValueError),
+    ("t7_check", "order", ValueError),
+    ("blocks_from_delta", "nonsymmetric", NonSymmetricError),
+    ("t7_check", "nonsymmetric", NonSymmetricError),
+    ("cor3_check", "nonsymmetric", NonSymmetricError),
+    ("DeltaNodes", "nonsymmetric", NonSymmetricError),
+    ("StepSigma", "nonsymmetric", NonSymmetricError),
+    ("JacobiBlocks.A", "nonsymmetric", ValueError),
+    ("JacobiBlocks.B", "singular", ValueError),
+    ("GeneralTriple.P", "nonsymmetric", ValueError),
+    ("GeneralTriple.P", "singular", SingularPieceError),
+    ("GeneralTriple.Q", "nonsymmetric", ValueError),
+    ("Distributional.P0", "nonsymmetric", ValueError),
+    ("Distributional.P0", "singular", SingularPieceError),
+    ("Distributional.Q0", "nonsymmetric", ValueError),
+    ("Distributional.P1", "nonsymmetric", ValueError),
+]
+
+
+@pytest.mark.parametrize("name, kind, error", LAST_BAD_CASES,
+                         ids=[f"{name}-{kind}" for name, kind, _ in LAST_BAD_CASES])
+def test_batched_checks_see_the_last_matrix(name, kind, error):
+    build = SEQUENCE_CONSUMERS[name]
+    build(-np.eye(2))  # a good last matrix is accepted
+    with pytest.raises(error):
+        build(BAD[kind])
+
+
+def test_empty_block_sequences_accepted():
+    blocks = blocks_from_json({"n": 1, "A": [[[0.0]]], "B": []})
+    assert blocks.B.shape == (0, 1, 1) and blocks.A.shape == (1, 1, 1)
+    assert JacobiBlocks(2, [], []).A.shape == (0, 2, 2)

@@ -14,6 +14,7 @@ from sldl import (
     cauchy_kernel,
     classical_derivative,
     fundamental_pair,
+    gallery_entry,
     green_form,
     propagate,
 )
@@ -242,6 +243,29 @@ def test_delta_pair_value():
     assert pair.psi[1][0, 0] == pytest.approx(-1.0, rel=1e-13)
 
 
+def test_fundamental_pair_christ_stolz_matches_float_march():
+    # Phi starts at (f, f') = (1, 0) with sigma = 0 on the first piece; the
+    # classical march is f += d_k f' across each spacing, f' += h_k f at x_k
+    model = gallery_entry("christ-stolz").problem
+    pair = fundamental_pair(model, 0.0, (0.0,) + model.nodes)
+    f, fp = 1.0, 0.0
+    for k, (d, h) in enumerate(zip(model.spacings, model.jumps[:, 0, 0].real.tolist()), start=1):
+        f += d * fp
+        fp += h * f
+        assert abs(pair.phi[k, 0, 0] - f) <= 1e-12 * abs(f)
+
+
+@given(step_sigma_models(max_n=2, max_pieces=3), delta_models(max_n=2), general_triple_models())
+@settings(max_examples=15, deadline=None)
+def test_fundamental_pair_samples_equal_transfer_from_zero(ms, md, mg):
+    for model in (ms, md, mg):
+        grid = np.linspace(0.0, model.X, 6)  # samples inside pieces, cuts between them
+        pair = fundamental_pair(model, 0.5, grid)
+        for k, x in enumerate(grid):
+            want = transfer(model, 0.5, 0.0, x)
+            assert frobenius_norm(pair.stacked(k) - want) <= 1e-10 * max(1.0, frobenius_norm(want))
+
+
 @given(step_sigma_models(max_n=2, max_pieces=3))
 @settings(max_examples=25, deadline=None)
 def test_wronskian_identity(model):
@@ -368,6 +392,15 @@ def test_delta_spacings_and_from_spacings():
     d = (0.3, 0.7, 1.1)
     m2 = DeltaNodes.from_spacings(1, d, (np.zeros((1, 1)),) * 3)
     assert m2.spacings == d
+
+
+def test_delta_spacings_inconsistent_at_last_node():
+    d = (0.3, 0.7, 1.1, 0.4)
+    nodes = tuple(np.cumsum(d))
+    jumps = [np.zeros((1, 1))] * 4
+    DeltaNodes(1, nodes, jumps, 3.0, d)
+    with pytest.raises(ValueError, match="spacings are inconsistent with the nodes"):
+        DeltaNodes(1, nodes[:-1] + (nodes[-1] + 1e-6,), jumps, 3.0, d)
 
 
 def test_model_validation_errors():
