@@ -1,0 +1,194 @@
+#!/usr/bin/env python3
+"""Digest of the CLI's observable behaviour over a fixed list of invocations.
+
+Prints one line per invocation: the sha256 of stdout, the sha256 of
+stderr, the exit code and the argv. The list covers every leaf of the
+``sldl`` command tree, their error paths and every ``--help`` screen.
+Fixture models are written to a temporary directory and the invocations
+run there with relative paths, because a report's config echo contains
+the path it was given. Comparing two source trees is a ``diff`` of two
+runs:
+
+Usage: python scripts/cli_digest.py [SRC]    # SRC holds the sldl package;
+                                              # default: this checkout's src/
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+FREE = {"n": 1, "X": 100.0, "variant": "step_sigma", "cuts": [0.0], "values": [[[0.0]]]}
+DELTA = {"n": 1, "X": 21.0, "variant": "delta_nodes",
+         "nodes": [{"x": float(k), "H": [[-0.5 if k % 3 else 0.25]]} for k in range(1, 21)]}
+DELTA2 = {"n": 2, "X": 13.0, "variant": "delta_nodes",
+          "nodes": [{"x": float(k), "H": [[-3.0, 1.0], [1.0, -3.0]]} for k in range(1, 13)]}
+LINEAR = {"n": 1, "variant": "linear_sigma", "knots": [0.0, 20.0],
+          "values": [[[0.0]], [[20.0]]]}
+GENERAL = {"n": 1, "X": 3.0, "variant": "general_triple", "cuts": [0.0, 1.5],
+           "P": [[[1.0]], [[2.0]]], "Q": [[[0.5]], [[-0.5]]], "R": [[[0.0]], [[0.25]]]}
+DISTRIBUTIONAL = {"n": 1, "X": 3.0, "variant": "distributional", "cuts": [0.0, 1.0, 2.0],
+                  "P0": [[[1.0]], [[1.5]], [[1.0]]], "Q0": [[[0.0]], [[0.5]], [[-0.5]]],
+                  "P1": [[[0.0]], [[0.25]], [[0.0]]]}
+STIFF = {"n": 1, "X": 1.0, "variant": "general_triple", "cuts": [0.0],
+         "P": [[[1.0]]], "Q": [[[1e6]]], "R": [[[0.0]]]}
+FIXTURES = {
+    "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
+    "linear.json": LINEAR, "general.json": GENERAL,
+    "distributional.json": DISTRIBUTIONAL, "stiff.json": STIFF,
+    "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
+    "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
+                "jumps": [[[0.5]], [[-1.0]]]},
+    "cor1.json": {"lengths": [2.0, 2.0, 3.0], "jumps": [[[0.0]], [[1.0]], [[2.0]]]},
+    "lattice.json": {"d": [1.0 / k for k in range(1, 25)],
+                     "H": [[[-(k + 1.0 / (k + 1))]] for k in range(1, 24)], "N": 8},
+    "spacings.json": [0.5 + 0.1 * k for k in range(40)],
+    "jumps2.json": [[[1.0, 0.5], [0.5, -1.0]]] * 9,
+    "nonsym.json": [[[0.0, 0.0], [0.0, 0.0]]] * 8 + [[[0.0, 1.0], [0.0, 0.0]]],
+}
+
+HELP = [[], ["classify"], ["criterion"], ["jacobi"], ["bridge"], ["gallery"]]
+HELP += [["criterion", c] for c in ("t1", "t2", "t5", "cor1", "cor2")]
+HELP += [["jacobi", op] for op in ("build", "recurrence", "cauchy", "t4", "carleman",
+                                   "t7", "cor3")]
+HELP += [["bridge", "residual"], ["bridge", "l2"], ["gallery", "list"], ["gallery", "run"]]
+
+INVOCATIONS = [
+    # classify
+    "classify --gallery christ-stolz",
+    "classify --gallery free-lattice --format text",
+    "classify --gallery offdiagonal-divergence --N 20",
+    "classify --model free.json --intervals unit:10",
+    "classify --model delta.json --intervals unit:5 --N 10 --segments 2-4,5-8 "
+    "--criteria t1,cor2,carleman,t4",
+    "classify --model delta2.json --N 4 --criteria cor2,t7,cor3",
+    "classify --model linear.json --intervals unit:20",
+    "classify --model general.json --intervals unit:3",
+    "classify --model distributional.json --intervals unit:3 --format text",
+    "jacobi build --d const:1 --count 14 -o built.json",
+    "classify --blocks built.json --segments 1-5,6-10",
+    "classify",
+    "classify --model free.json --blocks built.json",
+    "classify --gallery nope",
+    "classify --model missing.json",
+    "classify --model intervals.json",
+    "classify --gallery free-lattice --criteria bogus",
+    "classify --gallery free-lattice --criteria ,",
+    "classify --gallery free-lattice --criteria t5_diag",
+    "classify --gallery free-lattice --segments 1-x",
+    "classify --model free.json --intervals bogus:3",
+    "classify --gallery free-lattice -o no/dir/out.json",
+    # criterion
+    "criterion t1 --model free.json --intervals unit:20",
+    "criterion t1 --model free.json --intervals file:intervals.json --threshold 0.1",
+    "criterion t1 --model stiff.json --intervals unit:1",
+    "criterion t1 --model free.json",
+    "criterion t2 --model linear.json --intervals unit:20",
+    "criterion t2 --model free.json --intervals unit:5",
+    "criterion t5 --data t5.json --channel diag:1",
+    "criterion t5 --data t5.json --channel diag:1 --threshold 0.5 --format text",
+    "criterion t5 --data t5.json --channel bogus",
+    "criterion cor1 --data cor1.json --channel diag:1",
+    "criterion cor1 --data missing.json --channel diag:1",
+    "criterion cor2 --d harmonic --H cancel --count 40 --channel diag:1",
+    "criterion cor2 --d const:1 --H file:jumps2.json --n 2 --count 10 --channel offdiag:1,2",
+    "criterion cor2 --d bogus:1 --channel diag:1",
+    "criterion cor2 --d const:1 --H bogus --channel diag:1",
+    "criterion bogus",
+    # jacobi
+    "jacobi build --d const:1 --count 6",
+    "jacobi build --d list:1,2,3,4 --H const:2",
+    "jacobi build --data lattice.json",
+    "jacobi build --d list:1,2",
+    "jacobi build --data intervals.json",
+    "jacobi recurrence --d harmonic --H cancel --u0 1 --u1 0 --steps 30 --count 40",
+    "jacobi recurrence --d const:1 --n 2 --u0 1,0 --u1 0,1 --steps 8",
+    "jacobi recurrence --data lattice.json --u0 0 --u1 1 --steps 6",
+    "jacobi recurrence --d const:1 --u0 0,1 --u1 1",
+    "jacobi cauchy --d const:1 --i 4 --j 3",
+    "jacobi cauchy --d power:0.5 --H const:-1 --i 6 --j 2 --format text",
+    "jacobi cauchy --d const:1 --i 2 --j 5",
+    "jacobi t4 --d harmonic --H cancel --segments 1-5,6-12 --count 20",
+    "jacobi t4 --data lattice.json --segments 1-3,4-6",
+    "jacobi t4 --data missing.json --segments 1-x",
+    "jacobi t4 --data lattice.json --segments 1-30",
+    "jacobi carleman --d const:1 --N 20",
+    "jacobi carleman --data lattice.json",
+    "jacobi carleman",
+    "jacobi t7 --d harmonic --H cancel --N 20 --count 50",
+    "jacobi t7 --data lattice.json",
+    "jacobi t7 --d list:1,1,1,1 --N 5",
+    "jacobi cor3 --d harmonic --H cancel --N 20 --count 50",
+    "jacobi cor3 --d file:spacings.json --H const:0.5 --N 10",
+    "jacobi cor3 --d const:1 --n 2 --H file:nonsym.json --N 6 --count 10",
+    "jacobi",
+    # bridge
+    "bridge residual --model delta.json",
+    "bridge residual --model delta.json --count 5 --f 0.5 --f1 1",
+    "bridge residual --model delta2.json --f 1,0 --f1 0,1 --format text",
+    "bridge residual --model free.json",
+    "bridge residual --model delta.json --count 0",
+    "bridge residual --model delta.json --count -4",
+    "bridge residual --model delta.json --count 100",
+    "bridge residual --model delta.json --f 1,2",
+    "bridge l2 --d const:1 --u0 0 --u1 1 --steps 30 --count 40",
+    "bridge l2 --d harmonic --H cancel --u0 1 --u1 0 --steps 30 --count 40 --format text",
+    "bridge l2 --d const:1 --n 2 --u0 1,0 --u1 0,1 --steps 12",
+    "bridge l2 --d const:1 --u0 0 --u1 1 --steps 0",
+    "bridge l2 --u0 0 --u1 1",
+    # gallery
+    "gallery list",
+    "gallery list --format text",
+    "gallery run free-lattice",
+    "gallery run monotone-sigma --format text",
+    "gallery run",
+    "gallery run nope",
+    "",
+]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def invoke(run, argv) -> tuple[str, str, int]:
+    """Run ``sldl ARGV`` in-process as a fresh process would see it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse: --help and usage errors
+            code = exc.code
+        except Exception as exc:  # would be a traceback and exit status 1
+            print(f"uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 1
+    return out.getvalue(), err.getvalue(), code
+
+
+def main() -> None:
+    src = pathlib.Path(sys.argv[1] if len(sys.argv) > 1
+                       else pathlib.Path(__file__).resolve().parents[1] / "src")
+    sys.path.insert(0, str(src.resolve()))
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    from sldl.cli import run
+
+    argvs = [a.split() for a in INVOCATIONS] + [h + ["--help"] for h in HELP]
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, obj in FIXTURES.items():
+                pathlib.Path(name).write_text(json.dumps(obj), encoding="utf-8")
+            for argv in argvs:
+                out, err, code = invoke(run, argv)
+                print(_sha(out), _sha(err), code, " ".join(argv))
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

@@ -138,8 +138,10 @@ def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) 
     """
     if not isinstance(model, DeltaNodes):
         raise TypeError("equivalence_residual needs a DeltaNodes model")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     m = len(model.nodes)
-    if count < 1 or m < count + 3:
+    if m < count + 3:
         raise ValueError(f"need at least count + 3 = {count + 3} nodes, have {m}")
     d = model.spacings
     y = np.concatenate([seed_state.f, seed_state.f1])
@@ -346,7 +348,7 @@ def classify_detailed(problem, config: ClassifyConfig | None = None):
 # gallery
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GalleryEntry:
     name: str
     problem: object

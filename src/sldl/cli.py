@@ -7,6 +7,10 @@ configurations produce byte-identical output. Exit codes: 0 success,
 overflows or does not stabilize included), 3 conflicting certified
 evidence.
 
+Each command leaf sets its own handler on its parser. A handler returns
+the config echo and the result; ``run`` is the only place that wraps them
+in an envelope, titled with the leaf's command path ("jacobi t4").
+
 Sequence shorthands accepted by ``--d``: ``const:V``, ``harmonic``
 (1/k), ``power:P`` (k**P), ``list:a,b,c`` and ``file:PATH``. Jump
 shorthands for ``--H``: ``zero``, ``const:V`` (V times the identity),
@@ -291,23 +295,26 @@ def render_text(envelope: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# leaf handlers: each returns (config echo, result); run wraps the envelope
 
 
 def _reports_json(reports) -> list[dict]:
     return [rep.to_json() for rep in reports]
 
 
-def _cmd_classify(args) -> dict:
-    sources = [s for s in (args.model, args.blocks, args.gallery) if s]
-    if len(sources) != 1:
+def _echo(args, *keys) -> dict:
+    return {key: getattr(args, key) for key in keys}
+
+
+def _classify(args):
+    if sum(1 for s in (args.model, args.blocks, args.gallery) if s) != 1:
         raise ConfigError("give exactly one of --model, --blocks, --gallery")
     intervals = parse_intervals(args.intervals) if args.intervals else None
     segments = parse_segments(args.segments) if args.segments else None
     criteria_names = _criteria_list(args.criteria)
     base = ClassifyConfig()
     if args.gallery:
-        entry = _gallery_entry_checked(args.gallery)
+        entry = gallery_entry(args.gallery)
         problem, base = entry.problem, entry.config
         source = f"gallery:{args.gallery}"
     elif args.model:
@@ -322,190 +329,165 @@ def _cmd_classify(args) -> dict:
         segments=segments if segments is not None else base.segments,
         criteria=criteria_names if criteria_names is not None else base.criteria)
     verdict, reports = classify_detailed(problem, config)
-    config_echo = {"problem": source, "intervals": args.intervals,
-                   "N": config.N, "segments": args.segments,
-                   "criteria": list(config.criteria) if config.criteria else None}
-    return make_envelope("classify", config_echo,
-                         {"verdict": verdict.to_json(),
-                          "reports": _reports_json(reports)})
+    echo = {"problem": source, "intervals": args.intervals,
+            "N": config.N, "segments": args.segments,
+            "criteria": list(config.criteria) if config.criteria else None}
+    return echo, {"verdict": verdict.to_json(), "reports": _reports_json(reports)}
 
 
-def _gallery_entry_checked(name: str):
-    try:
-        return gallery_entry(name)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+def _criterion_t1(args):
+    problem = load_problem(args.model)
+    rep = t1_series(problem, parse_intervals(args.intervals), threshold=args.threshold)
+    return (_echo(args, "criterion", "model", "intervals", "threshold"),
+            {"reports": [rep.to_json()]})
 
 
-def _cmd_criterion(args) -> dict:
-    code = args.criterion
-    config_echo = {"criterion": code}
-    if code == "t1":
-        problem = load_problem(args.model)
-        intervals = parse_intervals(args.intervals)
-        config_echo.update(model=args.model, intervals=args.intervals,
-                           threshold=args.threshold)
-        reports = [t1_series(problem, intervals, threshold=args.threshold)]
-    elif code == "t2":
-        problem = load_problem(args.model)
-        if not isinstance(problem, LinearSigma):
-            raise ConfigError("criterion t2 needs a linear_sigma model")
-        intervals = parse_intervals(args.intervals)
-        config_echo.update(model=args.model, intervals=args.intervals)
-        res = t2_predicate(problem, intervals)
-        config_echo["hypothesis_ok"] = res.hypothesis_ok
-        reports = [res.series]
-    elif code == "t5":
-        data = _load_json(args.data)
-        intervals = IntervalSeq(tuple(tuple(iv) for iv in data["intervals"]),
-                                tuple(data["markers"]))
-        jumps = [matrix_from_json(h) for h in data["jumps"]]
-        config_echo.update(data=args.data, channel=args.channel,
-                           threshold=args.threshold)
-        reports = [t5_series(intervals, jumps, parse_channel(args.channel),
-                             threshold=args.threshold)]
-    elif code == "cor1":
-        data = _load_json(args.data)
-        jumps = [matrix_from_json(h) for h in data["jumps"]]
-        config_echo.update(data=args.data, channel=args.channel,
-                           threshold=args.threshold)
-        reports = [cor1_series(data["lengths"], jumps, parse_channel(args.channel),
-                               threshold=args.threshold)]
-    elif code == "cor2":
-        d = parse_spacings(args.d, args.count)
-        jumps = parse_jumps(args.H, d, args.n)
-        config_echo.update(d=args.d, H=args.H, n=args.n, count=args.count,
-                           channel=args.channel, threshold=args.threshold)
-        reports = [cor2_series(d, jumps, parse_channel(args.channel),
-                               threshold=args.threshold)]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown criterion {code!r}")
-    return make_envelope(f"criterion {code}", config_echo,
-                         {"reports": _reports_json(reports)})
+def _criterion_t2(args):
+    problem = load_problem(args.model)
+    if not isinstance(problem, LinearSigma):
+        raise ConfigError("criterion t2 needs a linear_sigma model")
+    res = t2_predicate(problem, parse_intervals(args.intervals))
+    echo = _echo(args, "criterion", "model", "intervals")
+    echo["hypothesis_ok"] = res.hypothesis_ok
+    return echo, {"reports": [res.series.to_json()]}
 
 
-def _jacobi_inputs(args, min_count=lambda args: 3):
-    """Resolve (d, H) from --data or from the --d/--H shorthands.
+def _criterion_t5(args):
+    data = _load_json(args.data)
+    intervals = IntervalSeq(tuple(tuple(iv) for iv in data["intervals"]),
+                            tuple(data["markers"]))
+    jumps = [matrix_from_json(h) for h in data["jumps"]]
+    rep = t5_series(intervals, jumps, parse_channel(args.channel), threshold=args.threshold)
+    return _echo(args, "criterion", "data", "channel", "threshold"), {"reports": [rep.to_json()]}
 
-    ``min_count`` is evaluated after a data file's own N has taken
-    effect; shorthand-generated spacings are extended to meet it.
+
+def _criterion_cor1(args):
+    data = _load_json(args.data)
+    jumps = [matrix_from_json(h) for h in data["jumps"]]
+    rep = cor1_series(data["lengths"], jumps, parse_channel(args.channel),
+                      threshold=args.threshold)
+    return _echo(args, "criterion", "data", "channel", "threshold"), {"reports": [rep.to_json()]}
+
+
+def _criterion_cor2(args):
+    d = parse_spacings(args.d, args.count)
+    jumps = parse_jumps(args.H, d, args.n)
+    rep = cor2_series(d, jumps, parse_channel(args.channel), threshold=args.threshold)
+    return (_echo(args, "criterion", "d", "H", "n", "count", "channel", "threshold"),
+            {"reports": [rep.to_json()]})
+
+
+def _lattice(args, min_count, *keys):
+    """(config echo, d, H) of a jacobi leaf, from --data or the --d/--H shorthands.
+
+    ``min_count(args)`` is evaluated after a data file's own N has taken
+    effect; shorthand-generated spacings are extended to meet it. The echo
+    holds op, d, H, n and data, then ``keys``.
     """
-    if getattr(args, "data", None):
+    if args.data:
         obj = _load_json(args.data)
         d = tuple(float(v) for v in obj["d"])
         jumps = tuple(matrix_from_json(h) for h in obj["H"])
         if "N" in obj:
             args.N = int(obj["N"])
     elif args.d:
-        count = max(args.count, min_count(args))
-        d = parse_spacings(args.d, count)
+        d = parse_spacings(args.d, max(args.count, min_count(args)))
         jumps = parse_jumps(args.H, d, args.n)
     else:
         raise ConfigError("give --d (with optional --H) or --data")
     if len(d) < min_count(args):
         raise ConfigError(f"need at least {min_count(args)} spacings")
-    return d, jumps
+    return _echo(args, "op", "d", "H", "n", "data", *keys), d, jumps
 
 
-def _cmd_jacobi(args) -> dict:
-    op = args.op
-    config_echo = {"op": op, "d": getattr(args, "d", None),
-                   "H": getattr(args, "H", None), "n": args.n,
-                   "data": getattr(args, "data", None)}
-    if op == "build":
-        d, jumps = _jacobi_inputs(args)
-        config_echo["count"] = args.count
-        blocks = blocks_from_delta(d, jumps)
-        return make_envelope("jacobi build", config_echo,
-                             {"blocks": blocks_to_json(blocks)})
-    if op == "recurrence":
-        d, jumps = _jacobi_inputs(args, lambda a: max(a.steps, 3))
-        blocks = blocks_from_delta(d, jumps)
-        u = solve_recurrence(blocks, parse_vector(args.u0, args.n),
-                             parse_vector(args.u1, args.n), args.steps)
-        config_echo.update(count=args.count, steps=args.steps, u0=args.u0, u1=args.u1)
-        seq = [[matrix_to_json(v.reshape(1, -1))[0]] for v in u]
-        return make_envelope("jacobi recurrence", config_echo,
-                             {"sequence": [row[0] for row in seq],
-                              "reports": [l2_tail_report(u).to_json()]})
-    if op == "cauchy":
-        d, jumps = _jacobi_inputs(args, lambda a: a.i + 2)
-        blocks = blocks_from_delta(d, jumps)
-        config_echo.update(count=args.count, i=args.i, j=args.j)
-        k = discrete_cauchy(blocks, args.i, args.j)
-        return make_envelope("jacobi cauchy", config_echo, {"K": matrix_to_json(k)})
-    if op == "t4":
-        segments = parse_segments(args.segments)
-        d, jumps = _jacobi_inputs(args, lambda a: max(m for _, m in segments) + 2)
-        blocks = blocks_from_delta(d, jumps)
-        config_echo.update(count=args.count, segments=args.segments)
-        return make_envelope("jacobi t4", config_echo,
-                             {"reports": [t4_report(blocks, segments).to_json()]})
-    if op == "carleman":
-        d, jumps = _jacobi_inputs(args, lambda a: a.N + 2)
-        blocks = blocks_from_delta(d, jumps)
-        config_echo.update(N=args.N)
-        return make_envelope("jacobi carleman", config_echo,
-                             {"reports": [carleman_report(blocks, args.N).to_json()]})
-    if op == "t7":
-        d, jumps = _jacobi_inputs(args, lambda a: 2 * a.N + 2)
-        config_echo.update(N=args.N)
-        res = t7_check(d, jumps, args.N)
-        return make_envelope("jacobi t7", config_echo,
-                             {"limit_circle_certified": res.limit_circle_certified,
-                              "reports": _reports_json(res.reports())})
-    if op == "cor3":
-        d, jumps = _jacobi_inputs(args, lambda a: a.N + 3)
-        config_echo.update(N=args.N)
-        res = cor3_check(d, jumps, args.N)
-        return make_envelope("jacobi cor3", config_echo,
-                             {"limit_circle_certified": res.limit_circle_certified,
-                              "cond1": res.cond1,
-                              "cond1_direction": res.cond1_direction,
-                              "reports": _reports_json(res.reports())})
-    raise ConfigError(f"unknown jacobi op {op!r}")  # pragma: no cover
+def _recurrence(args, d, jumps):
+    """The recurrence solution from --u0/--u1 over --steps, and its l2 report."""
+    u = solve_recurrence(blocks_from_delta(d, jumps), parse_vector(args.u0, args.n),
+                         parse_vector(args.u1, args.n), args.steps)
+    return u, l2_tail_report(u).to_json()
 
 
-def _cmd_bridge(args) -> dict:
-    if args.op == "residual":
-        problem = load_problem(args.model)
-        if not isinstance(problem, DeltaNodes):
-            raise ConfigError("bridge residual needs a delta_nodes model")
-        n = problem.n
-        seed = QuasiState(parse_vector(args.f, n) if args.f else np.zeros(n),
-                          parse_vector(args.f1, n) if args.f1 else np.ones(n))
-        count = args.count or (len(problem.nodes) - 3)
-        res = equivalence_residual(problem, count, seed)
-        config_echo = {"op": "residual", "model": args.model, "count": count,
-                       "f": args.f, "f1": args.f1}
-        return make_envelope("bridge residual", config_echo, {"residual": res})
-    if args.op == "l2":
-        d = parse_spacings(args.d, max(args.count, args.steps + 1))
-        jumps = parse_jumps(args.H, d, args.n)
-        blocks = blocks_from_delta(d, jumps)
-        u = solve_recurrence(blocks, parse_vector(args.u0, args.n),
-                             parse_vector(args.u1, args.n), args.steps)
-        config_echo = {"op": "l2", "d": args.d, "H": args.H, "n": args.n,
-                       "steps": args.steps, "u0": args.u0, "u1": args.u1}
-        return make_envelope("bridge l2", config_echo,
-                             {"reports": [l2_tail_report(u).to_json()]})
-    raise ConfigError(f"unknown bridge op {args.op!r}")  # pragma: no cover
+def _jacobi_build(args):
+    echo, d, jumps = _lattice(args, lambda a: 3, "count")
+    return echo, {"blocks": blocks_to_json(blocks_from_delta(d, jumps))}
 
 
-def _cmd_gallery(args) -> dict:
-    if args.op == "list":
-        entries = [{"name": e.name, "expected": e.expected, "note": e.note}
-                   for e in gallery()]
-        return make_envelope("gallery list", {}, {"entries": entries})
+def _jacobi_recurrence(args):
+    echo, d, jumps = _lattice(args, lambda a: max(a.steps, 3), "count", "steps", "u0", "u1")
+    u, l2 = _recurrence(args, d, jumps)
+    return echo, {"sequence": [matrix_to_json(v.reshape(1, -1))[0] for v in u],
+                  "reports": [l2]}
+
+
+def _jacobi_cauchy(args):
+    echo, d, jumps = _lattice(args, lambda a: a.i + 2, "count", "i", "j")
+    return echo, {"K": matrix_to_json(discrete_cauchy(blocks_from_delta(d, jumps),
+                                                      args.i, args.j))}
+
+
+def _jacobi_t4(args):
+    segments = parse_segments(args.segments)
+    echo, d, jumps = _lattice(args, lambda a: max(m for _, m in segments) + 2,
+                              "count", "segments")
+    return echo, {"reports": [t4_report(blocks_from_delta(d, jumps), segments).to_json()]}
+
+
+def _jacobi_carleman(args):
+    echo, d, jumps = _lattice(args, lambda a: a.N + 2, "N")
+    return echo, {"reports": [carleman_report(blocks_from_delta(d, jumps), args.N).to_json()]}
+
+
+def _jacobi_t7(args):
+    echo, d, jumps = _lattice(args, lambda a: 2 * a.N + 2, "N")
+    res = t7_check(d, jumps, args.N)
+    return echo, {"limit_circle_certified": res.limit_circle_certified,
+                  "reports": _reports_json(res.reports())}
+
+
+def _jacobi_cor3(args):
+    echo, d, jumps = _lattice(args, lambda a: a.N + 3, "N")
+    res = cor3_check(d, jumps, args.N)
+    return echo, {"limit_circle_certified": res.limit_circle_certified,
+                  "cond1": res.cond1,
+                  "cond1_direction": res.cond1_direction,
+                  "reports": _reports_json(res.reports())}
+
+
+def _bridge_residual(args):
+    problem = load_problem(args.model)
+    if not isinstance(problem, DeltaNodes):
+        raise ConfigError("bridge residual needs a delta_nodes model")
+    n = problem.n
+    seed = QuasiState(parse_vector(args.f, n) if args.f else np.zeros(n),
+                      parse_vector(args.f1, n) if args.f1 else np.ones(n))
+    count = len(problem.nodes) - 3 if args.count is None else args.count
+    res = equivalence_residual(problem, count, seed)
+    return ({"op": "residual", "model": args.model, "count": count, "f": args.f, "f1": args.f1},
+            {"residual": res})
+
+
+def _bridge_l2(args):
+    """jacobi recurrence's l2 report without the sequence."""
+    d = parse_spacings(args.d, max(args.count, args.steps + 1))
+    _, l2 = _recurrence(args, d, parse_jumps(args.H, d, args.n))
+    return _echo(args, "op", "d", "H", "n", "steps", "u0", "u1"), {"reports": [l2]}
+
+
+def _gallery_list(args):
+    return {}, {"entries": [{"name": e.name, "expected": e.expected, "note": e.note}
+                            for e in gallery()]}
+
+
+def _gallery_run(args):
     entries = []
-    for entry in [_gallery_entry_checked(args.name)] if args.name else gallery():
+    for entry in [gallery_entry(args.name)] if args.name else gallery():
         verdict, reports = classify_detailed(entry.problem, entry.config)
         entries.append({"name": entry.name, "expected": entry.expected,
                         "classification": verdict.classification,
                         "match": verdict.classification == entry.expected,
                         "verdict": verdict.to_json(),
                         "reports": _reports_json(reports)})
-    return make_envelope("gallery run", {"name": args.name}, {"entries": entries})
+    return {"name": args.name}, {"entries": entries}
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     lattice.add_argument("--count", type=int, default=50)
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("classify", parents=[common],
-                       help="run every applicable criterion")
+    def leaf(subs, name, handler, *parents, **kwargs):
+        """A command leaf; its title in the report is its path after ``sldl``."""
+        q = subs.add_parser(name, parents=[common, *parents], **kwargs)
+        q.set_defaults(handler=handler, title=q.prog.partition(" ")[2])
+        return q
+
+    c = leaf(sub, "classify", _classify, help="run every applicable criterion")
     c.add_argument("--model")
     c.add_argument("--blocks")
     c.add_argument("--gallery")
@@ -536,78 +523,64 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--N", type=int)
     c.add_argument("--segments")
     c.add_argument("--criteria")
-    c.set_defaults(handler=_cmd_classify)
 
-    cr = sub.add_parser("criterion", help="run one criterion")
-    crs = cr.add_subparsers(dest="criterion", required=True)
-    for code in ("t1", "t2"):
-        q = crs.add_parser(code, parents=[common])
+    crs = sub.add_parser("criterion", help="run one criterion").add_subparsers(
+        dest="criterion", required=True)
+    for code, handler in (("t1", _criterion_t1), ("t2", _criterion_t2)):
+        q = leaf(crs, code, handler)
         q.add_argument("--model", required=True)
         q.add_argument("--intervals", required=True)
         if code == "t1":
             q.add_argument("--threshold", type=float)
-    for code in ("t5", "cor1"):
-        q = crs.add_parser(code, parents=[common])
+    for code, handler in (("t5", _criterion_t5), ("cor1", _criterion_cor1)):
+        q = leaf(crs, code, handler)
         q.add_argument("--data", required=True)
         q.add_argument("--channel", required=True)
         q.add_argument("--threshold", type=float)
-    q = crs.add_parser("cor2", parents=[common, lattice])
+    q = leaf(crs, "cor2", _criterion_cor2, lattice)
     q.add_argument("--d", required=True)
     q.add_argument("--channel", required=True)
     q.add_argument("--threshold", type=float)
-    cr.set_defaults(handler=_cmd_criterion)
 
-    j = sub.add_parser("jacobi", help="block lattice operations")
-    js = j.add_subparsers(dest="op", required=True)
+    js = sub.add_parser("jacobi", help="block lattice operations").add_subparsers(
+        dest="op", required=True)
 
-    def jacobi_common(q):
+    def jacobi_leaf(op, handler):
+        q = leaf(js, op, handler, lattice)
         q.add_argument("--d")
         q.add_argument("--data", help='JSON file {"d": [...], "H": [...], "N": int}')
+        return q
 
-    jacobi_common(js.add_parser("build", parents=[common, lattice]))
-    q = js.add_parser("recurrence", parents=[common, lattice])
-    jacobi_common(q)
+    jacobi_leaf("build", _jacobi_build)
+    q = jacobi_leaf("recurrence", _jacobi_recurrence)
     q.add_argument("--u0", required=True)
     q.add_argument("--u1", required=True)
     q.add_argument("--steps", type=int, default=20)
-    q = js.add_parser("cauchy", parents=[common, lattice])
-    jacobi_common(q)
+    q = jacobi_leaf("cauchy", _jacobi_cauchy)
     q.add_argument("--i", type=int, required=True)
     q.add_argument("--j", type=int, required=True)
-    q = js.add_parser("t4", parents=[common, lattice])
-    jacobi_common(q)
-    q.add_argument("--segments", required=True)
-    q = js.add_parser("carleman", parents=[common, lattice])
-    jacobi_common(q)
-    q.add_argument("--N", type=int, default=50)
-    q = js.add_parser("t7", parents=[common, lattice])
-    jacobi_common(q)
-    q.add_argument("--N", type=int, default=100)
-    q = js.add_parser("cor3", parents=[common, lattice])
-    jacobi_common(q)
-    q.add_argument("--N", type=int, default=100)
-    j.set_defaults(handler=_cmd_jacobi)
+    jacobi_leaf("t4", _jacobi_t4).add_argument("--segments", required=True)
+    jacobi_leaf("carleman", _jacobi_carleman).add_argument("--N", type=int, default=50)
+    jacobi_leaf("t7", _jacobi_t7).add_argument("--N", type=int, default=100)
+    jacobi_leaf("cor3", _jacobi_cor3).add_argument("--N", type=int, default=100)
 
-    b = sub.add_parser("bridge", help="continuous/discrete cross checks")
-    bs = b.add_subparsers(dest="op", required=True)
-    q = bs.add_parser("residual", parents=[common])
+    bs = sub.add_parser("bridge", help="continuous/discrete cross checks").add_subparsers(
+        dest="op", required=True)
+    q = leaf(bs, "residual", _bridge_residual)
     q.add_argument("--model", required=True)
     q.add_argument("--count", type=int)
     q.add_argument("--f")
     q.add_argument("--f1")
-    q = bs.add_parser("l2", parents=[common, lattice])
+    q = leaf(bs, "l2", _bridge_l2, lattice)
     q.add_argument("--d", required=True)
     q.add_argument("--u0", required=True)
     q.add_argument("--u1", required=True)
     q.add_argument("--steps", type=int, default=50)
-    b.set_defaults(handler=_cmd_bridge)
 
-    g = sub.add_parser("gallery", help="reference problems")
-    gs = g.add_subparsers(dest="op", required=True)
-    gs.add_parser("list", parents=[common])
-    q = gs.add_parser("run", parents=[common])
-    q.add_argument("name", nargs="?")
-    g.set_defaults(handler=_cmd_gallery)
+    gs = sub.add_parser("gallery", help="reference problems").add_subparsers(
+        dest="op", required=True)
+    leaf(gs, "list", _gallery_list)
+    leaf(gs, "run", _gallery_run).add_argument("name", nargs="?")
     return p
 
 
@@ -615,7 +588,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        envelope = args.handler(args)
+        echo, result = args.handler(args)
     except ConflictingEvidenceError as exc:
         print(f"conflicting evidence: {exc}", file=sys.stderr)
         return 3
@@ -623,6 +596,7 @@ def run(argv=None) -> int:
             IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    envelope = make_envelope(args.title, echo, result)
     text = render_text(envelope) if args.format == "text" else canonical_json(envelope) + "\n"
     if args.output:
         try:

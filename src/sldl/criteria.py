@@ -91,9 +91,8 @@ class IntervalSeq:
         return len(self.intervals)
 
     @classmethod
-    def unit(cls, count: int, start: float = 0.0, length: float = 1.0) -> "IntervalSeq":
-        ivs = tuple((start + k * length, start + (k + 1) * length) for k in range(count))
-        return cls(ivs)
+    def unit(cls, count: int) -> "IntervalSeq":
+        return cls(tuple((float(k), float(k + 1)) for k in range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def _solution_norm_pass(model, a: float, b: float, splits: int,
     return total
 
 
-def _refined(model, a, b, one_pass, rel_tol):
+def _refined(model, a, b, one_pass):
     """Single exact pass for step models, stability-driven refinement otherwise.
 
     one_pass(splits) integrates over the cells of [a, b] with every piece
@@ -156,25 +155,23 @@ def _refined(model, a, b, one_pass, rel_tol):
         if not np.all(np.isfinite(cur)):
             raise QuadratureError(f"kernel quadrature overflowed on ({a}, {b})")
         scale = max(float(np.max(np.abs(cur))), 1e-300)
-        if prev is not None and float(np.max(np.abs(cur - prev))) <= rel_tol * scale:
+        if prev is not None and float(np.max(np.abs(cur - prev))) <= QUAD_REL_TOL * scale:
             return cur
         prev = cur
         splits *= 2
     raise QuadratureError("kernel quadrature did not stabilize; refine the model pieces")
 
 
-def kernel_square_integrals(model, a: float, b: float,
-                            rel_tol: float = QUAD_REL_TOL) -> np.ndarray:
+def kernel_square_integrals(model, a: float, b: float) -> np.ndarray:
     """Per-entry integrals int_a^b dx int_a^x |k_ij(x, t)|^2 dt as an n x n array."""
     if not 0.0 <= a <= b <= model.X:
         raise ValueError("need 0 <= a <= b <= X")
     if a == b:
         return np.zeros((model.n, model.n))
-    return _refined(model, a, b, lambda splits: _kernel_pass(model, a, b, splits), rel_tol)
+    return _refined(model, a, b, lambda splits: _kernel_pass(model, a, b, splits))
 
 
-def solution_norm_integral(model, a: float, b: float,
-                           rel_tol: float = QUAD_REL_TOL) -> float:
+def solution_norm_integral(model, a: float, b: float) -> float:
     """int_a^b (||Phi||_F^2 + ||Psi||_F^2) dx for the pair started at 0."""
     if not 0.0 <= a <= b <= model.X:
         raise ValueError("need 0 <= a <= b <= X")
@@ -182,8 +179,7 @@ def solution_norm_integral(model, a: float, b: float,
         return 0.0
     t_start = transfer(model, 0.0, 0.0, a)
     return _refined(model, a, b,
-                    lambda splits: _solution_norm_pass(model, a, b, splits, t_start),
-                    rel_tol)
+                    lambda splits: _solution_norm_pass(model, a, b, splits, t_start))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +381,7 @@ def cor2_series(d, jumps, channel,
 # monotone-potential test (code t2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSigma:
     """Continuous piecewise-linear real symmetric potential.
 

@@ -108,14 +108,14 @@ def _check_spacings(d) -> tuple[float, ...]:
 # blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaProvenance:
     d: tuple[float, ...]
     H: np.ndarray
     boundary_default: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobiBlocks:
     n: int
     A: np.ndarray

@@ -113,15 +113,6 @@ def block2n(tl, tr, bl, br) -> np.ndarray:
     return np.block([[tl, tr], [bl, br]])
 
 
-def split2n(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of block2n."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise ShapeMismatchError("expected an even-order square matrix")
-    n = m.shape[0] // 2
-    return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
-
-
 def matrix_to_json(m) -> list:
     """Nested arrays of [re, im] pairs; real matrices collapse to plain numbers."""
     m = np.asarray(m, dtype=complex)

@@ -67,7 +67,7 @@ def _check_cuts(cuts, X: float) -> tuple[float, ...]:
     return cuts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepSigma:
     """Piecewise-constant real symmetric potential sigma.
 
@@ -89,7 +89,7 @@ class StepSigma:
         object.__setattr__(self, "X", float(self.X))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaNodes:
     """Point interactions: jump H_k in the classical derivative at node x_k.
 
@@ -103,7 +103,7 @@ class DeltaNodes:
     jumps: np.ndarray
     X: float
     spacings: tuple[float, ...] | None = None
-    sigma: StepSigma = field(init=False, repr=False, compare=False)
+    sigma: StepSigma = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = tuple(float(x) for x in self.nodes)
@@ -164,7 +164,7 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
     object.__setattr__(model, "X", float(model.X))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralTriple:
     """Piecewise-constant (P, Q, R): P nonsingular, P and Q Hermitian."""
 
@@ -179,7 +179,7 @@ class GeneralTriple:
         _freeze_pieces(self, ("P", "Q", "R"), hermitian=("P", "Q"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distributional:
     """Piecewise-constant (P0, Q0, P1), all Hermitian, P0 invertible.
 
@@ -369,7 +369,7 @@ def transfer(model, lam: complex, x0: float, x1: float) -> np.ndarray:
     return m if piece is None else _to_quasi(model, piece, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiState:
     """Stacked state (f, f1) with f1 the first quasi-derivative."""
 
@@ -438,7 +438,7 @@ def classical_derivative(model, state: QuasiState, x: float, side: str = "+") ->
 # fundamental pairs and the Cauchy kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FundamentalPair:
     """Sampled matrix solutions Phi, Psi of the lam-equation.
 

@@ -96,6 +96,12 @@ def test_equivalence_residual_requires_delta_model():
         equivalence_residual(free_lattice(4), 5, QuasiState([0.0], [1.0]))
 
 
+@pytest.mark.parametrize("count", [0, -4])
+def test_equivalence_residual_rejects_count_below_one(count):
+    with pytest.raises(ValueError, match=f"count must be at least 1, got {count}$"):
+        equivalence_residual(free_lattice(20), count, QuasiState([0.0], [1.0]))
+
+
 # ---------------------------------------------------------------------------
 # l2 trend reports
 
@@ -274,3 +280,37 @@ def test_gallery_verdicts_deterministic():
     first = json.dumps(entry.run().to_json(), sort_keys=False)
     second = json.dumps(entry.run().to_json(), sort_keys=False)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# array-holding records compare by identity
+
+
+def _records():
+    from sldl import (Distributional, GeneralTriple, LinearSigma, StepSigma,
+                      fundamental_pair)
+
+    zero, eye = np.zeros((1, 1)), np.eye(1)
+    blocks = lambda: blocks_from_delta([1.0] * 5, [np.zeros((1, 1))] * 4)
+    return {
+        "JacobiBlocks": blocks,
+        "DeltaProvenance": lambda: blocks().provenance,
+        "StepSigma": lambda: StepSigma(1, (0.0,), (zero,), 2.0),
+        "DeltaNodes": lambda: free_lattice(4),
+        "GeneralTriple": lambda: GeneralTriple(1, (0.0,), (eye,), (zero,), (zero,), 2.0),
+        "Distributional": lambda: Distributional(1, (0.0,), (eye,), (zero,), (zero,), 2.0),
+        "LinearSigma": lambda: LinearSigma(1, (0.0, 1.0), (zero, eye)),
+        "QuasiState": lambda: QuasiState([0.0], [1.0]),
+        "FundamentalPair": lambda: fundamental_pair(free_lattice(4), 0.0, [0.0, 1.5]),
+        "GalleryEntry": lambda: gallery_entry("free-lattice"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_array_records_compare_by_identity_and_hash(name):
+    # the generated __eq__/__hash__ would compare and hash numpy arrays
+    make = _records()[name]
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2
+    assert hash(a) == hash(a)

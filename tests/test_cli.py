@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import sldl
 from sldl.bridge import CRITERIA
-from sldl.cli import canonical_json, run, validate_report
+from sldl.cli import build_parser, canonical_json, run, validate_report
 from sldl.quasidiff import StepSigma, model_to_json
 
 FREE_MODEL = {"n": 1, "X": 100.0, "variant": "step_sigma",
@@ -191,6 +192,128 @@ def test_gallery_list_and_run(capsys):
     entry = doc["result"]["entries"][0]
     assert entry["classification"] == entry["expected"] == "LimitPoint"
     assert entry["match"] is True
+
+
+# ---------------------------------------------------------------------------
+# the command tree: one case per leaf, config echo keys in order
+
+DELTA_MODEL = {"n": 1, "X": 21.0, "variant": "delta_nodes",
+               "nodes": [{"x": float(k), "H": [[0.0]]} for k in range(1, 21)]}
+LEAF_FILES = {
+    "free": FREE_MODEL,
+    "delta": DELTA_MODEL,
+    "linear": {"n": 1, "variant": "linear_sigma", "knots": [0.0, 5.0],
+               "values": [[[0.0]], [[5.0]]]},
+    "t5": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
+           "jumps": [[[0.0]], [[0.0]]]},
+    "cor1": {"lengths": [2.0, 2.0], "jumps": [[[0.0]], [[0.0]]]},
+    "lattice": {"d": [1.0] * 12, "H": [[[0.0]]] * 11, "N": 4},
+}
+JACOBI_ECHO = ["op", "d", "H", "n", "data"]
+LEAF_CASES = [
+    ("classify", ["--model", "{free}", "--intervals", "unit:3"],
+     ["problem", "intervals", "N", "segments", "criteria"]),
+    ("criterion t1", ["--model", "{free}", "--intervals", "unit:3"],
+     ["criterion", "model", "intervals", "threshold"]),
+    ("criterion t2", ["--model", "{linear}", "--intervals", "unit:5"],
+     ["criterion", "model", "intervals", "hypothesis_ok"]),
+    ("criterion t5", ["--data", "{t5}", "--channel", "diag:1"],
+     ["criterion", "data", "channel", "threshold"]),
+    ("criterion cor1", ["--data", "{cor1}", "--channel", "diag:1"],
+     ["criterion", "data", "channel", "threshold"]),
+    ("criterion cor2", ["--d", "const:1", "--count", "10", "--channel", "diag:1"],
+     ["criterion", "d", "H", "n", "count", "channel", "threshold"]),
+    ("jacobi build", ["--d", "const:1", "--count", "6"], JACOBI_ECHO + ["count"]),
+    ("jacobi recurrence", ["--d", "const:1", "--u0", "0", "--u1", "1", "--steps", "6"],
+     JACOBI_ECHO + ["count", "steps", "u0", "u1"]),
+    ("jacobi cauchy", ["--d", "const:1", "--i", "4", "--j", "3"],
+     JACOBI_ECHO + ["count", "i", "j"]),
+    ("jacobi t4", ["--data", "{lattice}", "--segments", "1-3,4-6"],
+     JACOBI_ECHO + ["count", "segments"]),
+    ("jacobi carleman", ["--data", "{lattice}"], JACOBI_ECHO + ["N"]),
+    ("jacobi t7", ["--d", "harmonic", "--H", "cancel", "--N", "10"], JACOBI_ECHO + ["N"]),
+    ("jacobi cor3", ["--d", "harmonic", "--H", "cancel", "--N", "10"], JACOBI_ECHO + ["N"]),
+    ("bridge residual", ["--model", "{delta}"], ["op", "model", "count", "f", "f1"]),
+    ("bridge l2", ["--d", "const:1", "--u0", "0", "--u1", "1", "--steps", "10"],
+     ["op", "d", "H", "n", "steps", "u0", "u1"]),
+    ("gallery list", [], []),
+    ("gallery run", ["free-lattice"], ["name"]),
+]
+
+
+def _command_paths(parser, path=()):
+    """Every command path of the parser tree, groups and leaves, root first."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, path + (name,))
+
+
+COMMAND_PATHS = list(_command_paths(build_parser()))
+
+
+@pytest.fixture
+def leaf_files(tmp_path):
+    paths = {}
+    for name, obj in LEAF_FILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    return paths
+
+
+def test_leaf_cases_cover_the_command_tree():
+    groups = {path[:-1] for path in COMMAND_PATHS if path}
+    leaves = [" ".join(path) for path in COMMAND_PATHS if path and path not in groups]
+    assert len(leaves) == 17  # classify and the 16 leaves under the four groups
+    assert sorted(leaves) == sorted(title for title, _, _ in LEAF_CASES)
+
+
+@pytest.mark.parametrize("title, argv, keys", LEAF_CASES, ids=[c[0] for c in LEAF_CASES])
+def test_leaf_config_echo(capsys, leaf_files, title, argv, keys):
+    code, doc = run_json(capsys, title.split() + [a.format(**leaf_files) for a in argv])
+    assert code == 0
+    assert doc["command"] == title
+    assert list(doc["config"]) == keys
+
+
+def test_data_file_N_overrides_the_option_before_the_echo(capsys, leaf_files):
+    code, doc = run_json(capsys, ["jacobi", "t7", "--data", leaf_files["lattice"],
+                                  "--N", "100"])
+    assert code == 0
+    assert doc["config"]["N"] == 4
+    assert len(doc["result"]["reports"][0]["terms"]) == 4
+
+
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=lambda p: " ".join(p) or "sldl")
+def test_every_help_screen_exits_0(capsys, path):
+    with pytest.raises(SystemExit) as exc:
+        run([*path, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(("usage: sldl", *path)))
+
+
+@pytest.mark.parametrize("lattice", [["--d", "harmonic", "--H", "cancel", "--u0", "1",
+                                      "--u1", "0", "--steps", "40"],
+                                     ["--d", "power:0.5", "--H", "const:-1", "--n", "2",
+                                      "--u0", "1,0", "--u1", "0,1", "--steps", "12"]])
+def test_bridge_l2_is_the_recurrence_l2_report(capsys, lattice):
+    code, l2 = run_json(capsys, ["bridge", "l2", *lattice])
+    assert code == 0
+    code, rec = run_json(capsys, ["jacobi", "recurrence", *lattice])
+    assert code == 0
+    assert l2["result"] == {"reports": rec["result"]["reports"]}
+    assert len(rec["result"]["sequence"]) == int(lattice[-1])
+
+
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_bridge_residual_rejects_count_below_one(capsys, leaf_files, count):
+    assert run(["bridge", "residual", "--model", leaf_files["delta"],
+                "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: count must be at least 1, got {count}\n"
 
 
 # ---------------------------------------------------------------------------

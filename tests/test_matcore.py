@@ -30,7 +30,6 @@ from sldl.matcore import (
     block2n,
     matrix_from_json,
     matrix_to_json,
-    split2n,
 )
 from sldl.quasidiff import SingularPieceError
 
@@ -86,7 +85,7 @@ def test_as_matrix_rejects_nonfinite_and_nonsquare():
 def test_block_roundtrip():
     tl, tr, bl, br = (np.full((2, 2), v, dtype=complex) for v in (1, 2, 3, 4))
     m = block2n(tl, tr, bl, br)
-    parts = split2n(m)
+    parts = m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
     for got, want in zip(parts, (tl, tr, bl, br)):
         assert np.array_equal(got, want)
 
