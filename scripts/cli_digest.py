@@ -34,12 +34,20 @@ GENERAL = {"n": 1, "X": 3.0, "variant": "general_triple", "cuts": [0.0, 1.5],
 DISTRIBUTIONAL = {"n": 1, "X": 3.0, "variant": "distributional", "cuts": [0.0, 1.0, 2.0],
                   "P0": [[[1.0]], [[1.5]], [[1.0]]], "Q0": [[[0.0]], [[0.5]], [[-0.5]]],
                   "P1": [[[0.0]], [[0.25]], [[0.0]]]}
+# the christ-stolz delta model on 2000 nodes: d_k = 1/k, H_k = -(1/d_k + 1/d_{k+1})
+_CS_NODES = []
+for _k in range(1, 2001):
+    _CS_NODES.append({"x": (_CS_NODES[-1]["x"] if _CS_NODES else 0.0) + 1.0 / _k,
+                      "H": [[-(1.0 / (1.0 / _k) + 1.0 / (1.0 / (_k + 1)))]]})
+CHRIST_STOLZ = {"n": 1, "X": _CS_NODES[-1]["x"] + 1.0 / 2001, "variant": "delta_nodes",
+                "nodes": _CS_NODES}
 STIFF = {"n": 1, "X": 1.0, "variant": "general_triple", "cuts": [0.0],
          "P": [[[1.0]]], "Q": [[[1e6]]], "R": [[[0.0]]]}
 FIXTURES = {
     "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
     "linear.json": LINEAR, "general.json": GENERAL,
     "distributional.json": DISTRIBUTIONAL, "stiff.json": STIFF,
+    "christ-stolz-2000.json": CHRIST_STOLZ,
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
                 "jumps": [[[0.5]], [[-1.0]]]},
@@ -94,6 +102,11 @@ INVOCATIONS = [
     "criterion t5 --data t5.json --channel bogus",
     "criterion cor1 --data cor1.json --channel diag:1",
     "criterion cor1 --data missing.json --channel diag:1",
+    "criterion cor1 --data t5.json --channel diag:1",
+    "criterion t5 --data cor1.json --channel diag:1",
+    "criterion t1 --model free.json --intervals unit:0",
+    "criterion cor2 --d const:1 --count 0 --channel diag:1",
+    "criterion cor2 --d const:0 --H cancel --channel diag:1",
     "criterion cor2 --d harmonic --H cancel --count 40 --channel diag:1",
     "criterion cor2 --d const:1 --H file:jumps2.json --n 2 --count 10 --channel offdiag:1,2",
     "criterion cor2 --d bogus:1 --channel diag:1",
@@ -105,6 +118,7 @@ INVOCATIONS = [
     "jacobi build --data lattice.json",
     "jacobi build --d list:1,2",
     "jacobi build --data intervals.json",
+    "jacobi build --d const:0 --H cancel",
     "jacobi recurrence --d harmonic --H cancel --u0 1 --u1 0 --steps 30 --count 40",
     "jacobi recurrence --d const:1 --n 2 --u0 1,0 --u1 0,1 --steps 8",
     "jacobi recurrence --data lattice.json --u0 0 --u1 1 --steps 6",
@@ -126,6 +140,13 @@ INVOCATIONS = [
     "jacobi cor3 --d file:spacings.json --H const:0.5 --N 10",
     "jacobi cor3 --d const:1 --n 2 --H file:nonsym.json --N 6 --count 10",
     "jacobi",
+    # long marches
+    "jacobi recurrence --d harmonic --H cancel --u0 1 --u1 0 --steps 20000",
+    "jacobi recurrence --d const:1 --n 2 --H file:jumps2.json --u0 1,0 --u1 0,1 --steps 9",
+    "jacobi t4 --d harmonic --H cancel --count 2502 --segments 1-200,1101-1300,2301-2500",
+    "jacobi cauchy --d harmonic --H cancel --i 1150 --j 150",
+    "bridge residual --model christ-stolz-2000.json",
+    "bridge residual --model christ-stolz-2000.json --f 0.25 --f1 -0.5",
     # bridge
     "bridge residual --model delta.json",
     "bridge residual --model delta.json --count 5 --f 0.5 --f1 1",

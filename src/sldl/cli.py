@@ -55,6 +55,7 @@ from .jacobi import (
     blocks_from_json,
     blocks_to_json,
     carleman_report,
+    check_spacings,
     cor3_check,
     discrete_cauchy,
     reciprocal_sum,
@@ -162,6 +163,17 @@ def _load_json(path: str):
         raise ConfigError(f"bad JSON in {path}: {exc}") from exc
 
 
+def _load_data(path: str, *keys):
+    """The JSON object of a --data file, checked to hold every one of ``keys``."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"data file {path} must hold a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ConfigError(f"data file {path} has no key {key!r}")
+    return obj
+
+
 def parse_spacings(spec: str, count: int) -> tuple[float, ...]:
     if spec.startswith("const:"):
         v = float(spec[6:])
@@ -187,6 +199,7 @@ def parse_jumps(spec: str, d, n: int) -> tuple[np.ndarray, ...]:
         v = float(spec[6:])
         return tuple(v * eye for _ in range(count))
     if spec == "cancel":
+        d = check_spacings(d)  # the reciprocal sums divide by the spacings
         return tuple(-reciprocal_sum(d, k) * eye for k in range(1, count + 1))
     if spec.startswith("file:"):
         return tuple(matrix_from_json(h, n) for h in _load_json(spec[5:]))
@@ -195,7 +208,10 @@ def parse_jumps(spec: str, d, n: int) -> tuple[np.ndarray, ...]:
 
 def parse_intervals(spec: str) -> IntervalSeq:
     if spec.startswith("unit:"):
-        return IntervalSeq.unit(int(spec[5:]))
+        count = int(spec[5:])
+        if count < 1:
+            raise ConfigError(f"interval count must be at least 1, got {count}")
+        return IntervalSeq.unit(count)
     if spec.startswith("file:"):
         obj = _load_json(spec[5:])
         if isinstance(obj, dict):
@@ -353,7 +369,7 @@ def _criterion_t2(args):
 
 
 def _criterion_t5(args):
-    data = _load_json(args.data)
+    data = _load_data(args.data, "intervals", "markers", "jumps")
     intervals = IntervalSeq(tuple(tuple(iv) for iv in data["intervals"]),
                             tuple(data["markers"]))
     jumps = [matrix_from_json(h) for h in data["jumps"]]
@@ -362,7 +378,7 @@ def _criterion_t5(args):
 
 
 def _criterion_cor1(args):
-    data = _load_json(args.data)
+    data = _load_data(args.data, "lengths", "jumps")
     jumps = [matrix_from_json(h) for h in data["jumps"]]
     rep = cor1_series(data["lengths"], jumps, parse_channel(args.channel),
                       threshold=args.threshold)
@@ -371,6 +387,8 @@ def _criterion_cor1(args):
 
 def _criterion_cor2(args):
     d = parse_spacings(args.d, args.count)
+    if len(d) < 2:
+        raise ConfigError(f"need at least 2 spacings for the cor2 series, got {len(d)}")
     jumps = parse_jumps(args.H, d, args.n)
     rep = cor2_series(d, jumps, parse_channel(args.channel), threshold=args.threshold)
     return (_echo(args, "criterion", "d", "H", "n", "count", "channel", "threshold"),
@@ -385,7 +403,7 @@ def _lattice(args, min_count, *keys):
     holds op, d, H, n and data, then ``keys``.
     """
     if args.data:
-        obj = _load_json(args.data)
+        obj = _load_data(args.data, "d", "H")
         d = tuple(float(v) for v in obj["d"])
         jumps = tuple(matrix_from_json(h) for h in obj["H"])
         if "N" in obj:

@@ -110,14 +110,14 @@ def _kernel_pass(model, a: float, b: float, splits: int) -> np.ndarray:
     n = model.n
     gram = np.zeros((n, 2 * n, 2 * n), dtype=complex)
     total = np.zeros((n, n))
-    for _, jump, gen, length, _ in _cells(model, 0.0, a, b, splits):
+    cells = _cells(model, 0.0, a, b, splits)
+    for jump, gen, length, step in zip(cells.jump, cells.gen, cells.length, cells.prop):
         if jump is not None:
             gram = jump @ gram @ jump.conj().T
         e = np.array([expm(gen * (x * length)) for x in _GL_X])
         w, top, right = _GL_W * length, e[:, :n, :], e[:, :, n:]
         total += np.einsum("p,pik,jkl,pil->ij", w, top, gram, top.conj()).real
         total += np.einsum("p,pij->ij", w * (1.0 - _GL_X) * length, np.abs(right[:, :n]) ** 2)
-        step = expm(gen * length)
         gram = step @ gram @ step.conj().T + np.einsum("p,pkj,plj->jkl", w, right, right.conj())
     return total
 
@@ -127,12 +127,13 @@ def _solution_norm_pass(model, a: float, b: float, splits: int,
     n = model.n
     total = 0.0
     t = t_start
-    for _, jump, gen, length, _ in _cells(model, 0.0, a, b, splits):
+    cells = _cells(model, 0.0, a, b, splits)
+    for jump, gen, length, step in zip(cells.jump, cells.gen, cells.length, cells.prop):
         if jump is not None:
             t = jump @ t
         e = np.array([expm(gen * (x * length)) for x in _GL_X])
         total += float(np.einsum("p,pij->", _GL_W * length, np.abs((e @ t)[:, :n]) ** 2))
-        t = expm(gen * length) @ t
+        t = step @ t
     return total
 
 

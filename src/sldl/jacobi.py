@@ -20,7 +20,9 @@ certify the completely indeterminate (limit circle) case.
 
 Sequence storage: each block or jump sequence is one read-only (K, n, n)
 complex array, validated once by ``matcore.as_stack``, and the block
-formulas and series terms above are array expressions over it. Storage is
+formulas and series terms above are array expressions over it. The
+recurrence marches step with the lazily built stacks B_inv and B_star of
+``JacobiBlocks``, so each step is three small matrix products. Storage is
 0-based; ``offset`` records the recurrence index of slot 0 so block
 A[k - offset] is A_k. All spacing indices k in this module are 1-based to
 match the recurrence above.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     real_symmetric,
+    refined_inverse,
 )
 from .reports import (
     CONVERGES,
@@ -97,7 +101,8 @@ def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.n
     return d, as_stack(-_shifted_jumps(d, np.zeros((count - 1, n, n)), count - 1))
 
 
-def _check_spacings(d) -> tuple[float, ...]:
+def check_spacings(d) -> tuple[float, ...]:
+    """The spacings d as floats; NonPositiveSpacingError unless all are strictly positive."""
     d = tuple(float(v) for v in d)
     if any(not v > 0.0 for v in d):
         raise NonPositiveSpacingError("spacings must be strictly positive")
@@ -133,6 +138,24 @@ class JacobiBlocks:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
+    @cached_property
+    def B_inv(self) -> np.ndarray:
+        """Read-only stack of the inverses B_k^-1, stored like B.
+
+        Built on first use by ``refined_inverse``; the condition of every B_k
+        was checked on construction.
+        """
+        inv = refined_inverse(self.B)
+        inv.flags.writeable = False
+        return inv
+
+    @cached_property
+    def B_star(self) -> np.ndarray:
+        """Read-only stack of the adjoints B*_k (transposed views), stored like B."""
+        adj = self.B.conj()
+        adj.flags.writeable = False
+        return np.swapaxes(adj, -1, -2)
+
     def A_at(self, k: int) -> np.ndarray:
         i = k - self.offset
         if not 0 <= i < len(self.A):
@@ -153,7 +176,7 @@ def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
     boundary pair (A_0, B_0) defaults to (O, -I) and is only recorded,
     never used by the determinacy criteria.
     """
-    d = _check_spacings(d)
+    d = check_spacings(d)
     m = len(d)
     if m < 2:
         raise ValueError("need at least two spacings")
@@ -213,10 +236,13 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int):
     """Yield u_{m+1} = -B_m^{-1} (A_m u_m + B*_{m-1} u_{m-1}) for m = start .. stop - 1.
 
     (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike.
+    Raises IndexOutOfRangeError before the first step if a block is not stored.
     """
-    for m in range(start, stop):
-        rhs = blocks.A_at(m) @ cur + blocks.B_at(m - 1).conj().T @ prev
-        prev, cur = cur, -np.linalg.solve(blocks.B_at(m), rhs)
+    if start < stop:  # A_at and B_at raise for a block that is not stored
+        blocks.B_at(start - 1), blocks.A_at(stop - 1), blocks.B_at(stop - 1)
+    lo, hi = start - blocks.offset, stop - blocks.offset
+    for a, b_inv, b_star in zip(blocks.A[lo:hi], blocks.B_inv[lo:hi], blocks.B_star[lo - 1:hi - 1]):
+        prev, cur = cur, -(b_inv @ (a @ cur + b_star @ prev))
         yield cur
 
 
@@ -244,7 +270,8 @@ def discrete_cauchy(blocks: JacobiBlocks, i: int, j: int) -> np.ndarray:
     n = blocks.n
     if i == j:
         return np.zeros((n, n), dtype=complex)
-    cur = invert(blocks.B_at(j))
+    blocks.B_at(j)  # raises for a block that is not stored
+    cur = blocks.B_inv[j - blocks.offset].copy()
     for cur in _march(blocks, np.zeros((n, n), dtype=complex), cur, j + 1, i):
         pass
     return cur
@@ -263,12 +290,14 @@ def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
     eye = np.eye(2 * n)
     gram = np.zeros((2 * n, 2 * n), dtype=complex)
     total = 0.0
+    if n_k < m_k:  # B_at raises for a block that is not stored
+        blocks.B_at(n_k), blocks.B_at(m_k - 1)
     for i in range(n_k, m_k):  # row i + 1
         if i > n_k:
             (top,) = _march(blocks, eye[n:], eye[:n], i, i + 1)
             step = np.vstack([top, eye[:n]])
             gram = step @ gram @ step.conj().T
-        binv = invert(blocks.B_at(i))
+        binv = blocks.B_inv[i - blocks.offset]
         gram[:n, :n] += binv @ binv.conj().T
         total += float(np.trace(gram[:n, :n]).real)
     return math.sqrt(total)
@@ -359,7 +388,7 @@ def carleman_spacing_bounds(d, n: int = 1) -> bool:
     Checks d_{k+1}^2 / sqrt(n) <= 1/||B_k|| <= (d_k^2 + 6 d_{k+1}^2 + d_{k+2}^2) / (4 sqrt(n))
     for every admissible k. Holds for all positive spacings.
     """
-    d = _check_spacings(d)
+    d = check_spacings(d)
     if len(d) < 3:
         raise ValueError("need at least three spacings")
     rn = math.sqrt(n)
@@ -398,7 +427,7 @@ def t7_check(d, H, N: int) -> T7Result:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    d = _check_spacings(d)
+    d = check_spacings(d)
     H = real_symmetric(as_stack(H), "jump matrices")
     if len(d) < 2 * N + 2:
         raise IndexOutOfRangeError(f"need at least {2 * N + 2} spacings for N = {N}")
@@ -461,7 +490,7 @@ def cor3_check(d, H, N: int) -> Cor3Result:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    d = _check_spacings(d)
+    d = check_spacings(d)
     H = real_symmetric(as_stack(H), "jump matrices")
     if len(d) < N + 3:
         raise IndexOutOfRangeError(f"need at least {N + 3} spacings for N = {N}")

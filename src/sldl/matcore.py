@@ -70,22 +70,33 @@ def frobenius_norm(m):
 
 
 def invert(m) -> np.ndarray:
-    """Inverse with a condition guard.
+    """Inverse with a condition guard, of a matrix or of every matrix of a stack.
 
-    Raises SingularMatrixError when the condition estimate exceeds
-    COND_LIMIT or when the residual ||M @ inv - I||_F stays above
-    1e-10 * n after one Newton refinement step.
+    Raises SingularMatrixError when a condition estimate exceeds
+    COND_LIMIT, then inverts as ``refined_inverse``.
     """
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
     cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    if not np.all(cond <= COND_LIMIT):
+        raise SingularMatrixError(f"condition estimate {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}")
+    return refined_inverse(m)
+
+
+def refined_inverse(m) -> np.ndarray:
+    """Inverse of a matrix, or of a stack, whose condition the caller has checked.
+
+    One batched ``np.linalg.inv``; each matrix whose residual
+    ||M @ inv - I||_F exceeds 1e-10 * n takes one Newton refinement step,
+    and SingularMatrixError is raised if any residual stays above it.
+    """
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[-1]
     inv = np.linalg.inv(m)
     eye = np.eye(n)
-    if frobenius_norm(m @ inv - eye) > 1e-10 * n:
-        inv = inv @ (2.0 * eye - m @ inv)
-        if frobenius_norm(m @ inv - eye) > 1e-10 * n:
+    bad = frobenius_norm(m @ inv - eye) > 1e-10 * n
+    if np.any(bad):
+        inv[bad] = inv[bad] @ (2.0 * eye - m[bad] @ inv[bad])
+        if np.any(frobenius_norm(m[bad] @ inv[bad] - eye) > 1e-10 * n):
             raise SingularMatrixError("inverse residual too large")
     return inv
 

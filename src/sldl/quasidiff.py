@@ -10,7 +10,9 @@ Coefficients are piecewise constant, so propagation across a piece is an
 exact matrix exponential. One cell walker, ``_cells``, enumerates pieces
 and picks the working coordinates for transfer matrices, kernel integrals
 and node samples: classical (f, f') with free flights and jumps of f' for
-step and delta models, (f, f1) with the piece generator otherwise.
+step and delta models, (f, f1) with the piece generator otherwise. It
+stacks each cell's jump and propagator up front, so a march is a loop of
+small matrix products.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -294,69 +297,100 @@ def expm(a) -> np.ndarray:
     return x
 
 
-def _jump(ds: np.ndarray) -> np.ndarray:
-    """[[I, O], [dS, I]]: f' picks up dS f."""
-    eye = np.eye(ds.shape[0])
-    return block2n(eye, 0 * eye, ds, eye)
+def _jumps(ds: np.ndarray) -> np.ndarray:
+    """[[I, O], [dS, I]] for dS on the trailing two axes: f' picks up dS f."""
+    n = ds.shape[-1]
+    out = np.zeros(ds.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n] = out[..., n:, n:] = np.eye(n)
+    out[..., n:, :n] = ds
+    return out
 
 
-def _cells(model, lam: complex, x0: float, x1: float, splits: int = 1, stops=()):
-    """Yield the cells of [x0, x1] as (piece, jump, generator, length, end).
+# The cells of a march as per-cell sequences: piece index, jump applied at
+# the cell's start (a 2n x 2n matrix or None), generator stack, length, end
+# point, and the propagator stack exp(generator * length).
+Cells = namedtuple("Cells", "piece jump gen length end prop")
+
+
+def _cells(model, lam: complex, x0: float, x1: float, splits: int = 1, stops=()) -> Cells:
+    """The cells of [x0, x1], with every state-independent operator stacked.
 
     Cells are the pieces clipped to [x0, x1] and cut again at the sorted
     points ``stops``, each split into ``splits`` equal parts that share the
     ``end`` of their cell; ``jump`` (or None) applies at the cell's start and
-    exp(generator * length) carries the state across. Step and delta models
-    work in classical coordinates (f, f'), since quasi generators carry
-    sigma**2 and lose about that factor once the accumulated potential is
-    large: a free flight inside each cell, a jump by the change of sigma at
-    each cut (the stored jump and spacing for full delta cells), and a first
-    jump by sigma itself, from (f, f1) into (f, f'), that ``_to_quasi``
-    undoes. Other models keep quasi coordinates and the piece generator.
+    ``prop`` = exp(generator * length) carries the state across. Step and
+    delta models work in classical coordinates (f, f'), since quasi
+    generators carry sigma**2 and lose about that factor once the
+    accumulated potential is large: a free flight inside each cell, a jump
+    by the change of sigma at each cut (the stored jump and spacing for full
+    delta cells), and a first jump by sigma itself, from (f, f1) into
+    (f, f'), that ``_to_quasi`` undoes. At lam = 0 the flight generator N is
+    nilpotent and its propagators are I + length * N in closed form, which
+    is what ``expm`` returns for it. Other models keep quasi coordinates and
+    the piece generator, and every propagator is one ``expm`` call.
     """
     sigma = _sigma_of(model)
     delta = model if isinstance(model, DeltaNodes) else None
-    eye = np.eye(model.n)
-    flight = block2n(0 * eye, eye, -lam * eye, 0 * eye)
     cuts = piece_cuts(model)
     marks = iter([x for x in stops if x0 < x < x1])
     mark = next(marks, x1)
+    pieces, jumped, ds, lengths, ends = [], [], [], [], []
     i, pos = piece_index(model, x0), x0
     while pos < x1:
         end = cuts[i + 1] if i + 1 < len(cuts) else model.X
         stop = min(end, mark)
-        if sigma is None:
-            jump, gen = None, piece_system(model, lam, i)
-        else:
-            jump, gen = None, flight
+        if sigma is not None and (pos == x0 or pos == cuts[i]):
+            jumped.append(len(pieces))
             if pos == x0:
-                jump = _jump(sigma.values[i])
-            elif pos == cuts[i]:
-                jump = _jump(delta.jumps[i - 1] if delta else sigma.values[i] - sigma.values[i - 1])
+                ds.append(sigma.values[i])
+            else:
+                ds.append(delta.jumps[i - 1] if delta else sigma.values[i] - sigma.values[i - 1])
         full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
         length = (delta.spacings[i] if full else stop - pos) / splits
-        for _ in range(splits):
-            yield i, jump, gen, length, stop
-            jump = None
+        pieces += [i] * splits
+        lengths += [length] * splits
+        ends += [stop] * splits
         if stop == mark:
             mark = next(marks, x1)
         if stop == end:
             i += 1
         pos = stop
+    m = 2 * model.n
+    jump = [None] * len(pieces)
+    if sigma is None:
+        gens = {p: piece_system(model, lam, p) for p in dict.fromkeys(pieces)}
+        gen = np.array([gens[p] for p in pieces]).reshape(-1, m, m)
+    else:
+        eye = np.eye(model.n)
+        gen = np.broadcast_to(block2n(0 * eye, eye, -lam * eye, 0 * eye), (len(pieces), m, m))
+        for c, matrix in zip(jumped, _jumps(np.array(ds).reshape(-1, model.n, model.n))):
+            jump[c] = matrix
+    if sigma is not None and lam == 0:
+        prop = np.eye(m) + gen * np.array(lengths)[:, None, None]
+    else:
+        prop = np.array([expm(g * length) for g, length in zip(gen, lengths)]).reshape(-1, m, m)
+    return Cells(pieces, jump, gen, lengths, ends, prop)
 
 
 def _flow(model, lam: complex, y: np.ndarray, x0: float, x1: float, stops=()):
-    """Yield (piece, y, end) at the end of each cell of [x0, x1], y in working coordinates."""
-    for piece, jump, gen, length, end in _cells(model, lam, x0, x1, stops=stops):
+    """Yield (piece, y, end) at the end of each cell of [x0, x1], y in working coordinates.
+
+    The jump and the propagator of a cell are two products, and a cell
+    without a jump takes none: a fused or an identity product would change
+    the float operations (an identity product turns -0.0 into 0.0).
+    """
+    cells = _cells(model, lam, x0, x1, stops=stops)
+    for piece, jump, prop, end in zip(cells.piece, cells.jump, cells.prop, cells.end):
         if jump is not None:
             y = jump @ y
-        y = expm(gen * length) @ y
+        y = prop @ y
         yield piece, y, end
 
 
-def _to_quasi(model, piece: int, y: np.ndarray) -> np.ndarray:
+def _to_quasi(model, piece, y: np.ndarray) -> np.ndarray:
+    """Working coordinates y on ``piece`` back to quasi ones; both may be stacked."""
     sigma = _sigma_of(model)
-    return y if sigma is None else _jump(-sigma.values[piece]) @ y
+    return y if sigma is None else _jumps(-sigma.values[piece]) @ y
 
 
 def transfer(model, lam: complex, x0: float, x1: float) -> np.ndarray:
@@ -489,11 +523,13 @@ def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
     n = model.n
     t = np.empty((len(grid), 2 * n, 2 * n), dtype=complex)
     t[0] = np.eye(2 * n)
-    k = 1
+    pieces, k = [], 1
     for piece, y, end in _flow(model, lam, t[0], 0.0, grid[-1], stops=grid):
         if end == grid[k]:
-            t[k] = _to_quasi(model, piece, y)
+            pieces.append(piece)
+            t[k] = y
             k += 1
+    t[1:] = _to_quasi(model, np.array(pieces, dtype=int), t[1:])
     phi, psi, phi1, psi1 = (np.array(t[:, r:r + n, c:c + n]) for r in (0, n) for c in (0, n))
     for arr in (phi, psi, phi1, psi1):
         arr.flags.writeable = False

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_march
 
 from conftest import random_symmetric
 from sldl import (
@@ -96,6 +97,29 @@ def test_equivalence_residual_requires_delta_model():
         equivalence_residual(free_lattice(4), 5, QuasiState([0.0], [1.0]))
 
 
+@pytest.mark.parametrize("nodes", [500, 1000, 2000])
+def test_christ_stolz_residual_equals_the_per_k_loop(nodes):
+    d, H = christ_stolz_family(nodes + 1)
+    model = DeltaNodes.from_spacings(1, d[:nodes], H[:nodes], tail=d[nodes])
+    rng = np.random.default_rng(nodes)
+    states = [QuasiState([0.0], [1.0])] + [QuasiState(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
+                                           for _ in range(3)]
+    for state in states:
+        assert (equivalence_residual(model, nodes - 3, state)
+                == reference_march.equivalence_residual(model, nodes - 3, state))
+
+
+def test_random_delta_residual_equals_the_per_k_loop():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        d = rng.uniform(0.05, 2.0, 40)
+        model = DeltaNodes.from_spacings(n, d, [random_symmetric(rng, n, 5.0) for _ in d])
+        state = QuasiState(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        for count in (1, 20, 37):
+            assert (equivalence_residual(model, count, state)
+                    == reference_march.equivalence_residual(model, count, state))
+
+
 @pytest.mark.parametrize("count", [0, -4])
 def test_equivalence_residual_rejects_count_below_one(count):
     with pytest.raises(ValueError, match=f"count must be at least 1, got {count}$"):
@@ -116,6 +140,24 @@ def test_l2_geometric_sequence_converges():
     z = [np.array([2.0 ** -k]) for k in range(40)]
     rep = l2_tail_report(z)
     assert rep.verdict == CONVERGES
+
+
+def per_row_l2_terms(z):
+    return [float(np.linalg.norm(np.asarray(zk).reshape(-1)) ** 2) for zk in z]
+
+
+def test_l2_terms_equal_the_per_row_norms():
+    d, H = christ_stolz_family(20_002)
+    blocks = blocks_from_delta(d, H)
+    rng = np.random.default_rng(31)
+    seqs = [solve_recurrence(blocks, u0, u1, 20_000) for u0, u1 in (([1.0], [0.0]), ([0.0], [1.0]))]
+    seqs.append(rng.normal(size=(5000, 1)) * 10.0 ** rng.integers(-8, 8, (5000, 1)))
+    seqs.append(rng.normal(size=(5000, 1)) + 1j * rng.normal(size=(5000, 1)))
+    seqs.append(rng.normal(size=5000).tolist())
+    for n in (2, 3):
+        seqs.append(rng.normal(size=(2000, n)) + 1j * rng.normal(size=(2000, n)))
+    for z in seqs:
+        assert np.array_equal(l2_tail_report(z).terms, per_row_l2_terms(z))
 
 
 def test_l2_empty_rejected():

@@ -316,6 +316,55 @@ def test_bridge_residual_rejects_count_below_one(capsys, leaf_files, count):
     assert captured.err == f"error: count must be at least 1, got {count}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["jacobi", "build", "--d", "const:0", "--H", "cancel"],
+    ["criterion", "cor2", "--d", "const:0", "--H", "cancel", "--channel", "diag:1"],
+], ids=["jacobi-build", "criterion-cor2"])
+def test_cancel_jumps_check_the_spacings_first(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spacings must be strictly positive\n"
+
+
+DATA_WITHOUT_KEY = [
+    (["jacobi", "build"], {"H": [[[0.0]]]}, "d"),
+    (["jacobi", "recurrence", "--u0", "1", "--u1", "0"], {"d": [1.0, 1.0, 1.0]}, "H"),
+    (["criterion", "t5", "--channel", "diag:1"], {"markers": [1.0], "jumps": [[[0.5]]]},
+     "intervals"),
+    (["criterion", "cor1", "--channel", "diag:1"], {"jumps": [[[0.5]]]}, "lengths"),
+]
+
+
+@pytest.mark.parametrize("argv, data, key", DATA_WITHOUT_KEY,
+                         ids=[" ".join(c[0][:2]) for c in DATA_WITHOUT_KEY])
+def test_data_file_without_a_key_names_key_and_file(capsys, tmp_path, argv, data, key):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    assert run([*argv, "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: data file {path} has no key {key!r}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["criterion", "t1", "--intervals", "unit:0"], "interval count must be at least 1, got 0"),
+    (["criterion", "t1", "--intervals", "unit:-1"], "interval count must be at least 1, got -1"),
+    (["classify", "--intervals", "unit:0"], "interval count must be at least 1, got 0"),
+    (["criterion", "cor2", "--d", "const:1", "--count", "0", "--channel", "diag:1"],
+     "need at least 2 spacings for the cor2 series, got 0"),
+    (["criterion", "cor2", "--d", "harmonic", "--H", "cancel", "--count", "0",
+      "--channel", "diag:1"], "need at least 2 spacings for the cor2 series, got 0"),
+], ids=["t1-unit0", "t1-unit-1", "classify-unit0", "cor2-count0", "cor2-cancel-count0"])
+def test_counts_below_range_exit_2(capsys, free_model_file, argv, message):
+    if argv[0] == "classify" or argv[1] == "t1":
+        argv = [*argv, "--model", free_model_file]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes, determinism, validation
 

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_march
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -207,6 +209,165 @@ def test_t4_report_and_segment_validation():
     assert len(rep.terms) == 3
     with pytest.raises(ValueError):
         t4_report(blocks, [(1, 6), (3, 8)])
+
+
+# ---------------------------------------------------------------------------
+# the stacked march against exact oracles and a per-step solve
+
+
+def christ_stolz_exact(steps, u0, u1):
+    """u_0 .. u_{steps-1} of the cancel lattice d_k = 1/k from its closed form.
+
+    With A_k = O the recurrence reduces to f_{k+1} = -(k / (k + 1)) f_{k-1}
+    for k >= 2, u_k = r_{k+1} f_k, f_1 = u_1 / r_2 and f_2 = -r_2 d_2 u_0.
+    The products are carried exactly as integer numerator and denominator,
+    r_j^2 = d_{j-1} + d_j exactly as a Fraction; each value is rounded once
+    per factor.
+    """
+    r2 = lambda j: Fraction(2 * j - 1, j * (j - 1))
+    out = [u0, u1]
+    num, den = [1, 1], [1, 1]  # the product for the parity of k
+    for k in range(2, steps):
+        p = k % 2
+        if k >= 3:
+            num[p] *= -(k - 1)
+            den[p] *= k
+        if p:
+            out.append(num[p] / den[p] * u1 * math.sqrt(r2(k + 1) / r2(2)))
+        else:
+            out.append(-(num[p] / den[p]) * u0 * math.sqrt(r2(k + 1) * r2(2)) / 2.0)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", [(1.0, 0.0), (0.0, 1.0)])
+def test_christ_stolz_march_matches_the_exact_closed_form(seed):
+    steps = 10_000
+    d, H = christ_stolz_family(steps + 2)
+    u = solve_recurrence(blocks_from_delta(d, H), [seed[0]], [seed[1]], steps)[:, 0]
+    exact = christ_stolz_exact(steps, *seed)
+    zero = exact == 0.0
+    assert np.all(u[zero] == 0.0)
+    assert np.max(np.abs(u[~zero] - exact[~zero]) / np.abs(exact[~zero])) <= 1e-13
+
+
+def _lattice_blocks(kind):
+    d, H = christ_stolz_family(2002)
+    if kind == "harmonic-cancel":
+        return blocks_from_delta(d, H)
+    if kind == "const-n2":
+        return blocks_from_delta([1.0] * 2002, np.zeros((2001, 2, 2)))
+    n = int(kind[-1])
+    rng = np.random.default_rng(n)
+    sym = lambda a: (a + a.T) / 2.0
+    return blocks_from_delta(d, [h[0, 0].real * np.eye(n) + sym(rng.uniform(-0.5, 0.5, (n, n)))
+                                 for h in H])
+
+
+@pytest.mark.parametrize("kind", ["harmonic-cancel", "perturbed-n1", "perturbed-n2", "const-n2"])
+def test_stacked_march_equals_the_per_step_solve(kind):
+    blocks = _lattice_blocks(kind)
+    n, count = blocks.n, len(blocks.B)
+    rng = np.random.default_rng(11)
+    for u0, u1 in ((np.ones(n), np.zeros(n)), (np.zeros(n), np.ones(n)),
+                   (rng.normal(size=n), rng.normal(size=n))):
+        assert np.array_equal(solve_recurrence(blocks, u0, u1, count),
+                              reference_march.solve_recurrence(blocks, u0, u1, count))
+    for i, j in ((4, 3), (5, 3), (1200, 150), (count - 1, 1)):
+        assert np.array_equal(discrete_cauchy(blocks, i, j),
+                              reference_march.discrete_cauchy(blocks, i, j))
+    for n_k, m_k in ((1, 200), (700, 899), (count - 201, count - 2)):
+        assert t4_term(blocks, n_k, m_k) == reference_march.t4_term(blocks, n_k, m_k)
+
+
+class Gaussian:
+    """Exact Gaussian rational re + i im."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, z):
+        self.re, self.im = (Fraction(z.real), Fraction(z.imag)) if isinstance(z, complex) else z
+
+    def __add__(self, o):
+        return Gaussian((self.re + o.re, self.im + o.im))
+
+    def __sub__(self, o):
+        return Gaussian((self.re - o.re, self.im - o.im))
+
+    def __mul__(self, o):
+        return Gaussian((self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re))
+
+    def __truediv__(self, o):
+        den = o.re * o.re + o.im * o.im
+        return Gaussian(((self.re * o.re + self.im * o.im) / den,
+                         (self.im * o.re - self.re * o.im) / den))
+
+    def conj(self):
+        return Gaussian((self.re, -self.im))
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def _exact_solve(m, rhs):
+    """m^-1 rhs by Gauss-Jordan elimination in exact arithmetic."""
+    n = len(m)
+    rows = [list(row) + [r] for row, r in zip(m, rhs)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c].re or rows[r][c].im)
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def exact_recurrence(blocks, u0, u1, count):
+    """solve_recurrence in exact Gaussian rationals, from the float blocks and seeds."""
+    q = lambda v: [Gaussian(complex(x)) for x in v]
+    mats = lambda seq: [[q(row) for row in m] for m in seq]
+    mv = lambda m, v: [sum((a * b for a, b in zip(row, v)), Gaussian((0, 0))) for row in m]
+    A, B = mats(blocks.A), mats(blocks.B)
+    u = [q(u0), q(u1)]
+    for m in range(1, count - 1):
+        b_star = [[row[i].conj() for row in B[m - 1]] for i in range(blocks.n)]
+        rhs = [x + y for x, y in zip(mv(A[m], u[-1]), mv(b_star, u[-2]))]
+        u.append([Gaussian((0, 0)) - x for x in _exact_solve(B[m], rhs)])
+    return np.array([[complex(x) for x in v] for v in u])
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4)])
+def test_march_of_random_complex_blocks_matches_exact_arithmetic(n, seed):
+    rng = np.random.default_rng(seed)
+    count = 30
+    cplx = lambda: rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    A = [(lambda a: (a + a.conj().T) / 2.0)(cplx()) for _ in range(count)]
+    B = [cplx() + 2.0 * np.eye(n) for _ in range(count)]
+    blocks = JacobiBlocks(n, A, B)
+    u0, u1 = cplx()[0], cplx()[0]
+    u = solve_recurrence(blocks, u0, u1, count)
+    exact = exact_recurrence(blocks, u0, u1, count)
+    assert np.all(np.linalg.norm(u - exact, axis=1) <= 1e-12 * np.linalg.norm(exact, axis=1))
+
+
+def test_B_inv_and_B_star_stacks_are_cached_and_read_only():
+    blocks = constant_blocks()
+    assert blocks.B_inv is blocks.B_inv and blocks.B_star is blocks.B_star
+    assert np.array_equal(blocks.B_inv @ blocks.B, np.broadcast_to(np.eye(1), blocks.B.shape))
+    assert np.array_equal(blocks.B_star, np.swapaxes(blocks.B, -1, -2).conj())
+    for stack in (blocks.B_inv, blocks.B_star):
+        with pytest.raises(ValueError):
+            stack[0] = 0.0
+
+
+def test_march_checks_stored_blocks_before_stepping():
+    blocks = constant_blocks(5)
+    with pytest.raises(IndexOutOfRangeError):
+        solve_recurrence(blocks, [0.0], [1.0], 10)
+    with pytest.raises(IndexOutOfRangeError):
+        discrete_cauchy(blocks, 9, 2)
+    with pytest.raises(IndexOutOfRangeError):
+        t4_term(blocks, 2, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,23 @@ def test_invert_singular_raises():
         invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+def test_invert_acts_on_each_matrix_of_a_stack():
+    rng = np.random.default_rng(41)
+    stack = []
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        stack.append((q * np.array([1.0, 1e3, 10.0 ** rng.uniform(5.5, 6.5)])) @ q.conj().T)
+    stack = np.array(stack)
+    eye = np.eye(3)
+    assert np.any(frobenius_norm(stack @ np.linalg.inv(stack) - eye) > 3e-10)  # Newton steps
+    inv = invert(stack)
+    assert all(np.array_equal(inv[k], invert(stack[k])) for k in range(len(stack)))
+    assert np.all(frobenius_norm(stack @ inv - eye) <= 3e-10)
+    singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SingularMatrixError):
+        invert(np.concatenate([stack[:3], singular[None]]))
+
+
 def test_is_hermitian_examples():
     assert is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]), 0.0)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12)

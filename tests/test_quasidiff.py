@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import reference_march
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import delta_models, general_triple_models, step_sigma_models
 from oracle_poly import AdmissiblePoly, pairing_integral
@@ -26,6 +28,7 @@ from sldl.quasidiff import (
     kernel_direct,
     model_from_json,
     model_to_json,
+    piece_cuts,
     transfer,
     wronskian_residual,
 )
@@ -264,6 +267,63 @@ def test_fundamental_pair_samples_equal_transfer_from_zero(ms, md, mg):
         for k, x in enumerate(grid):
             want = transfer(model, 0.5, 0.0, x)
             assert frobenius_norm(pair.stacked(k) - want) <= 1e-10 * max(1.0, frobenius_norm(want))
+
+
+# ---------------------------------------------------------------------------
+# the stacked march against the per-cell reference march
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays down to the sign of every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def stacked_samples(pair):
+    return np.block([[pair.phi, pair.psi], [pair.phi1, pair.psi1]])
+
+
+def test_christ_stolz_pair_and_transfer_equal_the_per_cell_march():
+    model = gallery_entry("christ-stolz").problem
+    grid = (0.0,) + model.nodes
+    assert len(grid) == 2001
+    pair = fundamental_pair(model, 0.0, grid)
+    assert same_bits(stacked_samples(pair), reference_march.fundamental_samples(model, 0.0, grid))
+    for x0, x1 in ((0.0, model.X), (0.25, model.nodes[1500] + 1e-3)):
+        assert same_bits(transfer(model, 0.0, x0, x1), reference_march.transfer(model, 0.0, x0, x1))
+
+
+@st.composite
+def grids_off_the_cuts(draw, model):
+    """A sample grid from 0 whose other points, and a start x0 > 0, avoid every cut."""
+    cuts = set(piece_cuts(model)) | {model.X}
+    points = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8, unique=True))
+    grid = sorted({model.X * p for p in points} - cuts)
+    x0 = model.X * draw(st.floats(0.01, 0.99))
+    assume(grid and x0 not in cuts and x0 < model.X)
+    return (0.0, *grid), x0
+
+
+@given(st.one_of(step_sigma_models(max_n=2), delta_models(max_n=2), general_triple_models()),
+       st.data(), st.sampled_from([0.0, 0.5]))
+@settings(max_examples=40, deadline=None)
+def test_pair_and_transfer_equal_the_per_cell_march(model, data, lam):
+    grid, x0 = data.draw(grids_off_the_cuts(model))
+    pair = fundamental_pair(model, lam, grid)
+    assert same_bits(stacked_samples(pair), reference_march.fundamental_samples(model, lam, grid))
+    assert same_bits(transfer(model, lam, x0, model.X), reference_march.transfer(model, lam, x0, model.X))
+    assert same_bits(transfer(model, lam, 0.0, x0), reference_march.transfer(model, lam, 0.0, x0))
+
+
+def test_general_triple_pair_equals_the_per_cell_march():
+    P = [np.array([[2.0, 0.5], [0.5, 1.0]]), np.eye(2), np.array([[1.5, -0.25j], [0.25j, 1.0]])]
+    Q = [np.array([[0.5, 0.1], [0.1, -1.0]]), np.zeros((2, 2)), np.eye(2)]
+    R = [np.array([[0.0, 1.0], [0.0, 0.2j]]), np.eye(2), np.zeros((2, 2))]
+    model = GeneralTriple(2, (0.0, 0.8, 1.7), P, Q, R, 3.0)
+    grid = (0.0, 0.3, 0.8, 1.2, 2.9)
+    for lam in (0.0, 0.5):
+        pair = fundamental_pair(model, lam, grid)
+        assert same_bits(stacked_samples(pair), reference_march.fundamental_samples(model, lam, grid))
 
 
 @given(step_sigma_models(max_n=2, max_pieces=3))
