@@ -34,20 +34,12 @@ GENERAL = {"n": 1, "X": 3.0, "variant": "general_triple", "cuts": [0.0, 1.5],
 DISTRIBUTIONAL = {"n": 1, "X": 3.0, "variant": "distributional", "cuts": [0.0, 1.0, 2.0],
                   "P0": [[[1.0]], [[1.5]], [[1.0]]], "Q0": [[[0.0]], [[0.5]], [[-0.5]]],
                   "P1": [[[0.0]], [[0.25]], [[0.0]]]}
-# the christ-stolz delta model on 2000 nodes: d_k = 1/k, H_k = -(1/d_k + 1/d_{k+1})
-_CS_NODES = []
-for _k in range(1, 2001):
-    _CS_NODES.append({"x": (_CS_NODES[-1]["x"] if _CS_NODES else 0.0) + 1.0 / _k,
-                      "H": [[-(1.0 / (1.0 / _k) + 1.0 / (1.0 / (_k + 1)))]]})
-CHRIST_STOLZ = {"n": 1, "X": _CS_NODES[-1]["x"] + 1.0 / 2001, "variant": "delta_nodes",
-                "nodes": _CS_NODES}
 STIFF = {"n": 1, "X": 1.0, "variant": "general_triple", "cuts": [0.0],
          "P": [[[1.0]]], "Q": [[[1e6]]], "R": [[[0.0]]]}
 FIXTURES = {
     "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
     "linear.json": LINEAR, "general.json": GENERAL,
     "distributional.json": DISTRIBUTIONAL, "stiff.json": STIFF,
-    "christ-stolz-2000.json": CHRIST_STOLZ,
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
                 "jumps": [[[0.5]], [[-1.0]]]},
@@ -79,6 +71,7 @@ INVOCATIONS = [
     "classify --model distributional.json --intervals unit:3 --format text",
     "jacobi build --d const:1 --count 14 -o built.json",
     "classify --blocks built.json --segments 1-5,6-10",
+    "classify --blocks illcond.json --segments 1-5,6-10",
     "classify",
     "classify --model free.json --blocks built.json",
     "classify --gallery nope",
@@ -195,14 +188,29 @@ def main() -> None:
                        else pathlib.Path(__file__).resolve().parents[1] / "src")
     sys.path.insert(0, str(src.resolve()))
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    import numpy as np
+    from sldl import DeltaNodes, blocks_from_delta, christ_stolz_family
     from sldl.cli import run
+    from sldl.jacobi import blocks_to_json
+    from sldl.matcore import matrix_to_json
+    from sldl.quasidiff import model_to_json
+
+    # the christ-stolz delta model on 2000 nodes, built as the gallery builds it
+    d, H = christ_stolz_family(2001)
+    # n = 2 lattice blocks whose B_0 has condition 1e7 (its inverse fails the
+    # residual check, which only the blocks a kernel inverts must pass)
+    q, _ = np.linalg.qr(np.arange(1.0, 5.0).reshape(2, 2) + 1j * np.array([[1.0, -2.0], [0.5, 1.0]]))
+    illcond = blocks_to_json(blocks_from_delta([1.0] * 14, np.zeros((13, 2, 2))))
+    illcond["B"][0] = matrix_to_json((q * np.array([1.0, 1e7])) @ q.conj().T)
+    fixtures = {**FIXTURES, "illcond.json": illcond, "christ-stolz-2000.json": model_to_json(
+        DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}
 
     argvs = [a.split() for a in INVOCATIONS] + [h + ["--help"] for h in HELP]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, obj in FIXTURES.items():
+            for name, obj in fixtures.items():
                 pathlib.Path(name).write_text(json.dumps(obj), encoding="utf-8")
             for argv in argvs:
                 out, err, code = invoke(run, argv)

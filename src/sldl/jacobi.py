@@ -41,6 +41,7 @@ from .matcore import (
     HERMITIAN_TOL,
     NonSymmetricError,
     ShapeMismatchError,
+    SingularMatrixError,
     as_stack,
     frobenius_norm,
     invert,
@@ -139,15 +140,19 @@ class JacobiBlocks:
         object.__setattr__(self, "B", B)
 
     @cached_property
-    def B_inv(self) -> np.ndarray:
-        """Read-only stack of the inverses B_k^-1, stored like B.
+    def _inverses(self) -> tuple[np.ndarray, np.ndarray]:
+        """``refined_inverse`` of the B stack: the inverses, read-only, and its failure mask.
 
-        Built on first use by ``refined_inverse``; the condition of every B_k
-        was checked on construction.
+        The condition of every B_k was checked on construction.
         """
-        inv = refined_inverse(self.B)
+        inv, failed = refined_inverse(self.B)
         inv.flags.writeable = False
-        return inv
+        return inv, failed
+
+    @property
+    def B_inv(self) -> np.ndarray:
+        """Read-only stack of the inverses B_k^-1, stored like B, built on first use."""
+        return self._inverses[0]
 
     @cached_property
     def B_star(self) -> np.ndarray:
@@ -167,6 +172,34 @@ class JacobiBlocks:
         if not 0 <= i < len(self.B):
             raise IndexOutOfRangeError(f"B_{k} not stored")
         return self.B[i]
+
+    def _stored(self, lo: int, hi: int) -> slice:
+        """Storage slice of the recurrence indices lo .. hi - 1.
+
+        A march from u_lo to u_hi reads B_lo .. B_{hi-1} and A_{lo+1} ..
+        A_{hi-1}; IndexOutOfRangeError names the first of them, in march
+        order, that is not stored.
+        """
+        if lo < min(hi, self.offset):
+            raise IndexOutOfRangeError(f"B_{lo} not stored")
+        first_a = max(len(self.A) + self.offset, lo + 1)
+        first_b = max(len(self.B) + self.offset, lo)
+        if min(first_a, first_b) < hi:
+            k, name = (first_a, "A") if first_a <= first_b else (first_b, "B")
+            raise IndexOutOfRangeError(f"{name}_{k} not stored")
+        return slice(lo - self.offset, hi - self.offset)
+
+    def checked_inverses(self, lo: int, hi: int) -> np.ndarray:
+        """B_k^-1 for k = lo .. hi - 1, a slice of B_inv, range-checked by ``_stored``.
+
+        Raises SingularMatrixError, as ``invert`` does, if one of them fails
+        the residual check of ``refined_inverse``.
+        """
+        s = self._stored(lo, hi)
+        inv, failed = self._inverses
+        if np.any(failed[s]):
+            raise SingularMatrixError("inverse residual too large")
+        return inv[s]
 
 
 def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
@@ -236,12 +269,14 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int):
     """Yield u_{m+1} = -B_m^{-1} (A_m u_m + B*_{m-1} u_{m-1}) for m = start .. stop - 1.
 
     (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike.
-    Raises IndexOutOfRangeError before the first step if a block is not stored.
+    Raises IndexOutOfRangeError before the first step if a block is not
+    stored. Like a per-step solve, the march takes each B_m^-1 as stored,
+    without the residual check of ``JacobiBlocks.checked_inverses``.
     """
-    if start < stop:  # A_at and B_at raise for a block that is not stored
-        blocks.B_at(start - 1), blocks.A_at(stop - 1), blocks.B_at(stop - 1)
-    lo, hi = start - blocks.offset, stop - blocks.offset
-    for a, b_inv, b_star in zip(blocks.A[lo:hi], blocks.B_inv[lo:hi], blocks.B_star[lo - 1:hi - 1]):
+    if start >= stop:
+        return
+    s = blocks._stored(start - 1, stop)
+    for a, b_inv, b_star in zip(blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1]):
         prev, cur = cur, -(b_inv @ (a @ cur + b_star @ prev))
         yield cur
 
@@ -270,8 +305,7 @@ def discrete_cauchy(blocks: JacobiBlocks, i: int, j: int) -> np.ndarray:
     n = blocks.n
     if i == j:
         return np.zeros((n, n), dtype=complex)
-    blocks.B_at(j)  # raises for a block that is not stored
-    cur = blocks.B_inv[j - blocks.offset].copy()
+    cur = blocks.checked_inverses(j, j + 1)[0].copy()
     for cur in _march(blocks, np.zeros((n, n), dtype=complex), cur, j + 1, i):
         pass
     return cur
@@ -290,14 +324,12 @@ def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
     eye = np.eye(2 * n)
     gram = np.zeros((2 * n, 2 * n), dtype=complex)
     total = 0.0
-    if n_k < m_k:  # B_at raises for a block that is not stored
-        blocks.B_at(n_k), blocks.B_at(m_k - 1)
-    for i in range(n_k, m_k):  # row i + 1
+    inverses = blocks.checked_inverses(n_k, m_k)
+    for i, binv in enumerate(inverses, start=n_k):  # row i + 1
         if i > n_k:
             (top,) = _march(blocks, eye[n:], eye[:n], i, i + 1)
             step = np.vstack([top, eye[:n]])
             gram = step @ gram @ step.conj().T
-        binv = blocks.B_inv[i - blocks.offset]
         gram[:n, :n] += binv @ binv.conj().T
         total += float(np.trace(gram[:n, :n]).real)
     return math.sqrt(total)

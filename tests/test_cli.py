@@ -12,6 +12,8 @@ import pytest
 import sldl
 from sldl.bridge import CRITERIA
 from sldl.cli import build_parser, canonical_json, run, validate_report
+from sldl.jacobi import blocks_from_delta, blocks_to_json
+from sldl.matcore import matrix_to_json
 from sldl.quasidiff import StepSigma, model_to_json
 
 FREE_MODEL = {"n": 1, "X": 100.0, "variant": "step_sigma",
@@ -176,6 +178,21 @@ def test_classify_accepts_built_blocks_envelope(capsys, tmp_path):
     capsys.readouterr()
     code, doc = run_json(capsys, ["classify", "--blocks", str(out),
                                   "--segments", "1-5,6-10"])
+    assert code == 0
+    assert doc["result"]["verdict"]["classification"] == "LimitPoint"
+    assert any(r["criterion"] == "t4" for r in doc["result"]["reports"])
+
+
+def test_classify_blocks_with_an_ill_conditioned_boundary_block(capsys, tmp_path):
+    # B_0 (condition 1e7) fails the inverse residual check; t4 never inverts it
+    blocks = blocks_from_delta([1.0] * 14, np.zeros((13, 2, 2)))
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    obj = blocks_to_json(blocks)
+    obj["B"][0] = matrix_to_json((q * np.array([1.0, 1e7])) @ q.conj().T)
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(obj))
+    code, doc = run_json(capsys, ["classify", "--blocks", str(path), "--segments", "1-5,6-10"])
     assert code == 0
     assert doc["result"]["verdict"]["classification"] == "LimitPoint"
     assert any(r["criterion"] == "t4" for r in doc["result"]["reports"])

@@ -29,7 +29,7 @@ from sldl.jacobi import (
     blocks_to_json,
     reciprocal_sum,
 )
-from sldl.matcore import frobenius_norm
+from sldl.matcore import SingularMatrixError, frobenius_norm, refined_inverse
 from sldl.reports import CONVERGES, DIVERGES
 
 
@@ -358,6 +358,41 @@ def test_B_inv_and_B_star_stacks_are_cached_and_read_only():
     for stack in (blocks.B_inv, blocks.B_star):
         with pytest.raises(ValueError):
             stack[0] = 0.0
+
+
+def ill_conditioned_block():
+    """A 2x2 Hermitian block of condition 1e7 whose inverse fails the residual check."""
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return (q * np.array([1.0, 1e7])) @ q.conj().T
+
+
+def test_ill_conditioned_block_gates_only_the_inverses_read():
+    # B_9 passes the condition check of JacobiBlocks but fails the residual
+    # check; like a per-step solve, marches and kernels that do not invert
+    # B_9 run as before, and the kernels that invert it raise like invert
+    b = ill_conditioned_block()
+    assert refined_inverse(b)[1]
+    base = constant_blocks(14, n=2)
+    B = base.B.copy()
+    B[9] = b
+    blocks = JacobiBlocks(2, base.A, B)
+    u0, u1 = [1.0, 0.0], [0.0, 1.0]
+    assert np.array_equal(solve_recurrence(blocks, u0, u1, 9),
+                          reference_march.solve_recurrence(blocks, u0, u1, 9))
+    assert np.array_equal(discrete_cauchy(blocks, 8, 2), reference_march.discrete_cauchy(blocks, 8, 2))
+    assert t4_term(blocks, 2, 9) == reference_march.t4_term(blocks, 2, 9)
+    # marching through B_9 takes its inverse unchecked, as the per-step solve did
+    for got, want in ((solve_recurrence(blocks, u0, u1, 13),
+                       reference_march.solve_recurrence(blocks, u0, u1, 13)),
+                      (discrete_cauchy(blocks, 12, 5), reference_march.discrete_cauchy(blocks, 12, 5))):
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
+    for kernel, args in ((discrete_cauchy, (11, 9)), (t4_term, (8, 11))):
+        with pytest.raises(SingularMatrixError):
+            getattr(reference_march, kernel.__name__)(blocks, *args)
+        with pytest.raises(SingularMatrixError):
+            kernel(blocks, *args)
 
 
 def test_march_checks_stored_blocks_before_stepping():
