@@ -87,6 +87,9 @@ INVOCATIONS = [
     "criterion t1 --model free.json --intervals unit:20",
     "criterion t1 --model free.json --intervals file:intervals.json --threshold 0.1",
     "criterion t1 --model stiff.json --intervals unit:1",
+    "criterion t1 --model general20.json --intervals unit:16",
+    "criterion t1 --model distributional.json --intervals unit:3",
+    "criterion t1 --model delta2.json --intervals unit:12",
     "criterion t1 --model free.json",
     "criterion t2 --model linear.json --intervals unit:20",
     "criterion t2 --model free.json --intervals unit:5",
@@ -202,8 +205,19 @@ def main() -> None:
     q, _ = np.linalg.qr(np.arange(1.0, 5.0).reshape(2, 2) + 1j * np.array([[1.0, -2.0], [0.5, 1.0]]))
     illcond = blocks_to_json(blocks_from_delta([1.0] * 14, np.zeros((13, 2, 2))))
     illcond["B"][0] = matrix_to_json((q * np.array([1.0, 1e7])) @ q.conj().T)
-    fixtures = {**FIXTURES, "illcond.json": illcond, "christ-stolz-2000.json": model_to_json(
-        DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}
+    # a 20-piece n = 2 general triple, pieces of length about 1
+    rng = np.random.default_rng(20)
+    cplx = lambda b: rng.uniform(-b, b, (20, 2, 2)) + 1j * rng.uniform(-b, b, (20, 2, 2))
+    adj = lambda m: m.conj().transpose(0, 2, 1)
+    widths, p, q = rng.uniform(0.8, 1.2, 20), cplx(0.5), cplx(1.0)
+    general20 = {"n": 2, "X": float(np.sum(widths)), "variant": "general_triple",
+                 "cuts": [0.0, *np.cumsum(widths[:-1]).tolist()],
+                 "P": [matrix_to_json(m) for m in p @ adj(p) + np.eye(2)],
+                 "Q": [matrix_to_json(m) for m in q + adj(q)],
+                 "R": [matrix_to_json(m) for m in cplx(0.5)]}
+    fixtures = {**FIXTURES, "illcond.json": illcond, "general20.json": general20,
+                "christ-stolz-2000.json": model_to_json(
+                    DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}
 
     argvs = [a.split() for a in INVOCATIONS] + [h + ["--help"] for h in HELP]
     home = os.getcwd()

@@ -2,10 +2,12 @@
 """Timing sweep of the lattice and delta-model marches over problem size.
 
 Times ``solve_recurrence`` on the christ-stolz lattice (blocks built
-outside the timing, so the time includes the first-use B^-1 stack) and
+outside the timing, so the time includes the first-use B^-1 stack),
 ``fundamental_pair`` and ``equivalence_residual`` on christ-stolz delta
-models, each as the median of repeated runs in one process with BLAS on
-one thread. Prints one JSON object: per function, size -> median seconds.
+models, and ``kernel_square_integrals`` over all cells of seeded n = 2
+delta models and general triples with 10 to 400 unit cells, each as the
+median of repeated runs in one process with BLAS on one thread. Prints
+one JSON object: per function, size -> median seconds.
 Comparing two source trees is two runs:
 
 Usage: python scripts/march_sweep.py [SRC] [REPEATS]   # SRC holds the sldl package;
@@ -21,6 +23,7 @@ import time
 
 STEPS = (2500, 5000, 10_000, 20_000, 50_000, 100_000)
 NODES = (500, 1000, 1500, 2000)
+CELLS = (10, 25, 50, 100, 200, 400)
 
 
 def median_time(fn, repeats: int) -> float:
@@ -39,11 +42,14 @@ def main() -> None:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads
     sys.path.insert(0, str(src.resolve()))
-    from sldl import (DeltaNodes, QuasiState, blocks_from_delta, christ_stolz_family,
-                      equivalence_residual, fundamental_pair, solve_recurrence)
+    import numpy as np
+    from sldl import (DeltaNodes, GeneralTriple, QuasiState, blocks_from_delta,
+                      christ_stolz_family, equivalence_residual, fundamental_pair,
+                      kernel_square_integrals, solve_recurrence)
 
     d, H = christ_stolz_family(max(STEPS) + 2)
-    out = {"solve_recurrence": {}, "fundamental_pair": {}, "equivalence_residual": {}}
+    out = {"solve_recurrence": {}, "fundamental_pair": {}, "equivalence_residual": {},
+           "kernel_square_integrals delta": {}, "kernel_square_integrals general": {}}
     for steps in STEPS:
         times = []
         for _ in range(repeats):
@@ -60,6 +66,19 @@ def main() -> None:
             lambda: fundamental_pair(model, 0.0, grid), repeats)
         out["equivalence_residual"][nodes] = median_time(
             lambda: equivalence_residual(model, nodes - 3, state), repeats)
+    rng = np.random.default_rng(400)
+    cplx = lambda b, k: rng.uniform(-b, b, (k, 2, 2)) + 1j * rng.uniform(-b, b, (k, 2, 2))
+    for cells in CELLS:
+        h = rng.uniform(-1.0, 1.0, (cells - 1, 2, 2))
+        delta = DeltaNodes(2, tuple(float(k) for k in range(1, cells)),
+                           h + h.transpose(0, 2, 1), float(cells))
+        p, q = cplx(0.5, cells), cplx(1.0, cells)
+        general = GeneralTriple(2, tuple(float(k) for k in range(cells)),
+                                p @ p.conj().transpose(0, 2, 1) + np.eye(2),
+                                q + q.conj().transpose(0, 2, 1), cplx(0.5, cells), float(cells))
+        for label, model in (("delta", delta), ("general", general)):
+            out[f"kernel_square_integrals {label}"][cells] = median_time(
+                lambda: kernel_square_integrals(model, 0.0, model.X), repeats)
     print(json.dumps(out))
 
 

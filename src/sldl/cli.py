@@ -3,9 +3,8 @@
 Reports are JSON documents with schema tag ``sldl/1`` and a fixed field
 order; floats are printed with 17 significant digits so identical
 configurations produce byte-identical output. Exit codes: 0 success,
-2 configuration or input error (a model whose kernel quadrature
-overflows or does not stabilize included), 3 conflicting certified
-evidence.
+2 configuration or input error (a model whose kernel integrals overflow
+included), 3 conflicting certified evidence.
 
 Each command leaf sets its own handler on its parser. A handler returns
 the config echo and the result; ``run`` is the only place that wraps them
@@ -164,10 +163,10 @@ def _load_json(path: str):
 
 
 def _load_data(path: str, *keys):
-    """The JSON object of a --data file, checked to hold every one of ``keys``."""
+    """The JSON object of a data or model file, checked to hold every one of ``keys``."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
-        raise ConfigError(f"data file {path} must hold a JSON object")
+        raise ConfigError(f"{path} must hold a JSON object")
     for key in keys:
         if key not in obj:
             raise ConfigError(f"data file {path} has no key {key!r}")
@@ -197,10 +196,13 @@ def parse_jumps(spec: str, d, n: int) -> tuple[np.ndarray, ...]:
         return tuple(np.zeros((n, n)) for _ in range(count))
     if spec.startswith("const:"):
         v = float(spec[6:])
+        if not math.isfinite(v):
+            raise ConfigError(f"jump value {v} is not finite")
         return tuple(v * eye for _ in range(count))
     if spec == "cancel":
-        d = check_spacings(d)  # the reciprocal sums divide by the spacings
-        return tuple(-reciprocal_sum(d, k) * eye for k in range(1, count + 1))
+        # jump k is -(1/d_k + 1/d_{k+1}) I: one per pair of positive spacings
+        d = check_spacings(d)
+        return tuple(-reciprocal_sum(d, k) * eye for k in range(1, len(d)))
     if spec.startswith("file:"):
         return tuple(matrix_from_json(h, n) for h in _load_json(spec[5:]))
     raise ConfigError(f"unknown jump spec {spec!r}")
@@ -249,11 +251,13 @@ def parse_vector(spec: str, n: int) -> np.ndarray:
     vals = [float(v) for v in spec.split(",")]
     if len(vals) != n:
         raise ConfigError(f"expected {n} components in {spec!r}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"components of {spec!r} must be finite")
     return np.array(vals, dtype=complex)
 
 
 def load_problem(path: str):
-    obj = _load_json(path)
+    obj = _load_data(path)
     if obj.get("variant") == "linear_sigma":
         return linear_sigma_from_json(obj)
     return model_from_json(obj)
@@ -261,7 +265,7 @@ def load_problem(path: str):
 
 def load_blocks(path: str):
     """Accept a bare blocks object or a report envelope from ``jacobi build``."""
-    obj = _load_json(path)
+    obj = _load_data(path)
     if "result" in obj and isinstance(obj["result"], dict):
         obj = obj["result"].get("blocks", obj)
     return blocks_from_json(obj)
@@ -399,22 +403,23 @@ def _lattice(args, min_count, *keys):
     """(config echo, d, H) of a jacobi leaf, from --data or the --d/--H shorthands.
 
     ``min_count(args)`` is evaluated after a data file's own N has taken
-    effect; shorthand-generated spacings are extended to meet it. The echo
-    holds op, d, H, n and data, then ``keys``.
+    effect; shorthand-generated spacings are extended to meet it. The count
+    is checked before the jumps are read, since ``cancel`` jumps need two
+    spacings each. The echo holds op, d, H, n and data, then ``keys``.
     """
     if args.data:
         obj = _load_data(args.data, "d", "H")
         d = tuple(float(v) for v in obj["d"])
-        jumps = tuple(matrix_from_json(h) for h in obj["H"])
         if "N" in obj:
             args.N = int(obj["N"])
     elif args.d:
         d = parse_spacings(args.d, max(args.count, min_count(args)))
-        jumps = parse_jumps(args.H, d, args.n)
     else:
         raise ConfigError("give --d (with optional --H) or --data")
     if len(d) < min_count(args):
         raise ConfigError(f"need at least {min_count(args)} spacings")
+    jumps = (tuple(matrix_from_json(h) for h in obj["H"]) if args.data
+             else parse_jumps(args.H, d, args.n))
     return _echo(args, "op", "d", "H", "n", "data", *keys), d, jumps
 
 

@@ -14,13 +14,13 @@ criteria ``t5_diag`` / ``t5_offdiag`` and their midpoint and lattice
 specializations ``cor1`` / ``cor2``. A monotonicity test (code ``t2``)
 covers piecewise-linear potentials.
 
-Quadrature: one pass over the cells of [a, b] carries, per kernel column,
-the Gram matrix of the solutions started at the points already passed, so
-the cost is linear in the cells and each cell adds one-dimensional 7-point
-Gauss-Legendre rules. Step and delta models march in classical
-coordinates, where cell propagators are linear and the rules are exact
-whatever the accumulated potential. Other variants repeat the pass on
-refined cells until the estimate is stable to a relative tolerance.
+Kernel integrals: one pass over the cells of [a, b] carries, per kernel
+column, the Gram matrix of the solutions started at the points already
+passed, so the cost is linear in the cells. Each cell adds integrals of
+its propagator that depend on the cell alone, and these are exact: closed
+polynomials in the cell length for step and delta models, which march in
+classical coordinates whatever the accumulated potential, and one block
+matrix exponential per cell (Van Loan 1978) for the other variants.
 """
 
 from __future__ import annotations
@@ -44,22 +44,17 @@ from .quasidiff import (
     StepSigma,
     VariantUnsupportedError,
     _cells,
+    _sigma_of,
     expm,
     transfer,
 )
 from .reports import DIVERGES, CriterionReport, build_report
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
-_GL_X = (_GL_X + 1.0) / 2.0
-_GL_W = _GL_W / 2.0
-
-QUAD_REL_TOL = 1e-8
-_MAX_SPLIT = 256
 PSD_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
-    """Kernel quadrature overflowed or did not reach its stability target."""
+    """Kernel or solution-norm integrals overflowed to a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -96,91 +91,116 @@ class IntervalSeq:
 
 
 # ---------------------------------------------------------------------------
-# kernel quadrature
+# kernel and solution-norm integrals
 
 
-def _kernel_pass(model, a: float, b: float, splits: int) -> np.ndarray:
+def _van_loan(g: np.ndarray) -> np.ndarray:
+    """Block upper-triangular generator whose exponential at L holds a cell's integrals.
+
+    exp of [[A1, B1], [O, A2]] at L has int_0^L exp(A1 (L - s)) B1 exp(A2 s) ds
+    as its upper right block (C. F. Van Loan, IEEE Trans. Autom. Control 23
+    (1978) 395-404). On the diagonal, with P_i = e_i e_i^T, Q_j = e_{n+j}
+    e_{n+j}^T: A1 = -G*, A2 = I_n (x) [[G, I], [O, G]], B1 = [P_1, O, ...,
+    P_n, O] give exp(-G* L) [W_i, W'_i]; A1 = G, A2 = I_n (x) -G*,
+    B1 = [Q_1, ..., Q_n] give V_j exp(-G* L).
+    """
+    m = g.shape[0]
+    n, gh, eye, k = m // 2, g.conj().T, np.eye(m), np.arange(m // 2)
+    d = m + 2 * m * n
+    c = np.zeros((d + m + m * n,) * 2, dtype=complex)
+    c[:m, :m] = -gh
+    c[m:d, m:d] = np.kron(np.eye(n), np.block([[g, eye], [0 * eye, g]]))
+    c[k, m + 2 * m * k + k] = 1.0
+    c[d:d + m, d:d + m] = g
+    c[d + m:, d + m:] = np.kron(np.eye(n), -gh)
+    c[d + n + k, d + m + m * k + n + k] = 1.0
+    return c
+
+
+def _cell_integrals(model, cells):
+    """Stacks (w, tri, v) of exact integrals over the cells of a lam = 0 march.
+
+    With E(s) = exp(G s) on a cell of length L and i, j < n: w[c, i] = W_i =
+    int_0^L E* e_i e_i^T E ds, v[c, j] = int_0^L E e_{n+j} e_{n+j}^T E* ds and
+    tri[c, i, j] = int_0^L (L - s) |E(s)_{i, n+j}|^2 ds = (L W_i - W'_i)[n+j, n+j],
+    W'_i with the integrand of W_i times s. For step and delta models
+    E = I + sN and the entries are L, L^2/2, L^3/3 and L^4/12; other models
+    take one ``_van_loan`` exponential per cell and a product with step*.
+    """
+    n, m, lengths, k = model.n, 2 * model.n, np.array(cells.length), np.arange(model.n)
+    if _sigma_of(model) is not None:
+        w, v = np.zeros((2, len(lengths), n, m, m))
+        tri, col = np.zeros((len(lengths), n, n)), lengths[:, None]
+        w[:, k, k, k] = v[:, k, n + k, n + k] = col
+        w[:, k, k, n + k] = w[:, k, n + k, k] = col ** 2 / 2
+        v[:, k, k, n + k] = v[:, k, n + k, k] = col ** 2 / 2
+        w[:, k, n + k, n + k] = v[:, k, k, k] = col ** 3 / 3
+        tri[:, k, k] = col ** 4 / 12
+        return w, tri, v
+    d = m + 2 * m * n
+    w, wp, v = np.empty((3, len(lengths), n, m, m), dtype=complex)
+    for c, (g, length, step) in enumerate(zip(cells.gen, lengths, cells.prop)):
+        e, sh = expm(_van_loan(g) * length), step.conj().T
+        x = e[:m, m:d].reshape(m, n, 2, m).transpose(1, 2, 0, 3)
+        w[c], wp[c] = sh @ x[:, 0], sh @ x[:, 1]
+        v[c] = e[d:d + m, d + m:].reshape(m, n, m).transpose(1, 0, 2) @ sh
+    return w, (lengths[:, None, None, None] * w - wp)[:, :, n + k, n + k].real, v
+
+
+def _kernel_pass(model, a: float, b: float) -> np.ndarray:
     """Per-entry double integrals in one pass over the cells of [a, b].
 
     gram[j] = int w_j w_j* dt over the t passed so far, w_j the current state
-    of the solution started at t with data (O, e_j). For x at s in a later
-    cell, int |k_ij(x, t)|^2 dt over those t is [E(s) gram[j] E(s)*]_ii; x and
-    t in one cell reduce to int_0^L (L - s) |E(s)_12|^2 ds.
+    of the solution started at t with data (O, e_j). For x in a later cell,
+    int |k_ij(x, t)|^2 dt over those t is [E(s) gram[j] E(s)*]_ii, whose
+    integral over the cell is tr(W_i gram[j]); x and t in one cell give tri.
     """
     n = model.n
-    gram = np.zeros((n, 2 * n, 2 * n), dtype=complex)
-    total = np.zeros((n, n))
-    cells = _cells(model, 0.0, a, b, splits)
-    for jump, gen, length, step in zip(cells.jump, cells.gen, cells.length, cells.prop):
+    cells = _cells(model, 0.0, a, b)
+    w, tri, v = _cell_integrals(model, cells)
+    wt = w.transpose(0, 1, 3, 2).reshape(len(w), n, 4 * n * n)  # tr(W_i g) = vec(W_i^T).vec(g)
+    gram, total = np.zeros((n, 2 * n, 2 * n), dtype=complex), np.zeros((n, n))
+    for jump, step, wt_c, tri_c, v_c in zip(cells.jump, cells.prop, wt, tri, v):
         if jump is not None:
             gram = jump @ gram @ jump.conj().T
-        e = np.array([expm(gen * (x * length)) for x in _GL_X])
-        w, top, right = _GL_W * length, e[:, :n, :], e[:, :, n:]
-        total += np.einsum("p,pik,jkl,pil->ij", w, top, gram, top.conj()).real
-        total += np.einsum("p,pij->ij", w * (1.0 - _GL_X) * length, np.abs(right[:, :n]) ** 2)
-        gram = step @ gram @ step.conj().T + np.einsum("p,pkj,plj->jkl", w, right, right.conj())
+        total += (wt_c @ gram.reshape(n, -1).T).real + tri_c
+        gram = step @ gram @ step.conj().T + v_c
     return total
 
 
-def _solution_norm_pass(model, a: float, b: float, splits: int,
-                        t_start: np.ndarray) -> float:
-    n = model.n
+def _solution_norm_pass(model, a: float, b: float) -> float:
+    """int_a^b of the squared top rows of the propagator from 0: tr(t* (sum_i W_i) t) per cell."""
+    t = transfer(model, 0.0, 0.0, a)
+    cells = _cells(model, 0.0, a, b)
     total = 0.0
-    t = t_start
-    cells = _cells(model, 0.0, a, b, splits)
-    for jump, gen, length, step in zip(cells.jump, cells.gen, cells.length, cells.prop):
+    w = _cell_integrals(model, cells)[0].sum(axis=1)
+    for jump, step, w_c in zip(cells.jump, cells.prop, w):
         if jump is not None:
             t = jump @ t
-        e = np.array([expm(gen * (x * length)) for x in _GL_X])
-        total += float(np.einsum("p,pij->", _GL_W * length, np.abs((e @ t)[:, :n]) ** 2))
+        total += float(np.vdot(t, w_c @ t).real)
         t = step @ t
     return total
 
 
-def _refined(model, a, b, one_pass):
-    """Single exact pass for step models, stability-driven refinement otherwise.
-
-    one_pass(splits) integrates over the cells of [a, b] with every piece
-    split into ``splits`` equal parts. Refinement stops at the first
-    non-finite pass: finer cells cannot bring an overflowed propagation
-    back, and the overflow is reported as a QuadratureError, not as a
-    numpy warning.
-    """
-    if isinstance(model, (StepSigma, DeltaNodes)):
-        return one_pass(1)
-    prev = None
-    splits = 1
-    while splits <= _MAX_SPLIT:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cur = one_pass(splits)
-        if not np.all(np.isfinite(cur)):
-            raise QuadratureError(f"kernel quadrature overflowed on ({a}, {b})")
-        scale = max(float(np.max(np.abs(cur))), 1e-300)
-        if prev is not None and float(np.max(np.abs(cur - prev))) <= QUAD_REL_TOL * scale:
-            return cur
-        prev = cur
-        splits *= 2
-    raise QuadratureError("kernel quadrature did not stabilize; refine the model pieces")
+def _exact(model, a: float, b: float, one_pass):
+    """one_pass() over [a, b] with overflow kept quiet; a non-finite result is an error."""
+    if not 0.0 <= a <= b <= model.X:
+        raise ValueError("need 0 <= a <= b <= X")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = one_pass()
+    if not np.all(np.isfinite(out)):
+        raise QuadratureError(f"kernel quadrature overflowed on ({a}, {b})")
+    return out
 
 
 def kernel_square_integrals(model, a: float, b: float) -> np.ndarray:
     """Per-entry integrals int_a^b dx int_a^x |k_ij(x, t)|^2 dt as an n x n array."""
-    if not 0.0 <= a <= b <= model.X:
-        raise ValueError("need 0 <= a <= b <= X")
-    if a == b:
-        return np.zeros((model.n, model.n))
-    return _refined(model, a, b, lambda splits: _kernel_pass(model, a, b, splits))
+    return _exact(model, a, b, lambda: _kernel_pass(model, a, b))
 
 
 def solution_norm_integral(model, a: float, b: float) -> float:
     """int_a^b (||Phi||_F^2 + ||Psi||_F^2) dx for the pair started at 0."""
-    if not 0.0 <= a <= b <= model.X:
-        raise ValueError("need 0 <= a <= b <= X")
-    if a == b:
-        return 0.0
-    t_start = transfer(model, 0.0, 0.0, a)
-    return _refined(model, a, b,
-                    lambda splits: _solution_norm_pass(model, a, b, splits, t_start))
+    return _exact(model, a, b, lambda: _solution_norm_pass(model, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +208,8 @@ def solution_norm_integral(model, a: float, b: float) -> float:
 
 
 def _check_span(pair: FundamentalPair, a: float, b: float):
+    if a > b:
+        raise ValueError("need a <= b")
     if pair.lam != 0:
         raise ValueError("criteria are evaluated at lam = 0")
     lo, hi = pair.span
@@ -197,8 +219,6 @@ def _check_span(pair: FundamentalPair, a: float, b: float):
 
 def t1_term(pair: FundamentalPair, a: float, b: float) -> float:
     """Square root of the kernel double integral over {a <= t <= x <= b}."""
-    if a > b:
-        raise ValueError("need a <= b")
     _check_span(pair, a, b)
     return math.sqrt(float(np.sum(kernel_square_integrals(pair.model, a, b))))
 
@@ -226,11 +246,7 @@ def solution_kernel_inequality(pair: FundamentalPair, a: float, b: float) -> tup
     The solution-norm integral always dominates sqrt(2) times the kernel
     double-integral root; callers may assert lhs >= rhs.
     """
-    if a > b:
-        raise ValueError("need a <= b")
     _check_span(pair, a, b)
-    if a == b:
-        return 0.0, 0.0
     lhs = solution_norm_integral(pair.model, a, b)
     rhs = math.sqrt(2.0) * t1_term(pair, a, b)
     return lhs, rhs

@@ -107,6 +107,8 @@ def check_spacings(d) -> tuple[float, ...]:
     d = tuple(float(v) for v in d)
     if any(not v > 0.0 for v in d):
         raise NonPositiveSpacingError("spacings must be strictly positive")
+    if math.inf in d:
+        raise ValueError("spacings must be finite")
     return d
 
 
@@ -228,8 +230,11 @@ def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
     # integer-valued products exact (d == 1 gives exactly 2.0)
     dd = np.array(d)
     r2 = (dd[:-1] + dd[1:])[:, None, None]
-    A = _shifted_jumps(d, H, m - 1) / r2
-    B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * dd[1:-1, None, None])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        A = _shifted_jumps(d, H, m - 1) / r2
+        B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * dd[1:-1, None, None])
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("lattice blocks overflow: spacings too small or jumps too large")
     return JacobiBlocks(n, np.concatenate([a0[None], A]), np.concatenate([b0[None], B]), 0,
                         DeltaProvenance(d, H[:m - 1], default))
 

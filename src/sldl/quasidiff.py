@@ -215,6 +215,8 @@ def _sigma_of(model) -> StepSigma | None:
 
 def piece_cuts(model) -> tuple[float, ...]:
     sigma = _sigma_of(model)
+    if sigma is None and not isinstance(model, (GeneralTriple, Distributional)):
+        raise VariantUnsupportedError(f"unsupported model type {type(model).__name__}")
     return sigma.cuts if sigma is not None else model.cuts
 
 
@@ -283,7 +285,6 @@ def expm(a) -> np.ndarray:
     nrm = frobenius_norm(a)
     s = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
     b = a / (2.0 ** s)
-    b2 = b @ b
     num = np.eye(m) * _PADE6[0]
     den = np.eye(m) * _PADE6[0]
     pw = np.eye(m)
@@ -312,12 +313,11 @@ def _jumps(ds: np.ndarray) -> np.ndarray:
 Cells = namedtuple("Cells", "piece jump gen length end prop")
 
 
-def _cells(model, lam: complex, x0: float, x1: float, splits: int = 1, stops=()) -> Cells:
+def _cells(model, lam: complex, x0: float, x1: float, stops=()) -> Cells:
     """The cells of [x0, x1], with every state-independent operator stacked.
 
     Cells are the pieces clipped to [x0, x1] and cut again at the sorted
-    points ``stops``, each split into ``splits`` equal parts that share the
-    ``end`` of their cell; ``jump`` (or None) applies at the cell's start and
+    points ``stops``; ``jump`` (or None) applies at the cell's start and
     ``prop`` = exp(generator * length) carries the state across. Step and
     delta models work in classical coordinates (f, f'), since quasi
     generators carry sigma**2 and lose about that factor once the
@@ -346,10 +346,9 @@ def _cells(model, lam: complex, x0: float, x1: float, splits: int = 1, stops=())
             else:
                 ds.append(delta.jumps[i - 1] if delta else sigma.values[i] - sigma.values[i - 1])
         full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
-        length = (delta.spacings[i] if full else stop - pos) / splits
-        pieces += [i] * splits
-        lengths += [length] * splits
-        ends += [stop] * splits
+        pieces.append(i)
+        lengths.append(delta.spacings[i] if full else stop - pos)
+        ends.append(stop)
         if stop == mark:
             mark = next(marks, x1)
         if stop == end:

@@ -344,6 +344,46 @@ def test_cancel_jumps_check_the_spacings_first(capsys, argv):
     assert captured.err == "error: spacings must be strictly positive\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["jacobi", "build", "--d", "list:1", "--H", "cancel"], "need at least 3 spacings"),
+    (["bridge", "l2", "--d", "list:1", "--H", "cancel", "--u0", "0", "--u1", "1"],
+     "need at least two spacings"),
+], ids=["jacobi-build", "bridge-l2"])
+def test_cancel_jumps_on_one_spacing_report_the_spacing_count(capsys, argv, message):
+    # each cancel jump needs two spacings; one spacing used to read a missing d_2
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bridge", "residual", "--model", "{empty}"], "{empty} must hold a JSON object"),
+    (["classify", "--blocks", "{empty}"], "{empty} must hold a JSON object"),
+    (["criterion", "t1", "--model", "{linear}", "--intervals", "unit:3"],
+     "unsupported model type LinearSigma"),
+    (["criterion", "cor2", "--d", "harmonic", "--H", "const:inf", "--n", "2",
+      "--channel", "diag:1"], "jump value inf is not finite"),
+    (["bridge", "l2", "--d", "const:1", "--u0", "1", "--u1=nan"],
+     "components of 'nan' must be finite"),
+    (["jacobi", "recurrence", "--d", "const:1", "--u0=-inf", "--u1", "1"],
+     "components of '-inf' must be finite"),
+    (["jacobi", "build", "--d", "const:inf"], "spacings must be finite"),
+    (["bridge", "l2", "--d", "const:1e-300", "--H", "const:-1", "--u0", "1", "--u1", "1"],
+     "lattice blocks overflow: spacings too small or jumps too large"),
+], ids=["residual-list-model", "classify-list-blocks", "t1-linear-sigma", "cor2-inf-jump",
+        "l2-nan-state", "recurrence-inf-state", "build-inf-spacing", "l2-tiny-spacing"])
+def test_edge_inputs_exit_2_with_one_line(capsys, leaf_files, tmp_path, argv, message):
+    # found by the input walk (test_cli_walk.py): each ended in a traceback or
+    # a numpy warning on stderr
+    files = {**leaf_files, "empty": str(tmp_path / "empty.json")}
+    (tmp_path / "empty.json").write_text("[]")
+    assert run([a.format(**files) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(**files)}\n"
+
+
 DATA_WITHOUT_KEY = [
     (["jacobi", "build"], {"H": [[[0.0]]]}, "d"),
     (["jacobi", "recurrence", "--u0", "1", "--u1", "0"], {"d": [1.0, 1.0, 1.0]}, "H"),

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_march
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +11,7 @@ from conftest import random_symmetric
 from sldl import (
     DeltaNodes,
     Diagonal,
+    Distributional,
     GeneralTriple,
     IntervalSeq,
     LinearSigma,
@@ -23,6 +26,7 @@ from sldl import (
     jump_kernel_offdiag_integral,
     kernel_square_integrals,
     solution_kernel_inequality,
+    solution_norm_integral,
     t1_series,
     t1_term,
     t2_predicate,
@@ -224,7 +228,7 @@ def test_matrix_quadrature_matches_closed_forms():
 
 def test_general_triple_refinement_matches_exact_path():
     # the same operator written as a general triple goes through the
-    # refinement loop and must land on the step-model exact value
+    # block-exponential integrals and must land on the step-model value
     h = 1.3
     sig0, sig1 = np.zeros((1, 1)), np.array([[h]])
     step = DeltaNodes(1, (1.0,), (sig1,), 2.0)
@@ -258,6 +262,61 @@ def test_christ_stolz_single_node_interval_matches_closed_form(k):
     got = float(kernel_square_integrals(model, a, b)[0, 0])
     want = jump_kernel_diag_integral(float(H[k - 1][0, 0].real), x - a, b - x)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _random_pieces(rng, kind, n, pieces=3):
+    """A general triple or distributional model: pieces of length about 1, ||Q||_F <= 10."""
+    widths = rng.uniform(0.8, 1.2, pieces)
+    cuts = (0.0, *np.cumsum(widths[:-1]))
+
+    def complex_entries(bound):
+        return rng.uniform(-bound, bound, (n, n)) + 1j * rng.uniform(-bound, bound, (n, n))
+
+    def hermitian(norm):
+        h = complex_entries(1.0)
+        h = h + h.conj().T
+        return norm * rng.uniform(0.0, 1.0) * h / np.linalg.norm(h)
+
+    def positive():
+        a = complex_entries(0.5)
+        return a @ a.conj().T + np.eye(n)
+
+    lead = [positive() for _ in range(pieces)]
+    q = [hermitian(10.0) for _ in range(pieces)]
+    if kind == "general":
+        r = [complex_entries(0.5) for _ in range(pieces)]
+        return GeneralTriple(n, cuts, lead, q, r, float(widths.sum()))
+    p1 = [hermitian(1.0) for _ in range(pieces)]
+    return Distributional(n, cuts, lead, q, p1, float(widths.sum()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["general", "distributional"])
+def test_exact_cell_integrals_match_the_refined_rule(kind, n):
+    # the reference is the 7-point rule refined until two passes agree to
+    # 1e-12, so it is itself good to well below the tested 1e-12
+    rng = np.random.default_rng([n, kind == "general"])
+    for _ in range(4):
+        model = _random_pieces(rng, kind, n)
+        a, b = sorted(rng.uniform(0.0, model.X, 2).tolist())
+        got = kernel_square_integrals(model, a, b)
+        want = reference_march.kernel_square_integrals(model, a, b, rel_tol=1e-12)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        got = solution_norm_integral(model, a, b)
+        want = reference_march.solution_norm_integral(model, a, b, rel_tol=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.0, 1.0), (0.0, 3.0), (2.0, 9.5),
+                                  (10.0, 10.1), (0.3, 0.7), (50.0, 57.0)])
+def test_free_interval_integrals_are_the_closed_forms(a, b):
+    # one free cell of length L: int_0^L (L - s) s^2 ds = L^4 / 12, exactly
+    L = b - a
+    assert t1_term(fundamental_pair(FREE, 0.0, [0.0, 200.0]), a, b) == math.sqrt(L ** 4 / 12)
+    # Phi = 1 and Psi = x; the closed form in exact arithmetic, since
+    # b**3 - a**3 in floats cancels digits when a and b are close
+    want = float((Fraction(b) - Fraction(a)) + (Fraction(b) ** 3 - Fraction(a) ** 3) / 3)
+    assert solution_norm_integral(FREE, a, b) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
