@@ -38,6 +38,7 @@ STIFF = {"n": 1, "X": 1.0, "variant": "general_triple", "cuts": [0.0],
          "P": [[[1.0]]], "Q": [[[1e6]]], "R": [[[0.0]]]}
 FIXTURES = {
     "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
+    "nocuts.json": {k: v for k, v in FREE.items() if k != "cuts"},
     "linear.json": LINEAR, "general.json": GENERAL,
     "distributional.json": DISTRIBUTIONAL, "stiff.json": STIFF,
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
@@ -77,6 +78,9 @@ INVOCATIONS = [
     "classify --gallery nope",
     "classify --model missing.json",
     "classify --model intervals.json",
+    "classify --model nocuts.json --intervals unit:3",
+    "classify --blocks growing.json --criteria carleman --N 40",
+    "classify --blocks free-cs.json --criteria t7,cor3 --N 150",
     "classify --gallery free-lattice --criteria bogus",
     "classify --gallery free-lattice --criteria ,",
     "classify --gallery free-lattice --criteria t5_diag",
@@ -106,6 +110,7 @@ INVOCATIONS = [
     "criterion cor2 --d harmonic --H cancel --count 40 --channel diag:1",
     "criterion cor2 --d const:1 --H file:jumps2.json --n 2 --count 10 --channel offdiag:1,2",
     "criterion cor2 --d bogus:1 --channel diag:1",
+    "criterion cor2 --d power:1000 --channel diag:1",
     "criterion cor2 --d const:1 --H bogus --channel diag:1",
     "criterion bogus",
     # jacobi
@@ -115,6 +120,7 @@ INVOCATIONS = [
     "jacobi build --d list:1,2",
     "jacobi build --data intervals.json",
     "jacobi build --d const:0 --H cancel",
+    "jacobi build --d power:1000",
     "jacobi recurrence --d harmonic --H cancel --u0 1 --u1 0 --steps 30 --count 40",
     "jacobi recurrence --d const:1 --n 2 --u0 1,0 --u1 0,1 --steps 8",
     "jacobi recurrence --data lattice.json --u0 0 --u1 1 --steps 6",
@@ -132,6 +138,7 @@ INVOCATIONS = [
     "jacobi t7 --d harmonic --H cancel --N 20 --count 50",
     "jacobi t7 --data lattice.json",
     "jacobi t7 --d list:1,1,1,1 --N 5",
+    "jacobi t7 --d power:400 --N 10",
     "jacobi cor3 --d harmonic --H cancel --N 20 --count 50",
     "jacobi cor3 --d file:spacings.json --H const:0.5 --N 10",
     "jacobi cor3 --d const:1 --n 2 --H file:nonsym.json --N 6 --count 10",
@@ -205,6 +212,13 @@ def main() -> None:
     q, _ = np.linalg.qr(np.arange(1.0, 5.0).reshape(2, 2) + 1j * np.array([[1.0, -2.0], [0.5, 1.0]]))
     illcond = blocks_to_json(blocks_from_delta([1.0] * 14, np.zeros((13, 2, 2))))
     illcond["B"][0] = matrix_to_json((q * np.array([1.0, 1e7])) @ q.conj().T)
+    # blocks that are not the lattice of their provenance: B_k = -2^k I under
+    # unit spacings, and free blocks A_k = 0, B_k = -I under the christ-stolz lattice
+    growing = blocks_to_json(blocks_from_delta([1.0] * 42, np.zeros((41, 1, 1))))
+    growing["B"] = [[[-(2.0 ** k)]] for k in range(len(growing["B"]))]
+    free_cs = blocks_to_json(blocks_from_delta(*christ_stolz_family(402)))
+    free_cs["A"] = [[[0.0]]] * len(free_cs["A"])
+    free_cs["B"] = [[[-1.0]]] * len(free_cs["B"])
     # a 20-piece n = 2 general triple, pieces of length about 1
     rng = np.random.default_rng(20)
     cplx = lambda b: rng.uniform(-b, b, (20, 2, 2)) + 1j * rng.uniform(-b, b, (20, 2, 2))
@@ -216,6 +230,7 @@ def main() -> None:
                  "Q": [matrix_to_json(m) for m in q + adj(q)],
                  "R": [matrix_to_json(m) for m in cplx(0.5)]}
     fixtures = {**FIXTURES, "illcond.json": illcond, "general20.json": general20,
+                "growing.json": growing, "free-cs.json": free_cs,
                 "christ-stolz-2000.json": model_to_json(
                     DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}
 

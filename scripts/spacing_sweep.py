@@ -15,10 +15,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
 from sldl import blocks_from_delta, carleman_report, cor3_check, t7_check
-from sldl.jacobi import reciprocal_sum
+from sldl.jacobi import cancel_jumps
 
 
 def main() -> None:
@@ -27,7 +25,7 @@ def main() -> None:
     print(f"{'p':>5s} {'carleman':>16s} {'t7':>14s} {'cor3':>14s}")
     for p in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
         d = tuple(float(k) ** -p for k in range(1, count + 1))
-        H = tuple(-reciprocal_sum(d, k) * np.eye(1) for k in range(1, count))
+        H = cancel_jumps(d)
         blocks = blocks_from_delta(d, H)
         car = carleman_report(blocks, N)
         t7 = t7_check(d, H, N)

@@ -19,7 +19,6 @@ from .bridge import (
 from .criteria import (
     Diagonal,
     IntervalSeq,
-    LinearSigma,
     OffDiagonal,
     cor1_series,
     cor2_series,
@@ -54,6 +53,7 @@ from .quasidiff import (
     Distributional,
     FundamentalPair,
     GeneralTriple,
+    LinearSigma,
     QuasiState,
     StepSigma,
     build_system_matrix,

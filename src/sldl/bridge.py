@@ -24,7 +24,6 @@ import numpy as np
 from .criteria import (
     Diagonal,
     IntervalSeq,
-    LinearSigma,
     OffDiagonal,
     cor2_series,
     t1_series,
@@ -36,6 +35,7 @@ from .jacobi import (
     carleman_report,
     christ_stolz_family,
     cor3_check,
+    recurrence_summands,
     t4_report,
     t7_check,
 )
@@ -44,6 +44,7 @@ from .quasidiff import (
     DeltaNodes,
     Distributional,
     GeneralTriple,
+    LinearSigma,
     QuasiState,
     StepSigma,
     _flow,
@@ -135,11 +136,6 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(dot(v.real) + dot(v.imag))
 
 
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m[k] @ v[k] for every k of a (K, n, n) and a (K, n) stack."""
-    return (m @ v[:, :, None])[:, :, 0]
-
-
 def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) -> float:
     """Largest normalized recurrence residual of the rescaled node samples.
 
@@ -163,10 +159,7 @@ def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) 
     z = nodes_to_Z(samples, d)
     blocks = blocks_from_delta(d, model.jumps)
     u = np.vstack([np.zeros((1, model.n), dtype=complex), z])
-    # summands B_k u_{k+1}, A_k u_k and B*_{k-1} u_{k-1} for k = 2 .. count + 1
-    ks = slice(2, count + 2)
-    parts = (_matvec(blocks.B[ks], u[3:count + 3]), _matvec(blocks.A[ks], u[ks]),
-             _matvec(blocks.B_star[1:count + 1], u[1:count + 1]))
+    parts = recurrence_summands(blocks, u, 2, count + 2)
     scale = np.maximum(1.0, np.maximum.reduce([_row_norms(p) for p in parts]))
     return float(np.max(_row_norms(parts[0] + parts[1] + parts[2]) / scale))
 

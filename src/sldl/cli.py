@@ -39,12 +39,10 @@ from .bridge import (
 from .criteria import (
     Diagonal,
     IntervalSeq,
-    LinearSigma,
     OffDiagonal,
     QuadratureError,
     cor1_series,
     cor2_series,
-    linear_sigma_from_json,
     t1_series,
     t2_predicate,
     t5_series,
@@ -53,17 +51,17 @@ from .jacobi import (
     blocks_from_delta,
     blocks_from_json,
     blocks_to_json,
+    cancel_jumps,
     carleman_report,
     check_spacings,
     cor3_check,
     discrete_cauchy,
-    reciprocal_sum,
     solve_recurrence,
     t4_report,
     t7_check,
 )
 from .matcore import matrix_from_json, matrix_to_json
-from .quasidiff import DeltaNodes, QuasiState, model_from_json
+from .quasidiff import DeltaNodes, LinearSigma, QuasiState, model_from_json
 from .reports import VERDICT_POLICY
 
 SCHEMA = "sldl/1"
@@ -181,7 +179,10 @@ def parse_spacings(spec: str, count: int) -> tuple[float, ...]:
         return tuple(1.0 / k for k in range(1, count + 1))
     if spec.startswith("power:"):
         p = float(spec[6:])
-        return tuple(float(k) ** p for k in range(1, count + 1))
+        try:
+            return tuple(float(k) ** p for k in range(1, count + 1))
+        except OverflowError:
+            raise ConfigError(f"spacing spec {spec!r} overflows a float") from None
     if spec.startswith("list:"):
         return tuple(float(v) for v in spec[5:].split(","))
     if spec.startswith("file:"):
@@ -189,9 +190,8 @@ def parse_spacings(spec: str, count: int) -> tuple[float, ...]:
     raise ConfigError(f"unknown spacing spec {spec!r}")
 
 
-def parse_jumps(spec: str, d, n: int) -> tuple[np.ndarray, ...]:
-    count = max(len(d) - 1, 1)
-    eye = np.eye(n)
+def parse_jumps(spec: str, d, n: int):
+    count, eye = len(d) - 1, np.eye(n)
     if spec == "zero":
         return tuple(np.zeros((n, n)) for _ in range(count))
     if spec.startswith("const:"):
@@ -200,9 +200,7 @@ def parse_jumps(spec: str, d, n: int) -> tuple[np.ndarray, ...]:
             raise ConfigError(f"jump value {v} is not finite")
         return tuple(v * eye for _ in range(count))
     if spec == "cancel":
-        # jump k is -(1/d_k + 1/d_{k+1}) I: one per pair of positive spacings
-        d = check_spacings(d)
-        return tuple(-reciprocal_sum(d, k) * eye for k in range(1, len(d)))
+        return cancel_jumps(check_spacings(d), n)
     if spec.startswith("file:"):
         return tuple(matrix_from_json(h, n) for h in _load_json(spec[5:]))
     raise ConfigError(f"unknown jump spec {spec!r}")
@@ -257,10 +255,7 @@ def parse_vector(spec: str, n: int) -> np.ndarray:
 
 
 def load_problem(path: str):
-    obj = _load_data(path)
-    if obj.get("variant") == "linear_sigma":
-        return linear_sigma_from_json(obj)
-    return model_from_json(obj)
+    return model_from_json(_load_data(path))
 
 
 def load_blocks(path: str):
@@ -616,7 +611,7 @@ def run(argv=None) -> int:
         print(f"conflicting evidence: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, QuadratureError, ValueError, KeyError, TypeError,
-            IndexError) as exc:
+            IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     envelope = make_envelope(args.title, echo, result)

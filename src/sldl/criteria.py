@@ -30,16 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (
-    ShapeMismatchError,
-    as_stack,
-    frobenius_norm,
-    matrix_from_json,
-    real_symmetric,
-)
+from .jacobi import check_spacings
+from .matcore import ShapeMismatchError, as_stack, frobenius_norm
 from .quasidiff import (
     DeltaNodes,
     FundamentalPair,
+    LinearSigma,
     OffGridError,
     StepSigma,
     VariantUnsupportedError,
@@ -384,9 +380,7 @@ def cor2_series(d, jumps, channel,
     off-diagonal (d_k d_{k+1})^(3/2) |h_ij|. Term k needs d_{k+1}, so the
     series runs over k = 1 .. min(len(d) - 1, len(jumps)).
     """
-    d = [float(v) for v in d]
-    if any(v <= 0.0 for v in d):
-        raise ValueError("spacings must be positive")
+    d = check_spacings(d)
     count = min(len(d) - 1, len(jumps))
     mats = _jump_list(jumps[:count], count)
     terms = [_jump_term(channel, mats[k - 1], d[k - 1], d[k])
@@ -396,44 +390,6 @@ def cor2_series(d, jumps, channel,
 
 # ---------------------------------------------------------------------------
 # monotone-potential test (code t2)
-
-
-@dataclass(frozen=True, eq=False)
-class LinearSigma:
-    """Continuous piecewise-linear real symmetric potential.
-
-    knots include both endpoints 0 and X; values[i] is sigma(knots[i]).
-    The derivative is constant on each piece.
-    """
-
-    n: int
-    knots: tuple[float, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        knots = tuple(float(x) for x in self.knots)
-        if len(knots) < 2 or knots[0] != 0.0:
-            raise ValueError("knots must start at 0.0 and contain the endpoint")
-        if any(b <= a for a, b in zip(knots, knots[1:])):
-            raise ValueError("knots must be strictly increasing")
-        vals = real_symmetric(as_stack(self.values, self.n), "sigma values")
-        if len(vals) != len(knots):
-            raise ShapeMismatchError("need one sigma value per knot")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def X(self) -> float:
-        return self.knots[-1]
-
-    def slope(self, i: int) -> np.ndarray:
-        return (self.values[i + 1] - self.values[i]) / (self.knots[i + 1] - self.knots[i])
-
-
-def linear_sigma_from_json(obj: dict) -> LinearSigma:
-    n = int(obj["n"])
-    return LinearSigma(n, tuple(obj["knots"]),
-                       tuple(matrix_from_json(v, n) for v in obj["values"]))
 
 
 @dataclass(frozen=True)

@@ -88,18 +88,25 @@ def _shifted_jumps(d, H: np.ndarray, count: int) -> np.ndarray:
     return H[:count] + (1.0 / d[:-1] + 1.0 / d[1:])[:, None, None] * np.eye(H.shape[1])
 
 
+def cancel_jumps(d, n: int = 1) -> np.ndarray:
+    """H_k = -(1/d_k + 1/d_{k+1}) I, k = 1 .. len(d) - 1, from spacings the caller has checked."""
+    count = max(len(d) - 1, 0)
+    with np.errstate(over="ignore"):  # a subnormal spacing gives inf, which as_stack rejects
+        return as_stack(-_shifted_jumps(d, np.zeros((count, n, n)), count), n)
+
+
 def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.ndarray]:
     """Harmonic lattice d_k = 1/k with jumps H_k = -(1/d_k + 1/d_{k+1}) I.
 
-    In exact arithmetic the jumps equal -(2k + 1) I. They are computed
-    from the stored spacings as in reciprocal_sum so that the defining
+    In exact arithmetic the jumps equal -(2k + 1) I. ``cancel_jumps``
+    computes them from the stored spacings so that the defining
     cancellation H_k + (1/d_k + 1/d_{k+1}) I = O holds exactly in floats
     as well, which is what every criterion of this family measures.
     """
     if count < 2:
         raise ValueError("need at least two spacings")
     d = tuple(1.0 / k for k in range(1, count + 1))
-    return d, as_stack(-_shifted_jumps(d, np.zeros((count - 1, n, n)), count - 1))
+    return d, cancel_jumps(d, n)
 
 
 def check_spacings(d) -> tuple[float, ...]:
@@ -259,6 +266,14 @@ def _as_vec(v, n: int) -> np.ndarray:
     return arr
 
 
+def recurrence_summands(blocks: JacobiBlocks, u: np.ndarray, lo: int, hi: int):
+    """(B_j u_{j+1}, A_j u_j, B*_{j-1} u_{j-1}), each stacked over j = lo .. hi - 1; u[j] = u_j."""
+    s = blocks._stored(lo - 1, hi)
+    matvec = lambda m, v: (m @ v[:, :, None])[:, :, 0]
+    return (matvec(blocks.B[s][1:], u[lo + 1:hi + 1]), matvec(blocks.A[s][1:], u[lo:hi]),
+            matvec(blocks.B_star[s][:-1], u[lo - 1:hi - 1]))
+
+
 def recurrence_apply(blocks: JacobiBlocks, u, j: int) -> np.ndarray:
     """(lu)_j = B_j u_{j+1} + A_j u_j + B*_{j-1} u_{j-1} for j >= 1."""
     if j < 1:
@@ -266,8 +281,7 @@ def recurrence_apply(blocks: JacobiBlocks, u, j: int) -> np.ndarray:
     seq = _as_vecseq(u, blocks.n)
     if j + 1 >= seq.shape[0]:
         raise IndexOutOfRangeError(f"need entries up to index {j + 1}")
-    return (blocks.B_at(j) @ seq[j + 1] + blocks.A_at(j) @ seq[j]
-            + blocks.B_at(j - 1).conj().T @ seq[j - 1])
+    return sum(recurrence_summands(blocks, seq, j, j + 1))[0]
 
 
 def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int):
@@ -571,14 +585,32 @@ def blocks_to_json(blocks: JacobiBlocks) -> dict:
     return out
 
 
+def _check_provenance(A: np.ndarray, B: np.ndarray, offset: int, prov: DeltaProvenance):
+    """ValueError unless A_k, B_k for k >= 1 are the blocks ``prov`` builds; A_0, B_0 may differ."""
+    ref = blocks_from_delta(prov.d, prov.H)
+    if offset != 0 or len(A) != len(ref.A) or len(B) != len(ref.B):
+        raise ValueError(f"the provenance builds A_0 .. A_{len(ref.A) - 1} and "
+                         f"B_0 .. B_{len(ref.B) - 1} from offset 0")
+    for name, got, want in (("A", A, ref.A), ("B", B, ref.B)):
+        diff = np.flatnonzero(np.any(got[1:] != want[1:], axis=(1, 2)))
+        if len(diff):
+            raise ValueError(f"{name}_{diff[0] + 1} differs from the block its provenance builds")
+
+
 def blocks_from_json(obj: dict) -> JacobiBlocks:
-    n = int(obj["n"])
-    A = tuple(matrix_from_json(a, n) for a in obj["A"])
-    B = tuple(matrix_from_json(b, n) for b in obj["B"])
-    prov = None
-    if "provenance" in obj:
-        p = obj["provenance"]
-        prov = DeltaProvenance(tuple(float(v) for v in p["d"]),
-                               as_stack([matrix_from_json(h, n) for h in p["H"]], n),
-                               bool(p.get("boundary_default", True)))
-    return JacobiBlocks(n, A, B, int(obj.get("offset", 0)), prov)
+    """Blocks from their JSON form; a missing key is a ValueError that names it."""
+    try:
+        n, offset = int(obj["n"]), int(obj.get("offset", 0))
+        A = as_stack([matrix_from_json(a, n) for a in obj["A"]], n)
+        B = as_stack([matrix_from_json(b, n) for b in obj["B"]], n)
+        prov = None
+        if "provenance" in obj:
+            p = obj["provenance"]
+            prov = DeltaProvenance(tuple(float(v) for v in p["d"]),
+                                   as_stack([matrix_from_json(h, n) for h in p["H"]], n),
+                                   bool(p.get("boundary_default", True)))
+            # the lattice criteria read the provenance in place of the blocks
+            _check_provenance(A, B, offset, prov)
+    except KeyError as exc:
+        raise ValueError(f"blocks JSON has no key {exc}") from None
+    return JacobiBlocks(n, A, B, offset, prov)

@@ -202,6 +202,38 @@ class Distributional:
         _freeze_pieces(self, names, hermitian=names)
 
 
+@dataclass(frozen=True, eq=False)
+class LinearSigma:
+    """Continuous piecewise-linear real symmetric potential.
+
+    knots include both endpoints 0 and X; values[i] is sigma(knots[i]).
+    The derivative is constant on each piece.
+    """
+
+    n: int
+    knots: tuple[float, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        knots = tuple(float(x) for x in self.knots)
+        if len(knots) < 2 or knots[0] != 0.0:
+            raise ValueError("knots must start at 0.0 and contain the endpoint")
+        if any(b <= a for a, b in zip(knots, knots[1:])):
+            raise ValueError("knots must be strictly increasing")
+        vals = real_symmetric(as_stack(self.values, self.n), "sigma values")
+        if len(vals) != len(knots):
+            raise ShapeMismatchError("need one sigma value per knot")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", vals)
+
+    @property
+    def X(self) -> float:
+        return self.knots[-1]
+
+    def slope(self, i: int) -> np.ndarray:
+        return (self.values[i + 1] - self.values[i]) / (self.knots[i + 1] - self.knots[i])
+
+
 CoefficientModel = StepSigma | DeltaNodes | GeneralTriple | Distributional
 
 
@@ -480,30 +512,31 @@ class FundamentalPair:
     """
 
     grid: tuple[float, ...]
-    phi: np.ndarray
-    psi: np.ndarray
-    phi1: np.ndarray
-    psi1: np.ndarray
+    samples: np.ndarray  # read-only (K, 2n, 2n), one per grid point; phi etc. view it
     lam: complex
     model: CoefficientModel
 
+    phi = property(lambda self: self.samples[:, :self.n, :self.n])
+    psi = property(lambda self: self.samples[:, :self.n, self.n:])
+    phi1 = property(lambda self: self.samples[:, self.n:, :self.n])
+    psi1 = property(lambda self: self.samples[:, self.n:, self.n:])
+
     @property
     def n(self) -> int:
-        return self.phi.shape[1]
+        return self.samples.shape[1] // 2
 
     @property
     def span(self) -> tuple[float, float]:
         return self.grid[0], self.grid[-1]
 
-    def stacked(self, k: int) -> np.ndarray:
-        """2n x 2n sample [[Phi, Psi], [Phi1, Psi1]] at grid index k."""
-        return block2n(self.phi[k], self.psi[k], self.phi1[k], self.psi1[k])
+    def stacked(self, k) -> np.ndarray:
+        """2n x 2n sample [[Phi, Psi], [Phi1, Psi1]] at grid index k (a stack for a slice k)."""
+        return self.samples[k]
 
-    def stacked_inverse(self, k: int) -> np.ndarray:
-        """Closed-form inverse [[Psi1*, -Psi*], [-Phi1*, Phi*]] (real lam)."""
-        adj = lambda m: m.conj().T
-        return block2n(adj(self.psi1[k]), -adj(self.psi[k]),
-                       -adj(self.phi1[k]), adj(self.phi[k]))
+    def stacked_inverse(self, k) -> np.ndarray:
+        """Closed-form inverse [[Psi1*, -Psi*], [-Phi1*, Phi*]] of ``stacked(k)`` (real lam)."""
+        signs = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((self.n, self.n)))
+        return signs * np.roll(np.swapaxes(self.stacked(k), -1, -2).conj(), self.n, axis=(-2, -1))
 
 
 def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
@@ -529,10 +562,8 @@ def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
             t[k] = y
             k += 1
     t[1:] = _to_quasi(model, np.array(pieces, dtype=int), t[1:])
-    phi, psi, phi1, psi1 = (np.array(t[:, r:r + n, c:c + n]) for r in (0, n) for c in (0, n))
-    for arr in (phi, psi, phi1, psi1):
-        arr.flags.writeable = False
-    return FundamentalPair(grid, phi, psi, phi1, psi1, complex(lam), model)
+    t.flags.writeable = False
+    return FundamentalPair(grid, t, complex(lam), model)
 
 
 def _grid_index(pair: FundamentalPair, x: float) -> int:
@@ -582,57 +613,56 @@ def green_form(u: QuasiState, v: QuasiState) -> complex:
 
 def wronskian_residual(pair: FundamentalPair) -> float:
     """max_k || T(x_k) @ T^-1(x_k) - I ||_F using the closed-form inverse."""
-    eye = np.eye(2 * pair.n)
-    worst = 0.0
-    for k in range(len(pair.grid)):
-        worst = max(worst, frobenius_norm(pair.stacked(k) @ pair.stacked_inverse(k) - eye))
-    return worst
+    residuals = pair.samples @ pair.stacked_inverse(slice(None)) - np.eye(2 * pair.n)
+    return float(np.max(frobenius_norm(residuals)))
 
 
 # ---------------------------------------------------------------------------
 # JSON forms
 
 
+# variant -> (model class, JSON keys in constructor order); delta_nodes' "nodes"
+# holds {"x", "H"} objects for the nodes and jumps, the keys not in _NUMBERS matrices
+_VARIANTS = {
+    "step_sigma": (StepSigma, ("n", "cuts", "values", "X")),
+    "delta_nodes": (DeltaNodes, ("n", "nodes", "X")),
+    "general_triple": (GeneralTriple, ("n", "cuts", "P", "Q", "R", "X")),
+    "distributional": (Distributional, ("n", "cuts", "P0", "Q0", "P1", "X")),
+    "linear_sigma": (LinearSigma, ("n", "knots", "values")),
+}
+_NUMBERS = {"n": int, "X": float, "cuts": list, "knots": list}
+
+
 def model_to_json(model) -> dict:
-    if isinstance(model, StepSigma):
-        return {"n": model.n, "X": model.X, "variant": "step_sigma",
-                "cuts": list(model.cuts),
-                "values": [matrix_to_json(v) for v in model.values]}
-    if isinstance(model, DeltaNodes):
-        return {"n": model.n, "X": model.X, "variant": "delta_nodes",
-                "nodes": [{"x": x, "H": matrix_to_json(h)}
-                          for x, h in zip(model.nodes, model.jumps)]}
-    if isinstance(model, GeneralTriple):
-        return {"n": model.n, "X": model.X, "variant": "general_triple",
-                "cuts": list(model.cuts),
-                "P": [matrix_to_json(v) for v in model.P],
-                "Q": [matrix_to_json(v) for v in model.Q],
-                "R": [matrix_to_json(v) for v in model.R]}
-    if isinstance(model, Distributional):
-        return {"n": model.n, "X": model.X, "variant": "distributional",
-                "cuts": list(model.cuts),
-                "P0": [matrix_to_json(v) for v in model.P0],
-                "Q0": [matrix_to_json(v) for v in model.Q0],
-                "P1": [matrix_to_json(v) for v in model.P1]}
-    raise VariantUnsupportedError(f"cannot serialize {type(model)!r}")
+    variant = next((v for v, (cls, _) in _VARIANTS.items() if type(model) is cls), None)
+    if variant is None:
+        raise VariantUnsupportedError(f"cannot serialize {type(model)!r}")
+    out = {"variant": variant}
+    for key in _VARIANTS[variant][1]:
+        if key == "nodes":
+            out[key] = [{"x": x, "H": matrix_to_json(h)} for x, h in zip(model.nodes, model.jumps)]
+        elif key in _NUMBERS:
+            out[key] = _NUMBERS[key](getattr(model, key))
+        else:
+            out[key] = [matrix_to_json(v) for v in getattr(model, key)]
+    return out
 
 
-def model_from_json(obj: dict) -> CoefficientModel:
+def model_from_json(obj: dict) -> CoefficientModel | LinearSigma:
+    """The model a JSON object describes; a missing key is a ValueError that names it."""
     try:
-        n = int(obj["n"])
-        X = float(obj["X"])
-        variant = obj["variant"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad coefficient model JSON: {exc}") from exc
-    mats = lambda key: tuple(matrix_from_json(v, n) for v in obj[key])
-    if variant == "step_sigma":
-        return StepSigma(n, tuple(obj["cuts"]), mats("values"), X)
-    if variant == "delta_nodes":
-        nodes = tuple(float(e["x"]) for e in obj["nodes"])
-        jumps = tuple(matrix_from_json(e["H"], n) for e in obj["nodes"])
-        return DeltaNodes(n, nodes, jumps, X)
-    if variant == "general_triple":
-        return GeneralTriple(n, tuple(obj["cuts"]), mats("P"), mats("Q"), mats("R"), X)
-    if variant == "distributional":
-        return Distributional(n, tuple(obj["cuts"]), mats("P0"), mats("Q0"), mats("P1"), X)
-    raise ValueError(f"unknown coefficient variant {variant!r}")
+        if obj["variant"] not in _VARIANTS:
+            raise ValueError(f"unknown coefficient variant {obj['variant']!r}")
+        cls, keys = _VARIANTS[obj["variant"]]
+        n, args = int(obj["n"]), []
+        for key in keys:
+            if key == "nodes":
+                args.append(tuple(float(e["x"]) for e in obj[key]))
+                args.append(tuple(matrix_from_json(e["H"], n) for e in obj[key]))
+            elif key in _NUMBERS:
+                args.append(_NUMBERS[key](obj[key]))
+            else:
+                args.append(tuple(matrix_from_json(v, n) for v in obj[key]))
+    except KeyError as exc:
+        raise ValueError(f"coefficient model JSON has no key {exc}") from None
+    return cls(*args)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import sldl
-from sldl.bridge import CRITERIA
+import sldl.cli as cli
+from sldl.bridge import CRITERIA, ClassifyConfig, classify_detailed
 from sldl.cli import build_parser, canonical_json, run, validate_report
-from sldl.jacobi import blocks_from_delta, blocks_to_json
+from sldl.jacobi import blocks_from_delta, blocks_to_json, christ_stolz_family
 from sldl.matcore import matrix_to_json
 from sldl.quasidiff import StepSigma, model_to_json
 
@@ -420,6 +421,175 @@ def test_counts_below_range_exit_2(capsys, free_model_file, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+MODEL_FILES = {
+    "step_sigma": FREE_MODEL,
+    "delta_nodes": DELTA_MODEL,
+    "general_triple": {"n": 1, "X": 3.0, "variant": "general_triple", "cuts": [0.0],
+                       "P": [[[1.0]]], "Q": [[[0.5]]], "R": [[[0.0]]]},
+    "distributional": {"n": 1, "X": 3.0, "variant": "distributional", "cuts": [0.0],
+                       "P0": [[[1.0]]], "Q0": [[[0.0]]], "P1": [[[0.25]]]},
+    "linear_sigma": LEAF_FILES["linear"],
+}
+MODEL_WITHOUT_KEY = [(variant, key) for variant, obj in MODEL_FILES.items() for key in obj]
+
+
+@pytest.mark.parametrize("variant, key", MODEL_WITHOUT_KEY,
+                         ids=[f"{v}-{k}" for v, k in MODEL_WITHOUT_KEY])
+def test_model_file_without_a_key_names_the_key(capsys, tmp_path, variant, key):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({k: v for k, v in MODEL_FILES[variant].items() if k != key}))
+    assert run(["classify", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: coefficient model JSON has no key {key!r}\n"
+
+
+def _built_blocks(d, H):
+    return blocks_to_json(blocks_from_delta(d, H))
+
+
+def _without(obj, *path):
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return obj
+
+
+BLOCKS_WITHOUT_KEY = [(path, path[-1]) for path in (("n",), ("A",), ("B",),
+                                                    ("provenance", "d"), ("provenance", "H"))]
+
+
+@pytest.mark.parametrize("path, key", BLOCKS_WITHOUT_KEY,
+                         ids=["-".join(c[0]) for c in BLOCKS_WITHOUT_KEY])
+def test_blocks_file_without_a_key_names_the_key(capsys, tmp_path, path, key):
+    obj = _without(_built_blocks([1.0] * 6, np.zeros((5, 1, 1))), *path)
+    (tmp_path / "blocks.json").write_text(json.dumps(obj))
+    assert run(["classify", "--blocks", str(tmp_path / "blocks.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: blocks JSON has no key {key!r}\n"
+
+
+def _growing_blocks():
+    # B_k = -2^k I: the block-norm series converges, while the provenance
+    # (unit spacings) would certify its divergence
+    obj = _built_blocks([1.0] * 42, np.zeros((41, 1, 1)))
+    obj["B"] = [[[-(2.0 ** k)]] for k in range(len(obj["B"]))]
+    return obj
+
+
+def _free_blocks_with_christ_stolz_provenance():
+    # A_k = 0, B_k = -I (limit point) under lattice data that certifies limit circle
+    d, H = christ_stolz_family(402)
+    obj = _built_blocks(d, H)
+    obj["A"] = [[[0.0]]] * len(obj["A"])
+    obj["B"] = [[[-1.0]]] * len(obj["B"])
+    return obj
+
+
+def _offset_blocks():
+    obj = _built_blocks([1.0] * 6, np.zeros((5, 1, 1)))
+    obj["offset"] = 1
+    return obj
+
+
+def _short_blocks():
+    obj = _built_blocks([1.0] * 6, np.zeros((5, 1, 1)))
+    obj["A"].pop()
+    return obj
+
+
+def _one_A_changed():
+    obj = _built_blocks([1.0] * 6, np.zeros((5, 1, 1)))
+    obj["A"][3] = [[0.5]]
+    obj["B"][4] = [[-0.25]]
+    return obj
+
+
+@pytest.mark.parametrize("make, argv, message", [
+    (_growing_blocks, ["--criteria", "carleman", "--N", "40"],
+     "B_1 differs from the block its provenance builds"),
+    (_free_blocks_with_christ_stolz_provenance, ["--criteria", "t7,cor3", "--N", "150"],
+     "B_1 differs from the block its provenance builds"),
+    (_offset_blocks, [], "the provenance builds A_0 .. A_5 and B_0 .. B_4 from offset 0"),
+    (_short_blocks, [], "the provenance builds A_0 .. A_5 and B_0 .. B_4 from offset 0"),
+    (_one_A_changed, [], "A_3 differs from the block its provenance builds"),
+], ids=["growing-B", "free-under-christ-stolz", "offset-1", "one-A-short", "A3-and-B4"])
+def test_blocks_that_are_not_their_provenance_exit_2(capsys, tmp_path, make, argv, message):
+    # the first two fired false certificates at exit 0: carleman read the
+    # provenance spacings and t7/cor3 the provenance lattice, not the blocks
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(make()))
+    assert run(["classify", "--blocks", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_built_blocks_classify_as_the_blocks_themselves(capsys, tmp_path):
+    d, H = christ_stolz_family(402)
+    path = tmp_path / "built.json"
+    assert run(["jacobi", "build", "--d", "harmonic", "--H", "cancel", "--count", "402",
+                "-o", str(path)]) == 0
+    code, doc = run_json(capsys, ["classify", "--blocks", str(path), "--N", "150",
+                                  "--segments", "1-5,6-10"])
+    assert code == 0
+    config = ClassifyConfig(N=150, segments=((1, 5), (6, 10)))
+    verdict, reports = classify_detailed(blocks_from_delta(d, H), config)
+    assert verdict.classification == "LimitCircle"
+    assert canonical_json(doc["result"]) == canonical_json(
+        {"verdict": verdict.to_json(), "reports": [r.to_json() for r in reports]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["jacobi", "build", "--d", "power:1000"],
+    ["jacobi", "t7", "--d", "power:400", "--N", "10"],
+    ["criterion", "cor2", "--d", "power:1000", "--channel", "diag:1"],
+], ids=["build", "t7", "cor2"])
+def test_power_spacings_that_overflow_exit_2(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: spacing spec {argv[3]!r} overflows a float\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("const:nan", "spacings must be strictly positive"),
+    ("const:0", "spacings must be strictly positive"),
+    ("const:inf", "spacings must be finite"),
+])
+def test_cor2_checks_its_spacings(capsys, spec, message):
+    # a NaN spacing used to give an Inconclusive report
+    assert run(["criterion", "cor2", "--d", spec, "--channel", "diag:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_bridge_l2_on_no_spacings_exits_2(capsys, tmp_path):
+    (tmp_path / "none.json").write_text("[]")
+    assert run(["bridge", "l2", "--d", f"file:{tmp_path / 'none.json'}", "--H", "cancel",
+                "--u0", "1", "--u1", "1"]) == 2
+    assert capsys.readouterr().err == "error: need at least two spacings\n"
+
+
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    # bridge l2 --n=1000 asks numpy for a (1000, 1000, 1000) complex stack;
+    # the handler raises what numpy raises instead of allocating it
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array with shape "
+                          "(1000, 1000, 1000) and data type complex128")
+
+    monkeypatch.setattr(cli, "_bridge_l2", exhausted)
+    assert run(["bridge", "l2", "--d", "const:1", "--u0", "1", "--u1", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Unable to allocate 14.9 GiB for an array with shape "
+                            "(1000, 1000, 1000) and data type complex128\n")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ from sldl.jacobi import (
     NonSymmetricJumpError,
     blocks_from_json,
     blocks_to_json,
+    cancel_jumps,
     reciprocal_sum,
+    recurrence_summands,
 )
 from sldl.matcore import SingularMatrixError, frobenius_norm, refined_inverse
 from sldl.reports import CONVERGES, DIVERGES
@@ -120,6 +122,25 @@ def test_recurrence_apply_index_errors():
         recurrence_apply(blocks, [[0.0], [1.0], [2.0]], 0)
     with pytest.raises(IndexOutOfRangeError):
         recurrence_apply(blocks, [[0.0], [1.0]], 1)
+
+
+def test_recurrence_summands_are_the_per_index_products():
+    rng = np.random.default_rng(5)
+    n, count = 2, 9
+    d = rng.uniform(0.2, 2.0, count + 2)
+    H = [(lambda a: a + a.T)(rng.uniform(-2, 2, (n, n))) for _ in range(count + 1)]
+    blocks = blocks_from_delta(d, H)
+    u = rng.uniform(-1, 1, (count + 1, n)) + 1j * rng.uniform(-1, 1, (count + 1, n))
+    parts = recurrence_summands(blocks, u, 1, count)
+    for j in range(1, count):
+        want = (blocks.B_at(j) @ u[j + 1], blocks.A_at(j) @ u[j],
+                blocks.B_at(j - 1).conj().T @ u[j - 1])
+        for part, w in zip(parts, want):
+            assert np.allclose(part[j - 1], w, rtol=1e-15, atol=0.0)
+        assert np.array_equal(recurrence_apply(blocks, u, j),
+                              parts[0][j - 1] + parts[1][j - 1] + parts[2][j - 1])
+    with pytest.raises(IndexOutOfRangeError):
+        recurrence_summands(blocks, u, 1, len(blocks.B) + 1)
 
 
 def test_solve_recurrence_free_closed_form():
@@ -532,6 +553,17 @@ def test_cor3_constant_lattice():
     assert res.cond1 and res.cond1_direction == "equal"
     assert res.cond2.verdict == DIVERGES
     assert not res.limit_circle_certified
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_cancel_jumps_zero_the_shifted_jumps_exactly(n):
+    d, H = christ_stolz_family(300, n)
+    assert np.array_equal(cancel_jumps(d, n), H)
+    eye = np.eye(n)
+    for k in range(1, 300):
+        assert np.array_equal(H[k - 1], -reciprocal_sum(d, k) * eye)
+    d = tuple(np.random.default_rng(4).uniform(0.05, 3.0, 50).tolist())
+    assert np.all(blocks_from_delta(d, cancel_jumps(d, n)).A[1:] == 0.0)
 
 
 def test_cor3_constructed_degenerate_family():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import reference_march
@@ -10,6 +12,7 @@ from sldl import (
     DeltaNodes,
     Distributional,
     GeneralTriple,
+    LinearSigma,
     QuasiState,
     StepSigma,
     build_system_matrix,
@@ -488,6 +491,76 @@ def test_model_json_roundtrip(ms, md, mg):
         f0 = build_system_matrix(model, 0.0, model.X / 2)
         f1 = build_system_matrix(back, 0.0, model.X / 2)
         assert np.allclose(f0, f1, atol=1e-12)
+
+
+def _one_model_per_variant():
+    rng = np.random.default_rng(8)
+    sym = lambda: (lambda a: a + a.T)(rng.uniform(-1, 1, (2, 2)))
+    cplx = lambda: rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+    herm = lambda: (lambda a: a + a.conj().T)(cplx())
+    cuts = (0.0, 0.7, 1.9)
+    return [
+        StepSigma(2, cuts, [sym() for _ in cuts], 3.1),
+        DeltaNodes(2, (0.4, 1.3, 2.0), [sym() for _ in range(3)], 2.5),
+        GeneralTriple(2, cuts, [herm() + 3 * np.eye(2) for _ in cuts],
+                      [herm() for _ in cuts], [cplx() for _ in cuts], 3.1),
+        Distributional(2, cuts, [herm() + 3 * np.eye(2) for _ in cuts],
+                       [herm() for _ in cuts], [herm() for _ in cuts], 3.1),
+        LinearSigma(2, (0.0, 1.5, 4.0), [sym() for _ in range(3)]),
+    ]
+
+
+def _fields(model):
+    return {k: v for k, v in vars(model).items() if k != "sigma"}
+
+
+@pytest.mark.parametrize("model", _one_model_per_variant(), ids=lambda m: type(m).__name__)
+def test_every_variant_round_trips_exactly_through_the_model_codec(model):
+    obj = json.loads(json.dumps(model_to_json(model)))
+    back = model_from_json(obj)
+    assert type(back) is type(model)
+    assert model_to_json(back) == obj
+    mine, theirs = _fields(model), _fields(back)
+    assert mine.keys() == theirs.keys()
+    for key, value in mine.items():
+        assert np.array_equal(theirs[key], value), key
+
+
+def test_model_codec_names_a_missing_key():
+    obj = model_to_json(_one_model_per_variant()[1])
+    for key in obj:
+        with pytest.raises(ValueError, match=f"coefficient model JSON has no key '{key}'"):
+            model_from_json({k: v for k, v in obj.items() if k != key})
+    del obj["nodes"][1]["H"]
+    with pytest.raises(ValueError, match="coefficient model JSON has no key 'H'"):
+        model_from_json(obj)
+
+
+@pytest.mark.parametrize("model", _one_model_per_variant()[:4], ids=lambda m: type(m).__name__)
+def test_pair_views_are_read_only_blocks_of_the_sample_stack(model):
+    pair = fundamental_pair(model, 0.3, np.linspace(0.0, 2.4, 9))
+    assert pair.samples.shape == (9, 4, 4) and not pair.samples.flags.writeable
+    for view in (pair.phi, pair.psi, pair.phi1, pair.psi1):
+        assert view.shape == (9, 2, 2) and np.shares_memory(view, pair.samples)
+        with pytest.raises(ValueError):
+            view[0, 0, 0] = 1.0
+    for k in range(9):
+        blocks = np.block([[pair.phi[k], pair.psi[k]], [pair.phi1[k], pair.psi1[k]]])
+        assert np.array_equal(pair.stacked(k), blocks)
+
+
+@pytest.mark.parametrize("model", _one_model_per_variant()[:4], ids=lambda m: type(m).__name__)
+def test_wronskian_residual_equals_the_per_sample_loop(model):
+    pair = fundamental_pair(model, 0.3, np.linspace(0.0, 2.4, 9))
+    adj = lambda m: m.conj().T
+    worst = 0.0
+    for k in range(9):
+        inverse = np.block([[adj(pair.psi1[k]), -adj(pair.psi[k])],
+                            [-adj(pair.phi1[k]), adj(pair.phi[k])]])
+        assert np.array_equal(pair.stacked_inverse(k), inverse)
+        worst = max(worst, frobenius_norm(pair.stacked(k) @ inverse - np.eye(4)))
+    assert wronskian_residual(pair) == worst
+    assert worst <= 1e-10
 
 
 def test_transfer_respects_domain():
