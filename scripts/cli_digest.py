@@ -45,6 +45,7 @@ FIXTURES = {
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
                 "jumps": [[[0.5]], [[-1.0]]]},
     "cor1.json": {"lengths": [2.0, 2.0, 3.0], "jumps": [[[0.0]], [[1.0]], [[2.0]]]},
+    "cor1-nan.json": {"lengths": [float("nan"), 2.0], "jumps": [[[0.0]], [[1.0]]]},
     "lattice.json": {"d": [1.0 / k for k in range(1, 25)],
                      "H": [[[-(k + 1.0 / (k + 1))]] for k in range(1, 24)], "N": 8},
     "spacings.json": [0.5 + 0.1 * k for k in range(40)],
@@ -103,6 +104,7 @@ INVOCATIONS = [
     "criterion cor1 --data cor1.json --channel diag:1",
     "criterion cor1 --data missing.json --channel diag:1",
     "criterion cor1 --data t5.json --channel diag:1",
+    "criterion cor1 --data cor1-nan.json --channel diag:1",
     "criterion t5 --data cor1.json --channel diag:1",
     "criterion t1 --model free.json --intervals unit:0",
     "criterion cor2 --d const:1 --count 0 --channel diag:1",
@@ -147,6 +149,9 @@ INVOCATIONS = [
     "jacobi recurrence --d harmonic --H cancel --u0 1 --u1 0 --steps 20000",
     "jacobi recurrence --d const:1 --n 2 --H file:jumps2.json --u0 1,0 --u1 0,1 --steps 9",
     "jacobi t4 --d harmonic --H cancel --count 2502 --segments 1-200,1101-1300,2301-2500",
+    "jacobi recurrence --d const:1 --H const:1e300 --u0 1 --u1 1 --steps 100",
+    "jacobi t4 --d const:1 --H const:1e200 --segments 1-40 --count 50",
+    "bridge l2 --d const:1 --H const:1e200 --u0 1 --u1 1 --steps 100",
     "jacobi cauchy --d harmonic --H cancel --i 1150 --j 150",
     "bridge residual --model christ-stolz-2000.json",
     "bridge residual --model christ-stolz-2000.json --f 0.25 --f1 -0.5",

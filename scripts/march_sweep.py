@@ -3,10 +3,13 @@
 
 Times ``solve_recurrence`` on the christ-stolz lattice (blocks built
 outside the timing, so the time includes the first-use B^-1 stack),
-``fundamental_pair`` and ``equivalence_residual`` on christ-stolz delta
-models, and ``kernel_square_integrals`` over all cells of seeded n = 2
-delta models and general triples with 10 to 400 unit cells, each as the
-median of repeated runs in one process with BLAS on one thread. Prints
+``t4_term`` over segments of 50 to 2000 rows of that lattice,
+``build_report`` on harmonic windows of 10^3 to 10^5 terms (no certificate
+fires, so every pass runs), ``fundamental_pair`` and
+``equivalence_residual`` on christ-stolz delta models, and
+``kernel_square_integrals`` over all cells of seeded n = 2 delta models
+and general triples with 10 to 400 unit cells, each as the median of
+repeated runs in one process with BLAS on one thread. Prints
 one JSON object: per function, size -> median seconds.
 Comparing two source trees is two runs:
 
@@ -22,6 +25,8 @@ import sys
 import time
 
 STEPS = (2500, 5000, 10_000, 20_000, 50_000, 100_000)
+ROWS = (50, 100, 200, 500, 1000, 2000)
+TERMS = (1000, 10_000, 100_000)
 NODES = (500, 1000, 1500, 2000)
 CELLS = (10, 25, 50, 100, 200, 400)
 
@@ -43,12 +48,13 @@ def main() -> None:
         os.environ[var] = "1"  # before numpy loads
     sys.path.insert(0, str(src.resolve()))
     import numpy as np
-    from sldl import (DeltaNodes, GeneralTriple, QuasiState, blocks_from_delta,
+    from sldl import (DeltaNodes, GeneralTriple, QuasiState, blocks_from_delta, build_report,
                       christ_stolz_family, equivalence_residual, fundamental_pair,
-                      kernel_square_integrals, solve_recurrence)
+                      kernel_square_integrals, solve_recurrence, t4_term)
 
     d, H = christ_stolz_family(max(STEPS) + 2)
-    out = {"solve_recurrence": {}, "fundamental_pair": {}, "equivalence_residual": {},
+    out = {"solve_recurrence": {}, "t4_term": {}, "build_report": {},
+           "fundamental_pair": {}, "equivalence_residual": {},
            "kernel_square_integrals delta": {}, "kernel_square_integrals general": {}}
     for steps in STEPS:
         times = []
@@ -58,6 +64,13 @@ def main() -> None:
             solve_recurrence(blocks, [1.0], [0.0], steps)
             times.append(time.perf_counter() - t0)
         out["solve_recurrence"][steps] = statistics.median(times)
+    blocks = blocks_from_delta(d[:max(ROWS) + 3], H[:max(ROWS) + 2])
+    blocks.B_inv  # built once, outside the timing
+    for rows in ROWS:
+        out["t4_term"][rows] = median_time(lambda: t4_term(blocks, 1, rows), repeats)
+    for terms in TERMS:
+        harmonic = [1.0 / k for k in range(1, terms + 1)]
+        out["build_report"][terms] = median_time(lambda: build_report("x", harmonic), repeats)
     state = QuasiState([0.3], [1.0])
     for nodes in NODES:
         model = DeltaNodes.from_spacings(1, d[:nodes], H[:nodes], tail=d[nodes])

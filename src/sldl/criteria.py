@@ -358,8 +358,10 @@ def cor1_series(lengths, jumps, channel,
     Diagonal terms: rho^(5/2) sqrt|h_ii + 6/rho|; off-diagonal: rho^3 |h_ij|.
     """
     lengths = [float(v) for v in lengths]
-    if any(v <= 0.0 for v in lengths):
+    if any(not v > 0.0 for v in lengths):  # NaN too
         raise ValueError("interval lengths must be positive")
+    if math.inf in lengths:
+        raise ValueError("interval lengths must be finite")
     mats = _jump_list(jumps, len(lengths))
     terms = []
     for rho, h in zip(lengths, mats):

@@ -22,10 +22,10 @@ Sequence storage: each block or jump sequence is one read-only (K, n, n)
 complex array, validated once by ``matcore.as_stack``, and the block
 formulas and series terms above are array expressions over it. The
 recurrence marches step with the lazily built stacks B_inv and B_star of
-``JacobiBlocks``, so each step is three small matrix products. Storage is
-0-based; ``offset`` records the recurrence index of slot 0 so block
-A[k - offset] is A_k. All spacing indices k in this module are 1-based to
-match the recurrence above.
+``JacobiBlocks``: each step is three small matrix products, or three
+Python complex products at order n = 1. Storage is 0-based; ``offset``
+records the recurrence index of slot 0 so block A[k - offset] is A_k. All
+spacing indices k in this module are 1-based to match the recurrence above.
 """
 
 from __future__ import annotations
@@ -284,27 +284,50 @@ def recurrence_apply(blocks: JacobiBlocks, u, j: int) -> np.ndarray:
     return sum(recurrence_summands(blocks, seq, j, j + 1))[0]
 
 
-def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int):
-    """Yield u_{m+1} = -B_m^{-1} (A_m u_m + B*_{m-1} u_{m-1}) for m = start .. stop - 1.
+def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray:
+    """The stack u_{start+1} .. u_stop of u_{m+1} = -B_m^{-1} (A_m u_m + B*_{m-1} u_{m-1}).
 
     (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike.
     Raises IndexOutOfRangeError before the first step if a block is not
-    stored. Like a per-step solve, the march takes each B_m^-1 as stored,
-    without the residual check of ``JacobiBlocks.checked_inverses``.
+    stored, and ValueError naming the first step whose state leaves the
+    float range. Like a per-step solve, the march takes each B_m^-1 as
+    stored, without the residual check of ``JacobiBlocks.checked_inverses``.
     """
+    prev, cur = np.asarray(prev, dtype=complex), np.asarray(cur, dtype=complex)
     if start >= stop:
-        return
+        return np.empty((0,) + cur.shape, dtype=complex)
     s = blocks._stored(start - 1, stop)
-    for a, b_inv, b_star in zip(blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1]):
-        prev, cur = cur, -(b_inv @ (a @ cur + b_star @ prev))
-        yield cur
+    A, B_inv, B_star = blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1]
+    if blocks.n == 1:
+        # one-entry states step in Python complex arithmetic; each 0j + gives
+        # a product the +0 start of the matmul accumulator, so zero signs and
+        # every bit match the matmul loop below
+        p, c = prev.item(), cur.item()
+        out = []
+        for a, b_inv, b_star in zip(A[:, 0, 0].tolist(), B_inv[:, 0, 0].tolist(),
+                                    B_star[:, 0, 0].tolist()):
+            p, c = c, -(0j + b_inv * ((0j + a * c) + (0j + b_star * p)))
+            out.append(c)
+        out = np.array(out, dtype=complex).reshape((len(out),) + cur.shape)
+    else:
+        # n >= 2: sums of two Python products would lose BLAS's fused multiply-add
+        out = np.empty((stop - start,) + cur.shape, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (a, b_inv, b_star) in enumerate(zip(A, B_inv, B_star)):
+                prev, cur = cur, -(b_inv @ (a @ cur + b_star @ prev))
+                out[k] = cur
+    bad = ~np.isfinite(out.reshape(len(out), -1)).all(axis=1)
+    if bad.any():
+        m = start + int(np.argmax(bad))
+        raise ValueError(f"the recurrence leaves the float range at step {m} (u_{m + 1})")
+    return out
 
 
 def solve_recurrence(blocks: JacobiBlocks, u0, u1, count: int) -> np.ndarray:
     """March u_{j+1} = -B_j^{-1} (A_j u_j + B*_{j-1} u_{j-1}) from (u_0, u_1).
 
     Returns the first ``count`` entries; (lu)_j = 0 holds for
-    1 <= j <= count - 2.
+    1 <= j <= count - 2. Raises ValueError if an entry leaves the float range.
     """
     if count < 2:
         raise ValueError("count must be at least 2")
@@ -312,8 +335,7 @@ def solve_recurrence(blocks: JacobiBlocks, u0, u1, count: int) -> np.ndarray:
     out = np.empty((count, n), dtype=complex)
     out[0] = _as_vec(u0, n)
     out[1] = _as_vec(u1, n)
-    for j, u in enumerate(_march(blocks, out[0], out[1], 1, count - 1), start=2):
-        out[j] = u
+    out[2:] = _march(blocks, out[0], out[1], 1, count - 1)
     return out
 
 
@@ -324,10 +346,10 @@ def discrete_cauchy(blocks: JacobiBlocks, i: int, j: int) -> np.ndarray:
     n = blocks.n
     if i == j:
         return np.zeros((n, n), dtype=complex)
-    cur = blocks.checked_inverses(j, j + 1)[0].copy()
-    for cur in _march(blocks, np.zeros((n, n), dtype=complex), cur, j + 1, i):
-        pass
-    return cur
+    first = blocks.checked_inverses(j, j + 1)[0].copy()
+    if i == j + 1:
+        return first
+    return _march(blocks, np.zeros((n, n), dtype=complex), first, j + 1, i)[-1]
 
 
 def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
@@ -336,21 +358,29 @@ def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
     One step per row i: gram = sum_j S_j S_j* over the stacked columns
     S_j = (K_ij; K_{i-1,j}), n_k <= j < i, whose top-left trace is row i's
     share; each row steps gram by the recurrence and adds (B_i^{-1}; O).
+    The row steps do not depend on gram, so they are built as one stack.
+    Raises ValueError if a row's share leaves the float range.
     """
     if n_k < 1 or m_k < n_k:
         raise IndexOutOfRangeError("need 1 <= n_k <= m_k")
     n = blocks.n
+    inverses = blocks.checked_inverses(n_k, m_k)
+    s = blocks._stored(n_k, m_k)  # row i + 1 > n_k + 1 steps with A_i, B_i^-1, B*_{i-1}
     eye = np.eye(2 * n)
     gram = np.zeros((2 * n, 2 * n), dtype=complex)
     total = 0.0
-    inverses = blocks.checked_inverses(n_k, m_k)
-    for i, binv in enumerate(inverses, start=n_k):  # row i + 1
-        if i > n_k:
-            (top,) = _march(blocks, eye[n:], eye[:n], i, i + 1)
-            step = np.vstack([top, eye[:n]])
-            gram = step @ gram @ step.conj().T
-        gram[:n, :n] += binv @ binv.conj().T
-        total += float(np.trace(gram[:n, :n]).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = -(blocks.B_inv[s][1:] @ (blocks.A[s][1:] @ eye[:n] + blocks.B_star[s][:-1] @ eye[n:]))
+        steps = np.concatenate([top, np.broadcast_to(eye[:n], top.shape)], axis=1)
+        adjoints = steps.conj().swapaxes(-1, -2)
+        shares = inverses @ inverses.conj().swapaxes(-1, -2)
+        for k, i in enumerate(range(n_k, m_k)):  # row i + 1
+            if k:
+                gram = steps[k - 1] @ gram @ adjoints[k - 1]
+            gram[:n, :n] += shares[k]
+            total += float(np.trace(gram[:n, :n]).real)
+            if not math.isfinite(total):
+                raise ValueError(f"the t4 sum leaves the float range at row {i + 1}")
     return math.sqrt(total)
 
 

@@ -27,8 +27,9 @@ blocking to absorb even/odd oscillation):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 DIVERGES = "DivergesProven"
 CONVERGES = "ConvergesBounded"
@@ -68,45 +69,55 @@ class CriterionReport:
         return out
 
 
+# The passes below run over float64 arrays under _AS_FLOATS: inf and
+# subnormal terms give inf - inf, inf / inf and overflowing sums and ratios,
+# which read inf or NaN silently, as they do in Python float arithmetic.
+_AS_FLOATS = np.errstate(over="ignore", invalid="ignore")
+
+
+@_AS_FLOATS
 def partial_sums(terms) -> tuple[float, ...]:
-    out = []
-    acc = 0.0
-    for t in terms:
-        acc += t
-        out.append(acc)
-    return tuple(out)
+    """Running sums of the terms, added in sequence from +0.0."""
+    # cumsum adds in sequence like a running ``acc += t``; adding 0.0 turns
+    # the -0.0 sums of leading -0.0 terms into that loop's 0.0
+    return tuple((np.asarray(terms, dtype=float).cumsum() + 0.0).tolist())
 
 
 def _tail(terms):
     return terms[len(terms) // 2:]
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _PERIOD_RTOL * max(abs(a), abs(b), 1e-300)
-
-
+@_AS_FLOATS
 def periodic_positive_floor(tail) -> tuple[float, int] | None:
     """Positive floor of an eventually periodic tail, or None."""
+    tail = np.asarray(tail, dtype=float)
+    size = np.maximum(np.abs(tail), 1e-300)
     for p in (1, 2, 3, 4):
         if len(tail) < 2 * p:
             break
-        if all(_close(tail[i], tail[i - p]) for i in range(p, len(tail))):
-            floor = min(tail[-p:])
+        # |a - b| <= rtol max(|a|, |b|, 1e-300) for every pair p apart; the
+        # last pair alone rules out most tails
+        if not abs(tail[-1] - tail[-1 - p]) <= _PERIOD_RTOL * max(size[-1], size[-1 - p]):
+            continue
+        if (np.abs(tail[p:] - tail[:-p]) <= _PERIOD_RTOL * np.maximum(size[p:], size[:-p])).all():
+            floor = float(tail[-p:].min())
             if floor > 0.0:
                 return floor, p
             return None
     return None
 
 
-def _nondecreasing_floor(tail) -> float | None:
+def _nondecreasing_floor(tail: np.ndarray) -> float | None:
     if tail[0] <= 0.0:
         return None
-    ok = all(tail[i + 1] >= tail[i] * (1.0 - 1e-12) for i in range(len(tail) - 1))
-    return min(tail) if ok else None
+    ok = (tail[1:] >= tail[:-1] * (1.0 - 1e-12)).all()
+    return float(tail.min()) if ok else None
 
 
+@_AS_FLOATS
 def divergence_certificate(terms, threshold: float | None = None) -> str | None:
     """Basis string when the term window certifies a divergent series."""
+    terms = np.asarray(terms, dtype=float)
     if len(terms) < _MIN_WINDOW:
         return None
     tail = _tail(terms)
@@ -118,34 +129,36 @@ def divergence_certificate(terms, threshold: float | None = None) -> str | None:
     floor = _nondecreasing_floor(tail)
     if floor is not None:
         return f"nondecreasing tail with positive floor {floor:.6g}"
-    if threshold is not None and sum(terms) > threshold:
+    if threshold is not None and (total := sum(terms.tolist())) > threshold:
         # decay no faster than 1/k: k*t_k nondecreasing over the tail
-        k0 = len(terms) - len(tail) + 1
-        kt = [(k0 + i) * t for i, t in enumerate(tail)]
-        if all(kt[i + 1] >= kt[i] * (1.0 - 1e-12) for i in range(len(kt) - 1)):
-            return (f"threshold mode: partial sum {sum(terms):.6g} exceeds "
+        kt = np.arange(len(terms) - len(tail) + 1, len(terms) + 1) * tail
+        if (kt[1:] >= kt[:-1] * (1.0 - 1e-12)).all():
+            return (f"threshold mode: partial sum {total:.6g} exceeds "
                     f"{threshold:.6g} with terms decaying no faster than 1/k")
     return None
 
 
-def _ratio_tail_certificate(tail, first_index: int) -> str | None:
-    if all(t == 0.0 for t in tail):
+def _ratio_tail_certificate(tail: np.ndarray, first_index: int) -> str | None:
+    if (tail == 0.0).all():
         return "tail identically zero"
-    if any(t <= 0.0 for t in tail):
+    if (tail <= 0.0).any():
         return None
-    ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-    if not ratios:
-        return None
-    raabe = [(first_index + i) * (1.0 - r) for i, r in enumerate(ratios)]
-    rho = min(raabe)
+    # inf / inf gives a NaN ratio, which np.min returns and Python's min may
+    # skip; no certificate fires either way, since then the first statistic
+    # is NaN or an earlier inf / finite ratio gives a -inf one
+    ratios = tail[1:] / tail[:-1]
+    raabe = np.arange(first_index, first_index + len(ratios)) * (1.0 - ratios)
+    rho = float(raabe.min())
     if rho >= RAABE_MIN:
         return (f"Raabe tail, k*(1 - ratio) >= {rho:.6g} "
-                f"(max ratio {max(ratios):.6g})")
+                f"(max ratio {float(ratios.max()):.6g})")
     return None
 
 
+@_AS_FLOATS
 def convergence_certificate(terms) -> str | None:
     """Basis string when the term window certifies a convergent series."""
+    terms = np.asarray(terms, dtype=float)
     if len(terms) < _MIN_WINDOW:
         return None
     tail = _tail(terms)
@@ -153,7 +166,8 @@ def convergence_certificate(terms) -> str | None:
     if basis is not None:
         return basis
     # even/odd oscillation: certify the period-2 blocked series instead
-    blocked = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
+    pairs = len(terms) // 2
+    blocked = terms[0:2 * pairs:2] + terms[1:2 * pairs:2]
     if len(blocked) >= _MIN_WINDOW:
         btail = _tail(blocked)
         basis = _ratio_tail_certificate(btail, len(blocked) - len(btail) + 1)
@@ -165,23 +179,24 @@ def convergence_certificate(terms) -> str | None:
 def build_report(criterion: str, terms, threshold: float | None = None,
                  notes=()) -> CriterionReport:
     """Assemble a CriterionReport, issuing a verdict only on a certificate."""
-    terms = tuple(float(t) for t in terms)
-    if any(t < 0.0 for t in terms):
+    arr = np.array(terms, dtype=float)
+    terms = tuple(arr.tolist())
+    clean = bool((arr >= 0.0).all())  # False for negative and NaN terms
+    if not clean and (arr < 0.0).any():
         raise ValueError("criterion terms must be nonnegative")
-    sums = partial_sums(terms)
+    sums = partial_sums(arr)
     if not terms:
         return CriterionReport(criterion, (), (), INCONCLUSIVE,
                                "empty term sequence", tuple(notes))
     # NaN fails every comparison, so the certificates would read it as passing
-    nan_at = next((i for i, t in enumerate(terms) if math.isnan(t)), None)
-    if nan_at is not None:
+    if not clean:
+        nan_at = int(np.isnan(arr).argmax())
         return CriterionReport(criterion, terms, sums, INCONCLUSIVE,
-                               f"terms[{nan_at}] is NaN; no certificate applies",
-                               tuple(notes))
-    basis = divergence_certificate(terms, threshold)
+                               f"terms[{nan_at}] is NaN; no certificate applies", tuple(notes))
+    basis = divergence_certificate(arr, threshold)
     if basis is not None:
         return CriterionReport(criterion, terms, sums, DIVERGES, basis, tuple(notes))
-    basis = convergence_certificate(terms)
+    basis = convergence_certificate(arr)
     if basis is not None:
         return CriterionReport(criterion, terms, sums, CONVERGES, basis, tuple(notes))
     return CriterionReport(criterion, terms, sums, INCONCLUSIVE,

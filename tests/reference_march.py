@@ -1,10 +1,12 @@
 """Step-at-a-time reference marches for the stacked marches of sldl.
 
 Each function here redoes one march the plain way: one ``np.linalg.solve``
-per lattice step, one ``invert`` per kernel row, and one ``np.block``
-jump and one ``expm`` per continuous cell, in the same float operation
-order as the stacked code. The tests compare with ``np.array_equal`` (and
-``==`` for the residual float), so any change of that order shows.
+(in ``inverse_march``, one product with the stored inverse) per lattice
+step, one ``invert`` per kernel row, and one ``np.block`` jump and one
+``expm`` per continuous cell, in the same float operation order as the
+stacked code. The tests compare with ``np.array_equal`` (``tobytes`` for
+``inverse_march``, and ``==`` for the residual float), so any change of
+that order shows.
 
 The kernel and solution-norm integrals are kept in their quadrature form:
 a 7-point Gauss-Legendre rule on every cell, refined by halving the cells
@@ -36,12 +38,26 @@ def march(blocks, prev, cur, start, stop):
     return out
 
 
-def solve_recurrence(blocks, u0, u1, count):
+def inverse_march(blocks, prev, cur, start, stop):
+    """u_{m+1} = -(B_m^-1 @ (A_m @ u_m + B*_{m-1} @ u_{m-1})), one matmul step at a time.
+
+    The step takes B_m^-1 from ``blocks.B_inv``. A solve reaches the same
+    values, but not always the same zero signs; this march fixes them.
+    """
+    out = []
+    for m in range(start, stop):
+        rhs = blocks.A_at(m) @ cur + blocks.B_star[m - 1 - blocks.offset] @ prev
+        prev, cur = cur, -(blocks.B_inv[m - blocks.offset] @ rhs)
+        out.append(cur)
+    return out
+
+
+def solve_recurrence(blocks, u0, u1, count, march=march):
     u0, u1 = np.asarray(u0, dtype=complex), np.asarray(u1, dtype=complex)
     return np.array([u0, u1] + march(blocks, u0, u1, 1, count - 1))
 
 
-def discrete_cauchy(blocks, i, j):
+def discrete_cauchy(blocks, i, j, march=march):
     n = blocks.n
     if i == j:
         return np.zeros((n, n), dtype=complex)

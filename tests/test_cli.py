@@ -570,6 +570,36 @@ def test_cor2_checks_its_spacings(capsys, spec, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["jacobi", "recurrence", "--d", "const:1", "--H", "const:1e300", "--u0", "1", "--u1", "1",
+      "--steps", "100"], "the recurrence leaves the float range at step 2 (u_3)"),
+    (["bridge", "l2", "--d", "const:1", "--H", "const:1e200", "--u0", "1", "--u1", "1",
+      "--steps", "100"], "the recurrence leaves the float range at step 2 (u_3)"),
+    (["jacobi", "t4", "--d", "const:1", "--H", "const:1e200", "--segments", "1-40",
+      "--count", "50"], "the t4 sum leaves the float range at row 3"),
+], ids=["recurrence", "l2", "t4"])
+def test_marches_that_overflow_exit_2(capsys, argv, message):
+    # these printed numpy overflow warnings and exited 0 with inf or NaN values
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("length, message", [
+    ("NaN", "interval lengths must be positive"),
+    ("Infinity", "interval lengths must be finite"),
+])
+def test_cor1_checks_its_lengths(capsys, tmp_path, length, message):
+    # a NaN length used to give an Inconclusive report
+    path = tmp_path / "cor1.json"
+    path.write_text(f'{{"lengths": [{length}, 2.0], "jumps": [[[0.0]], [[1.0]]]}}')
+    assert run(["criterion", "cor1", "--data", str(path), "--channel", "diag:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_bridge_l2_on_no_spacings_exits_2(capsys, tmp_path):
     (tmp_path / "none.json").write_text("[]")
     assert run(["bridge", "l2", "--d", f"file:{tmp_path / 'none.json'}", "--H", "cancel",

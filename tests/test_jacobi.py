@@ -300,6 +300,31 @@ def test_stacked_march_equals_the_per_step_solve(kind):
         assert t4_term(blocks, n_k, m_k) == reference_march.t4_term(blocks, n_k, m_k)
 
 
+@pytest.mark.parametrize("kind", ["harmonic-cancel", "perturbed-n1", "perturbed-n2", "const-n2"])
+def test_march_keeps_every_bit_and_zero_sign_of_the_matmul_step(kind):
+    # n = 1 steps in Python complex arithmetic, n >= 2 by matmul; both must
+    # give the bytes of one matmul step per lattice step, signed zeros included
+    blocks = _lattice_blocks(kind)
+    n, count = blocks.n, len(blocks.B)
+    step = reference_march.inverse_march
+    for u0, u1 in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, 0.0), (1.0, -0.0),
+                   (-0.0, 1.0), (-1.0, 0.0)):
+        u0, u1 = np.full(n, u0), np.full(n, u1)
+        assert (solve_recurrence(blocks, u0, u1, count).tobytes()
+                == reference_march.solve_recurrence(blocks, u0, u1, count, step).tobytes())
+    for i, j in ((4, 3), (5, 3), (6, 3), (1200, 150), (count - 1, 1)):
+        assert (discrete_cauchy(blocks, i, j).tobytes()
+                == reference_march.discrete_cauchy(blocks, i, j, step).tobytes())
+
+
+@pytest.mark.parametrize("kind", ["harmonic-cancel", "perturbed-n1", "perturbed-n2", "const-n2"])
+def test_t4_term_of_one_and_two_row_segments_equals_the_per_row_march(kind):
+    blocks = _lattice_blocks(kind)
+    for n_k in (1, 2, 3, 700, len(blocks.B) - 3):
+        for m_k in (n_k, n_k + 1, n_k + 2):
+            assert t4_term(blocks, n_k, m_k) == reference_march.t4_term(blocks, n_k, m_k)
+
+
 class Gaussian:
     """Exact Gaussian rational re + i im."""
 

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import reference_reports
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from sldl.reports import (
     convergence_certificate,
     divergence_certificate,
     partial_sums,
+    periodic_positive_floor,
 )
 
 
@@ -124,3 +126,50 @@ def test_report_json_shape():
     obj = rep.to_json()
     assert list(obj) == ["criterion", "terms", "partial_sums", "verdict",
                          "verdict_basis", "notes"]
+
+
+# ---------------------------------------------------------------------------
+# the array certificates against the term-at-a-time reference
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, 5e-324, 2.2e-308, 1e-310, 1e308])
+
+
+@st.composite
+def term_windows(draw):
+    """Windows with zeros, inf, subnormals and NaN, over periodic, monotone or free tails."""
+    size = draw(st.integers(0, 70))
+    kind = draw(st.sampled_from(["free", "periodic", "increasing", "decreasing", "powers"]))
+    if kind == "periodic":
+        period = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+        terms = [period[i % len(period)] for i in range(size)]
+    elif kind in ("increasing", "decreasing"):
+        terms = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=size, max_size=size)),
+                       reverse=kind == "decreasing")
+    elif kind == "powers":
+        p = draw(st.floats(0.5, 3.0))
+        odd = draw(st.sampled_from([1.0, 3.0]))
+        terms = [(odd if k % 2 else 1.0) / k ** p for k in range(1, size + 1)]
+    else:
+        terms = draw(st.lists(st.floats(0.0, 10.0) | _SPECIAL, min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 3))):
+        if terms:
+            terms[draw(st.integers(0, len(terms) - 1))] = draw(_SPECIAL)
+    if terms and draw(st.integers(0, 9)) == 0:
+        terms[draw(st.integers(0, len(terms) - 1))] = math.nan
+    return terms
+
+
+@given(term_windows(), st.none() | st.floats(0.0, 20.0))
+@settings(max_examples=400, deadline=None)
+def test_report_equals_the_term_at_a_time_reference(terms, threshold):
+    rep = build_report("x", terms, threshold=threshold)
+    want = reference_reports.report(terms, threshold)
+    got = (rep.terms, rep.partial_sums, rep.verdict, rep.verdict_basis)
+    assert repr(got) == repr(want)  # repr tells -0.0 from 0.0 and reads NaN as equal
+    assert all(type(v) is float for v in rep.terms + rep.partial_sums)
+    if not any(map(math.isnan, terms)):
+        assert (divergence_certificate(terms, threshold)
+                == reference_reports.divergence_certificate(terms, threshold))
+        assert convergence_certificate(terms) == reference_reports.convergence_certificate(terms)
+    tail = terms[len(terms) // 2:]
+    assert periodic_positive_floor(tail) == reference_reports.periodic_positive_floor(tail)
