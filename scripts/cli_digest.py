@@ -144,6 +144,15 @@ INVOCATIONS = [
     "jacobi cor3 --d harmonic --H cancel --N 20 --count 50",
     "jacobi cor3 --d file:spacings.json --H const:0.5 --N 10",
     "jacobi cor3 --d const:1 --n 2 --H file:nonsym.json --N 6 --count 10",
+    # huge finite values: jump norms past the square root of the float maximum
+    # or below that of its least normal, squares and sums of spacings past the
+    # maximum, and products that print Infinity
+    "jacobi t7 --d const:1e-300 --N 5",
+    "jacobi t7 --d const:1e200 --N 20",
+    "jacobi cor3 --d const:1e-300 --N 5",
+    "jacobi cor3 --d const:1e200 --N 5",
+    "jacobi build --d const:1e308",
+    "jacobi t7 --d list:" + ",".join(["1e-3", "1e3"] * 60) + " --N 50",
     "jacobi",
     # long marches
     "jacobi recurrence --d harmonic --H cancel --u0 1 --u1 0 --steps 20000",

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Timing sweep of the lattice and delta-model marches over problem size.
 
-Times ``solve_recurrence`` on the christ-stolz lattice (blocks built
-outside the timing, so the time includes the first-use B^-1 stack),
+Times ``blocks_from_delta`` on christ-stolz spacings and jumps of 2500
+to 10^5 spacings, ``solve_recurrence`` on the christ-stolz lattice (blocks
+built outside the timing, so the time includes the first-use B^-1 stack),
 ``t4_term`` over segments of 50 to 2000 rows of that lattice,
 ``build_report`` on harmonic windows of 10^3 to 10^5 terms (no certificate
-fires, so every pass runs), ``fundamental_pair`` and
-``equivalence_residual`` on christ-stolz delta models, and
+fires, so every pass runs), ``canonical_json`` of the JSON form of such
+a report with 10^3 to 10^5 floats (terms and partial sums),
+``fundamental_pair`` and ``equivalence_residual`` on christ-stolz delta
+models, and
 ``kernel_square_integrals`` over all cells of seeded n = 2 delta models
 and general triples with 10 to 400 unit cells, each as the median of
 repeated runs in one process with BLAS on one thread. Prints
@@ -51,11 +54,16 @@ def main() -> None:
     from sldl import (DeltaNodes, GeneralTriple, QuasiState, blocks_from_delta, build_report,
                       christ_stolz_family, equivalence_residual, fundamental_pair,
                       kernel_square_integrals, solve_recurrence, t4_term)
+    from sldl.cli import canonical_json
 
     d, H = christ_stolz_family(max(STEPS) + 2)
-    out = {"solve_recurrence": {}, "t4_term": {}, "build_report": {},
+    out = {"blocks_from_delta": {}, "solve_recurrence": {}, "t4_term": {},
+           "build_report": {}, "canonical_json": {},
            "fundamental_pair": {}, "equivalence_residual": {},
            "kernel_square_integrals delta": {}, "kernel_square_integrals general": {}}
+    for steps in STEPS:
+        out["blocks_from_delta"][steps] = median_time(
+            lambda: blocks_from_delta(d[:steps], H[:steps - 1]), repeats)
     for steps in STEPS:
         times = []
         for _ in range(repeats):
@@ -71,6 +79,8 @@ def main() -> None:
     for terms in TERMS:
         harmonic = [1.0 / k for k in range(1, terms + 1)]
         out["build_report"][terms] = median_time(lambda: build_report("x", harmonic), repeats)
+        doc = build_report("x", harmonic[:terms // 2]).to_json()
+        out["canonical_json"][terms] = median_time(lambda: canonical_json(doc), repeats)
     state = QuasiState([0.3], [1.0])
     for nodes in NODES:
         model = DeltaNodes.from_spacings(1, d[:nodes], H[:nodes], tail=d[nodes])

@@ -77,6 +77,10 @@ class ConfigError(ValueError):
 # canonical JSON
 
 
+# the function json.dumps(s) applies to a string with its default arguments
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
         return "NaN"
@@ -86,7 +90,12 @@ def _fmt_float(x: float) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: insertion order kept, floats at 17 significant digits."""
+    """Deterministic JSON: insertion order kept, floats at 17 significant digits.
+
+    A non-empty list or tuple of plain floats is formatted by one ``%``
+    operation; ``'%.17g' % x`` is ``format(x, ".17g")``, and its text has an
+    "n" only for NaN and infinities, which take the per-item path.
+    """
     if obj is None:
         return "null"
     if obj is True:
@@ -98,12 +107,16 @@ def canonical_json(obj) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}"
+        inner = ",".join(f"{_quote(str(k))}:{canonical_json(v)}"
                          for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) == {float}:
+            text = ",".join(["%.17g"] * len(obj)) % tuple(obj)
+            if "n" not in text:
+                return "[" + text + "]"
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, (np.floating,)):
         return _fmt_float(float(obj))

@@ -43,6 +43,7 @@ from .matcore import (
     ShapeMismatchError,
     SingularMatrixError,
     as_stack,
+    condition,
     frobenius_norm,
     invert,
     is_hermitian,
@@ -83,16 +84,19 @@ def reciprocal_sum(d, k: int) -> float:
 
 
 def _shifted_jumps(d, H: np.ndarray, count: int) -> np.ndarray:
-    """H_k + (1/d_k + 1/d_{k+1}) I for k = 1..count, with reciprocal_sum's float operations."""
+    """H_k + (1/d_k + 1/d_{k+1}) I for k = 1..count, with reciprocal_sum's float operations.
+
+    A subnormal spacing gives inf entries, as 1/d does in Python, without a warning.
+    """
     d = np.asarray(d[:count + 1])
-    return H[:count] + (1.0 / d[:-1] + 1.0 / d[1:])[:, None, None] * np.eye(H.shape[1])
+    with np.errstate(over="ignore"):
+        return H[:count] + (1.0 / d[:-1] + 1.0 / d[1:])[:, None, None] * np.eye(H.shape[1])
 
 
 def cancel_jumps(d, n: int = 1) -> np.ndarray:
     """H_k = -(1/d_k + 1/d_{k+1}) I, k = 1 .. len(d) - 1, from spacings the caller has checked."""
     count = max(len(d) - 1, 0)
-    with np.errstate(over="ignore"):  # a subnormal spacing gives inf, which as_stack rejects
-        return as_stack(-_shifted_jumps(d, np.zeros((count, n, n)), count), n)
+    return as_stack(-_shifted_jumps(d, np.zeros((count, n, n)), count), n)  # rejects inf
 
 
 def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.ndarray]:
@@ -111,10 +115,11 @@ def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.n
 
 def check_spacings(d) -> tuple[float, ...]:
     """The spacings d as floats; NonPositiveSpacingError unless all are strictly positive."""
-    d = tuple(float(v) for v in d)
-    if any(not v > 0.0 for v in d):
+    d = tuple(map(float, d))
+    x = np.array(d)
+    if not (x > 0.0).all():  # NaN fails too
         raise NonPositiveSpacingError("spacings must be strictly positive")
-    if math.inf in d:
+    if (x == math.inf).any():
         raise ValueError("spacings must be finite")
     return d
 
@@ -143,7 +148,7 @@ class JacobiBlocks:
         B = as_stack(self.B, self.n)
         if not is_hermitian(A, HERMITIAN_TOL):
             raise ValueError("diagonal blocks must be Hermitian")
-        if not np.all(np.linalg.cond(B) <= COND_LIMIT):
+        if not np.all(condition(B) <= COND_LIMIT):
             raise ValueError("off-diagonal blocks must be invertible")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -236,8 +241,8 @@ def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
     # r_{k+1}^2 = d_k + d_{k+1}; one square root per r_{k+1} r_{k+2} keeps
     # integer-valued products exact (d == 1 gives exactly 2.0)
     dd = np.array(d)
-    r2 = (dd[:-1] + dd[1:])[:, None, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r2 = (dd[:-1] + dd[1:])[:, None, None]
         A = _shifted_jumps(d, H, m - 1) / r2
         B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * dd[1:-1, None, None])
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
@@ -408,17 +413,18 @@ def t4_report(blocks: JacobiBlocks, segments) -> CriterionReport:
 
 def _power_exponent(d) -> float | None:
     """Common power-law exponent of the tail of d, or None."""
-    tail = d[len(d) // 2:]
-    if len(tail) < 6:
+    tail = np.array(d[len(d) // 2:], dtype=float)
+    if len(tail) < 6 or (tail <= 0.0).any():
         return None
-    k0 = len(d) // 2 + 1
-    ps = []
-    for i in range(len(tail) - 1):
-        if tail[i] <= 0.0 or tail[i + 1] <= 0.0:
-            return None
-        ps.append(math.log(tail[i + 1] / tail[i]) / math.log((k0 + i + 1) / (k0 + i)))
-    mean = sum(ps) / len(ps)
-    if max(abs(p - mean) for p in ps) <= 1e-6 * max(1.0, abs(mean)):
+    k = np.arange(len(d) // 2 + 1, len(d) // 2 + len(tail), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = (tail[1:] / tail[:-1]).tolist()
+        # math.log, not np.log, which may differ in the last bit
+        ps = (np.array(list(map(math.log, ratios)))
+              / np.array(list(map(math.log, ((k + 1.0) / k).tolist()))))
+        mean = sum(ps.tolist()) / len(ps)
+        spread = max(np.abs(ps - mean).tolist())  # Python's max skips a NaN after the first
+    if spread <= 1e-6 * max(1.0, abs(mean)):
         return mean
     return None
 
@@ -581,19 +587,23 @@ def cor3_check(d, H, N: int) -> Cor3Result:
     # over k = 2..N, slice [j:N - 1 + j] picks index k - 2 + j of x[i] = d_{i+1}
     # and of r2[i] = d_{i+1} + d_{i+2} = r_{i+2}^2
     x = np.array(d[:N + 3])
-    r2 = x[:-1] + x[1:]
-    lhs = np.sqrt(r2[:N - 1] * r2[3:N + 2]) * x[1:N] * x[3:N + 2]
-    rhs = np.sqrt(r2[1:N] * r2[2:N + 1]) * x[2:N + 1] ** 2
-    tol = 1e-12 * np.maximum(lhs, rhs)
-    above = not np.any(lhs < rhs - tol)
-    below = not np.any(lhs > rhs + tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge spacings give inf, as in Python
+        r2 = x[:-1] + x[1:]
+        lhs = np.sqrt(r2[:N - 1] * r2[3:N + 2]) * x[1:N] * x[3:N + 2]
+        rhs = np.sqrt(r2[1:N] * r2[2:N + 1]) * x[2:N + 1] ** 2
+        tol = 1e-12 * np.maximum(lhs, rhs)
+        above = not np.any(lhs < rhs - tol)
+        below = not np.any(lhs > rhs + tol)
+        jump_terms = x[1:N + 1] * frobenius_norm(_shifted_jumps(d, H, N))
     cond1 = above or below
     direction = ("equal" if above and below else
                  ">=" if above else "<=" if below else "mixed")
 
-    cond2 = build_report("cor3_spacing", [d[k - 1] ** 2 for k in range(1, N + 1)])
-    norms = frobenius_norm(_shifted_jumps(d, H, N)).tolist()
-    cond3 = build_report("cor3_jump", [d[k] * norms[k - 1] for k in range(1, N + 1)])
+    # Python's v ** 2, which numpy's square may differ from in the last bit,
+    # and which raises where the square leaves the float range
+    cond2 = build_report("cor3_spacing",
+                         [v ** 2 if v * v < math.inf else math.inf for v in d[:N]])
+    cond3 = build_report("cor3_jump", jump_terms)
     certified = cond1 and cond2.verdict == CONVERGES and cond3.verdict == CONVERGES
     return Cor3Result(cond1, direction, cond2, cond3, certified)
 

@@ -15,6 +15,8 @@ import numpy as np
 
 COND_LIMIT = 1e14
 HERMITIAN_TOL = 1e-10
+# a Frobenius norm below this may have lost digits to subnormal squares
+_SQUARES_FLOOR = 2.0 ** -500
 
 
 class SingularMatrixError(ValueError):
@@ -62,11 +64,38 @@ def frobenius_norm(m):
     """Self-adjoint matrix norm: (sum of squared entry moduli)**0.5.
 
     Acts on the trailing two axes: a float for one matrix, an array of
-    norms for a stack.
+    norms for a stack. Entries whose squares leave the float range do not
+    turn a representable norm into inf or 0.
     """
     m = np.asarray(m, dtype=complex)
-    norm = np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        a = np.abs(m)
+        norm = np.sqrt(np.sum(a ** 2, axis=(-2, -1)))
+        # squares past the float range read inf, and squares below its normal
+        # range lose digits or read 0; for those matrices (zero ones aside)
+        # hypot accumulates the moduli without squaring them
+        redo = np.isinf(norm) | (norm < _SQUARES_FLOOR)
+        if redo.any():
+            redo &= a.max(axis=(-2, -1)) > 0.0
+            if redo.any():
+                safe = np.hypot.reduce(a.reshape(a.shape[:-2] + (-1,)), axis=-1)
+                norm = np.where(redo, safe, norm)
     return float(norm) if norm.ndim == 0 else norm
+
+
+def condition(m):
+    """2-norm condition estimate of a matrix, or of every matrix of a stack.
+
+    The one condition rule: a matrix is invertible here when its estimate
+    is at most COND_LIMIT. At order 1 the estimate is 1.0 for a finite
+    nonzero entry and inf otherwise, the values ``np.linalg.cond`` gives a
+    1 x 1 matrix without its SVD; orders n >= 2 take ``np.linalg.cond``.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] == (1, 1):
+        entry = m[..., 0, 0]
+        return np.where(np.isfinite(entry) & (entry != 0), 1.0, np.inf)
+    return np.linalg.cond(m)
 
 
 def invert(m) -> np.ndarray:
@@ -76,7 +105,7 @@ def invert(m) -> np.ndarray:
     COND_LIMIT, or when ``refined_inverse`` reports a residual failure.
     """
     m = np.asarray(m, dtype=complex)
-    cond = np.linalg.cond(m)
+    cond = condition(m)
     if not np.all(cond <= COND_LIMIT):
         raise SingularMatrixError(f"condition estimate {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}")
     inv, failed = refined_inverse(m)

@@ -34,6 +34,7 @@ from .matcore import (
     ShapeMismatchError,
     as_stack,
     block2n,
+    condition,
     frobenius_norm,
     invert,
     is_hermitian,
@@ -161,7 +162,7 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
             raise ShapeMismatchError(f"need one {name} piece per cut")
         if name in hermitian and not is_hermitian(seq, HERMITIAN_TOL):
             raise ValueError(f"{name} pieces must be Hermitian")
-        if name == names[0] and not np.all(np.linalg.cond(seq) <= COND_LIMIT):
+        if name == names[0] and not np.all(condition(seq) <= COND_LIMIT):
             raise SingularPieceError(f"{name} pieces must be invertible")
         object.__setattr__(model, name, seq)
     object.__setattr__(model, "X", float(model.X))

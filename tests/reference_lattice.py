@@ -1,0 +1,72 @@
+"""Term-at-a-time references for the array passes of ``sldl.jacobi``.
+
+Each function here computes its terms one lattice index at a time, with
+the float operations of the array code: Python ``**`` for the cor3
+spacing squares, ``math.log`` for the power-law exponent, products
+``a * a`` where numpy squares, and one numpy expression per block (so a
+complex block divided by a float takes numpy's complex division, and a
+block norm is ``frobenius_norm`` of that one block). The
+tests compare with ``tobytes`` and ``==``, so any change of an operation
+or of its order shows.
+"""
+
+import math
+
+import numpy as np
+
+from sldl.jacobi import reciprocal_sum
+from sldl.matcore import frobenius_norm
+from sldl.reports import build_report
+
+
+def block_stacks(d, H):
+    """(A, B) of ``blocks_from_delta(d, H)`` with the default boundary, built block by block."""
+    n = np.asarray(H[0]).shape[0]
+    eye = np.eye(n)
+    A = [np.zeros((n, n), dtype=complex)]
+    B = [-np.eye(n, dtype=complex)]
+    for k in range(1, len(d)):
+        h = np.asarray(H[k - 1], dtype=complex)
+        A.append((h + reciprocal_sum(d, k) * eye) / (d[k - 1] + d[k]))
+    for k in range(1, len(d) - 1):
+        r = math.sqrt((d[k - 1] + d[k]) * (d[k] + d[k + 1]))
+        B.append(-eye / (r * d[k]))
+    return np.array(A), np.array(B)
+
+
+def power_exponent(d):
+    tail = d[len(d) // 2:]
+    if len(tail) < 6:
+        return None
+    k0 = len(d) // 2 + 1
+    ps = []
+    for i in range(len(tail) - 1):
+        if tail[i] <= 0.0 or tail[i + 1] <= 0.0:
+            return None
+        ps.append(math.log(tail[i + 1] / tail[i]) / math.log((k0 + i + 1) / (k0 + i)))
+    mean = sum(ps) / len(ps)
+    if max(abs(p - mean) for p in ps) <= 1e-6 * max(1.0, abs(mean)):
+        return mean
+    return None
+
+
+def carleman_terms(blocks, N: int) -> list[float]:
+    return [1.0 / frobenius_norm(blocks.B_at(k)) for k in range(1, N + 1)]
+
+
+def cor3(d, H, N: int):
+    """(cond1, direction, spacing report, jump report) of ``cor3_check``."""
+    n = np.asarray(H[0]).shape[0]
+    above = below = True
+    for k in range(2, N + 1):
+        lhs = math.sqrt((d[k - 2] + d[k - 1]) * (d[k + 1] + d[k + 2])) * d[k - 1] * d[k + 1]
+        rhs = math.sqrt((d[k - 1] + d[k]) * (d[k] + d[k + 1])) * (d[k] * d[k])
+        tol = 1e-12 * max(lhs, rhs)
+        above = above and not lhs < rhs - tol
+        below = below and not lhs > rhs + tol
+    direction = "equal" if above and below else ">=" if above else "<=" if below else "mixed"
+    spacing = [d[k - 1] ** 2 for k in range(1, N + 1)]
+    jump = [d[k] * frobenius_norm(np.asarray(H[k - 1]) + reciprocal_sum(d, k) * np.eye(n))
+            for k in range(1, N + 1)]
+    return (above or below, direction, build_report("cor3_spacing", spacing),
+            build_report("cor3_jump", jump))

@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -8,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sldl
 import sldl.cli as cli
@@ -586,6 +591,31 @@ def test_marches_that_overflow_exit_2(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, criterion, term", [
+    (["jacobi", "t7", "--d", "const:1e-300", "--N", "5"], "t7_b_s1", pytest.approx(2e300)),
+    (["jacobi", "cor3", "--d", "const:1e-300", "--N", "5"], "cor3_jump", pytest.approx(2.0)),
+    (["jacobi", "cor3", "--d", "const:1e200", "--N", "5"], "cor3_spacing", math.inf),
+    (["jacobi", "t7", "--d", "const:1e200", "--N", "5"], "t7_b_s1", pytest.approx(2e-200)),
+], ids=["t7", "cor3", "cor3-spacing-squares", "t7-tiny-jump-norms"])
+def test_huge_finite_terms_give_reports_without_warnings(capsys, argv, criterion, term):
+    # the jump norms 2e300 printed numpy overflow warnings and read inf, the
+    # squares of 1e200 spacings raised OverflowError (exit status 1), and the
+    # jump norms 2e-200 read 0, a zero tail that certified convergence
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = {r["criterion"]: r for r in json.loads(captured.out)["result"]["reports"]}
+    assert reports[criterion]["terms"] == [term] * 5
+
+
+def test_spacing_sums_that_overflow_exit_2_with_one_line(capsys):
+    # d_k + d_{k+1} printed a numpy overflow warning before the error
+    assert run(["jacobi", "build", "--d", "const:1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: off-diagonal blocks must be invertible\n"
+
+
 @pytest.mark.parametrize("length, message", [
     ("NaN", "interval lengths must be positive"),
     ("Infinity", "interval lengths must be finite"),
@@ -712,6 +742,28 @@ def test_canonical_json_floats_roundtrip():
 def test_canonical_json_shapes():
     doc = {"a": [1, 2.5, None, True], "b": {"c": "x"}}
     assert canonical_json(doc) == '{"a":[1,2.5,null,true],"b":{"c":"x"}}'
+
+
+_RAW_FLOATS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+_FLOATS = st.one_of(_RAW_FLOATS, st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308]))
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)  # surrogates too
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10),
+    st.integers(2 ** 53, 2 ** 80), st.integers(-(2 ** 80), -(2 ** 53)),
+    _FLOATS, _FLOATS.map(np.float64), st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+    _TEXT, st.lists(_FLOATS, min_size=1, max_size=12),
+    st.lists(_FLOATS, min_size=1, max_size=12).map(tuple))
+_DOCUMENTS = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+    st.dictionaries(st.one_of(_TEXT, st.integers()), kids, max_size=5)), max_leaves=30)
+
+
+@given(_DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_equals_the_item_at_a_time_encoder(doc):
+    assert canonical_json(doc) == reference_json.canonical_json(doc)
 
 
 def test_validate_report_rejects_bad_documents():

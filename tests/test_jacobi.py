@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_lattice
 import reference_march
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from sldl.jacobi import (
     JacobiBlocks,
     NonPositiveSpacingError,
     NonSymmetricJumpError,
+    _power_exponent,
     blocks_from_json,
     blocks_to_json,
     cancel_jumps,
@@ -627,6 +629,54 @@ def test_cor3_cancel_family_certified():
     res = cor3_check(d, H, 200)
     assert res.limit_circle_certified
     assert all(t == 0.0 for t in res.cond3.terms)
+
+
+def _lattice(kind):
+    """Spacings and jumps of the lattices the array passes are compared on."""
+    rng = np.random.default_rng(2024)
+    if kind == "christ-stolz":
+        return christ_stolz_family(20_002)
+    if kind.startswith("perturbed"):
+        n = int(kind[-1])
+        d, H = christ_stolz_family(2002, n)
+        a = rng.uniform(-1e-3, 1e-3, (len(H), n, n))
+        return d, H + (a + a.transpose(0, 2, 1)) / 2.0
+    if kind == "random":
+        a = rng.uniform(-2.0, 2.0, (2001, 1, 1))
+        return tuple(rng.uniform(0.1, 2.0, 2002).tolist()), a
+    return tuple(float(k) ** -0.75 for k in range(1, 2003)), np.zeros((2001, 1, 1))
+
+
+@pytest.mark.parametrize("kind", ["christ-stolz", "perturbed-1", "perturbed-2", "random",
+                                  "power"])
+def test_lattice_array_passes_equal_the_term_at_a_time_references(kind):
+    d, H = _lattice(kind)
+    N = len(d) - 3
+    blocks = blocks_from_delta(d, H)
+    A, B = reference_lattice.block_stacks(d, H)
+    assert blocks.A.tobytes() == A.tobytes()
+    assert blocks.B.tobytes() == B.tobytes()
+    for window in (d, d[:N + 2], d[:100], d[:13]):
+        assert repr(_power_exponent(window)) == repr(reference_lattice.power_exponent(window))
+    rep = carleman_report(blocks, N)
+    assert np.array(rep.terms).tobytes() == np.array(
+        reference_lattice.carleman_terms(blocks, N)).tobytes()
+    res = cor3_check(d, H, N)
+    cond1, direction, spacing, jump = reference_lattice.cor3(d, H, N)
+    assert (res.cond1, res.cond1_direction) == (cond1, direction)
+    for got, want in ((res.cond2, spacing), (res.cond3, jump)):
+        assert np.array(got.terms).tobytes() == np.array(want.terms).tobytes()
+        assert (got.verdict, got.verdict_basis) == (want.verdict, want.verdict_basis)
+
+
+@pytest.mark.parametrize("d", [
+    (1e-300, 1e10) * 8,  # ratios past the float range: inf exponents
+    (1e10, 1e-300) * 8,  # the same after a finite one, which Python's max keeps
+    (1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
+    (1.0,) * 12 + (float("nan"),),
+])
+def test_power_exponent_of_extreme_tails_equals_the_loop(d):
+    assert repr(_power_exponent(d)) == repr(reference_lattice.power_exponent(d))
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,14 @@ from sldl import (
 )
 from sldl.jacobi import blocks_from_json
 from sldl.matcore import (
+    COND_LIMIT,
     NonSymmetricError,
     ShapeMismatchError,
     SingularMatrixError,
     as_matrix,
     as_stack,
     block2n,
+    condition,
     matrix_from_json,
     matrix_to_json,
 )
@@ -48,6 +50,50 @@ def test_frobenius_constant_lattice_block():
     b = np.array([[-0.5]])
     assert frobenius_norm(b) == 0.5
     assert 1.0 / frobenius_norm(b) == 2.0
+
+
+def test_frobenius_norm_of_entries_whose_squares_overflow():
+    assert frobenius_norm(np.array([[2e300]])) == 2e300
+    norms = frobenius_norm(np.array([[[3e200, 4e200], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]))
+    assert norms[0] == pytest.approx(5e200, rel=1e-15)
+    assert norms[1] == math.sqrt(2.0)
+    assert frobenius_norm(np.array([[1e308 + 1e308j]])) == pytest.approx(math.sqrt(2.0) * 1e308)
+    assert frobenius_norm(np.array([[1.5e308, 1.5e308], [0.0, 0.0]])) == math.inf
+
+
+def test_frobenius_norm_of_entries_whose_squares_underflow():
+    # the squares of 2e-200 read 0, so the norm read 0
+    assert frobenius_norm(np.array([[2e-200]])) == 2e-200
+    assert frobenius_norm(np.array([[5e-324j]])) == 5e-324
+    norms = frobenius_norm(np.array([[[3e-170, 0.0], [0.0, 4e-170]], np.zeros((2, 2))]))
+    assert norms[0] == pytest.approx(5e-170, rel=1e-15)
+    assert norms[1] == 0.0
+
+
+# 1 x 1 entries at the edges of the float range, zeros of both signs included
+ORDER_ONE = [0.0, -0.0, complex(-0.0, -0.0), 5e-324, -5e-324, complex(0.0, 5e-324),
+             1e308, -1e308, 1 + 1j, 1e-300j, 1e308 + 1e308j, 1.0]
+
+
+def test_order_one_condition_rule_is_np_linalg_cond():
+    stack = np.array(ORDER_ONE, dtype=complex).reshape(-1, 1, 1)
+    assert np.array_equal(condition(stack), np.linalg.cond(stack))
+    for m in stack:
+        assert condition(m) == np.linalg.cond(m)
+        invertible = bool(np.linalg.cond(m) <= COND_LIMIT)
+        try:
+            JacobiBlocks(1, np.zeros((1, 1, 1)), m[None])
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "off-diagonal blocks must be invertible"
+            accepted = False
+        assert accepted == invertible
+    assert condition(np.array([[np.inf]])) == np.linalg.cond(np.array([[np.inf]])) == np.inf
+    # np.linalg.cond raises on NaN (its SVD does not converge); the rule rejects it
+    assert condition(np.array([[np.nan]])) == np.inf
+    with pytest.raises(SingularMatrixError):
+        invert(np.array([[np.nan]]))
+    assert condition(np.zeros((0, 1, 1))).shape == (0,)
 
 
 def test_invert_identity_and_diagonal():
