@@ -46,6 +46,7 @@ FIXTURES = {
                 "jumps": [[[0.5]], [[-1.0]]]},
     "cor1.json": {"lengths": [2.0, 2.0, 3.0], "jumps": [[[0.0]], [[1.0]], [[2.0]]]},
     "cor1-nan.json": {"lengths": [float("nan"), 2.0], "jumps": [[[0.0]], [[1.0]]]},
+    "cor1-huge.json": {"lengths": [1e150, 2.0], "jumps": [[[1.0]], [[1.0]]]},
     "lattice.json": {"d": [1.0 / k for k in range(1, 25)],
                      "H": [[[-(k + 1.0 / (k + 1))]] for k in range(1, 24)], "N": 8},
     "spacings.json": [0.5 + 0.1 * k for k in range(40)],
@@ -105,6 +106,7 @@ INVOCATIONS = [
     "criterion cor1 --data missing.json --channel diag:1",
     "criterion cor1 --data t5.json --channel diag:1",
     "criterion cor1 --data cor1-nan.json --channel diag:1",
+    "criterion cor1 --data cor1-huge.json --channel diag:1",
     "criterion t5 --data cor1.json --channel diag:1",
     "criterion t1 --model free.json --intervals unit:0",
     "criterion cor2 --d const:1 --count 0 --channel diag:1",
@@ -113,6 +115,7 @@ INVOCATIONS = [
     "criterion cor2 --d const:1 --H file:jumps2.json --n 2 --count 10 --channel offdiag:1,2",
     "criterion cor2 --d bogus:1 --channel diag:1",
     "criterion cor2 --d power:1000 --channel diag:1",
+    "criterion cor2 --d const:1e150 --n 2 --channel offdiag:1,2",
     "criterion cor2 --d const:1 --H bogus --channel diag:1",
     "criterion bogus",
     # jacobi

@@ -11,7 +11,8 @@ a report with 10^3 to 10^5 floats (terms and partial sums),
 ``fundamental_pair`` and ``equivalence_residual`` on christ-stolz delta
 models, and
 ``kernel_square_integrals`` over all cells of seeded n = 2 delta models
-and general triples with 10 to 400 unit cells, each as the median of
+and n = 1, 2 and 3 general triples with 10 to 400 unit cells (at n = 3 the
+parent's fused Van Loan block had order 66), each as the median of
 repeated runs in one process with BLAS on one thread. Prints
 one JSON object: per function, size -> median seconds.
 Comparing two source trees is two runs:
@@ -60,7 +61,8 @@ def main() -> None:
     out = {"blocks_from_delta": {}, "solve_recurrence": {}, "t4_term": {},
            "build_report": {}, "canonical_json": {},
            "fundamental_pair": {}, "equivalence_residual": {},
-           "kernel_square_integrals delta": {}, "kernel_square_integrals general": {}}
+           "kernel_square_integrals delta": {},
+           **{f"kernel_square_integrals general n={n}": {} for n in (1, 2, 3)}}
     for steps in STEPS:
         out["blocks_from_delta"][steps] = median_time(
             lambda: blocks_from_delta(d[:steps], H[:steps - 1]), repeats)
@@ -90,16 +92,20 @@ def main() -> None:
         out["equivalence_residual"][nodes] = median_time(
             lambda: equivalence_residual(model, nodes - 3, state), repeats)
     rng = np.random.default_rng(400)
-    cplx = lambda b, k: rng.uniform(-b, b, (k, 2, 2)) + 1j * rng.uniform(-b, b, (k, 2, 2))
+
+    def general_triple(n, cells):
+        cplx = lambda b: rng.uniform(-b, b, (cells, n, n)) + 1j * rng.uniform(-b, b, (cells, n, n))
+        p, q = cplx(0.5), cplx(1.0)
+        return GeneralTriple(n, tuple(float(k) for k in range(cells)),
+                             p @ p.conj().transpose(0, 2, 1) + np.eye(n),
+                             q + q.conj().transpose(0, 2, 1), cplx(0.5), float(cells))
+
     for cells in CELLS:
         h = rng.uniform(-1.0, 1.0, (cells - 1, 2, 2))
-        delta = DeltaNodes(2, tuple(float(k) for k in range(1, cells)),
-                           h + h.transpose(0, 2, 1), float(cells))
-        p, q = cplx(0.5, cells), cplx(1.0, cells)
-        general = GeneralTriple(2, tuple(float(k) for k in range(cells)),
-                                p @ p.conj().transpose(0, 2, 1) + np.eye(2),
-                                q + q.conj().transpose(0, 2, 1), cplx(0.5, cells), float(cells))
-        for label, model in (("delta", delta), ("general", general)):
+        models = {"delta": DeltaNodes(2, tuple(float(k) for k in range(1, cells)),
+                                      h + h.transpose(0, 2, 1), float(cells)),
+                  **{f"general n={n}": general_triple(n, cells) for n in (1, 2, 3)}}
+        for label, model in models.items():
             out[f"kernel_square_integrals {label}"][cells] = median_time(
                 lambda: kernel_square_integrals(model, 0.0, model.X), repeats)
     print(json.dumps(out))

@@ -19,8 +19,9 @@ column, the Gram matrix of the solutions started at the points already
 passed, so the cost is linear in the cells. Each cell adds integrals of
 its propagator that depend on the cell alone, and these are exact: closed
 polynomials in the cell length for step and delta models, which march in
-classical coordinates whatever the accumulated potential, and one block
-matrix exponential per cell (Van Loan 1978) for the other variants.
+classical coordinates whatever the accumulated potential, and for the other
+variants block matrix exponentials (Van Loan 1978), one of order 3m and one
+of order 2m per channel, for all cells of [a, b] in two stacked calls.
 """
 
 from __future__ import annotations
@@ -90,27 +91,25 @@ class IntervalSeq:
 # kernel and solution-norm integrals
 
 
-def _van_loan(g: np.ndarray) -> np.ndarray:
-    """Block upper-triangular generator whose exponential at L holds a cell's integrals.
+def _van_loan(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block upper-triangular generators whose exponentials at L hold the cells' integrals.
 
     exp of [[A1, B1], [O, A2]] at L has int_0^L exp(A1 (L - s)) B1 exp(A2 s) ds
     as its upper right block (C. F. Van Loan, IEEE Trans. Autom. Control 23
-    (1978) 395-404). On the diagonal, with P_i = e_i e_i^T, Q_j = e_{n+j}
-    e_{n+j}^T: A1 = -G*, A2 = I_n (x) [[G, I], [O, G]], B1 = [P_1, O, ...,
-    P_n, O] give exp(-G* L) [W_i, W'_i]; A1 = G, A2 = I_n (x) -G*,
-    B1 = [Q_1, ..., Q_n] give V_j exp(-G* L).
+    (1978) 395-404). Per cell generator G of the stack g and channel i < n,
+    with P_i = e_i e_i^T and Q_i = e_{n+i} e_{n+i}^T, the first stack holds
+    [[-G*, P_i, O], [O, G, I], [O, O, G]] (order 3m, exp(-G* L) [W_i, W'_i]
+    in the top row of its exponential) and the second [[G, Q_i], [O, -G*]]
+    (order 2m, V_i exp(-G* L) top right), both indexed (cell, channel).
     """
-    m = g.shape[0]
-    n, gh, eye, k = m // 2, g.conj().T, np.eye(m), np.arange(m // 2)
-    d = m + 2 * m * n
-    c = np.zeros((d + m + m * n,) * 2, dtype=complex)
-    c[:m, :m] = -gh
-    c[m:d, m:d] = np.kron(np.eye(n), np.block([[g, eye], [0 * eye, g]]))
-    c[k, m + 2 * m * k + k] = 1.0
-    c[d:d + m, d:d + m] = g
-    c[d + m:, d + m:] = np.kron(np.eye(n), -gh)
-    c[d + n + k, d + m + m * k + n + k] = 1.0
-    return c
+    m = g.shape[-1]
+    n, gh, k = m // 2, -g.conj().swapaxes(1, 2)[:, None], np.arange(m // 2)
+    w = np.zeros((len(g), n, 3 * m, 3 * m), dtype=complex)
+    w[..., :m, :m], w[..., m:2 * m, 2 * m:], w[:, k, k, m + k] = gh, np.eye(m), 1.0
+    w[..., m:2 * m, m:2 * m] = w[..., 2 * m:, 2 * m:] = g[:, None]
+    v = np.zeros((len(g), n, 2 * m, 2 * m), dtype=complex)
+    v[..., :m, :m], v[..., m:, m:], v[:, k, n + k, m + n + k] = g[:, None], gh, 1.0
+    return w, v
 
 
 def _cell_integrals(model, cells):
@@ -121,7 +120,8 @@ def _cell_integrals(model, cells):
     tri[c, i, j] = int_0^L (L - s) |E(s)_{i, n+j}|^2 ds = (L W_i - W'_i)[n+j, n+j],
     W'_i with the integrand of W_i times s. For step and delta models
     E = I + sN and the entries are L, L^2/2, L^3/3 and L^4/12; other models
-    take one ``_van_loan`` exponential per cell and a product with step*.
+    take the split ``_van_loan`` exponentials of all cells in two stacked
+    ``expm`` calls and a product with step*, the cells' own propagators.
     """
     n, m, lengths, k = model.n, 2 * model.n, np.array(cells.length), np.arange(model.n)
     if _sigma_of(model) is not None:
@@ -133,14 +133,12 @@ def _cell_integrals(model, cells):
         w[:, k, n + k, n + k] = v[:, k, k, k] = col ** 3 / 3
         tri[:, k, k] = col ** 4 / 12
         return w, tri, v
-    d = m + 2 * m * n
-    w, wp, v = np.empty((3, len(lengths), n, m, m), dtype=complex)
-    for c, (g, length, step) in enumerate(zip(cells.gen, lengths, cells.prop)):
-        e, sh = expm(_van_loan(g) * length), step.conj().T
-        x = e[:m, m:d].reshape(m, n, 2, m).transpose(1, 2, 0, 3)
-        w[c], wp[c] = sh @ x[:, 0], sh @ x[:, 1]
-        v[c] = e[d:d + m, d + m:].reshape(m, n, m).transpose(1, 0, 2) @ sh
-    return w, (lengths[:, None, None, None] * w - wp)[:, :, n + k, n + k].real, v
+    gw, gv = _van_loan(cells.gen)
+    col = lengths[:, None, None, None]
+    ew, ev = expm(gw * col), expm(gv * col)
+    sh = cells.prop.conj().swapaxes(1, 2)[:, None]
+    w, wp, v = sh @ ew[..., :m, m:2 * m], sh @ ew[..., :m, 2 * m:], ev[..., :m, m:] @ sh
+    return w, (col * w - wp)[:, :, n + k, n + k].real, v
 
 
 def _kernel_pass(model, a: float, b: float) -> np.ndarray:
@@ -323,8 +321,16 @@ def _jump_list(jumps, count: int) -> np.ndarray:
     return mats
 
 
-def _jump_term(channel, h: np.ndarray, rho: float, s: float) -> float:
-    """Jump-series term of h at distances rho and s from its interval's ends.
+def _power(base: float, exponent: float, term: int) -> float:
+    """Python's base ** exponent in jump-series term ``term`` (1-based), in the float range."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ValueError(f"the jump series leaves the float range at term {term}") from None
+
+
+def _jump_term(channel, h: np.ndarray, rho: float, s: float, term: int) -> float:
+    """Jump-series term ``term`` of h at distances rho and s from its interval's ends.
 
     Diagonal channel: rho s sqrt(rho + s) sqrt|h_ii + 1.5 (1/rho + 1/s)|.
     Off-diagonal channel: (rho s)^(3/2) |h_ij|.
@@ -333,7 +339,7 @@ def _jump_term(channel, h: np.ndarray, rho: float, s: float) -> float:
     if diag:
         shift = 1.5 * (1.0 / rho + 1.0 / s)
         return rho * s * math.sqrt(rho + s) * math.sqrt(abs(entry + shift))
-    return (rho * s) ** 1.5 * abs(entry)
+    return _power(rho * s, 1.5, term) * abs(entry)
 
 
 def t5_series(intervals: IntervalSeq, jumps, channel,
@@ -345,8 +351,8 @@ def t5_series(intervals: IntervalSeq, jumps, channel,
     if intervals.markers is None:
         raise ValueError("jump series needs interval markers")
     mats = _jump_list(jumps, len(intervals))
-    terms = [_jump_term(channel, h, c - a, b - c)
-             for (a, b), c, h in zip(intervals.intervals, intervals.markers, mats)]
+    marked = zip(intervals.intervals, intervals.markers, mats)
+    terms = [_jump_term(channel, h, c - a, b - c, k) for k, ((a, b), c, h) in enumerate(marked, 1)]
     name = "t5_offdiag" if isinstance(channel, OffDiagonal) else "t5_diag"
     return build_report(name, terms, threshold=threshold)
 
@@ -364,12 +370,12 @@ def cor1_series(lengths, jumps, channel,
         raise ValueError("interval lengths must be finite")
     mats = _jump_list(jumps, len(lengths))
     terms = []
-    for rho, h in zip(lengths, mats):
+    for k, (rho, h) in enumerate(zip(lengths, mats), 1):
         entry, diag = _channel_entry(channel, h)
         if diag:
-            terms.append(rho ** 2.5 * math.sqrt(abs(entry + 6.0 / rho)))
+            terms.append(_power(rho, 2.5, k) * math.sqrt(abs(entry + 6.0 / rho)))
         else:
-            terms.append(rho ** 3 * abs(entry))
+            terms.append(_power(rho, 3, k) * abs(entry))
     return build_report("cor1", terms, threshold=threshold)
 
 
@@ -385,7 +391,7 @@ def cor2_series(d, jumps, channel,
     d = check_spacings(d)
     count = min(len(d) - 1, len(jumps))
     mats = _jump_list(jumps[:count], count)
-    terms = [_jump_term(channel, mats[k - 1], d[k - 1], d[k])
+    terms = [_jump_term(channel, mats[k - 1], d[k - 1], d[k], k)
              for k in range(1, count + 1)]
     return build_report("cor2", terms, threshold=threshold)
 

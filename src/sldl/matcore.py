@@ -147,11 +147,10 @@ def real_symmetric(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def block2n(tl, tr, bl, br) -> np.ndarray:
-    """Assemble a 2n x 2n matrix from four order-n blocks."""
+    """Assemble a 2n x 2n matrix from four order-n blocks, or a stack from four stacks."""
     tl, tr, bl, br = (np.asarray(b, dtype=complex) for b in (tl, tr, bl, br))
-    n = tl.shape[0]
     for b in (tr, bl, br):
-        if b.shape != (n, n):
+        if b.shape != tl.shape:
             raise ShapeMismatchError("all four blocks must share the same order")
     return np.block([[tl, tr], [bl, br]])
 

@@ -10,9 +10,10 @@ Coefficients are piecewise constant, so propagation across a piece is an
 exact matrix exponential. One cell walker, ``_cells``, enumerates pieces
 and picks the working coordinates for transfer matrices, kernel integrals
 and node samples: classical (f, f') with free flights and jumps of f' for
-step and delta models, (f, f1) with the piece generator otherwise. It
-stacks each cell's jump and propagator up front, so a march is a loop of
-small matrix products.
+step and delta models, (f, f1) with the piece generator otherwise, built
+once per model. It stacks each cell's jump and propagator up front, the
+propagators from one stacked ``expm`` call where they have no closed form,
+so a march is a loop of small matrix products.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -36,11 +37,11 @@ from .matcore import (
     block2n,
     condition,
     frobenius_norm,
-    invert,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
     real_symmetric,
+    refined_inverse,
 )
 
 
@@ -149,11 +150,14 @@ class DeltaNodes:
 
 
 def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
-    """Check the cuts and replace each named piece sequence by its validated stack.
+    """Check the cuts, replace each named piece sequence by its validated stack, build generators.
 
     Each stack needs one piece per cut; those named in ``hermitian`` must
     be Hermitian and the first, the leading coefficient, invertible (a
     finite condition estimate at most COND_LIMIT, as in ``invert``).
+    ``generators`` is the lam = 0 generator stack ``model._system`` builds
+    from the leading pieces' inverses, ``failed_inverses`` the mask of the
+    pieces whose inverse failed the residual check, which a march reports.
     """
     object.__setattr__(model, "cuts", _check_cuts(model.cuts, model.X))
     for name in names:
@@ -166,6 +170,9 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
             raise SingularPieceError(f"{name} pieces must be invertible")
         object.__setattr__(model, name, seq)
     object.__setattr__(model, "X", float(model.X))
+    inv, failed = refined_inverse(getattr(model, names[0]))
+    object.__setattr__(model, "generators", model._system(inv))
+    object.__setattr__(model, "failed_inverses", failed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +185,14 @@ class GeneralTriple:
     Q: np.ndarray
     R: np.ndarray
     X: float
+    generators: np.ndarray = field(init=False, repr=False)
+    failed_inverses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _freeze_pieces(self, ("P", "Q", "R"), hermitian=("P", "Q"))
+
+    def _system(self, pinv: np.ndarray) -> np.ndarray:
+        return block2n(self.R, pinv, self.Q, -self.R.conj().swapaxes(1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +209,17 @@ class Distributional:
     Q0: np.ndarray
     P1: np.ndarray
     X: float
+    generators: np.ndarray = field(init=False, repr=False)
+    failed_inverses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         names = ("P0", "Q0", "P1")
         _freeze_pieces(self, names, hermitian=names)
+
+    def _system(self, pinv: np.ndarray) -> np.ndarray:
+        phi = self.P1 + 1j * self.Q0
+        phs = phi.conj().swapaxes(1, 2)
+        return block2n(pinv @ phi, pinv, -(phs @ pinv @ phi), -(phs @ pinv))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,32 +280,31 @@ def piece_index(model, x: float) -> int:
     return min(bisect_right(cuts, x) - 1, len(cuts) - 1)
 
 
+def _piece_generators(model, lam: complex, pieces: list[int]) -> np.ndarray:
+    """Stack of the system matrices F - L of the listed pieces of a general or distributional model.
+
+    Raises SingularPieceError for the first of them whose leading inverse failed.
+    """
+    failed = model.failed_inverses[pieces]
+    if failed.any():
+        lead = "P0" if isinstance(model, Distributional) else "P"
+        raise SingularPieceError(f"{lead} piece {pieces[failed.argmax()]} not invertible")
+    gen, n = model.generators[pieces], model.n
+    if lam != 0:
+        gen[:, n:, :n] -= lam * np.eye(n)
+    return gen
+
+
 def piece_system(model, lam: complex, i: int) -> np.ndarray:
     """2n x 2n constant system matrix F - L on piece i."""
-    n = model.n
+    if isinstance(model, (GeneralTriple, Distributional)):
+        return _piece_generators(model, lam, [i])[0]
     sigma = _sigma_of(model)
-    if sigma is not None:
-        s = sigma.values[i]
-        f = block2n(s, np.eye(n), -(s @ s), -s)
-    elif isinstance(model, GeneralTriple):
-        p, q, r = model.P[i], model.Q[i], model.R[i]
-        try:
-            pinv = invert(p)
-        except ValueError as exc:
-            raise SingularPieceError(f"P piece {i} not invertible") from exc
-        f = block2n(r, pinv, q, -r.conj().T)
-    elif isinstance(model, Distributional):
-        try:
-            pinv = invert(model.P0[i])
-        except ValueError as exc:
-            raise SingularPieceError(f"P0 piece {i} not invertible") from exc
-        phi = model.P1[i] + 1j * model.Q0[i]
-        phs = phi.conj().T
-        f = block2n(pinv @ phi, pinv, -(phs @ pinv @ phi), -(phs @ pinv))
-    else:
+    if sigma is None:
         raise VariantUnsupportedError(f"unsupported model type {type(model)!r}")
+    n, s = model.n, sigma.values[i]
+    f = block2n(s, np.eye(n), -(s @ s), -s)
     if lam != 0:
-        f = f.copy()
         f[n:, :n] -= lam * np.eye(n)
     return f
 
@@ -305,30 +323,34 @@ for _k in range(1, 7):
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential: Pade(6, 6) with scaling so the scaled norm is <= 0.5.
+    """Matrix exponential of a matrix, or of every matrix of a stack on the trailing two axes.
 
-    Index-2 nilpotent arguments (step potentials at lam = 0) short-circuit
-    to I + a, keeping piecewise-linear propagation exact.
+    Pade(6, 6) with scaling so each scaled norm is <= 0.5, in one stacked
+    loop and one batched solve, each matrix squared back by its own exponent:
+    bit for bit the exponentials taken one matrix at a time. Index-2 nilpotent
+    arguments (step potentials at lam = 0) short-circuit to I + a.
     """
     a = np.asarray(a, dtype=complex)
-    m = a.shape[0]
-    a2 = a @ a
-    if not a2.any():
-        return np.eye(m) + a
-    nrm = frobenius_norm(a)
-    s = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
-    b = a / (2.0 ** s)
-    num = np.eye(m) * _PADE6[0]
-    den = np.eye(m) * _PADE6[0]
+    m, stack = a.shape[-1], a.reshape((-1,) + a.shape[-2:])
+    out = np.eye(m) + stack
+    live = np.flatnonzero((stack @ stack).any(axis=(1, 2)))
+    s = np.array([0 if v <= 0.5 else int(math.ceil(math.log2(v / 0.5)))
+                  for v in frobenius_norm(stack)[live].tolist()], dtype=int)
+    order = np.argsort(-s, kind="stable")  # the matrices of the r-th squaring lead
+    live, s = live[order], s[order]
+    b = stack[live] / (2.0 ** s)[:, None, None]
+    num = den = np.eye(m) * _PADE6[0]
     pw = np.eye(m)
     for k in range(1, 7):
         pw = pw @ b
         num = num + _PADE6[k] * pw
         den = den + (-1) ** k * _PADE6[k] * pw
     x = np.linalg.solve(den, num)
-    for _ in range(s):
-        x = x @ x
-    return x
+    for r in range(1, max(s, default=0) + 1):
+        lead = np.count_nonzero(s >= r)
+        x[:lead] = x[:lead] @ x[:lead]
+    out[live] = x
+    return out.reshape(a.shape)
 
 
 def _jumps(ds: np.ndarray) -> np.ndarray:
@@ -360,7 +382,8 @@ def _cells(model, lam: complex, x0: float, x1: float, stops=()) -> Cells:
     (f, f'), that ``_to_quasi`` undoes. At lam = 0 the flight generator N is
     nilpotent and its propagators are I + length * N in closed form, which
     is what ``expm`` returns for it. Other models keep quasi coordinates and
-    the piece generator, and every propagator is one ``expm`` call.
+    the piece generator; every propagator that is not in closed form comes
+    from one stacked ``expm`` call over all cells of [x0, x1].
     """
     sigma = _sigma_of(model)
     delta = model if isinstance(model, DeltaNodes) else None
@@ -390,17 +413,14 @@ def _cells(model, lam: complex, x0: float, x1: float, stops=()) -> Cells:
     m = 2 * model.n
     jump = [None] * len(pieces)
     if sigma is None:
-        gens = {p: piece_system(model, lam, p) for p in dict.fromkeys(pieces)}
-        gen = np.array([gens[p] for p in pieces]).reshape(-1, m, m)
+        gen = _piece_generators(model, lam, pieces)
     else:
         eye = np.eye(model.n)
         gen = np.broadcast_to(block2n(0 * eye, eye, -lam * eye, 0 * eye), (len(pieces), m, m))
         for c, matrix in zip(jumped, _jumps(np.array(ds).reshape(-1, model.n, model.n))):
             jump[c] = matrix
-    if sigma is not None and lam == 0:
-        prop = np.eye(m) + gen * np.array(lengths)[:, None, None]
-    else:
-        prop = np.array([expm(g * length) for g, length in zip(gen, lengths)]).reshape(-1, m, m)
+    scaled = gen * np.array(lengths)[:, None, None]
+    prop = np.eye(m) + scaled if sigma is not None and lam == 0 else expm(scaled)
     return Cells(pieces, jump, gen, lengths, ends, prop)
 
 

@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 import numpy as np
 
-from sldl import DeltaNodes, GeneralTriple, StepSigma
+from sldl import DeltaNodes, Distributional, GeneralTriple, StepSigma
 
 _ENTRY = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
 
@@ -68,6 +68,24 @@ def general_triple_models(draw, max_n=2, max_pieces=3):
         Q.append(draw(symmetric_matrices(n, 2.0)))
         R.append(draw(complex_matrices(n, 1.0)))
     return GeneralTriple(n, tuple(cuts), tuple(P), tuple(Q), tuple(R), X)
+
+
+@st.composite
+def distributional_models(draw, max_n=3, max_pieces=3):
+    n = draw(st.integers(1, max_n))
+    pieces = draw(st.integers(1, max_pieces))
+    widths = draw(st.lists(st.floats(0.3, 1.0), min_size=pieces, max_size=pieces))
+    cuts = [0.0]
+    for w in widths[:-1]:
+        cuts.append(cuts[-1] + w)
+    P0, Q0, P1 = [], [], []
+    for _ in range(pieces):
+        a = draw(complex_matrices(n, 1.0))
+        P0.append(a @ a.conj().T + np.eye(n))
+        for seq in (Q0, P1):
+            h = draw(complex_matrices(n, 1.0))
+            seq.append((h + h.conj().T) / 2.0)
+    return Distributional(n, tuple(cuts), tuple(P0), tuple(Q0), tuple(P1), cuts[-1] + widths[-1])
 
 
 def random_symmetric(rng, n, bound):

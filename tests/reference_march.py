@@ -4,7 +4,10 @@ Each function here redoes one march the plain way: one ``np.linalg.solve``
 (in ``inverse_march``, one product with the stored inverse) per lattice
 step, one ``invert`` per kernel row, and one ``np.block`` jump and one
 ``expm`` per continuous cell, in the same float operation order as the
-stacked code. The tests compare with ``np.array_equal`` (``tobytes`` for
+stacked code. ``expm`` and ``piece_system`` are kept here one matrix and
+one piece at a time: the exponential scales, expands and squares a single
+matrix, and each general or distributional piece takes its own ``invert``.
+The tests compare with ``np.array_equal`` (``tobytes`` for
 ``inverse_march``, and ``==`` for the residual float), so any change of
 that order shows.
 
@@ -12,17 +15,29 @@ The kernel and solution-norm integrals are kept in their quadrature form:
 a 7-point Gauss-Legendre rule on every cell, refined by halving the cells
 of general models until two passes agree to a relative tolerance (1e-8,
 the old rule of sldl, by default). The exact cell integrals of sldl are
-compared with it.
+compared with it. ``fixed_t1_term`` redoes the kernel pass in fixed-point
+integer arithmetic with 140 fraction bits (about 42 digits), from the same
+float generators and lengths, as an accuracy reference for t1 terms.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from sldl.bridge import nodes_to_Z
 from sldl.jacobi import blocks_from_delta
-from sldl.matcore import block2n, invert
-from sldl.quasidiff import DeltaNodes, _sigma_of, expm, piece_cuts, piece_index, piece_system
+from sldl.matcore import block2n, frobenius_norm, invert
+from sldl.quasidiff import (
+    DeltaNodes,
+    Distributional,
+    GeneralTriple,
+    SingularPieceError,
+    _cells,
+    _sigma_of,
+    piece_cuts,
+    piece_index,
+)
 
 # ---------------------------------------------------------------------------
 # lattice side
@@ -83,6 +98,61 @@ def t4_term(blocks, n_k, m_k):
 
 # ---------------------------------------------------------------------------
 # continuous side
+
+_PADE6 = [1.0]
+for _k in range(1, 7):
+    _PADE6.append(_PADE6[-1] * (6 - _k + 1) / (_k * (12 - _k + 1)))
+
+
+def expm(a):
+    """Pade(6, 6) exponential of one matrix, scaled so the scaled norm is <= 0.5."""
+    a = np.asarray(a, dtype=complex)
+    m = a.shape[0]
+    if not (a @ a).any():
+        return np.eye(m) + a
+    nrm = frobenius_norm(a)
+    s = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
+    b = a / (2.0 ** s)
+    num = np.eye(m) * _PADE6[0]
+    den = np.eye(m) * _PADE6[0]
+    pw = np.eye(m)
+    for k in range(1, 7):
+        pw = pw @ b
+        num = num + _PADE6[k] * pw
+        den = den + (-1) ** k * _PADE6[k] * pw
+    x = np.linalg.solve(den, num)
+    for _ in range(s):
+        x = x @ x
+    return x
+
+
+def piece_system(model, lam, i):
+    """The 2n x 2n system matrix F - L on piece i, from that piece alone."""
+    n = model.n
+    sigma = _sigma_of(model)
+    if sigma is not None:
+        s = sigma.values[i]
+        f = block2n(s, np.eye(n), -(s @ s), -s)
+    elif isinstance(model, GeneralTriple):
+        p, q, r = model.P[i], model.Q[i], model.R[i]
+        try:
+            pinv = invert(p)
+        except ValueError as exc:
+            raise SingularPieceError(f"P piece {i} not invertible") from exc
+        f = block2n(r, pinv, q, -r.conj().T)
+    else:
+        assert isinstance(model, Distributional)
+        try:
+            pinv = invert(model.P0[i])
+        except ValueError as exc:
+            raise SingularPieceError(f"P0 piece {i} not invertible") from exc
+        phi = model.P1[i] + 1j * model.Q0[i]
+        phs = phi.conj().T
+        f = block2n(pinv @ phi, pinv, -(phs @ pinv @ phi), -(phs @ pinv))
+    if lam != 0:
+        f = f.copy()
+        f[n:, :n] -= lam * np.eye(n)
+    return f
 
 
 def _jump(ds):
@@ -235,3 +305,92 @@ def kernel_square_integrals(model, a, b, rel_tol=QUAD_REL_TOL):
 
 def solution_norm_integral(model, a, b, rel_tol=QUAD_REL_TOL):
     return refined(model, lambda splits: solution_norm_pass(model, a, b, splits), rel_tol)
+
+
+# ---------------------------------------------------------------------------
+# the kernel pass in fixed point: a complex matrix is a pair (re, im) of
+# object arrays of Python ints, each value v held as floor(v * 2**FIXED_BITS)
+
+FIXED_BITS = 140
+_ONE = 1 << FIXED_BITS
+
+
+def _fixed(a):
+    a = np.asarray(a, dtype=complex)
+    exact = np.vectorize(lambda v: math.floor(Fraction(v) * _ONE), otypes=[object])
+    return exact(a.real), exact(a.imag)
+
+
+def _fmul(a, b):
+    (ar, ai), (br, bi) = a, b
+    return (ar @ br - ai @ bi) >> FIXED_BITS, (ar @ bi + ai @ br) >> FIXED_BITS
+
+
+def _fadd(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _fdiv(a, k):
+    return a[0] // k, a[1] // k
+
+
+def _fscale(a, x):
+    """a times the fixed-point scalar x."""
+    return (a[0] * x) >> FIXED_BITS, (a[1] * x) >> FIXED_BITS
+
+
+def _taylor(step, y, bound):
+    """Yield (k, y_k), the Taylor coefficients of y(u) = sum y_k u^k with y' = step(y).
+
+    Stops past the k = ``bound`` (at least the ratio bound 2 ||G L||_F, so
+    the coefficients decay from there on) once a coefficient falls below
+    16 units of the last place.
+    """
+    k = 0
+    while True:
+        yield k, y
+        y = _fdiv(step(y), k + 1)
+        k += 1
+        if k > bound and max(abs(v) for v in (*y[0].flat, *y[1].flat)) < 16:
+            return
+
+
+def fixed_t1_term(model, a, b) -> Fraction:
+    """The t1 term of [a, b] for a general or distributional model, to about 42 digits.
+
+    The kernel pass of sldl in exact integer arithmetic, truncated to
+    FIXED_BITS after each product: on each cell of length L, with G L
+    converted exactly to fixed point and u = s / L, E = exp(G L),
+    W_i = L int_0^1 Y_i du and the triangle L^2 int_0^1 (1 - u) Y_i du with
+    Y_i(u) = E(uL)* e_i e_i^T E(uL), and V_j = L int_0^1 Z_j du with
+    Z_j(u) = E(uL) e_{n+j} e_{n+j}^T E(uL)*, all from Taylor series in u.
+    """
+    n, m = model.n, 2 * model.n
+    cells = _cells(model, 0.0, a, b)
+    zero = _fixed(np.zeros((m, m)))
+    grams, total = [zero] * n, 0
+    for g, length in zip(cells.gen, cells.length):
+        ln = math.floor(Fraction(length) * _ONE)
+        gl = _fscale(_fixed(g), ln)
+        gh = gl[0].T, -gl[1].T
+        bound = 2.0 * float(np.linalg.norm(g)) * length + 2.0
+        e = zero
+        for _, term in _taylor(lambda y: _fmul(gl, y), _fixed(np.eye(m)), bound):
+            e = _fadd(e, term)
+        for i in range(n):
+            w = tri = zero
+            for k, y in _taylor(lambda y: _fadd(_fmul(gh, y), _fmul(y, gl)),
+                                _fixed(np.diag(np.eye(m)[i])), bound):
+                w, tri = _fadd(w, _fdiv(y, k + 1)), _fadd(tri, _fdiv(y, (k + 1) * (k + 2)))
+            w, tri = _fscale(w, ln), _fscale(_fscale(tri, ln), ln)
+            for j, gram in enumerate(grams):
+                total += int(np.sum(w[0] * gram[0].T - w[1] * gram[1].T)) >> FIXED_BITS
+                total += tri[0][n + j, n + j]
+        eh = e[0].T, -e[1].T
+        for j in range(n):
+            v = zero
+            for k, z in _taylor(lambda z: _fadd(_fmul(gl, z), _fmul(z, gh)),
+                                _fixed(np.diag(np.eye(m)[n + j])), bound):
+                v = _fadd(v, _fdiv(z, k + 1))
+            grams[j] = _fadd(_fmul(_fmul(e, grams[j]), eh), _fscale(v, ln))
+    return Fraction(math.isqrt(total << FIXED_BITS), _ONE)

@@ -20,7 +20,7 @@ from sldl.bridge import CRITERIA, ClassifyConfig, classify_detailed
 from sldl.cli import build_parser, canonical_json, run, validate_report
 from sldl.jacobi import blocks_from_delta, blocks_to_json, christ_stolz_family
 from sldl.matcore import matrix_to_json
-from sldl.quasidiff import StepSigma, model_to_json
+from sldl.quasidiff import GeneralTriple, StepSigma, model_to_json
 
 FREE_MODEL = {"n": 1, "X": 100.0, "variant": "step_sigma",
               "cuts": [0.0], "values": [[[0.0]]]}
@@ -589,6 +589,42 @@ def test_marches_that_overflow_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["criterion", "cor2", "--d", "const:1e150", "--n", "2", "--channel", "offdiag:1,2"], None),
+    (["criterion", "cor1", "--channel", "diag:1"],
+     {"lengths": [1e150, 2.0], "jumps": [[[1.0]], [[1.0]]]}),
+], ids=["cor2-offdiag", "cor1-diag"])
+def test_jump_series_powers_that_overflow_exit_2(capsys, tmp_path, argv, data):
+    # Python's ** raised OverflowError here: a traceback and exit status 1
+    if data is not None:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        argv = argv + ["--data", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the jump series leaves the float range at term 1\n"
+
+
+def test_t1_over_a_singular_piece_exits_2_with_one_line(capsys, tmp_path):
+    # P pieces [I, B, I] with B of condition 1e10, whose inverse fails the residual check
+    q, _ = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    z = np.zeros((2, 2))
+    model = GeneralTriple(2, (0.0, 1.0, 2.0), (np.eye(2), q @ np.diag([1.0, 1e-10]) @ q.T,
+                                               np.eye(2)), (z,) * 3, (z,) * 3, 3.0)
+    path, intervals = tmp_path / "model.json", tmp_path / "intervals.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    intervals.write_text(json.dumps([[2.0, 3.0]]))
+    code, doc = run_json(capsys, ["criterion", "t1", "--model", str(path),
+                                  "--intervals", f"file:{intervals}"])
+    assert code == 0
+    assert doc["result"]["reports"][0]["terms"] == [0.40824829046386324]
+    assert run(["criterion", "t1", "--model", str(path), "--intervals", "unit:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: P piece 1 not invertible\n"
 
 
 @pytest.mark.parametrize("argv, criterion, term", [

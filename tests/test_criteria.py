@@ -32,8 +32,13 @@ from sldl import (
     t2_predicate,
     t5_series,
 )
-from sldl.matcore import ShapeMismatchError
-from sldl.quasidiff import OffGridError, VariantUnsupportedError
+from sldl.matcore import ShapeMismatchError, SingularMatrixError, invert, matrix_to_json
+from sldl.quasidiff import (
+    OffGridError,
+    SingularPieceError,
+    VariantUnsupportedError,
+    model_from_json,
+)
 from sldl.reports import CONVERGES, DIVERGES, INCONCLUSIVE
 
 FREE = StepSigma(1, (0.0,), (np.zeros((1, 1)),), 200.0)
@@ -305,6 +310,79 @@ def test_exact_cell_integrals_match_the_refined_rule(kind, n):
         got = solution_norm_integral(model, a, b)
         want = reference_march.solution_norm_integral(model, a, b, rel_tol=1e-12)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _digest_general(seed, n, pieces):
+    """A seeded general triple, built as ``scripts/cli_digest.py`` builds general20.
+
+    Seed 20, n = 2 and 20 pieces give general20 itself.
+    """
+    rng = np.random.default_rng(seed)
+    cplx = lambda b: rng.uniform(-b, b, (pieces, n, n)) + 1j * rng.uniform(-b, b, (pieces, n, n))
+    adj = lambda m: m.conj().transpose(0, 2, 1)
+    widths, p, q = rng.uniform(0.8, 1.2, pieces), cplx(0.5), cplx(1.0)
+    return model_from_json({"n": n, "X": float(np.sum(widths)), "variant": "general_triple",
+                            "cuts": [0.0, *np.cumsum(widths[:-1]).tolist()],
+                            "P": [matrix_to_json(m) for m in p @ adj(p) + np.eye(n)],
+                            "Q": [matrix_to_json(m) for m in q + adj(q)],
+                            "R": [matrix_to_json(m) for m in cplx(0.5)]})
+
+
+# the digest's distributional.json
+DIGEST_DISTRIBUTIONAL = model_from_json({
+    "n": 1, "X": 3.0, "variant": "distributional", "cuts": [0.0, 1.0, 2.0],
+    "P0": [[[1.0]], [[1.5]], [[1.0]]], "Q0": [[[0.0]], [[0.5]], [[-0.5]]],
+    "P1": [[[0.0]], [[0.25]], [[0.0]]]})
+
+# the largest relative error of a term against the fixed-point reference, as
+# measured with the fused Van Loan block (one exponential of order 2m + 3mn
+# per cell) that the split blocks replaced
+FUSED_MAX_ERROR = {"general20": 1.9133e-15, "distributional": 1.1229e-15, "general n=3": 2.1671e-15}
+
+
+@pytest.mark.parametrize("name, model, count", [
+    ("general20", _digest_general(20, 2, 20), 16),
+    ("distributional", DIGEST_DISTRIBUTIONAL, 3),
+    ("general n=3", _digest_general(3, 3, 6), 5),
+], ids=["general20", "distributional", "general-n3"])
+def test_t1_terms_match_the_fixed_point_reference(name, model, count):
+    intervals = IntervalSeq.unit(count)
+    errors = []
+    for term, (a, b) in zip(t1_series(model, intervals).terms, intervals.intervals):
+        want = reference_march.fixed_t1_term(model, a, b)
+        errors.append(float(abs(Fraction(term) - want) / want))
+    assert max(errors) <= 2e-15
+    assert max(errors) <= FUSED_MAX_ERROR[name]
+
+
+def test_fixed_point_reference_gives_the_free_closed_form():
+    # P = I, Q = R = 0 at n = 2: the double integral of a unit interval is 2 / 12
+    z = np.zeros((2, 2))
+    free = GeneralTriple(2, (0.0,), (np.eye(2),), (z,), (z,), 1.0)
+    assert abs(reference_march.fixed_t1_term(free, 0.0, 1.0) ** 2 - Fraction(1, 6)) < 1e-40
+
+
+def singular_middle_piece():
+    """P pieces [I, B, I] on unit pieces, Q = R = 0 at n = 2, B real symmetric with condition 1e10.
+
+    B passes the condition check at construction; its inverse fails the
+    residual check, so only marches over piece 1 may fail.
+    """
+    q, _ = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    b = q @ np.diag([1.0, 1e-10]) @ q.T
+    z = np.zeros((2, 2))
+    return GeneralTriple(2, (0.0, 1.0, 2.0), (np.eye(2), b, np.eye(2)), (z,) * 3, (z,) * 3, 3.0)
+
+
+def test_a_singular_piece_fails_only_the_marches_that_reach_it():
+    model = singular_middle_piece()
+    with pytest.raises(SingularMatrixError):
+        invert(model.P[1])
+    assert model.failed_inverses.tolist() == [False, True, False]
+    assert t1_series(model, IntervalSeq(((2.0, 3.0),))).terms == (0.40824829046386324,)
+    for interval in ((0.5, 1.5), (1.0, 2.0), (0.0, 3.0)):
+        with pytest.raises(SingularPieceError, match="^P piece 1 not invertible$"):
+            t1_series(model, IntervalSeq((interval,)))
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.0, 1.0), (0.0, 3.0), (2.0, 9.5),

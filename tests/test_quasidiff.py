@@ -6,7 +6,7 @@ import reference_march
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import delta_models, general_triple_models, step_sigma_models
+from conftest import delta_models, distributional_models, general_triple_models, step_sigma_models
 from oracle_poly import AdmissiblePoly, pairing_integral
 from sldl import (
     DeltaNodes,
@@ -27,11 +27,13 @@ from sldl.matcore import frobenius_norm
 from sldl.quasidiff import (
     OffGridError,
     VariantUnsupportedError,
+    _cells,
     expm,
     kernel_direct,
     model_from_json,
     model_to_json,
     piece_cuts,
+    piece_system,
     transfer,
     wronskian_residual,
 )
@@ -145,6 +147,33 @@ def test_expm_matches_taylor_reference():
 def test_expm_nilpotent_is_exactly_linear():
     a = np.array([[0.0, 3.0], [0.0, 0.0]], dtype=complex)
     assert np.array_equal(expm(a), np.eye(2) + a)
+
+
+@st.composite
+def expm_stacks(draw):
+    """0-8 matrices of one order 1-18, norms 1e-3 to 1e3, index-2 nilpotent ones mixed in."""
+    m, count = draw(st.integers(1, 18)), draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+    for c in range(count):
+        if draw(st.booleans()):  # [[O, B], [O, O]]; the zero matrix at order 1
+            stack[c, :, :m - m // 2] = stack[c, m // 2:] = 0.0
+        norm = frobenius_norm(stack[c])
+        if norm > 0:
+            stack[c] *= 10.0 ** draw(st.floats(-3.0, 3.0)) / norm
+    return stack
+
+
+@given(expm_stacks())
+@settings(max_examples=60, deadline=None)
+def test_stacked_expm_equals_the_one_matrix_exponentials_bit_for_bit(stack):
+    with np.errstate(over="ignore", invalid="ignore"):  # norms near 1e3 overflow, alike
+        got = expm(stack)
+        single = np.array([expm(a) for a in stack], dtype=complex).reshape(stack.shape)
+        reference = np.array([reference_march.expm(a) for a in stack],
+                             dtype=complex).reshape(stack.shape)
+    assert same_bits(got, single)
+    assert same_bits(got, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +345,33 @@ def test_pair_and_transfer_equal_the_per_cell_march(model, data, lam):
     assert same_bits(stacked_samples(pair), reference_march.fundamental_samples(model, lam, grid))
     assert same_bits(transfer(model, lam, x0, model.X), reference_march.transfer(model, lam, x0, model.X))
     assert same_bits(transfer(model, lam, 0.0, x0), reference_march.transfer(model, lam, 0.0, x0))
+
+
+_PIECE_MODELS = st.one_of(general_triple_models(max_n=3), distributional_models())
+
+
+@given(_PIECE_MODELS, st.sampled_from([0.0, 0.5, 0.25 - 1.5j]))
+@settings(max_examples=40, deadline=None)
+def test_generator_stack_equals_the_per_piece_systems(model, lam):
+    pieces = range(len(model.cuts))
+    want = np.array([reference_march.piece_system(model, lam, i) for i in pieces])
+    assert same_bits(np.array([piece_system(model, lam, i) for i in pieces]), want)
+    if lam == 0:
+        assert same_bits(model.generators, want)
+        assert not model.failed_inverses.any()
+
+
+@given(_PIECE_MODELS, st.data(), st.sampled_from([0.0, 0.5]))
+@settings(max_examples=40, deadline=None)
+def test_cells_equal_the_per_cell_reference(model, data, lam):
+    grid, x0 = data.draw(grids_off_the_cuts(model))
+    cells = _cells(model, lam, x0, model.X, stops=grid)
+    piece, jump, gen, length, end = zip(*reference_march.cells(model, lam, x0, model.X, grid))
+    assert (cells.piece, cells.length, cells.end) == (list(piece), list(length), list(end))
+    assert cells.jump == list(jump) == [None] * len(piece)
+    assert same_bits(cells.gen, np.array(gen))
+    want = [reference_march.expm(g * s) for g, s in zip(gen, length)]
+    assert same_bits(cells.prop, np.array(want))
 
 
 def test_general_triple_pair_equals_the_per_cell_march():
