@@ -10,10 +10,9 @@ Coefficients are piecewise constant, so propagation across a piece is an
 exact matrix exponential. One cell walker, ``_cells``, enumerates pieces
 and picks the working coordinates for transfer matrices, kernel integrals
 and node samples: classical (f, f') with free flights and jumps of f' for
-step and delta models, (f, f1) with the piece generator otherwise, built
-once per model. It stacks each cell's jump and propagator up front, the
-propagators from one stacked ``expm`` call where they have no closed form,
-so a march is a loop of small matrix products.
+step and delta models, (f, f1) with the piece generator otherwise. It
+stacks each cell's jump and propagator up front (closed forms, or one
+stacked ``expm`` call), so a march is a loop of small matrix products.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -338,7 +337,8 @@ def expm(a) -> np.ndarray:
                   for v in frobenius_norm(stack)[live].tolist()], dtype=int)
     order = np.argsort(-s, kind="stable")  # the matrices of the r-th squaring lead
     live, s = live[order], s[order]
-    b = stack[live] / (2.0 ** s)[:, None, None]
+    # Python's 2.0 ** e, which raises past the float range as one matrix at a time did
+    b = stack[live] / np.array([2.0 ** e for e in s.tolist()]).reshape(-1, 1, 1)
     num = den = np.eye(m) * _PADE6[0]
     pw = np.eye(m)
     for k in range(1, 7):
