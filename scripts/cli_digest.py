@@ -36,11 +36,12 @@ DISTRIBUTIONAL = {"n": 1, "X": 3.0, "variant": "distributional", "cuts": [0.0, 1
                   "P1": [[[0.0]], [[0.25]], [[0.0]]]}
 STIFF = {"n": 1, "X": 1.0, "variant": "general_triple", "cuts": [0.0],
          "P": [[[1.0]]], "Q": [[[1e6]]], "R": [[[0.0]]]}
+HUGE_Q = {**STIFF, "Q": [[[4e307]]]}  # the exponential's scaling would pass 2^1023
 FIXTURES = {
     "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
     "nocuts.json": {k: v for k, v in FREE.items() if k != "cuts"},
     "linear.json": LINEAR, "general.json": GENERAL,
-    "distributional.json": DISTRIBUTIONAL, "stiff.json": STIFF,
+    "distributional.json": DISTRIBUTIONAL, "stiff.json": STIFF, "huge-q.json": HUGE_Q,
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
                 "jumps": [[[0.5]], [[-1.0]]]},
@@ -75,6 +76,7 @@ INVOCATIONS = [
     "jacobi build --d const:1 --count 14 -o built.json",
     "classify --blocks built.json --segments 1-5,6-10",
     "classify --blocks illcond.json --segments 1-5,6-10",
+    "classify --blocks illcond-b7.json --segments 1-5,6-10",
     "classify",
     "classify --model free.json --blocks built.json",
     "classify --gallery nope",
@@ -93,6 +95,7 @@ INVOCATIONS = [
     "criterion t1 --model free.json --intervals unit:20",
     "criterion t1 --model free.json --intervals file:intervals.json --threshold 0.1",
     "criterion t1 --model stiff.json --intervals unit:1",
+    "criterion t1 --model huge-q.json --intervals unit:1",
     "criterion t1 --model general20.json --intervals unit:16",
     "criterion t1 --model distributional.json --intervals unit:3",
     "criterion t1 --model delta2.json --intervals unit:12",
@@ -116,6 +119,7 @@ INVOCATIONS = [
     "criterion cor2 --d bogus:1 --channel diag:1",
     "criterion cor2 --d power:1000 --channel diag:1",
     "criterion cor2 --d const:1e150 --n 2 --channel offdiag:1,2",
+    "criterion cor2 --d const:1e200 --n 2 --channel offdiag:1,2",
     "criterion cor2 --d const:1 --H bogus --channel diag:1",
     "criterion bogus",
     # jacobi
@@ -224,11 +228,14 @@ def main() -> None:
 
     # the christ-stolz delta model on 2000 nodes, built as the gallery builds it
     d, H = christ_stolz_family(2001)
-    # n = 2 lattice blocks whose B_0 has condition 1e7 (its inverse fails the
-    # residual check, which only the blocks a kernel inverts must pass)
+    # n = 2 lattice blocks whose B_0 has condition 1e7, and blocks without
+    # provenance whose B_7, inside the t4 segment 6-10, has condition 1e7
     q, _ = np.linalg.qr(np.arange(1.0, 5.0).reshape(2, 2) + 1j * np.array([[1.0, -2.0], [0.5, 1.0]]))
     illcond = blocks_to_json(blocks_from_delta([1.0] * 14, np.zeros((13, 2, 2))))
     illcond["B"][0] = matrix_to_json((q * np.array([1.0, 1e7])) @ q.conj().T)
+    illcond_b7 = blocks_to_json(blocks_from_delta([1.0] * 14, np.zeros((13, 2, 2))))
+    del illcond_b7["provenance"]
+    illcond_b7["B"][7] = illcond["B"][0]
     # blocks that are not the lattice of their provenance: B_k = -2^k I under
     # unit spacings, and free blocks A_k = 0, B_k = -I under the christ-stolz lattice
     growing = blocks_to_json(blocks_from_delta([1.0] * 42, np.zeros((41, 1, 1))))
@@ -246,7 +253,8 @@ def main() -> None:
                  "P": [matrix_to_json(m) for m in p @ adj(p) + np.eye(2)],
                  "Q": [matrix_to_json(m) for m in q + adj(q)],
                  "R": [matrix_to_json(m) for m in cplx(0.5)]}
-    fixtures = {**FIXTURES, "illcond.json": illcond, "general20.json": general20,
+    fixtures = {**FIXTURES, "illcond.json": illcond, "illcond-b7.json": illcond_b7,
+                "general20.json": general20,
                 "growing.json": growing, "free-cs.json": free_cs,
                 "christ-stolz-2000.json": model_to_json(
                     DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}

@@ -322,11 +322,16 @@ def _jump_list(jumps, count: int) -> np.ndarray:
 
 
 def _power(base: float, exponent: float, term: int) -> float:
-    """Python's base ** exponent in jump-series term ``term`` (1-based), in the float range."""
-    try:
-        return base ** exponent
-    except OverflowError:
-        raise ValueError(f"the jump series leaves the float range at term {term}") from None
+    """Python's base ** exponent in jump-series term ``term`` (1-based), in the float range.
+
+    An infinite base, a product that has left the range already, fails like an overflowing power.
+    """
+    if base != math.inf:
+        try:
+            return base ** exponent
+        except OverflowError:
+            pass
+    raise ValueError(f"the jump series leaves the float range at term {term}")
 
 
 def _jump_term(channel, h: np.ndarray, rho: float, s: float, term: int) -> float:

@@ -41,16 +41,13 @@ from .matcore import (
     HERMITIAN_TOL,
     NonSymmetricError,
     ShapeMismatchError,
-    SingularMatrixError,
     as_stack,
     condition,
     frobenius_norm,
-    invert,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
     real_symmetric,
-    refined_inverse,
 )
 from .reports import (
     CONVERGES,
@@ -154,19 +151,14 @@ class JacobiBlocks:
         object.__setattr__(self, "B", B)
 
     @cached_property
-    def _inverses(self) -> tuple[np.ndarray, np.ndarray]:
-        """``refined_inverse`` of the B stack: the inverses, read-only, and its failure mask.
+    def B_inv(self) -> np.ndarray:
+        """Read-only stack of the inverses B_k^-1, stored like B, built on first use.
 
         The condition of every B_k was checked on construction.
         """
-        inv, failed = refined_inverse(self.B)
+        inv = np.linalg.inv(self.B)
         inv.flags.writeable = False
-        return inv, failed
-
-    @property
-    def B_inv(self) -> np.ndarray:
-        """Read-only stack of the inverses B_k^-1, stored like B, built on first use."""
-        return self._inverses[0]
+        return inv
 
     @cached_property
     def B_star(self) -> np.ndarray:
@@ -174,18 +166,6 @@ class JacobiBlocks:
         adj = self.B.conj()
         adj.flags.writeable = False
         return np.swapaxes(adj, -1, -2)
-
-    def A_at(self, k: int) -> np.ndarray:
-        i = k - self.offset
-        if not 0 <= i < len(self.A):
-            raise IndexOutOfRangeError(f"A_{k} not stored")
-        return self.A[i]
-
-    def B_at(self, k: int) -> np.ndarray:
-        i = k - self.offset
-        if not 0 <= i < len(self.B):
-            raise IndexOutOfRangeError(f"B_{k} not stored")
-        return self.B[i]
 
     def _stored(self, lo: int, hi: int) -> slice:
         """Storage slice of the recurrence indices lo .. hi - 1.
@@ -202,18 +182,6 @@ class JacobiBlocks:
             k, name = (first_a, "A") if first_a <= first_b else (first_b, "B")
             raise IndexOutOfRangeError(f"{name}_{k} not stored")
         return slice(lo - self.offset, hi - self.offset)
-
-    def checked_inverses(self, lo: int, hi: int) -> np.ndarray:
-        """B_k^-1 for k = lo .. hi - 1, a slice of B_inv, range-checked by ``_stored``.
-
-        Raises SingularMatrixError, as ``invert`` does, if one of them fails
-        the residual check of ``refined_inverse``.
-        """
-        s = self._stored(lo, hi)
-        inv, failed = self._inverses
-        if np.any(failed[s]):
-            raise SingularMatrixError("inverse residual too large")
-        return inv[s]
 
 
 def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
@@ -236,7 +204,6 @@ def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
         default = True
     else:
         a0, b0 = real_symmetric(as_stack(boundary, n), "boundary blocks")
-        invert(b0)
         default = False
     # r_{k+1}^2 = d_k + d_{k+1}; one square root per r_{k+1} r_{k+2} keeps
     # integer-valued products exact (d == 1 gives exactly 2.0)
@@ -295,8 +262,7 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike.
     Raises IndexOutOfRangeError before the first step if a block is not
     stored, and ValueError naming the first step whose state leaves the
-    float range. Like a per-step solve, the march takes each B_m^-1 as
-    stored, without the residual check of ``JacobiBlocks.checked_inverses``.
+    float range.
     """
     prev, cur = np.asarray(prev, dtype=complex), np.asarray(cur, dtype=complex)
     if start >= stop:
@@ -351,7 +317,7 @@ def discrete_cauchy(blocks: JacobiBlocks, i: int, j: int) -> np.ndarray:
     n = blocks.n
     if i == j:
         return np.zeros((n, n), dtype=complex)
-    first = blocks.checked_inverses(j, j + 1)[0].copy()
+    first = blocks.B_inv[blocks._stored(j, j + 1)][0].copy()
     if i == j + 1:
         return first
     return _march(blocks, np.zeros((n, n), dtype=complex), first, j + 1, i)[-1]
@@ -369,8 +335,8 @@ def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
     if n_k < 1 or m_k < n_k:
         raise IndexOutOfRangeError("need 1 <= n_k <= m_k")
     n = blocks.n
-    inverses = blocks.checked_inverses(n_k, m_k)
     s = blocks._stored(n_k, m_k)  # row i + 1 > n_k + 1 steps with A_i, B_i^-1, B*_{i-1}
+    inverses = blocks.B_inv[s]
     eye = np.eye(2 * n)
     gram = np.zeros((2 * n, 2 * n), dtype=complex)
     total = 0.0

@@ -99,38 +99,17 @@ def condition(m):
 
 
 def invert(m) -> np.ndarray:
-    """Inverse with a condition guard, of a matrix or of every matrix of a stack.
+    """Inverse of a matrix, or of every matrix of a stack, under the one condition rule.
 
     Raises SingularMatrixError when a condition estimate exceeds
-    COND_LIMIT, or when ``refined_inverse`` reports a residual failure.
+    COND_LIMIT; otherwise one batched ``np.linalg.inv``, whose residual is
+    of order eps times the condition estimate.
     """
     m = np.asarray(m, dtype=complex)
     cond = condition(m)
     if not np.all(cond <= COND_LIMIT):
         raise SingularMatrixError(f"condition estimate {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}")
-    inv, failed = refined_inverse(m)
-    if np.any(failed):
-        raise SingularMatrixError("inverse residual too large")
-    return inv
-
-
-def refined_inverse(m) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of a matrix, or of a stack, whose condition the caller has checked.
-
-    One batched ``np.linalg.inv``; each matrix whose residual
-    ||M @ inv - I||_F exceeds 1e-10 * n takes one Newton refinement step.
-    Returns the inverse and the mask (a bool array of the stack's shape)
-    of the matrices whose residual stays above that bound.
-    """
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[-1]
-    inv = np.linalg.inv(m)
-    eye = np.eye(n)
-    failed = frobenius_norm(m @ inv - eye) > 1e-10 * n
-    if np.any(failed):
-        inv[failed] = inv[failed] @ (2.0 * eye - m[failed] @ inv[failed])
-        failed = frobenius_norm(m @ inv - eye) > 1e-10 * n
-    return inv, failed
+    return np.linalg.inv(m)
 
 
 def is_hermitian(m, tol: float = 0.0) -> bool:

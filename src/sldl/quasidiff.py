@@ -40,7 +40,6 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     real_symmetric,
-    refined_inverse,
 )
 
 
@@ -155,8 +154,7 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
     be Hermitian and the first, the leading coefficient, invertible (a
     finite condition estimate at most COND_LIMIT, as in ``invert``).
     ``generators`` is the lam = 0 generator stack ``model._system`` builds
-    from the leading pieces' inverses, ``failed_inverses`` the mask of the
-    pieces whose inverse failed the residual check, which a march reports.
+    from the leading pieces' inverses.
     """
     object.__setattr__(model, "cuts", _check_cuts(model.cuts, model.X))
     for name in names:
@@ -169,9 +167,8 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
             raise SingularPieceError(f"{name} pieces must be invertible")
         object.__setattr__(model, name, seq)
     object.__setattr__(model, "X", float(model.X))
-    inv, failed = refined_inverse(getattr(model, names[0]))
+    inv = np.linalg.inv(getattr(model, names[0]))
     object.__setattr__(model, "generators", model._system(inv))
-    object.__setattr__(model, "failed_inverses", failed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +182,6 @@ class GeneralTriple:
     R: np.ndarray
     X: float
     generators: np.ndarray = field(init=False, repr=False)
-    failed_inverses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _freeze_pieces(self, ("P", "Q", "R"), hermitian=("P", "Q"))
@@ -209,7 +205,6 @@ class Distributional:
     P1: np.ndarray
     X: float
     generators: np.ndarray = field(init=False, repr=False)
-    failed_inverses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         names = ("P0", "Q0", "P1")
@@ -280,14 +275,7 @@ def piece_index(model, x: float) -> int:
 
 
 def _piece_generators(model, lam: complex, pieces: list[int]) -> np.ndarray:
-    """Stack of the system matrices F - L of the listed pieces of a general or distributional model.
-
-    Raises SingularPieceError for the first of them whose leading inverse failed.
-    """
-    failed = model.failed_inverses[pieces]
-    if failed.any():
-        lead = "P0" if isinstance(model, Distributional) else "P"
-        raise SingularPieceError(f"{lead} piece {pieces[failed.argmax()]} not invertible")
+    """Stacked system matrices F - L of the listed pieces of a general or distributional model."""
     gen, n = model.generators[pieces], model.n
     if lam != 0:
         gen[:, n:, :n] -= lam * np.eye(n)
@@ -321,6 +309,14 @@ for _k in range(1, 7):
     _PADE6.append(_PADE6[-1] * (6 - _k + 1) / (_k * (12 - _k + 1)))
 
 
+def _scaling_exponent(norm: float) -> int:
+    """s = ceil(log2(norm / 0.5)), or 0 for norm <= 0.5; ValueError where 2.0 ** s would overflow."""
+    e = 0.0 if norm <= 0.5 else math.log2(norm / 0.5)
+    if not e <= 1023.0:  # inf and NaN too
+        raise ValueError(f"the matrix exponential cannot scale a norm of {norm:.3e}")
+    return math.ceil(e)
+
+
 def expm(a) -> np.ndarray:
     """Matrix exponential of a matrix, or of every matrix of a stack on the trailing two axes.
 
@@ -333,11 +329,9 @@ def expm(a) -> np.ndarray:
     m, stack = a.shape[-1], a.reshape((-1,) + a.shape[-2:])
     out = np.eye(m) + stack
     live = np.flatnonzero((stack @ stack).any(axis=(1, 2)))
-    s = np.array([0 if v <= 0.5 else int(math.ceil(math.log2(v / 0.5)))
-                  for v in frobenius_norm(stack)[live].tolist()], dtype=int)
+    s = np.array([_scaling_exponent(v) for v in frobenius_norm(stack)[live].tolist()], dtype=int)
     order = np.argsort(-s, kind="stable")  # the matrices of the r-th squaring lead
     live, s = live[order], s[order]
-    # Python's 2.0 ** e, which raises past the float range as one matrix at a time did
     b = stack[live] / np.array([2.0 ** e for e in s.tolist()]).reshape(-1, 1, 1)
     num = den = np.eye(m) * _PADE6[0]
     pw = np.eye(m)
@@ -610,13 +604,6 @@ def cauchy_kernel(pair: FundamentalPair, x: float, t: float) -> np.ndarray:
     kt = _grid_index(pair, t)
     return (pair.psi[kx] @ pair.phi[kt].conj().T
             - pair.phi[kx] @ pair.psi[kt].conj().T)
-
-
-def kernel_direct(model, t: float, x: float, lam: complex = 0.0) -> np.ndarray:
-    """K(x, t) by direct propagation of the data (O, I) from t to x >= t."""
-    m = transfer(model, lam, t, x)
-    n = model.n
-    return m[:n, n:]
 
 
 def green_form(u: QuasiState, v: QuasiState) -> complex:

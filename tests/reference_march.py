@@ -32,7 +32,6 @@ from sldl.quasidiff import (
     DeltaNodes,
     Distributional,
     GeneralTriple,
-    SingularPieceError,
     _cells,
     _sigma_of,
     piece_cuts,
@@ -47,8 +46,8 @@ def march(blocks, prev, cur, start, stop):
     """u_{m+1} = -solve(B_m, A_m u_m + B*_{m-1} u_{m-1}) for m = start .. stop - 1."""
     out = []
     for m in range(start, stop):
-        rhs = blocks.A_at(m) @ cur + blocks.B_at(m - 1).conj().T @ prev
-        prev, cur = cur, -np.linalg.solve(blocks.B_at(m), rhs)
+        rhs = blocks.A[m - blocks.offset] @ cur + blocks.B[m - 1 - blocks.offset].conj().T @ prev
+        prev, cur = cur, -np.linalg.solve(blocks.B[m - blocks.offset], rhs)
         out.append(cur)
     return out
 
@@ -61,7 +60,7 @@ def inverse_march(blocks, prev, cur, start, stop):
     """
     out = []
     for m in range(start, stop):
-        rhs = blocks.A_at(m) @ cur + blocks.B_star[m - 1 - blocks.offset] @ prev
+        rhs = blocks.A[m - blocks.offset] @ cur + blocks.B_star[m - 1 - blocks.offset] @ prev
         prev, cur = cur, -(blocks.B_inv[m - blocks.offset] @ rhs)
         out.append(cur)
     return out
@@ -76,8 +75,9 @@ def discrete_cauchy(blocks, i, j, march=march):
     n = blocks.n
     if i == j:
         return np.zeros((n, n), dtype=complex)
-    steps = march(blocks, np.zeros((n, n), dtype=complex), invert(blocks.B_at(j)), j + 1, i)
-    return steps[-1] if steps else invert(blocks.B_at(j))
+    first = invert(blocks.B[j - blocks.offset])
+    steps = march(blocks, np.zeros((n, n), dtype=complex), first, j + 1, i)
+    return steps[-1] if steps else first
 
 
 def t4_term(blocks, n_k, m_k):
@@ -90,7 +90,7 @@ def t4_term(blocks, n_k, m_k):
             (top,) = march(blocks, eye[n:], eye[:n], i, i + 1)
             step = np.vstack([top, eye[:n]])
             gram = step @ gram @ step.conj().T
-        binv = invert(blocks.B_at(i))
+        binv = invert(blocks.B[i - blocks.offset])
         gram[:n, :n] += binv @ binv.conj().T
         total += float(np.trace(gram[:n, :n]).real)
     return math.sqrt(total)
@@ -135,17 +135,11 @@ def piece_system(model, lam, i):
         f = block2n(s, np.eye(n), -(s @ s), -s)
     elif isinstance(model, GeneralTriple):
         p, q, r = model.P[i], model.Q[i], model.R[i]
-        try:
-            pinv = invert(p)
-        except ValueError as exc:
-            raise SingularPieceError(f"P piece {i} not invertible") from exc
+        pinv = invert(p)
         f = block2n(r, pinv, q, -r.conj().T)
     else:
         assert isinstance(model, Distributional)
-        try:
-            pinv = invert(model.P0[i])
-        except ValueError as exc:
-            raise SingularPieceError(f"P0 piece {i} not invertible") from exc
+        pinv = invert(model.P0[i])
         phi = model.P1[i] + 1j * model.Q0[i]
         phs = phi.conj().T
         f = block2n(pinv @ phi, pinv, -(phs @ pinv @ phi), -(phs @ pinv))
@@ -230,8 +224,8 @@ def equivalence_residual(model, count, seed_state):
     blocks = blocks_from_delta(model.spacings, model.jumps)
     worst = 0.0
     for k in range(2, count + 2):
-        parts = (blocks.B_at(k) @ u[k + 1], blocks.A_at(k) @ u[k],
-                 blocks.B_at(k - 1).conj().T @ u[k - 1])
+        parts = (blocks.B[k - blocks.offset] @ u[k + 1], blocks.A[k - blocks.offset] @ u[k],
+                 blocks.B[k - 1 - blocks.offset].conj().T @ u[k - 1])
         scale = max(1.0, *(float(np.linalg.norm(p)) for p in parts))
         worst = max(worst, float(np.linalg.norm(parts[0] + parts[1] + parts[2])) / scale)
     return worst

@@ -20,6 +20,7 @@ from sldl.bridge import CRITERIA, ClassifyConfig, classify_detailed
 from sldl.cli import build_parser, canonical_json, run, validate_report
 from sldl.jacobi import blocks_from_delta, blocks_to_json, christ_stolz_family
 from sldl.matcore import matrix_to_json
+from sldl.criteria import IntervalSeq, t1_series
 from sldl.quasidiff import GeneralTriple, StepSigma, model_to_json
 
 FREE_MODEL = {"n": 1, "X": 100.0, "variant": "step_sigma",
@@ -190,7 +191,7 @@ def test_classify_accepts_built_blocks_envelope(capsys, tmp_path):
 
 
 def test_classify_blocks_with_an_ill_conditioned_boundary_block(capsys, tmp_path):
-    # B_0 (condition 1e7) fails the inverse residual check; t4 never inverts it
+    # B_0 (condition 1e7) passes the one condition rule; t4 never inverts it
     blocks = blocks_from_delta([1.0] * 14, np.zeros((13, 2, 2)))
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
@@ -595,9 +596,11 @@ def test_marches_that_overflow_exit_2(capsys, argv, message):
     (["criterion", "cor2", "--d", "const:1e150", "--n", "2", "--channel", "offdiag:1,2"], None),
     (["criterion", "cor1", "--channel", "diag:1"],
      {"lengths": [1e150, 2.0], "jumps": [[[1.0]], [[1.0]]]}),
-], ids=["cor2-offdiag", "cor1-diag"])
+    (["criterion", "cor2", "--d", "const:1e200", "--n", "2", "--channel", "offdiag:1,2"], None),
+], ids=["cor2-offdiag", "cor1-diag", "cor2-offdiag-infinite-product"])
 def test_jump_series_powers_that_overflow_exit_2(capsys, tmp_path, argv, data):
-    # Python's ** raised OverflowError here: a traceback and exit status 1
+    # Python's ** raised OverflowError here: a traceback and exit status 1;
+    # a product rho * s past the float range gave inf ** 1.5 * 0, NaN terms
     if data is not None:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
@@ -608,8 +611,8 @@ def test_jump_series_powers_that_overflow_exit_2(capsys, tmp_path, argv, data):
     assert captured.err == "error: the jump series leaves the float range at term 1\n"
 
 
-def test_t1_over_a_singular_piece_exits_2_with_one_line(capsys, tmp_path):
-    # P pieces [I, B, I] with B of condition 1e10, whose inverse fails the residual check
+def test_t1_over_an_ill_conditioned_piece_exits_0_with_finite_terms(capsys, tmp_path):
+    # P pieces [I, B, I] with B of condition 1e10, which passes the one condition rule
     q, _ = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 4.0]]))
     z = np.zeros((2, 2))
     model = GeneralTriple(2, (0.0, 1.0, 2.0), (np.eye(2), q @ np.diag([1.0, 1e-10]) @ q.T,
@@ -621,10 +624,28 @@ def test_t1_over_a_singular_piece_exits_2_with_one_line(capsys, tmp_path):
                                   "--intervals", f"file:{intervals}"])
     assert code == 0
     assert doc["result"]["reports"][0]["terms"] == [0.40824829046386324]
-    assert run(["criterion", "t1", "--model", str(path), "--intervals", "unit:2"]) == 2
+    code, doc = run_json(capsys, ["criterion", "t1", "--model", str(path), "--intervals", "unit:2"])
+    assert code == 0
+    terms = doc["result"]["reports"][0]["terms"]
+    assert terms == list(t1_series(model, IntervalSeq.unit(2)).terms)
+    assert all(math.isfinite(t) for t in terms) and terms[1] > 1e9
+
+
+@pytest.mark.parametrize("q, message", [
+    (4e307, "the matrix exponential cannot scale a norm of 6.928e+307"),
+    (1.7e308, "the matrix exponential cannot scale a norm of 1.700e+308"),
+    (1e300, "kernel quadrature overflowed on (0.0, 1.0)"),
+])
+def test_t1_with_a_huge_potential_exits_2_with_one_line(capsys, tmp_path, q, message):
+    # norms from 2^1022 on made the expm scaling factor 2.0 ** s overflow (or
+    # ceil an infinite log2): a traceback and exit status 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n": 1, "X": 1.0, "variant": "general_triple", "cuts": [0.0],
+                                "P": [[[1.0]]], "Q": [[[q]]], "R": [[[0.0]]]}))
+    assert run(["criterion", "t1", "--model", str(path), "--intervals", "unit:1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: P piece 1 not invertible\n"
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, criterion, term", [
