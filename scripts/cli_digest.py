@@ -37,11 +37,16 @@ DISTRIBUTIONAL = {"n": 1, "X": 3.0, "variant": "distributional", "cuts": [0.0, 1
 STIFF = {"n": 1, "X": 1.0, "variant": "general_triple", "cuts": [0.0],
          "P": [[[1.0]]], "Q": [[[1e6]]], "R": [[[0.0]]]}
 HUGE_Q = {**STIFF, "Q": [[[4e307]]]}  # the exponential's scaling would pass 2^1023
+NAN_NODE = {**DELTA, "nodes": [*DELTA["nodes"][:5], {"x": float("nan"), "H": [[1.0]]},
+                               *DELTA["nodes"][6:]]}
+NAN_CUT = {**FREE, "cuts": [0.0, 1.0, float("nan"), 3.0], "values": [[[0.0]]] * 4}
+NAN_KNOT = {**LINEAR, "knots": [0.0, float("nan")]}
 FIXTURES = {
     "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
     "nocuts.json": {k: v for k, v in FREE.items() if k != "cuts"},
     "linear.json": LINEAR, "general.json": GENERAL,
     "distributional.json": DISTRIBUTIONAL, "stiff.json": STIFF, "huge-q.json": HUGE_Q,
+    "nan-node.json": NAN_NODE, "nan-cut.json": NAN_CUT, "nan-knot.json": NAN_KNOT,
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
                 "jumps": [[[0.5]], [[-1.0]]]},
@@ -193,6 +198,12 @@ INVOCATIONS = [
     "gallery run",
     "gallery run nope",
     "",
+    # diagonal jump terms past the float range; a NaN node, cut or knot
+    "criterion cor2 --d const:1e160 --channel diag:1 --count 5",
+    "criterion cor2 --d const:1e-320 --channel diag:1 --count 5",
+    "criterion t1 --model nan-node.json --intervals unit:3",
+    "criterion t1 --model nan-cut.json --intervals unit:3",
+    "classify --model nan-knot.json --intervals unit:20",
 ]
 
 

@@ -9,7 +9,10 @@ built outside the timing, so the time includes the first-use B^-1 stack),
 fires, so every pass runs), ``canonical_json`` of the JSON form of such
 a report with 10^3 to 10^5 floats (terms and partial sums),
 ``fundamental_pair`` and ``equivalence_residual`` on christ-stolz delta
-models, and
+models, ``DeltaNodes.from_spacings`` and ``cor2_series`` (the diagonal
+channel of the order-1 family, and the off-diagonal channel of an order-2
+lattice whose jumps are its jumps times [[1, 1/2], [1/2, 1]]) on 2000 to
+10^5 christ-stolz spacings, and
 ``kernel_square_integrals`` over all cells of seeded n = 2 delta models
 and n = 1, 2 and 3 general triples with 10 to 400 unit cells (at n = 3 the
 parent's fused Van Loan block had order 66), each as the median of
@@ -32,6 +35,7 @@ STEPS = (2500, 5000, 10_000, 20_000, 50_000, 100_000)
 ROWS = (50, 100, 200, 500, 1000, 2000)
 TERMS = (1000, 10_000, 100_000)
 NODES = (500, 1000, 1500, 2000)
+SPACINGS = (2000, 5000, 10_000, 20_000, 50_000, 100_000)
 CELLS = (10, 25, 50, 100, 200, 400)
 
 
@@ -52,15 +56,17 @@ def main() -> None:
         os.environ[var] = "1"  # before numpy loads
     sys.path.insert(0, str(src.resolve()))
     import numpy as np
-    from sldl import (DeltaNodes, GeneralTriple, QuasiState, blocks_from_delta, build_report,
-                      christ_stolz_family, equivalence_residual, fundamental_pair,
-                      kernel_square_integrals, solve_recurrence, t4_term)
+    from sldl import (DeltaNodes, Diagonal, GeneralTriple, OffDiagonal, QuasiState,
+                      blocks_from_delta, build_report, christ_stolz_family, cor2_series,
+                      equivalence_residual, fundamental_pair, kernel_square_integrals,
+                      solve_recurrence, t4_term)
     from sldl.cli import canonical_json
 
     d, H = christ_stolz_family(max(STEPS) + 2)
     out = {"blocks_from_delta": {}, "solve_recurrence": {}, "t4_term": {},
            "build_report": {}, "canonical_json": {},
            "fundamental_pair": {}, "equivalence_residual": {},
+           "DeltaNodes.from_spacings": {}, "cor2_series diag": {}, "cor2_series offdiag": {},
            "kernel_square_integrals delta": {},
            **{f"kernel_square_integrals general n={n}": {} for n in (1, 2, 3)}}
     for steps in STEPS:
@@ -91,6 +97,14 @@ def main() -> None:
             lambda: fundamental_pair(model, 0.0, grid), repeats)
         out["equivalence_residual"][nodes] = median_time(
             lambda: equivalence_residual(model, nodes - 3, state), repeats)
+    H2 = np.asarray(H) * np.array([[1.0, 0.5], [0.5, 1.0]])
+    for count in SPACINGS:
+        out["DeltaNodes.from_spacings"][count] = median_time(
+            lambda: DeltaNodes.from_spacings(1, d[:count], H[:count], tail=d[count]), repeats)
+        out["cor2_series diag"][count] = median_time(
+            lambda: cor2_series(d[:count], H[:count - 1], Diagonal(1)), repeats)
+        out["cor2_series offdiag"][count] = median_time(
+            lambda: cor2_series(d[:count], H2[:count - 1], OffDiagonal(1, 2)), repeats)
     rng = np.random.default_rng(400)
 
     def general_triple(n, cells):

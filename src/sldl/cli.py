@@ -6,9 +6,11 @@ configurations produce byte-identical output. Exit codes: 0 success,
 2 configuration or input error (a model whose kernel integrals overflow
 included), 3 conflicting certified evidence.
 
-Each command leaf sets its own handler on its parser. A handler returns
+Each command leaf names its own handler on its parser. A handler returns
 the config echo and the result; ``run`` is the only place that wraps them
-in an envelope, titled with the leaf's command path ("jacobi t4").
+in an envelope, titled with the leaf's command path ("jacobi t4"). The
+parser is built once per process; ``run`` looks the handler up by name
+when it dispatches, so a handler replaced on the module is the one called.
 
 Sequence shorthands accepted by ``--d``: ``const:V``, ``harmonic``
 (1/k), ``power:P`` (k**P), ``list:a,b,c`` and ``file:PATH``. Jump
@@ -21,6 +23,7 @@ of the christ-stolz family) and ``file:PATH``. Interval shorthands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -525,7 +528,9 @@ def _gallery_run(args):
 # argument parser and entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sldl`` command tree, built on the first call and shared by every later one."""
     p = argparse.ArgumentParser(
         prog="sldl",
         description="limit point / limit circle diagnostics for step and "
@@ -543,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     def leaf(subs, name, handler, *parents, **kwargs):
         """A command leaf; its title in the report is its path after ``sldl``."""
         q = subs.add_parser(name, parents=[common, *parents], **kwargs)
-        q.set_defaults(handler=handler, title=q.prog.partition(" ")[2])
+        q.set_defaults(handler=handler.__name__, title=q.prog.partition(" ")[2])
         return q
 
     c = leaf(sub, "classify", _classify, help="run every applicable criterion")
@@ -616,10 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        echo, result = args.handler(args)
+        echo, result = globals()[args.handler](args)
     except ConflictingEvidenceError as exc:
         print(f"conflicting evidence: {exc}", file=sys.stderr)
         return 3

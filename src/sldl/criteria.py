@@ -300,64 +300,83 @@ class OffDiagonal:
     j: int
 
 
-def _channel_entry(channel, h: np.ndarray):
-    n = h.shape[0]
+def _channel_entries(channel, mats: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The channel's entry of every jump in the stack, and whether the channel is diagonal.
+
+    Diagonal entries are real, off-diagonal ones complex.
+    """
+    n = mats.shape[1]
     if isinstance(channel, Diagonal):
         if not 1 <= channel.i <= n:
             raise ValueError(f"channel index {channel.i} outside 1..{n}")
-        return float(h[channel.i - 1, channel.i - 1].real), True
+        return mats[:, channel.i - 1, channel.i - 1].real, True
     if isinstance(channel, OffDiagonal):
         i, j = channel.i, channel.j
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise ValueError(f"bad off-diagonal channel ({i}, {j}) for order {n}")
-        return complex(h[i - 1, j - 1]), False
+        return mats[:, i - 1, j - 1], False
     raise TypeError("channel must be Diagonal or OffDiagonal")
 
 
-def _jump_list(jumps, count: int) -> np.ndarray:
+def _in_python(op, values: np.ndarray) -> np.ndarray:
+    """op of each value in Python arithmetic, inf where it leaves the float range.
+
+    Python's ``**`` and complex ``abs`` need not round as numpy's power and
+    absolute value do, so the terms keep them.
+    """
+    def one(v):
+        try:
+            return op(v)
+        except OverflowError:
+            return math.inf
+    return np.array([one(v) for v in values.tolist()])
+
+
+def _jump_terms(channel, jumps, count: int, diag_term, offdiag_term) -> list[float]:
+    """The terms of a jump series over ``count`` jumps in ``channel``, all in the float range.
+
+    ``diag_term`` maps the channel's real diagonal entries to the terms and
+    ``offdiag_term`` the moduli of its off-diagonal ones. A series without
+    terms checks nothing, its channel included. The first term that is not
+    finite (a product or power past the float range, or inf times 0) raises
+    ValueError naming it (1-based).
+    """
     mats = as_stack(jumps)
     if len(mats) != count:
         raise ShapeMismatchError(f"need {count} jump matrices, got {len(mats)}")
-    return mats
+    if not count:
+        return []
+    entries, diag = _channel_entries(channel, mats)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = diag_term(entries) if diag else offdiag_term(_in_python(abs, entries))
+    bad = ~np.isfinite(terms)
+    if bad.any():
+        raise ValueError(f"the jump series leaves the float range at term {bad.argmax() + 1}")
+    return terms.tolist()
 
 
-def _power(base: float, exponent: float, term: int) -> float:
-    """Python's base ** exponent in jump-series term ``term`` (1-based), in the float range.
-
-    An infinite base, a product that has left the range already, fails like an overflowing power.
-    """
-    if base != math.inf:
-        try:
-            return base ** exponent
-        except OverflowError:
-            pass
-    raise ValueError(f"the jump series leaves the float range at term {term}")
-
-
-def _jump_term(channel, h: np.ndarray, rho: float, s: float, term: int) -> float:
-    """Jump-series term ``term`` of h at distances rho and s from its interval's ends.
+def _lattice_terms(channel, jumps, rho: np.ndarray, s: np.ndarray) -> list[float]:
+    """Terms of jumps at distances rho and s from their intervals' ends.
 
     Diagonal channel: rho s sqrt(rho + s) sqrt|h_ii + 1.5 (1/rho + 1/s)|.
     Off-diagonal channel: (rho s)^(3/2) |h_ij|.
     """
-    entry, diag = _channel_entry(channel, h)
-    if diag:
-        shift = 1.5 * (1.0 / rho + 1.0 / s)
-        return rho * s * math.sqrt(rho + s) * math.sqrt(abs(entry + shift))
-    return _power(rho * s, 1.5, term) * abs(entry)
+    return _jump_terms(
+        channel, jumps, len(rho),
+        lambda e: rho * s * np.sqrt(rho + s) * np.sqrt(np.abs(e + 1.5 * (1.0 / rho + 1.0 / s))),
+        lambda a: _in_python(lambda b: b ** 1.5, rho * s) * a)
 
 
 def t5_series(intervals: IntervalSeq, jumps, channel,
               threshold: float | None = None) -> CriterionReport:
     """Jump series over marked intervals; divergence means not limit circle.
 
-    Terms are _jump_term with rho = c - a and s = b - c for marker c.
+    Terms are _lattice_terms with rho = c - a and s = b - c for marker c.
     """
     if intervals.markers is None:
         raise ValueError("jump series needs interval markers")
-    mats = _jump_list(jumps, len(intervals))
-    marked = zip(intervals.intervals, intervals.markers, mats)
-    terms = [_jump_term(channel, h, c - a, b - c, k) for k, ((a, b), c, h) in enumerate(marked, 1)]
+    ab, c = np.array(intervals.intervals).reshape(-1, 2), np.array(intervals.markers)
+    terms = _lattice_terms(channel, jumps, c - ab[:, 0], ab[:, 1] - c)
     name = "t5_offdiag" if isinstance(channel, OffDiagonal) else "t5_diag"
     return build_report(name, terms, threshold=threshold)
 
@@ -373,14 +392,11 @@ def cor1_series(lengths, jumps, channel,
         raise ValueError("interval lengths must be positive")
     if math.inf in lengths:
         raise ValueError("interval lengths must be finite")
-    mats = _jump_list(jumps, len(lengths))
-    terms = []
-    for k, (rho, h) in enumerate(zip(lengths, mats), 1):
-        entry, diag = _channel_entry(channel, h)
-        if diag:
-            terms.append(_power(rho, 2.5, k) * math.sqrt(abs(entry + 6.0 / rho)))
-        else:
-            terms.append(_power(rho, 3, k) * abs(entry))
+    rho = np.array(lengths)
+    terms = _jump_terms(
+        channel, jumps, len(rho),
+        lambda e: _in_python(lambda r: r ** 2.5, rho) * np.sqrt(np.abs(e + 6.0 / rho)),
+        lambda a: _in_python(lambda r: r ** 3, rho) * a)
     return build_report("cor1", terms, threshold=threshold)
 
 
@@ -388,16 +404,14 @@ def cor2_series(d, jumps, channel,
                 threshold: float | None = None) -> CriterionReport:
     """Delta-lattice jump series in the spacings d_k = x_k - x_{k-1}.
 
-    Terms are _jump_term with rho = d_k and s = d_{k+1}: diagonal terms
+    Terms are _lattice_terms with rho = d_k and s = d_{k+1}: diagonal terms
     d_k d_{k+1} sqrt(d_k + d_{k+1}) sqrt|h_ii + 1.5 (1/d_k + 1/d_{k+1})|,
     off-diagonal (d_k d_{k+1})^(3/2) |h_ij|. Term k needs d_{k+1}, so the
     series runs over k = 1 .. min(len(d) - 1, len(jumps)).
     """
-    d = check_spacings(d)
+    d = np.array(check_spacings(d))
     count = min(len(d) - 1, len(jumps))
-    mats = _jump_list(jumps[:count], count)
-    terms = [_jump_term(channel, mats[k - 1], d[k - 1], d[k], k)
-             for k in range(1, count + 1)]
+    terms = _lattice_terms(channel, jumps[:count], d[:count], d[1:count + 1])
     return build_report("cor2", terms, threshold=threshold)
 
 

@@ -24,7 +24,6 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -59,15 +58,27 @@ class VariantUnsupportedError(TypeError):
 # coefficient models
 
 
+def _floats(values) -> np.ndarray:
+    return np.array(list(map(float, values)))
+
+
+def _increasing(x: np.ndarray, what: str) -> list[float]:
+    """The floats x, checked finite and strictly increasing; ``what`` names them in errors."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    if not (x[1:] > x[:-1]).all():
+        raise ValueError(f"{what} must be strictly increasing")
+    return x.tolist()
+
+
 def _check_cuts(cuts, X: float) -> tuple[float, ...]:
-    cuts = tuple(float(c) for c in cuts)
-    if not cuts or cuts[0] != 0.0:
+    c = _floats(cuts)
+    if not len(c) or c[0] != 0.0:
         raise ValueError("piece cuts must start at 0.0")
-    if any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise ValueError("piece cuts must be strictly increasing")
+    cuts = _increasing(c, "piece cuts")
     if not X > cuts[-1]:
         raise ValueError("domain end X must exceed the last cut")
-    return cuts
+    return tuple(cuts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,29 +120,28 @@ class DeltaNodes:
     sigma: StepSigma = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = tuple(float(x) for x in self.nodes)
-        if not nodes or nodes[0] <= 0.0:
+        x = _floats(self.nodes)
+        if not len(x) or x[0] <= 0.0:
             raise ValueError("nodes must be positive")
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise ValueError("nodes must be strictly increasing")
+        nodes = _increasing(x, "nodes")
         jumps = real_symmetric(as_stack(self.jumps, self.n), "jump matrix")
         if len(jumps) != len(nodes):
             raise ShapeMismatchError("need one jump matrix per node")
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "X", float(self.X))
         if self.spacings is None:
-            sp = tuple(b - a for a, b in zip((0.0,) + nodes, nodes))
+            sp = np.diff(x, prepend=0.0)
         else:
-            sp = tuple(float(v) for v in self.spacings)
-            if len(sp) != len(nodes) or any(v <= 0.0 for v in sp):
+            sp = _floats(self.spacings)
+            if len(sp) != len(x) or not (sp > 0.0).all():  # NaN fails too
                 raise ValueError("spacings must be positive, one per node")
-            if any(abs(s - x) > 1e-9 * max(1.0, x) for s, x in zip(accumulate(sp), nodes)):
+            if (np.abs(np.cumsum(sp) - x) > 1e-9 * np.maximum(1.0, x)).any():
                 raise ValueError("spacings are inconsistent with the nodes")
-        object.__setattr__(self, "spacings", sp)
+        object.__setattr__(self, "spacings", tuple(sp.tolist()))
         # sequential sums from a zero first piece: sigma on piece k is H_1 + ... + H_k
         values = np.cumsum(np.concatenate([np.zeros((1, self.n, self.n)), jumps]), axis=0)
-        object.__setattr__(self, "sigma", StepSigma(self.n, (0.0,) + nodes, values, self.X))
+        object.__setattr__(self, "sigma", StepSigma(self.n, [0.0, *nodes], values, self.X))
 
     @classmethod
     def from_spacings(cls, n: int, spacings, jumps, tail: float = 1.0) -> "DeltaNodes":
@@ -142,8 +152,8 @@ class DeltaNodes:
         keep their defining float identities; the domain extends ``tail``
         past the last node.
         """
-        spacings = tuple(float(v) for v in spacings)
-        nodes = tuple(np.cumsum(spacings))
+        spacings = list(map(float, spacings))
+        nodes = np.cumsum(spacings).tolist()
         return cls(n, nodes, jumps, nodes[-1] + tail, spacings)
 
 
@@ -229,11 +239,10 @@ class LinearSigma:
     values: np.ndarray
 
     def __post_init__(self):
-        knots = tuple(float(x) for x in self.knots)
-        if len(knots) < 2 or knots[0] != 0.0:
+        x = _floats(self.knots)
+        if len(x) < 2 or x[0] != 0.0:
             raise ValueError("knots must start at 0.0 and contain the endpoint")
-        if any(b <= a for a, b in zip(knots, knots[1:])):
-            raise ValueError("knots must be strictly increasing")
+        knots = tuple(_increasing(x, "knots"))
         vals = real_symmetric(as_stack(self.values, self.n), "sigma values")
         if len(vals) != len(knots):
             raise ShapeMismatchError("need one sigma value per knot")

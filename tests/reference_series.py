@@ -1,0 +1,137 @@
+"""Per-term jump series and per-element node and cut checks, the plain way.
+
+The jump series of sldl (``t5_series``, ``cor1_series``, ``cor2_series``)
+take their channel entries as one slice of the jump stack and their terms
+as array expressions; the node and cut checks of ``DeltaNodes`` and the
+piecewise models are array tests. The functions here redo both one
+element at a time in Python floats: each jump term resolves its channel
+on its own matrix and is checked right after it is computed, and the
+checks walk the nodes, spacings and cuts with generators. Tests compare
+the two by ``tobytes`` and ``repr``, and compare exception classes and
+messages.
+
+Range policy, as in sldl: a term that is not finite (a product or power
+past the float range, or an infinity times 0) raises ValueError naming
+it. The generator checks are the old ones, which let a NaN node, cut or
+spacing through; they serve as references on finite input only, and sldl
+rejects those NaNs.
+"""
+
+import math
+from itertools import accumulate
+
+import numpy as np
+
+from sldl.criteria import Diagonal, OffDiagonal
+from sldl.jacobi import check_spacings
+from sldl.matcore import ShapeMismatchError, as_stack
+from sldl.reports import build_report
+
+
+def jump_list(jumps, count: int) -> np.ndarray:
+    mats = as_stack(jumps)
+    if len(mats) != count:
+        raise ShapeMismatchError(f"need {count} jump matrices, got {len(mats)}")
+    return mats
+
+
+def channel_entry(channel, h: np.ndarray):
+    n = h.shape[0]
+    if isinstance(channel, Diagonal):
+        if not 1 <= channel.i <= n:
+            raise ValueError(f"channel index {channel.i} outside 1..{n}")
+        return float(h[channel.i - 1, channel.i - 1].real), True
+    if isinstance(channel, OffDiagonal):
+        i, j = channel.i, channel.j
+        if not (1 <= i <= n and 1 <= j <= n) or i == j:
+            raise ValueError(f"bad off-diagonal channel ({i}, {j}) for order {n}")
+        return complex(h[i - 1, j - 1]), False
+    raise TypeError("channel must be Diagonal or OffDiagonal")
+
+
+def _in_range(term, k: int) -> float:
+    """term() if it is finite; an overflowing ``**`` or ``abs`` counts as infinite."""
+    try:
+        value = term()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the jump series leaves the float range at term {k}")
+    return value
+
+
+def jump_term(channel, h: np.ndarray, rho: float, s: float, k: int) -> float:
+    entry, diag = channel_entry(channel, h)
+    if diag:
+        shift = 1.5 * (1.0 / rho + 1.0 / s)
+        return _in_range(lambda: rho * s * math.sqrt(rho + s) * math.sqrt(abs(entry + shift)), k)
+    return _in_range(lambda: (rho * s) ** 1.5 * abs(entry), k)
+
+
+def t5_series(intervals, jumps, channel):
+    if intervals.markers is None:
+        raise ValueError("jump series needs interval markers")
+    mats = jump_list(jumps, len(intervals))
+    marked = zip(intervals.intervals, intervals.markers, mats)
+    terms = [jump_term(channel, h, c - a, b - c, k) for k, ((a, b), c, h) in enumerate(marked, 1)]
+    name = "t5_offdiag" if isinstance(channel, OffDiagonal) else "t5_diag"
+    return build_report(name, terms)
+
+
+def cor1_series(lengths, jumps, channel):
+    lengths = [float(v) for v in lengths]
+    if any(not v > 0.0 for v in lengths):
+        raise ValueError("interval lengths must be positive")
+    if math.inf in lengths:
+        raise ValueError("interval lengths must be finite")
+    mats = jump_list(jumps, len(lengths))
+    terms = []
+    for k, (rho, h) in enumerate(zip(lengths, mats), 1):
+        entry, diag = channel_entry(channel, h)
+        if diag:
+            terms.append(_in_range(lambda: rho ** 2.5 * math.sqrt(abs(entry + 6.0 / rho)), k))
+        else:
+            terms.append(_in_range(lambda: rho ** 3 * abs(entry), k))
+    return build_report("cor1", terms)
+
+
+def cor2_series(d, jumps, channel):
+    d = check_spacings(d)
+    count = min(len(d) - 1, len(jumps))
+    mats = jump_list(jumps[:count], count)
+    terms = [jump_term(channel, mats[k - 1], d[k - 1], d[k], k) for k in range(1, count + 1)]
+    return build_report("cor2", terms)
+
+
+def check_cuts(cuts, X: float) -> tuple[float, ...]:
+    cuts = tuple(float(c) for c in cuts)
+    if not cuts or cuts[0] != 0.0:
+        raise ValueError("piece cuts must start at 0.0")
+    if any(b <= a for a, b in zip(cuts, cuts[1:])):
+        raise ValueError("piece cuts must be strictly increasing")
+    if not X > cuts[-1]:
+        raise ValueError("domain end X must exceed the last cut")
+    return cuts
+
+
+def delta_nodes_fields(nodes, X: float, spacings=None):
+    """(nodes, spacings, sigma cuts) of a DeltaNodes whose jumps pass their own checks."""
+    nodes = tuple(float(x) for x in nodes)
+    if not nodes or nodes[0] <= 0.0:
+        raise ValueError("nodes must be positive")
+    if any(b <= a for a, b in zip(nodes, nodes[1:])):
+        raise ValueError("nodes must be strictly increasing")
+    if spacings is None:
+        sp = tuple(b - a for a, b in zip((0.0,) + nodes, nodes))
+    else:
+        sp = tuple(float(v) for v in spacings)
+        if len(sp) != len(nodes) or any(v <= 0.0 for v in sp):
+            raise ValueError("spacings must be positive, one per node")
+        if any(abs(s - x) > 1e-9 * max(1.0, x) for s, x in zip(accumulate(sp), nodes)):
+            raise ValueError("spacings are inconsistent with the nodes")
+    return nodes, sp, check_cuts((0.0,) + nodes, float(X))
+
+
+def from_spacings_nodes(spacings) -> tuple[float, ...]:
+    """The node positions DeltaNodes.from_spacings stores: running sums of the spacings."""
+    return tuple(accumulate(float(v) for v in spacings))

@@ -845,3 +845,115 @@ def test_module_entry_point():
 def test_model_json_helper_matches_cli_schema():
     model = StepSigma(1, (0.0,), (np.zeros((1, 1)),), 100.0)
     assert model_to_json(model) == FREE_MODEL
+
+
+# ---------------------------------------------------------------------------
+# range policy of the diagonal jump terms, non-finite nodes and cuts
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["criterion", "cor2", "--d", "const:1e160", "--channel", "diag:1", "--count", "5"], None),
+    (["criterion", "cor2", "--d", "const:1e-320", "--channel", "diag:1", "--count", "5"], None),
+    (["criterion", "t5", "--channel", "diag:1"],
+     {"intervals": [[0.0, 2e160]], "markers": [1e160], "jumps": [[[1.0]]]}),
+    (["criterion", "cor1", "--channel", "diag:1"],
+     {"lengths": [1e-320, 2.0], "jumps": [[[1.0]], [[1.0]]]}),
+], ids=["cor2-infinite", "cor2-nan", "t5-infinite", "cor1-nan"])
+def test_diagonal_jump_terms_out_of_the_float_range_exit_2(capsys, tmp_path, argv, data):
+    # these gave Infinity terms (rho s past the float maximum) or NaN ones
+    # (1/d infinite while rho s or rho ** 2.5 is 0) with exit status 0
+    if data is not None:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        argv = argv + ["--data", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the jump series leaves the float range at term 1\n"
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"n": 1, "X": 5.0, "variant": "delta_nodes",
+      "nodes": [{"x": 1.0, "H": [[1.0]]}, {"x": math.nan, "H": [[2.0]]},
+                {"x": 3.0, "H": [[1.0]]}]}, "nodes must be finite"),
+    ({"n": 1, "X": 5.0, "variant": "step_sigma", "cuts": [0.0, 1.0, math.nan, 3.0],
+      "values": [[[0.0]], [[1.0]], [[2.0]], [[0.5]]]}, "piece cuts must be finite"),
+], ids=["delta-node", "step-cut"])
+def test_models_with_a_nan_node_or_cut_exit_2(capsys, tmp_path, model, message):
+    # NaN passed the order checks (b <= a is false), and t1 exited 0 without that jump
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(model))
+    assert run(["criterion", "t1", "--model", str(path), "--intervals", "unit:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_linear_model_with_a_nan_knot_exits_2(capsys, tmp_path):
+    # NaN passed the order check, and classify certified LimitPoint through t2
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"n": 1, "variant": "linear_sigma", "knots": [0.0, math.nan],
+                                "values": [[[0.0]], [[20.0]]]}))
+    assert run(["classify", "--model", str(path), "--intervals", "unit:20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: knots must be finite\n"
+
+
+def test_an_infinite_domain_end_stays_accepted(capsys, tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({**FREE_MODEL, "X": math.inf}))
+    code, doc = run_json(capsys, ["criterion", "t1", "--model", str(path), "--intervals", "unit:3"])
+    assert code == 0
+    assert len(doc["result"]["reports"][0]["terms"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _outcome(capsys, argv):
+    """stdout, stderr and exit status of ``sldl ARGV`` run in this process."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse: --help and usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_one_parser_per_process_answers_as_a_fresh_one(capsys, monkeypatch, leaf_files):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    build_parser.cache_clear()
+    parser = build_parser()
+    assert build_parser() is parser
+    immutable = (type(None), str, int, float, bool)
+    for p in _parsers(parser):
+        assert all(isinstance(a.default, immutable) for a in p._actions)
+        assert all(isinstance(v, immutable) for v in p._defaults.values())
+
+    leaves = [title.split() + [a.format(**leaf_files) for a in argv]
+              for title, argv, _ in LEAF_CASES]
+    interludes = [["criterion", "cor2", "--d", "const:1", "--count", "many"],
+                  ["jacobi", "t4", "--help"]]
+    fresh = {}
+    for argv in leaves + interludes:
+        build_parser.cache_clear()
+        fresh[tuple(argv)] = _outcome(capsys, argv)
+    assert fresh[tuple(interludes[0])][2] == 2 and fresh[tuple(interludes[1])][2] == 0
+
+    build_parser.cache_clear()
+    parser = build_parser()
+    for order in (leaves, leaves[::-1]):
+        for k, argv in enumerate(order):
+            for each in (argv, interludes[k % 2]):
+                assert _outcome(capsys, each) == fresh[tuple(each)], each
+    assert build_parser() is parser
