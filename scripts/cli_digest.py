@@ -204,6 +204,8 @@ INVOCATIONS = [
     "criterion t1 --model nan-node.json --intervals unit:3",
     "criterion t1 --model nan-cut.json --intervals unit:3",
     "classify --model nan-knot.json --intervals unit:20",
+    # a lattice order below 1
+    "jacobi build --n 0 --d const:1 --H cancel",
 ]
 
 

@@ -15,21 +15,30 @@ lattice whose jumps are its jumps times [[1, 1/2], [1/2, 1]]) on 2000 to
 10^5 christ-stolz spacings, and
 ``kernel_square_integrals`` over all cells of seeded n = 2 delta models
 and n = 1, 2 and 3 general triples with 10 to 400 unit cells (at n = 3 the
-parent's fused Van Loan block had order 66), each as the median of
-repeated runs in one process with BLAS on one thread. Prints
-one JSON object: per function, size -> median seconds.
+parent's fused Van Loan block had order 66), and ``t1_series`` over the
+10 to 400 unit intervals of the n = 2 delta model and general triple, each
+as the median of repeated runs in one process with BLAS on one thread.
+
+The host's speed drifts between and within runs, so each size also times
+the reference kernel of ``perfbench/hostspeed.py`` (loaded by path) right
+after its repeats and scales the median by ``REFERENCE_S / reference``.
+Prints one JSON object: per function, size -> {"s": raw median seconds,
+"corrected_s": host-corrected median, "reference_s": reference time}.
 Comparing two source trees is two runs:
 
 Usage: python scripts/march_sweep.py [SRC] [REPEATS]   # SRC holds the sldl package;
                                                        # default: this checkout's src/, 5
 """
 
+import importlib.util
 import json
 import os
 import pathlib
 import statistics
 import sys
 import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 STEPS = (2500, 5000, 10_000, 20_000, 50_000, 100_000)
 ROWS = (50, 100, 200, 500, 1000, 2000)
@@ -39,28 +48,45 @@ SPACINGS = (2000, 5000, 10_000, 20_000, 50_000, 100_000)
 CELLS = (10, 25, 50, 100, 200, 400)
 
 
-def median_time(fn, repeats: int) -> float:
+def load_hostspeed():
+    """perfbench/hostspeed.py as a module, without putting perfbench/ on the path."""
+    spec = importlib.util.spec_from_file_location("hostspeed", ROOT / "perfbench" / "hostspeed.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def point(times, hostspeed) -> dict:
+    """The median of ``times``, raw and host-corrected by a reference timed now."""
+    median, reference = statistics.median(times), hostspeed.reference_time()
+    return {"s": median, "corrected_s": hostspeed.corrected(median, reference),
+            "reference_s": reference}
+
+
+def median_time(fn, repeats: int, hostspeed) -> dict:
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return point(times, hostspeed)
 
 
 def main() -> None:
-    src = pathlib.Path(sys.argv[1] if len(sys.argv) > 1
-                       else pathlib.Path(__file__).resolve().parents[1] / "src")
+    src = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ROOT / "src")
     repeats = int(sys.argv[2]) if len(sys.argv) > 2 else 5
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads
     sys.path.insert(0, str(src.resolve()))
     import numpy as np
-    from sldl import (DeltaNodes, Diagonal, GeneralTriple, OffDiagonal, QuasiState,
+    from sldl import (DeltaNodes, Diagonal, GeneralTriple, IntervalSeq, OffDiagonal, QuasiState,
                       blocks_from_delta, build_report, christ_stolz_family, cor2_series,
                       equivalence_residual, fundamental_pair, kernel_square_integrals,
-                      solve_recurrence, t4_term)
+                      solve_recurrence, t1_series, t4_term)
     from sldl.cli import canonical_json
+
+    hostspeed = load_hostspeed()
+    timed = lambda fn: median_time(fn, repeats, hostspeed)
 
     d, H = christ_stolz_family(max(STEPS) + 2)
     out = {"blocks_from_delta": {}, "solve_recurrence": {}, "t4_term": {},
@@ -68,10 +94,11 @@ def main() -> None:
            "fundamental_pair": {}, "equivalence_residual": {},
            "DeltaNodes.from_spacings": {}, "cor2_series diag": {}, "cor2_series offdiag": {},
            "kernel_square_integrals delta": {},
-           **{f"kernel_square_integrals general n={n}": {} for n in (1, 2, 3)}}
+           **{f"kernel_square_integrals general n={n}": {} for n in (1, 2, 3)},
+           "t1_series delta": {}, "t1_series general n=2": {}}
     for steps in STEPS:
-        out["blocks_from_delta"][steps] = median_time(
-            lambda: blocks_from_delta(d[:steps], H[:steps - 1]), repeats)
+        out["blocks_from_delta"][steps] = timed(
+            lambda: blocks_from_delta(d[:steps], H[:steps - 1]))
     for steps in STEPS:
         times = []
         for _ in range(repeats):
@@ -79,32 +106,32 @@ def main() -> None:
             t0 = time.perf_counter()
             solve_recurrence(blocks, [1.0], [0.0], steps)
             times.append(time.perf_counter() - t0)
-        out["solve_recurrence"][steps] = statistics.median(times)
+        out["solve_recurrence"][steps] = point(times, hostspeed)
     blocks = blocks_from_delta(d[:max(ROWS) + 3], H[:max(ROWS) + 2])
     blocks.B_inv  # built once, outside the timing
     for rows in ROWS:
-        out["t4_term"][rows] = median_time(lambda: t4_term(blocks, 1, rows), repeats)
+        out["t4_term"][rows] = timed(lambda: t4_term(blocks, 1, rows))
     for terms in TERMS:
         harmonic = [1.0 / k for k in range(1, terms + 1)]
-        out["build_report"][terms] = median_time(lambda: build_report("x", harmonic), repeats)
+        out["build_report"][terms] = timed(lambda: build_report("x", harmonic))
         doc = build_report("x", harmonic[:terms // 2]).to_json()
-        out["canonical_json"][terms] = median_time(lambda: canonical_json(doc), repeats)
+        out["canonical_json"][terms] = timed(lambda: canonical_json(doc))
     state = QuasiState([0.3], [1.0])
     for nodes in NODES:
         model = DeltaNodes.from_spacings(1, d[:nodes], H[:nodes], tail=d[nodes])
         grid = (0.0,) + model.nodes
-        out["fundamental_pair"][nodes] = median_time(
-            lambda: fundamental_pair(model, 0.0, grid), repeats)
-        out["equivalence_residual"][nodes] = median_time(
-            lambda: equivalence_residual(model, nodes - 3, state), repeats)
+        out["fundamental_pair"][nodes] = timed(
+            lambda: fundamental_pair(model, 0.0, grid))
+        out["equivalence_residual"][nodes] = timed(
+            lambda: equivalence_residual(model, nodes - 3, state))
     H2 = np.asarray(H) * np.array([[1.0, 0.5], [0.5, 1.0]])
     for count in SPACINGS:
-        out["DeltaNodes.from_spacings"][count] = median_time(
-            lambda: DeltaNodes.from_spacings(1, d[:count], H[:count], tail=d[count]), repeats)
-        out["cor2_series diag"][count] = median_time(
-            lambda: cor2_series(d[:count], H[:count - 1], Diagonal(1)), repeats)
-        out["cor2_series offdiag"][count] = median_time(
-            lambda: cor2_series(d[:count], H2[:count - 1], OffDiagonal(1, 2)), repeats)
+        out["DeltaNodes.from_spacings"][count] = timed(
+            lambda: DeltaNodes.from_spacings(1, d[:count], H[:count], tail=d[count]))
+        out["cor2_series diag"][count] = timed(
+            lambda: cor2_series(d[:count], H[:count - 1], Diagonal(1)))
+        out["cor2_series offdiag"][count] = timed(
+            lambda: cor2_series(d[:count], H2[:count - 1], OffDiagonal(1, 2)))
     rng = np.random.default_rng(400)
 
     def general_triple(n, cells):
@@ -120,8 +147,11 @@ def main() -> None:
                                       h + h.transpose(0, 2, 1), float(cells)),
                   **{f"general n={n}": general_triple(n, cells) for n in (1, 2, 3)}}
         for label, model in models.items():
-            out[f"kernel_square_integrals {label}"][cells] = median_time(
-                lambda: kernel_square_integrals(model, 0.0, model.X), repeats)
+            out[f"kernel_square_integrals {label}"][cells] = timed(
+                lambda: kernel_square_integrals(model, 0.0, model.X))
+        for label in ("delta", "general n=2"):
+            out[f"t1_series {label}"][cells] = timed(
+                lambda: t1_series(models[label], IntervalSeq.unit(cells)))
     print(json.dumps(out))
 
 

@@ -47,7 +47,8 @@ from .quasidiff import (
     LinearSigma,
     QuasiState,
     StepSigma,
-    _flow,
+    _cells,
+    _march,
 )
 from .reports import DIVERGES, CriterionReport, build_report
 
@@ -117,13 +118,12 @@ class ClassifyConfig:
 
 
 def nodes_to_Z(f_at_nodes, d) -> np.ndarray:
-    """Rescaled node samples Z_k = sqrt(d_k + d_{k+1}) f(x_k), k = 1..len(d)-1."""
-    d = [float(v) for v in d]
-    samples = [np.asarray(f, dtype=complex).reshape(-1) for f in f_at_nodes]
-    if len(samples) != len(d):
+    """Rescaled node samples Z_k = sqrt(d_k + d_{k+1}) f(x_k), k = 1..len(d)-1, as rows."""
+    d = np.array(list(map(float, d)))
+    f = np.asarray(f_at_nodes, dtype=complex)
+    if len(f) != len(d):
         raise ShapeMismatchError("need one node sample per spacing")
-    return np.array([np.sqrt(d[k - 1] + d[k]) * samples[k - 1]
-                     for k in range(1, len(d))])
+    return np.sqrt(d[:-1] + d[1:])[:, None] * f.reshape(len(f), -1 if len(f) else 0)[:-1]
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -153,12 +153,10 @@ def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) 
     m = len(model.nodes)
     if m < count + 3:
         raise ValueError(f"need at least count + 3 = {count + 3} nodes, have {m}")
-    d = model.spacings
-    y = np.concatenate([seed_state.f, seed_state.f1])
-    samples = [y[:model.n] for _, y, _ in _flow(model, 0.0, y, 0.0, model.nodes[-1])]
-    z = nodes_to_Z(samples, d)
+    d, y = model.spacings, np.concatenate([seed_state.f, seed_state.f1])
+    samples = _march(_cells(model, 0.0, [(0.0, model.nodes[-1])]), y)[1:, :model.n]
     blocks = blocks_from_delta(d, model.jumps)
-    u = np.vstack([np.zeros((1, model.n), dtype=complex), z])
+    u = np.vstack([np.zeros((1, model.n), dtype=complex), nodes_to_Z(samples, d)])
     parts = recurrence_summands(blocks, u, 2, count + 2)
     scale = np.maximum(1.0, np.maximum.reduce([_row_norms(p) for p in parts]))
     return float(np.max(_row_norms(parts[0] + parts[1] + parts[2]) / scale))

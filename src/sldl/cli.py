@@ -623,6 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "n", 1) < 1:
+            raise ConfigError("--n must be at least 1")
         echo, result = globals()[args.handler](args)
     except ConflictingEvidenceError as exc:
         print(f"conflicting evidence: {exc}", file=sys.stderr)

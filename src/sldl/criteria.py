@@ -141,8 +141,8 @@ def _cell_integrals(model, cells):
     return w, (col * w - wp)[:, :, n + k, n + k].real, v
 
 
-def _kernel_pass(model, a: float, b: float) -> np.ndarray:
-    """Per-entry double integrals in one pass over the cells of [a, b].
+def _kernel_pass(model, spans) -> np.ndarray:
+    """Per-entry double integrals of each span [a, b], Gram matrices restarted, in one pass.
 
     gram[j] = int w_j w_j* dt over the t passed so far, w_j the current state
     of the solution started at t with data (O, e_j). For x in a later cell,
@@ -150,22 +150,26 @@ def _kernel_pass(model, a: float, b: float) -> np.ndarray:
     integral over the cell is tr(W_i gram[j]); x and t in one cell give tri.
     """
     n = model.n
-    cells = _cells(model, 0.0, a, b)
+    cells = _cells(model, 0.0, spans)
     w, tri, v = _cell_integrals(model, cells)
     wt = w.transpose(0, 1, 3, 2).reshape(len(w), n, 4 * n * n)  # tr(W_i g) = vec(W_i^T).vec(g)
-    gram, total = np.zeros((n, 2 * n, 2 * n), dtype=complex), np.zeros((n, n))
-    for jump, step, wt_c, tri_c, v_c in zip(cells.jump, cells.prop, wt, tri, v):
+    totals = np.zeros((len(spans), n, n))
+    restart = dict(zip(cells.first, totals))  # a span without cells keeps its zero row
+    for c, (jump, step, step_h, wt_c, tri_c, v_c) in enumerate(
+            zip(cells.jump, cells.prop, cells.prop.conj().swapaxes(1, 2), wt, tri, v)):
+        if c in restart:
+            gram, total = np.zeros((n, 2 * n, 2 * n), dtype=complex), restart[c]
         if jump is not None:
             gram = jump @ gram @ jump.conj().T
         total += (wt_c @ gram.reshape(n, -1).T).real + tri_c
-        gram = step @ gram @ step.conj().T + v_c
-    return total
+        gram = step @ gram @ step_h + v_c
+    return totals
 
 
-def _solution_norm_pass(model, a: float, b: float) -> float:
+def _solution_norm_pass(model, spans) -> np.ndarray:
     """int_a^b of the squared top rows of the propagator from 0: tr(t* (sum_i W_i) t) per cell."""
-    t = transfer(model, 0.0, 0.0, a)
-    cells = _cells(model, 0.0, a, b)
+    t = transfer(model, 0.0, 0.0, spans[0][0])
+    cells = _cells(model, 0.0, spans)
     total = 0.0
     w = _cell_integrals(model, cells)[0].sum(axis=1)
     for jump, step, w_c in zip(cells.jump, cells.prop, w):
@@ -173,28 +177,30 @@ def _solution_norm_pass(model, a: float, b: float) -> float:
             t = jump @ t
         total += float(np.vdot(t, w_c @ t).real)
         t = step @ t
-    return total
+    return np.array([total])
 
 
-def _exact(model, a: float, b: float, one_pass):
-    """one_pass() over [a, b] with overflow kept quiet; a non-finite result is an error."""
-    if not 0.0 <= a <= b <= model.X:
+def _exact(one_pass, model, spans) -> np.ndarray:
+    """one_pass(model, spans), a row per span [a, b], overflow quiet; a non-finite row raises."""
+    if not all(0.0 <= a <= b <= model.X for a, b in spans):
         raise ValueError("need 0 <= a <= b <= X")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = one_pass()
-    if not np.all(np.isfinite(out)):
+        out = one_pass(model, spans)
+    finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
+    if not finite.all():
+        a, b = spans[int(finite.argmin())]
         raise QuadratureError(f"kernel quadrature overflowed on ({a}, {b})")
     return out
 
 
 def kernel_square_integrals(model, a: float, b: float) -> np.ndarray:
     """Per-entry integrals int_a^b dx int_a^x |k_ij(x, t)|^2 dt as an n x n array."""
-    return _exact(model, a, b, lambda: _kernel_pass(model, a, b))
+    return _exact(_kernel_pass, model, [(a, b)])[0]
 
 
 def solution_norm_integral(model, a: float, b: float) -> float:
     """int_a^b (||Phi||_F^2 + ||Psi||_F^2) dx for the pair started at 0."""
-    return _exact(model, a, b, lambda: _solution_norm_pass(model, a, b))
+    return float(_exact(_solution_norm_pass, model, [(a, b)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +233,8 @@ def t1_series(model, intervals: IntervalSeq,
     """
     if len(intervals) and intervals.intervals[-1][1] > model.X:
         raise ValueError("intervals exceed the model domain")
-    terms = [math.sqrt(float(np.sum(kernel_square_integrals(model, a, b))))
-             for a, b in intervals.intervals]
+    totals = _exact(_kernel_pass, model, intervals.intervals) if len(intervals) else []
+    terms = [math.sqrt(float(np.sum(t))) for t in totals]
     return build_report(
         "t1", terms, threshold=threshold,
         notes=("each term depends only on the coefficients inside its interval",))

@@ -7,12 +7,13 @@ Y = (f, f1), where f1 = P (f' - R f) is the first quasi-derivative and
     F = [[R, P^-1], [Q, -R*]],      L = [[O, O], [lam*I, O]].
 
 Coefficients are piecewise constant, so propagation across a piece is an
-exact matrix exponential. One cell walker, ``_cells``, enumerates pieces
-and picks the working coordinates for transfer matrices, kernel integrals
-and node samples: classical (f, f') with free flights and jumps of f' for
-step and delta models, (f, f1) with the piece generator otherwise. It
-stacks each cell's jump and propagator up front (closed forms, or one
-stacked ``expm`` call), so a march is a loop of small matrix products.
+exact matrix exponential. One cell walker, ``_cells``, enumerates the pieces
+of one or more spans and picks the working coordinates: classical (f, f')
+with free flights and jumps of f' for step and delta models, (f, f1) with
+the piece generator otherwise. It stacks each cell's jump and propagator up
+front (closed forms, or one stacked ``expm`` call); one march, ``_march``,
+writes the state after every cell into a preallocated stack, from which
+transfer matrices and node samples are read by index.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -21,7 +22,7 @@ Conventions: piece values are right-continuous, the k-th piece lives on
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -365,81 +366,78 @@ def _jumps(ds: np.ndarray) -> np.ndarray:
     return out
 
 
-# The cells of a march as per-cell sequences: piece index, jump applied at
-# the cell's start (a 2n x 2n matrix or None), generator stack, length, end
-# point, and the propagator stack exp(generator * length).
-Cells = namedtuple("Cells", "piece jump gen length end prop")
+Cells = namedtuple("Cells", "piece jump gen length end prop first")
 
 
-def _cells(model, lam: complex, x0: float, x1: float, stops=()) -> Cells:
-    """The cells of [x0, x1], with every state-independent operator stacked.
+def _cells(model, lam: complex, spans, stops=()) -> Cells:
+    """The cells of the spans [x0, x1], with every state-independent operator stacked.
 
-    Cells are the pieces clipped to [x0, x1] and cut again at the sorted
-    points ``stops``; ``jump`` (or None) applies at the cell's start and
-    ``prop`` = exp(generator * length) carries the state across. Step and
-    delta models work in classical coordinates (f, f'), since quasi
-    generators carry sigma**2 and lose about that factor once the
-    accumulated potential is large: a free flight inside each cell, a jump
-    by the change of sigma at each cut (the stored jump and spacing for full
-    delta cells), and a first jump by sigma itself, from (f, f1) into
-    (f, f'), that ``_to_quasi`` undoes. At lam = 0 the flight generator N is
-    nilpotent and its propagators are I + length * N in closed form, which
-    is what ``expm`` returns for it. Other models keep quasi coordinates and
-    the piece generator; every propagator that is not in closed form comes
-    from one stacked ``expm`` call over all cells of [x0, x1].
+    Cells are the pieces clipped to each span, walked alone, and cut again at
+    the sorted points ``stops``; ``jump`` (or None) applies at the cell's
+    start and ``prop`` = exp(generator * length) carries the state across;
+    ``first`` holds the index of each span's first cell. Step and delta
+    models work in classical coordinates (f, f'), since quasi generators
+    carry sigma**2 and lose about that factor once the accumulated potential
+    is large: a free flight inside each cell, a jump by the change of sigma
+    at each cut (the stored jump and spacing for full delta cells), and a
+    first jump by sigma itself, from (f, f1) into (f, f'), that ``_to_quasi``
+    undoes. At lam = 0 the flight generator N is nilpotent and its
+    propagators are I + length * N in closed form, which is what ``expm``
+    returns for it. Other models keep quasi coordinates and the piece
+    generator; the other propagators come from one stacked ``expm`` call.
     """
     sigma = _sigma_of(model)
     delta = model if isinstance(model, DeltaNodes) else None
     cuts = piece_cuts(model)
-    marks = iter([x for x in stops if x0 < x < x1])
-    mark = next(marks, x1)
-    pieces, jumped, ds, lengths, ends = [], [], [], [], []
-    i, pos = piece_index(model, x0), x0
-    while pos < x1:
-        end = cuts[i + 1] if i + 1 < len(cuts) else model.X
-        stop = min(end, mark)
-        if sigma is not None and (pos == x0 or pos == cuts[i]):
-            jumped.append(len(pieces))
-            if pos == x0:
-                ds.append(sigma.values[i])
-            else:
-                ds.append(delta.jumps[i - 1] if delta else sigma.values[i] - sigma.values[i - 1])
-        full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
-        pieces.append(i)
-        lengths.append(delta.spacings[i] if full else stop - pos)
-        ends.append(stop)
-        if stop == mark:
-            mark = next(marks, x1)
-        if stop == end:
-            i += 1
-        pos = stop
-    m = 2 * model.n
+    pieces, jumped, ds, lengths, ends, first = [], [], [], [], [], []
+    for x0, x1 in spans:
+        first.append(len(pieces))
+        marks = iter([x for x in stops if x0 < x < x1])
+        i, pos, mark = piece_index(model, x0), x0, next(marks, x1)
+        while pos < x1:
+            end = cuts[i + 1] if i + 1 < len(cuts) else model.X
+            stop = min(end, mark)
+            if sigma is not None and (pos == x0 or pos == cuts[i]):
+                jumped.append(len(pieces))
+                ds.append(sigma.values[i] if pos == x0 else delta.jumps[i - 1] if delta
+                          else sigma.values[i] - sigma.values[i - 1])
+            full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
+            pieces.append(i)
+            lengths.append(delta.spacings[i] if full else stop - pos)
+            ends.append(stop)
+            if stop == mark:
+                mark = next(marks, x1)
+            if stop == end:
+                i += 1
+            pos = stop
+    n, m = model.n, 2 * model.n
     jump = [None] * len(pieces)
     if sigma is None:
         gen = _piece_generators(model, lam, pieces)
     else:
-        eye = np.eye(model.n)
-        gen = np.broadcast_to(block2n(0 * eye, eye, -lam * eye, 0 * eye), (len(pieces), m, m))
-        for c, matrix in zip(jumped, _jumps(np.array(ds).reshape(-1, model.n, model.n))):
+        flight = np.eye(m, k=n, dtype=complex)
+        flight[n:, :n] = -lam * np.eye(n)
+        gen = np.broadcast_to(flight, (len(pieces), m, m))
+        for c, matrix in zip(jumped, _jumps(np.array(ds).reshape(-1, n, n))):
             jump[c] = matrix
     scaled = gen * np.array(lengths)[:, None, None]
     prop = np.eye(m) + scaled if sigma is not None and lam == 0 else expm(scaled)
-    return Cells(pieces, jump, gen, lengths, ends, prop)
+    return Cells(pieces, jump, gen, lengths, ends, prop, first)
 
 
-def _flow(model, lam: complex, y: np.ndarray, x0: float, x1: float, stops=()):
-    """Yield (piece, y, end) at the end of each cell of [x0, x1], y in working coordinates.
+def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
+    """y, then in row c + 1 its working-coordinate value after cell c of one span, as one stack.
 
-    The jump and the propagator of a cell are two products, and a cell
-    without a jump takes none: a fused or an identity product would change
-    the float operations (an identity product turns -0.0 into 0.0).
+    A cell's jump and propagator are two products, and a cell without a jump takes
+    none: a fused or an identity product (-0.0 into 0.0) would change the floats.
     """
-    cells = _cells(model, lam, x0, x1, stops=stops)
-    for piece, jump, prop, end in zip(cells.piece, cells.jump, cells.prop, cells.end):
+    out = np.empty((len(cells.prop) + 1,) + y.shape, dtype=complex)
+    out[0], jumped = y, np.empty_like(out[0])
+    for jump, prop, end in zip(cells.jump, cells.prop, out[1:]):
         if jump is not None:
-            y = jump @ y
-        y = prop @ y
-        yield piece, y, end
+            y = np.dot(jump, y, out=jumped)
+        y = np.dot(prop, y, out=end)
+    return out
 
 
 def _to_quasi(model, piece, y: np.ndarray) -> np.ndarray:
@@ -452,10 +450,9 @@ def transfer(model, lam: complex, x0: float, x1: float) -> np.ndarray:
     """Fundamental 2n x 2n propagator of Y' = (F - L) Y from x0 to x1."""
     if not 0.0 <= x0 <= x1 <= model.X:
         raise ValueError("need 0 <= x0 <= x1 <= X")
-    m, piece = np.eye(2 * model.n, dtype=complex), None
-    for piece, m, _ in _flow(model, lam, m, x0, x1):
-        pass
-    return m if piece is None else _to_quasi(model, piece, m)
+    cells = _cells(model, lam, [(x0, x1)])
+    m = _march(cells, np.eye(2 * model.n, dtype=complex))[-1]
+    return _to_quasi(model, cells.piece[-1], m) if cells.piece else m
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,7 +564,7 @@ def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
     """Propagate the canonical matrix initial data along a sample grid.
 
     One working-coordinate march over [0, grid[-1]], its cells also ending at
-    the grid points; only the samples are converted to quasi coordinates.
+    the grid points; the samples, picked by index, alone go back to quasi coordinates.
     """
     grid = tuple(float(g) for g in grid)
     if not grid or grid[0] != 0.0:
@@ -576,26 +573,23 @@ def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
         raise ValueError("grid must be strictly increasing")
     if grid[-1] > model.X:
         raise ValueError("grid exceeds the model domain")
-    n = model.n
-    t = np.empty((len(grid), 2 * n, 2 * n), dtype=complex)
-    t[0] = np.eye(2 * n)
-    pieces, k = [], 1
-    for piece, y, end in _flow(model, lam, t[0], 0.0, grid[-1], stops=grid):
-        if end == grid[k]:
-            pieces.append(piece)
-            t[k] = y
-            k += 1
-    t[1:] = _to_quasi(model, np.array(pieces, dtype=int), t[1:])
+    cells = _cells(model, lam, [(0.0, grid[-1])], stops=grid)
+    at = np.searchsorted(cells.end, grid[1:])  # the cells that end at the grid points
+    t = _march(cells, np.eye(2 * model.n, dtype=complex))
+    if len(at) < len(cells.end):
+        t = t[np.concatenate([[0], at + 1])]
+    t[1:] = _to_quasi(model, np.array(cells.piece, dtype=int)[at], t[1:])
     t.flags.writeable = False
     return FundamentalPair(grid, t, complex(lam), model)
 
 
 def _grid_index(pair: FundamentalPair, x: float) -> int:
+    """First grid index within tol of x: the first g with g - x >= -tol, as g - x is monotone."""
     lo, hi = pair.span
     tol = 1e-12 * max(1.0, abs(hi - lo), abs(hi))
-    for k, g in enumerate(pair.grid):
-        if abs(g - x) <= tol:
-            return k
+    k = bisect_left(pair.grid, -tol, key=lambda g: g - x)
+    if k < len(pair.grid) and abs(pair.grid[k] - x) <= tol:
+        return k
     raise OffGridError(
         f"{x} is not a sample of the pair's grid; resample instead of interpolating")
 

@@ -9,7 +9,9 @@ one piece at a time: the exponential scales, expands and squares a single
 matrix, and each general or distributional piece takes its own ``invert``.
 The tests compare with ``np.array_equal`` (``tobytes`` for
 ``inverse_march``, and ``==`` for the residual float), so any change of
-that order shows.
+that order shows. ``nodes_to_Z`` rescales one node at a time,
+``grid_index`` scans the whole grid, and ``interval_kernel_pass`` is the
+exact kernel pass over one interval alone, with its own Gram loop.
 
 The kernel and solution-norm integrals are kept in their quadrature form:
 a 7-point Gauss-Legendre rule on every cell, refined by halving the cells
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sldl.bridge import nodes_to_Z
+from sldl.criteria import _cell_integrals
 from sldl.jacobi import blocks_from_delta
 from sldl.matcore import block2n, frobenius_norm, invert
 from sldl.quasidiff import (
@@ -192,6 +194,13 @@ def flow(model, lam, y, x0, x1, stops=()):
         yield piece, y, end
 
 
+def grid_index(grid, x):
+    """Index of the first grid point within the pair tolerance of x, by a scan; None if none."""
+    tol = 1e-12 * max(1.0, abs(grid[-1] - grid[0]), abs(grid[-1]))
+    hits = np.flatnonzero(np.abs(np.array(grid) - x) <= tol)  # each |g - x| as Python rounds it
+    return int(hits[0]) if len(hits) else None
+
+
 def to_quasi(model, piece, y):
     sigma = _sigma_of(model)
     return y if sigma is None else _jump(-sigma.values[piece]) @ y
@@ -215,6 +224,13 @@ def fundamental_samples(model, lam, grid):
             t[k] = to_quasi(model, piece, y)
             k += 1
     return t
+
+
+def nodes_to_Z(f_at_nodes, d):
+    """Z_k = sqrt(d_k + d_{k+1}) f(x_k), one node at a time."""
+    d = [float(v) for v in d]
+    samples = [np.asarray(f, dtype=complex).reshape(-1) for f in f_at_nodes]
+    return np.array([np.sqrt(d[k - 1] + d[k]) * samples[k - 1] for k in range(1, len(d))])
 
 
 def equivalence_residual(model, count, seed_state):
@@ -293,6 +309,26 @@ def refined(model, one_pass, rel_tol=QUAD_REL_TOL):
     raise RuntimeError("kernel quadrature did not stabilize")
 
 
+def interval_kernel_pass(model, a, b):
+    """The exact kernel pass of sldl over the cells of [a, b] alone, one cell product at a time.
+
+    Takes the cells and cell integrals from sldl and keeps a Gram loop of its
+    own for the single interval, each adjoint taken per cell: the per-interval
+    pass that a pass over several intervals has to equal bit for bit.
+    """
+    n = model.n
+    cells = _cells(model, 0.0, [(a, b)])
+    w, tri, v = _cell_integrals(model, cells)
+    wt = w.transpose(0, 1, 3, 2).reshape(len(w), n, 4 * n * n)
+    gram, total = np.zeros((n, 2 * n, 2 * n), dtype=complex), np.zeros((n, n))
+    for jump, step, wt_c, tri_c, v_c in zip(cells.jump, cells.prop, wt, tri, v):
+        if jump is not None:
+            gram = jump @ gram @ jump.conj().T
+        total += (wt_c @ gram.reshape(n, -1).T).real + tri_c
+        gram = step @ gram @ step.conj().T + v_c
+    return total
+
+
 def kernel_square_integrals(model, a, b, rel_tol=QUAD_REL_TOL):
     return refined(model, lambda splits: kernel_pass(model, a, b, splits), rel_tol)
 
@@ -360,7 +396,7 @@ def fixed_t1_term(model, a, b) -> Fraction:
     Z_j(u) = E(uL) e_{n+j} e_{n+j}^T E(uL)*, all from Taylor series in u.
     """
     n, m = model.n, 2 * model.n
-    cells = _cells(model, 0.0, a, b)
+    cells = _cells(model, 0.0, [(a, b)])
     zero = _fixed(np.zeros((m, m)))
     grams, total = [zero] * n, 0
     for g, length in zip(cells.gen, cells.length):

@@ -120,6 +120,15 @@ def test_random_delta_residual_equals_the_per_k_loop():
                     == reference_march.equivalence_residual(model, count, state))
 
 
+def test_nodes_to_Z_equals_the_per_node_rescaling_on_2000_nodes():
+    d, H = christ_stolz_family(2001)
+    model = DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000])
+    samples = reference_march.fundamental_samples(model, 0.0, (0.0,) + model.nodes)[1:, :1, 0]
+    for n, f in ((1, samples), (2, samples @ np.array([[1.0, -0.5j]]))):
+        got, want = nodes_to_Z(f, model.spacings), reference_march.nodes_to_Z(list(f), model.spacings)
+        assert got.shape == (1999, n) and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("count", [0, -4])
 def test_equivalence_residual_rejects_count_below_one(count):
     with pytest.raises(ValueError, match=f"count must be at least 1, got {count}$"):

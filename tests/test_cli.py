@@ -687,6 +687,21 @@ def test_cor1_checks_its_lengths(capsys, tmp_path, length, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["jacobi", "build", "--n", "0", "--d", "const:1", "--H", "cancel"],
+    ["jacobi", "build", "--n", "-1", "--d", "const:1", "--H", "cancel"],
+    ["criterion", "cor2", "--d", "const:1", "--n", "0", "--channel", "diag:1"],
+    ["bridge", "l2", "--d", "const:1", "--n", "-3", "--u0", "1", "--u1", "1"],
+])
+def test_lattice_order_below_one_exits_2_before_any_work(capsys, argv):
+    # --n 0 used to fail on "expected a square matrix, got shape (0, 0)" and
+    # --n -1 on numpy's "negative dimensions are not allowed"
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n must be at least 1\n"
+
+
 def test_bridge_l2_on_no_spacings_exits_2(capsys, tmp_path):
     (tmp_path / "none.json").write_text("[]")
     assert run(["bridge", "l2", "--d", f"file:{tmp_path / 'none.json'}", "--H", "cancel",

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,13 @@ import reference_march
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_symmetric
+from conftest import (
+    delta_models,
+    distributional_models,
+    general_triple_models,
+    random_symmetric,
+    step_sigma_models,
+)
 from sldl import (
     DeltaNodes,
     Diagonal,
@@ -32,11 +39,13 @@ from sldl import (
     t2_predicate,
     t5_series,
 )
+from sldl.criteria import QuadratureError
 from sldl.matcore import ShapeMismatchError, condition, matrix_to_json
 from sldl.quasidiff import (
     OffGridError,
     VariantUnsupportedError,
     model_from_json,
+    piece_cuts,
     piece_index,
 )
 from sldl.reports import CONVERGES, DIVERGES, INCONCLUSIVE
@@ -419,6 +428,76 @@ def test_free_interval_integrals_are_the_closed_forms(a, b):
     # b**3 - a**3 in floats cancels digits when a and b are close
     want = float((Fraction(b) - Fraction(a)) + (Fraction(b) ** 3 - Fraction(a) ** 3) / 3)
     assert solution_norm_integral(FREE, a, b) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the t1 series in one pass against one kernel pass per interval
+
+
+@st.composite
+def interval_sets(draw, model):
+    """Disjoint intervals of [0, X] between consecutive ends drawn from cuts, X and inner points.
+
+    Each interval between two consecutive ends is kept or left as a gap, at
+    least one is kept, and half the draws keep one alone; so the sets hold
+    intervals that start or end on cuts, lie inside one piece, or stand alone.
+    """
+    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=6))
+    ends = sorted(set(piece_cuts(model)) | {model.X} | {model.X * u for u in inner})
+    pairs = list(zip(ends, ends[1:]))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    chosen = draw(st.integers(0, len(pairs) - 1))
+    if draw(st.booleans()):
+        keep = [False] * len(pairs)
+    keep[chosen] = True
+    return IntervalSeq(tuple(p for p, k in zip(pairs, keep) if k))
+
+
+@given(st.one_of(step_sigma_models(max_n=2), delta_models(max_n=2),
+                 general_triple_models(), distributional_models(max_n=2)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_pass_t1_terms_equal_the_per_interval_kernel_passes(model, data):
+    intervals = data.draw(interval_sets(model))
+    want = [reference_march.interval_kernel_pass(model, a, b) for a, b in intervals.intervals]
+    terms = t1_series(model, intervals).terms
+    assert [t.hex() for t in terms] == [math.sqrt(float(np.sum(w))).hex() for w in want]
+    for (a, b), w in zip(intervals.intervals, want):
+        assert kernel_square_integrals(model, a, b).tobytes() == w.tobytes()
+
+
+def _q_pieces(*qs):
+    """A unit-piece general triple with P = 1, R = 0 and the given Q values."""
+    count = len(qs)
+    return GeneralTriple(1, tuple(float(k) for k in range(count)), [np.eye(1)] * count,
+                         [[[q]] for q in qs], [np.zeros((1, 1))] * count, float(count))
+
+
+@pytest.mark.parametrize("qs, a", [
+    ((0.0, 1e300, 0.0), 1.0),
+    ((0.0, 1e300, 1e300), 1.0),
+    ((1e300, 0.0, 1e300), 0.0),
+    ((0.0, 0.0, 1e300), 2.0),
+])
+def test_an_overflowing_series_names_its_first_failing_interval(qs, a):
+    model = _q_pieces(*qs)
+    with pytest.raises(QuadratureError, match=re.escape(f"overflowed on ({a}, {a + 1.0})")):
+        kernel_square_integrals(model, a, a + 1.0)
+    with pytest.raises(QuadratureError) as caught:
+        t1_series(model, IntervalSeq.unit(3))
+    assert str(caught.value) == f"kernel quadrature overflowed on ({a}, {a + 1.0})"
+
+
+@pytest.mark.parametrize("qs", [(0.0, 4e307, 0.0), (0.0, 0.0, 4e307), (0.0, 1e300, 4e307)])
+def test_an_exponential_past_the_float_range_keeps_its_message(qs):
+    # every stacked exponential of the series runs before its Gram loop, so
+    # the exponential's error comes first, also after an interval whose
+    # quadrature alone overflows
+    model, k = _q_pieces(*qs), qs.index(4e307)
+    message = "the matrix exponential cannot scale a norm of 6.928e+307"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kernel_square_integrals(model, float(k), k + 1.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        t1_series(model, IntervalSeq.unit(3))
 
 
 # ---------------------------------------------------------------------------

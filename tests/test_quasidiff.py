@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from sldl.quasidiff import (
     OffGridError,
     VariantUnsupportedError,
     _cells,
+    _grid_index,
     expm,
     model_from_json,
     model_to_json,
@@ -363,7 +365,7 @@ def test_generator_stack_equals_the_per_piece_systems(model, lam):
 @settings(max_examples=40, deadline=None)
 def test_cells_equal_the_per_cell_reference(model, data, lam):
     grid, x0 = data.draw(grids_off_the_cuts(model))
-    cells = _cells(model, lam, x0, model.X, stops=grid)
+    cells = _cells(model, lam, [(x0, model.X)], stops=grid)
     piece, jump, gen, length, end = zip(*reference_march.cells(model, lam, x0, model.X, grid))
     assert (cells.piece, cells.length, cells.end) == (list(piece), list(length), list(end))
     assert cells.jump == list(jump) == [None] * len(piece)
@@ -421,6 +423,40 @@ def test_cauchy_kernel_off_grid_rejected():
     pair = fundamental_pair(FREE, 0.0, [0.0, 1.0])
     with pytest.raises(OffGridError):
         cauchy_kernel(pair, 0.5, 0.0)
+
+
+def _index_or_none(pair, x):
+    try:
+        return _grid_index(pair, x)
+    except OffGridError:
+        return None
+
+
+def _near_points(grid):
+    """Each grid point, the points at the pair tolerance from it, and the floats just past those."""
+    tol = 1e-12 * max(1.0, abs(grid[-1] - grid[0]), abs(grid[-1]))
+    for g in grid:
+        yield from (g, g - tol, g + tol, math.nextafter(g - tol, -math.inf),
+                    math.nextafter(g + tol, math.inf))
+
+
+def test_grid_index_bisection_equals_the_scan_on_2000_nodes():
+    model = gallery_entry("christ-stolz").problem
+    pair = fundamental_pair(model, 0.0, (0.0,) + model.nodes)
+    points = list(_near_points(pair.grid))
+    got = [_index_or_none(pair, x) for x in points]
+    assert got == [reference_march.grid_index(pair.grid, x) for x in points]
+    assert got[::5] == list(range(len(pair.grid)))
+
+
+def test_grid_index_takes_the_first_point_within_the_tolerance():
+    # the tolerance is 2e-12 here, so the three points near 1 all match each other
+    pair = fundamental_pair(FREE, 0.0, [0.0, 1.0, 1.0 + 3e-13, 1.0 + 6e-13, 2.0])
+    points = list(_near_points(pair.grid))
+    got = [_index_or_none(pair, x) for x in points]
+    assert got == [reference_march.grid_index(pair.grid, x) for x in points]
+    assert [_grid_index(pair, x) for x in pair.grid] == [0, 1, 1, 1, 4]
+    assert None in got
 
 
 @given(step_sigma_models(max_n=3, max_pieces=4))
