@@ -2,9 +2,11 @@
 """Timing sweep of the lattice and delta-model marches over problem size.
 
 Times ``blocks_from_delta`` on christ-stolz spacings and jumps of 2500
-to 10^5 spacings, ``solve_recurrence`` on the christ-stolz lattice (blocks
-built outside the timing, so the time includes the first-use B^-1 stack),
-``t4_term`` over segments of 50 to 2000 rows of that lattice,
+to 10^5 spacings, ``solve_recurrence`` over 2500 to 10^5 steps of the
+christ-stolz lattice at orders 1 and 2 (blocks built outside the timing, so
+the time includes the first-use B^-1 stack), ``t4_term`` over segments of
+50 to 2000 rows of the order-1 lattice, ``t7_check`` on 2000 to 10^5
+christ-stolz spacings (N = half of them, less one),
 ``build_report`` on harmonic windows of 10^3 to 10^5 terms (no certificate
 fires, so every pass runs), ``canonical_json`` of the JSON form of such
 a report with 10^3 to 10^5 floats (terms and partial sums),
@@ -19,11 +21,12 @@ parent's fused Van Loan block had order 66), and ``t1_series`` over the
 10 to 400 unit intervals of the n = 2 delta model and general triple, each
 as the median of repeated runs in one process with BLAS on one thread.
 
-The host's speed drifts between and within runs, so each size also times
-the reference kernel of ``perfbench/hostspeed.py`` (loaded by path) right
-after its repeats and scales the median by ``REFERENCE_S / reference``.
-Prints one JSON object: per function, size -> {"s": raw median seconds,
-"corrected_s": host-corrected median, "reference_s": reference time}.
+The host's speed drifts between and within runs, so every repeat is
+preceded by a timing of the reference kernel of ``perfbench/hostspeed.py``
+(loaded by path) and scaled by ``REFERENCE_S / reference`` of its own
+reference. Prints one JSON object: per function, size -> {"s": raw median
+seconds, "corrected_s": median of the host-corrected repeats, "reference_s":
+median reference time}.
 Comparing two source trees is two runs:
 
 Usage: python scripts/march_sweep.py [SRC] [REPEATS]   # SRC holds the sldl package;
@@ -56,20 +59,23 @@ def load_hostspeed():
     return module
 
 
-def point(times, hostspeed) -> dict:
-    """The median of ``times``, raw and host-corrected by a reference timed now."""
-    median, reference = statistics.median(times), hostspeed.reference_time()
-    return {"s": median, "corrected_s": hostspeed.corrected(median, reference),
-            "reference_s": reference}
+def median_time(fn, repeats: int, hostspeed, setup=lambda: None) -> dict:
+    """Medians of ``repeats`` timings of fn(setup()), raw and each host-corrected.
 
-
-def median_time(fn, repeats: int, hostspeed) -> dict:
-    times = []
+    ``setup`` runs outside the timing; the reference is timed after it,
+    right before the repeat it corrects.
+    """
+    times, corrected, references = [], [], []
     for _ in range(repeats):
+        arg = setup()
+        reference = hostspeed.reference_time()
         t0 = time.perf_counter()
-        fn()
+        fn(arg)
         times.append(time.perf_counter() - t0)
-    return point(times, hostspeed)
+        corrected.append(hostspeed.corrected(times[-1], reference))
+        references.append(reference)
+    median = statistics.median
+    return {"s": median(times), "corrected_s": median(corrected), "reference_s": median(references)}
 
 
 def main() -> None:
@@ -82,15 +88,15 @@ def main() -> None:
     from sldl import (DeltaNodes, Diagonal, GeneralTriple, IntervalSeq, OffDiagonal, QuasiState,
                       blocks_from_delta, build_report, christ_stolz_family, cor2_series,
                       equivalence_residual, fundamental_pair, kernel_square_integrals,
-                      solve_recurrence, t1_series, t4_term)
+                      solve_recurrence, t1_series, t4_term, t7_check)
     from sldl.cli import canonical_json
 
     hostspeed = load_hostspeed()
-    timed = lambda fn: median_time(fn, repeats, hostspeed)
+    timed = lambda fn: median_time(lambda _: fn(), repeats, hostspeed)
 
     d, H = christ_stolz_family(max(STEPS) + 2)
-    out = {"blocks_from_delta": {}, "solve_recurrence": {}, "t4_term": {},
-           "build_report": {}, "canonical_json": {},
+    out = {"blocks_from_delta": {}, "solve_recurrence": {}, "solve_recurrence n=2": {},
+           "t4_term": {}, "t7_check": {}, "build_report": {}, "canonical_json": {},
            "fundamental_pair": {}, "equivalence_residual": {},
            "DeltaNodes.from_spacings": {}, "cor2_series diag": {}, "cor2_series offdiag": {},
            "kernel_square_integrals delta": {},
@@ -99,14 +105,14 @@ def main() -> None:
     for steps in STEPS:
         out["blocks_from_delta"][steps] = timed(
             lambda: blocks_from_delta(d[:steps], H[:steps - 1]))
-    for steps in STEPS:
-        times = []
-        for _ in range(repeats):
-            blocks = blocks_from_delta(d[:steps + 2], H[:steps + 1])
-            t0 = time.perf_counter()
-            solve_recurrence(blocks, [1.0], [0.0], steps)
-            times.append(time.perf_counter() - t0)
-        out["solve_recurrence"][steps] = point(times, hostspeed)
+    H2 = np.asarray(H) * np.array([[1.0, 0.5], [0.5, 1.0]])
+    cancel2 = christ_stolz_family(len(d), 2)[1]
+    for steps in STEPS:  # the blocks are built anew for each repeat, outside the timing
+        for label, jumps, u0, u1 in (("", H, [1.0], [0.0]),
+                                     (" n=2", cancel2, [1.0, 0.5], [0.0, 1.0])):
+            out["solve_recurrence" + label][steps] = median_time(
+                lambda blocks: solve_recurrence(blocks, u0, u1, steps), repeats, hostspeed,
+                lambda: blocks_from_delta(d[:steps + 2], jumps[:steps + 1]))
     blocks = blocks_from_delta(d[:max(ROWS) + 3], H[:max(ROWS) + 2])
     blocks.B_inv  # built once, outside the timing
     for rows in ROWS:
@@ -124,7 +130,6 @@ def main() -> None:
             lambda: fundamental_pair(model, 0.0, grid))
         out["equivalence_residual"][nodes] = timed(
             lambda: equivalence_residual(model, nodes - 3, state))
-    H2 = np.asarray(H) * np.array([[1.0, 0.5], [0.5, 1.0]])
     for count in SPACINGS:
         out["DeltaNodes.from_spacings"][count] = timed(
             lambda: DeltaNodes.from_spacings(1, d[:count], H[:count], tail=d[count]))
@@ -132,6 +137,7 @@ def main() -> None:
             lambda: cor2_series(d[:count], H[:count - 1], Diagonal(1)))
         out["cor2_series offdiag"][count] = timed(
             lambda: cor2_series(d[:count], H2[:count - 1], OffDiagonal(1, 2)))
+        out["t7_check"][count] = timed(lambda: t7_check(d[:count], H[:count - 1], count // 2 - 1))
     rng = np.random.default_rng(400)
 
     def general_triple(n, cells):

@@ -22,8 +22,8 @@ Sequence storage: each block or jump sequence is one read-only (K, n, n)
 complex array, validated once by ``matcore.as_stack``, and the block
 formulas and series terms above are array expressions over it. The
 recurrence marches step with the lazily built stacks B_inv and B_star of
-``JacobiBlocks``: each step is three small matrix products, or three
-Python complex products at order n = 1. Storage is 0-based; ``offset``
+``JacobiBlocks``: each step is three BLAS products into preallocated buffers,
+or three Python complex products at order n = 1. Storage is 0-based; ``offset``
 records the recurrence index of slot 0 so block A[k - offset] is A_k. All
 spacing indices k in this module are 1-based to match the recurrence above.
 """
@@ -75,13 +75,8 @@ class IndexOutOfRangeError(IndexError):
 # lattice helpers (single source of truth for the float expressions)
 
 
-def reciprocal_sum(d, k: int) -> float:
-    """1/d_k + 1/d_{k+1} for 1-based spacing index k."""
-    return 1.0 / d[k - 1] + 1.0 / d[k]
-
-
 def _shifted_jumps(d, H: np.ndarray, count: int) -> np.ndarray:
-    """H_k + (1/d_k + 1/d_{k+1}) I for k = 1..count, with reciprocal_sum's float operations.
+    """H_k + (1/d_k + 1/d_{k+1}) I for k = 1..count, with the float operations of that formula.
 
     A subnormal spacing gives inf entries, as 1/d does in Python, without a warning.
     """
@@ -271,8 +266,8 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     A, B_inv, B_star = blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1]
     if blocks.n == 1:
         # one-entry states step in Python complex arithmetic; each 0j + gives
-        # a product the +0 start of the matmul accumulator, so zero signs and
-        # every bit match the matmul loop below
+        # a product the +0 start of the BLAS accumulator, so zero signs and
+        # every bit match the BLAS loop below
         p, c = prev.item(), cur.item()
         out = []
         for a, b_inv, b_star in zip(A[:, 0, 0].tolist(), B_inv[:, 0, 0].tolist(),
@@ -281,12 +276,13 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
             out.append(c)
         out = np.array(out, dtype=complex).reshape((len(out),) + cur.shape)
     else:
-        # n >= 2: sums of two Python products would lose BLAS's fused multiply-add
+        # n >= 2: one BLAS call per product, into buffers (Python sums would lose its FMA)
         out = np.empty((stop - start,) + cur.shape, dtype=complex)
+        t1, t2 = np.empty_like(cur), np.empty_like(cur)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, (a, b_inv, b_star) in enumerate(zip(A, B_inv, B_star)):
-                prev, cur = cur, -(b_inv @ (a @ cur + b_star @ prev))
-                out[k] = cur
+            for a, b_inv, b_star, row in zip(A, B_inv, B_star, out):
+                np.add(a.dot(cur, t1), b_star.dot(prev, t2), out=t1)
+                prev, cur = cur, np.negative(b_inv.dot(t1, t2), out=row)
     bad = ~np.isfinite(out.reshape(len(out), -1)).all(axis=1)
     if bad.any():
         m = start + int(np.argmax(bad))
@@ -328,31 +324,33 @@ def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
 
     One step per row i: gram = sum_j S_j S_j* over the stacked columns
     S_j = (K_ij; K_{i-1,j}), n_k <= j < i, whose top-left trace is row i's
-    share; each row steps gram by the recurrence and adds (B_i^{-1}; O).
-    The row steps do not depend on gram, so they are built as one stack.
-    Raises ValueError if a row's share leaves the float range.
+    share; each row steps gram by the recurrence and adds (B_i^{-1}; O). The row
+    steps and the grams are stacks, the traces summed in row order at the end;
+    ValueError names the first row at which the sum leaves the float range.
     """
     if n_k < 1 or m_k < n_k:
         raise IndexOutOfRangeError("need 1 <= n_k <= m_k")
     n = blocks.n
     s = blocks._stored(n_k, m_k)  # row i + 1 > n_k + 1 steps with A_i, B_i^-1, B*_{i-1}
-    inverses = blocks.B_inv[s]
     eye = np.eye(2 * n)
-    gram = np.zeros((2 * n, 2 * n), dtype=complex)
-    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         top = -(blocks.B_inv[s][1:] @ (blocks.A[s][1:] @ eye[:n] + blocks.B_star[s][:-1] @ eye[n:]))
         steps = np.concatenate([top, np.broadcast_to(eye[:n], top.shape)], axis=1)
-        adjoints = steps.conj().swapaxes(-1, -2)
-        shares = inverses @ inverses.conj().swapaxes(-1, -2)
-        for k, i in enumerate(range(n_k, m_k)):  # row i + 1
-            if k:
-                gram = steps[k - 1] @ gram @ adjoints[k - 1]
-            gram[:n, :n] += shares[k]
-            total += float(np.trace(gram[:n, :n]).real)
-            if not math.isfinite(total):
-                raise ValueError(f"the t4 sum leaves the float range at row {i + 1}")
-    return math.sqrt(total)
+        adjoints = np.ascontiguousarray(steps.conj().swapaxes(-1, -2))
+        shares = blocks.B_inv[s] @ blocks.B_inv[s].conj().swapaxes(-1, -2)
+        grams = np.zeros((len(shares), 2 * n, 2 * n), dtype=complex)  # gram after each row
+        tops, left = grams[:, :n, :n], np.empty((2 * n, 2 * n), dtype=complex)
+        tops[:1] += shares[:1]
+        for step, adjoint, gram, nxt, share, tl in zip(steps, adjoints, grams, grams[1:],
+                                                       shares[1:], tops[1:]):
+            np.matmul(np.matmul(step, gram, out=left), adjoint, out=nxt)
+            tl += share
+        # the running sum of the row traces from 0.0, added in row order
+        totals = np.cumsum(np.concatenate([[0.0], np.trace(tops, axis1=1, axis2=2).real]))
+    bad = ~np.isfinite(totals)
+    if bad.any():
+        raise ValueError(f"the t4 sum leaves the float range at row {n_k + int(np.argmax(bad))}")
+    return math.sqrt(totals[-1])
 
 
 def t4_report(blocks: JacobiBlocks, segments) -> CriterionReport:
@@ -486,34 +484,30 @@ def t7_check(d, H, N: int) -> T7Result:
         raise IndexOutOfRangeError(f"need at least {2 * N + 2} spacings for N = {N}")
     if len(H) < 2 * N + 1:
         raise IndexOutOfRangeError(f"need at least {2 * N + 1} jumps for N = {N}")
-    norms = frobenius_norm(_shifted_jumps(d, H, 2 * N + 1)).tolist()
+    # math.log and math.exp, not numpy's, which may differ in the last bit: log d_k
+    # and log r_{k+1}^2 = log(d_k + d_{k+1}) for k = 1 .. 2N + 1, each taken once
+    logs = lambda v: np.array(list(map(math.log, v)))
+    norms, x = frobenius_norm(_shifted_jumps(d, H, 2 * N + 1)), np.array(d[:2 * N + 2])
+    with np.errstate(over="ignore"):
+        log_d, log_r2 = logs(d[:2 * N + 1]), logs((x[:-1] + x[1:]).tolist())
     series_a, series_b, logs_a = [], [], []
     for s in (1, 2):
-        lr = 0.0
-        ta, tb, la = [], [], []
-        overflowed = 0
-        for j in range(1, N + 1):
-            lr += math.log(d[2 * j - 2 + s]) - math.log(d[2 * j - 3 + s])
-            m = 2 * j + s - 1  # index of the jump and of r^2 = d_m + d_{m+1}
-            log_a = math.log(d[m - 1] + d[m]) + 2.0 * lr
-            la.append(log_a)
-            if log_a >= _LOG_MAX:
-                overflowed += 1
-                ta.append(math.inf)
-            else:
-                ta.append(math.exp(log_a))
-            nf = norms[m - 1]
-            if nf == 0.0:
-                tb.append(0.0)
-            else:
-                log_b = 2.0 * lr + math.log(nf)
-                tb.append(math.inf if log_b >= _LOG_MAX else math.exp(log_b))
-        notes = ()
-        if overflowed:
-            notes = (f"{overflowed} terms overflow; log values kept in log_terms_a",)
-        series_a.append(build_report(f"t7_a_s{s}", ta, notes=notes))
-        series_b.append(build_report(f"t7_b_s{s}", tb))
-        logs_a.append(tuple(la))
+        # 2 log ratio_j, summed in j order from the first log ratio; the jump and
+        # r^2 of term j have index m = 2j + s - 1, and a zero defect takes no log
+        lr2 = 2.0 * np.cumsum(log_d[s:2 * N + s:2] - log_d[s - 1:2 * N + s - 1:2])
+        nf = norms[s:2 * N + s:2]
+        live = nf != 0.0
+        log_t = np.concatenate([log_r2[s:2 * N + s:2] + lr2, lr2[live] + logs(nf[live].tolist())])
+        terms, fit = np.full(len(log_t), math.inf), ~(log_t >= _LOG_MAX)  # NaN takes exp
+        terms[fit] = list(map(math.exp, log_t[fit].tolist()))
+        tb = np.zeros(N)
+        tb[live] = terms[N:]
+        overflowed = int(np.count_nonzero(~fit[:N]))
+        notes = ((f"{overflowed} terms overflow; log values kept in log_terms_a",)
+                 if overflowed else ())
+        series_a.append(build_report(f"t7_a_s{s}", terms[:N].tolist(), notes=notes))
+        series_b.append(build_report(f"t7_b_s{s}", tb.tolist()))
+        logs_a.append(tuple(log_t[:N].tolist()))
     certified = all(r.verdict == CONVERGES for r in series_a + series_b)
     return T7Result(tuple(series_a), tuple(series_b), tuple(logs_a), certified)
 

@@ -94,6 +94,7 @@ class StepSigma:
     cuts: tuple[float, ...]
     values: np.ndarray
     X: float
+    cell_jumps: np.ndarray = field(init=False, repr=False)  # values, then their changes at cuts
 
     def __post_init__(self):
         object.__setattr__(self, "cuts", _check_cuts(self.cuts, self.X))
@@ -102,6 +103,7 @@ class StepSigma:
             raise ShapeMismatchError("need one sigma value per piece")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "X", float(self.X))
+        object.__setattr__(self, "cell_jumps", np.concatenate([vals, np.diff(vals, axis=0)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +121,7 @@ class DeltaNodes:
     X: float
     spacings: tuple[float, ...] | None = None
     sigma: StepSigma = field(init=False, repr=False)
+    cell_jumps: np.ndarray = field(init=False, repr=False)  # sigma's values, then the jumps
 
     def __post_init__(self):
         x = _floats(self.nodes)
@@ -143,6 +146,7 @@ class DeltaNodes:
         # sequential sums from a zero first piece: sigma on piece k is H_1 + ... + H_k
         values = np.cumsum(np.concatenate([np.zeros((1, self.n, self.n)), jumps]), axis=0)
         object.__setattr__(self, "sigma", StepSigma(self.n, [0.0, *nodes], values, self.X))
+        object.__setattr__(self, "cell_jumps", np.concatenate([self.sigma.values, jumps]))
 
     @classmethod
     def from_spacings(cls, n: int, spacings, jumps, tail: float = 1.0) -> "DeltaNodes":
@@ -366,30 +370,31 @@ def _jumps(ds: np.ndarray) -> np.ndarray:
     return out
 
 
-Cells = namedtuple("Cells", "piece jump gen length end prop first")
+Cells = namedtuple("Cells", "piece jumped jump gen length end prop first")
 
 
 def _cells(model, lam: complex, spans, stops=()) -> Cells:
     """The cells of the spans [x0, x1], with every state-independent operator stacked.
 
     Cells are the pieces clipped to each span, walked alone, and cut again at
-    the sorted points ``stops``; ``jump`` (or None) applies at the cell's
-    start and ``prop`` = exp(generator * length) carries the state across;
-    ``first`` holds the index of each span's first cell. Step and delta
-    models work in classical coordinates (f, f'), since quasi generators
-    carry sigma**2 and lose about that factor once the accumulated potential
-    is large: a free flight inside each cell, a jump by the change of sigma
-    at each cut (the stored jump and spacing for full delta cells), and a
-    first jump by sigma itself, from (f, f1) into (f, f'), that ``_to_quasi``
-    undoes. At lam = 0 the flight generator N is nilpotent and its
-    propagators are I + length * N in closed form, which is what ``expm``
-    returns for it. Other models keep quasi coordinates and the piece
-    generator; the other propagators come from one stacked ``expm`` call.
+    the sorted points ``stops``; a cell flagged in ``jumped`` takes the next
+    matrix of the stack ``jump`` at its start and ``prop`` = exp(generator *
+    length) carries the state across; ``first`` holds the index of each span's
+    first cell. Step and delta models work in classical coordinates (f, f'),
+    since quasi generators carry sigma**2 and lose about that factor once the
+    accumulated potential is large: a free flight inside each cell, a jump by
+    the change of sigma at each cut (the stored jump and spacing for full
+    delta cells), and a first jump by sigma itself, from (f, f1) into (f, f'),
+    that ``_to_quasi`` undoes, each dS picked from ``model.cell_jumps``. At
+    lam = 0 the flight generator N is nilpotent and its propagators are
+    I + length * N in closed form, which is what ``expm`` returns for it. Other
+    models keep quasi coordinates and the piece generator, without jumps; the
+    other propagators come from one stacked ``expm`` call.
     """
     sigma = _sigma_of(model)
     delta = model if isinstance(model, DeltaNodes) else None
     cuts = piece_cuts(model)
-    pieces, jumped, ds, lengths, ends, first = [], [], [], [], [], []
+    pieces, jumped, picks, lengths, ends, first = [], [], [], [], [], []
     for x0, x1 in spans:
         first.append(len(pieces))
         marks = iter([x for x in stops if x0 < x < x1])
@@ -397,10 +402,9 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
         while pos < x1:
             end = cuts[i + 1] if i + 1 < len(cuts) else model.X
             stop = min(end, mark)
-            if sigma is not None and (pos == x0 or pos == cuts[i]):
-                jumped.append(len(pieces))
-                ds.append(sigma.values[i] if pos == x0 else delta.jumps[i - 1] if delta
-                          else sigma.values[i] - sigma.values[i - 1])
+            jumped.append(sigma is not None and (pos == x0 or pos == cuts[i]))
+            if jumped[-1]:
+                picks.append(i if pos == x0 else len(cuts) - 1 + i)
             full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
             pieces.append(i)
             lengths.append(delta.spacings[i] if full else stop - pos)
@@ -411,32 +415,33 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
                 i += 1
             pos = stop
     n, m = model.n, 2 * model.n
-    jump = [None] * len(pieces)
     if sigma is None:
         gen = _piece_generators(model, lam, pieces)
+        jump = np.empty((0, m, m), dtype=complex)
     else:
         flight = np.eye(m, k=n, dtype=complex)
         flight[n:, :n] = -lam * np.eye(n)
         gen = np.broadcast_to(flight, (len(pieces), m, m))
-        for c, matrix in zip(jumped, _jumps(np.array(ds).reshape(-1, n, n))):
-            jump[c] = matrix
+        jump = _jumps(model.cell_jumps[picks])
     scaled = gen * np.array(lengths)[:, None, None]
     prop = np.eye(m) + scaled if sigma is not None and lam == 0 else expm(scaled)
-    return Cells(pieces, jump, gen, lengths, ends, prop, first)
+    return Cells(pieces, jumped, jump, gen, lengths, ends, prop, first)
 
 
 def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     """y, then in row c + 1 its working-coordinate value after cell c of one span, as one stack.
 
-    A cell's jump and propagator are two products, and a cell without a jump takes
-    none: a fused or an identity product (-0.0 into 0.0) would change the floats.
+    A cell's jump and propagator are two BLAS products into buffers, and a cell
+    without a jump takes none: a fused or an identity product (-0.0 into 0.0)
+    would change the floats.
     """
     out = np.empty((len(cells.prop) + 1,) + y.shape, dtype=complex)
-    out[0], jumped = y, np.empty_like(out[0])
-    for jump, prop, end in zip(cells.jump, cells.prop, out[1:]):
-        if jump is not None:
-            y = np.dot(jump, y, out=jumped)
-        y = np.dot(prop, y, out=end)
+    out[0], jumps = y, iter(cells.jump)
+    y, turned = out[0], np.empty_like(out[0])
+    for jumped, prop, end in zip(cells.jumped, cells.prop, out[1:]):
+        if jumped:
+            y = next(jumps).dot(y, out=turned)
+        y = prop.dot(y, out=end)
     return out
 
 
@@ -566,11 +571,10 @@ def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
     One working-coordinate march over [0, grid[-1]], its cells also ending at
     the grid points; the samples, picked by index, alone go back to quasi coordinates.
     """
-    grid = tuple(float(g) for g in grid)
-    if not grid or grid[0] != 0.0:
+    g = _floats(grid)
+    if not len(g) or g[0] != 0.0:
         raise ValueError("grid must start at 0.0")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
+    grid = tuple(_increasing(g, "grid"))
     if grid[-1] > model.X:
         raise ValueError("grid exceeds the model domain")
     cells = _cells(model, lam, [(0.0, grid[-1])], stops=grid)

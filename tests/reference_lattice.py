@@ -14,9 +14,13 @@ import math
 
 import numpy as np
 
-from sldl.jacobi import reciprocal_sum
 from sldl.matcore import frobenius_norm
 from sldl.reports import build_report
+
+
+def reciprocal_sum(d, k: int) -> float:
+    """1/d_k + 1/d_{k+1} for 1-based spacing index k."""
+    return 1.0 / d[k - 1] + 1.0 / d[k]
 
 
 def block_stacks(d, H):
@@ -70,3 +74,32 @@ def cor3(d, H, N: int):
             for k in range(1, N + 1)]
     return (above or below, direction, build_report("cor3_spacing", spacing),
             build_report("cor3_jump", jump))
+
+
+def t7(d, H, N: int):
+    """Per parity s = 1, 2: (terms a, terms b, log terms a, overflow count) of ``t7_check``.
+
+    Carries log ratio_j as a running sum of two logs per step and takes
+    ``math.log`` and ``math.exp`` once per term, as the term loop did.
+    """
+    n = np.asarray(H[0]).shape[0]
+    log_max = math.log(np.finfo(float).max)
+    out = []
+    for s in (1, 2):
+        lr, ta, tb, la, overflowed = 0.0, [], [], [], 0
+        for j in range(1, N + 1):
+            lr += math.log(d[2 * j - 2 + s]) - math.log(d[2 * j - 3 + s])
+            m = 2 * j + s - 1
+            log_a = math.log(d[m - 1] + d[m]) + 2.0 * lr
+            la.append(log_a)
+            overflowed += log_a >= log_max
+            ta.append(math.inf if log_a >= log_max else math.exp(log_a))
+            with np.errstate(over="ignore", invalid="ignore"):
+                nf = frobenius_norm(np.asarray(H[m - 1]) + reciprocal_sum(d, m) * np.eye(n))
+            if nf == 0.0:
+                tb.append(0.0)
+            else:
+                log_b = 2.0 * lr + math.log(nf)
+                tb.append(math.inf if log_b >= log_max else math.exp(log_b))
+        out.append((ta, tb, la, overflowed))
+    return out

@@ -95,6 +95,8 @@ def t4_term(blocks, n_k, m_k):
         binv = invert(blocks.B[i - blocks.offset])
         gram[:n, :n] += binv @ binv.conj().T
         total += float(np.trace(gram[:n, :n]).real)
+        if not math.isfinite(total):
+            raise ValueError(f"the t4 sum leaves the float range at row {i + 1}")
     return math.sqrt(total)
 
 
@@ -321,8 +323,10 @@ def interval_kernel_pass(model, a, b):
     w, tri, v = _cell_integrals(model, cells)
     wt = w.transpose(0, 1, 3, 2).reshape(len(w), n, 4 * n * n)
     gram, total = np.zeros((n, 2 * n, 2 * n), dtype=complex), np.zeros((n, n))
-    for jump, step, wt_c, tri_c, v_c in zip(cells.jump, cells.prop, wt, tri, v):
-        if jump is not None:
+    jumps = iter(cells.jump)
+    for jumped, step, wt_c, tri_c, v_c in zip(cells.jumped, cells.prop, wt, tri, v):
+        if jumped:
+            jump = next(jumps)
             gram = jump @ gram @ jump.conj().T
         total += (wt_c @ gram.reshape(n, -1).T).real + tri_c
         gram = step @ gram @ step.conj().T + v_c

@@ -30,11 +30,10 @@ from sldl.jacobi import (
     blocks_from_json,
     blocks_to_json,
     cancel_jumps,
-    reciprocal_sum,
     recurrence_summands,
 )
 from sldl.matcore import condition, frobenius_norm
-from sldl.reports import CONVERGES, DIVERGES
+from sldl.reports import CONVERGES, DIVERGES, build_report
 
 
 def constant_blocks(count=12, n=1):
@@ -78,7 +77,8 @@ def test_vectorized_blocks_are_bit_exact(n):
     eye = np.eye(n)
     for k in range(1, len(d)):
         h = np.asarray(H[k - 1], dtype=complex)
-        assert np.array_equal(blocks.A[k], (h + reciprocal_sum(d, k) * eye) / (d[k - 1] + d[k]))
+        shift = reference_lattice.reciprocal_sum(d, k)
+        assert np.array_equal(blocks.A[k], (h + shift * eye) / (d[k - 1] + d[k]))
     for k in range(1, len(d) - 1):
         r = math.sqrt((d[k - 1] + d[k]) * (d[k] + d[k + 1]))
         assert np.array_equal(blocks.B[k], -eye / (r * d[k]))
@@ -317,6 +317,27 @@ def test_march_keeps_every_bit_and_zero_sign_of_the_matmul_step(kind):
     for i, j in ((4, 3), (5, 3), (6, 3), (1200, 150), (count - 1, 1)):
         assert (discrete_cauchy(blocks, i, j).tobytes()
                 == reference_march.discrete_cauchy(blocks, i, j, step).tobytes())
+
+
+def test_t4_term_at_order_3_equals_the_per_row_march():
+    blocks = _lattice_blocks("perturbed-n3")
+    for n_k, m_k in ((1, 1), (1, 2), (1, 200), (700, 899), (len(blocks.B) - 3, len(blocks.B) - 1)):
+        assert t4_term(blocks, n_k, m_k) == reference_march.t4_term(blocks, n_k, m_k)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_overflowing_t4_segment_names_the_row_of_the_per_row_sum(n):
+    def outcome(t4, m_k):
+        try:
+            return t4(blocks, 1, m_k)
+        except ValueError as exc:
+            return str(exc)
+
+    blocks = blocks_from_delta([1.0] * 50, np.full((49, n, n), 1e200) * np.eye(n))
+    assert outcome(t4_term, 40) == "the t4 sum leaves the float range at row 3"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m_k in (1, 2, 3, 4, 40):
+            assert outcome(t4_term, m_k) == outcome(reference_march.t4_term, m_k)
 
 
 @pytest.mark.parametrize("kind", ["harmonic-cancel", "perturbed-n1", "perturbed-n2", "const-n2"])
@@ -582,14 +603,14 @@ def test_cancel_jumps_zero_the_shifted_jumps_exactly(n):
     assert np.array_equal(cancel_jumps(d, n), H)
     eye = np.eye(n)
     for k in range(1, 300):
-        assert np.array_equal(H[k - 1], -reciprocal_sum(d, k) * eye)
+        assert np.array_equal(H[k - 1], -reference_lattice.reciprocal_sum(d, k) * eye)
     d = tuple(np.random.default_rng(4).uniform(0.05, 3.0, 50).tolist())
     assert np.all(blocks_from_delta(d, cancel_jumps(d, n)).A[1:] == 0.0)
 
 
 def test_cor3_constructed_degenerate_family():
     d = tuple(float(k) ** -2 for k in range(1, 60))
-    H = tuple(-reciprocal_sum(d, k) * np.eye(1) for k in range(1, 59))
+    H = tuple(-reference_lattice.reciprocal_sum(d, k) * np.eye(1) for k in range(1, 59))
     res = cor3_check(d, H, 40)
     assert all(t == 0.0 for t in res.cond3.terms)
     assert res.cond2.verdict == CONVERGES
@@ -661,6 +682,36 @@ def test_lattice_array_passes_equal_the_term_at_a_time_references(kind):
     for got, want in ((res.cond2, spacing), (res.cond3, jump)):
         assert np.array(got.terms).tobytes() == np.array(want.terms).tobytes()
         assert (got.verdict, got.verdict_basis) == (want.verdict, want.verdict_basis)
+    assert_t7_equals_the_term_loop(d, H, (len(d) - 2) // 2)
+
+
+def assert_t7_equals_the_term_loop(d, H, N):
+    res = t7_check(d, H, N)
+    for s, (ta, tb, la, overflowed) in enumerate(reference_lattice.t7(d, H, N)):
+        a, b = res.series_a[s], res.series_b[s]
+        assert np.array(a.terms).tobytes() == np.array(ta).tobytes()
+        assert np.array(b.terms).tobytes() == np.array(tb).tobytes()
+        assert repr(res.log_terms_a[s]) == repr(tuple(la))
+        assert (a.notes != ()) == (overflowed > 0) and all(str(overflowed) in v for v in a.notes)
+        assert repr((a, b)) == repr((build_report(a.criterion, ta, notes=a.notes),
+                                     build_report(b.criterion, tb)))
+
+
+@pytest.mark.parametrize("d", [
+    (1e-300, 1e300) * 9,  # products past the float range in one parity, zero terms in the other
+    tuple(10.0 ** e for e in (-300, 300, -150, 200, 5, -5, 300, -300, 1, 2, 3, 4, 250, -250)),
+    (1.0, 5e-324, 2.0, 1e-310, 3.0, 1.0, 0.5, 1e308, 1e308, 1.0, 2.0, 1.0),  # inf defects, inf r^2
+    (4.0, 1.0) * 40,
+])
+@pytest.mark.parametrize("n", [1, 2])
+def test_t7_of_extreme_lattices_equals_the_term_loop(d, n):
+    rng = np.random.default_rng(len(d))
+    a = rng.uniform(-2.0, 2.0, (len(d), n, n))
+    N = (len(d) - 2) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for H in (a + a.transpose(0, 2, 1), np.zeros((len(d), n, n))):
+            assert_t7_equals_the_term_loop(d, H, N)
+            assert_t7_equals_the_term_loop(d, H, 1)
 
 
 @pytest.mark.parametrize("d", [

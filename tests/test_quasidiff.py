@@ -361,17 +361,53 @@ def test_generator_stack_equals_the_per_piece_systems(model, lam):
         assert same_bits(model.generators, want)
 
 
-@given(_PIECE_MODELS, st.data(), st.sampled_from([0.0, 0.5]))
-@settings(max_examples=40, deadline=None)
+@st.composite
+def spans_on_and_off_the_cuts(draw, model):
+    """Sorted spans and stops from 0, the cuts, X and points between: adjacent, apart or empty."""
+    inner = [model.X * p for p in draw(st.lists(st.floats(0.01, 0.99), max_size=4))]
+    points = st.sampled_from(sorted({*piece_cuts(model), model.X, *inner}))
+    bounds = sorted(draw(st.lists(points, min_size=2, max_size=7)))
+    keep = draw(st.lists(st.booleans(), min_size=len(bounds) - 1, max_size=len(bounds) - 1))
+    spans = [span for span, k in zip(zip(bounds, bounds[1:]), keep) if k]
+    return spans or [(bounds[0], bounds[-1])], sorted(set(draw(st.lists(points, max_size=5))))
+
+
+@given(st.one_of(step_sigma_models(max_n=2), delta_models(max_n=2), general_triple_models(),
+                 distributional_models(max_n=2)), st.data(), st.sampled_from([0.0, 0.5]))
+@settings(max_examples=80, deadline=None)
 def test_cells_equal_the_per_cell_reference(model, data, lam):
-    grid, x0 = data.draw(grids_off_the_cuts(model))
-    cells = _cells(model, lam, [(x0, model.X)], stops=grid)
-    piece, jump, gen, length, end = zip(*reference_march.cells(model, lam, x0, model.X, grid))
-    assert (cells.piece, cells.length, cells.end) == (list(piece), list(length), list(end))
-    assert cells.jump == list(jump) == [None] * len(piece)
-    assert same_bits(cells.gen, np.array(gen))
+    spans, stops = data.draw(spans_on_and_off_the_cuts(model))
+    cells = _cells(model, lam, spans, stops=stops)
+    walks = [list(reference_march.cells(model, lam, x0, x1, stops)) for x0, x1 in spans]
+    first = np.cumsum([0] + [len(w) for w in walks[:-1]])
+    piece, jump, gen, length, end = zip(*sum(walks, [])) if any(walks) else ([],) * 5
+    m = 2 * model.n
+    assert same_bits(np.array(cells.piece, dtype=int), np.array(piece, dtype=int))
+    assert same_bits(np.array(cells.length), np.array(length, dtype=float))
+    assert same_bits(np.array(cells.end), np.array(end, dtype=float))
+    assert same_bits(np.array(cells.first), first)
+    assert cells.jumped == [j is not None for j in jump]
+    want = np.array([j for j in jump if j is not None], dtype=complex).reshape(-1, m, m)
+    assert same_bits(cells.jump, want)
+    assert same_bits(cells.gen, np.array(gen, dtype=complex).reshape(-1, m, m))
     want = [reference_march.expm(g * s) for g, s in zip(gen, length)]
-    assert same_bits(cells.prop, np.array(want))
+    assert same_bits(cells.prop, np.array(want, dtype=complex).reshape(-1, m, m))
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, math.nan, 1.0], "grid must be finite"),
+    ([0.0, 1.0, math.nan], "grid must be finite"),
+    ([0.0, 1.0, math.inf], "grid must be finite"),
+    ([math.nan, 1.0], "grid must start at 0.0"),
+    ([], "grid must start at 0.0"),
+    ([0.0, 2.0, 1.0], "grid must be strictly increasing"),
+    ([0.0, 1.0, 1.0], "grid must be strictly increasing"),
+    ([0.0, 4.5], "grid exceeds the model domain"),
+])
+def test_a_bad_grid_is_refused_with_its_reason(grid, message):
+    model = DeltaNodes(1, (1.0, 2.0, 3.0), [[[1.0]], [[-1.0]], [[0.5]]], 4.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fundamental_pair(model, 0.0, grid)
 
 
 def test_general_triple_pair_equals_the_per_cell_march():
