@@ -155,14 +155,12 @@ def _kernel_pass(model, spans) -> np.ndarray:
     wt = w.transpose(0, 1, 3, 2).reshape(len(w), n, 4 * n * n)  # tr(W_i g) = vec(W_i^T).vec(g)
     totals = np.zeros((len(spans), n, n))
     restart = dict(zip(cells.first, totals))  # a span without cells keeps its zero row
-    jumps = zip(cells.jump, cells.jump.conj().swapaxes(1, 2))
-    for c, (jumped, step, step_h, wt_c, tri_c, v_c) in enumerate(
-            zip(cells.jumped, cells.prop, cells.prop.conj().swapaxes(1, 2), wt, tri, v)):
+    for c, (jump, step, step_h, wt_c, tri_c, v_c) in enumerate(
+            zip(cells.jump, cells.prop, cells.prop.conj().swapaxes(1, 2), wt, tri, v)):
         if c in restart:
             gram, total = np.zeros((n, 2 * n, 2 * n), dtype=complex), restart[c]
-        if jumped:
-            jump, jump_h = next(jumps)
-            gram = jump @ gram @ jump_h
+        if jump is not None:
+            gram = jump @ gram @ jump.conj().T
         total += (wt_c @ gram.reshape(n, -1).T).real + tri_c
         gram = step @ gram @ step_h + v_c
     return totals
@@ -173,10 +171,10 @@ def _solution_norm_pass(model, spans) -> np.ndarray:
     t = transfer(model, 0.0, 0.0, spans[0][0])
     cells = _cells(model, 0.0, spans)
     total = 0.0
-    w, jumps = _cell_integrals(model, cells)[0].sum(axis=1), iter(cells.jump)
-    for jumped, step, w_c in zip(cells.jumped, cells.prop, w):
-        if jumped:
-            t = next(jumps) @ t
+    w = _cell_integrals(model, cells)[0].sum(axis=1)
+    for jump, step, w_c in zip(cells.jump, cells.prop, w):
+        if jump is not None:
+            t = jump @ t
         total += float(np.vdot(t, w_c @ t).real)
         t = step @ t
     return np.array([total])

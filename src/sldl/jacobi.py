@@ -75,8 +75,13 @@ class IndexOutOfRangeError(IndexError):
 # lattice helpers (single source of truth for the float expressions)
 
 
+def reciprocal_sum(d, k: int) -> float:
+    """1/d_k + 1/d_{k+1} for 1-based spacing index k."""
+    return 1.0 / d[k - 1] + 1.0 / d[k]
+
+
 def _shifted_jumps(d, H: np.ndarray, count: int) -> np.ndarray:
-    """H_k + (1/d_k + 1/d_{k+1}) I for k = 1..count, with the float operations of that formula.
+    """H_k + (1/d_k + 1/d_{k+1}) I for k = 1..count, with reciprocal_sum's float operations.
 
     A subnormal spacing gives inf entries, as 1/d does in Python, without a warning.
     """

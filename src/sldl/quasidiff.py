@@ -25,6 +25,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,6 @@ class StepSigma:
     cuts: tuple[float, ...]
     values: np.ndarray
     X: float
-    cell_jumps: np.ndarray = field(init=False, repr=False)  # values, then their changes at cuts
 
     def __post_init__(self):
         object.__setattr__(self, "cuts", _check_cuts(self.cuts, self.X))
@@ -103,7 +103,13 @@ class StepSigma:
             raise ShapeMismatchError("need one sigma value per piece")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "X", float(self.X))
-        object.__setattr__(self, "cell_jumps", np.concatenate([vals, np.diff(vals, axis=0)]))
+
+    @cached_property
+    def cell_jumps(self) -> np.ndarray:
+        """Read-only stack of the dS that start cells: the values, then their changes at the cuts."""
+        stack = np.concatenate([self.values, np.diff(self.values, axis=0)])
+        stack.flags.writeable = False
+        return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +127,6 @@ class DeltaNodes:
     X: float
     spacings: tuple[float, ...] | None = None
     sigma: StepSigma = field(init=False, repr=False)
-    cell_jumps: np.ndarray = field(init=False, repr=False)  # sigma's values, then the jumps
 
     def __post_init__(self):
         x = _floats(self.nodes)
@@ -146,7 +151,13 @@ class DeltaNodes:
         # sequential sums from a zero first piece: sigma on piece k is H_1 + ... + H_k
         values = np.cumsum(np.concatenate([np.zeros((1, self.n, self.n)), jumps]), axis=0)
         object.__setattr__(self, "sigma", StepSigma(self.n, [0.0, *nodes], values, self.X))
-        object.__setattr__(self, "cell_jumps", np.concatenate([self.sigma.values, jumps]))
+
+    @cached_property
+    def cell_jumps(self) -> np.ndarray:
+        """Read-only stack of the dS that start cells: sigma's values, then the jumps."""
+        stack = np.concatenate([self.sigma.values, self.jumps])
+        stack.flags.writeable = False
+        return stack
 
     @classmethod
     def from_spacings(cls, n: int, spacings, jumps, tail: float = 1.0) -> "DeltaNodes":
@@ -370,26 +381,26 @@ def _jumps(ds: np.ndarray) -> np.ndarray:
     return out
 
 
-Cells = namedtuple("Cells", "piece jumped jump gen length end prop first")
+Cells = namedtuple("Cells", "piece jump gen length end prop first")
 
 
 def _cells(model, lam: complex, spans, stops=()) -> Cells:
     """The cells of the spans [x0, x1], with every state-independent operator stacked.
 
     Cells are the pieces clipped to each span, walked alone, and cut again at
-    the sorted points ``stops``; a cell flagged in ``jumped`` takes the next
-    matrix of the stack ``jump`` at its start and ``prop`` = exp(generator *
-    length) carries the state across; ``first`` holds the index of each span's
-    first cell. Step and delta models work in classical coordinates (f, f'),
-    since quasi generators carry sigma**2 and lose about that factor once the
-    accumulated potential is large: a free flight inside each cell, a jump by
-    the change of sigma at each cut (the stored jump and spacing for full
-    delta cells), and a first jump by sigma itself, from (f, f1) into (f, f'),
-    that ``_to_quasi`` undoes, each dS picked from ``model.cell_jumps``. At
+    the sorted points ``stops``; ``jump`` (or None) applies at the cell's
+    start and ``prop`` = exp(generator * length) carries the state across;
+    ``first`` holds the index of each span's first cell. Step and delta
+    models work in classical coordinates (f, f'), since quasi generators
+    carry sigma**2 and lose about that factor once the accumulated potential
+    is large: a free flight inside each cell, a jump by the change of sigma
+    at each cut (the stored jump and spacing for full delta cells), and a
+    first jump by sigma itself, from (f, f1) into (f, f'), that ``_to_quasi``
+    undoes; all dS are gathered from ``model.cell_jumps`` by one index. At
     lam = 0 the flight generator N is nilpotent and its propagators are
-    I + length * N in closed form, which is what ``expm`` returns for it. Other
-    models keep quasi coordinates and the piece generator, without jumps; the
-    other propagators come from one stacked ``expm`` call.
+    I + length * N in closed form, which is what ``expm`` returns for it.
+    Other models keep quasi coordinates and the piece generator; the other
+    propagators come from one stacked ``expm`` call.
     """
     sigma = _sigma_of(model)
     delta = model if isinstance(model, DeltaNodes) else None
@@ -402,8 +413,8 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
         while pos < x1:
             end = cuts[i + 1] if i + 1 < len(cuts) else model.X
             stop = min(end, mark)
-            jumped.append(sigma is not None and (pos == x0 or pos == cuts[i]))
-            if jumped[-1]:
+            if sigma is not None and (pos == x0 or pos == cuts[i]):
+                jumped.append(len(pieces))
                 picks.append(i if pos == x0 else len(cuts) - 1 + i)
             full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
             pieces.append(i)
@@ -415,17 +426,18 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
                 i += 1
             pos = stop
     n, m = model.n, 2 * model.n
+    jump = [None] * len(pieces)
     if sigma is None:
         gen = _piece_generators(model, lam, pieces)
-        jump = np.empty((0, m, m), dtype=complex)
     else:
         flight = np.eye(m, k=n, dtype=complex)
         flight[n:, :n] = -lam * np.eye(n)
         gen = np.broadcast_to(flight, (len(pieces), m, m))
-        jump = _jumps(model.cell_jumps[picks])
+        for c, matrix in zip(jumped, _jumps(model.cell_jumps[picks])):
+            jump[c] = matrix
     scaled = gen * np.array(lengths)[:, None, None]
     prop = np.eye(m) + scaled if sigma is not None and lam == 0 else expm(scaled)
-    return Cells(pieces, jumped, jump, gen, lengths, ends, prop, first)
+    return Cells(pieces, jump, gen, lengths, ends, prop, first)
 
 
 def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
@@ -436,11 +448,10 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     would change the floats.
     """
     out = np.empty((len(cells.prop) + 1,) + y.shape, dtype=complex)
-    out[0], jumps = y, iter(cells.jump)
-    y, turned = out[0], np.empty_like(out[0])
-    for jumped, prop, end in zip(cells.jumped, cells.prop, out[1:]):
-        if jumped:
-            y = next(jumps).dot(y, out=turned)
+    out[0], jumped = y, np.empty_like(out[0])
+    for jump, prop, end in zip(cells.jump, cells.prop, out[1:]):
+        if jump is not None:
+            y = jump.dot(y, out=jumped)
         y = prop.dot(y, out=end)
     return out
 

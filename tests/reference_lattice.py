@@ -14,13 +14,9 @@ import math
 
 import numpy as np
 
+from sldl.jacobi import reciprocal_sum
 from sldl.matcore import frobenius_norm
 from sldl.reports import build_report
-
-
-def reciprocal_sum(d, k: int) -> float:
-    """1/d_k + 1/d_{k+1} for 1-based spacing index k."""
-    return 1.0 / d[k - 1] + 1.0 / d[k]
 
 
 def block_stacks(d, H):

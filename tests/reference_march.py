@@ -323,10 +323,8 @@ def interval_kernel_pass(model, a, b):
     w, tri, v = _cell_integrals(model, cells)
     wt = w.transpose(0, 1, 3, 2).reshape(len(w), n, 4 * n * n)
     gram, total = np.zeros((n, 2 * n, 2 * n), dtype=complex), np.zeros((n, n))
-    jumps = iter(cells.jump)
-    for jumped, step, wt_c, tri_c, v_c in zip(cells.jumped, cells.prop, wt, tri, v):
-        if jumped:
-            jump = next(jumps)
+    for jump, step, wt_c, tri_c, v_c in zip(cells.jump, cells.prop, wt, tri, v):
+        if jump is not None:
             gram = jump @ gram @ jump.conj().T
         total += (wt_c @ gram.reshape(n, -1).T).real + tri_c
         gram = step @ gram @ step.conj().T + v_c
