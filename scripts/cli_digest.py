@@ -206,6 +206,9 @@ INVOCATIONS = [
     "classify --model nan-knot.json --intervals unit:20",
     # a lattice order below 1
     "jacobi build --n 0 --d const:1 --H cancel",
+    # subnormal spacings: infinite reciprocal sums on the diagonals of order 2 shifted jumps
+    "jacobi t7 --d list:1,5e-324,2,1e-310,3,1,0.5,2 --H const:1 --n 2 --N 2",
+    "jacobi cor3 --d list:1,5e-324,2,1e-310,3,1,0.5,2 --H const:1 --n 2 --N 2",
 ]
 
 

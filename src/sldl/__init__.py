@@ -41,7 +41,6 @@ from .jacobi import (
     christ_stolz_family,
     cor3_check,
     discrete_cauchy,
-    recurrence_apply,
     solve_recurrence,
     t4_report,
     t4_term,
@@ -56,9 +55,7 @@ from .quasidiff import (
     LinearSigma,
     QuasiState,
     StepSigma,
-    build_system_matrix,
     cauchy_kernel,
-    classical_derivative,
     fundamental_pair,
     green_form,
     propagate,

@@ -25,19 +25,20 @@ from .criteria import (
     Diagonal,
     IntervalSeq,
     OffDiagonal,
-    cor2_series,
+    cor2_lattice,
     t1_series,
     t2_predicate,
 )
 from .jacobi import (
     JacobiBlocks,
-    blocks_from_delta,
+    Lattice,
+    blocks_from_lattice,
     carleman_report,
     christ_stolz_family,
-    cor3_check,
+    cor3_lattice,
     recurrence_summands,
     t4_report,
-    t7_check,
+    t7_lattice,
 )
 from .matcore import ShapeMismatchError
 from .quasidiff import (
@@ -153,10 +154,10 @@ def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) 
     m = len(model.nodes)
     if m < count + 3:
         raise ValueError(f"need at least count + 3 = {count + 3} nodes, have {m}")
-    d, y = model.spacings, np.concatenate([seed_state.f, seed_state.f1])
+    lat, y = _lattice(model), np.concatenate([seed_state.f, seed_state.f1])
     samples = _march(_cells(model, 0.0, [(0.0, model.nodes[-1])]), y)[1:, :model.n]
-    blocks = blocks_from_delta(d, model.jumps)
-    u = np.vstack([np.zeros((1, model.n), dtype=complex), nodes_to_Z(samples, d)])
+    blocks = blocks_from_lattice(lat)
+    u = np.vstack([np.zeros((1, model.n), dtype=complex), nodes_to_Z(samples, lat.d)])
     parts = recurrence_summands(blocks, u, 2, count + 2)
     scale = np.maximum(1.0, np.maximum.reduce([_row_norms(p) for p in parts]))
     return float(np.max(_row_norms(parts[0] + parts[1] + parts[2]) / scale))
@@ -199,31 +200,35 @@ def resolve_classification(evidence) -> str:
     return INCONCLUSIVE_CLASS
 
 
-def _lattice_data(problem):
+def _lattice(problem) -> Lattice:
+    """The delta lattice of a problem (its spacings and jumps, or its blocks' provenance)."""
     if isinstance(problem, DeltaNodes):
-        return problem.spacings, problem.jumps
+        return Lattice(problem.spacings, problem.jumps)
     if isinstance(problem, StepSigma) and len(problem.cuts) >= 3:
         d = tuple(b - a for a, b in zip(problem.cuts, problem.cuts[1:]))
-        return d, np.diff(problem.values, axis=0)
+        return Lattice(d, np.diff(problem.values, axis=0))
     if isinstance(problem, JacobiBlocks) and problem.provenance is not None:
-        return problem.provenance.d, problem.provenance.H
-    return (), ()  # no lattice
+        return problem.provenance
+    return Lattice((), ())  # no lattice
 
 
 class _Subject:
-    """A problem under classification, its lattice data and, on first use, its blocks."""
+    """A problem under classification and, each built once on first use, its lattice and blocks."""
 
     def __init__(self, problem, config: ClassifyConfig):
         self.problem = problem
         self.config = config
-        self.d, self.H = _lattice_data(problem)
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        return _lattice(self.problem)
 
     @cached_property
     def blocks(self) -> JacobiBlocks | None:
         if isinstance(self.problem, JacobiBlocks):
             return self.problem
-        if len(self.d) >= 3:
-            return blocks_from_delta(self.d, self.H)
+        if len(self.lattice.d) >= 3:
+            return blocks_from_lattice(self.lattice)
         return None
 
 
@@ -258,9 +263,9 @@ def _run_t2(s):
 
 
 def _run_cor2(s):
-    if len(s.d) >= 2 and len(s.H) >= 1:
-        for name, ch in _channels(s.H[0].shape[0]):
-            yield _series(f"cor2:{name}", cor2_series(s.d, s.H, ch))
+    if len(s.lattice.d) >= 2 and len(s.lattice.H) >= 1:
+        for name, ch in _channels(s.lattice.H.shape[1]):
+            yield _series(f"cor2:{name}", cor2_lattice(s.lattice, ch))
 
 
 def _run_carleman(s):
@@ -275,17 +280,17 @@ def _run_t4(s):
 
 
 def _run_t7(s):
-    n_eff = min(s.config.N, (len(s.d) - 2) // 2, (len(s.H) - 1) // 2)
+    n_eff = min(s.config.N, (len(s.lattice.d) - 2) // 2, (len(s.lattice.H) - 1) // 2)
     if n_eff >= 1:
-        res = t7_check(s.d, s.H, n_eff)
+        res = t7_lattice(s.lattice, n_eff)
         basis = "; ".join(f"{r.criterion}: {r.verdict}" for r in res.reports())
         yield _check("t7", res.reports(), res.limit_circle_certified, basis)
 
 
 def _run_cor3(s):
-    n_eff = min(s.config.N, len(s.d) - 3, len(s.H))
+    n_eff = min(s.config.N, len(s.lattice.d) - 3, len(s.lattice.H))
     if n_eff >= 2:
-        res = cor3_check(s.d, s.H, n_eff)
+        res = cor3_lattice(s.lattice, n_eff)
         basis = (f"comparability {res.cond1_direction}; "
                  f"spacing series {res.cond2.verdict}; "
                  f"jump series {res.cond3.verdict}")

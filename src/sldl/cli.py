@@ -51,17 +51,17 @@ from .criteria import (
     t5_series,
 )
 from .jacobi import (
-    blocks_from_delta,
+    Lattice,
     blocks_from_json,
+    blocks_from_lattice,
     blocks_to_json,
     cancel_jumps,
     carleman_report,
-    check_spacings,
-    cor3_check,
+    cor3_lattice,
     discrete_cauchy,
     solve_recurrence,
     t4_report,
-    t7_check,
+    t7_lattice,
 )
 from .matcore import matrix_from_json, matrix_to_json
 from .quasidiff import DeltaNodes, LinearSigma, QuasiState, model_from_json
@@ -216,7 +216,7 @@ def parse_jumps(spec: str, d, n: int):
             raise ConfigError(f"jump value {v} is not finite")
         return tuple(v * eye for _ in range(count))
     if spec == "cancel":
-        return cancel_jumps(check_spacings(d), n)
+        return cancel_jumps(d, n)
     if spec.startswith("file:"):
         return tuple(matrix_from_json(h, n) for h in _load_json(spec[5:]))
     raise ConfigError(f"unknown jump spec {spec!r}")
@@ -411,7 +411,7 @@ def _criterion_cor2(args):
 
 
 def _lattice(args, min_count, *keys):
-    """(config echo, d, H) of a jacobi leaf, from --data or the --d/--H shorthands.
+    """(config echo, Lattice) of a jacobi leaf, from --data or the --d/--H shorthands.
 
     ``min_count(args)`` is evaluated after a data file's own N has taken
     effect; shorthand-generated spacings are extended to meet it. The count
@@ -431,56 +431,54 @@ def _lattice(args, min_count, *keys):
         raise ConfigError(f"need at least {min_count(args)} spacings")
     jumps = (tuple(matrix_from_json(h) for h in obj["H"]) if args.data
              else parse_jumps(args.H, d, args.n))
-    return _echo(args, "op", "d", "H", "n", "data", *keys), d, jumps
+    return _echo(args, "op", "d", "H", "n", "data", *keys), Lattice(d, jumps)
 
 
-def _recurrence(args, d, jumps):
+def _recurrence(args, lat):
     """The recurrence solution from --u0/--u1 over --steps, and its l2 report."""
-    u = solve_recurrence(blocks_from_delta(d, jumps), parse_vector(args.u0, args.n),
+    u = solve_recurrence(blocks_from_lattice(lat), parse_vector(args.u0, args.n),
                          parse_vector(args.u1, args.n), args.steps)
     return u, l2_tail_report(u).to_json()
 
 
 def _jacobi_build(args):
-    echo, d, jumps = _lattice(args, lambda a: 3, "count")
-    return echo, {"blocks": blocks_to_json(blocks_from_delta(d, jumps))}
+    echo, lat = _lattice(args, lambda a: 3, "count")
+    return echo, {"blocks": blocks_to_json(blocks_from_lattice(lat))}
 
 
 def _jacobi_recurrence(args):
-    echo, d, jumps = _lattice(args, lambda a: max(a.steps, 3), "count", "steps", "u0", "u1")
-    u, l2 = _recurrence(args, d, jumps)
+    echo, lat = _lattice(args, lambda a: max(a.steps, 3), "count", "steps", "u0", "u1")
+    u, l2 = _recurrence(args, lat)
     return echo, {"sequence": [matrix_to_json(v.reshape(1, -1))[0] for v in u],
                   "reports": [l2]}
 
 
 def _jacobi_cauchy(args):
-    echo, d, jumps = _lattice(args, lambda a: a.i + 2, "count", "i", "j")
-    return echo, {"K": matrix_to_json(discrete_cauchy(blocks_from_delta(d, jumps),
-                                                      args.i, args.j))}
+    echo, lat = _lattice(args, lambda a: a.i + 2, "count", "i", "j")
+    return echo, {"K": matrix_to_json(discrete_cauchy(blocks_from_lattice(lat), args.i, args.j))}
 
 
 def _jacobi_t4(args):
     segments = parse_segments(args.segments)
-    echo, d, jumps = _lattice(args, lambda a: max(m for _, m in segments) + 2,
-                              "count", "segments")
-    return echo, {"reports": [t4_report(blocks_from_delta(d, jumps), segments).to_json()]}
+    echo, lat = _lattice(args, lambda a: max(m for _, m in segments) + 2, "count", "segments")
+    return echo, {"reports": [t4_report(blocks_from_lattice(lat), segments).to_json()]}
 
 
 def _jacobi_carleman(args):
-    echo, d, jumps = _lattice(args, lambda a: a.N + 2, "N")
-    return echo, {"reports": [carleman_report(blocks_from_delta(d, jumps), args.N).to_json()]}
+    echo, lat = _lattice(args, lambda a: a.N + 2, "N")
+    return echo, {"reports": [carleman_report(blocks_from_lattice(lat), args.N).to_json()]}
 
 
 def _jacobi_t7(args):
-    echo, d, jumps = _lattice(args, lambda a: 2 * a.N + 2, "N")
-    res = t7_check(d, jumps, args.N)
+    echo, lat = _lattice(args, lambda a: 2 * a.N + 2, "N")
+    res = t7_lattice(lat, args.N)
     return echo, {"limit_circle_certified": res.limit_circle_certified,
                   "reports": _reports_json(res.reports())}
 
 
 def _jacobi_cor3(args):
-    echo, d, jumps = _lattice(args, lambda a: a.N + 3, "N")
-    res = cor3_check(d, jumps, args.N)
+    echo, lat = _lattice(args, lambda a: a.N + 3, "N")
+    res = cor3_lattice(lat, args.N)
     return echo, {"limit_circle_certified": res.limit_circle_certified,
                   "cond1": res.cond1,
                   "cond1_direction": res.cond1_direction,
@@ -503,7 +501,7 @@ def _bridge_residual(args):
 def _bridge_l2(args):
     """jacobi recurrence's l2 report without the sequence."""
     d = parse_spacings(args.d, max(args.count, args.steps + 1))
-    _, l2 = _recurrence(args, d, parse_jumps(args.H, d, args.n))
+    _, l2 = _recurrence(args, Lattice(d, parse_jumps(args.H, d, args.n)))
     return _echo(args, "op", "d", "H", "n", "steps", "u0", "u1"), {"reports": [l2]}
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import check_spacings
+from .jacobi import Lattice
 from .matcore import ShapeMismatchError, as_stack, frobenius_norm
 from .quasidiff import (
     DeltaNodes,
@@ -406,18 +406,22 @@ def cor1_series(lengths, jumps, channel,
     return build_report("cor1", terms, threshold=threshold)
 
 
-def cor2_series(d, jumps, channel,
-                threshold: float | None = None) -> CriterionReport:
+def cor2_series(d, jumps, channel, threshold: float | None = None) -> CriterionReport:
+    """``cor2_lattice`` of the lattice (d, jumps)."""
+    return cor2_lattice(Lattice(d, jumps), channel, threshold)
+
+
+def cor2_lattice(lat: Lattice, channel, threshold: float | None = None) -> CriterionReport:
     """Delta-lattice jump series in the spacings d_k = x_k - x_{k-1}.
 
     Terms are _lattice_terms with rho = d_k and s = d_{k+1}: diagonal terms
     d_k d_{k+1} sqrt(d_k + d_{k+1}) sqrt|h_ii + 1.5 (1/d_k + 1/d_{k+1})|,
     off-diagonal (d_k d_{k+1})^(3/2) |h_ij|. Term k needs d_{k+1}, so the
-    series runs over k = 1 .. min(len(d) - 1, len(jumps)).
+    series runs over k = 1 .. min(len(d) - 1, len(H)).
     """
-    d = np.array(check_spacings(d))
-    count = min(len(d) - 1, len(jumps))
-    terms = _lattice_terms(channel, jumps[:count], d[:count], d[1:count + 1])
+    d = np.array(lat.d)
+    count = min(len(d) - 1, len(lat.H))
+    terms = _lattice_terms(channel, lat.H[:count], d[:count], d[1:count + 1])
     return build_report("cor2", terms, threshold=threshold)
 
 

@@ -19,19 +19,22 @@ diagnostics: a divergent sum of 1 / ||B_k|| certifies the determinate
 certify the completely indeterminate (limit circle) case.
 
 Sequence storage: each block or jump sequence is one read-only (K, n, n)
-complex array, validated once by ``matcore.as_stack``, and the block
-formulas and series terms above are array expressions over it. The
-recurrence marches step with the lazily built stacks B_inv and B_star of
-``JacobiBlocks``: each step is three BLAS products into preallocated buffers,
-or three Python complex products at order n = 1. Storage is 0-based; ``offset``
-records the recurrence index of slot 0 so block A[k - offset] is A_k. All
-spacing indices k in this module are 1-based to match the recurrence above.
+complex array, and the block formulas and series terms above are array
+expressions over it. A lattice is one ``Lattice``, checked once on
+construction; its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I are one lazily
+built stack that A_k, t7 and cor3 slice, and the (d, H) entry points build a
+Lattice for the lattice forms. The recurrence marches step with the lazily
+built stacks B_inv and B_star of ``JacobiBlocks``: each step is three BLAS
+products into preallocated buffers, or three Python complex products at order
+n = 1. Storage is 0-based; ``offset`` records the recurrence index of slot 0
+so block A[k - offset] is A_k. All spacing indices k in this module are
+1-based to match the recurrence above.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -72,28 +75,56 @@ class IndexOutOfRangeError(IndexError):
 
 
 # ---------------------------------------------------------------------------
-# lattice helpers (single source of truth for the float expressions)
+# the lattice and its blocks
 
 
-def reciprocal_sum(d, k: int) -> float:
-    """1/d_k + 1/d_{k+1} for 1-based spacing index k."""
-    return 1.0 / d[k - 1] + 1.0 / d[k]
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """Spacings d_k = x_k - x_{k-1} and real symmetric jumps H_k of a delta lattice.
 
-
-def _shifted_jumps(d, H: np.ndarray, count: int) -> np.ndarray:
-    """H_k + (1/d_k + 1/d_{k+1}) I for k = 1..count, with reciprocal_sum's float operations.
-
-    A subnormal spacing gives inf entries, as 1/d does in Python, without a warning.
+    Checked once, on construction: ``d`` becomes a tuple of positive finite
+    floats and ``H`` one read-only (K, n, n) real symmetric stack; the lattice
+    criteria and blocks read it as it is. As the provenance of blocks,
+    ``boundary_default`` records whether they took the default (A_0, B_0).
     """
-    d = np.asarray(d[:count + 1])
-    with np.errstate(over="ignore"):
-        return H[:count] + (1.0 / d[:-1] + 1.0 / d[1:])[:, None, None] * np.eye(H.shape[1])
+
+    d: tuple[float, ...]
+    H: np.ndarray
+    boundary_default: bool = True
+
+    def __post_init__(self):
+        d = tuple(map(float, self.d))
+        x = np.array(d)
+        if not (x > 0.0).all():  # NaN fails too
+            raise NonPositiveSpacingError("spacings must be strictly positive")
+        if (x == math.inf).any():
+            raise ValueError("spacings must be finite")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "H", real_symmetric(as_stack(self.H), "jump matrices"))
+
+    @cached_property
+    def shifted_jumps(self) -> np.ndarray:
+        """Read-only stack of H_k + (1/d_k + 1/d_{k+1}) I, k = 1 .. min(len(H), len(d) - 1).
+
+        Every entry takes + 0.0 (-0.0 reads 0.0, as in a sum with I) and only
+        the diagonal the reciprocal sum, so a subnormal spacing gives inf
+        diagonal entries, as 1/d does in Python, and no NaN or warning.
+        """
+        count = max(min(len(self.H), len(self.d) - 1), 0)
+        x = np.array(self.d[:count + 1])
+        with np.errstate(over="ignore"):
+            recip = 1.0 / x[:-1] + 1.0 / x[1:]
+        out = self.H[:count] + 0.0
+        for i in range(out.shape[1]):
+            out[:, i, i] += recip
+        out.flags.writeable = False
+        return out
 
 
 def cancel_jumps(d, n: int = 1) -> np.ndarray:
-    """H_k = -(1/d_k + 1/d_{k+1}) I, k = 1 .. len(d) - 1, from spacings the caller has checked."""
-    count = max(len(d) - 1, 0)
-    return as_stack(-_shifted_jumps(d, np.zeros((count, n, n)), count), n)  # rejects inf
+    """H_k = -(1/d_k + 1/d_{k+1}) I, k = 1 .. len(d) - 1; d is checked as a Lattice's."""
+    zero = Lattice(d, np.zeros((max(len(d) - 1, 0), n, n)))
+    return as_stack(-zero.shifted_jumps.real, n)  # rejects inf
 
 
 def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.ndarray]:
@@ -110,35 +141,13 @@ def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.n
     return d, cancel_jumps(d, n)
 
 
-def check_spacings(d) -> tuple[float, ...]:
-    """The spacings d as floats; NonPositiveSpacingError unless all are strictly positive."""
-    d = tuple(map(float, d))
-    x = np.array(d)
-    if not (x > 0.0).all():  # NaN fails too
-        raise NonPositiveSpacingError("spacings must be strictly positive")
-    if (x == math.inf).any():
-        raise ValueError("spacings must be finite")
-    return d
-
-
-# ---------------------------------------------------------------------------
-# blocks
-
-
-@dataclass(frozen=True, eq=False)
-class DeltaProvenance:
-    d: tuple[float, ...]
-    H: np.ndarray
-    boundary_default: bool
-
-
 @dataclass(frozen=True, eq=False)
 class JacobiBlocks:
     n: int
     A: np.ndarray
     B: np.ndarray
     offset: int = 0
-    provenance: DeltaProvenance | None = None
+    provenance: Lattice | None = None
 
     def __post_init__(self):
         A = as_stack(self.A, self.n)
@@ -184,51 +193,45 @@ class JacobiBlocks:
         return slice(lo - self.offset, hi - self.offset)
 
 
-def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
-    """Blocks of the lattice correspondence for spacings d and jumps H.
+def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
+    """Blocks of the lattice correspondence, with ``lat`` as their provenance.
 
     Needs len(H) >= len(d) - 1; an extra trailing jump is ignored. The
-    boundary pair (A_0, B_0) defaults to (O, -I) and is only recorded,
-    never used by the determinacy criteria.
+    boundary pair (A_0, B_0) defaults to (O, -I) and is only recorded (a
+    non-default pair gives a copy of ``lat`` whose ``boundary_default`` is
+    False), never used by the determinacy criteria.
     """
-    d = check_spacings(d)
-    m = len(d)
+    m = len(lat.d)
     if m < 2:
         raise ValueError("need at least two spacings")
-    H = real_symmetric(as_stack(H), "jump matrices")
-    if len(H) not in (m - 1, m):
+    if len(lat.H) not in (m - 1, m):
         raise ShapeMismatchError(f"need {m - 1} (or {m}) jumps for {m} spacings")
-    n = H.shape[1]
+    n = lat.H.shape[1]
     if boundary is None:
         a0, b0 = np.zeros((n, n), dtype=complex), -np.eye(n, dtype=complex)
-        default = True
     else:
         a0, b0 = real_symmetric(as_stack(boundary, n), "boundary blocks")
-        default = False
+    if lat.boundary_default != (boundary is None):
+        lat = replace(lat, boundary_default=boundary is None)
     # r_{k+1}^2 = d_k + d_{k+1}; one square root per r_{k+1} r_{k+2} keeps
     # integer-valued products exact (d == 1 gives exactly 2.0)
-    dd = np.array(d)
+    dd = np.array(lat.d)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r2 = (dd[:-1] + dd[1:])[:, None, None]
-        A = _shifted_jumps(d, H, m - 1) / r2
+        A = lat.shifted_jumps[:m - 1] / r2
         B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * dd[1:-1, None, None])
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("lattice blocks overflow: spacings too small or jumps too large")
-    return JacobiBlocks(n, np.concatenate([a0[None], A]), np.concatenate([b0[None], B]), 0,
-                        DeltaProvenance(d, H[:m - 1], default))
+    return JacobiBlocks(n, np.concatenate([a0[None], A]), np.concatenate([b0[None], B]), 0, lat)
+
+
+def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
+    """``blocks_from_lattice`` of the lattice (d, H)."""
+    return blocks_from_lattice(Lattice(d, H), boundary)
 
 
 # ---------------------------------------------------------------------------
 # recurrence
-
-
-def _as_vecseq(u, n: int) -> np.ndarray:
-    arr = np.asarray(u, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[1] != n:
-        raise ShapeMismatchError(f"expected vectors of length {n}")
-    return arr
 
 
 def _as_vec(v, n: int) -> np.ndarray:
@@ -244,16 +247,6 @@ def recurrence_summands(blocks: JacobiBlocks, u: np.ndarray, lo: int, hi: int):
     matvec = lambda m, v: (m @ v[:, :, None])[:, :, 0]
     return (matvec(blocks.B[s][1:], u[lo + 1:hi + 1]), matvec(blocks.A[s][1:], u[lo:hi]),
             matvec(blocks.B_star[s][:-1], u[lo - 1:hi - 1]))
-
-
-def recurrence_apply(blocks: JacobiBlocks, u, j: int) -> np.ndarray:
-    """(lu)_j = B_j u_{j+1} + A_j u_j + B*_{j-1} u_{j-1} for j >= 1."""
-    if j < 1:
-        raise IndexOutOfRangeError("the recurrence starts at j = 1")
-    seq = _as_vecseq(u, blocks.n)
-    if j + 1 >= seq.shape[0]:
-        raise IndexOutOfRangeError(f"need entries up to index {j + 1}")
-    return sum(recurrence_summands(blocks, seq, j, j + 1))[0]
 
 
 def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray:
@@ -442,14 +435,15 @@ def carleman_spacing_bounds(d, n: int = 1) -> bool:
     """Two-sided spacing bounds on 1 / ||B_k|| for the constructed blocks.
 
     Checks d_{k+1}^2 / sqrt(n) <= 1/||B_k|| <= (d_k^2 + 6 d_{k+1}^2 + d_{k+2}^2) / (4 sqrt(n))
-    for every admissible k. Holds for all positive spacings.
+    for every admissible k, on the blocks of the spacings d with zero jumps.
+    Holds for all positive spacings.
     """
-    d = check_spacings(d)
-    if len(d) < 3:
+    lat = Lattice(d, np.zeros((max(len(d) - 1, 0), n, n)))
+    if len(lat.d) < 3:
         raise ValueError("need at least three spacings")
     rn = math.sqrt(n)
-    val = 1.0 / frobenius_norm(blocks_from_delta(d, np.zeros((len(d) - 1, n, n))).B[1:])
-    d = np.array(d)
+    val = 1.0 / frobenius_norm(blocks_from_lattice(lat).B[1:])
+    d = np.array(lat.d)
     lower = d[1:-1] ** 2 / rn
     upper = (d[:-2] ** 2 + 6.0 * d[1:-1] ** 2 + d[2:] ** 2) / (4.0 * rn)
     slack = 1e-12 * np.maximum(np.maximum(lower, val), upper)
@@ -470,6 +464,11 @@ class T7Result:
 
 
 def t7_check(d, H, N: int) -> T7Result:
+    """``t7_lattice`` of the lattice (d, H)."""
+    return t7_lattice(Lattice(d, H), N)
+
+
+def t7_lattice(lat: Lattice, N: int) -> T7Result:
     """Alternating-product series certifying the completely indeterminate case.
 
     For s in {1, 2} and j = 1..N, with the partial products
@@ -483,16 +482,15 @@ def t7_check(d, H, N: int) -> T7Result:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    d = check_spacings(d)
-    H = real_symmetric(as_stack(H), "jump matrices")
+    d = lat.d
     if len(d) < 2 * N + 2:
         raise IndexOutOfRangeError(f"need at least {2 * N + 2} spacings for N = {N}")
-    if len(H) < 2 * N + 1:
+    if len(lat.H) < 2 * N + 1:
         raise IndexOutOfRangeError(f"need at least {2 * N + 1} jumps for N = {N}")
     # math.log and math.exp, not numpy's, which may differ in the last bit: log d_k
     # and log r_{k+1}^2 = log(d_k + d_{k+1}) for k = 1 .. 2N + 1, each taken once
     logs = lambda v: np.array(list(map(math.log, v)))
-    norms, x = frobenius_norm(_shifted_jumps(d, H, 2 * N + 1)), np.array(d[:2 * N + 2])
+    norms, x = frobenius_norm(lat.shifted_jumps[:2 * N + 1]), np.array(d[:2 * N + 2])
     with np.errstate(over="ignore"):
         log_d, log_r2 = logs(d[:2 * N + 1]), logs((x[:-1] + x[1:]).tolist())
     series_a, series_b, logs_a = [], [], []
@@ -532,6 +530,11 @@ class Cor3Result:
 
 
 def cor3_check(d, H, N: int) -> Cor3Result:
+    """``cor3_lattice`` of the lattice (d, H)."""
+    return cor3_lattice(Lattice(d, H), N)
+
+
+def cor3_lattice(lat: Lattice, N: int) -> Cor3Result:
     """Spacing and jump series with a sign-uniform comparability condition.
 
     cond1: r_k r_{k+3} d_k d_{k+2} compares with r_{k+1} r_{k+2} d_{k+1}^2
@@ -542,11 +545,10 @@ def cor3_check(d, H, N: int) -> Cor3Result:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    d = check_spacings(d)
-    H = real_symmetric(as_stack(H), "jump matrices")
+    d = lat.d
     if len(d) < N + 3:
         raise IndexOutOfRangeError(f"need at least {N + 3} spacings for N = {N}")
-    if len(H) < N:
+    if len(lat.H) < N:
         raise IndexOutOfRangeError(f"need at least {N} jumps for N = {N}")
 
     # over k = 2..N, slice [j:N - 1 + j] picks index k - 2 + j of x[i] = d_{i+1}
@@ -559,7 +561,7 @@ def cor3_check(d, H, N: int) -> Cor3Result:
         tol = 1e-12 * np.maximum(lhs, rhs)
         above = not np.any(lhs < rhs - tol)
         below = not np.any(lhs > rhs + tol)
-        jump_terms = x[1:N + 1] * frobenius_norm(_shifted_jumps(d, H, N))
+        jump_terms = x[1:N + 1] * frobenius_norm(lat.shifted_jumps[:N])
     cond1 = above or below
     direction = ("equal" if above and below else
                  ">=" if above else "<=" if below else "mixed")
@@ -582,17 +584,17 @@ def blocks_to_json(blocks: JacobiBlocks) -> dict:
            "A": [matrix_to_json(a) for a in blocks.A],
            "B": [matrix_to_json(b) for b in blocks.B],
            "offset": blocks.offset}
-    if blocks.provenance is not None:
-        out["provenance"] = {
-            "d": list(blocks.provenance.d),
-            "H": [matrix_to_json(h) for h in blocks.provenance.H],
-            "boundary_default": blocks.provenance.boundary_default}
+    prov = blocks.provenance
+    if prov is not None:  # a jump past the last block is not written
+        out["provenance"] = {"d": list(prov.d),
+                             "H": [matrix_to_json(h) for h in prov.H[:len(prov.d) - 1]],
+                             "boundary_default": prov.boundary_default}
     return out
 
 
-def _check_provenance(A: np.ndarray, B: np.ndarray, offset: int, prov: DeltaProvenance):
+def _check_provenance(A: np.ndarray, B: np.ndarray, offset: int, prov: Lattice):
     """ValueError unless A_k, B_k for k >= 1 are the blocks ``prov`` builds; A_0, B_0 may differ."""
-    ref = blocks_from_delta(prov.d, prov.H)
+    ref = blocks_from_lattice(prov)
     if offset != 0 or len(A) != len(ref.A) or len(B) != len(ref.B):
         raise ValueError(f"the provenance builds A_0 .. A_{len(ref.A) - 1} and "
                          f"B_0 .. B_{len(ref.B) - 1} from offset 0")
@@ -611,9 +613,9 @@ def blocks_from_json(obj: dict) -> JacobiBlocks:
         prov = None
         if "provenance" in obj:
             p = obj["provenance"]
-            prov = DeltaProvenance(tuple(float(v) for v in p["d"]),
-                                   as_stack([matrix_from_json(h, n) for h in p["H"]], n),
-                                   bool(p.get("boundary_default", True)))
+            prov = Lattice(tuple(float(v) for v in p["d"]),
+                           as_stack([matrix_from_json(h, n) for h in p["H"]], n),
+                           bool(p.get("boundary_default", True)))
             # the lattice criteria read the provenance in place of the blocks
             _check_provenance(A, B, offset, prov)
     except KeyError as exc:

@@ -115,7 +115,8 @@ def invert(m) -> np.ndarray:
 def is_hermitian(m, tol: float = 0.0) -> bool:
     """True iff |m_ij - conj(m_ji)| <= tol for a matrix, or for every matrix of a stack."""
     m = np.asarray(m, dtype=complex)
-    return bool(np.all(np.abs(m - np.swapaxes(m, -1, -2).conj()) <= tol))
+    with np.errstate(over="ignore"):  # a difference past the float range fails
+        return bool(np.all(np.abs(m - np.swapaxes(m, -1, -2).conj()) <= tol))
 
 
 def real_symmetric(m: np.ndarray, what: str) -> np.ndarray:

@@ -321,11 +321,6 @@ def piece_system(model, lam: complex, i: int) -> np.ndarray:
     return f
 
 
-def build_system_matrix(model, lam: complex, x: float) -> np.ndarray:
-    """System matrix F - L at the point x (right-continuous in x)."""
-    return piece_system(model, lam, piece_index(model, x))
-
-
 # ---------------------------------------------------------------------------
 # matrix exponential and propagation
 
@@ -504,36 +499,6 @@ def propagate(model, lam: complex, state: QuasiState, x0: float, x1: float) -> Q
     y = transfer(model, lam, x0, x1) @ np.concatenate([state.f, state.f1])
     n = model.n
     return QuasiState(y[:n], y[n:])
-
-
-def _sigma_interpretation(model, i: int) -> np.ndarray:
-    """sigma value on piece i, for models that carry a sigma reading."""
-    sigma = _sigma_of(model)
-    if sigma is not None:
-        return sigma.values[i]
-    if isinstance(model, GeneralTriple):
-        p, q, r = model.P[i], model.Q[i], model.R[i]
-        n = model.n
-        if (frobenius_norm(p - np.eye(n)) <= HERMITIAN_TOL
-                and frobenius_norm(q + r @ r) <= HERMITIAN_TOL):
-            return r
-    raise VariantUnsupportedError("model has no sigma interpretation on this piece")
-
-
-def classical_derivative(model, state: QuasiState, x: float, side: str = "+") -> np.ndarray:
-    """Classical derivative f'(x +- 0) = f1 + sigma(x +- 0) f.
-
-    Across a node the value jumps by H_k f(x_k). ``side`` picks the piece
-    left or right of x when x is a cut.
-    """
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    i = piece_index(model, x)
-    cuts = piece_cuts(model)
-    if side == "-" and i > 0 and x == cuts[i]:
-        i -= 1
-    s = _sigma_interpretation(model, i)
-    return s @ state.f + state.f1
 
 
 # ---------------------------------------------------------------------------

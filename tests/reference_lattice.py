@@ -7,16 +7,25 @@ spacing squares, ``math.log`` for the power-law exponent, products
 complex block divided by a float takes numpy's complex division, and a
 block norm is ``frobenius_norm`` of that one block). The
 tests compare with ``tobytes`` and ``==``, so any change of an operation
-or of its order shows.
+or of its order shows. A shifted jump H_k + (1/d_k + 1/d_{k+1}) I takes the
+reciprocal sum on its diagonal only, so an infinite sum leaves the
+off-diagonal entries finite.
 """
 
 import math
 
 import numpy as np
 
-from sldl.jacobi import reciprocal_sum
 from sldl.matcore import frobenius_norm
 from sldl.reports import build_report
+
+
+def shifted_jump(d, H, k: int) -> np.ndarray:
+    """H_k + (1/d_k + 1/d_{k+1}) I for 1-based k, the sum added on the diagonal only."""
+    h = np.asarray(H[k - 1], dtype=complex)
+    with np.errstate(over="ignore"):
+        r = 1.0 / d[k - 1] + 1.0 / d[k]
+    return h + np.diag(np.full(h.shape[0], r))
 
 
 def block_stacks(d, H):
@@ -26,8 +35,7 @@ def block_stacks(d, H):
     A = [np.zeros((n, n), dtype=complex)]
     B = [-np.eye(n, dtype=complex)]
     for k in range(1, len(d)):
-        h = np.asarray(H[k - 1], dtype=complex)
-        A.append((h + reciprocal_sum(d, k) * eye) / (d[k - 1] + d[k]))
+        A.append(shifted_jump(d, H, k) / (d[k - 1] + d[k]))
     for k in range(1, len(d) - 1):
         r = math.sqrt((d[k - 1] + d[k]) * (d[k] + d[k + 1]))
         B.append(-eye / (r * d[k]))
@@ -56,7 +64,6 @@ def carleman_terms(blocks, N: int) -> list[float]:
 
 def cor3(d, H, N: int):
     """(cond1, direction, spacing report, jump report) of ``cor3_check``."""
-    n = np.asarray(H[0]).shape[0]
     above = below = True
     for k in range(2, N + 1):
         lhs = math.sqrt((d[k - 2] + d[k - 1]) * (d[k + 1] + d[k + 2])) * d[k - 1] * d[k + 1]
@@ -66,8 +73,7 @@ def cor3(d, H, N: int):
         below = below and not lhs > rhs + tol
     direction = "equal" if above and below else ">=" if above else "<=" if below else "mixed"
     spacing = [d[k - 1] ** 2 for k in range(1, N + 1)]
-    jump = [d[k] * frobenius_norm(np.asarray(H[k - 1]) + reciprocal_sum(d, k) * np.eye(n))
-            for k in range(1, N + 1)]
+    jump = [d[k] * frobenius_norm(shifted_jump(d, H, k)) for k in range(1, N + 1)]
     return (above or below, direction, build_report("cor3_spacing", spacing),
             build_report("cor3_jump", jump))
 
@@ -78,7 +84,6 @@ def t7(d, H, N: int):
     Carries log ratio_j as a running sum of two logs per step and takes
     ``math.log`` and ``math.exp`` once per term, as the term loop did.
     """
-    n = np.asarray(H[0]).shape[0]
     log_max = math.log(np.finfo(float).max)
     out = []
     for s in (1, 2):
@@ -90,8 +95,7 @@ def t7(d, H, N: int):
             la.append(log_a)
             overflowed += log_a >= log_max
             ta.append(math.inf if log_a >= log_max else math.exp(log_a))
-            with np.errstate(over="ignore", invalid="ignore"):
-                nf = frobenius_norm(np.asarray(H[m - 1]) + reciprocal_sum(d, m) * np.eye(n))
+            nf = frobenius_norm(shifted_jump(d, H, m))
             if nf == 0.0:
                 tb.append(0.0)
             else:

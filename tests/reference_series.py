@@ -8,7 +8,9 @@ element at a time in Python floats: each jump term resolves its channel
 on its own matrix and is checked right after it is computed, and the
 checks walk the nodes, spacings and cuts with generators. Tests compare
 the two by ``tobytes`` and ``repr``, and compare exception classes and
-messages.
+messages. ``cor2_series`` first checks its spacings and its whole jump
+stack as the lattice they form: positive finite spacings, real symmetric
+jumps.
 
 Range policy, as in sldl: a term that is not finite (a product or power
 past the float range, or an infinity times 0) raises ValueError naming
@@ -23,8 +25,8 @@ from itertools import accumulate
 import numpy as np
 
 from sldl.criteria import Diagonal, OffDiagonal
-from sldl.jacobi import check_spacings
-from sldl.matcore import ShapeMismatchError, as_stack
+from sldl.jacobi import NonPositiveSpacingError
+from sldl.matcore import NonSymmetricError, ShapeMismatchError, as_stack
 from sldl.reports import build_report
 
 
@@ -95,8 +97,25 @@ def cor1_series(lengths, jumps, channel):
     return build_report("cor1", terms)
 
 
+def lattice(d, jumps):
+    """The spacings as floats and the jump stack, checked one spacing and one matrix at a time."""
+    d = tuple(float(v) for v in d)
+    for v in d:
+        if not v > 0.0:
+            raise NonPositiveSpacingError("spacings must be strictly positive")
+    if math.inf in d:
+        raise ValueError("spacings must be finite")
+    mats = as_stack(jumps)
+    for h in mats:
+        with np.errstate(over="ignore"):  # a difference past the float range fails
+            asymmetry = np.abs(h - h.conj().T).max()
+        if np.abs(h.imag).max() > 1e-10 or asymmetry > 1e-10:
+            raise NonSymmetricError("jump matrices must be real symmetric")
+    return d, mats
+
+
 def cor2_series(d, jumps, channel):
-    d = check_spacings(d)
+    d, jumps = lattice(d, jumps)
     count = min(len(d) - 1, len(jumps))
     mats = jump_list(jumps[:count], count)
     terms = [jump_term(channel, mats[k - 1], d[k - 1], d[k], k) for k in range(1, count + 1)]

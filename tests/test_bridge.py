@@ -1,5 +1,6 @@
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sldl import (
     solve_recurrence,
 )
 from sldl.bridge import CRITERIA, classify_detailed
+from sldl.jacobi import Lattice
 from sldl.matcore import ShapeMismatchError
 from sldl.reports import CONVERGES, DIVERGES
 
@@ -277,6 +279,30 @@ def test_gallery_evidence_codes_and_sides_come_from_the_table():
         assert verdict.side == ("Both" if len(sides) == 2 else sides.pop())
 
 
+def test_classify_builds_one_lattice_and_one_shifted_stack(monkeypatch):
+    # every lattice criterion and the blocks read one validated Lattice: its
+    # checks and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I run once
+    entry = gallery_entry("christ-stolz")
+    counts = {"lattices": 0, "shifted": 0}
+    validate, shift = Lattice.__post_init__, Lattice.shifted_jumps.func
+
+    def counted_validate(self):
+        counts["lattices"] += 1
+        validate(self)
+
+    def counted_shift(self):
+        counts["shifted"] += 1
+        return shift(self)
+
+    shifted = cached_property(counted_shift)
+    shifted.__set_name__(Lattice, "shifted_jumps")
+    monkeypatch.setattr(Lattice, "__post_init__", counted_validate)
+    monkeypatch.setattr(Lattice, "shifted_jumps", shifted)
+    verdict, _ = classify_detailed(entry.problem, entry.config)
+    assert {"cor2:diag:1", "carleman", "t7", "cor3"} <= {e.criterion for e in verdict.evidence}
+    assert counts == {"lattices": 1, "shifted": 1}
+
+
 def test_classify_reports_align_with_evidence():
     model = free_lattice(30)
     verdict, reports = classify_detailed(model, ClassifyConfig(N=20))
@@ -345,7 +371,7 @@ def _records():
     blocks = lambda: blocks_from_delta([1.0] * 5, [np.zeros((1, 1))] * 4)
     return {
         "JacobiBlocks": blocks,
-        "DeltaProvenance": lambda: blocks().provenance,
+        "Lattice": lambda: blocks().provenance,
         "StepSigma": lambda: StepSigma(1, (0.0,), (zero,), 2.0),
         "DeltaNodes": lambda: free_lattice(4),
         "GeneralTriple": lambda: GeneralTriple(1, (0.0,), (eye,), (zero,), (zero,), 2.0),
@@ -355,6 +381,19 @@ def _records():
         "FundamentalPair": lambda: fundamental_pair(free_lattice(4), 0.0, [0.0, 1.5]),
         "GalleryEntry": lambda: gallery_entry("free-lattice"),
     }
+
+
+def test_lattice_stacks_are_read_only():
+    d, H = christ_stolz_family(6, 2)
+    lat = blocks_from_delta(d, H).provenance
+    assert lat.d == d and lat.boundary_default
+    for stack in (lat.H, lat.shifted_jumps):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+    # the cancel jumps' -0.0 off-diagonal entries read +0.0 in the shifted stack
+    assert np.signbit(H[:, 0, 1].real).all()
+    assert lat.shifted_jumps.tobytes() == np.zeros((5, 2, 2), dtype=complex).tobytes()
 
 
 @pytest.mark.parametrize("name", list(_records()))

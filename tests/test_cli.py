@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -663,6 +664,27 @@ def test_huge_finite_terms_give_reports_without_warnings(capsys, argv, criterion
     assert captured.err == ""
     reports = {r["criterion"]: r for r in json.loads(captured.out)["result"]["reports"]}
     assert reports[criterion]["terms"] == [term] * 5
+
+
+@pytest.mark.parametrize("op, criteria", [
+    ("t7", ("t7_b_s1", "t7_b_s2")),
+    ("cor3", ("cor3_jump",)),
+])
+def test_subnormal_spacings_give_infinite_jump_terms_not_nan(capsys, op, criteria):
+    # 1/d_k is inf for these spacings: the shifted jumps multiplied it by the
+    # identity's zeros, and inf * 0 gave NaN off-diagonal entries, NaN norms
+    # and NaN terms (t7 printed a numpy warning as well) with exit status 0
+    argv = ["jacobi", op, "--d", "list:1,5e-324,2,1e-310,3,1,0.5,2", "--H", "const:1",
+            "--n", "2", "--N", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert caught == [] and captured.err == ""
+    assert code == 0
+    reports = {r["criterion"]: r for r in json.loads(captured.out)["result"]["reports"]}
+    assert [reports[c]["terms"] for c in criteria] == [[math.inf, math.inf]] * len(criteria)
+    assert "NaN" not in captured.out
 
 
 def test_spacing_sums_that_overflow_exit_2_with_one_line(capsys):

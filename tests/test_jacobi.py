@@ -15,7 +15,6 @@ from sldl import (
     christ_stolz_family,
     cor3_check,
     discrete_cauchy,
-    recurrence_apply,
     solve_recurrence,
     t4_report,
     t4_term,
@@ -30,7 +29,6 @@ from sldl.jacobi import (
     blocks_from_json,
     blocks_to_json,
     cancel_jumps,
-    reciprocal_sum,
     recurrence_summands,
 )
 from sldl.matcore import condition, frobenius_norm
@@ -78,7 +76,7 @@ def test_vectorized_blocks_are_bit_exact(n):
     eye = np.eye(n)
     for k in range(1, len(d)):
         h = np.asarray(H[k - 1], dtype=complex)
-        assert np.array_equal(blocks.A[k], (h + reciprocal_sum(d, k) * eye) / (d[k - 1] + d[k]))
+        assert np.array_equal(blocks.A[k], (h + (1.0 / d[k - 1] + 1.0 / d[k]) * eye) / (d[k - 1] + d[k]))
     for k in range(1, len(d) - 1):
         r = math.sqrt((d[k - 1] + d[k]) * (d[k] + d[k + 1]))
         assert np.array_equal(blocks.B[k], -eye / (r * d[k]))
@@ -111,19 +109,24 @@ def test_blocks_validation():
 # recurrence
 
 
-def test_recurrence_apply_examples():
-    blocks = constant_blocks()
-    assert recurrence_apply(blocks, [[0.0], [1.0], [2.0]], 1)[0] == 0.0
-    assert recurrence_apply(blocks, [[1.0], [1.0], [1.0]], 1)[0] == 0.0
-    assert recurrence_apply(blocks, [[0.0], [1.0], [0.0]], 1)[0] == 1.0
+def recurrence_at(blocks, u, j):
+    """(lu)_j = B_j u_{j+1} + A_j u_j + B*_{j-1} u_{j-1}, summed from the stacked summands."""
+    return sum(recurrence_summands(blocks, np.asarray(u, dtype=complex), j, j + 1))[0]
 
 
-def test_recurrence_apply_index_errors():
+def test_recurrence_sum_examples():
     blocks = constant_blocks()
-    with pytest.raises(IndexOutOfRangeError):
-        recurrence_apply(blocks, [[0.0], [1.0], [2.0]], 0)
-    with pytest.raises(IndexOutOfRangeError):
-        recurrence_apply(blocks, [[0.0], [1.0]], 1)
+    assert recurrence_at(blocks, [[0.0], [1.0], [2.0]], 1)[0] == 0.0
+    assert recurrence_at(blocks, [[1.0], [1.0], [1.0]], 1)[0] == 0.0
+    assert recurrence_at(blocks, [[0.0], [1.0], [0.0]], 1)[0] == 1.0
+
+
+def test_recurrence_sum_index_errors():
+    blocks = constant_blocks()
+    with pytest.raises(IndexOutOfRangeError, match=r"B_-1 not stored"):
+        recurrence_at(blocks, [[0.0], [1.0], [2.0]], 0)
+    with pytest.raises(IndexOutOfRangeError, match=r"B_11 not stored"):
+        recurrence_at(blocks, np.zeros((13, 1)), 11)
 
 
 def test_recurrence_summands_are_the_per_index_products():
@@ -139,7 +142,7 @@ def test_recurrence_summands_are_the_per_index_products():
                 blocks.B[j - 1].conj().T @ u[j - 1])
         for part, w in zip(parts, want):
             assert np.allclose(part[j - 1], w, rtol=1e-15, atol=0.0)
-        assert np.array_equal(recurrence_apply(blocks, u, j),
+        assert np.array_equal(recurrence_at(blocks, u, j),
                               parts[0][j - 1] + parts[1][j - 1] + parts[2][j - 1])
     with pytest.raises(IndexOutOfRangeError):
         recurrence_summands(blocks, u, 1, len(blocks.B) + 1)
@@ -162,7 +165,7 @@ def test_solve_recurrence_satisfies_recurrence():
     blocks = blocks_from_delta(d, H)
     u = solve_recurrence(blocks, [0.3], [1.1], 18)
     for j in range(1, 16):
-        res = recurrence_apply(blocks, u, j)
+        res = recurrence_at(blocks, u, j)
         scale = max(1.0, float(np.max(np.abs(u[j - 1:j + 2]))))
         assert abs(res[0]) <= 1e-10 * scale
 
@@ -603,14 +606,14 @@ def test_cancel_jumps_zero_the_shifted_jumps_exactly(n):
     assert np.array_equal(cancel_jumps(d, n), H)
     eye = np.eye(n)
     for k in range(1, 300):
-        assert np.array_equal(H[k - 1], -reciprocal_sum(d, k) * eye)
+        assert np.array_equal(H[k - 1], -(1.0 / d[k - 1] + 1.0 / d[k]) * eye)
     d = tuple(np.random.default_rng(4).uniform(0.05, 3.0, 50).tolist())
     assert np.all(blocks_from_delta(d, cancel_jumps(d, n)).A[1:] == 0.0)
 
 
 def test_cor3_constructed_degenerate_family():
     d = tuple(float(k) ** -2 for k in range(1, 60))
-    H = tuple(-reciprocal_sum(d, k) * np.eye(1) for k in range(1, 59))
+    H = tuple(-(1.0 / d[k - 1] + 1.0 / d[k]) * np.eye(1) for k in range(1, 59))
     res = cor3_check(d, H, 40)
     assert all(t == 0.0 for t in res.cond3.terms)
     assert res.cond2.verdict == CONVERGES

@@ -16,9 +16,7 @@ from sldl import (
     LinearSigma,
     QuasiState,
     StepSigma,
-    build_system_matrix,
     cauchy_kernel,
-    classical_derivative,
     fundamental_pair,
     gallery_entry,
     green_form,
@@ -27,13 +25,13 @@ from sldl import (
 from sldl.matcore import frobenius_norm
 from sldl.quasidiff import (
     OffGridError,
-    VariantUnsupportedError,
     _cells,
     _grid_index,
     expm,
     model_from_json,
     model_to_json,
     piece_cuts,
+    piece_index,
     piece_system,
     transfer,
     wronskian_residual,
@@ -50,21 +48,26 @@ def scalar_delta(h, c=1.0, X=2.5):
 # system matrix
 
 
+def system_at(model, lam, x):
+    """System matrix F - L at the point x (right-continuous in x)."""
+    return piece_system(model, lam, piece_index(model, x))
+
+
 def test_free_system_matrix():
-    f = build_system_matrix(FREE, 0.0, 0.3)
+    f = system_at(FREE, 0.0, 0.3)
     assert np.array_equal(f, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_step_sigma_system_matrix():
     h = 1.7
     m = StepSigma(1, (0.0,), (np.array([[h]]),), 2.0)
-    f = build_system_matrix(m, 0.0, 0.5)
+    f = system_at(m, 0.0, 0.5)
     assert np.allclose(f, [[h, 1.0], [-h * h, -h]])
 
 
 def test_lambda_enters_bottom_left():
     lam = 2.0 - 1.0j
-    f = build_system_matrix(FREE, lam, 0.0)
+    f = system_at(FREE, lam, 0.0)
     assert np.allclose(f, [[0, 1], [-lam, 0]])
 
 
@@ -73,8 +76,8 @@ def test_distributional_reduces_to_step_form():
     eye, zero = np.eye(2), np.zeros((2, 2))
     dist = Distributional(2, (0.0,), (eye,), (zero,), (sig,), 1.0)
     step = StepSigma(2, (0.0,), (sig,), 1.0)
-    assert np.allclose(build_system_matrix(dist, 0.0, 0.1),
-                       build_system_matrix(step, 0.0, 0.1), atol=1e-12)
+    assert np.allclose(system_at(dist, 0.0, 0.1),
+                       system_at(step, 0.0, 0.1), atol=1e-12)
 
 
 def test_distributional_blocks_with_complex_phi():
@@ -82,7 +85,7 @@ def test_distributional_blocks_with_complex_phi():
     q0 = np.array([[0.0, 1.0], [1.0, 0.0]])
     p1 = np.array([[1.0, 0.0], [0.0, -1.0]])
     m = Distributional(2, (0.0,), (p0,), (q0,), (p1,), 1.0)
-    f = build_system_matrix(m, 0.0, 0.5)
+    f = system_at(m, 0.0, 0.5)
     pinv = np.linalg.inv(p0)
     phi = p1 + 1j * q0
     assert np.allclose(f[:2, :2], pinv @ phi)
@@ -108,7 +111,7 @@ def test_general_triple_system_matrix_blocks():
     q = np.array([[1.0, 0.5], [0.5, -1.0]])
     r = np.array([[0.0, 1.0], [0.0, 0.0]])
     m = GeneralTriple(2, (0.0,), (p,), (q,), (r,), 1.0)
-    f = build_system_matrix(m, 0.0, 0.2)
+    f = system_at(m, 0.0, 0.2)
     assert np.allclose(f[:2, :2], r)
     assert np.allclose(f[:2, 2:], np.diag([0.5, 0.25]))
     assert np.allclose(f[2:, :2], q)
@@ -220,36 +223,14 @@ def test_propagate_rejects_bad_range():
 # classical derivative
 
 
-def test_classical_derivative_free():
-    y = propagate(FREE, 0.0, QuasiState([0.0], [1.0]), 0.0, 3.0)
-    assert classical_derivative(FREE, y, 3.0)[0] == pytest.approx(1.0)
-
-
 def test_classical_derivative_jump_at_node():
+    # f' = f1 + sigma f on each side of the node c, and f1 is continuous there
     h, c = -3.0, 1.0
     m = scalar_delta(h, c)
     y = propagate(m, 0.0, QuasiState([0.0], [1.0]), 0.0, c)
-    left = classical_derivative(m, y, c, side="-")[0]
-    right = classical_derivative(m, y, c, side="+")[0]
-    assert right - left == pytest.approx(h * y.f[0], rel=1e-13)
-
-
-def test_classical_derivative_constant_sigma():
-    h = 0.7
-    m = StepSigma(1, (0.0,), (np.array([[h]]),), 3.0)
-    y = QuasiState([2.0], [5.0])
-    assert classical_derivative(m, y, 1.0)[0] == pytest.approx(5.0 + h * 2.0)
-
-
-def test_classical_derivative_variant_support():
-    # P = I, Q = -R^2 reads as a sigma model; anything else is refused
-    sig = np.array([[1.0]])
-    ok = GeneralTriple(1, (0.0,), (np.eye(1),), (-sig @ sig,), (sig,), 1.0)
-    y = QuasiState([1.0], [0.0])
-    assert classical_derivative(ok, y, 0.5)[0] == pytest.approx(1.0)
-    bad = GeneralTriple(1, (0.0,), (2.0 * np.eye(1),), (-sig @ sig,), (sig,), 1.0)
-    with pytest.raises(VariantUnsupportedError):
-        classical_derivative(bad, y, 0.5)
+    i = piece_index(m, c)  # the piece that starts at c
+    left, right = (m.sigma.values[j] @ y.f + y.f1 for j in (i - 1, i))
+    assert right[0] - left[0] == pytest.approx(h * y.f[0], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +600,8 @@ def test_model_json_roundtrip(ms, md, mg):
         back = model_from_json(model_to_json(model))
         assert type(back) is type(model)
         assert back.n == model.n and back.X == pytest.approx(model.X)
-        f0 = build_system_matrix(model, 0.0, model.X / 2)
-        f1 = build_system_matrix(back, 0.0, model.X / 2)
+        f0 = system_at(model, 0.0, model.X / 2)
+        f1 = system_at(back, 0.0, model.X / 2)
         assert np.allclose(f0, f1, atol=1e-12)
 
 
