@@ -41,12 +41,17 @@ NAN_NODE = {**DELTA, "nodes": [*DELTA["nodes"][:5], {"x": float("nan"), "H": [[1
                                *DELTA["nodes"][6:]]}
 NAN_CUT = {**FREE, "cuts": [0.0, 1.0, float("nan"), 3.0], "values": [[[0.0]]] * 4}
 NAN_KNOT = {**LINEAR, "knots": [0.0, float("nan")]}
+# delta models whose march leaves the float range
+HUGE_JUMPS = {h: {"n": 1, "X": 41.0, "variant": "delta_nodes",
+                  "nodes": [{"x": float(k), "H": [[h]]} for k in range(1, 41)]}
+              for h in (1e200, 1e80)}
 FIXTURES = {
     "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
     "nocuts.json": {k: v for k, v in FREE.items() if k != "cuts"},
     "linear.json": LINEAR, "general.json": GENERAL,
     "distributional.json": DISTRIBUTIONAL, "stiff.json": STIFF, "huge-q.json": HUGE_Q,
     "nan-node.json": NAN_NODE, "nan-cut.json": NAN_CUT, "nan-knot.json": NAN_KNOT,
+    "huge-jumps-1e200.json": HUGE_JUMPS[1e200], "huge-jumps-1e80.json": HUGE_JUMPS[1e80],
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
                 "jumps": [[[0.5]], [[-1.0]]]},
@@ -185,6 +190,8 @@ INVOCATIONS = [
     "bridge residual --model delta.json --count -4",
     "bridge residual --model delta.json --count 100",
     "bridge residual --model delta.json --f 1,2",
+    "bridge residual --model huge-jumps-1e200.json",
+    "bridge residual --model huge-jumps-1e80.json",
     "bridge l2 --d const:1 --u0 0 --u1 1 --steps 30 --count 40",
     "bridge l2 --d harmonic --H cancel --u0 1 --u1 0 --steps 30 --count 40 --format text",
     "bridge l2 --d const:1 --n 2 --u0 1,0 --u1 0,1 --steps 12",

@@ -11,15 +11,17 @@ christ-stolz spacings (N = half of them, less one),
 fires, so every pass runs), ``canonical_json`` of the JSON form of such
 a report with 10^3 to 10^5 floats (terms and partial sums),
 ``fundamental_pair`` and ``equivalence_residual`` on christ-stolz delta
-models, ``DeltaNodes.from_spacings`` and ``cor2_series`` (the diagonal
-channel of the order-1 family, and the off-diagonal channel of an order-2
-lattice whose jumps are its jumps times [[1, 1/2], [1/2, 1]]) on 2000 to
-10^5 christ-stolz spacings, and
+models of 500 to 10^4 nodes, ``DeltaNodes.from_spacings`` and
+``cor2_series`` (the diagonal channel of the order-1 family, and the
+off-diagonal channel of an order-2 lattice whose jumps are its jumps times
+[[1, 1/2], [1/2, 1]]) on 2000 to 10^5 christ-stolz spacings, and
 ``kernel_square_integrals`` over all cells of seeded n = 2 delta models
 and n = 1, 2 and 3 general triples with 10 to 400 unit cells (at n = 3 the
 parent's fused Van Loan block had order 66), and ``t1_series`` over the
 10 to 400 unit intervals of the n = 2 delta model and general triple, each
-as the median of repeated runs in one process with BLAS on one thread.
+as the median of repeated runs in one process with BLAS on one thread: one
+untimed warm-up pass over every function and size, then REPEATS timed
+passes, so the repeats of one function and size are a whole pass apart.
 
 The host's speed drifts between and within runs, so every repeat is
 preceded by a timing of the reference kernel of ``perfbench/hostspeed.py``
@@ -30,7 +32,7 @@ median reference time}.
 Comparing two source trees is two runs:
 
 Usage: python scripts/march_sweep.py [SRC] [REPEATS]   # SRC holds the sldl package;
-                                                       # default: this checkout's src/, 5
+                                                       # default: this checkout's src/, 9
 """
 
 import importlib.util
@@ -46,7 +48,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 STEPS = (2500, 5000, 10_000, 20_000, 50_000, 100_000)
 ROWS = (50, 100, 200, 500, 1000, 2000)
 TERMS = (1000, 10_000, 100_000)
-NODES = (500, 1000, 1500, 2000)
+NODES = (500, 1000, 2000, 5000, 10_000)
 SPACINGS = (2000, 5000, 10_000, 20_000, 50_000, 100_000)
 CELLS = (10, 25, 50, 100, 200, 400)
 
@@ -59,28 +61,38 @@ def load_hostspeed():
     return module
 
 
-def median_time(fn, repeats: int, hostspeed, setup=lambda: None) -> dict:
-    """Medians of ``repeats`` timings of fn(setup()), raw and each host-corrected.
+def sweep(jobs, repeats: int, hostspeed) -> dict:
+    """Medians of ``repeats`` timings of every job, raw and each host-corrected.
 
-    ``setup`` runs outside the timing; the reference is timed after it,
-    right before the repeat it corrects.
+    A job is (row, size, fn, setup), timed as fn(setup()) with ``setup`` run
+    outside the timing. One untimed pass over all jobs comes first, so
+    first-use work (caches, lazy stacks, allocator growth) lands in no
+    repeat; then each timed pass runs every job once, so the repeats of one
+    job are a whole pass apart and a slow phase of the host spoils at most a
+    few of them. The reference is timed right before the repeat it corrects.
     """
-    times, corrected, references = [], [], []
+    for _, _, fn, setup in jobs:
+        fn(setup())
+    samples = [([], [], []) for _ in jobs]
     for _ in range(repeats):
-        arg = setup()
-        reference = hostspeed.reference_time()
-        t0 = time.perf_counter()
-        fn(arg)
-        times.append(time.perf_counter() - t0)
-        corrected.append(hostspeed.corrected(times[-1], reference))
-        references.append(reference)
-    median = statistics.median
-    return {"s": median(times), "corrected_s": median(corrected), "reference_s": median(references)}
+        for (_, _, fn, setup), (times, corrected, references) in zip(jobs, samples):
+            arg = setup()
+            reference = hostspeed.reference_time()
+            t0 = time.perf_counter()
+            fn(arg)
+            times.append(time.perf_counter() - t0)
+            corrected.append(hostspeed.corrected(times[-1], reference))
+            references.append(reference)
+    out, median = {}, statistics.median
+    for (row, size, _, _), (times, corrected, references) in zip(jobs, samples):
+        out.setdefault(row, {})[size] = {"s": median(times), "corrected_s": median(corrected),
+                                         "reference_s": median(references)}
+    return out
 
 
 def main() -> None:
     src = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ROOT / "src")
-    repeats = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+    repeats = int(sys.argv[2]) if len(sys.argv) > 2 else 9
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads
     sys.path.insert(0, str(src.resolve()))
@@ -91,53 +103,52 @@ def main() -> None:
                       solve_recurrence, t1_series, t4_term, t7_check)
     from sldl.cli import canonical_json
 
-    hostspeed = load_hostspeed()
-    timed = lambda fn: median_time(lambda _: fn(), repeats, hostspeed)
+    jobs = []
 
+    def timed(row, size, fn, setup=None):
+        """Add a job; fn takes setup()'s value, or nothing when there is no setup."""
+        jobs.append((row, size, fn if setup else lambda _: fn(), setup or (lambda: None)))
+
+    # the lambdas bind their loop variables as defaults: every job runs after the loops
     d, H = christ_stolz_family(max(STEPS) + 2)
-    out = {"blocks_from_delta": {}, "solve_recurrence": {}, "solve_recurrence n=2": {},
-           "t4_term": {}, "t7_check": {}, "build_report": {}, "canonical_json": {},
-           "fundamental_pair": {}, "equivalence_residual": {},
-           "DeltaNodes.from_spacings": {}, "cor2_series diag": {}, "cor2_series offdiag": {},
-           "kernel_square_integrals delta": {},
-           **{f"kernel_square_integrals general n={n}": {} for n in (1, 2, 3)},
-           "t1_series delta": {}, "t1_series general n=2": {}}
     for steps in STEPS:
-        out["blocks_from_delta"][steps] = timed(
-            lambda: blocks_from_delta(d[:steps], H[:steps - 1]))
+        timed("blocks_from_delta", steps,
+              lambda steps=steps: blocks_from_delta(d[:steps], H[:steps - 1]))
     H2 = np.asarray(H) * np.array([[1.0, 0.5], [0.5, 1.0]])
     cancel2 = christ_stolz_family(len(d), 2)[1]
     for steps in STEPS:  # the blocks are built anew for each repeat, outside the timing
         for label, jumps, u0, u1 in (("", H, [1.0], [0.0]),
                                      (" n=2", cancel2, [1.0, 0.5], [0.0, 1.0])):
-            out["solve_recurrence" + label][steps] = median_time(
-                lambda blocks: solve_recurrence(blocks, u0, u1, steps), repeats, hostspeed,
-                lambda: blocks_from_delta(d[:steps + 2], jumps[:steps + 1]))
+            timed("solve_recurrence" + label, steps,
+                  lambda blocks, u0=u0, u1=u1, steps=steps: solve_recurrence(blocks, u0, u1, steps),
+                  lambda jumps=jumps, steps=steps: blocks_from_delta(d[:steps + 2],
+                                                                     jumps[:steps + 1]))
     blocks = blocks_from_delta(d[:max(ROWS) + 3], H[:max(ROWS) + 2])
     blocks.B_inv  # built once, outside the timing
     for rows in ROWS:
-        out["t4_term"][rows] = timed(lambda: t4_term(blocks, 1, rows))
+        timed("t4_term", rows, lambda rows=rows: t4_term(blocks, 1, rows))
     for terms in TERMS:
         harmonic = [1.0 / k for k in range(1, terms + 1)]
-        out["build_report"][terms] = timed(lambda: build_report("x", harmonic))
+        timed("build_report", terms, lambda harmonic=harmonic: build_report("x", harmonic))
         doc = build_report("x", harmonic[:terms // 2]).to_json()
-        out["canonical_json"][terms] = timed(lambda: canonical_json(doc))
+        timed("canonical_json", terms, lambda doc=doc: canonical_json(doc))
     state = QuasiState([0.3], [1.0])
     for nodes in NODES:
         model = DeltaNodes.from_spacings(1, d[:nodes], H[:nodes], tail=d[nodes])
         grid = (0.0,) + model.nodes
-        out["fundamental_pair"][nodes] = timed(
-            lambda: fundamental_pair(model, 0.0, grid))
-        out["equivalence_residual"][nodes] = timed(
-            lambda: equivalence_residual(model, nodes - 3, state))
+        timed("fundamental_pair", nodes,
+              lambda model=model, grid=grid: fundamental_pair(model, 0.0, grid))
+        timed("equivalence_residual", nodes,
+              lambda model=model, nodes=nodes: equivalence_residual(model, nodes - 3, state))
     for count in SPACINGS:
-        out["DeltaNodes.from_spacings"][count] = timed(
-            lambda: DeltaNodes.from_spacings(1, d[:count], H[:count], tail=d[count]))
-        out["cor2_series diag"][count] = timed(
-            lambda: cor2_series(d[:count], H[:count - 1], Diagonal(1)))
-        out["cor2_series offdiag"][count] = timed(
-            lambda: cor2_series(d[:count], H2[:count - 1], OffDiagonal(1, 2)))
-        out["t7_check"][count] = timed(lambda: t7_check(d[:count], H[:count - 1], count // 2 - 1))
+        timed("DeltaNodes.from_spacings", count, lambda count=count: DeltaNodes.from_spacings(
+            1, d[:count], H[:count], tail=d[count]))
+        timed("cor2_series diag", count,
+              lambda count=count: cor2_series(d[:count], H[:count - 1], Diagonal(1)))
+        timed("cor2_series offdiag", count,
+              lambda count=count: cor2_series(d[:count], H2[:count - 1], OffDiagonal(1, 2)))
+        timed("t7_check", count,
+              lambda count=count: t7_check(d[:count], H[:count - 1], count // 2 - 1))
     rng = np.random.default_rng(400)
 
     def general_triple(n, cells):
@@ -153,12 +164,12 @@ def main() -> None:
                                       h + h.transpose(0, 2, 1), float(cells)),
                   **{f"general n={n}": general_triple(n, cells) for n in (1, 2, 3)}}
         for label, model in models.items():
-            out[f"kernel_square_integrals {label}"][cells] = timed(
-                lambda: kernel_square_integrals(model, 0.0, model.X))
+            timed(f"kernel_square_integrals {label}", cells,
+                  lambda model=model: kernel_square_integrals(model, 0.0, model.X))
         for label in ("delta", "general n=2"):
-            out[f"t1_series {label}"][cells] = timed(
-                lambda: t1_series(models[label], IntervalSeq.unit(cells)))
-    print(json.dumps(out))
+            timed(f"t1_series {label}", cells, lambda model=models[label], cells=cells:
+                  t1_series(model, IntervalSeq.unit(cells)))
+    print(json.dumps(sweep(jobs, repeats, load_hostspeed())))
 
 
 if __name__ == "__main__":

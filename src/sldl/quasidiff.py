@@ -11,9 +11,12 @@ exact matrix exponential. One cell walker, ``_cells``, enumerates the pieces
 of one or more spans and picks the working coordinates: classical (f, f')
 with free flights and jumps of f' for step and delta models, (f, f1) with
 the piece generator otherwise. It stacks each cell's jump and propagator up
-front (closed forms, or one stacked ``expm`` call); one march, ``_march``,
-writes the state after every cell into a preallocated stack, from which
-transfer matrices and node samples are read by index.
+front (closed forms, or one stacked ``expm`` call), and for order-1 step and
+delta models at lam = 0 also each cell's scalar jump dS. One march,
+``_march``, writes the state after every cell into a preallocated stack,
+from which transfer matrices and node samples are read by index: a scalar
+kick f' = dS f + f' and drift f = f + L f' per cell where it has the dS,
+BLAS products of the stacked matrices otherwise.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -376,7 +379,7 @@ def _jumps(ds: np.ndarray) -> np.ndarray:
     return out
 
 
-Cells = namedtuple("Cells", "piece jump gen length end prop first")
+Cells = namedtuple("Cells", "piece jump gen length end prop first kick")
 
 
 def _cells(model, lam: complex, spans, stops=()) -> Cells:
@@ -393,7 +396,9 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     first jump by sigma itself, from (f, f1) into (f, f'), that ``_to_quasi``
     undoes; all dS are gathered from ``model.cell_jumps`` by one index. At
     lam = 0 the flight generator N is nilpotent and its propagators are
-    I + length * N in closed form, which is what ``expm`` returns for it.
+    I + length * N in closed form, which is what ``expm`` returns for it;
+    at order 1 ``kick`` then holds each cell's dS as a Python complex (None
+    where the cell takes no jump) for the scalar march, else it is None.
     Other models keep quasi coordinates and the piece generator; the other
     propagators come from one stacked ``expm`` call.
     """
@@ -421,33 +426,65 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
                 i += 1
             pos = stop
     n, m = model.n, 2 * model.n
-    jump = [None] * len(pieces)
+    jump, kick = [None] * len(pieces), None
     if sigma is None:
         gen = _piece_generators(model, lam, pieces)
     else:
         flight = np.eye(m, k=n, dtype=complex)
         flight[n:, :n] = -lam * np.eye(n)
         gen = np.broadcast_to(flight, (len(pieces), m, m))
-        for c, matrix in zip(jumped, _jumps(model.cell_jumps[picks])):
+        ds = model.cell_jumps[picks]
+        for c, matrix in zip(jumped, _jumps(ds)):
             jump[c] = matrix
+        if n == 1 and lam == 0:
+            kick = [None] * len(pieces)
+            for c, v in zip(jumped, ds[:, 0, 0].tolist()):
+                kick[c] = v
     scaled = gen * np.array(lengths)[:, None, None]
     prop = np.eye(m) + scaled if sigma is not None and lam == 0 else expm(scaled)
-    return Cells(pieces, jump, gen, lengths, ends, prop, first)
+    return Cells(pieces, jump, gen, lengths, ends, prop, first, kick)
+
+
+def _kick_drift(kick, length, f: complex, g: complex) -> tuple[list, list]:
+    """f and f' of one state column after each cell: f' += dS f at a jump, then f += L f'."""
+    fs, gs = [], []
+    for ds, span in zip(kick, length):
+        if ds is not None:
+            g = ds * f + g
+        f = f + span * g
+        fs.append(f)
+        gs.append(g)
+    return fs, gs
 
 
 def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     """y, then in row c + 1 its working-coordinate value after cell c of one span, as one stack.
 
-    A cell's jump and propagator are two BLAS products into buffers, and a cell
-    without a jump takes none: a fused or an identity product (-0.0 into 0.0)
-    would change the floats.
+    Order-1 step and delta models at lam = 0 (``cells.kick`` set) step each
+    state column in Python complex arithmetic: a kick f' = dS f + f' where the
+    cell starts with a jump, then the drift f = f + L f'. Two roundings each,
+    where a BLAS kernel may fuse one, so the floats do not depend on the BLAS
+    build. Otherwise a cell's jump and propagator are two BLAS products into
+    buffers, and a cell without a jump takes none: a fused or an identity
+    product (-0.0 into 0.0) would change the floats. A state that leaves the
+    float range is a ValueError naming the end x of the first such cell.
     """
     out = np.empty((len(cells.prop) + 1,) + y.shape, dtype=complex)
-    out[0], jumped = y, np.empty_like(out[0])
-    for jump, prop, end in zip(cells.jump, cells.prop, out[1:]):
-        if jump is not None:
-            y = jump.dot(y, out=jumped)
-        y = prop.dot(y, out=end)
+    out[0] = y
+    if cells.kick is not None:
+        cols = out.reshape(len(out), 2, -1)  # a view: one (f, f') column per state column
+        for j, (f, g) in enumerate(zip(*y.reshape(2, -1).tolist())):
+            cols[1:, 0, j], cols[1:, 1, j] = _kick_drift(cells.kick, cells.length, f, g)
+    else:
+        jumped = np.empty_like(out[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for jump, prop, end in zip(cells.jump, cells.prop, out[1:]):
+                if jump is not None:
+                    y = jump.dot(y, out=jumped)
+                y = prop.dot(y, out=end)
+    bad = ~np.isfinite(out.reshape(len(out), -1)[1:]).all(axis=1)
+    if bad.any():
+        raise ValueError(f"the march leaves the float range at x = {cells.end[np.argmax(bad)]}")
     return out
 
 

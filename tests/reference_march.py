@@ -3,8 +3,12 @@
 Each function here redoes one march the plain way: one ``np.linalg.solve``
 (in ``inverse_march``, one product with the stored inverse) per lattice
 step, one ``invert`` per kernel row, and one ``np.block`` jump and one
-``expm`` per continuous cell, in the same float operation order as the
-stacked code. ``expm`` and ``piece_system`` are kept here one matrix and
+``expm`` per continuous cell (``matrix_step``), in the same float operation
+order as the stacked code. Order-1 step and delta models at lam = 0 march
+by ``kick_drift`` instead: each cell reads dS from its jump matrix and
+updates each state column in Python complex arithmetic, as sldl's scalar
+march does; ``matrix_step`` stays available for them as the per-cell BLAS
+march. ``expm`` and ``piece_system`` are kept here one matrix and
 one piece at a time: the exponential scales, expands and squares a single
 matrix, and each general or distributional piece takes its own ``invert``.
 The tests compare with ``np.array_equal`` (``tobytes`` for
@@ -188,11 +192,38 @@ def cells(model, lam, x0, x1, stops=()):
         pos = stop
 
 
-def flow(model, lam, y, x0, x1, stops=()):
-    for piece, jump, gen, length, end in cells(model, lam, x0, x1, stops):
+def matrix_step(jump, gen, length, y):
+    """One cell as matrix products: the jump, if any, then the propagator expm(gen * length)."""
+    if jump is not None:
+        y = jump @ y
+    return expm(gen * length) @ y
+
+
+def kick_drift(jump, gen, length, y):
+    """One cell of an order-1 step or delta model at lam = 0, column by column in Python complex.
+
+    A kick f' = dS f + f' with dS the lower-left entry of the jump, if the cell
+    has one, then the drift f = f + L f' of the free flight.
+    """
+    y = np.array(y, dtype=complex)
+    for column in y.reshape(2, -1).T:  # views into the copy
+        f, g = complex(column[0]), complex(column[1])
         if jump is not None:
-            y = jump @ y
-        y = expm(gen * length) @ y
+            g = complex(jump[1, 0]) * f + g
+        column[0], column[1] = f + length * g, g
+    return y
+
+
+def default_step(model, lam):
+    """kick_drift for order-1 step and delta models at lam = 0, matrix_step otherwise."""
+    scalar = model.n == 1 and lam == 0 and _sigma_of(model) is not None
+    return kick_drift if scalar else matrix_step
+
+
+def flow(model, lam, y, x0, x1, stops=(), step=None):
+    step = step or default_step(model, lam)
+    for piece, jump, gen, length, end in cells(model, lam, x0, x1, stops):
+        y = step(jump, gen, length, y)
         yield piece, y, end
 
 
@@ -208,20 +239,20 @@ def to_quasi(model, piece, y):
     return y if sigma is None else _jump(-sigma.values[piece]) @ y
 
 
-def transfer(model, lam, x0, x1):
+def transfer(model, lam, x0, x1, step=None):
     m, piece = np.eye(2 * model.n, dtype=complex), None
-    for piece, m, _ in flow(model, lam, m, x0, x1):
+    for piece, m, _ in flow(model, lam, m, x0, x1, step=step):
         pass
     return m if piece is None else to_quasi(model, piece, m)
 
 
-def fundamental_samples(model, lam, grid):
+def fundamental_samples(model, lam, grid, step=None):
     """The stacked 2n x 2n samples [[Phi, Psi], [Phi1, Psi1]] on the grid."""
     n = model.n
     t = np.empty((len(grid), 2 * n, 2 * n), dtype=complex)
     t[0] = np.eye(2 * n)
     k = 1
-    for piece, y, end in flow(model, lam, t[0], 0.0, grid[-1], stops=grid):
+    for piece, y, end in flow(model, lam, t[0], 0.0, grid[-1], stops=grid, step=step):
         if end == grid[k]:
             t[k] = to_quasi(model, piece, y)
             k += 1

@@ -22,7 +22,7 @@ from sldl.cli import build_parser, canonical_json, run, validate_report
 from sldl.jacobi import blocks_from_delta, blocks_to_json, christ_stolz_family
 from sldl.matcore import matrix_to_json
 from sldl.criteria import IntervalSeq, t1_series
-from sldl.quasidiff import GeneralTriple, StepSigma, model_to_json
+from sldl.quasidiff import DeltaNodes, GeneralTriple, StepSigma, model_to_json
 
 FREE_MODEL = {"n": 1, "X": 100.0, "variant": "step_sigma",
               "cuts": [0.0], "values": [[[0.0]]]}
@@ -584,9 +584,18 @@ def test_cor2_checks_its_spacings(capsys, spec, message):
       "--steps", "100"], "the recurrence leaves the float range at step 2 (u_3)"),
     (["jacobi", "t4", "--d", "const:1", "--H", "const:1e200", "--segments", "1-40",
       "--count", "50"], "the t4 sum leaves the float range at row 3"),
-], ids=["recurrence", "l2", "t4"])
-def test_marches_that_overflow_exit_2(capsys, argv, message):
-    # these printed numpy overflow warnings and exited 0 with inf or NaN values
+    (["bridge", "residual", "--model", "huge-jumps-1e200.json"],
+     "the march leaves the float range at x = 3.0"),
+    (["bridge", "residual", "--model", "huge-jumps-1e80.json"],
+     "the march leaves the float range at x = 5.0"),
+], ids=["recurrence", "l2", "t4", "delta-1e200", "delta-1e80"])
+def test_marches_that_overflow_exit_2(capsys, tmp_path, monkeypatch, argv, message):
+    # these printed numpy overflow warnings (not all of them) and exited 0 with
+    # inf or NaN values; the delta models have nodes 1 .. 40, each jump [[h]]
+    monkeypatch.chdir(tmp_path)
+    for h in ("1e200", "1e80"):
+        model = DeltaNodes(1, [float(k) for k in range(1, 41)], [[[float(h)]]] * 40, 41.0)
+        Path(f"huge-jumps-{h}.json").write_text(json.dumps(model_to_json(model)))
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,0 +1,99 @@
+"""Accuracy of the order-1 kick-drift march, against 50-digit references.
+
+At lam = 0 an order-1 step or delta model is marched in Python complex
+arithmetic: f' = dS f + f' at each jump, then f = f + L f' across the cell.
+The same march in 50-digit arithmetic (mpmath), from the same float jumps
+and lengths, is the reference. On every fixture the worst normwise error of
+the samples, ||T - T_ref||_F / ||T_ref||_F, must stay within twice that of
+the per-cell BLAS march (one 2 x 2 product per jump and per propagator) and
+below 1e-13.
+"""
+
+import numpy as np
+import pytest
+
+import reference_march
+from sldl import DeltaNodes, StepSigma, fundamental_pair, gallery_entry
+from sldl.quasidiff import _sigma_of, piece_cuts, transfer
+
+BOUND = 1e-13
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        yield mpmath
+
+
+def mp_march(mp, model, x0, x1, stops=()):
+    """{cell end: the quasi-coordinate transfer matrix from x0}, marched to 50 digits."""
+    sigma = _sigma_of(model)
+    f, g = [mp.mpc(1), mp.mpc(0)], [mp.mpc(0), mp.mpc(1)]
+    out = {}
+    for piece, jump, _, length, end in reference_march.cells(model, 0.0, x0, x1, stops):
+        if jump is not None:
+            ds = mp.mpc(complex(jump[1, 0]))
+            g = [ds * a + b for a, b in zip(f, g)]
+        f = [a + length * b for a, b in zip(f, g)]
+        s = mp.mpc(complex(sigma.values[piece][0, 0]))
+        out[end] = mp.matrix([f, [b - s * a for a, b in zip(f, g)]])
+    return out
+
+
+def worst_error(mp, got, want) -> float:
+    """max over the samples of ||got - want||_F / ||want||_F."""
+    return max(float(mp.mnorm(mp.matrix(g.tolist()) - w, "f") / mp.mnorm(w, "f"))
+               for g, w in zip(got, want))
+
+
+def fixture_errors(mp, model, grid, x0):
+    """Worst errors of sldl's and of the per-cell BLAS march over the pair samples on the grid
+    and the transfer matrices over [x0, X] and [0, x0]."""
+    exact = mp_march(mp, model, 0.0, grid[-1], stops=grid)
+    want = [exact[x] for x in grid[1:]]
+    got = list(fundamental_pair(model, 0.0, grid).samples[1:])
+    blas = list(reference_march.fundamental_samples(model, 0.0, grid,
+                                                    step=reference_march.matrix_step)[1:])
+    for a, b in ((x0, model.X), (0.0, x0)):
+        want.append(mp_march(mp, model, a, b)[b])
+        got.append(transfer(model, 0.0, a, b))
+        blas.append(reference_march.transfer(model, 0.0, a, b, step=reference_march.matrix_step))
+    return worst_error(mp, got, want), worst_error(mp, blas, want)
+
+
+def random_delta(seed: int) -> DeltaNodes:
+    rng = np.random.default_rng(seed)
+    return DeltaNodes.from_spacings(1, rng.uniform(0.05, 2.0, 400),
+                                    rng.uniform(-5.0, 5.0, (400, 1, 1)))
+
+
+def random_step(seed: int) -> StepSigma:
+    rng = np.random.default_rng(seed)
+    cuts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, 399))])
+    return StepSigma(1, tuple(cuts), rng.uniform(-3.0, 3.0, (400, 1, 1)), cuts[-1] + 1.0)
+
+
+def off_cut_grid(model, seed: int):
+    """0, the inner cuts, and one seeded point inside every piece."""
+    rng = np.random.default_rng(seed)
+    ends = np.array([*piece_cuts(model), model.X])
+    inner = ends[:-1] + rng.uniform(0.1, 0.9, len(ends) - 1) * np.diff(ends)
+    return (0.0, *sorted({*ends[1:-1].tolist(), *inner.tolist()}))
+
+
+def test_christ_stolz_march_is_within_twice_the_blas_error(mp):
+    model = gallery_entry("christ-stolz").problem
+    grid = (0.0,) + model.nodes
+    assert len(grid) == 2001
+    got, blas = fixture_errors(mp, model, grid, model.nodes[100] + 0.25 * model.spacings[101])
+    assert got <= min(2.0 * blas, BOUND)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("build", [random_delta, random_step], ids=["delta", "step"])
+def test_seeded_marches_are_within_twice_the_blas_error(mp, build, seed):
+    model = build(seed)
+    grid = off_cut_grid(model, seed)
+    got, blas = fixture_errors(mp, model, grid, grid[3])  # x0 inside the second piece
+    assert got <= min(2.0 * blas, BOUND)

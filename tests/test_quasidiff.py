@@ -396,6 +396,17 @@ def test_a_bad_grid_is_refused_with_its_reason(grid, message):
         fundamental_pair(model, 0.0, grid)
 
 
+@pytest.mark.parametrize("n, lam", [(1, 0.0), (1, 0.5), (2, 0.0), (2, 0.5 - 1j)])
+def test_a_march_past_the_float_range_names_the_first_cell_end(n, lam):
+    # the scalar march (n = 1, lam = 0) and the BLAS one; neither warns
+    model = DeltaNodes(n, [float(k) for k in range(1, 41)], [1e200 * np.eye(n)] * 40, 41.0)
+    for march, x in ((lambda: fundamental_pair(model, lam, (0.0, 41.0)), "3.0"),
+                     (lambda: transfer(model, lam, 0.5, 41.0), "3.0"),
+                     (lambda: transfer(model, lam, 0.0, 2.5), "2.5")):
+        with pytest.raises(ValueError, match=rf"^the march leaves the float range at x = {x}$"):
+            march()
+
+
 def test_general_triple_pair_equals_the_per_cell_march():
     P = [np.array([[2.0, 0.5], [0.5, 1.0]]), np.eye(2), np.array([[1.5, -0.25j], [0.25j, 1.0]])]
     Q = [np.array([[0.5, 0.1], [0.1, -1.0]]), np.zeros((2, 2)), np.eye(2)]
