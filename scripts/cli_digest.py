@@ -41,6 +41,11 @@ NAN_NODE = {**DELTA, "nodes": [*DELTA["nodes"][:5], {"x": float("nan"), "H": [[1
                                *DELTA["nodes"][6:]]}
 NAN_CUT = {**FREE, "cuts": [0.0, 1.0, float("nan"), 3.0], "values": [[[0.0]]] * 4}
 NAN_KNOT = {**LINEAR, "knots": [0.0, float("nan")]}
+# finite entries whose sigma overflows: the running sum of the jumps, and a change at a cut
+HUGE_SIGMA_DELTA = {"n": 1, "X": 3.0, "variant": "delta_nodes",
+                    "nodes": [{"x": 1.0, "H": [[1e308]]}, {"x": 2.0, "H": [[1e308]]}]}
+HUGE_SIGMA_STEP = {"n": 1, "X": 4.0, "variant": "step_sigma", "cuts": [0.0, 1.0, 2.0],
+                   "values": [[[1e308]], [[-1e308]], [[0.0]]]}
 # delta models whose march leaves the float range
 HUGE_JUMPS = {h: {"n": 1, "X": 41.0, "variant": "delta_nodes",
                   "nodes": [{"x": float(k), "H": [[h]]} for k in range(1, 41)]}
@@ -52,6 +57,7 @@ FIXTURES = {
     "distributional.json": DISTRIBUTIONAL, "stiff.json": STIFF, "huge-q.json": HUGE_Q,
     "nan-node.json": NAN_NODE, "nan-cut.json": NAN_CUT, "nan-knot.json": NAN_KNOT,
     "huge-jumps-1e200.json": HUGE_JUMPS[1e200], "huge-jumps-1e80.json": HUGE_JUMPS[1e80],
+    "huge-sigma-delta.json": HUGE_SIGMA_DELTA, "huge-sigma-step.json": HUGE_SIGMA_STEP,
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
                 "jumps": [[[0.5]], [[-1.0]]]},
@@ -216,6 +222,9 @@ INVOCATIONS = [
     # subnormal spacings: infinite reciprocal sums on the diagonals of order 2 shifted jumps
     "jacobi t7 --d list:1,5e-324,2,1e-310,3,1,0.5,2 --H const:1 --n 2 --N 2",
     "jacobi cor3 --d list:1,5e-324,2,1e-310,3,1,0.5,2 --H const:1 --n 2 --N 2",
+    # sigma past the float range from finite entries
+    "criterion t1 --model huge-sigma-delta.json --intervals unit:2",
+    "classify --model huge-sigma-step.json",
 ]
 
 

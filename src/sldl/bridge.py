@@ -42,9 +42,8 @@ from .jacobi import (
 )
 from .matcore import ShapeMismatchError
 from .quasidiff import (
+    CoefficientModel,
     DeltaNodes,
-    Distributional,
-    GeneralTriple,
     LinearSigma,
     QuasiState,
     StepSigma,
@@ -58,8 +57,6 @@ LIMIT_CIRCLE = "LimitCircle"
 NOT_LIMIT_CIRCLE = "NotLimitCircle"
 INCONCLUSIVE_CLASS = "Inconclusive"
 CERTIFIED = "Certified"
-
-_KERNEL_MODELS = (StepSigma, DeltaNodes, GeneralTriple, Distributional)
 
 
 class ConflictingEvidenceError(RuntimeError):
@@ -250,7 +247,7 @@ def _check(tag, reports, certified, basis):
 
 
 def _run_t1(s):
-    if isinstance(s.problem, _KERNEL_MODELS) and s.config.intervals:
+    if isinstance(s.problem, CoefficientModel) and s.config.intervals:
         yield _series("t1", t1_series(s.problem, s.config.intervals))
 
 
@@ -348,7 +345,7 @@ def classify_detailed(problem, config: ClassifyConfig | None = None):
     elif sides:
         side = sides.pop()
     else:
-        side = "Continuous" if isinstance(problem, (*_KERNEL_MODELS, LinearSigma)) else "Discrete"
+        side = "Continuous" if isinstance(problem, CoefficientModel | LinearSigma) else "Discrete"
     classification = resolve_classification(evidence)
     return Verdict(classification, tuple(evidence), side), reports
 

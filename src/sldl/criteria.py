@@ -38,10 +38,10 @@ from .quasidiff import (
     FundamentalPair,
     LinearSigma,
     OffGridError,
+    StepModel,
     StepSigma,
     VariantUnsupportedError,
     _cells,
-    _sigma_of,
     expm,
     transfer,
 )
@@ -124,7 +124,7 @@ def _cell_integrals(model, cells):
     ``expm`` calls and a product with step*, the cells' own propagators.
     """
     n, m, lengths, k = model.n, 2 * model.n, np.array(cells.length), np.arange(model.n)
-    if _sigma_of(model) is not None:
+    if isinstance(model, StepModel):
         w, v = np.zeros((2, len(lengths), n, m, m))
         tri, col = np.zeros((len(lengths), n, n)), lengths[:, None]
         w[:, k, k, k] = v[:, k, n + k, n + k] = col

@@ -42,7 +42,6 @@ import numpy as np
 from .matcore import (
     COND_LIMIT,
     HERMITIAN_TOL,
-    NonSymmetricError,
     ShapeMismatchError,
     as_stack,
     condition,
@@ -61,9 +60,6 @@ from .reports import (
 )
 
 _LOG_MAX = math.log(np.finfo(float).max)
-
-# raised for jump matrices that are not real symmetric
-NonSymmetricJumpError = NonSymmetricError
 
 
 class NonPositiveSpacingError(ValueError):

@@ -126,15 +126,6 @@ def real_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def block2n(tl, tr, bl, br) -> np.ndarray:
-    """Assemble a 2n x 2n matrix from four order-n blocks, or a stack from four stacks."""
-    tl, tr, bl, br = (np.asarray(b, dtype=complex) for b in (tl, tr, bl, br))
-    for b in (tr, bl, br):
-        if b.shape != tl.shape:
-            raise ShapeMismatchError("all four blocks must share the same order")
-    return np.block([[tl, tr], [bl, br]])
-
-
 def matrix_to_json(m) -> list:
     """Nested arrays of [re, im] pairs; real matrices collapse to plain numbers."""
     m = np.asarray(m, dtype=complex)

@@ -6,17 +6,20 @@ Y = (f, f1), where f1 = P (f' - R f) is the first quasi-derivative and
 
     F = [[R, P^-1], [Q, -R*]],      L = [[O, O], [lam*I, O]].
 
-Coefficients are piecewise constant, so propagation across a piece is an
-exact matrix exponential. One cell walker, ``_cells``, enumerates the pieces
-of one or more spans and picks the working coordinates: classical (f, f')
-with free flights and jumps of f' for step and delta models, (f, f1) with
-the piece generator otherwise. It stacks each cell's jump and propagator up
-front (closed forms, or one stacked ``expm`` call), and for order-1 step and
-delta models at lam = 0 also each cell's scalar jump dS. One march,
-``_march``, writes the state after every cell into a preallocated stack,
-from which transfer matrices and node samples are read by index: a scalar
-kick f' = dS f + f' and drift f = f + L f' per cell where it has the dS,
-BLAS products of the stacked matrices otherwise.
+Step and delta models share one shape, ``StepModel``: cuts, the sigma value
+of each piece and the stack ``cell_jumps``; a delta model is the step model
+whose sigma jumps by H_k at node x_k. Coefficients are piecewise constant,
+so propagation across a piece is an exact matrix exponential. One cell
+walker, ``_cells``, enumerates the pieces of one or more spans and picks the
+working coordinates: classical (f, f') with free flights and jumps of f' for
+step and delta models, (f, f1) with the piece generator otherwise. It stacks
+each cell's jump and propagator up front (closed forms, or one stacked
+``expm`` call), and for order-1 step and delta models at lam = 0 also each
+cell's scalar jump dS. One march, ``_march``, writes the state after every
+cell into a preallocated stack, from which transfer matrices and node
+samples are read by index: a scalar kick f' = dS f + f' and drift
+f = f + L f' per cell where it has the dS, BLAS products of the stacked
+matrices otherwise.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -28,7 +31,6 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .matcore import (
     HERMITIAN_TOL,
     ShapeMismatchError,
     as_stack,
-    block2n,
     condition,
     frobenius_norm,
     is_hermitian,
@@ -86,41 +87,54 @@ def _check_cuts(cuts, X: float) -> tuple[float, ...]:
     return tuple(cuts)
 
 
+def _freeze_sigma(model, cuts, values, changes) -> None:
+    """Store cuts, values and ``cell_jumps``, the dS that start cells: the values, then
+    their changes at the cuts after the first, ``values`` a view of it. The first of
+    them past the float range is a ValueError that names its cut."""
+    stack = np.concatenate([values, changes])
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if len(bad):
+        k = bad[0] - len(cuts)
+        what, x = ("sigma", cuts[bad[0]]) if k < 0 else ("the change of sigma", cuts[k + 1])
+        raise ValueError(f"{what} leaves the float range at x = {x}")
+    stack.flags.writeable = False
+    object.__setattr__(model, "cuts", cuts)
+    object.__setattr__(model, "values", stack[:len(cuts)])
+    object.__setattr__(model, "cell_jumps", stack)
+
+
 @dataclass(frozen=True, eq=False)
 class StepSigma:
     """Piecewise-constant real symmetric potential sigma.
 
     Realizes P = I, R = sigma, Q = -sigma**2, i.e. the step form of the
-    expression -f'' + sigma' f. Piece k carries values[k].
+    expression -f'' + sigma' f. Piece k carries values[k]; every change of
+    sigma at a cut is within the float range.
     """
 
     n: int
     cuts: tuple[float, ...]
     values: np.ndarray
     X: float
+    cell_jumps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cuts", _check_cuts(self.cuts, self.X))
+        cuts = _check_cuts(self.cuts, self.X)
         vals = real_symmetric(as_stack(self.values, self.n), "sigma piece")
-        if len(vals) != len(self.cuts):
+        if len(vals) != len(cuts):
             raise ShapeMismatchError("need one sigma value per piece")
-        object.__setattr__(self, "values", vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            changes = np.diff(vals, axis=0)
+        _freeze_sigma(self, cuts, vals, changes)
         object.__setattr__(self, "X", float(self.X))
-
-    @cached_property
-    def cell_jumps(self) -> np.ndarray:
-        """Read-only stack of the dS that start cells: the values, then their changes at the cuts."""
-        stack = np.concatenate([self.values, np.diff(self.values, axis=0)])
-        stack.flags.writeable = False
-        return stack
 
 
 @dataclass(frozen=True, eq=False)
 class DeltaNodes:
     """Point interactions: jump H_k in the classical derivative at node x_k.
 
-    Normalized on construction to the equivalent StepSigma with first piece
-    zero and piece k+1 value sum(H_1..H_k); quasi-derivative coordinates are
+    As a step model its cuts are 0 and the nodes, and its values the running
+    sums sigma = H_1 + ... + H_k after x_k, each within the float range; f1 is
     continuous across nodes while f' jumps by H_k f(x_k).
     """
 
@@ -129,7 +143,9 @@ class DeltaNodes:
     jumps: np.ndarray
     X: float
     spacings: tuple[float, ...] | None = None
-    sigma: StepSigma = field(init=False, repr=False)
+    cuts: tuple[float, ...] = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
+    cell_jumps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = _floats(self.nodes)
@@ -151,16 +167,11 @@ class DeltaNodes:
             if (np.abs(np.cumsum(sp) - x) > 1e-9 * np.maximum(1.0, x)).any():
                 raise ValueError("spacings are inconsistent with the nodes")
         object.__setattr__(self, "spacings", tuple(sp.tolist()))
-        # sequential sums from a zero first piece: sigma on piece k is H_1 + ... + H_k
-        values = np.cumsum(np.concatenate([np.zeros((1, self.n, self.n)), jumps]), axis=0)
-        object.__setattr__(self, "sigma", StepSigma(self.n, [0.0, *nodes], values, self.X))
-
-    @cached_property
-    def cell_jumps(self) -> np.ndarray:
-        """Read-only stack of the dS that start cells: sigma's values, then the jumps."""
-        stack = np.concatenate([self.sigma.values, self.jumps])
-        stack.flags.writeable = False
-        return stack
+        if not self.X > nodes[-1]:
+            raise ValueError("domain end X must exceed the last cut")
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.cumsum(np.concatenate([np.zeros((1, self.n, self.n)), jumps]), axis=0)
+        _freeze_sigma(self, (0.0, *nodes), values, jumps)
 
     @classmethod
     def from_spacings(cls, n: int, spacings, jumps, tail: float = 1.0) -> "DeltaNodes":
@@ -216,7 +227,7 @@ class GeneralTriple:
         _freeze_pieces(self, ("P", "Q", "R"), hermitian=("P", "Q"))
 
     def _system(self, pinv: np.ndarray) -> np.ndarray:
-        return block2n(self.R, pinv, self.Q, -self.R.conj().swapaxes(1, 2))
+        return np.block([[self.R, pinv], [self.Q, -self.R.conj().swapaxes(1, 2)]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +253,7 @@ class Distributional:
     def _system(self, pinv: np.ndarray) -> np.ndarray:
         phi = self.P1 + 1j * self.Q0
         phs = phi.conj().swapaxes(1, 2)
-        return block2n(pinv @ phi, pinv, -(phs @ pinv @ phi), -(phs @ pinv))
+        return np.block([[pinv @ phi, pinv], [-(phs @ pinv @ phi), -(phs @ pinv)]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,22 +287,15 @@ class LinearSigma:
         return (self.values[i + 1] - self.values[i]) / (self.knots[i + 1] - self.knots[i])
 
 
-CoefficientModel = StepSigma | DeltaNodes | GeneralTriple | Distributional
-
-
-def _sigma_of(model) -> StepSigma | None:
-    if isinstance(model, StepSigma):
-        return model
-    if isinstance(model, DeltaNodes):
-        return model.sigma
-    return None
+# the models marched in classical coordinates, with cuts and sigma values
+StepModel = StepSigma | DeltaNodes
+CoefficientModel = StepModel | GeneralTriple | Distributional
 
 
 def piece_cuts(model) -> tuple[float, ...]:
-    sigma = _sigma_of(model)
-    if sigma is None and not isinstance(model, (GeneralTriple, Distributional)):
+    if not isinstance(model, CoefficientModel):
         raise VariantUnsupportedError(f"unsupported model type {type(model).__name__}")
-    return sigma.cuts if sigma is not None else model.cuts
+    return model.cuts
 
 
 def piece_index(model, x: float) -> int:
@@ -309,19 +313,6 @@ def _piece_generators(model, lam: complex, pieces: list[int]) -> np.ndarray:
         gen[:, n:, :n] -= lam * np.eye(n)
     return gen
 
-
-def piece_system(model, lam: complex, i: int) -> np.ndarray:
-    """2n x 2n constant system matrix F - L on piece i."""
-    if isinstance(model, (GeneralTriple, Distributional)):
-        return _piece_generators(model, lam, [i])[0]
-    sigma = _sigma_of(model)
-    if sigma is None:
-        raise VariantUnsupportedError(f"unsupported model type {type(model)!r}")
-    n, s = model.n, sigma.values[i]
-    f = block2n(s, np.eye(n), -(s @ s), -s)
-    if lam != 0:
-        f[n:, :n] -= lam * np.eye(n)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +393,7 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     Other models keep quasi coordinates and the piece generator; the other
     propagators come from one stacked ``expm`` call.
     """
-    sigma = _sigma_of(model)
+    classical = isinstance(model, StepModel)
     delta = model if isinstance(model, DeltaNodes) else None
     cuts = piece_cuts(model)
     pieces, jumped, picks, lengths, ends, first = [], [], [], [], [], []
@@ -413,7 +404,7 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
         while pos < x1:
             end = cuts[i + 1] if i + 1 < len(cuts) else model.X
             stop = min(end, mark)
-            if sigma is not None and (pos == x0 or pos == cuts[i]):
+            if classical and (pos == x0 or pos == cuts[i]):
                 jumped.append(len(pieces))
                 picks.append(i if pos == x0 else len(cuts) - 1 + i)
             full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
@@ -427,7 +418,7 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
             pos = stop
     n, m = model.n, 2 * model.n
     jump, kick = [None] * len(pieces), None
-    if sigma is None:
+    if not classical:
         gen = _piece_generators(model, lam, pieces)
     else:
         flight = np.eye(m, k=n, dtype=complex)
@@ -441,7 +432,7 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
             for c, v in zip(jumped, ds[:, 0, 0].tolist()):
                 kick[c] = v
     scaled = gen * np.array(lengths)[:, None, None]
-    prop = np.eye(m) + scaled if sigma is not None and lam == 0 else expm(scaled)
+    prop = np.eye(m) + scaled if classical and lam == 0 else expm(scaled)
     return Cells(pieces, jump, gen, lengths, ends, prop, first, kick)
 
 
@@ -490,8 +481,7 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
 
 def _to_quasi(model, piece, y: np.ndarray) -> np.ndarray:
     """Working coordinates y on ``piece`` back to quasi ones; both may be stacked."""
-    sigma = _sigma_of(model)
-    return y if sigma is None else _jumps(-sigma.values[piece]) @ y
+    return _jumps(-model.values[piece]) @ y if isinstance(model, StepModel) else y
 
 
 def transfer(model, lam: complex, x0: float, x1: float) -> np.ndarray:
@@ -650,15 +640,16 @@ def wronskian_residual(pair: FundamentalPair) -> float:
 
 
 # variant -> (model class, JSON keys in constructor order); delta_nodes' "nodes"
-# holds {"x", "H"} objects for the nodes and jumps, the keys not in _NUMBERS matrices
+# holds {"x", "H"} objects for the nodes and jumps, and its "spacings" may be left
+# out (the node differences); the keys not in _NUMBERS are matrices
 _VARIANTS = {
     "step_sigma": (StepSigma, ("n", "cuts", "values", "X")),
-    "delta_nodes": (DeltaNodes, ("n", "nodes", "X")),
+    "delta_nodes": (DeltaNodes, ("n", "nodes", "X", "spacings")),
     "general_triple": (GeneralTriple, ("n", "cuts", "P", "Q", "R", "X")),
     "distributional": (Distributional, ("n", "cuts", "P0", "Q0", "P1", "X")),
     "linear_sigma": (LinearSigma, ("n", "knots", "values")),
 }
-_NUMBERS = {"n": int, "X": float, "cuts": list, "knots": list}
+_NUMBERS = {"n": int, "X": float, "cuts": list, "knots": list, "spacings": list}
 
 
 def model_to_json(model) -> dict:
@@ -687,6 +678,8 @@ def model_from_json(obj: dict) -> CoefficientModel | LinearSigma:
             if key == "nodes":
                 args.append(tuple(float(e["x"]) for e in obj[key]))
                 args.append(tuple(matrix_from_json(e["H"], n) for e in obj[key]))
+            elif key == "spacings":
+                args.append(obj.get(key))
             elif key in _NUMBERS:
                 args.append(_NUMBERS[key](obj[key]))
             else:

@@ -33,13 +33,13 @@ import numpy as np
 
 from sldl.criteria import _cell_integrals
 from sldl.jacobi import blocks_from_delta
-from sldl.matcore import block2n, frobenius_norm, invert
+from sldl.matcore import frobenius_norm, invert
 from sldl.quasidiff import (
     DeltaNodes,
     Distributional,
     GeneralTriple,
+    StepSigma,
     _cells,
-    _sigma_of,
     piece_cuts,
     piece_index,
 )
@@ -134,12 +134,21 @@ def expm(a):
     return x
 
 
+def classical(model):
+    """Step and delta models, marched in (f, f')."""
+    return isinstance(model, (StepSigma, DeltaNodes))
+
+
+def block2n(tl, tr, bl, br):
+    """The complex 2n x 2n matrix [[tl, tr], [bl, br]] of four order-n blocks."""
+    return np.block([[tl, tr], [bl, br]]).astype(complex)
+
+
 def piece_system(model, lam, i):
     """The 2n x 2n system matrix F - L on piece i, from that piece alone."""
     n = model.n
-    sigma = _sigma_of(model)
-    if sigma is not None:
-        s = sigma.values[i]
+    if classical(model):
+        s = model.values[i]
         f = block2n(s, np.eye(n), -(s @ s), -s)
     elif isinstance(model, GeneralTriple):
         p, q, r = model.P[i], model.Q[i], model.R[i]
@@ -164,7 +173,6 @@ def _jump(ds):
 
 def cells(model, lam, x0, x1, stops=()):
     """Yield (piece, jump, generator, length, end) per cell, one matrix at a time."""
-    sigma = _sigma_of(model)
     delta = model if isinstance(model, DeltaNodes) else None
     eye = np.eye(model.n)
     flight = block2n(0 * eye, eye, -lam * eye, 0 * eye)
@@ -175,14 +183,14 @@ def cells(model, lam, x0, x1, stops=()):
     while pos < x1:
         end = cuts[i + 1] if i + 1 < len(cuts) else model.X
         stop = min(end, mark)
-        if sigma is None:
+        if not classical(model):
             jump, gen = None, piece_system(model, lam, i)
         else:
             jump, gen = None, flight
             if pos == x0:
-                jump = _jump(sigma.values[i])
+                jump = _jump(model.values[i])
             elif pos == cuts[i]:
-                jump = _jump(delta.jumps[i - 1] if delta else sigma.values[i] - sigma.values[i - 1])
+                jump = _jump(delta.jumps[i - 1] if delta else model.values[i] - model.values[i - 1])
         full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
         yield i, jump, gen, (delta.spacings[i] if full else stop - pos), stop
         if stop == mark:
@@ -216,7 +224,7 @@ def kick_drift(jump, gen, length, y):
 
 def default_step(model, lam):
     """kick_drift for order-1 step and delta models at lam = 0, matrix_step otherwise."""
-    scalar = model.n == 1 and lam == 0 and _sigma_of(model) is not None
+    scalar = model.n == 1 and lam == 0 and classical(model)
     return kick_drift if scalar else matrix_step
 
 
@@ -235,8 +243,7 @@ def grid_index(grid, x):
 
 
 def to_quasi(model, piece, y):
-    sigma = _sigma_of(model)
-    return y if sigma is None else _jump(-sigma.values[piece]) @ y
+    return _jump(-model.values[piece]) @ y if classical(model) else y
 
 
 def transfer(model, lam, x0, x1, step=None):
@@ -330,7 +337,7 @@ def solution_norm_pass(model, a, b, splits):
 def refined(model, one_pass, rel_tol=QUAD_REL_TOL):
     """One pass for step and delta models; otherwise passes at 1, 2, 4, ... splits
     until two agree to ``rel_tol`` of the largest entry."""
-    if _sigma_of(model) is not None:
+    if classical(model):
         return one_pass(1)
     prev, splits = None, 1
     while splits <= MAX_SPLIT:

@@ -935,6 +935,26 @@ def test_models_with_a_nan_node_or_cut_exit_2(capsys, tmp_path, model, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("model, argv, message", [
+    ({"n": 1, "X": 3.0, "variant": "delta_nodes",
+      "nodes": [{"x": 1.0, "H": [[1e308]]}, {"x": 2.0, "H": [[1e308]]}]},
+     ["criterion", "t1", "--intervals", "unit:2"], "sigma leaves the float range at x = 2.0"),
+    ({"n": 1, "X": 4.0, "variant": "step_sigma", "cuts": [0.0, 1.0, 2.0],
+      "values": [[[1e308]], [[-1e308]], [[0.0]]]},
+     ["classify"], "the change of sigma leaves the float range at x = 1.0"),
+], ids=["delta-running-sum", "step-change"])
+def test_sigma_past_the_float_range_exits_2(capsys, tmp_path, model, argv, message):
+    # every entry given is finite; the running sum of the jumps (delta) or the
+    # change of sigma at a cut (step) overflowed with a numpy warning, and the
+    # error named non-finite matrix entries
+    path = tmp_path / "huge-sigma.json"
+    path.write_text(json.dumps(model))
+    assert run([*argv, "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_a_linear_model_with_a_nan_knot_exits_2(capsys, tmp_path):
     # NaN passed the order check, and classify certified LimitPoint through t2
     path = tmp_path / "nan.json"

@@ -24,14 +24,13 @@ from sldl.jacobi import (
     IndexOutOfRangeError,
     JacobiBlocks,
     NonPositiveSpacingError,
-    NonSymmetricJumpError,
     _power_exponent,
     blocks_from_json,
     blocks_to_json,
     cancel_jumps,
     recurrence_summands,
 )
-from sldl.matcore import condition, frobenius_norm
+from sldl.matcore import NonSymmetricError, condition, frobenius_norm
 from sldl.reports import CONVERGES, DIVERGES, build_report
 
 
@@ -95,7 +94,7 @@ def test_blocks_boundary_override():
 def test_blocks_validation():
     with pytest.raises(NonPositiveSpacingError):
         blocks_from_delta([1.0, -1.0, 1.0], [np.zeros((1, 1))] * 3)
-    with pytest.raises(NonSymmetricJumpError):
+    with pytest.raises(NonSymmetricError):
         blocks_from_delta([1.0] * 3, [np.array([[0.0, 1.0], [0.0, 0.0]])] * 3)
     with pytest.raises(ValueError):
         blocks_from_delta([1.0] * 4, [np.zeros((1, 1))] * 2)

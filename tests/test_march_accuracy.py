@@ -14,7 +14,7 @@ import pytest
 
 import reference_march
 from sldl import DeltaNodes, StepSigma, fundamental_pair, gallery_entry
-from sldl.quasidiff import _sigma_of, piece_cuts, transfer
+from sldl.quasidiff import piece_cuts, transfer
 
 BOUND = 1e-13
 
@@ -28,7 +28,6 @@ def mp():
 
 def mp_march(mp, model, x0, x1, stops=()):
     """{cell end: the quasi-coordinate transfer matrix from x0}, marched to 50 digits."""
-    sigma = _sigma_of(model)
     f, g = [mp.mpc(1), mp.mpc(0)], [mp.mpc(0), mp.mpc(1)]
     out = {}
     for piece, jump, _, length, end in reference_march.cells(model, 0.0, x0, x1, stops):
@@ -36,7 +35,7 @@ def mp_march(mp, model, x0, x1, stops=()):
             ds = mp.mpc(complex(jump[1, 0]))
             g = [ds * a + b for a, b in zip(f, g)]
         f = [a + length * b for a, b in zip(f, g)]
-        s = mp.mpc(complex(sigma.values[piece][0, 0]))
+        s = mp.mpc(complex(model.values[piece][0, 0]))
         out[end] = mp.matrix([f, [b - s * a for a, b in zip(f, g)]])
     return out
 

@@ -28,7 +28,6 @@ from sldl.matcore import (
     SingularMatrixError,
     as_matrix,
     as_stack,
-    block2n,
     condition,
     matrix_from_json,
     matrix_to_json,
@@ -140,14 +139,6 @@ def test_as_matrix_rejects_nonfinite_and_nonsquare():
         as_matrix([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         as_matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-
-
-def test_block_roundtrip():
-    tl, tr, bl, br = (np.full((2, 2), v, dtype=complex) for v in (1, 2, 3, 4))
-    m = block2n(tl, tr, bl, br)
-    parts = m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
-    for got, want in zip(parts, (tl, tr, bl, br)):
-        assert np.array_equal(got, want)
 
 
 @given(complex_matrices(), complex_matrices())

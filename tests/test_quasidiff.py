@@ -17,6 +17,7 @@ from sldl import (
     QuasiState,
     StepSigma,
     cauchy_kernel,
+    classify,
     fundamental_pair,
     gallery_entry,
     green_form,
@@ -27,12 +28,12 @@ from sldl.quasidiff import (
     OffGridError,
     _cells,
     _grid_index,
+    _piece_generators,
     expm,
     model_from_json,
     model_to_json,
     piece_cuts,
     piece_index,
-    piece_system,
     transfer,
     wronskian_residual,
 )
@@ -48,26 +49,24 @@ def scalar_delta(h, c=1.0, X=2.5):
 # system matrix
 
 
-def system_at(model, lam, x):
-    """System matrix F - L at the point x (right-continuous in x)."""
-    return piece_system(model, lam, piece_index(model, x))
-
-
 def test_free_system_matrix():
-    f = system_at(FREE, 0.0, 0.3)
+    f = _cells(FREE, 0.0, [(0.3, 0.4)]).gen[0]
     assert np.array_equal(f, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_step_sigma_system_matrix():
+    # the flight generator in (f, f'), seen through the first jump (f, f1) -> (f, f'),
+    # is the quasi system matrix [[sigma, 1], [-sigma**2, -sigma]]
     h = 1.7
     m = StepSigma(1, (0.0,), (np.array([[h]]),), 2.0)
-    f = system_at(m, 0.0, 0.5)
+    cells = _cells(m, 0.0, [(0.5, 1.0)])
+    f = np.linalg.inv(cells.jump[0]) @ cells.gen[0] @ cells.jump[0]
     assert np.allclose(f, [[h, 1.0], [-h * h, -h]])
 
 
 def test_lambda_enters_bottom_left():
     lam = 2.0 - 1.0j
-    f = system_at(FREE, lam, 0.0)
+    f = _cells(FREE, lam, [(0.0, 1.0)]).gen[0]
     assert np.allclose(f, [[0, 1], [-lam, 0]])
 
 
@@ -76,8 +75,9 @@ def test_distributional_reduces_to_step_form():
     eye, zero = np.eye(2), np.zeros((2, 2))
     dist = Distributional(2, (0.0,), (eye,), (zero,), (sig,), 1.0)
     step = StepSigma(2, (0.0,), (sig,), 1.0)
-    assert np.allclose(system_at(dist, 0.0, 0.1),
-                       system_at(step, 0.0, 0.1), atol=1e-12)
+    for lam in (0.0, 0.5 - 0.25j):
+        assert np.allclose(transfer(dist, lam, 0.0, 1.0),
+                           transfer(step, lam, 0.0, 1.0), atol=1e-12)
 
 
 def test_distributional_blocks_with_complex_phi():
@@ -85,7 +85,7 @@ def test_distributional_blocks_with_complex_phi():
     q0 = np.array([[0.0, 1.0], [1.0, 0.0]])
     p1 = np.array([[1.0, 0.0], [0.0, -1.0]])
     m = Distributional(2, (0.0,), (p0,), (q0,), (p1,), 1.0)
-    f = system_at(m, 0.0, 0.5)
+    f = _piece_generators(m, 0.0, [0])[0]
     pinv = np.linalg.inv(p0)
     phi = p1 + 1j * q0
     assert np.allclose(f[:2, :2], pinv @ phi)
@@ -111,7 +111,7 @@ def test_general_triple_system_matrix_blocks():
     q = np.array([[1.0, 0.5], [0.5, -1.0]])
     r = np.array([[0.0, 1.0], [0.0, 0.0]])
     m = GeneralTriple(2, (0.0,), (p,), (q,), (r,), 1.0)
-    f = system_at(m, 0.0, 0.2)
+    f = _piece_generators(m, 0.0, [0])[0]
     assert np.allclose(f[:2, :2], r)
     assert np.allclose(f[:2, 2:], np.diag([0.5, 0.25]))
     assert np.allclose(f[2:, :2], q)
@@ -229,7 +229,7 @@ def test_classical_derivative_jump_at_node():
     m = scalar_delta(h, c)
     y = propagate(m, 0.0, QuasiState([0.0], [1.0]), 0.0, c)
     i = piece_index(m, c)  # the piece that starts at c
-    left, right = (m.sigma.values[j] @ y.f + y.f1 for j in (i - 1, i))
+    left, right = (m.values[j] @ y.f + y.f1 for j in (i - 1, i))
     assert right[0] - left[0] == pytest.approx(h * y.f[0], rel=1e-13)
 
 
@@ -337,7 +337,8 @@ _PIECE_MODELS = st.one_of(general_triple_models(max_n=3), distributional_models(
 def test_generator_stack_equals_the_per_piece_systems(model, lam):
     pieces = range(len(model.cuts))
     want = np.array([reference_march.piece_system(model, lam, i) for i in pieces])
-    assert same_bits(np.array([piece_system(model, lam, i) for i in pieces]), want)
+    assert same_bits(np.array([_piece_generators(model, lam, [i])[0] for i in pieces]), want)
+    assert same_bits(_piece_generators(model, lam, list(pieces)), want)
     if lam == 0:
         assert same_bits(model.generators, want)
 
@@ -371,10 +372,8 @@ def test_cells_equal_the_per_cell_reference(model, data, lam):
     assert [j is None for j in cells.jump] == [j is None for j in jump]
     for got, want in zip(cells.jump, jump):
         assert got is None or same_bits(got, want)
-    if isinstance(model, (StepSigma, DeltaNodes)):  # built on first use, read-only
+    if isinstance(model, (StepSigma, DeltaNodes)):  # built with the model, read-only
         assert not model.cell_jumps.flags.writeable
-    if isinstance(model, DeltaNodes):  # the step model inside builds none
-        assert "cell_jumps" not in vars(model.sigma)
     assert same_bits(cells.gen, np.array(gen, dtype=complex).reshape(-1, m, m))
     want = [reference_march.expm(g * s) for g, s in zip(gen, length)]
     assert same_bits(cells.prop, np.array(want, dtype=complex).reshape(-1, m, m))
@@ -567,9 +566,11 @@ def test_delta_normalizes_to_cumulative_step():
     h1 = np.array([[1.0]])
     h2 = np.array([[-2.0]])
     m = DeltaNodes(1, (1.0, 2.0), (h1, h2), 3.0)
-    assert np.array_equal(m.sigma.values[0], np.zeros((1, 1)))
-    assert np.array_equal(m.sigma.values[1], h1)
-    assert np.array_equal(m.sigma.values[2], h1 + h2)
+    assert m.cuts == (0.0, 1.0, 2.0)
+    assert np.array_equal(m.values[0], np.zeros((1, 1)))
+    assert np.array_equal(m.values[1], h1)
+    assert np.array_equal(m.values[2], h1 + h2)
+    assert not m.values.flags.writeable
 
 
 def test_delta_spacings_and_from_spacings():
@@ -611,8 +612,8 @@ def test_model_json_roundtrip(ms, md, mg):
         back = model_from_json(model_to_json(model))
         assert type(back) is type(model)
         assert back.n == model.n and back.X == pytest.approx(model.X)
-        f0 = system_at(model, 0.0, model.X / 2)
-        f1 = system_at(back, 0.0, model.X / 2)
+        f0 = transfer(model, 0.0, 0.0, model.X / 2)
+        f1 = transfer(back, 0.0, 0.0, model.X / 2)
         assert np.allclose(f0, f1, atol=1e-12)
 
 
@@ -633,24 +634,37 @@ def _one_model_per_variant():
     ]
 
 
-def _fields(model):
-    return {k: v for k, v in vars(model).items() if k != "sigma"}
+# stored spacings 1/k, which differ from the node differences in the last bits
+_FROM_SPACINGS = DeltaNodes.from_spacings(
+    2, [1.0 / k for k in range(1, 8)], [np.array([[k, 1.0], [1.0, -k]]) for k in range(7)])
 
 
-@pytest.mark.parametrize("model", _one_model_per_variant(), ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("model", [
+    *_one_model_per_variant(), pytest.param(_FROM_SPACINGS, id="DeltaNodes-from_spacings"),
+], ids=lambda m: type(m).__name__)
 def test_every_variant_round_trips_exactly_through_the_model_codec(model):
     obj = json.loads(json.dumps(model_to_json(model)))
     back = model_from_json(obj)
     assert type(back) is type(model)
     assert model_to_json(back) == obj
-    mine, theirs = _fields(model), _fields(back)
+    mine, theirs = vars(model), vars(back)
     assert mine.keys() == theirs.keys()
     for key, value in mine.items():
         assert np.array_equal(theirs[key], value), key
 
 
+def test_christ_stolz_read_back_from_the_codec_is_limit_circle():
+    entry = gallery_entry("christ-stolz")
+    back = model_from_json(json.loads(json.dumps(model_to_json(entry.problem))))
+    assert back.spacings == entry.problem.spacings
+    assert classify(back, entry.config).classification == "LimitCircle"
+
+
 def test_model_codec_names_a_missing_key():
     obj = model_to_json(_one_model_per_variant()[1])
+    # spacings are optional: without them a delta model takes the node differences
+    spacings = obj.pop("spacings")
+    assert model_from_json(obj).spacings == tuple(spacings)
     for key in obj:
         with pytest.raises(ValueError, match=f"coefficient model JSON has no key '{key}'"):
             model_from_json({k: v for k, v in obj.items() if k != key})

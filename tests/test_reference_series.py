@@ -126,7 +126,7 @@ def test_christ_stolz_cor2_matches_the_per_term_series_at_2000_nodes():
     assert got == outcome(ref.cor2_series, model.spacings, model.jumps, Diagonal(1))
     assert len(np.frombuffer(got[0])) == 1999
     assert repr(model.nodes) == repr(ref.from_spacings_nodes(d[:2000]))
-    assert repr((model.nodes, model.spacings, model.sigma.cuts)) == repr(
+    assert repr((model.nodes, model.spacings, model.cuts)) == repr(
         ref.delta_nodes_fields(model.nodes, model.X, d[:2000]))
 
 
@@ -146,7 +146,7 @@ def construct(build, *args):
 
 def delta_fields(nodes, X, spacings):
     model = DeltaNodes(1, nodes, np.zeros((len(nodes), 1, 1)), X, spacings)
-    return model.nodes, model.spacings, model.sigma.cuts
+    return model.nodes, model.spacings, model.cuts
 
 
 @st.composite
@@ -179,7 +179,7 @@ def test_delta_nodes_checks_match_the_generator_checks(case):
 def test_from_spacings_matches_the_running_sums_and_generator_checks(spacings):
     def build():
         model = DeltaNodes.from_spacings(1, spacings, np.zeros((len(spacings), 1, 1)))
-        return model.nodes, model.spacings, model.sigma.cuts
+        return model.nodes, model.spacings, model.cuts
 
     nodes = ref.from_spacings_nodes(spacings)
     assert construct(build) == construct(ref.delta_nodes_fields, nodes, nodes[-1] + 1.0, spacings)
