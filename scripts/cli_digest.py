@@ -101,6 +101,8 @@ INVOCATIONS = [
     "classify --model nocuts.json --intervals unit:3",
     "classify --blocks growing.json --criteria carleman --N 40",
     "classify --blocks free-cs.json --criteria t7,cor3 --N 150",
+    "classify --blocks offset-1.json",
+    "classify --blocks offset-2.json",
     "classify --gallery free-lattice --criteria bogus",
     "classify --gallery free-lattice --criteria ,",
     "classify --gallery free-lattice --criteria t5_diag",
@@ -275,6 +277,9 @@ def main() -> None:
     free_cs = blocks_to_json(blocks_from_delta(*christ_stolz_family(402)))
     free_cs["A"] = [[[0.0]]] * len(free_cs["A"])
     free_cs["B"] = [[[-1.0]]] * len(free_cs["B"])
+    # lattice blocks whose file claims storage from A_1 or A_2
+    offset = {k: {**blocks_to_json(blocks_from_delta([1.0] * 6, np.zeros((5, 1, 1)))), "offset": k}
+              for k in (1, 2)}
     # a 20-piece n = 2 general triple, pieces of length about 1
     rng = np.random.default_rng(20)
     cplx = lambda b: rng.uniform(-b, b, (20, 2, 2)) + 1j * rng.uniform(-b, b, (20, 2, 2))
@@ -288,6 +293,7 @@ def main() -> None:
     fixtures = {**FIXTURES, "illcond.json": illcond, "illcond-b7.json": illcond_b7,
                 "general20.json": general20,
                 "growing.json": growing, "free-cs.json": free_cs,
+                "offset-1.json": offset[1], "offset-2.json": offset[2],
                 "christ-stolz-2000.json": model_to_json(
                     DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}
 

@@ -148,6 +148,8 @@ def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) 
         raise TypeError("equivalence_residual needs a DeltaNodes model")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if seed_state.n != model.n:
+        raise ShapeMismatchError("state order does not match the model")
     m = len(model.nodes)
     if m < count + 3:
         raise ValueError(f"need at least count + 3 = {count + 3} nodes, have {m}")

@@ -43,7 +43,6 @@ from .criteria import (
     Diagonal,
     IntervalSeq,
     OffDiagonal,
-    QuadratureError,
     cor1_series,
     cor2_series,
     t1_series,
@@ -627,8 +626,7 @@ def run(argv=None) -> int:
     except ConflictingEvidenceError as exc:
         print(f"conflicting evidence: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, QuadratureError, ValueError, KeyError, TypeError,
-            IndexError, MemoryError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError, IndexError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     envelope = make_envelope(args.title, echo, result)

@@ -32,14 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import Lattice
-from .matcore import ShapeMismatchError, as_stack, frobenius_norm
+from .matcore import ShapeMismatchError, as_stack
 from .quasidiff import (
-    DeltaNodes,
     FundamentalPair,
     LinearSigma,
     OffGridError,
     StepModel,
-    StepSigma,
     VariantUnsupportedError,
     _cells,
     expm,
@@ -48,10 +46,6 @@ from .quasidiff import (
 from .reports import DIVERGES, CriterionReport, build_report
 
 PSD_TOL = 1e-10
-
-
-class QuadratureError(RuntimeError):
-    """Kernel or solution-norm integrals overflowed to a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +183,7 @@ def _exact(one_pass, model, spans) -> np.ndarray:
     finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
     if not finite.all():
         a, b = spans[int(finite.argmin())]
-        raise QuadratureError(f"kernel quadrature overflowed on ({a}, {b})")
+        raise ValueError(f"kernel quadrature overflowed on ({a}, {b})")
     return out
 
 
@@ -439,37 +433,23 @@ class T2Result:
         return self.hypothesis_ok and self.series.verdict == DIVERGES
 
 
-def _slopes_overlapping(model: LinearSigma, a: float, b: float):
-    for i in range(len(model.knots) - 1):
-        if model.knots[i] < b and model.knots[i + 1] > a:
-            yield model.slope(i)
-
-
-def t2_predicate(model, intervals: IntervalSeq) -> T2Result:
+def t2_predicate(model: LinearSigma, intervals: IntervalSeq) -> T2Result:
     """Monotonicity test: sigma' >= 0 on every interval plus divergent length series.
 
     The potential derivative must be positive semidefinite (within PSD_TOL)
     on each piece overlapping each interval, and the series of squared
-    interval lengths must diverge; certification requires both. Pure delta
-    models have no function-valued derivative and are rejected.
+    interval lengths must diverge; certification requires both. Only a
+    LinearSigma model is taken; any other type is a VariantUnsupportedError.
     """
-    if isinstance(model, (DeltaNodes,)):
-        raise VariantUnsupportedError("sigma' is not a function for delta models")
-    if isinstance(model, StepSigma):
-        if any(frobenius_norm(v - model.values[0]) > PSD_TOL for v in model.values):
-            raise VariantUnsupportedError("sigma' is not a function for step models with jumps")
-        slopes_for = lambda a, b: [np.zeros((model.n, model.n))]
-    elif isinstance(model, LinearSigma):
-        slopes_for = lambda a, b: list(_slopes_overlapping(model, a, b))
-    else:
+    if not isinstance(model, LinearSigma):
         raise VariantUnsupportedError(f"no sigma description for {type(model)!r}")
-
     ok = True
     for a, b in intervals.intervals:
         if b > model.X:
             raise ValueError("intervals exceed the model domain")
-        for sl in slopes_for(a, b):
-            if float(np.min(np.linalg.eigvalsh(sl.real))) < -PSD_TOL:
+        for i in range(len(model.knots) - 1):
+            if (model.knots[i] < b and model.knots[i + 1] > a
+                    and float(np.min(np.linalg.eigvalsh(model.slope(i).real))) < -PSD_TOL):
                 ok = False
     terms = [(b - a) ** 2 for a, b in intervals.intervals]
     notes = () if ok else ("sigma' indefinite on some interval",)

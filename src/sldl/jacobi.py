@@ -12,8 +12,8 @@ d_k = x_k - x_{k-1}, jumps H_k, and r_{k+1} = sqrt(d_k + d_{k+1}),
     A_k = [H_k + (1/d_k + 1/d_{k+1}) I] / r_{k+1}^2,
     B_k = -I / (r_{k+1} r_{k+2} d_{k+1}),          k = 1, 2, ...
 
-while A_0, B_0 are free boundary blocks (defaults O and -I, recorded so
-reports are reproducible). The determinacy tests here are series
+while A_0, B_0 are free boundary blocks (defaults O and -I, stored with
+the others so reports are reproducible). The determinacy tests here are series
 diagnostics: a divergent sum of 1 / ||B_k|| certifies the determinate
 (limit point) case; the paired product series checks (codes t7 and cor3)
 certify the completely indeterminate (limit circle) case.
@@ -26,15 +26,14 @@ built stack that A_k, t7 and cor3 slice, and the (d, H) entry points build a
 Lattice for the lattice forms. The recurrence marches step with the lazily
 built stacks B_inv and B_star of ``JacobiBlocks``: each step is three BLAS
 products into preallocated buffers, or three Python complex products at order
-n = 1. Storage is 0-based; ``offset`` records the recurrence index of slot 0
-so block A[k - offset] is A_k. All spacing indices k in this module are
-1-based to match the recurrence above.
+n = 1. Storage starts at A_0, B_0: slot k holds A_k and B_k. All spacing
+indices k in this module are 1-based to match the recurrence above.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,13 +79,11 @@ class Lattice:
 
     Checked once, on construction: ``d`` becomes a tuple of positive finite
     floats and ``H`` one read-only (K, n, n) real symmetric stack; the lattice
-    criteria and blocks read it as it is. As the provenance of blocks,
-    ``boundary_default`` records whether they took the default (A_0, B_0).
+    criteria and blocks read it as it is.
     """
 
     d: tuple[float, ...]
     H: np.ndarray
-    boundary_default: bool = True
 
     def __post_init__(self):
         d = tuple(map(float, self.d))
@@ -142,7 +139,6 @@ class JacobiBlocks:
     n: int
     A: np.ndarray
     B: np.ndarray
-    offset: int = 0
     provenance: Lattice | None = None
 
     def __post_init__(self):
@@ -179,23 +175,21 @@ class JacobiBlocks:
         A_{hi-1}; IndexOutOfRangeError names the first of them, in march
         order, that is not stored.
         """
-        if lo < min(hi, self.offset):
+        if lo < 0 and lo < hi:
             raise IndexOutOfRangeError(f"B_{lo} not stored")
-        first_a = max(len(self.A) + self.offset, lo + 1)
-        first_b = max(len(self.B) + self.offset, lo)
+        first_a, first_b = max(len(self.A), lo + 1), max(len(self.B), lo)
         if min(first_a, first_b) < hi:
             k, name = (first_a, "A") if first_a <= first_b else (first_b, "B")
             raise IndexOutOfRangeError(f"{name}_{k} not stored")
-        return slice(lo - self.offset, hi - self.offset)
+        return slice(lo, hi)
 
 
 def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
     """Blocks of the lattice correspondence, with ``lat`` as their provenance.
 
     Needs len(H) >= len(d) - 1; an extra trailing jump is ignored. The
-    boundary pair (A_0, B_0) defaults to (O, -I) and is only recorded (a
-    non-default pair gives a copy of ``lat`` whose ``boundary_default`` is
-    False), never used by the determinacy criteria.
+    boundary pair (A_0, B_0) defaults to (O, -I) and is only stored, never
+    used by the determinacy criteria.
     """
     m = len(lat.d)
     if m < 2:
@@ -207,8 +201,6 @@ def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
         a0, b0 = np.zeros((n, n), dtype=complex), -np.eye(n, dtype=complex)
     else:
         a0, b0 = real_symmetric(as_stack(boundary, n), "boundary blocks")
-    if lat.boundary_default != (boundary is None):
-        lat = replace(lat, boundary_default=boundary is None)
     # r_{k+1}^2 = d_k + d_{k+1}; one square root per r_{k+1} r_{k+2} keeps
     # integer-valued products exact (d == 1 gives exactly 2.0)
     dd = np.array(lat.d)
@@ -218,7 +210,7 @@ def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
         B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * dd[1:-1, None, None])
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("lattice blocks overflow: spacings too small or jumps too large")
-    return JacobiBlocks(n, np.concatenate([a0[None], A]), np.concatenate([b0[None], B]), 0, lat)
+    return JacobiBlocks(n, np.concatenate([a0[None], A]), np.concatenate([b0[None], B]), lat)
 
 
 def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
@@ -412,10 +404,9 @@ def carleman_report(blocks: JacobiBlocks, N: int) -> CriterionReport:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    i = 1 - blocks.offset
-    if i < 0 or i + N > len(blocks.B):
+    if N >= len(blocks.B):
         raise IndexOutOfRangeError(f"B_1 .. B_{N} not all stored")
-    terms = (1.0 / frobenius_norm(blocks.B[i:i + N])).tolist()
+    terms = (1.0 / frobenius_norm(blocks.B[1:N + 1])).tolist()
     report = build_report("carleman", terms)
     if report.verdict != DIVERGES and blocks.provenance is not None:
         d = blocks.provenance.d[:N + 2]
@@ -576,24 +567,26 @@ def cor3_lattice(lat: Lattice, N: int) -> Cor3Result:
 
 
 def blocks_to_json(blocks: JacobiBlocks) -> dict:
+    """JSON form; ``boundary_default`` records whether (A_0, B_0) == (O, -I)."""
     out = {"n": blocks.n,
            "A": [matrix_to_json(a) for a in blocks.A],
            "B": [matrix_to_json(b) for b in blocks.B],
-           "offset": blocks.offset}
+           "offset": 0}
     prov = blocks.provenance
     if prov is not None:  # a jump past the last block is not written
+        default = not blocks.A[0].any() and (blocks.B[0] == -np.eye(blocks.n)).all()
         out["provenance"] = {"d": list(prov.d),
                              "H": [matrix_to_json(h) for h in prov.H[:len(prov.d) - 1]],
-                             "boundary_default": prov.boundary_default}
+                             "boundary_default": bool(default)}
     return out
 
 
-def _check_provenance(A: np.ndarray, B: np.ndarray, offset: int, prov: Lattice):
+def _check_provenance(A: np.ndarray, B: np.ndarray, prov: Lattice):
     """ValueError unless A_k, B_k for k >= 1 are the blocks ``prov`` builds; A_0, B_0 may differ."""
     ref = blocks_from_lattice(prov)
-    if offset != 0 or len(A) != len(ref.A) or len(B) != len(ref.B):
+    if len(A) != len(ref.A) or len(B) != len(ref.B):
         raise ValueError(f"the provenance builds A_0 .. A_{len(ref.A) - 1} and "
-                         f"B_0 .. B_{len(ref.B) - 1} from offset 0")
+                         f"B_0 .. B_{len(ref.B) - 1}")
     for name, got, want in (("A", A, ref.A), ("B", B, ref.B)):
         diff = np.flatnonzero(np.any(got[1:] != want[1:], axis=(1, 2)))
         if len(diff):
@@ -601,19 +594,23 @@ def _check_provenance(A: np.ndarray, B: np.ndarray, offset: int, prov: Lattice):
 
 
 def blocks_from_json(obj: dict) -> JacobiBlocks:
-    """Blocks from their JSON form; a missing key is a ValueError that names it."""
+    """Blocks from their JSON form; a missing or bad key is a ValueError that names it.
+
+    The stored A_0 and B_0 are the boundary record; ``boundary_default`` is not read.
+    """
     try:
-        n, offset = int(obj["n"]), int(obj.get("offset", 0))
+        n = int(obj["n"])
+        if obj.get("offset", 0) != 0:
+            raise ValueError("blocks JSON key 'offset' must be 0: storage starts at A_0, B_0")
         A = as_stack([matrix_from_json(a, n) for a in obj["A"]], n)
         B = as_stack([matrix_from_json(b, n) for b in obj["B"]], n)
         prov = None
         if "provenance" in obj:
             p = obj["provenance"]
             prov = Lattice(tuple(float(v) for v in p["d"]),
-                           as_stack([matrix_from_json(h, n) for h in p["H"]], n),
-                           bool(p.get("boundary_default", True)))
+                           as_stack([matrix_from_json(h, n) for h in p["H"]], n))
             # the lattice criteria read the provenance in place of the blocks
-            _check_provenance(A, B, offset, prov)
+            _check_provenance(A, B, prov)
     except KeyError as exc:
         raise ValueError(f"blocks JSON has no key {exc}") from None
-    return JacobiBlocks(n, A, B, offset, prov)
+    return JacobiBlocks(n, A, B, prov)

@@ -59,7 +59,7 @@ def power_exponent(d):
 
 
 def carleman_terms(blocks, N: int) -> list[float]:
-    return [1.0 / frobenius_norm(blocks.B[k - blocks.offset]) for k in range(1, N + 1)]
+    return [1.0 / frobenius_norm(blocks.B[k]) for k in range(1, N + 1)]
 
 
 def cor3(d, H, N: int):

@@ -52,8 +52,8 @@ def march(blocks, prev, cur, start, stop):
     """u_{m+1} = -solve(B_m, A_m u_m + B*_{m-1} u_{m-1}) for m = start .. stop - 1."""
     out = []
     for m in range(start, stop):
-        rhs = blocks.A[m - blocks.offset] @ cur + blocks.B[m - 1 - blocks.offset].conj().T @ prev
-        prev, cur = cur, -np.linalg.solve(blocks.B[m - blocks.offset], rhs)
+        rhs = blocks.A[m] @ cur + blocks.B[m - 1].conj().T @ prev
+        prev, cur = cur, -np.linalg.solve(blocks.B[m], rhs)
         out.append(cur)
     return out
 
@@ -66,8 +66,8 @@ def inverse_march(blocks, prev, cur, start, stop):
     """
     out = []
     for m in range(start, stop):
-        rhs = blocks.A[m - blocks.offset] @ cur + blocks.B_star[m - 1 - blocks.offset] @ prev
-        prev, cur = cur, -(blocks.B_inv[m - blocks.offset] @ rhs)
+        rhs = blocks.A[m] @ cur + blocks.B_star[m - 1] @ prev
+        prev, cur = cur, -(blocks.B_inv[m] @ rhs)
         out.append(cur)
     return out
 
@@ -81,7 +81,7 @@ def discrete_cauchy(blocks, i, j, march=march):
     n = blocks.n
     if i == j:
         return np.zeros((n, n), dtype=complex)
-    first = invert(blocks.B[j - blocks.offset])
+    first = invert(blocks.B[j])
     steps = march(blocks, np.zeros((n, n), dtype=complex), first, j + 1, i)
     return steps[-1] if steps else first
 
@@ -96,7 +96,7 @@ def t4_term(blocks, n_k, m_k):
             (top,) = march(blocks, eye[n:], eye[:n], i, i + 1)
             step = np.vstack([top, eye[:n]])
             gram = step @ gram @ step.conj().T
-        binv = invert(blocks.B[i - blocks.offset])
+        binv = invert(blocks.B[i])
         gram[:n, :n] += binv @ binv.conj().T
         total += float(np.trace(gram[:n, :n]).real)
         if not math.isfinite(total):
@@ -280,8 +280,8 @@ def equivalence_residual(model, count, seed_state):
     blocks = blocks_from_delta(model.spacings, model.jumps)
     worst = 0.0
     for k in range(2, count + 2):
-        parts = (blocks.B[k - blocks.offset] @ u[k + 1], blocks.A[k - blocks.offset] @ u[k],
-                 blocks.B[k - 1 - blocks.offset].conj().T @ u[k - 1])
+        parts = (blocks.B[k] @ u[k + 1], blocks.A[k] @ u[k],
+                 blocks.B[k - 1].conj().T @ u[k - 1])
         scale = max(1.0, *(float(np.linalg.norm(p)) for p in parts))
         worst = max(worst, float(np.linalg.norm(parts[0] + parts[1] + parts[2])) / scale)
     return worst

@@ -99,6 +99,18 @@ def test_equivalence_residual_requires_delta_model():
         equivalence_residual(free_lattice(4), 5, QuasiState([0.0], [1.0]))
 
 
+@pytest.mark.parametrize("n, seed", [
+    (1, QuasiState([0.3, 0.1], [1.0, 0.2])),
+    (2, QuasiState([0.3], [1.0])),
+], ids=["order-2-seed-on-order-1", "order-1-seed-on-order-2"])
+def test_equivalence_residual_refuses_a_seed_of_another_order(n, seed):
+    # an order-2 seed on an order-1 model was marched as two state columns
+    d, H = christ_stolz_family(41, n)
+    model = DeltaNodes.from_spacings(n, d[:40], H[:40], tail=d[40])
+    with pytest.raises(ShapeMismatchError, match="^state order does not match the model$"):
+        equivalence_residual(model, 30, seed)
+
+
 @pytest.mark.parametrize("nodes", [500, 1000, 2000])
 def test_christ_stolz_residual_equals_the_per_k_loop(nodes):
     d, H = christ_stolz_family(nodes + 1)
@@ -386,7 +398,7 @@ def _records():
 def test_lattice_stacks_are_read_only():
     d, H = christ_stolz_family(6, 2)
     lat = blocks_from_delta(d, H).provenance
-    assert lat.d == d and lat.boundary_default
+    assert lat.d == d
     for stack in (lat.H, lat.shifted_jumps):
         assert not stack.flags.writeable
         with pytest.raises(ValueError):

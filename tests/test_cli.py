@@ -522,8 +522,8 @@ def _one_A_changed():
      "B_1 differs from the block its provenance builds"),
     (_free_blocks_with_christ_stolz_provenance, ["--criteria", "t7,cor3", "--N", "150"],
      "B_1 differs from the block its provenance builds"),
-    (_offset_blocks, [], "the provenance builds A_0 .. A_5 and B_0 .. B_4 from offset 0"),
-    (_short_blocks, [], "the provenance builds A_0 .. A_5 and B_0 .. B_4 from offset 0"),
+    (_offset_blocks, [], "blocks JSON key 'offset' must be 0: storage starts at A_0, B_0"),
+    (_short_blocks, [], "the provenance builds A_0 .. A_5 and B_0 .. B_4"),
     (_one_A_changed, [], "A_3 differs from the block its provenance builds"),
 ], ids=["growing-B", "free-under-christ-stolz", "offset-1", "one-A-short", "A3-and-B4"])
 def test_blocks_that_are_not_their_provenance_exit_2(capsys, tmp_path, make, argv, message):

@@ -52,7 +52,7 @@ def test_blocks_constant_lattice():
     # boundary defaults
     assert np.array_equal(blocks.A[0], np.zeros((1, 1)))
     assert np.array_equal(blocks.B[0], -np.eye(1))
-    assert blocks.provenance.boundary_default
+    assert blocks_to_json(blocks)["provenance"]["boundary_default"] is True
 
 
 def test_blocks_degenerate_diagonal():
@@ -88,7 +88,11 @@ def test_blocks_boundary_override():
     b0 = np.array([[3.0]])
     blocks = blocks_from_delta([1.0] * 4, [np.zeros((1, 1))] * 4, boundary=(a0, b0))
     assert np.array_equal(blocks.A[0], a0)
-    assert not blocks.provenance.boundary_default
+    assert blocks_to_json(blocks)["provenance"]["boundary_default"] is False
+    # the written flag tests the stored pair, so an explicit (O, -I) is the default
+    explicit = blocks_from_delta([1.0] * 4, [np.zeros((1, 1))] * 4,
+                                 boundary=(np.zeros((1, 1)), -np.eye(1)))
+    assert blocks_to_json(explicit)["provenance"]["boundary_default"] is True
 
 
 def test_blocks_validation():
@@ -730,12 +734,23 @@ def test_power_exponent_of_extreme_tails_equals_the_loop(d):
 # serialization
 
 
+def test_blocks_json_refuses_a_nonzero_offset():
+    obj = blocks_to_json(blocks_from_delta([1.0] * 6, np.zeros((5, 1, 1))))
+    assert obj["offset"] == 0
+    del obj["provenance"]  # without one, offset 1 read the stored B_0 .. B_3 as B_1 .. B_4
+    for k in (1, 2, -1):
+        with pytest.raises(ValueError, match="^blocks JSON key 'offset' must be 0"):
+            blocks_from_json({**obj, "offset": k})
+    del obj["offset"]
+    assert len(blocks_from_json(obj).B) == 5
+
+
 def test_blocks_json_roundtrip():
     d = [1.0, 0.5, 2.0, 1.5]
     H = [np.array([[v]]) for v in (0.5, -1.0, 2.0, 0.0)]
     blocks = blocks_from_delta(d, H)
     back = blocks_from_json(blocks_to_json(blocks))
-    assert back.n == blocks.n and back.offset == blocks.offset
+    assert back.n == blocks.n
     for a, b in zip(back.A, blocks.A):
         assert np.array_equal(a, b)
     for a, b in zip(back.B, blocks.B):

@@ -1,4 +1,4 @@
-"""The names ``import sldl`` exports, and the signatures of its lattice entry points.
+"""The names ``import sldl`` exports, and the signatures of its lattice entry points and blocks.
 
 A name leaves or joins this list only together with an argued change of the
 public surface; an accidental removal fails here.
@@ -43,3 +43,10 @@ def test_lattice_entry_points_keep_their_signatures():
     for name, params in LATTICE_SIGNATURES.items():
         sig = inspect.signature(getattr(sldl, name))
         assert str(sig.replace(return_annotation=inspect.Signature.empty)) == params
+
+
+def test_jacobi_blocks_keep_their_fields():
+    # storage starts at A_0, B_0: there is no offset field
+    sig = inspect.signature(sldl.JacobiBlocks)
+    assert str(sig.replace(return_annotation=inspect.Signature.empty)) == (
+        "(n: 'int', A: 'np.ndarray', B: 'np.ndarray', provenance: 'Lattice | None' = None)")
