@@ -50,6 +50,16 @@ HUGE_SIGMA_STEP = {"n": 1, "X": 4.0, "variant": "step_sigma", "cuts": [0.0, 1.0,
 HUGE_JUMPS = {h: {"n": 1, "X": 41.0, "variant": "delta_nodes",
                   "nodes": [{"x": float(k), "H": [[h]]} for k in range(1, 41)]}
               for h in (1e200, 1e80)}
+# an order-1 step model of 60 pieces with varying lengths and nonzero changes of sigma
+STEP60 = {"n": 1, "X": 60.5, "variant": "step_sigma",
+          "cuts": [0.0, *(k + (k % 7) / 8 for k in range(1, 60))],
+          "values": [[[((37 * k) % 13 - 6) / 4]] for k in range(60)]}
+# order-1 models whose kernel quadrature overflows: a huge change of sigma inside
+# the first unit interval, and a delta cell of length 1e80
+HUGE_STEP_JUMP = {"n": 1, "X": 3.0, "variant": "step_sigma", "cuts": [0.0, 0.5, 1.5],
+                  "values": [[[0.0]], [[1e200]], [[0.0]]]}
+HUGE_SPACINGS = {"n": 1, "X": 3e80, "variant": "delta_nodes",
+                 "nodes": [{"x": 1e80, "H": [[1.0]]}, {"x": 2e80, "H": [[-1.0]]}]}
 FIXTURES = {
     "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
     "nocuts.json": {k: v for k, v in FREE.items() if k != "cuts"},
@@ -58,6 +68,8 @@ FIXTURES = {
     "nan-node.json": NAN_NODE, "nan-cut.json": NAN_CUT, "nan-knot.json": NAN_KNOT,
     "huge-jumps-1e200.json": HUGE_JUMPS[1e200], "huge-jumps-1e80.json": HUGE_JUMPS[1e80],
     "huge-sigma-delta.json": HUGE_SIGMA_DELTA, "huge-sigma-step.json": HUGE_SIGMA_STEP,
+    "step60.json": STEP60, "huge-step-jump.json": HUGE_STEP_JUMP,
+    "huge-spacings.json": HUGE_SPACINGS, "huge-intervals.json": [[0.0, 2e80]],
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
                 "jumps": [[[0.5]], [[-1.0]]]},
@@ -227,6 +239,18 @@ INVOCATIONS = [
     # sigma past the float range from finite entries
     "criterion t1 --model huge-sigma-delta.json --intervals unit:2",
     "classify --model huge-sigma-step.json",
+    # long order-1 Gram recursions
+    "criterion t1 --model christ-stolz-2000.json --intervals unit:8",
+    "criterion t1 --model step60.json --intervals unit:60",
+    "criterion t1 --model step60.json --intervals file:intervals.json",
+    # order-1 kernel quadrature past the float range
+    "criterion t1 --model huge-step-jump.json --intervals unit:3",
+    "criterion t1 --model huge-spacings.json --intervals file:huge-intervals.json",
+    # more unit intervals than the domain holds
+    "criterion t1 --model free.json --intervals unit:101",
+    "criterion t2 --model linear.json --intervals unit:21",
+    "classify --model free.json --intervals unit:101",
+    "criterion t1 --model free.json --intervals unit:99999999999999999999",
 ]
 
 

@@ -18,8 +18,11 @@ off-diagonal channel of an order-2 lattice whose jumps are its jumps times
 ``kernel_square_integrals`` over all cells of seeded n = 2 delta models
 and n = 1, 2 and 3 general triples with 10 to 400 unit cells (at n = 3 the
 parent's fused Van Loan block had order 66), and ``t1_series`` over the
-10 to 400 unit intervals of the n = 2 delta model and general triple, each
-as the median of repeated runs in one process with BLAS on one thread: one
+10 to 400 unit intervals of the n = 2 delta model and general triple, and
+``kernel_square_integrals`` over all cells, ``t1_series`` over the unit
+intervals and ``solution_norm_integral`` over [0, X] of seeded n = 1 delta
+models with 10 to 400 unit cells (the scalar Gram and solution-norm passes),
+each as the median of repeated runs in one process with BLAS on one thread: one
 untimed warm-up pass over every function and size, then REPEATS timed
 passes, so the repeats of one function and size are a whole pass apart.
 
@@ -100,7 +103,7 @@ def main() -> None:
     from sldl import (DeltaNodes, Diagonal, GeneralTriple, IntervalSeq, OffDiagonal, QuasiState,
                       blocks_from_delta, build_report, christ_stolz_family, cor2_series,
                       equivalence_residual, fundamental_pair, kernel_square_integrals,
-                      solve_recurrence, t1_series, t4_term, t7_check)
+                      solution_norm_integral, solve_recurrence, t1_series, t4_term, t7_check)
     from sldl.cli import canonical_json
 
     jobs = []
@@ -169,6 +172,16 @@ def main() -> None:
         for label in ("delta", "general n=2"):
             timed(f"t1_series {label}", cells, lambda model=models[label], cells=cells:
                   t1_series(model, IntervalSeq.unit(cells)))
+    scalar_rng = np.random.default_rng(401)  # its own seed: the models above stay as they were
+    for cells in CELLS:
+        h = scalar_rng.uniform(-1.0, 1.0, (cells - 1, 1, 1))
+        model = DeltaNodes(1, tuple(float(k) for k in range(1, cells)), h, float(cells))
+        timed("kernel_square_integrals delta n=1", cells,
+              lambda model=model: kernel_square_integrals(model, 0.0, model.X))
+        timed("t1_series delta n=1", cells,
+              lambda model=model, cells=cells: t1_series(model, IntervalSeq.unit(cells)))
+        timed("solution_norm_integral delta n=1", cells,
+              lambda model=model: solution_norm_integral(model, 0.0, model.X))
     print(json.dumps(sweep(jobs, repeats, load_hostspeed())))
 
 

@@ -221,11 +221,14 @@ def parse_jumps(spec: str, d, n: int):
     raise ConfigError(f"unknown jump spec {spec!r}")
 
 
-def parse_intervals(spec: str) -> IntervalSeq:
+def parse_intervals(spec: str, X: float) -> IntervalSeq:
+    """The intervals of ``spec``; ``unit:N`` past the domain end X is refused before it is built."""
     if spec.startswith("unit:"):
         count = int(spec[5:])
         if count < 1:
             raise ConfigError(f"interval count must be at least 1, got {count}")
+        if count > X:
+            raise ConfigError("intervals exceed the model domain")
         return IntervalSeq.unit(count)
     if spec.startswith("file:"):
         obj = _load_json(spec[5:])
@@ -339,7 +342,6 @@ def _echo(args, *keys) -> dict:
 def _classify(args):
     if sum(1 for s in (args.model, args.blocks, args.gallery) if s) != 1:
         raise ConfigError("give exactly one of --model, --blocks, --gallery")
-    intervals = parse_intervals(args.intervals) if args.intervals else None
     segments = parse_segments(args.segments) if args.segments else None
     criteria_names = _criteria_list(args.criteria)
     base = ClassifyConfig()
@@ -353,6 +355,8 @@ def _classify(args):
     else:
         problem = load_blocks(args.blocks)
         source = args.blocks
+    domain = getattr(problem, "X", math.inf)  # blocks have no domain and ignore intervals
+    intervals = parse_intervals(args.intervals, domain) if args.intervals else None
     config = ClassifyConfig(
         intervals=intervals if intervals is not None else base.intervals,
         N=args.N if args.N is not None else base.N,
@@ -367,7 +371,7 @@ def _classify(args):
 
 def _criterion_t1(args):
     problem = load_problem(args.model)
-    rep = t1_series(problem, parse_intervals(args.intervals), threshold=args.threshold)
+    rep = t1_series(problem, parse_intervals(args.intervals, problem.X), threshold=args.threshold)
     return (_echo(args, "criterion", "model", "intervals", "threshold"),
             {"reports": [rep.to_json()]})
 
@@ -376,7 +380,7 @@ def _criterion_t2(args):
     problem = load_problem(args.model)
     if not isinstance(problem, LinearSigma):
         raise ConfigError("criterion t2 needs a linear_sigma model")
-    res = t2_predicate(problem, parse_intervals(args.intervals))
+    res = t2_predicate(problem, parse_intervals(args.intervals, problem.X))
     echo = _echo(args, "criterion", "model", "intervals")
     echo["hypothesis_ok"] = res.hypothesis_ok
     return echo, {"reports": [res.series.to_json()]}
@@ -627,7 +631,7 @@ def run(argv=None) -> int:
         print(f"conflicting evidence: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, KeyError, TypeError, IndexError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     envelope = make_envelope(args.title, echo, result)
     text = render_text(envelope) if args.format == "text" else canonical_json(envelope) + "\n"

@@ -14,12 +14,13 @@ walker, ``_cells``, enumerates the pieces of one or more spans and picks the
 working coordinates: classical (f, f') with free flights and jumps of f' for
 step and delta models, (f, f1) with the piece generator otherwise. It stacks
 each cell's jump and propagator up front (closed forms, or one stacked
-``expm`` call), and for order-1 step and delta models at lam = 0 also each
-cell's scalar jump dS. One march, ``_march``, writes the state after every
-cell into a preallocated stack, from which transfer matrices and node
-samples are read by index: a scalar kick f' = dS f + f' and drift
-f = f + L f' per cell where it has the dS, BLAS products of the stacked
-matrices otherwise.
+``expm`` call); for order-1 step and delta models at lam = 0 it builds no
+matrices at all and hands out each cell's scalar jump dS instead. One march,
+``_march``, writes the state after every cell into a preallocated stack,
+from which transfer matrices and node samples are read by index: a scalar
+kick f' = dS f + f' and drift f = f + L f' per cell where it has the dS,
+BLAS products of the stacked matrices otherwise. Classical samples go back
+to quasi coordinates by one subtraction, f1 = f' - sigma f.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -370,6 +371,9 @@ def _jumps(ds: np.ndarray) -> np.ndarray:
     return out
 
 
+# per cell: piece, jump (or None), generator, length, end and propagator; the first
+# cell of each span; per cell dS (or None) at order 1 and lam = 0, where the
+# jump, generator and propagator stacks are None instead
 Cells = namedtuple("Cells", "piece jump gen length end prop first kick")
 
 
@@ -379,19 +383,21 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     Cells are the pieces clipped to each span, walked alone, and cut again at
     the sorted points ``stops``; ``jump`` (or None) applies at the cell's
     start and ``prop`` = exp(generator * length) carries the state across;
-    ``first`` holds the index of each span's first cell. Step and delta
-    models work in classical coordinates (f, f'), since quasi generators
-    carry sigma**2 and lose about that factor once the accumulated potential
-    is large: a free flight inside each cell, a jump by the change of sigma
-    at each cut (the stored jump and spacing for full delta cells), and a
-    first jump by sigma itself, from (f, f1) into (f, f'), that ``_to_quasi``
-    undoes; all dS are gathered from ``model.cell_jumps`` by one index. At
-    lam = 0 the flight generator N is nilpotent and its propagators are
-    I + length * N in closed form, which is what ``expm`` returns for it;
-    at order 1 ``kick`` then holds each cell's dS as a Python complex (None
-    where the cell takes no jump) for the scalar march, else it is None.
-    Other models keep quasi coordinates and the piece generator; the other
-    propagators come from one stacked ``expm`` call.
+    ``first`` holds the index of each span's first cell and ``end`` is an
+    array of the cells' end points. Step and delta models work in classical
+    coordinates (f, f'), since quasi generators carry sigma**2 and lose about
+    that factor once the accumulated potential is large: a free flight inside
+    each cell, a jump by the change of sigma at each cut (the stored jump and
+    spacing for full delta cells), and a first jump by sigma itself, from
+    (f, f1) into (f, f'), that ``_to_quasi`` undoes; all dS are gathered from
+    ``model.cell_jumps`` by one index. At lam = 0 the flight generator N is
+    nilpotent and its propagators are I + length * N in closed form, which is
+    what ``expm`` returns for it. At order 1 and lam = 0 ``kick`` holds each
+    cell's dS as a Python complex (None where the cell takes no jump), and
+    ``jump``, ``gen`` and ``prop`` are None: the march and the kernel and
+    solution-norm passes read only ``kick`` and ``length``. Otherwise ``kick``
+    is None. Other models keep quasi coordinates and the piece generator;
+    the other propagators come from one stacked ``expm`` call.
     """
     classical = isinstance(model, StepModel)
     delta = model if isinstance(model, DeltaNodes) else None
@@ -416,24 +422,24 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
             if stop == end:
                 i += 1
             pos = stop
-    n, m = model.n, 2 * model.n
-    jump, kick = [None] * len(pieces), None
+    n, m, ends = model.n, 2 * model.n, np.array(ends)
+    if classical and n == 1 and lam == 0:
+        kick = [None] * len(pieces)
+        for c, v in zip(jumped, model.cell_jumps[picks, 0, 0].tolist()):
+            kick[c] = v
+        return Cells(pieces, None, None, lengths, ends, None, first, kick)
+    jump = [None] * len(pieces)
     if not classical:
         gen = _piece_generators(model, lam, pieces)
     else:
         flight = np.eye(m, k=n, dtype=complex)
         flight[n:, :n] = -lam * np.eye(n)
         gen = np.broadcast_to(flight, (len(pieces), m, m))
-        ds = model.cell_jumps[picks]
-        for c, matrix in zip(jumped, _jumps(ds)):
+        for c, matrix in zip(jumped, _jumps(model.cell_jumps[picks])):
             jump[c] = matrix
-        if n == 1 and lam == 0:
-            kick = [None] * len(pieces)
-            for c, v in zip(jumped, ds[:, 0, 0].tolist()):
-                kick[c] = v
     scaled = gen * np.array(lengths)[:, None, None]
     prop = np.eye(m) + scaled if classical and lam == 0 else expm(scaled)
-    return Cells(pieces, jump, gen, lengths, ends, prop, first, kick)
+    return Cells(pieces, jump, gen, lengths, ends, prop, first, None)
 
 
 def _kick_drift(kick, length, f: complex, g: complex) -> tuple[list, list]:
@@ -460,7 +466,7 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     product (-0.0 into 0.0) would change the floats. A state that leaves the
     float range is a ValueError naming the end x of the first such cell.
     """
-    out = np.empty((len(cells.prop) + 1,) + y.shape, dtype=complex)
+    out = np.empty((len(cells.length) + 1,) + y.shape, dtype=complex)
     out[0] = y
     if cells.kick is not None:
         cols = out.reshape(len(out), 2, -1)  # a view: one (f, f') column per state column
@@ -475,13 +481,20 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
                 y = prop.dot(y, out=end)
     bad = ~np.isfinite(out.reshape(len(out), -1)[1:]).all(axis=1)
     if bad.any():
-        raise ValueError(f"the march leaves the float range at x = {cells.end[np.argmax(bad)]}")
+        x = float(cells.end[np.argmax(bad)])
+        raise ValueError(f"the march leaves the float range at x = {x}")
     return out
 
 
-def _to_quasi(model, piece, y: np.ndarray) -> np.ndarray:
-    """Working coordinates y on ``piece`` back to quasi ones; both may be stacked."""
-    return _jumps(-model.values[piece]) @ y if isinstance(model, StepModel) else y
+def _to_quasi(model, piece, y: np.ndarray) -> None:
+    """Working coordinates y on ``piece`` back to quasi ones, in place; both may be stacked.
+
+    Step and delta models take f1 = f' - sigma f on the bottom rows; the other
+    models march in quasi coordinates already.
+    """
+    if isinstance(model, StepModel):
+        n = model.n
+        y[..., n:, :] -= model.values[piece] @ y[..., :n, :]
 
 
 def transfer(model, lam: complex, x0: float, x1: float) -> np.ndarray:
@@ -490,7 +503,9 @@ def transfer(model, lam: complex, x0: float, x1: float) -> np.ndarray:
         raise ValueError("need 0 <= x0 <= x1 <= X")
     cells = _cells(model, lam, [(x0, x1)])
     m = _march(cells, np.eye(2 * model.n, dtype=complex))[-1]
-    return _to_quasi(model, cells.piece[-1], m) if cells.piece else m
+    if cells.piece:
+        _to_quasi(model, cells.piece[-1], m)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -585,7 +600,7 @@ def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
     t = _march(cells, np.eye(2 * model.n, dtype=complex))
     if len(at) < len(cells.end):
         t = t[np.concatenate([[0], at + 1])]
-    t[1:] = _to_quasi(model, np.array(cells.piece, dtype=int)[at], t[1:])
+    _to_quasi(model, np.array(cells.piece, dtype=int)[at], t[1:])
     t.flags.writeable = False
     return FundamentalPair(grid, t, complex(lam), model)
 

@@ -14,8 +14,10 @@ matrix, and each general or distributional piece takes its own ``invert``.
 The tests compare with ``np.array_equal`` (``tobytes`` for
 ``inverse_march``, and ``==`` for the residual float), so any change of
 that order shows. ``nodes_to_Z`` rescales one node at a time,
-``grid_index`` scans the whole grid, and ``interval_kernel_pass`` is the
-exact kernel pass over one interval alone, with its own Gram loop.
+``grid_index`` scans the whole grid, ``to_quasi`` subtracts sigma f from f'
+one sample at a time, and ``interval_kernel_pass`` is the exact kernel pass
+over one interval alone, with its own Gram loop: three Python floats per
+cell for order-1 step and delta models, as in sldl, or the matrix products.
 
 The kernel and solution-norm integrals are kept in their quadrature form:
 a 7-point Gauss-Legendre rule on every cell, refined by halving the cells
@@ -23,7 +25,10 @@ of general models until two passes agree to a relative tolerance (1e-8,
 the old rule of sldl, by default). The exact cell integrals of sldl are
 compared with it. ``fixed_t1_term`` redoes the kernel pass in fixed-point
 integer arithmetic with 140 fraction bits (about 42 digits), from the same
-float generators and lengths, as an accuracy reference for t1 terms.
+float generators and lengths, as an accuracy reference for t1 terms of
+general and distributional models; ``exact_t1_square`` redoes it for step and
+delta models of any order in Fraction arithmetic, from the float jumps and
+lengths.
 """
 
 import math
@@ -243,7 +248,12 @@ def grid_index(grid, x):
 
 
 def to_quasi(model, piece, y):
-    return _jump(-model.values[piece]) @ y if classical(model) else y
+    """(f, f') on ``piece`` back to (f, f1) of a step or delta model: f1 = f' - sigma f."""
+    if not classical(model):
+        return y
+    n, y = model.n, np.array(y, dtype=complex)
+    y[n:] = y[n:] - model.values[piece] @ y[:n]
+    return y
 
 
 def transfer(model, lam, x0, x1, step=None):
@@ -349,23 +359,72 @@ def refined(model, one_pass, rel_tol=QUAD_REL_TOL):
     raise RuntimeError("kernel quadrature did not stabilize")
 
 
-def interval_kernel_pass(model, a, b):
-    """The exact kernel pass of sldl over the cells of [a, b] alone, one cell product at a time.
+def interval_kernel_pass(model, a, b, scalar=None):
+    """The exact kernel pass of sldl over the cells of [a, b] alone, one cell at a time.
 
-    Takes the cells and cell integrals from sldl and keeps a Gram loop of its
-    own for the single interval, each adjoint taken per cell: the per-interval
-    pass that a pass over several intervals has to equal bit for bit.
+    Takes the cell integrals from sldl and the jumps and propagators from the
+    walk above, and keeps a Gram loop of its own for the single interval: the
+    per-interval pass that a pass over several intervals has to equal bit for
+    bit. Order-1 step and delta models (``scalar`` None or True) carry the Gram
+    entries in Python floats, reading dS from each jump matrix and the
+    powers of L from the cell integrals; otherwise (``scalar`` False too) each
+    cell is a product with its jump and propagator, each adjoint taken per cell.
     """
     n = model.n
-    cells = _cells(model, 0.0, [(a, b)])
-    w, tri, v = _cell_integrals(model, cells)
+    w, tri, v = _cell_integrals(model, _cells(model, 0.0, [(a, b)]))
+    walk = [(jump, expm(gen * length)) for _, jump, gen, length, _ in cells(model, 0.0, a, b)]
+    if (n == 1 and classical(model)) if scalar is None else scalar:
+        total = ga = gb = gc = 0.0  # the Gram matrix [[ga, gb], [gb, gc]]
+        for (jump, _), w_c, tri_c in zip(walk, w, tri):
+            length, half, third = float(w_c[0, 0, 0]), float(w_c[0, 0, 1]), float(w_c[0, 1, 1])
+            if jump is not None:
+                ds = float(jump[1, 0].real)
+                kicked = gb + ds * ga
+                gc = gc + ds * (gb + kicked)
+                gb = kicked
+            total += length * ga + half * gb + half * gb + third * gc + float(tri_c[0, 0])
+            across = gb + length * gc
+            ga = ga + length * gb + across * length + third
+            gb, gc = across + half, gc + length
+        return np.array([[total]])
     wt = w.transpose(0, 1, 3, 2).reshape(len(w), n, 4 * n * n)
     gram, total = np.zeros((n, 2 * n, 2 * n), dtype=complex), np.zeros((n, n))
-    for jump, step, wt_c, tri_c, v_c in zip(cells.jump, cells.prop, wt, tri, v):
+    for (jump, step), wt_c, tri_c, v_c in zip(walk, wt, tri, v):
         if jump is not None:
             gram = jump @ gram @ jump.conj().T
         total += (wt_c @ gram.reshape(n, -1).T).real + tri_c
         gram = step @ gram @ step.conj().T + v_c
+    return total
+
+
+def exact_t1_square(model, a, b) -> Fraction:
+    """The squared t1 term of [a, b] for a step or delta model, any order n, in exact arithmetic.
+
+    The kernel pass of sldl in Fraction arithmetic, from the float dS and
+    lengths L of the walk above. Channel j carries the Gram matrix
+    [[A, B], [B^T, C]] in order-n blocks. A kick by dS makes B' = B + A dS and
+    C' = C + dS A dS + B^T dS + dS B; the cell adds
+    L tr A + L^2 tr B + (L^3/3) tr C + L^4/12; the drift makes
+    A' = A + L (B + B^T) + L^2 C + (L^3/3) E_j, B' = B + L C + (L^2/2) E_j and
+    C' = C + L E_j, with E_j = e_j e_j^T.
+    """
+    assert classical(model)
+    n = model.n
+    exact = np.vectorize(lambda v: Fraction(float(v)), otypes=[object])
+    zero = exact(np.zeros((n, n)))
+    grams = [(zero, zero, zero)] * n
+    total = Fraction(0)
+    for _, jump, _, length, _ in cells(model, 0.0, a, b):
+        ln = Fraction(length)
+        ds = None if jump is None else exact(jump[n:, :n].real)
+        for j, (ga, gb, gc) in enumerate(grams):
+            if ds is not None:
+                ga, gb, gc = ga, gb + ga @ ds, gc + ds @ ga @ ds + gb.T @ ds + ds @ gb
+            total += ln * np.trace(ga) + ln ** 2 * np.trace(gb) + ln ** 3 / 3 * np.trace(gc)
+            total += ln ** 4 / 12
+            e = exact(np.diag(np.eye(n)[j]))
+            grams[j] = (ga + ln * (gb + gb.T) + ln ** 2 * gc + ln ** 3 / 3 * e,
+                        gb + ln * gc + ln ** 2 / 2 * e, gc + ln * e)
     return total
 
 

@@ -755,6 +755,72 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
                             "(1000, 1000, 1000) and data type complex128\n")
 
 
+def test_an_error_without_a_message_names_its_type(capsys, monkeypatch):
+    # str(MemoryError()) is empty: the line read "error: " alone
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_criterion_t1", exhausted)
+    assert run(["criterion", "t1", "--model", "free.json", "--intervals", "unit:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["criterion", "t1", "--model", "free.json", "--intervals", "unit:101"],
+    ["criterion", "t1", "--model", "free.json", "--intervals", "unit:3000000"],
+    ["criterion", "t1", "--model", "free.json", "--intervals", "unit:99999999999999999999"],
+    ["criterion", "t2", "--model", "linear.json", "--intervals", "unit:21"],
+    ["classify", "--model", "free.json", "--intervals", "unit:101"],
+])
+def test_unit_intervals_past_the_domain_are_refused_before_they_are_built(
+        capsys, tmp_path, monkeypatch, argv):
+    # X = 100 and 20: unit:3000000 spent seconds and hundreds of MB building
+    # intervals, and unit:99999999999999999999 allocated until memory ran out
+    (tmp_path / "free.json").write_text(json.dumps(FREE_MODEL))
+    (tmp_path / "linear.json").write_text(json.dumps(
+        {"n": 1, "variant": "linear_sigma", "knots": [0.0, 20.0], "values": [[[0.0]], [[1.0]]]}))
+    monkeypatch.chdir(tmp_path)
+
+    def built(cls, count):
+        raise AssertionError(f"unit:{count} was built")
+
+    monkeypatch.setattr(IntervalSeq, "unit", classmethod(built))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: intervals exceed the model domain\n"
+
+
+@pytest.mark.parametrize("model, spec, interval", [
+    # a change of sigma of 1e200 inside the first unit interval
+    ({"n": 1, "X": 3.0, "variant": "step_sigma", "cuts": [0.0, 0.5, 1.5],
+      "values": [[[0.0]], [[1e200]], [[0.0]]]}, "unit:3", (0.0, 1.0)),
+    # a delta cell of length 1e80, whose L^4 / 12 passes the float range
+    ({"n": 1, "X": 3e80, "variant": "delta_nodes",
+      "nodes": [{"x": 1e80, "H": [[1.0]]}, {"x": 2e80, "H": [[-1.0]]}]}, "file", (0.0, 2e80)),
+], ids=["step-jump", "delta-spacing"])
+def test_order_one_quadrature_overflow_exits_2_without_warnings(capsys, tmp_path, model, spec,
+                                                                  interval):
+    # the Gram recursion runs in Python floats, whose ** would raise OverflowError
+    path, ivs = tmp_path / "model.json", tmp_path / "intervals.json"
+    path.write_text(json.dumps(model))
+    ivs.write_text(json.dumps([list(interval)]))
+    message = f"kernel quadrature overflowed on {interval}"
+    problem = sldl.quasidiff.model_from_json(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            sldl.kernel_square_integrals(problem, *interval)
+        assert str(caught.value) == message
+        spec = spec if spec != "file" else f"file:{ivs}"
+        assert run(["criterion", "t1", "--model", str(path), "--intervals", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes, determinism, validation
 

@@ -320,6 +320,31 @@ def test_exact_cell_integrals_match_the_refined_rule(kind, n):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["step", "delta"])
+def test_step_and_delta_integrals_match_the_gauss_rule(kind, n):
+    # the 7-point rule integrates the cells' polynomials of degree <= 4 exactly,
+    # so it differs from the exact cell integrals by rounding alone; order 1
+    # takes the scalar Gram and solution-norm passes
+    rng = np.random.default_rng([n, kind == "step", 7])
+    for _ in range(4):
+        count = int(rng.integers(3, 12))
+        widths = rng.uniform(0.2, 1.5, count)
+        if kind == "step":
+            cuts = (0.0, *np.cumsum(widths[:-1]).tolist())
+            model = StepSigma(n, cuts, [random_symmetric(rng, n, 3.0) for _ in cuts],
+                              float(widths.sum()))
+        else:
+            model = DeltaNodes.from_spacings(n, widths, [random_symmetric(rng, n, 3.0)
+                                                         for _ in widths])
+        a, b = sorted(rng.uniform(0.0, model.X, 2).tolist())
+        got = kernel_square_integrals(model, a, b)
+        want = reference_march.kernel_square_integrals(model, a, b)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert solution_norm_integral(model, a, b) == pytest.approx(
+            reference_march.solution_norm_integral(model, a, b), rel=1e-12, abs=0.0)
+
+
 def _digest_general(seed, n, pieces):
     """A seeded general triple, built as ``scripts/cli_digest.py`` builds general20.
 
@@ -497,6 +522,16 @@ def test_an_exponential_past_the_float_range_keeps_its_message(qs):
         kernel_square_integrals(model, float(k), k + 1.0)
     with pytest.raises(ValueError, match=re.escape(message)):
         t1_series(model, IntervalSeq.unit(3))
+
+
+def test_solution_norms_past_the_float_range_exit_with_a_value_error():
+    # order 1 reads the states of one march, whose check names the first cell
+    # end past the float range; order 2 keeps the quadrature's message
+    for n, message in ((1, "the march leaves the float range at x = 3.0"),
+                       (2, "kernel quadrature overflowed on (0.5, 41.0)")):
+        model = DeltaNodes(n, [float(k) for k in range(1, 41)], [1e200 * np.eye(n)] * 40, 41.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solution_norm_integral(model, 0.5, 41.0)
 
 
 # ---------------------------------------------------------------------------

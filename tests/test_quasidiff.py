@@ -13,6 +13,7 @@ from sldl import (
     DeltaNodes,
     Distributional,
     GeneralTriple,
+    IntervalSeq,
     LinearSigma,
     QuasiState,
     StepSigma,
@@ -22,6 +23,9 @@ from sldl import (
     gallery_entry,
     green_form,
     propagate,
+    quasidiff,
+    solution_norm_integral,
+    t1_series,
 )
 from sldl.matcore import frobenius_norm
 from sldl.quasidiff import (
@@ -50,18 +54,21 @@ def scalar_delta(h, c=1.0, X=2.5):
 
 
 def test_free_system_matrix():
-    f = _cells(FREE, 0.0, [(0.3, 0.4)]).gen[0]
-    assert np.array_equal(f, np.array([[0, 1], [0, 0]], dtype=complex))
+    # order 2: at order 1 and lam = 0 the cells carry no generator
+    free2 = StepSigma(2, (0.0,), (np.zeros((2, 2)),), 50.0)
+    f = _cells(free2, 0.0, [(0.3, 0.4)]).gen[0]
+    assert np.array_equal(f, np.eye(4, k=2, dtype=complex))
 
 
 def test_step_sigma_system_matrix():
     # the flight generator in (f, f'), seen through the first jump (f, f1) -> (f, f'),
-    # is the quasi system matrix [[sigma, 1], [-sigma**2, -sigma]]
-    h = 1.7
-    m = StepSigma(1, (0.0,), (np.array([[h]]),), 2.0)
+    # is the quasi system matrix [[sigma, I], [-sigma**2, -sigma]]; order 2, since
+    # order-1 cells at lam = 0 carry no jump matrix or generator
+    s = np.array([[1.7, -0.4], [-0.4, 0.6]])
+    m = StepSigma(2, (0.0,), (s,), 2.0)
     cells = _cells(m, 0.0, [(0.5, 1.0)])
     f = np.linalg.inv(cells.jump[0]) @ cells.gen[0] @ cells.jump[0]
-    assert np.allclose(f, [[h, 1.0], [-h * h, -h]])
+    assert np.allclose(f, np.block([[s, np.eye(2)], [-s @ s, -s]]))
 
 
 def test_lambda_enters_bottom_left():
@@ -369,14 +376,39 @@ def test_cells_equal_the_per_cell_reference(model, data, lam):
     assert same_bits(np.array(cells.length), np.array(length, dtype=float))
     assert same_bits(np.array(cells.end), np.array(end, dtype=float))
     assert same_bits(np.array(cells.first), first)
+    if isinstance(model, (StepSigma, DeltaNodes)):  # built with the model, read-only
+        assert not model.cell_jumps.flags.writeable
+    if model.n == 1 and lam == 0 and isinstance(model, (StepSigma, DeltaNodes)):
+        # the kick case: each dS is the lower-left entry of the reference jump
+        assert cells.jump is cells.gen is cells.prop is None
+        assert [k is None for k in cells.kick] == [j is None for j in jump]
+        for got, want in zip(cells.kick, jump):
+            assert got is None or same_bits(np.array(got), want[1, 0])
+        return
+    assert cells.kick is None
     assert [j is None for j in cells.jump] == [j is None for j in jump]
     for got, want in zip(cells.jump, jump):
         assert got is None or same_bits(got, want)
-    if isinstance(model, (StepSigma, DeltaNodes)):  # built with the model, read-only
-        assert not model.cell_jumps.flags.writeable
     assert same_bits(cells.gen, np.array(gen, dtype=complex).reshape(-1, m, m))
     want = [reference_march.expm(g * s) for g, s in zip(gen, length)]
     assert same_bits(cells.prop, np.array(want, dtype=complex).reshape(-1, m, m))
+
+
+def test_order_one_cells_at_lam_zero_build_no_matrix_stacks(monkeypatch):
+    # the march, the kernel and solution-norm passes and the pair read kick and length only
+    def refuse(*args):
+        raise AssertionError("a matrix stack was built")
+    monkeypatch.setattr(quasidiff, "_jumps", refuse)
+    monkeypatch.setattr(quasidiff, "expm", refuse)
+    step = StepSigma(1, (0.0, 0.7, 1.9), ([[0.5]], [[-1.25]], [[2.0]]), 3.0)
+    for model in (step, scalar_delta(1.8), gallery_entry("christ-stolz").problem):
+        cells = _cells(model, 0.0, [(0.0, 0.6), (0.9, model.X)], stops=(1.0, 2.2))
+        assert cells.jump is cells.gen is cells.prop is None
+        assert len(cells.kick) == len(cells.length) == len(cells.end)
+        t1_series(model, IntervalSeq(((0.0, 0.6), (0.9, model.X))))
+        solution_norm_integral(model, 0.5, model.X)
+        fundamental_pair(model, 0.0, (0.0, 1.0, model.X))
+        transfer(model, 0.0, 0.25, model.X)
 
 
 @pytest.mark.parametrize("grid, message", [
