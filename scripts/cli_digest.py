@@ -71,6 +71,7 @@ FIXTURES = {
     "step60.json": STEP60, "huge-step-jump.json": HUGE_STEP_JUMP,
     "huge-spacings.json": HUGE_SPACINGS, "huge-intervals.json": [[0.0, 2e80]],
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
+    "markers-only.json": {"markers": [0.5]},
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
                 "jumps": [[[0.5]], [[-1.0]]]},
     "cor1.json": {"lengths": [2.0, 2.0, 3.0], "jumps": [[[0.0]], [[1.0]], [[2.0]]]},
@@ -251,6 +252,10 @@ INVOCATIONS = [
     "criterion t2 --model linear.json --intervals unit:21",
     "classify --model free.json --intervals unit:101",
     "criterion t1 --model free.json --intervals unit:99999999999999999999",
+    # intervals for blocks, which read none; an interval file without its key
+    "classify --blocks built.json --intervals unit:3",
+    "classify --blocks built.json --intervals unit:99999999999999999999",
+    "criterion t1 --model free.json --intervals file:markers-only.json",
 ]
 
 

@@ -22,6 +22,8 @@ parent's fused Van Loan block had order 66), and ``t1_series`` over the
 ``kernel_square_integrals`` over all cells, ``t1_series`` over the unit
 intervals and ``solution_norm_integral`` over [0, X] of seeded n = 1 delta
 models with 10 to 400 unit cells (the scalar Gram and solution-norm passes),
+and ``solution_norm_integral`` over [X/2, X] of those n = 1 and the n = 2
+delta models (a window that starts inside the march from 0),
 each as the median of repeated runs in one process with BLAS on one thread: one
 untimed warm-up pass over every function and size, then REPEATS timed
 passes, so the repeats of one function and size are a whole pass apart.
@@ -172,6 +174,8 @@ def main() -> None:
         for label in ("delta", "general n=2"):
             timed(f"t1_series {label}", cells, lambda model=models[label], cells=cells:
                   t1_series(model, IntervalSeq.unit(cells)))
+        timed("solution_norm_integral delta [X/2, X]", cells, lambda model=models["delta"]:
+              solution_norm_integral(model, model.X / 2, model.X))
     scalar_rng = np.random.default_rng(401)  # its own seed: the models above stay as they were
     for cells in CELLS:
         h = scalar_rng.uniform(-1.0, 1.0, (cells - 1, 1, 1))
@@ -182,6 +186,8 @@ def main() -> None:
               lambda model=model, cells=cells: t1_series(model, IntervalSeq.unit(cells)))
         timed("solution_norm_integral delta n=1", cells,
               lambda model=model: solution_norm_integral(model, 0.0, model.X))
+        timed("solution_norm_integral delta n=1 [X/2, X]", cells,
+              lambda model=model: solution_norm_integral(model, model.X / 2, model.X))
     print(json.dumps(sweep(jobs, repeats, load_hostspeed())))
 
 

@@ -165,24 +165,26 @@ def validate_report(obj: dict) -> None:
 # shorthand parsing
 
 
-def _load_json(path: str):
+def _load_json(path: str, *keys):
+    """The JSON value of a file; an object is checked to hold every one of ``keys``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad JSON in {path}: {exc}") from exc
+    for key in keys if isinstance(obj, dict) else ():
+        if key not in obj:
+            raise ConfigError(f"data file {path} has no key {key!r}")
+    return obj
 
 
 def _load_data(path: str, *keys):
     """The JSON object of a data or model file, checked to hold every one of ``keys``."""
-    obj = _load_json(path)
+    obj = _load_json(path, *keys)
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must hold a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise ConfigError(f"data file {path} has no key {key!r}")
     return obj
 
 
@@ -231,7 +233,7 @@ def parse_intervals(spec: str, X: float) -> IntervalSeq:
             raise ConfigError("intervals exceed the model domain")
         return IntervalSeq.unit(count)
     if spec.startswith("file:"):
-        obj = _load_json(spec[5:])
+        obj = _load_json(spec[5:], "intervals")
         if isinstance(obj, dict):
             return IntervalSeq(tuple(tuple(iv) for iv in obj["intervals"]),
                                tuple(obj["markers"]) if "markers" in obj else None)
@@ -342,6 +344,8 @@ def _echo(args, *keys) -> dict:
 def _classify(args):
     if sum(1 for s in (args.model, args.blocks, args.gallery) if s) != 1:
         raise ConfigError("give exactly one of --model, --blocks, --gallery")
+    if args.blocks and args.intervals:
+        raise ConfigError("blocks read no intervals; drop --intervals")
     segments = parse_segments(args.segments) if args.segments else None
     criteria_names = _criteria_list(args.criteria)
     base = ClassifyConfig()
@@ -355,10 +359,8 @@ def _classify(args):
     else:
         problem = load_blocks(args.blocks)
         source = args.blocks
-    domain = getattr(problem, "X", math.inf)  # blocks have no domain and ignore intervals
-    intervals = parse_intervals(args.intervals, domain) if args.intervals else None
     config = ClassifyConfig(
-        intervals=intervals if intervals is not None else base.intervals,
+        intervals=parse_intervals(args.intervals, problem.X) if args.intervals else base.intervals,
         N=args.N if args.N is not None else base.N,
         segments=segments if segments is not None else base.segments,
         criteria=criteria_names if criteria_names is not None else base.criteria)

@@ -23,8 +23,8 @@ classical coordinates whatever the accumulated potential, and for the other
 variants block matrix exponentials (Van Loan 1978), one of order 3m and one
 of order 2m per channel, for all cells of [a, b] in two stacked calls.
 Order-1 step and delta models carry their one 2 x 2 Gram matrix as three
-Python floats, kicked and drifted per cell, and their solution-norm
-integral is one array expression over the states of one march.
+Python floats, kicked and drifted per cell. Solution norms read the states
+of one march from 0 and sum the cells of [a, b] in one array expression.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .quasidiff import (
     _cells,
     _march,
     expm,
-    transfer,
 )
 from .reports import DIVERGES, CriterionReport, build_report
 
@@ -182,10 +181,10 @@ def _kick_kernel_pass(cells, count: int) -> np.ndarray:
     to its span, and its drift makes the Gram matrix P G P^T + V with
     P = [[1, L], [0, 1]]: a' = a + L b + (b + L c) L + L^3/3,
     b' = (b + L c) + L^2/2, c' = c + L, each sum in the order of the matrix
-    products. Against exact references (``tests/test_kernel_accuracy.py``)
-    its error stays within four times that of the matrix loop. The powers of
-    L are those of ``_cell_integrals``; a Python float product past the float
-    range is inf, as in numpy.
+    products. Its error is within four times the matrix loop's on the fixtures
+    of ``tests/test_kernel_accuracy.py``, not on all models (4.6 times for its
+    step construction at seed 34). The powers of L are those of
+    ``_cell_integrals``; a float product past the float range is inf, as in numpy.
     """
     totals, restart = [0.0] * count, dict(zip(cells.first, range(count)))
     powers = (p.tolist() for p in _flight_integrals(cells.length))
@@ -203,28 +202,27 @@ def _kick_kernel_pass(cells, count: int) -> np.ndarray:
 
 
 def _solution_norm_pass(model, spans) -> np.ndarray:
-    """int_a^b of the squared top rows of the propagator from 0: tr(t* (sum_i W_i) t) per cell.
+    """int_a^b of the squared top rows of the propagator from 0, read off one march from 0.
 
-    At order 1 and lam = 0 that is L |f|^2 + L^2 Re(f* g) + (L^3/3) |g|^2 per
-    cell and column, with f the state at the cell's start and g its f' after
-    the kick, both read from one march.
+    The walk over [0, b] stops at a, and each cell from a on adds tr(t* W t),
+    t the state at its start and W = sum_i W_i its ``_cell_integrals``. For
+    step and delta models, whose flights leave f' unchanged at lam = 0, that is
+    L |f|^2 + L^2 Re(f* g) + (L^3/3) |g|^2, f the top rows at the cell's start
+    and g the bottom rows at its end.
     """
-    t = transfer(model, 0.0, 0.0, spans[0][0])
-    cells = _cells(model, 0.0, spans)
-    if cells.kick is not None:
-        states = _march(cells, t)
-        f, g = states[:-1, 0], states[1:, 1]
-        length, half, third, _ = _flight_integrals(cells.length)
-        ff, fg, gg = ((x.conj() * y).real.sum(axis=1) for x, y in ((f, f), (f, g), (g, g)))
+    ((a, b),), n = spans, model.n
+    cells = _cells(model, 0.0, [(0.0, b)], stops=(a,))
+    states = _march(cells, np.eye(2 * n, dtype=complex))
+    first = int(np.searchsorted(cells.end, a, side="right"))
+    if isinstance(model, StepModel):
+        f, g = states[first:-1, :n], states[first + 1:, n:]
+        length, half, third, _ = _flight_integrals(cells.length[first:])
+        ff, fg, gg = ((x.conj() * y).real.sum(axis=(1, 2)) for x, y in ((f, f), (f, g), (g, g)))
         return np.array([np.sum(length * ff + 2.0 * half * fg + third * gg)])
-    total = 0.0
-    w = _cell_integrals(model, cells)[0].sum(axis=1)
-    for jump, step, w_c in zip(cells.jump, cells.prop, w):
-        if jump is not None:
-            t = jump @ t
-        total += float(np.vdot(t, w_c @ t).real)
-        t = step @ t
-    return np.array([total])
+    w = _cell_integrals(model, cells._replace(
+        length=cells.length[first:], gen=cells.gen[first:], prop=cells.prop[first:]))[0]
+    t = states[first:-1]
+    return np.array([np.einsum("cji,cjk,cki->", t.conj(), w.sum(axis=1), t).real])
 
 
 def _exact(one_pass, model, spans) -> np.ndarray:

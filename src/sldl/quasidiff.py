@@ -315,7 +315,6 @@ def _piece_generators(model, lam: complex, pieces: list[int]) -> np.ndarray:
     return gen
 
 
-
 # ---------------------------------------------------------------------------
 # matrix exponential and propagation
 
@@ -394,10 +393,10 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     nilpotent and its propagators are I + length * N in closed form, which is
     what ``expm`` returns for it. At order 1 and lam = 0 ``kick`` holds each
     cell's dS as a Python complex (None where the cell takes no jump), and
-    ``jump``, ``gen`` and ``prop`` are None: the march and the kernel and
-    solution-norm passes read only ``kick`` and ``length``. Otherwise ``kick``
-    is None. Other models keep quasi coordinates and the piece generator;
-    the other propagators come from one stacked ``expm`` call.
+    ``jump``, ``gen`` and ``prop`` are None: the march and the kernel pass
+    read only ``kick`` and ``length``. Otherwise ``kick`` is None. Other
+    models keep quasi coordinates and the piece generator; the other
+    propagators come from one stacked ``expm`` call.
     """
     classical = isinstance(model, StepModel)
     delta = model if isinstance(model, DeltaNodes) else None

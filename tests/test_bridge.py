@@ -26,7 +26,7 @@ from sldl import (
     solve_recurrence,
 )
 from sldl.bridge import CRITERIA, classify_detailed
-from sldl.jacobi import Lattice
+from sldl.jacobi import Lattice, cancel_jumps
 from sldl.matcore import ShapeMismatchError
 from sldl.reports import CONVERGES, DIVERGES
 
@@ -369,6 +369,59 @@ def test_gallery_verdicts_deterministic():
     first = json.dumps(entry.run().to_json(), sort_keys=False)
     second = json.dumps(entry.run().to_json(), sort_keys=False)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# a closed-form truth table for classify
+#
+# With zero jumps a delta model is the free operator on [0, sum d_k): a finite
+# length leaves a regular end, so every solution is square integrable (limit
+# circle at any order), and an infinite one is the free half-line (limit
+# point). Unit spacings with constant jumps give a bounded Jacobi matrix,
+# which is self-adjoint (limit point; Akhiezer, The Classical Moment Problem,
+# 1965, ch. 1). The harmonic lattice with jumps -(2k + 1) is the christ-stolz
+# family, limit circle, whether its jumps are written as integers or as
+# ``cancel_jumps``. The last column pins what classify gives today, so a
+# change that closes an Inconclusive row moves it.
+
+TRUTH_COUNT = 1200
+
+
+def _power(p):
+    return [float(k) ** -p for k in range(1, TRUTH_COUNT + 2)]
+
+
+_HARMONIC = [1.0 / k for k in range(1, TRUTH_COUNT + 2)]
+# name: (n, spacings d_1 .. d_1201, jumps, truth, classify today); a float
+# jump h is h I at every node
+TRUTH_TABLE = {
+    **{f"zero p={p}": (1, _power(p), 0.0, "LimitPoint", "LimitPoint") for p in (0.0, 0.25, 0.5)},
+    **{f"zero p={p}": (1, _power(p), 0.0, "LimitPoint", "Inconclusive") for p in (0.75, 1.0)},
+    **{f"zero p={p}": (1, _power(p), 0.0, "LimitCircle", "Inconclusive") for p in (1.5, 2.0)},
+    "n=2 zero p=0.5": (2, _power(0.5), 0.0, "LimitPoint", "LimitPoint"),
+    "n=2 zero p=2.0": (2, _power(2.0), 0.0, "LimitCircle", "Inconclusive"),
+    **{f"unit h={h}": (1, [1.0] * (TRUTH_COUNT + 1), h, "LimitPoint", "LimitPoint")
+       for h in (-3.0, -1.0, 1.0, 5.0)},
+    "harmonic integer jumps": (1, _HARMONIC, "integer", "LimitCircle", "Inconclusive"),
+    "harmonic cancel_jumps": (1, _HARMONIC, "cancel", "LimitCircle", "LimitCircle"),
+}
+CONTRADICTS = {"LimitPoint": {"LimitCircle"}, "LimitCircle": {"LimitPoint", "NotLimitCircle"}}
+
+
+@pytest.mark.parametrize("name", list(TRUTH_TABLE))
+def test_classify_never_contradicts_a_known_truth(name):
+    n, d, jumps, truth, today = TRUTH_TABLE[name]
+    if jumps == "cancel":
+        H = cancel_jumps(d, n)
+    elif jumps == "integer":
+        H = np.array([-(2.0 * k + 1.0) for k in range(1, TRUTH_COUNT + 1)]).reshape(-1, 1, 1)
+    else:
+        H = np.zeros((TRUTH_COUNT, n, n)) + jumps * np.eye(n)
+    for problem in (DeltaNodes.from_spacings(n, d[:TRUTH_COUNT], H, tail=d[TRUTH_COUNT]),
+                    blocks_from_delta(d[:TRUTH_COUNT], H)):
+        got = classify(problem).classification
+        assert got not in CONTRADICTS[truth]
+        assert got == today
 
 
 # ---------------------------------------------------------------------------

@@ -793,6 +793,33 @@ def test_unit_intervals_past_the_domain_are_refused_before_they_are_built(
     assert captured.err == "error: intervals exceed the model domain\n"
 
 
+@pytest.mark.parametrize("spec", ["unit:3", "unit:99999999999999999999", "file:missing.json"])
+def test_classify_refuses_intervals_for_blocks_before_reading_either(capsys, monkeypatch, spec):
+    # blocks have no domain and read no intervals: unit:3 was echoed and
+    # ignored, and unit:99999999999999999999 allocated until memory ran out
+    def refuse(*args):
+        raise AssertionError(f"read {args}")
+
+    monkeypatch.setattr(IntervalSeq, "unit", classmethod(refuse))
+    monkeypatch.setattr(cli, "load_blocks", refuse)
+    assert run(["classify", "--blocks", "blocks.json", "--intervals", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: blocks read no intervals; drop --intervals\n"
+
+
+@pytest.mark.parametrize("leaf", [["criterion", "t1"], ["classify"]])
+def test_an_interval_file_without_its_key_names_key_and_file(capsys, free_model_file, tmp_path,
+                                                              leaf):
+    # the object form read obj["intervals"], and the message was the bare key
+    path = tmp_path / "iv.json"
+    path.write_text(json.dumps({"markers": [0.5]}))
+    assert run([*leaf, "--model", free_model_file, "--intervals", f"file:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: data file {path} has no key 'intervals'\n"
+
+
 @pytest.mark.parametrize("model, spec, interval", [
     # a change of sigma of 1e200 inside the first unit interval
     ({"n": 1, "X": 3.0, "variant": "step_sigma", "cuts": [0.0, 0.5, 1.5],

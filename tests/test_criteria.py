@@ -345,6 +345,31 @@ def test_step_and_delta_integrals_match_the_gauss_rule(kind, n):
             reference_march.solution_norm_integral(model, a, b), rel=1e-12, abs=0.0)
 
 
+def test_solution_norms_read_one_walk_and_one_march_from_zero(monkeypatch):
+    # no prefix transfer: the states at a and on come from the march over [0, b]
+    from sldl import criteria, quasidiff
+
+    calls = []
+    for name in ("_cells", "_march"):
+        def counted(*args, name=name, real=getattr(criteria, name), **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(criteria, name, counted)
+
+    def refuse(*args):
+        raise AssertionError("transfer was called")
+
+    monkeypatch.setattr(quasidiff, "transfer", refuse)
+    assert not hasattr(criteria, "transfer")
+    rng = np.random.default_rng(11)
+    for model in (DeltaNodes.from_spacings(1, [0.5, 1.0, 0.75], [[[1.0]], [[-2.0]], [[0.5]]]),
+                  DeltaNodes.from_spacings(2, [0.5, 1.0, 0.75], [np.eye(2), -np.eye(2), np.eye(2)]),
+                  _random_pieces(rng, "general", 2)):
+        calls.clear()
+        solution_norm_integral(model, 0.3 * model.X, 0.9 * model.X)
+        assert calls == ["_cells", "_march"]
+
+
 def _digest_general(seed, n, pieces):
     """A seeded general triple, built as ``scripts/cli_digest.py`` builds general20.
 
@@ -525,12 +550,11 @@ def test_an_exponential_past_the_float_range_keeps_its_message(qs):
 
 
 def test_solution_norms_past_the_float_range_exit_with_a_value_error():
-    # order 1 reads the states of one march, whose check names the first cell
-    # end past the float range; order 2 keeps the quadrature's message
-    for n, message in ((1, "the march leaves the float range at x = 3.0"),
-                       (2, "kernel quadrature overflowed on (0.5, 41.0)")):
+    # every order reads the states of one march from 0, whose check names the
+    # first cell end past the float range
+    for n in (1, 2, 3):
         model = DeltaNodes(n, [float(k) for k in range(1, 41)], [1e200 * np.eye(n)] * 40, 41.0)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match="^the march leaves the float range at x = 3.0$"):
             solution_norm_integral(model, 0.5, 41.0)
 
 

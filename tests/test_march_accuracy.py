@@ -7,13 +7,19 @@ and lengths, is the reference. On every fixture the worst normwise error of
 the samples, ||T - T_ref||_F / ||T_ref||_F, must stay within twice that of
 the per-cell BLAS march (one 2 x 2 product per jump and per propagator) and
 below 1e-13.
+
+Solution-norm integrals int_a^b (||Phi||^2 + ||Psi||^2) read the states of
+one march from 0. Their reference is the 50-digit march from 0 with each
+cell's integral L |f|^2 + L^2 Re(f* g) + (L^3/3) |g|^2 taken exactly; the
+bounds are fixed: 1e-14 relative on christ-stolz windows that start deep
+in the lattice, where sigma is about -3.6e6, and 1e-13 on the seeded models.
 """
 
 import numpy as np
 import pytest
 
 import reference_march
-from sldl import DeltaNodes, StepSigma, fundamental_pair, gallery_entry
+from sldl import DeltaNodes, StepSigma, fundamental_pair, gallery_entry, solution_norm_integral
 from sldl.quasidiff import piece_cuts, transfer
 
 BOUND = 1e-13
@@ -38,6 +44,26 @@ def mp_march(mp, model, x0, x1, stops=()):
         s = mp.mpc(complex(model.values[piece][0, 0]))
         out[end] = mp.matrix([f, [b - s * a for a, b in zip(f, g)]])
     return out
+
+
+def mp_solution_norm(mp, model, a, b):
+    """int_a^b (||Phi||^2 + ||Psi||^2) over the cells of a 50-digit march from 0, each exactly."""
+    f, g, total = [mp.mpc(1), mp.mpc(0)], [mp.mpc(0), mp.mpc(1)], mp.mpf(0)
+    for _, jump, _, length, end in reference_march.cells(model, 0.0, 0.0, b, (a,)):
+        if jump is not None:
+            ds = mp.mpc(complex(jump[1, 0]))
+            g = [ds * u + v for u, v in zip(f, g)]
+        if end > a:
+            span = mp.mpf(length)
+            total += sum(span * abs(u) ** 2 + span ** 2 * mp.re(mp.conj(u) * v)
+                         + span ** 3 / 3 * abs(v) ** 2 for u, v in zip(f, g))
+        f = [u + length * v for u, v in zip(f, g)]
+    return total
+
+
+def solution_norm_error(mp, model, a, b) -> float:
+    want = mp_solution_norm(mp, model, a, b)
+    return float(abs(solution_norm_integral(model, a, b) - want) / want)
 
 
 def worst_error(mp, got, want) -> float:
@@ -96,3 +122,22 @@ def test_seeded_marches_are_within_twice_the_blas_error(mp, build, seed):
     grid = off_cut_grid(model, seed)
     got, blas = fixture_errors(mp, model, grid, grid[3])  # x0 inside the second piece
     assert got <= min(2.0 * blas, BOUND)
+
+
+@pytest.mark.parametrize("k", [1000, 1900])
+def test_christ_stolz_solution_norms_deep_in_the_lattice(mp, k):
+    # from 30 % into piece k to the middle of piece k + 5; a prefix transfer
+    # in quasi coordinates, turned back by f' = f1 + sigma f, read 1.5e-14
+    # and 5.4e-14 here
+    model = gallery_entry("christ-stolz").problem
+    cuts, d = piece_cuts(model), model.spacings
+    a, b = cuts[k] + 0.3 * d[k], cuts[k + 5] + 0.5 * d[k + 5]
+    assert solution_norm_error(mp, model, a, b) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("build", [random_delta, random_step], ids=["delta", "step"])
+def test_seeded_solution_norms_past_the_middle(mp, build, seed):
+    model = build(seed)
+    for a, b in ((0.5 * model.X, model.X), (0.6 * model.X, 0.8 * model.X)):
+        assert solution_norm_error(mp, model, a, b) <= 1e-13
