@@ -60,6 +60,16 @@ HUGE_STEP_JUMP = {"n": 1, "X": 3.0, "variant": "step_sigma", "cuts": [0.0, 0.5, 
                   "values": [[[0.0]], [[1e200]], [[0.0]]]}
 HUGE_SPACINGS = {"n": 1, "X": 3e80, "variant": "delta_nodes",
                  "nodes": [{"x": 1e80, "H": [[1.0]]}, {"x": 2e80, "H": [[-1.0]]}]}
+# an order-2 step model of 30 pieces with varying lengths and nonzero changes of sigma
+STEP2 = {"n": 2, "X": 30.5, "variant": "step_sigma",
+         "cuts": [0.0, *(k + (k % 5) / 8 for k in range(1, 30))],
+         "values": [[[((37 * k) % 13 - 6) / 4, ((11 * k) % 7 - 3) / 4],
+                     [((11 * k) % 7 - 3) / 4, ((23 * k) % 11 - 5) / 4]] for k in range(30)]}
+# an order-2 step model whose kernel quadrature overflows: a huge change of sigma
+# inside the first unit interval
+HUGE_STEP_JUMP2 = {"n": 2, "X": 3.0, "variant": "step_sigma", "cuts": [0.0, 0.5, 1.5],
+                   "values": [[[0.0, 0.0], [0.0, 0.0]], [[1e200, 0.5], [0.5, -1e200]],
+                              [[0.0, 0.0], [0.0, 0.0]]]}
 FIXTURES = {
     "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
     "nocuts.json": {k: v for k, v in FREE.items() if k != "cuts"},
@@ -70,6 +80,7 @@ FIXTURES = {
     "huge-sigma-delta.json": HUGE_SIGMA_DELTA, "huge-sigma-step.json": HUGE_SIGMA_STEP,
     "step60.json": STEP60, "huge-step-jump.json": HUGE_STEP_JUMP,
     "huge-spacings.json": HUGE_SPACINGS, "huge-intervals.json": [[0.0, 2e80]],
+    "step2.json": STEP2, "huge-step-jump2.json": HUGE_STEP_JUMP2,
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
     "markers-only.json": {"markers": [0.5]},
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
@@ -256,6 +267,10 @@ INVOCATIONS = [
     "classify --blocks built.json --intervals unit:3",
     "classify --blocks built.json --intervals unit:99999999999999999999",
     "criterion t1 --model free.json --intervals file:markers-only.json",
+    # order-2 step models: real Gram matrices, and their quadrature past the float range
+    "criterion t1 --model step2.json --intervals unit:30",
+    "classify --model step2.json --intervals unit:30",
+    "criterion t1 --model huge-step-jump2.json --intervals unit:3",
 ]
 
 

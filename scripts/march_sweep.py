@@ -23,7 +23,9 @@ parent's fused Van Loan block had order 66), and ``t1_series`` over the
 intervals and ``solution_norm_integral`` over [0, X] of seeded n = 1 delta
 models with 10 to 400 unit cells (the scalar Gram and solution-norm passes),
 and ``solution_norm_integral`` over [X/2, X] of those n = 1 and the n = 2
-delta models (a window that starts inside the march from 0),
+delta models (a window that starts inside the march from 0), and
+``kernel_square_integrals`` over all cells of seeded n = 2 and n = 3 step
+models with 10 to 400 unit pieces (the real Gram loop),
 each as the median of repeated runs in one process with BLAS on one thread: one
 untimed warm-up pass over every function and size, then REPEATS timed
 passes, so the repeats of one function and size are a whole pass apart.
@@ -103,7 +105,7 @@ def main() -> None:
     sys.path.insert(0, str(src.resolve()))
     import numpy as np
     from sldl import (DeltaNodes, Diagonal, GeneralTriple, IntervalSeq, OffDiagonal, QuasiState,
-                      blocks_from_delta, build_report, christ_stolz_family, cor2_series,
+                      StepSigma, blocks_from_delta, build_report, christ_stolz_family, cor2_series,
                       equivalence_residual, fundamental_pair, kernel_square_integrals,
                       solution_norm_integral, solve_recurrence, t1_series, t4_term, t7_check)
     from sldl.cli import canonical_json
@@ -188,6 +190,14 @@ def main() -> None:
               lambda model=model: solution_norm_integral(model, 0.0, model.X))
         timed("solution_norm_integral delta n=1 [X/2, X]", cells,
               lambda model=model: solution_norm_integral(model, model.X / 2, model.X))
+    step_rng = np.random.default_rng(402)  # its own seed: the models above stay as they were
+    for cells in CELLS:
+        for n in (2, 3):
+            h = step_rng.uniform(-1.0, 1.0, (cells, n, n))
+            model = StepSigma(n, tuple(float(k) for k in range(cells)), h + h.transpose(0, 2, 1),
+                              float(cells))
+            timed(f"kernel_square_integrals step n={n}", cells,
+                  lambda model=model: kernel_square_integrals(model, 0.0, model.X))
     print(json.dumps(sweep(jobs, repeats, load_hostspeed())))
 
 

@@ -22,6 +22,9 @@ polynomials in the cell length for step and delta models, which march in
 classical coordinates whatever the accumulated potential, and for the other
 variants block matrix exponentials (Van Loan 1978), one of order 3m and one
 of order 2m per channel, for all cells of [a, b] in two stacked calls.
+Step and delta models of order n >= 2 carry real Gram matrices (their cells
+are real at lam = 0), the other models complex ones; the loop only kicks and
+drifts them, and the traces of every cell are one batched product after it.
 Order-1 step and delta models carry their one 2 x 2 Gram matrix as three
 Python floats, kicked and drifted per cell. Solution norms read the states
 of one march from 0 and sum the cells of [a, b] in one array expression.
@@ -29,6 +32,7 @@ of one march from 0 and sum the cells of [a, b] in one array expression.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,6 +119,24 @@ def _flight_integrals(lengths):
     return col, col ** 2 / 2, col ** 3 / 3, col ** 4 / 12
 
 
+@functools.cache
+def _flight_places(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the integrals of a free flight of order n go in w, tri and v of ``_cell_integrals``.
+
+    Each entry is an index into (0, L, L^2/2, L^3/3, L^4/12). The arrays are
+    cached per order, so they are read-only.
+    """
+    k, m = np.arange(n), 2 * n
+    w, v = np.zeros((2, n, m, m), dtype=int)
+    w[k, k, k] = v[k, n + k, n + k] = 1
+    w[k, k, n + k] = w[k, n + k, k] = v[k, k, n + k] = v[k, n + k, k] = 2
+    w[k, n + k, n + k] = v[k, k, k] = 3
+    places = w, 4 * np.eye(n, dtype=int), v
+    for a in places:
+        a.flags.writeable = False
+    return places
+
+
 def _cell_integrals(model, cells):
     """Stacks (w, tri, v) of exact integrals over the cells of a lam = 0 march.
 
@@ -128,15 +150,8 @@ def _cell_integrals(model, cells):
     """
     n, m, lengths, k = model.n, 2 * model.n, np.array(cells.length), np.arange(model.n)
     if isinstance(model, StepModel):
-        w, v = np.zeros((2, len(lengths), n, m, m))
-        tri = np.zeros((len(lengths), n, n))
-        col, half, third, twelfth = (p[:, None] for p in _flight_integrals(lengths))
-        w[:, k, k, k] = v[:, k, n + k, n + k] = col
-        w[:, k, k, n + k] = w[:, k, n + k, k] = half
-        v[:, k, k, n + k] = v[:, k, n + k, k] = half
-        w[:, k, n + k, n + k] = v[:, k, k, k] = third
-        tri[:, k, k] = twelfth
-        return w, tri, v
+        powers = np.stack([np.zeros(len(lengths)), *_flight_integrals(lengths)], axis=1)
+        return tuple(powers[:, places] for places in _flight_places(n))
     gw, gv = _van_loan(cells.gen)
     col = lengths[:, None, None, None]
     ew, ev = expm(gw * col), expm(gv * col)
@@ -152,23 +167,31 @@ def _kernel_pass(model, spans) -> np.ndarray:
     of the solution started at t with data (O, e_j). For x in a later cell,
     int |k_ij(x, t)|^2 dt over those t is [E(s) gram[j] E(s)*]_ii, whose
     integral over the cell is tr(W_i gram[j]); x and t in one cell give tri.
+    The loop kicks and drifts the Gram matrices, in the dtype of the cells
+    (float64 for step and delta models), and keeps each cell's kicked ones;
+    the traces of all cells are one product after it, added per span in cell
+    order.
     """
     n = model.n
     cells = _cells(model, 0.0, spans)
     if cells.kick is not None:
         return _kick_kernel_pass(cells, len(spans))
     w, tri, v = _cell_integrals(model, cells)
-    wt = w.transpose(0, 1, 3, 2).reshape(len(w), n, 4 * n * n)  # tr(W_i g) = vec(W_i^T).vec(g)
+    kicked = np.empty((len(w), n, 2 * n, 2 * n), dtype=cells.prop.dtype)
+    restart = set(cells.first)
+    for c, (jump, step, step_h, v_c) in enumerate(
+            zip(cells.jump, cells.prop, cells.prop.conj().swapaxes(1, 2), v)):
+        gram = np.zeros_like(kicked[0]) if c in restart else gram
+        kicked[c] = gram if jump is None else jump @ gram @ jump.conj().T
+        gram = step @ kicked[c] @ step_h + v_c
+    # tr(W_i g) = vec(W_i^T).vec(g), for every cell in one product
+    wt, grams = (g.reshape(len(w), n, 4 * n * n) for g in (w.transpose(0, 1, 3, 2), kicked))
+    traces = (wt @ grams.swapaxes(1, 2)).real + tri
     totals = np.zeros((len(spans), n, n))
-    restart = dict(zip(cells.first, totals))  # a span without cells keeps its zero row
-    for c, (jump, step, step_h, wt_c, tri_c, v_c) in enumerate(
-            zip(cells.jump, cells.prop, cells.prop.conj().swapaxes(1, 2), wt, tri, v)):
-        if c in restart:
-            gram, total = np.zeros((n, 2 * n, 2 * n), dtype=complex), restart[c]
-        if jump is not None:
-            gram = jump @ gram @ jump.conj().T
-        total += (wt_c @ gram.reshape(n, -1).T).real + tri_c
-        gram = step @ gram @ step_h + v_c
+    for total, lo, hi in zip(totals, cells.first, [*cells.first[1:], len(w)]):
+        if hi > lo:  # a span without cells keeps its zero row
+            # the running sum in cell order, added to 0.0: the floats of total += trace per cell
+            total += np.cumsum(traces[lo:hi], axis=0)[-1]
     return totals
 
 
@@ -181,10 +204,11 @@ def _kick_kernel_pass(cells, count: int) -> np.ndarray:
     to its span, and its drift makes the Gram matrix P G P^T + V with
     P = [[1, L], [0, 1]]: a' = a + L b + (b + L c) L + L^3/3,
     b' = (b + L c) + L^2/2, c' = c + L, each sum in the order of the matrix
-    products. Its error is within four times the matrix loop's on the fixtures
-    of ``tests/test_kernel_accuracy.py``, not on all models (4.6 times for its
-    step construction at seed 34). The powers of L are those of
-    ``_cell_integrals``; a float product past the float range is inf, as in numpy.
+    products. Its error is within four times that of the per-cell complex
+    matrix loop on the fixtures of ``tests/test_kernel_accuracy.py``, not on
+    all models (4.6 times for its step construction at seed 34). The powers
+    of L are those of ``_cell_integrals``; a float product past the float
+    range is inf, as in numpy.
     """
     totals, restart = [0.0] * count, dict(zip(cells.first, range(count)))
     powers = (p.tolist() for p in _flight_integrals(cells.length))
@@ -192,7 +216,6 @@ def _kick_kernel_pass(cells, count: int) -> np.ndarray:
         if cell in restart:
             span, a, b, c = restart[cell], 0.0, 0.0, 0.0
         if ds is not None:
-            ds = ds.real
             kicked = b + ds * a
             b, c = kicked, c + ds * (b + kicked)
         totals[span] += length * a + half * b + half * b + third * c + twelfth

@@ -1,6 +1,7 @@
 """Dense complex linear algebra for small matrix orders.
 
-All matrices in this package are square numpy arrays of dtype complex128,
+All matrices in this package are square numpy arrays of dtype complex128
+(the real stacks that step and delta models march with at lam = 0 aside),
 and a matrix sequence is one read-only (K, n, n) stack, validated by one
 ``as_stack`` call; the checks below act on the trailing two axes, so one
 rule serves a matrix and a stack. The norm used everywhere is the
@@ -40,7 +41,8 @@ def as_stack(entries, n: int | None = None) -> np.ndarray:
     against ``n`` when given. The returned array is a read-only copy.
     """
     try:
-        m = np.array(entries, dtype=complex)
+        # C order: a strided source, such as a broadcast, must be viewable as floats below
+        m = np.array(entries, dtype=complex, order="C")
     except ValueError as exc:
         raise ShapeMismatchError("matrices of one sequence must share one order") from exc
     if m.ndim == 1:

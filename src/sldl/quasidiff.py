@@ -14,13 +14,17 @@ walker, ``_cells``, enumerates the pieces of one or more spans and picks the
 working coordinates: classical (f, f') with free flights and jumps of f' for
 step and delta models, (f, f1) with the piece generator otherwise. It stacks
 each cell's jump and propagator up front (closed forms, or one stacked
-``expm`` call); for order-1 step and delta models at lam = 0 it builds no
-matrices at all and hands out each cell's scalar jump dS instead. One march,
-``_march``, writes the state after every cell into a preallocated stack,
-from which transfer matrices and node samples are read by index: a scalar
-kick f' = dS f + f' and drift f = f + L f' per cell where it has the dS,
-BLAS products of the stacked matrices otherwise. Classical samples go back
-to quasi coordinates by one subtraction, f1 = f' - sigma f.
+``expm`` call). At lam = 0 the jumps and flights of step and delta models
+are real, and so are their stacks; at order 1 it builds no matrices at all
+and hands out each cell's jump dS as a Python float instead. One march,
+``_march``, writes the state after every cell into a preallocated complex
+stack, from which transfer matrices and node samples are read by index.
+Real cells march the real and the nonzero imaginary parts of the state
+columns as float64 columns: a kick f' = dS f + f' and drift f = f + L f'
+per cell in Python floats where it has the dS, BLAS products of the real
+stacks otherwise. Complex cells (lam != 0, general and distributional
+models) take complex BLAS products. Classical samples go back to quasi
+coordinates by one subtraction, f1 = f' - sigma f.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -90,9 +94,11 @@ def _check_cuts(cuts, X: float) -> tuple[float, ...]:
 
 def _freeze_sigma(model, cuts, values, changes) -> None:
     """Store cuts, values and ``cell_jumps``, the dS that start cells: the values, then
-    their changes at the cuts after the first, ``values`` a view of it. The first of
-    them past the float range is a ValueError that names its cut."""
-    stack = np.concatenate([values, changes])
+    their changes at the cuts after the first, ``values`` a view of it. The stack is
+    real: this is the one place that drops the imaginary parts (at most HERMITIAN_TOL)
+    that the real-symmetric check lets through. The first dS past the float range is
+    a ValueError that names its cut."""
+    stack = np.concatenate([values.real, changes.real])
     bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
     if len(bad):
         k = bad[0] - len(cuts)
@@ -361,10 +367,10 @@ def expm(a) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def _jumps(ds: np.ndarray) -> np.ndarray:
-    """[[I, O], [dS, I]] for dS on the trailing two axes: f' picks up dS f."""
+def _jumps(ds: np.ndarray, dtype) -> np.ndarray:
+    """[[I, O], [dS, I]] of ``dtype`` for dS on the trailing two axes: f' picks up dS f."""
     n = ds.shape[-1]
-    out = np.zeros(ds.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out = np.zeros(ds.shape[:-2] + (2 * n, 2 * n), dtype=dtype)
     out[..., :n, :n] = out[..., n:, n:] = np.eye(n)
     out[..., n:, :n] = ds
     return out
@@ -391,11 +397,13 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     (f, f1) into (f, f'), that ``_to_quasi`` undoes; all dS are gathered from
     ``model.cell_jumps`` by one index. At lam = 0 the flight generator N is
     nilpotent and its propagators are I + length * N in closed form, which is
-    what ``expm`` returns for it. At order 1 and lam = 0 ``kick`` holds each
-    cell's dS as a Python complex (None where the cell takes no jump), and
-    ``jump``, ``gen`` and ``prop`` are None: the march and the kernel pass
-    read only ``kick`` and ``length``. Otherwise ``kick`` is None. Other
-    models keep quasi coordinates and the piece generator; the other
+    what ``expm`` returns for it. These cells are real: their jumps,
+    generators and propagators are float64 (complex at lam != 0). At order 1
+    and lam = 0 ``kick`` holds each cell's dS as a Python float (None where
+    the cell takes no jump), and ``jump``, ``gen`` and ``prop`` are None: the
+    march and the kernel pass read only ``kick`` and ``length``. Otherwise
+    ``kick`` is None.
+    Other models keep quasi coordinates and the piece generator; the other
     propagators come from one stacked ``expm`` call.
     """
     classical = isinstance(model, StepModel)
@@ -431,17 +439,18 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     if not classical:
         gen = _piece_generators(model, lam, pieces)
     else:
-        flight = np.eye(m, k=n, dtype=complex)
-        flight[n:, :n] = -lam * np.eye(n)
+        flight = np.eye(m, k=n, dtype=float if lam == 0 else complex)
+        if lam != 0:
+            flight[n:, :n] = -lam * np.eye(n)
         gen = np.broadcast_to(flight, (len(pieces), m, m))
-        for c, matrix in zip(jumped, _jumps(model.cell_jumps[picks])):
+        for c, matrix in zip(jumped, _jumps(model.cell_jumps[picks], flight.dtype)):
             jump[c] = matrix
     scaled = gen * np.array(lengths)[:, None, None]
     prop = np.eye(m) + scaled if classical and lam == 0 else expm(scaled)
     return Cells(pieces, jump, gen, lengths, ends, prop, first, None)
 
 
-def _kick_drift(kick, length, f: complex, g: complex) -> tuple[list, list]:
+def _kick_drift(kick, length, f: float, g: float) -> tuple[list, list]:
     """f and f' of one state column after each cell: f' += dS f at a jump, then f += L f'."""
     fs, gs = [], []
     for ds, span in zip(kick, length):
@@ -453,31 +462,52 @@ def _kick_drift(kick, length, f: complex, g: complex) -> tuple[list, list]:
     return fs, gs
 
 
+def _products(cells: Cells, out: np.ndarray) -> None:
+    """out[c + 1] = prop_c (jump_c out[c]) for every cell c, two BLAS products into buffers.
+
+    A cell without a jump takes no jump product: a fused or an identity
+    product (-0.0 into 0.0) would change the floats.
+    """
+    y, jumped = out[0], np.empty_like(out[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for jump, prop, end in zip(cells.jump, cells.prop, out[1:]):
+            if jump is not None:
+                y = jump.dot(y, out=jumped)
+            y = prop.dot(y, out=end)
+
+
 def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     """y, then in row c + 1 its working-coordinate value after cell c of one span, as one stack.
 
-    Order-1 step and delta models at lam = 0 (``cells.kick`` set) step each
-    state column in Python complex arithmetic: a kick f' = dS f + f' where the
-    cell starts with a jump, then the drift f = f + L f'. Two roundings each,
-    where a BLAS kernel may fuse one, so the floats do not depend on the BLAS
-    build. Otherwise a cell's jump and propagator are two BLAS products into
-    buffers, and a cell without a jump takes none: a fused or an identity
-    product (-0.0 into 0.0) would change the floats. A state that leaves the
+    Step and delta models at lam = 0 have real cells, and march in float64:
+    the real parts of the state columns, then their imaginary parts where
+    they are not all zero, as real columns, written back into the complex
+    stack (imaginary parts that were zero stay +0.0). At order 1
+    (``cells.kick`` set) each column steps in Python floats: a kick
+    f' = dS f + f' where the cell starts with a jump, then the drift
+    f = f + L f'. Two roundings each, where a BLAS kernel may fuse one, so
+    the floats do not depend on the BLAS build. Otherwise, and for complex
+    cells, the columns go through ``_products``. A state that leaves the
     float range is a ValueError naming the end x of the first such cell.
     """
     out = np.empty((len(cells.length) + 1,) + y.shape, dtype=complex)
     out[0] = y
-    if cells.kick is not None:
-        cols = out.reshape(len(out), 2, -1)  # a view: one (f, f') column per state column
-        for j, (f, g) in enumerate(zip(*y.reshape(2, -1).tolist())):
-            cols[1:, 0, j], cols[1:, 1, j] = _kick_drift(cells.kick, cells.length, f, g)
+    if cells.kick is None and cells.prop.dtype == complex:
+        _products(cells, out)
     else:
-        jumped = np.empty_like(out[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for jump, prop, end in zip(cells.jump, cells.prop, out[1:]):
-                if jump is not None:
-                    y = jump.dot(y, out=jumped)
-                y = prop.dot(y, out=end)
+        cols = out[0].reshape(len(y), -1)
+        live = np.flatnonzero(cols.imag.any(axis=0))
+        real = np.empty((len(out), len(y), cols.shape[1] + len(live)))
+        real[0] = np.concatenate([cols.real, cols.imag[:, live]], axis=1)
+        if cells.kick is None:
+            _products(cells, real)
+        else:
+            for j, (f, g) in enumerate(zip(*real[0].tolist())):
+                real[1:, 0, j], real[1:, 1, j] = _kick_drift(cells.kick, cells.length, f, g)
+        rows = out.reshape(real.shape[:2] + (-1,))[1:]  # a view of every row after the first
+        rows.real = real[1:, :, :cols.shape[1]]
+        rows.imag = 0.0
+        rows.imag[..., live] = real[1:, :, cols.shape[1]:]
     bad = ~np.isfinite(out.reshape(len(out), -1)[1:]).all(axis=1)
     if bad.any():
         x = float(cells.end[np.argmax(bad)])

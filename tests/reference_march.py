@@ -4,20 +4,24 @@ Each function here redoes one march the plain way: one ``np.linalg.solve``
 (in ``inverse_march``, one product with the stored inverse) per lattice
 step, one ``invert`` per kernel row, and one ``np.block`` jump and one
 ``expm`` per continuous cell (``matrix_step``), in the same float operation
-order as the stacked code. Order-1 step and delta models at lam = 0 march
-by ``kick_drift`` instead: each cell reads dS from its jump matrix and
-updates each state column in Python complex arithmetic, as sldl's scalar
-march does; ``matrix_step`` stays available for them as the per-cell BLAS
-march. ``expm`` and ``piece_system`` are kept here one matrix and
-one piece at a time: the exponential scales, expands and squares a single
-matrix, and each general or distributional piece takes its own ``invert``.
+order as the stacked code. Step and delta models at lam = 0 have real jumps
+and propagators, and ``flow`` marches their states as real columns (the
+real parts, then the imaginary parts that are not all zero), as sldl does.
+Order-1 step and delta models at lam = 0 march by ``kick_drift`` instead:
+each cell reads dS from its jump matrix and updates each real column in
+Python floats, as sldl's scalar march does; ``matrix_step`` stays available
+for them as the per-cell BLAS march. ``expm`` and ``piece_system`` are kept
+here one matrix and one piece at a time: the exponential scales, expands
+and squares a single matrix, and each general or distributional piece takes
+its own ``invert``.
 The tests compare with ``np.array_equal`` (``tobytes`` for
 ``inverse_march``, and ``==`` for the residual float), so any change of
 that order shows. ``nodes_to_Z`` rescales one node at a time,
 ``grid_index`` scans the whole grid, ``to_quasi`` subtracts sigma f from f'
 one sample at a time, and ``interval_kernel_pass`` is the exact kernel pass
 over one interval alone, with its own Gram loop: three Python floats per
-cell for order-1 step and delta models, as in sldl, or the matrix products.
+cell for order-1 step and delta models, as in sldl, or the matrix products,
+real or complex as the cells are, or complex on request.
 
 The kernel and solution-norm integrals are kept in their quadrature form:
 a 7-point Gauss-Legendre rule on every cell, refined by halving the cells
@@ -118,11 +122,15 @@ for _k in range(1, 7):
 
 
 def expm(a):
-    """Pade(6, 6) exponential of one matrix, scaled so the scaled norm is <= 0.5."""
-    a = np.asarray(a, dtype=complex)
+    """Pade(6, 6) exponential of one matrix, scaled so the scaled norm is <= 0.5.
+
+    An index-2 nilpotent matrix gives I + a, real where a is real.
+    """
+    a = np.asarray(a)
     m = a.shape[0]
     if not (a @ a).any():
         return np.eye(m) + a
+    a = a.astype(complex)
     nrm = frobenius_norm(a)
     s = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
     b = a / (2.0 ** s)
@@ -144,9 +152,9 @@ def classical(model):
     return isinstance(model, (StepSigma, DeltaNodes))
 
 
-def block2n(tl, tr, bl, br):
-    """The complex 2n x 2n matrix [[tl, tr], [bl, br]] of four order-n blocks."""
-    return np.block([[tl, tr], [bl, br]]).astype(complex)
+def block2n(tl, tr, bl, br, dtype=complex):
+    """The 2n x 2n matrix [[tl, tr], [bl, br]] of four order-n blocks, complex by default."""
+    return np.block([[tl, tr], [bl, br]]).astype(dtype)
 
 
 def piece_system(model, lam, i):
@@ -171,16 +179,20 @@ def piece_system(model, lam, i):
     return f
 
 
-def _jump(ds):
-    eye = np.eye(ds.shape[0])
-    return block2n(eye, 0 * eye, ds, eye)
+def real_cells(model, lam):
+    """Step and delta models at lam = 0: real jumps and flights."""
+    return classical(model) and lam == 0
 
 
 def cells(model, lam, x0, x1, stops=()):
-    """Yield (piece, jump, generator, length, end) per cell, one matrix at a time."""
+    """Yield (piece, jump, generator, length, end) per cell, one matrix at a time.
+
+    Real matrices for step and delta models at lam = 0, complex ones otherwise.
+    """
     delta = model if isinstance(model, DeltaNodes) else None
     eye = np.eye(model.n)
-    flight = block2n(0 * eye, eye, -lam * eye, 0 * eye)
+    dtype = float if real_cells(model, lam) else complex
+    flight = block2n(0 * eye, eye, 0 * eye if lam == 0 else -lam * eye, 0 * eye, dtype)
     cuts = piece_cuts(model)
     marks = iter([x for x in stops if x0 < x < x1])
     mark = next(marks, x1)
@@ -192,10 +204,13 @@ def cells(model, lam, x0, x1, stops=()):
             jump, gen = None, piece_system(model, lam, i)
         else:
             jump, gen = None, flight
+            ds = None
             if pos == x0:
-                jump = _jump(model.values[i])
+                ds = model.values[i]
             elif pos == cuts[i]:
-                jump = _jump(delta.jumps[i - 1] if delta else model.values[i] - model.values[i - 1])
+                ds = delta.jumps[i - 1].real if delta else model.values[i] - model.values[i - 1]
+            if ds is not None:
+                jump = block2n(eye, 0 * eye, ds, eye, dtype)
         full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
         yield i, jump, gen, (delta.spacings[i] if full else stop - pos), stop
         if stop == mark:
@@ -213,16 +228,16 @@ def matrix_step(jump, gen, length, y):
 
 
 def kick_drift(jump, gen, length, y):
-    """One cell of an order-1 step or delta model at lam = 0, column by column in Python complex.
+    """One cell of an order-1 step or delta model at lam = 0, real column by column in Python floats.
 
     A kick f' = dS f + f' with dS the lower-left entry of the jump, if the cell
     has one, then the drift f = f + L f' of the free flight.
     """
-    y = np.array(y, dtype=complex)
+    y = np.array(y, dtype=float)
     for column in y.reshape(2, -1).T:  # views into the copy
-        f, g = complex(column[0]), complex(column[1])
+        f, g = float(column[0]), float(column[1])
         if jump is not None:
-            g = complex(jump[1, 0]) * f + g
+            g = float(jump[1, 0]) * f + g
         column[0], column[1] = f + length * g, g
     return y
 
@@ -233,11 +248,34 @@ def default_step(model, lam):
     return kick_drift if scalar else matrix_step
 
 
+def real_columns(y):
+    """The columns of a complex state as real ones, and the indices of the imaginary ones.
+
+    Every real part comes first, then each imaginary part that is not all zero.
+    """
+    cols = np.asarray(y, dtype=complex).reshape(len(y), -1)
+    live = [j for j in range(cols.shape[1]) if cols[:, j].imag.any()]
+    return np.hstack([cols.real, cols.imag[:, live]]), live
+
+
+def complex_state(x, live, shape):
+    """The complex state of shape ``shape`` whose real columns ``real_columns`` gave x."""
+    count = x.shape[1] - len(live)
+    out = np.zeros((len(x), count), dtype=complex)
+    out.real = x[:, :count]
+    out.imag[:, live] = x[:, count:]
+    return out.reshape(shape)
+
+
 def flow(model, lam, y, x0, x1, stops=(), step=None):
+    """Yield (piece, state, end) after each cell; real cells march ``real_columns``."""
     step = step or default_step(model, lam)
+    real, shape = real_cells(model, lam), np.shape(y)
+    if real:
+        y, live = real_columns(y)
     for piece, jump, gen, length, end in cells(model, lam, x0, x1, stops):
         y = step(jump, gen, length, y)
-        yield piece, y, end
+        yield piece, (complex_state(y, live, shape) if real else y), end
 
 
 def grid_index(grid, x):
@@ -359,7 +397,7 @@ def refined(model, one_pass, rel_tol=QUAD_REL_TOL):
     raise RuntimeError("kernel quadrature did not stabilize")
 
 
-def interval_kernel_pass(model, a, b, scalar=None):
+def interval_kernel_pass(model, a, b, scalar=None, dtype=None):
     """The exact kernel pass of sldl over the cells of [a, b] alone, one cell at a time.
 
     Takes the cell integrals from sldl and the jumps and propagators from the
@@ -368,7 +406,9 @@ def interval_kernel_pass(model, a, b, scalar=None):
     bit. Order-1 step and delta models (``scalar`` None or True) carry the Gram
     entries in Python floats, reading dS from each jump matrix and the
     powers of L from the cell integrals; otherwise (``scalar`` False too) each
-    cell is a product with its jump and propagator, each adjoint taken per cell.
+    cell is a product with its jump and propagator, each adjoint taken per cell,
+    and each trace per cell. The Gram matrices are real where the cells are,
+    or of ``dtype`` when given (``complex``: the complex loop of general models).
     """
     n = model.n
     w, tri, v = _cell_integrals(model, _cells(model, 0.0, [(a, b)]))
@@ -388,7 +428,8 @@ def interval_kernel_pass(model, a, b, scalar=None):
             gb, gc = across + half, gc + length
         return np.array([[total]])
     wt = w.transpose(0, 1, 3, 2).reshape(len(w), n, 4 * n * n)
-    gram, total = np.zeros((n, 2 * n, 2 * n), dtype=complex), np.zeros((n, n))
+    dtype = dtype or (float if real_cells(model, 0.0) else complex)
+    gram, total = np.zeros((n, 2 * n, 2 * n), dtype=dtype), np.zeros((n, n))
     for (jump, step), wt_c, tri_c, v_c in zip(walk, wt, tri, v):
         if jump is not None:
             gram = jump @ gram @ jump.conj().T

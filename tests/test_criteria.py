@@ -345,6 +345,31 @@ def test_step_and_delta_integrals_match_the_gauss_rule(kind, n):
             reference_march.solution_norm_integral(model, a, b), rel=1e-12, abs=0.0)
 
 
+def _four_kinds(n):
+    """A step, a delta, a general and a distributional model of order n, three pieces each."""
+    rng = np.random.default_rng(60 + n)
+    cuts = (0.0, 0.9, 2.1)
+    return (StepSigma(n, cuts, [random_symmetric(rng, n, 2.0) for _ in cuts], 3.0),
+            DeltaNodes(n, cuts[1:], [random_symmetric(rng, n, 4.0) for _ in cuts[1:]], 3.0),
+            _random_pieces(rng, "general", n), _random_pieces(rng, "distributional", n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_empty_spans_give_exact_zeros(n):
+    from sldl.criteria import _exact, _kernel_pass
+
+    for model in _four_kinds(n):
+        cut = piece_cuts(model)[1]
+        inside = (cut + piece_cuts(model)[2]) / 2
+        for a in (0.0, cut, inside, model.X):
+            assert np.array_equal(kernel_square_integrals(model, a, a), np.zeros((n, n)))
+            assert solution_norm_integral(model, a, a) == 0.0
+            # a span without cells keeps its zero row between spans that have some
+            rows = _exact(_kernel_pass, model, [(0.0, cut), (a, a), (cut, model.X)])
+            assert np.array_equal(rows[1], np.zeros((n, n)))
+            assert rows[2].tobytes() == kernel_square_integrals(model, cut, model.X).tobytes()
+
+
 def test_solution_norms_read_one_walk_and_one_march_from_zero(monkeypatch):
     # no prefix transfer: the states at a and on come from the march over [0, b]
     from sldl import criteria, quasidiff

@@ -2,14 +2,17 @@
 
 ``reference_march.exact_t1_square`` is the kernel pass of sldl in Fraction
 arithmetic, from the same float jumps and lengths, so the squared term it
-returns has no rounding at all. Order-1 models at lam = 0 carry their Gram
+returns has no rounding at all. The errors are set against those of the
+per-cell complex matrix loop (one complex product per jump and per
+propagator, each trace per cell). Order-1 models at lam = 0 carry their Gram
 entries in Python floats; on every order-1 fixture the worst relative error
-of a term must stay within four times that of the per-cell matrix loop (one
-2 x 2 product per jump and per propagator), or 64 eps where that loop is
-nearly exact, and below 1e-12. Orders 2 and 3 keep the matrix loop, and
-their terms must stay below 1e-12 as well. The fixtures are fixed: seeded
-random models of 60 cells with jumps up to 6 in modulus, and windows of 60
-cells of the christ-stolz model.
+of a term must stay within four times that of the complex loop, or 64 eps
+where that loop is nearly exact, and below 1e-12. Orders 2 and 3 carry real
+Gram matrices through the kick and drift products and take the traces after
+the loop; their terms must stay below 1e-12 as well, and on seeds 13-16 each
+term within twice the complex loop's error of that term, or 64 eps. The
+fixtures are fixed: seeded random models of 60 cells with jumps up to 6 in
+modulus, and windows of 60 cells of the christ-stolz model.
 """
 
 import math
@@ -63,14 +66,20 @@ def relative_error(term: float, square: Fraction) -> float:
     return float(abs(Fraction(term) ** 2 - square) / square) / (1.0 + term / root)
 
 
-def worst_errors(model, intervals):
-    """Worst relative errors of sldl's terms and of the per-cell matrix loop's."""
+def term_errors(model, intervals):
+    """Relative errors of sldl's terms and of the per-cell complex matrix loop's, term by term."""
     exact = [reference_march.exact_t1_square(model, a, b) for a, b in intervals.intervals]
     terms = t1_series(model, intervals).terms
-    matrix = [math.sqrt(float(np.sum(reference_march.interval_kernel_pass(model, a, b, False))))
+    matrix = [reference_march.interval_kernel_pass(model, a, b, False, complex)
               for a, b in intervals.intervals]
-    return (max(relative_error(t, s) for t, s in zip(terms, exact)),
-            max(relative_error(t, s) for t, s in zip(matrix, exact)))
+    return ([relative_error(t, s) for t, s in zip(terms, exact)],
+            [relative_error(math.sqrt(float(np.sum(m))), s) for m, s in zip(matrix, exact)])
+
+
+def worst_errors(model, intervals):
+    """Worst relative errors of sldl's terms and of the per-cell complex matrix loop's."""
+    got, matrix = term_errors(model, intervals)
+    return max(got), max(matrix)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -82,6 +91,16 @@ def test_seeded_t1_terms_match_the_exact_kernel_pass(build, n, seed):
     assert got <= BOUND
     if n == 1:  # the Gram recursion in Python floats
         assert got <= max(4.0 * matrix, 64 * EPS)
+
+
+@pytest.mark.parametrize("seed", [13, 14, 15, 16])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("build", [random_delta, random_step], ids=["delta", "step"])
+def test_real_gram_terms_are_as_accurate_as_the_complex_loop(build, n, seed):
+    model = build(n, seed)
+    for got, matrix in zip(*term_errors(model, seeded_intervals(model))):
+        assert got <= BOUND
+        assert got <= max(2.0 * matrix, 64 * EPS)
 
 
 def test_christ_stolz_t1_terms_match_the_exact_kernel_pass():

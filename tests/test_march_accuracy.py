@@ -1,12 +1,12 @@
 """Accuracy of the order-1 kick-drift march, against 50-digit references.
 
-At lam = 0 an order-1 step or delta model is marched in Python complex
-arithmetic: f' = dS f + f' at each jump, then f = f + L f' across the cell.
-The same march in 50-digit arithmetic (mpmath), from the same float jumps
-and lengths, is the reference. On every fixture the worst normwise error of
-the samples, ||T - T_ref||_F / ||T_ref||_F, must stay within twice that of
-the per-cell BLAS march (one 2 x 2 product per jump and per propagator) and
-below 1e-13.
+At lam = 0 an order-1 step or delta model is marched in Python float
+arithmetic, column by real column: f' = dS f + f' at each jump, then
+f = f + L f' across the cell. The same march in 50-digit arithmetic
+(mpmath), from the same float jumps and lengths, is the reference. On every
+fixture the worst normwise error of the samples, ||T - T_ref||_F / ||T_ref||_F,
+must stay within twice that of the per-cell BLAS march (one real 2 x 2
+product per jump and per propagator) and below 1e-13.
 
 Solution-norm integrals int_a^b (||Phi||^2 + ||Psi||^2) read the states of
 one march from 0. Their reference is the 50-digit march from 0 with each

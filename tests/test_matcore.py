@@ -194,6 +194,19 @@ def test_as_stack_shapes():
         as_stack([np.eye(2)], 3)
 
 
+def test_a_broadcast_stack_equals_the_explicit_list():
+    # a strided source (a zero-stride broadcast) is copied into C order, not refused
+    jump = np.array([[1.0, -0.5], [-0.5, 2.0]])
+    broadcast, explicit = np.broadcast_to(jump, (5, 2, 2)), [jump] * 5
+    assert as_stack(broadcast).tobytes() == as_stack(explicit).tobytes()
+    got = DeltaNodes.from_spacings(2, [1.0] * 5, broadcast)
+    want = DeltaNodes.from_spacings(2, [1.0] * 5, explicit)
+    assert got.jumps.tobytes() == want.jumps.tobytes()
+    assert got.cell_jumps.tobytes() == want.cell_jumps.tobytes()
+    got, want = blocks_from_delta([1.0] * 6, broadcast), blocks_from_delta([1.0] * 6, explicit)
+    assert got.A.tobytes() == want.A.tobytes() and got.B.tobytes() == want.B.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stack_rules_match_per_matrix_rules(n):
     rng = np.random.default_rng(n)

@@ -7,7 +7,13 @@ import reference_march
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import delta_models, distributional_models, general_triple_models, step_sigma_models
+from conftest import (
+    delta_models,
+    distributional_models,
+    general_triple_models,
+    random_symmetric,
+    step_sigma_models,
+)
 from oracle_poly import AdmissiblePoly, pairing_integral
 from sldl import (
     DeltaNodes,
@@ -27,7 +33,7 @@ from sldl import (
     solution_norm_integral,
     t1_series,
 )
-from sldl.matcore import frobenius_norm
+from sldl.matcore import HERMITIAN_TOL, frobenius_norm
 from sldl.quasidiff import (
     OffGridError,
     _cells,
@@ -389,9 +395,10 @@ def test_cells_equal_the_per_cell_reference(model, data, lam):
     assert [j is None for j in cells.jump] == [j is None for j in jump]
     for got, want in zip(cells.jump, jump):
         assert got is None or same_bits(got, want)
-    assert same_bits(cells.gen, np.array(gen, dtype=complex).reshape(-1, m, m))
+    dtype = float if reference_march.real_cells(model, lam) else complex
+    assert same_bits(cells.gen, np.array(gen, dtype=dtype).reshape(-1, m, m))
     want = [reference_march.expm(g * s) for g, s in zip(gen, length)]
-    assert same_bits(cells.prop, np.array(want, dtype=complex).reshape(-1, m, m))
+    assert same_bits(cells.prop, np.array(want, dtype=dtype).reshape(-1, m, m))
 
 
 def test_order_one_cells_at_lam_zero_build_no_matrix_stacks(monkeypatch):
@@ -409,6 +416,49 @@ def test_order_one_cells_at_lam_zero_build_no_matrix_stacks(monkeypatch):
         solution_norm_integral(model, 0.5, model.X)
         fundamental_pair(model, 0.0, (0.0, 1.0, model.X))
         transfer(model, 0.0, 0.25, model.X)
+
+
+def step_and_delta(n, values):
+    """A step model with cuts 0, 0.7, 1.9 and a delta model with nodes 0.7, 1.9, from three values."""
+    return (StepSigma(n, (0.0, 0.7, 1.9), values, 3.0),
+            DeltaNodes(n, (0.7, 1.9), values[1:], 3.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_step_and_delta_cells_are_real_at_lam_zero_only(n):
+    rng = np.random.default_rng(n)
+    spans = [(0.0, 1.0), (1.2, 3.0)]
+    for model in step_and_delta(n, [random_symmetric(rng, n, 2.0) for _ in range(3)]):
+        for lam in (0.0, 0j):
+            cells = _cells(model, lam, spans, stops=(0.35,))  # a cell without a jump
+            if n == 1:
+                assert cells.jump is cells.gen is cells.prop is None
+                assert {type(k) for k in cells.kick} == {float, type(None)}
+            else:
+                assert cells.kick is None
+                assert cells.gen.dtype == cells.prop.dtype == np.float64
+                assert {j.dtype for j in cells.jump if j is not None} == {np.dtype(np.float64)}
+        for lam in (0.5, 0.25 - 1j):
+            cells = _cells(model, lam, spans)
+            assert cells.kick is None
+            assert cells.gen.dtype == cells.prop.dtype == complex
+            assert {j.dtype for j in cells.jump if j is not None} == {np.dtype(complex)}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sigma_drops_imaginary_parts_within_the_hermitian_tolerance(n):
+    # values real symmetric within HERMITIAN_TOL march as their real parts, at every lam
+    rng = np.random.default_rng(30 + n)
+    real = [random_symmetric(rng, n, 2.0) for _ in range(3)]
+    tilted = [v + 0.4j * HERMITIAN_TOL * np.ones((n, n)) for v in real]
+    intervals = IntervalSeq(((0.0, 1.0), (1.2, 3.0)))
+    for got, want in zip(step_and_delta(n, tilted), step_and_delta(n, real)):
+        assert got.cell_jumps.dtype == got.values.dtype == np.float64
+        assert got.cell_jumps.tobytes() == want.cell_jumps.tobytes()
+        for lam in (0.0, 0.5 - 0.25j):
+            assert transfer(got, lam, 0.2, 2.5).tobytes() == transfer(want, lam, 0.2, 2.5).tobytes()
+        assert t1_series(got, intervals).terms == t1_series(want, intervals).terms
+        assert solution_norm_integral(got, 0.5, 2.5) == solution_norm_integral(want, 0.5, 2.5)
 
 
 @pytest.mark.parametrize("grid, message", [
