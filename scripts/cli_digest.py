@@ -271,6 +271,9 @@ INVOCATIONS = [
     "criterion t1 --model step2.json --intervals unit:30",
     "classify --model step2.json --intervals unit:30",
     "criterion t1 --model huge-step-jump2.json --intervals unit:3",
+    # N below 1 on a model that reads no lattice series; a threshold that is not finite
+    "classify --model free.json --N 0",
+    "criterion t1 --model free.json --intervals unit:3 --threshold nan",
 ]
 
 

@@ -102,6 +102,8 @@ class ClassifyConfig:
     criteria: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if self.N < 1:
+            raise ValueError("N must be at least 1")
         if self.criteria is not None:
             if not self.criteria:
                 raise ValueError("empty criteria selection; omit it to run every criterion")

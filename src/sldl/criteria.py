@@ -27,12 +27,12 @@ are real at lam = 0), the other models complex ones; the loop only kicks and
 drifts them, and the traces of every cell are one batched product after it.
 Order-1 step and delta models carry their one 2 x 2 Gram matrix as three
 Python floats, kicked and drifted per cell. Solution norms read the states
-of one march from 0 and sum the cells of [a, b] in one array expression.
+of one march from 0 and sum tr(t* W t) over the cells of [a, b], with the
+same cell integrals W, in one einsum for every model.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -119,24 +119,6 @@ def _flight_integrals(lengths):
     return col, col ** 2 / 2, col ** 3 / 3, col ** 4 / 12
 
 
-@functools.cache
-def _flight_places(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the integrals of a free flight of order n go in w, tri and v of ``_cell_integrals``.
-
-    Each entry is an index into (0, L, L^2/2, L^3/3, L^4/12). The arrays are
-    cached per order, so they are read-only.
-    """
-    k, m = np.arange(n), 2 * n
-    w, v = np.zeros((2, n, m, m), dtype=int)
-    w[k, k, k] = v[k, n + k, n + k] = 1
-    w[k, k, n + k] = w[k, n + k, k] = v[k, k, n + k] = v[k, n + k, k] = 2
-    w[k, n + k, n + k] = v[k, k, k] = 3
-    places = w, 4 * np.eye(n, dtype=int), v
-    for a in places:
-        a.flags.writeable = False
-    return places
-
-
 def _cell_integrals(model, cells):
     """Stacks (w, tri, v) of exact integrals over the cells of a lam = 0 march.
 
@@ -150,8 +132,15 @@ def _cell_integrals(model, cells):
     """
     n, m, lengths, k = model.n, 2 * model.n, np.array(cells.length), np.arange(model.n)
     if isinstance(model, StepModel):
-        powers = np.stack([np.zeros(len(lengths)), *_flight_integrals(lengths)], axis=1)
-        return tuple(powers[:, places] for places in _flight_places(n))
+        w, v = np.zeros((2, len(lengths), n, m, m))
+        tri = np.zeros((len(lengths), n, n))
+        col, half, third, twelfth = (p[:, None] for p in _flight_integrals(lengths))
+        w[:, k, k, k] = v[:, k, n + k, n + k] = col
+        w[:, k, k, n + k] = w[:, k, n + k, k] = half
+        v[:, k, k, n + k] = v[:, k, n + k, k] = half
+        w[:, k, n + k, n + k] = v[:, k, k, k] = third
+        tri[:, k, k] = twelfth
+        return w, tri, v
     gw, gv = _van_loan(cells.gen)
     col = lengths[:, None, None, None]
     ew, ev = expm(gw * col), expm(gv * col)
@@ -174,7 +163,7 @@ def _kernel_pass(model, spans) -> np.ndarray:
     """
     n = model.n
     cells = _cells(model, 0.0, spans)
-    if cells.kick is not None:
+    if cells.prop is None:
         return _kick_kernel_pass(cells, len(spans))
     w, tri, v = _cell_integrals(model, cells)
     kicked = np.empty((len(w), n, 2 * n, 2 * n), dtype=cells.prop.dtype)
@@ -206,13 +195,13 @@ def _kick_kernel_pass(cells, count: int) -> np.ndarray:
     b' = (b + L c) + L^2/2, c' = c + L, each sum in the order of the matrix
     products. Its error is within four times that of the per-cell complex
     matrix loop on the fixtures of ``tests/test_kernel_accuracy.py``, not on
-    all models (4.6 times for its step construction at seed 34). The powers
-    of L are those of ``_cell_integrals``; a float product past the float
-    range is inf, as in numpy.
+    all models (ROADMAP item 7). The powers of L are those of
+    ``_cell_integrals``; a float product past the float range is inf, as in
+    numpy.
     """
     totals, restart = [0.0] * count, dict(zip(cells.first, range(count)))
     powers = (p.tolist() for p in _flight_integrals(cells.length))
-    for cell, (ds, length, half, third, twelfth) in enumerate(zip(cells.kick, *powers)):
+    for cell, (ds, length, half, third, twelfth) in enumerate(zip(cells.jump, *powers)):
         if cell in restart:
             span, a, b, c = restart[cell], 0.0, 0.0, 0.0
         if ds is not None:
@@ -228,23 +217,22 @@ def _solution_norm_pass(model, spans) -> np.ndarray:
     """int_a^b of the squared top rows of the propagator from 0, read off one march from 0.
 
     The walk over [0, b] stops at a, and each cell from a on adds tr(t* W t),
-    t the state at its start and W = sum_i W_i its ``_cell_integrals``. For
-    step and delta models, whose flights leave f' unchanged at lam = 0, that is
-    L |f|^2 + L^2 Re(f* g) + (L^3/3) |g|^2, f the top rows at the cell's start
-    and g the bottom rows at its end.
+    t the state after the cell's jump and W = sum_i W_i its ``_cell_integrals``,
+    taken for the cells of [a, b] only. For step and delta models a jump
+    leaves the top rows and a flight the bottom rows (f' at lam = 0), so t has
+    the top rows of the cell's start and the bottom rows of its end; the other
+    models take no jump.
     """
     ((a, b),), n = spans, model.n
     cells = _cells(model, 0.0, [(0.0, b)], stops=(a,))
     states = _march(cells, np.eye(2 * n, dtype=complex))
     first = int(np.searchsorted(cells.end, a, side="right"))
-    if isinstance(model, StepModel):
-        f, g = states[first:-1, :n], states[first + 1:, n:]
-        length, half, third, _ = _flight_integrals(cells.length[first:])
-        ff, fg, gg = ((x.conj() * y).real.sum(axis=(1, 2)) for x, y in ((f, f), (f, g), (g, g)))
-        return np.array([np.sum(length * ff + 2.0 * half * fg + third * gg)])
-    w = _cell_integrals(model, cells._replace(
-        length=cells.length[first:], gen=cells.gen[first:], prop=cells.prop[first:]))[0]
     t = states[first:-1]
+    if isinstance(model, StepModel):  # whose cell integrals read the lengths only
+        t = np.concatenate([t[:, :n], states[first + 1:, n:]], axis=1)
+    else:
+        cells = cells._replace(gen=cells.gen[first:], prop=cells.prop[first:])
+    w = _cell_integrals(model, cells._replace(length=cells.length[first:]))[0]
     return np.array([np.einsum("cji,cjk,cki->", t.conj(), w.sum(axis=1), t).real])
 
 

@@ -15,8 +15,8 @@ working coordinates: classical (f, f') with free flights and jumps of f' for
 step and delta models, (f, f1) with the piece generator otherwise. It stacks
 each cell's jump and propagator up front (closed forms, or one stacked
 ``expm`` call). At lam = 0 the jumps and flights of step and delta models
-are real, and so are their stacks; at order 1 it builds no matrices at all
-and hands out each cell's jump dS as a Python float instead. One march,
+are real, and so are their stacks; at order 1 it builds no matrices at all,
+and each cell's jump is its dS as a Python float. One march,
 ``_march``, writes the state after every cell into a preallocated complex
 stack, from which transfer matrices and node samples are read by index.
 Real cells march the real and the nonzero imaginary parts of the state
@@ -342,8 +342,10 @@ def expm(a) -> np.ndarray:
 
     Pade(6, 6) with scaling so each scaled norm is <= 0.5, in one stacked
     loop and one batched solve, each matrix squared back by its own exponent:
-    bit for bit the exponentials taken one matrix at a time. Index-2 nilpotent
-    arguments (step potentials at lam = 0) short-circuit to I + a.
+    bit for bit the exponentials taken one matrix at a time. Matrices that
+    square to zero short-circuit to I + a: the lam = 0 cells of general or
+    distributional pieces such as R = Q = O (step and delta cells at lam = 0
+    never get here: ``_cells`` builds their I + L N).
     """
     a = np.asarray(a, dtype=complex)
     m, stack = a.shape[-1], a.reshape((-1,) + a.shape[-2:])
@@ -377,9 +379,9 @@ def _jumps(ds: np.ndarray, dtype) -> np.ndarray:
 
 
 # per cell: piece, jump (or None), generator, length, end and propagator; the first
-# cell of each span; per cell dS (or None) at order 1 and lam = 0, where the
-# jump, generator and propagator stacks are None instead
-Cells = namedtuple("Cells", "piece jump gen length end prop first kick")
+# cell of each span; at order 1 and lam = 0 each jump is the cell's dS as a Python
+# float, and the generator and propagator stacks are None
+Cells = namedtuple("Cells", "piece jump gen length end prop first")
 
 
 def _cells(model, lam: complex, spans, stops=()) -> Cells:
@@ -399,10 +401,9 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     nilpotent and its propagators are I + length * N in closed form, which is
     what ``expm`` returns for it. These cells are real: their jumps,
     generators and propagators are float64 (complex at lam != 0). At order 1
-    and lam = 0 ``kick`` holds each cell's dS as a Python float (None where
-    the cell takes no jump), and ``jump``, ``gen`` and ``prop`` are None: the
-    march and the kernel pass read only ``kick`` and ``length``. Otherwise
-    ``kick`` is None.
+    and lam = 0 each ``jump`` is the cell's dS as a Python float, and ``gen``
+    and ``prop`` are None: the march and the kernel pass read only ``jump``
+    and ``length`` there.
     Other models keep quasi coordinates and the piece generator; the other
     propagators come from one stacked ``expm`` call.
     """
@@ -430,12 +431,11 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
                 i += 1
             pos = stop
     n, m, ends = model.n, 2 * model.n, np.array(ends)
-    if classical and n == 1 and lam == 0:
-        kick = [None] * len(pieces)
-        for c, v in zip(jumped, model.cell_jumps[picks, 0, 0].tolist()):
-            kick[c] = v
-        return Cells(pieces, None, None, lengths, ends, None, first, kick)
     jump = [None] * len(pieces)
+    if classical and n == 1 and lam == 0:
+        for c, ds in zip(jumped, model.cell_jumps[picks, 0, 0].tolist()):
+            jump[c] = ds
+        return Cells(pieces, jump, None, lengths, ends, None, first)
     if not classical:
         gen = _piece_generators(model, lam, pieces)
     else:
@@ -447,13 +447,13 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
             jump[c] = matrix
     scaled = gen * np.array(lengths)[:, None, None]
     prop = np.eye(m) + scaled if classical and lam == 0 else expm(scaled)
-    return Cells(pieces, jump, gen, lengths, ends, prop, first, None)
+    return Cells(pieces, jump, gen, lengths, ends, prop, first)
 
 
-def _kick_drift(kick, length, f: float, g: float) -> tuple[list, list]:
+def _kick_drift(jump, length, f: float, g: float) -> tuple[list, list]:
     """f and f' of one state column after each cell: f' += dS f at a jump, then f += L f'."""
     fs, gs = [], []
-    for ds, span in zip(kick, length):
+    for ds, span in zip(jump, length):
         if ds is not None:
             g = ds * f + g
         f = f + span * g
@@ -483,7 +483,7 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     the real parts of the state columns, then their imaginary parts where
     they are not all zero, as real columns, written back into the complex
     stack (imaginary parts that were zero stay +0.0). At order 1
-    (``cells.kick`` set) each column steps in Python floats: a kick
+    (``cells.prop`` None) each column steps in Python floats: a kick
     f' = dS f + f' where the cell starts with a jump, then the drift
     f = f + L f'. Two roundings each, where a BLAS kernel may fuse one, so
     the floats do not depend on the BLAS build. Otherwise, and for complex
@@ -492,18 +492,18 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     """
     out = np.empty((len(cells.length) + 1,) + y.shape, dtype=complex)
     out[0] = y
-    if cells.kick is None and cells.prop.dtype == complex:
+    if cells.prop is not None and cells.prop.dtype == complex:
         _products(cells, out)
     else:
         cols = out[0].reshape(len(y), -1)
         live = np.flatnonzero(cols.imag.any(axis=0))
         real = np.empty((len(out), len(y), cols.shape[1] + len(live)))
         real[0] = np.concatenate([cols.real, cols.imag[:, live]], axis=1)
-        if cells.kick is None:
+        if cells.prop is not None:
             _products(cells, real)
         else:
             for j, (f, g) in enumerate(zip(*real[0].tolist())):
-                real[1:, 0, j], real[1:, 1, j] = _kick_drift(cells.kick, cells.length, f, g)
+                real[1:, 0, j], real[1:, 1, j] = _kick_drift(cells.jump, cells.length, f, g)
         rows = out.reshape(real.shape[:2] + (-1,))[1:]  # a view of every row after the first
         rows.real = real[1:, :, :cols.shape[1]]
         rows.imag = 0.0

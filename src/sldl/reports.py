@@ -179,6 +179,8 @@ def convergence_certificate(terms) -> str | None:
 def build_report(criterion: str, terms, threshold: float | None = None,
                  notes=()) -> CriterionReport:
     """Assemble a CriterionReport, issuing a verdict only on a certificate."""
+    if threshold is not None and not np.isfinite(threshold):  # nan, inf: never fires; -inf: always
+        raise ValueError(f"threshold must be finite, got {threshold}")
     arr = np.array(terms, dtype=float)
     terms = tuple(arr.tolist())
     clean = bool((arr >= 0.0).all())  # False for negative and NaN terms

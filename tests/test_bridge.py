@@ -281,6 +281,13 @@ def test_classify_config_rejects_unknown_names():
         ClassifyConfig(criteria=("t1", "bogus"))
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_classify_config_refuses_N_below_one(N):
+    # only the lattice series read N, so a step model used to classify with N < 1
+    with pytest.raises(ValueError, match="^N must be at least 1$"):
+        ClassifyConfig(N=N)
+
+
 def test_gallery_evidence_codes_and_sides_come_from_the_table():
     side_of = {c.code: c.side for c in CRITERIA}
     for entry in gallery():

@@ -430,6 +430,38 @@ def test_counts_below_range_exit_2(capsys, free_model_file, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+THREE_STEPS = {"n": 1, "X": 3.0, "variant": "step_sigma", "cuts": [0.0, 1.0, 2.0],
+               "values": [[[0.0]], [[1.0]], [[-1.0]]]}
+
+
+@pytest.mark.parametrize("model, argv", [
+    (FREE_MODEL, ["--N", "0"]),
+    (THREE_STEPS, ["--N", "0"]),
+    (DELTA_MODEL, ["--N", "0"]),
+    (FREE_MODEL, ["--N", "-3", "--intervals", "unit:2"]),
+], ids=["free", "three-steps", "delta", "free-negative"])
+def test_classify_with_N_below_one_exits_2_on_every_problem(capsys, tmp_path, model, argv):
+    # only the lattice series read N: step models used to exit 0, delta models 2
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run(["classify", "--model", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: N must be at least 1\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("title", ["criterion t1", "criterion t5", "criterion cor1",
+                                   "criterion cor2"])
+def test_a_threshold_that_is_not_finite_exits_2(capsys, leaf_files, title, value):
+    argv = next(argv for t, argv, _ in LEAF_CASES if t == title)
+    argv = [*title.split(), *(a.format(**leaf_files) for a in argv), f"--threshold={value}"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: threshold must be finite, got {value}\n"
+
+
 MODEL_FILES = {
     "step_sigma": FREE_MODEL,
     "delta_nodes": DELTA_MODEL,

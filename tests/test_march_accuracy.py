@@ -1,4 +1,4 @@
-"""Accuracy of the order-1 kick-drift march, against 50-digit references.
+"""Accuracy of the kick-drift march and of solution norms, against 50-digit references.
 
 At lam = 0 an order-1 step or delta model is marched in Python float
 arithmetic, column by real column: f' = dS f + f' at each jump, then
@@ -9,10 +9,11 @@ must stay within twice that of the per-cell BLAS march (one real 2 x 2
 product per jump and per propagator) and below 1e-13.
 
 Solution-norm integrals int_a^b (||Phi||^2 + ||Psi||^2) read the states of
-one march from 0. Their reference is the 50-digit march from 0 with each
-cell's integral L |f|^2 + L^2 Re(f* g) + (L^3/3) |g|^2 taken exactly; the
-bounds are fixed: 1e-14 relative on christ-stolz windows that start deep
-in the lattice, where sigma is about -3.6e6, and 1e-13 on the seeded models.
+one march from 0. Their reference is the 50-digit march from 0, of order n
+with block jumps and flights, with each cell's integral
+L |f|^2 + L^2 <f, g> + (L^3/3) |g|^2 taken exactly; the bounds are fixed:
+1e-14 relative on christ-stolz windows that start deep in the lattice, where
+sigma is about -3.6e6, and 1e-13 on the seeded models of order 1 and 2.
 """
 
 import numpy as np
@@ -47,17 +48,24 @@ def mp_march(mp, model, x0, x1, stops=()):
 
 
 def mp_solution_norm(mp, model, a, b):
-    """int_a^b (||Phi||^2 + ||Psi||^2) over the cells of a 50-digit march from 0, each exactly."""
-    f, g, total = [mp.mpc(1), mp.mpc(0)], [mp.mpc(0), mp.mpc(1)], mp.mpf(0)
+    """int_a^b (||Phi||^2 + ||Psi||^2) over the cells of a 50-digit march from 0, each exactly.
+
+    The state is the real 2n x 2n propagator in classical coordinates, f its
+    top rows and g its bottom rows: a jump adds dS f to g, a flight L g to f.
+    """
+    n = model.n
+    state = [[mp.mpf(int(i == j)) for j in range(2 * n)] for i in range(2 * n)]
+    f, g, total = state[:n], state[n:], mp.mpf(0)
     for _, jump, _, length, end in reference_march.cells(model, 0.0, 0.0, b, (a,)):
         if jump is not None:
-            ds = mp.mpc(complex(jump[1, 0]))
-            g = [ds * u + v for u, v in zip(f, g)]
+            ds = [[mp.mpf(float(h)) for h in row[:n]] for row in jump[n:]]
+            g = [[v + mp.fsum(h * col for h, col in zip(hs, cols)) for v, cols in zip(gs, zip(*f))]
+                 for hs, gs in zip(ds, g)]
         if end > a:
             span = mp.mpf(length)
-            total += sum(span * abs(u) ** 2 + span ** 2 * mp.re(mp.conj(u) * v)
-                         + span ** 3 / 3 * abs(v) ** 2 for u, v in zip(f, g))
-        f = [u + length * v for u, v in zip(f, g)]
+            total += mp.fsum(span * u * u + span ** 2 * u * v + span ** 3 / 3 * v * v
+                             for fs, gs in zip(f, g) for u, v in zip(fs, gs))
+        f = [[u + length * v for u, v in zip(fs, gs)] for fs, gs in zip(f, g)]
     return total
 
 
@@ -87,16 +95,24 @@ def fixture_errors(mp, model, grid, x0):
     return worst_error(mp, got, want), worst_error(mp, blas, want)
 
 
-def random_delta(seed: int) -> DeltaNodes:
-    rng = np.random.default_rng(seed)
-    return DeltaNodes.from_spacings(1, rng.uniform(0.05, 2.0, 400),
-                                    rng.uniform(-5.0, 5.0, (400, 1, 1)))
+def symmetric(rng, n, bound):
+    """400 / n symmetric n x n matrices of entries up to bound; at n = 1 the draws themselves.
+
+    Order-2 solutions grow faster: over 400 cells they leave the float range.
+    """
+    a = rng.uniform(-bound, bound, (400 // n, n, n))
+    return (a + a.transpose(0, 2, 1)) / 2
 
 
-def random_step(seed: int) -> StepSigma:
+def random_delta(seed: int, n: int = 1) -> DeltaNodes:
     rng = np.random.default_rng(seed)
-    cuts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, 399))])
-    return StepSigma(1, tuple(cuts), rng.uniform(-3.0, 3.0, (400, 1, 1)), cuts[-1] + 1.0)
+    return DeltaNodes.from_spacings(n, rng.uniform(0.05, 2.0, 400 // n), symmetric(rng, n, 5.0))
+
+
+def random_step(seed: int, n: int = 1) -> StepSigma:
+    rng = np.random.default_rng(seed)
+    cuts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, 400 // n - 1))])
+    return StepSigma(n, tuple(cuts), symmetric(rng, n, 3.0), cuts[-1] + 1.0)
 
 
 def off_cut_grid(model, seed: int):
@@ -136,8 +152,9 @@ def test_christ_stolz_solution_norms_deep_in_the_lattice(mp, k):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("build", [random_delta, random_step], ids=["delta", "step"])
-def test_seeded_solution_norms_past_the_middle(mp, build, seed):
-    model = build(seed)
+def test_seeded_solution_norms_past_the_middle(mp, build, n, seed):
+    model = build(seed, n)
     for a, b in ((0.5 * model.X, model.X), (0.6 * model.X, 0.8 * model.X)):
         assert solution_norm_error(mp, model, a, b) <= 1e-13

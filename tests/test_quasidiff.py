@@ -384,15 +384,13 @@ def test_cells_equal_the_per_cell_reference(model, data, lam):
     assert same_bits(np.array(cells.first), first)
     if isinstance(model, (StepSigma, DeltaNodes)):  # built with the model, read-only
         assert not model.cell_jumps.flags.writeable
-    if model.n == 1 and lam == 0 and isinstance(model, (StepSigma, DeltaNodes)):
-        # the kick case: each dS is the lower-left entry of the reference jump
-        assert cells.jump is cells.gen is cells.prop is None
-        assert [k is None for k in cells.kick] == [j is None for j in jump]
-        for got, want in zip(cells.kick, jump):
-            assert got is None or same_bits(np.array(got), want[1, 0])
-        return
-    assert cells.kick is None
     assert [j is None for j in cells.jump] == [j is None for j in jump]
+    if model.n == 1 and lam == 0 and isinstance(model, (StepSigma, DeltaNodes)):
+        # each jump is the dS of the reference jump, its lower-left entry, as a float
+        assert cells.gen is cells.prop is None
+        for got, want in zip(cells.jump, jump):
+            assert got is None or (type(got) is float and same_bits(np.array(got), want[1, 0]))
+        return
     for got, want in zip(cells.jump, jump):
         assert got is None or same_bits(got, want)
     dtype = float if reference_march.real_cells(model, lam) else complex
@@ -402,7 +400,7 @@ def test_cells_equal_the_per_cell_reference(model, data, lam):
 
 
 def test_order_one_cells_at_lam_zero_build_no_matrix_stacks(monkeypatch):
-    # the march, the kernel and solution-norm passes and the pair read kick and length only
+    # the march, the kernel and solution-norm passes and the pair read jump and length only
     def refuse(*args):
         raise AssertionError("a matrix stack was built")
     monkeypatch.setattr(quasidiff, "_jumps", refuse)
@@ -410,8 +408,8 @@ def test_order_one_cells_at_lam_zero_build_no_matrix_stacks(monkeypatch):
     step = StepSigma(1, (0.0, 0.7, 1.9), ([[0.5]], [[-1.25]], [[2.0]]), 3.0)
     for model in (step, scalar_delta(1.8), gallery_entry("christ-stolz").problem):
         cells = _cells(model, 0.0, [(0.0, 0.6), (0.9, model.X)], stops=(1.0, 2.2))
-        assert cells.jump is cells.gen is cells.prop is None
-        assert len(cells.kick) == len(cells.length) == len(cells.end)
+        assert cells.gen is cells.prop is None
+        assert len(cells.jump) == len(cells.length) == len(cells.end)
         t1_series(model, IntervalSeq(((0.0, 0.6), (0.9, model.X))))
         solution_norm_integral(model, 0.5, model.X)
         fundamental_pair(model, 0.0, (0.0, 1.0, model.X))
@@ -432,15 +430,13 @@ def test_step_and_delta_cells_are_real_at_lam_zero_only(n):
         for lam in (0.0, 0j):
             cells = _cells(model, lam, spans, stops=(0.35,))  # a cell without a jump
             if n == 1:
-                assert cells.jump is cells.gen is cells.prop is None
-                assert {type(k) for k in cells.kick} == {float, type(None)}
+                assert cells.gen is cells.prop is None
+                assert {type(j) for j in cells.jump} == {float, type(None)}
             else:
-                assert cells.kick is None
                 assert cells.gen.dtype == cells.prop.dtype == np.float64
                 assert {j.dtype for j in cells.jump if j is not None} == {np.dtype(np.float64)}
         for lam in (0.5, 0.25 - 1j):
             cells = _cells(model, lam, spans)
-            assert cells.kick is None
             assert cells.gen.dtype == cells.prop.dtype == complex
             assert {j.dtype for j in cells.jump if j is not None} == {np.dtype(complex)}
 

@@ -89,6 +89,14 @@ def test_threshold_mode_fires_only_with_slow_decay():
     assert divergence_certificate(quadratic, threshold=0.5) is None
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_a_threshold_that_is_not_finite_is_refused(threshold):
+    # no partial sum exceeds nan or inf, and every one exceeds -inf: threshold
+    # mode would be silently off, or certify the harmonic window below by itself
+    with pytest.raises(ValueError, match="^threshold must be finite"):
+        build_report("x", [1.0 / k for k in range(1, 400)], threshold=threshold)
+
+
 def test_negative_terms_rejected():
     with pytest.raises(ValueError):
         build_report("x", [1.0, -0.5])
