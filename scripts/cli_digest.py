@@ -274,6 +274,15 @@ INVOCATIONS = [
     # N below 1 on a model that reads no lattice series; a threshold that is not finite
     "classify --model free.json --N 0",
     "criterion t1 --model free.json --intervals unit:3 --threshold nan",
+    # order-2 lattices with jumps and uneven spacings: real matrix products on real blocks
+    "jacobi recurrence --d power:0.5 --count 10 --n 2 --H file:jumps2.json --u0 1,0.5"
+    " --u1=-0.25,1 --steps 9",
+    "jacobi recurrence --d list:0.3,1.7,0.9,2.2,0.45,1.3,0.8,1.1,0.6,1.9 --n 2"
+    " --H file:jumps2.json --u0 1,0.5 --u1=-0.25,1 --steps 9",
+    "jacobi cauchy --d list:0.3,1.7,0.9,2.2,0.45,1.3,0.8,1.1,0.6,1.9 --n 2"
+    " --H file:jumps2.json --i 8 --j 1",
+    "jacobi t4 --d list:0.3,1.7,0.9,2.2,0.45,1.3,0.8,1.1,0.6,1.9 --n 2 --H file:jumps2.json"
+    " --segments 1-4,4-8",
 ]
 
 

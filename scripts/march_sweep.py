@@ -2,10 +2,11 @@
 """Timing sweep of the lattice and delta-model marches over problem size.
 
 Times ``blocks_from_delta`` on christ-stolz spacings and jumps of 2500
-to 10^5 spacings, ``solve_recurrence`` over 2500 to 10^5 steps of the
+to 10^5 spacings, with and without its first-use B^-1 stack,
+``solve_recurrence`` over 2500 to 10^5 steps of the
 christ-stolz lattice at orders 1 and 2 (blocks built outside the timing, so
 the time includes the first-use B^-1 stack), ``t4_term`` over segments of
-50 to 2000 rows of the order-1 lattice, ``t7_check`` on 2000 to 10^5
+50 to 2000 and of 2500 to 10^5 rows of the order-1 lattice, ``t7_check`` on 2000 to 10^5
 christ-stolz spacings (N = half of them, less one),
 ``build_report`` on harmonic windows of 10^3 to 10^5 terms (no certificate
 fires, so every pass runs), ``canonical_json`` of the JSON form of such
@@ -121,6 +122,8 @@ def main() -> None:
     for steps in STEPS:
         timed("blocks_from_delta", steps,
               lambda steps=steps: blocks_from_delta(d[:steps], H[:steps - 1]))
+        timed("blocks_from_delta B_inv", steps,
+              lambda steps=steps: blocks_from_delta(d[:steps], H[:steps - 1]).B_inv)
     H2 = np.asarray(H) * np.array([[1.0, 0.5], [0.5, 1.0]])
     cancel2 = christ_stolz_family(len(d), 2)[1]
     for steps in STEPS:  # the blocks are built anew for each repeat, outside the timing
@@ -134,6 +137,10 @@ def main() -> None:
     blocks.B_inv  # built once, outside the timing
     for rows in ROWS:
         timed("t4_term", rows, lambda rows=rows: t4_term(blocks, 1, rows))
+    long_blocks = blocks_from_delta(d[:max(STEPS) + 2], H[:max(STEPS) + 1])
+    long_blocks.B_inv
+    for rows in STEPS:
+        timed("t4_term", rows, lambda rows=rows: t4_term(long_blocks, 1, rows))
     for terms in TERMS:
         harmonic = [1.0 / k for k in range(1, terms + 1)]
         timed("build_report", terms, lambda harmonic=harmonic: build_report("x", harmonic))

@@ -133,7 +133,8 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     and of its imaginary parts, so every value equals that row's norm bit for bit.
     """
     dot = lambda x: (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-    return np.sqrt(dot(v.real) + dot(v.imag))
+    with np.errstate(over="ignore"):  # a finite row whose square overflows has norm inf
+        return np.sqrt(dot(v.real) + dot(v.imag))
 
 
 def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) -> float:

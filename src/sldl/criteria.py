@@ -50,7 +50,7 @@ from .quasidiff import (
     _march,
     expm,
 )
-from .reports import DIVERGES, CriterionReport, build_report
+from .reports import DIVERGES, CriterionReport, build_report, check_threshold
 
 PSD_TOL = 1e-10
 
@@ -236,8 +236,9 @@ def _solution_norm_pass(model, spans) -> np.ndarray:
     return np.array([np.einsum("cji,cjk,cki->", t.conj(), w.sum(axis=1), t).real])
 
 
-def _exact(one_pass, model, spans) -> np.ndarray:
-    """one_pass(model, spans), a row per span [a, b], overflow quiet; a non-finite row raises."""
+def _exact(one_pass, model, spans, what: str) -> np.ndarray:
+    """one_pass(model, spans), a row per span [a, b], overflow quiet; a non-finite row
+    raises a ValueError that names ``what`` overflowed, and on which span."""
     if not all(0.0 <= a <= b <= model.X for a, b in spans):
         raise ValueError("need 0 <= a <= b <= X")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,18 +246,18 @@ def _exact(one_pass, model, spans) -> np.ndarray:
     finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
     if not finite.all():
         a, b = spans[int(finite.argmin())]
-        raise ValueError(f"kernel quadrature overflowed on ({a}, {b})")
+        raise ValueError(f"{what} overflowed on ({a}, {b})")
     return out
 
 
 def kernel_square_integrals(model, a: float, b: float) -> np.ndarray:
     """Per-entry integrals int_a^b dx int_a^x |k_ij(x, t)|^2 dt as an n x n array."""
-    return _exact(_kernel_pass, model, [(a, b)])[0]
+    return _exact(_kernel_pass, model, [(a, b)], "kernel quadrature")[0]
 
 
 def solution_norm_integral(model, a: float, b: float) -> float:
     """int_a^b (||Phi||_F^2 + ||Psi||_F^2) dx for the pair started at 0."""
-    return float(_exact(_solution_norm_pass, model, [(a, b)])[0])
+    return float(_exact(_solution_norm_pass, model, [(a, b)], "the solution norm integral")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,9 @@ def t1_series(model, intervals: IntervalSeq,
     """
     if len(intervals) and intervals.intervals[-1][1] > model.X:
         raise ValueError("intervals exceed the model domain")
-    totals = _exact(_kernel_pass, model, intervals.intervals) if len(intervals) else []
+    check_threshold(threshold)  # before the kernel pass, not after it
+    totals = (_exact(_kernel_pass, model, intervals.intervals, "kernel quadrature")
+              if len(intervals) else [])
     terms = [math.sqrt(float(np.sum(t))) for t in totals]
     return build_report(
         "t1", terms, threshold=threshold,

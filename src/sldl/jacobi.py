@@ -19,15 +19,19 @@ diagnostics: a divergent sum of 1 / ||B_k|| certifies the determinate
 certify the completely indeterminate (limit circle) case.
 
 Sequence storage: each block or jump sequence is one read-only (K, n, n)
-complex array, and the block formulas and series terms above are array
-expressions over it. A lattice is one ``Lattice``, checked once on
-construction; its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I are one lazily
-built stack that A_k, t7 and cor3 slice, and the (d, H) entry points build a
-Lattice for the lattice forms. The recurrence marches step with the lazily
-built stacks B_inv and B_star of ``JacobiBlocks``: each step is three BLAS
-products into preallocated buffers, or three Python complex products at order
-n = 1. Storage starts at A_0, B_0: slot k holds A_k and B_k. All spacing
-indices k in this module are 1-based to match the recurrence above.
+array, and the block formulas and series terms above are array expressions
+over it. A lattice is one ``Lattice``, checked once on construction; its
+jumps are real (float64), and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I
+are one lazily built stack that A_k, t7 and cor3 slice; the (d, H) entry
+points build a Lattice for the lattice forms. ``JacobiBlocks`` stores A and
+B as float64 when all their imaginary parts are zero, as for every lattice,
+and as complex128 otherwise. The recurrence marches step with the lazily
+built stacks B_inv and B_star: each step is three BLAS products into
+preallocated buffers, or three Python products at order n = 1. On real
+blocks the march steps the real and the nonzero imaginary parts of the state
+columns in float64 and writes them back into its complex output. Storage
+starts at A_0, B_0: slot k holds A_k and B_k. All spacing indices k in this
+module are 1-based to match the recurrence above.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .matcore import (
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
+    real_march,
     real_symmetric,
 )
 from .reports import (
@@ -78,8 +83,8 @@ class Lattice:
     """Spacings d_k = x_k - x_{k-1} and real symmetric jumps H_k of a delta lattice.
 
     Checked once, on construction: ``d`` becomes a tuple of positive finite
-    floats and ``H`` one read-only (K, n, n) real symmetric stack; the lattice
-    criteria and blocks read it as it is.
+    floats and ``H`` one read-only (K, n, n) float64 symmetric stack; the
+    lattice criteria and blocks read it as it is.
     """
 
     d: tuple[float, ...]
@@ -93,7 +98,12 @@ class Lattice:
         if (x == math.inf).any():
             raise ValueError("spacings must be finite")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "H", real_symmetric(as_stack(self.H), "jump matrices"))
+        H = real_symmetric(as_stack(self.H, dtype=None), "jump matrices")
+        if H.dtype == complex:
+            # the one place that drops the imaginary parts (at most HERMITIAN_TOL)
+            # that the real-symmetric check lets through
+            H = as_stack(H.real, dtype=None)
+        object.__setattr__(self, "H", H)
 
     @cached_property
     def shifted_jumps(self) -> np.ndarray:
@@ -117,7 +127,7 @@ class Lattice:
 def cancel_jumps(d, n: int = 1) -> np.ndarray:
     """H_k = -(1/d_k + 1/d_{k+1}) I, k = 1 .. len(d) - 1; d is checked as a Lattice's."""
     zero = Lattice(d, np.zeros((max(len(d) - 1, 0), n, n)))
-    return as_stack(-zero.shifted_jumps.real, n)  # rejects inf
+    return as_stack(-zero.shifted_jumps, n, None)  # rejects inf
 
 
 def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.ndarray]:
@@ -136,14 +146,18 @@ def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.n
 
 @dataclass(frozen=True, eq=False)
 class JacobiBlocks:
+    """Blocks A_k, B_k from slot 0, as read-only float64 stacks when every imaginary
+    part of both is zero, as complex128 stacks otherwise."""
+
     n: int
     A: np.ndarray
     B: np.ndarray
     provenance: Lattice | None = None
 
     def __post_init__(self):
-        A = as_stack(self.A, self.n)
-        B = as_stack(self.B, self.n)
+        A, B = as_stack(self.A, self.n, None), as_stack(self.B, self.n, None)
+        if A.dtype != B.dtype:
+            A, B = as_stack(A, self.n), as_stack(B, self.n)
         if not is_hermitian(A, HERMITIAN_TOL):
             raise ValueError("diagonal blocks must be Hermitian")
         if not np.all(condition(B) <= COND_LIMIT):
@@ -155,18 +169,20 @@ class JacobiBlocks:
     def B_inv(self) -> np.ndarray:
         """Read-only stack of the inverses B_k^-1, stored like B, built on first use.
 
-        The condition of every B_k was checked on construction.
+        The condition of every B_k was checked on construction. Real blocks of
+        order 1 take the reciprocals 1.0 / B_k, the bits of LAPACK's inverse.
         """
-        inv = np.linalg.inv(self.B)
+        real = self.B.dtype == float
+        inv = 1.0 / self.B if real and self.n == 1 else np.linalg.inv(self.B)
         inv.flags.writeable = False
         return inv
 
     @cached_property
     def B_star(self) -> np.ndarray:
         """Read-only stack of the adjoints B*_k (transposed views), stored like B."""
-        adj = self.B.conj()
+        adj = _adjoint(self.B)
         adj.flags.writeable = False
-        return np.swapaxes(adj, -1, -2)
+        return adj
 
     def _stored(self, lo: int, hi: int) -> slice:
         """Storage slice of the recurrence indices lo .. hi - 1.
@@ -184,6 +200,11 @@ class JacobiBlocks:
         return slice(lo, hi)
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transposes over the trailing two axes; a transposed view for real m."""
+    return (m.conj() if m.dtype == complex else m).swapaxes(-1, -2)
+
+
 def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
     """Blocks of the lattice correspondence, with ``lat`` as their provenance.
 
@@ -198,15 +219,16 @@ def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
         raise ShapeMismatchError(f"need {m - 1} (or {m}) jumps for {m} spacings")
     n = lat.H.shape[1]
     if boundary is None:
-        a0, b0 = np.zeros((n, n), dtype=complex), -np.eye(n, dtype=complex)
+        a0, b0 = np.zeros((n, n)), -np.eye(n)
     else:
-        a0, b0 = real_symmetric(as_stack(boundary, n), "boundary blocks")
+        a0, b0 = real_symmetric(as_stack(boundary, n, None), "boundary blocks")
     # r_{k+1}^2 = d_k + d_{k+1}; one square root per r_{k+1} r_{k+2} keeps
-    # integer-valued products exact (d == 1 gives exactly 2.0)
+    # integer-valued products exact (d == 1 gives exactly 2.0). A takes the
+    # product with 1 / r^2: the bits of the complex division by r^2 it replaces
     dd = np.array(lat.d)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r2 = (dd[:-1] + dd[1:])[:, None, None]
-        A = lat.shifted_jumps[:m - 1] / r2
+        A = lat.shifted_jumps[:m - 1] * (1.0 / r2)
         B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * dd[1:-1, None, None])
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("lattice blocks overflow: spacings too small or jumps too large")
@@ -237,38 +259,52 @@ def recurrence_summands(blocks: JacobiBlocks, u: np.ndarray, lo: int, hi: int):
             matvec(blocks.B_star[s][:-1], u[lo - 1:hi - 1]))
 
 
-def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray:
-    """The stack u_{start+1} .. u_stop of u_{m+1} = -B_m^{-1} (A_m u_m + B*_{m-1} u_{m-1}).
+def _steps(A, B_inv, B_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray) -> None:
+    """out[m] = u_{m+1} = -B_inv[m] (A[m] u_m + B_star[m] u_{m-1}), from (u_-1, u_0) = (prev, cur).
 
-    (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike.
-    Raises IndexOutOfRangeError before the first step if a block is not
-    stored, and ValueError naming the first step whose state leaves the
-    float range.
+    The states are (n,) or (n, k) arrays in the blocks' dtype. At order 1 each
+    column steps in Python floats or complex numbers; each 0.0 + (0j + for
+    complex blocks) gives a product the +0 start of the BLAS accumulator, so
+    zero signs and every bit match the BLAS loop of order n >= 2.
     """
-    prev, cur = np.asarray(prev, dtype=complex), np.asarray(cur, dtype=complex)
-    if start >= stop:
-        return np.empty((0,) + cur.shape, dtype=complex)
-    s = blocks._stored(start - 1, stop)
-    A, B_inv, B_star = blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1]
-    if blocks.n == 1:
-        # one-entry states step in Python complex arithmetic; each 0j + gives
-        # a product the +0 start of the BLAS accumulator, so zero signs and
-        # every bit match the BLAS loop below
-        p, c = prev.item(), cur.item()
-        out = []
-        for a, b_inv, b_star in zip(A[:, 0, 0].tolist(), B_inv[:, 0, 0].tolist(),
-                                    B_star[:, 0, 0].tolist()):
-            p, c = c, -(0j + b_inv * ((0j + a * c) + (0j + b_star * p)))
-            out.append(c)
-        out = np.array(out, dtype=complex).reshape((len(out),) + cur.shape)
+    if len(cur) == 1:
+        zero = 0.0 if A.dtype == float else 0j
+        entries = [x[:, 0, 0].tolist() for x in (A, B_inv, B_star)]
+        cols = out.reshape(len(out), -1)
+        for j, (p, c) in enumerate(zip(prev.reshape(-1).tolist(), cur.reshape(-1).tolist())):
+            col = []
+            for a, b_inv, b_star in zip(*entries):
+                p, c = c, -(zero + b_inv * ((zero + a * c) + (zero + b_star * p)))
+                col.append(c)
+            cols[:, j] = col
     else:
         # n >= 2: one BLAS call per product, into buffers (Python sums would lose its FMA)
-        out = np.empty((stop - start,) + cur.shape, dtype=complex)
         t1, t2 = np.empty_like(cur), np.empty_like(cur)
         with np.errstate(over="ignore", invalid="ignore"):
             for a, b_inv, b_star, row in zip(A, B_inv, B_star, out):
                 np.add(a.dot(cur, t1), b_star.dot(prev, t2), out=t1)
                 prev, cur = cur, np.negative(b_inv.dot(t1, t2), out=row)
+
+
+def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray:
+    """The stack u_{start+1} .. u_stop of u_{m+1} = -B_m^{-1} (A_m u_m + B*_{m-1} u_{m-1}).
+
+    (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike;
+    the stack is complex. Real blocks march the state columns in float64
+    (``real_march``). Raises IndexOutOfRangeError before the first step if a
+    block is not stored, and ValueError naming the first step whose state
+    leaves the float range.
+    """
+    prev, cur = np.asarray(prev, dtype=complex), np.asarray(cur, dtype=complex)
+    out = np.empty((max(stop - start, 0),) + cur.shape, dtype=complex)
+    if start >= stop:
+        return out
+    s = blocks._stored(start - 1, stop)
+    A, B_inv, B_star = blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1]
+    if A.dtype == float:
+        real_march(lambda cols, real: _steps(A, B_inv, B_star, *cols, real), [prev, cur], out)
+    else:
+        _steps(A, B_inv, B_star, prev, cur, out)
     bad = ~np.isfinite(out.reshape(len(out), -1)).all(axis=1)
     if bad.any():
         m = start + int(np.argmax(bad))
@@ -299,7 +335,7 @@ def discrete_cauchy(blocks: JacobiBlocks, i: int, j: int) -> np.ndarray:
     n = blocks.n
     if i == j:
         return np.zeros((n, n), dtype=complex)
-    first = blocks.B_inv[blocks._stored(j, j + 1)][0].copy()
+    first = blocks.B_inv[blocks._stored(j, j + 1)][0].astype(complex)
     if i == j + 1:
         return first
     return _march(blocks, np.zeros((n, n), dtype=complex), first, j + 1, i)[-1]
@@ -311,21 +347,22 @@ def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
     One step per row i: gram = sum_j S_j S_j* over the stacked columns
     S_j = (K_ij; K_{i-1,j}), n_k <= j < i, whose top-left trace is row i's
     share; each row steps gram by the recurrence and adds (B_i^{-1}; O). The row
-    steps and the grams are stacks, the traces summed in row order at the end;
-    ValueError names the first row at which the sum leaves the float range.
+    steps and the grams are stacks in the blocks' dtype, the traces summed in
+    row order at the end; ValueError names the first row at which the sum
+    leaves the float range.
     """
     if n_k < 1 or m_k < n_k:
         raise IndexOutOfRangeError("need 1 <= n_k <= m_k")
-    n = blocks.n
+    n, dtype = blocks.n, blocks.A.dtype
     s = blocks._stored(n_k, m_k)  # row i + 1 > n_k + 1 steps with A_i, B_i^-1, B*_{i-1}
     eye = np.eye(2 * n)
     with np.errstate(over="ignore", invalid="ignore"):
         top = -(blocks.B_inv[s][1:] @ (blocks.A[s][1:] @ eye[:n] + blocks.B_star[s][:-1] @ eye[n:]))
         steps = np.concatenate([top, np.broadcast_to(eye[:n], top.shape)], axis=1)
-        adjoints = np.ascontiguousarray(steps.conj().swapaxes(-1, -2))
-        shares = blocks.B_inv[s] @ blocks.B_inv[s].conj().swapaxes(-1, -2)
-        grams = np.zeros((len(shares), 2 * n, 2 * n), dtype=complex)  # gram after each row
-        tops, left = grams[:, :n, :n], np.empty((2 * n, 2 * n), dtype=complex)
+        adjoints = np.ascontiguousarray(_adjoint(steps))
+        shares = blocks.B_inv[s] @ _adjoint(blocks.B_inv[s])
+        grams = np.zeros((len(shares), 2 * n, 2 * n), dtype=dtype)  # gram after each row
+        tops, left = grams[:, :n, :n], np.empty((2 * n, 2 * n), dtype=dtype)
         tops[:1] += shares[:1]
         for step, adjoint, gram, nxt, share, tl in zip(steps, adjoints, grams, grams[1:],
                                                        shares[1:], tops[1:]):

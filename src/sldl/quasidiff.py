@@ -49,6 +49,7 @@ from .matcore import (
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
+    real_march,
     real_symmetric,
 )
 
@@ -462,15 +463,16 @@ def _kick_drift(jump, length, f: float, g: float) -> tuple[list, list]:
     return fs, gs
 
 
-def _products(cells: Cells, out: np.ndarray) -> None:
-    """out[c + 1] = prop_c (jump_c out[c]) for every cell c, two BLAS products into buffers.
+def _products(cells: Cells, y: np.ndarray, out: np.ndarray) -> None:
+    """out[c] = prop_c (jump_c y_c) for every cell c, y_0 = y and y_{c+1} = out[c],
+    two BLAS products into buffers.
 
     A cell without a jump takes no jump product: a fused or an identity
     product (-0.0 into 0.0) would change the floats.
     """
-    y, jumped = out[0], np.empty_like(out[0])
+    jumped = np.empty_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        for jump, prop, end in zip(cells.jump, cells.prop, out[1:]):
+        for jump, prop, end in zip(cells.jump, cells.prop, out):
             if jump is not None:
                 y = jump.dot(y, out=jumped)
             y = prop.dot(y, out=end)
@@ -482,7 +484,8 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     Step and delta models at lam = 0 have real cells, and march in float64:
     the real parts of the state columns, then their imaginary parts where
     they are not all zero, as real columns, written back into the complex
-    stack (imaginary parts that were zero stay +0.0). At order 1
+    stack (imaginary parts that were zero stay +0.0) by ``real_march``, as
+    the lattice march does. At order 1
     (``cells.prop`` None) each column steps in Python floats: a kick
     f' = dS f + f' where the cell starts with a jump, then the drift
     f = f + L f'. Two roundings each, where a BLAS kernel may fuse one, so
@@ -493,21 +496,14 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     out = np.empty((len(cells.length) + 1,) + y.shape, dtype=complex)
     out[0] = y
     if cells.prop is not None and cells.prop.dtype == complex:
-        _products(cells, out)
+        _products(cells, out[0], out[1:])
+    elif cells.prop is not None:
+        real_march(lambda cols, real: _products(cells, cols[0], real), [out[0]], out[1:])
     else:
-        cols = out[0].reshape(len(y), -1)
-        live = np.flatnonzero(cols.imag.any(axis=0))
-        real = np.empty((len(out), len(y), cols.shape[1] + len(live)))
-        real[0] = np.concatenate([cols.real, cols.imag[:, live]], axis=1)
-        if cells.prop is not None:
-            _products(cells, real)
-        else:
-            for j, (f, g) in enumerate(zip(*real[0].tolist())):
-                real[1:, 0, j], real[1:, 1, j] = _kick_drift(cells.jump, cells.length, f, g)
-        rows = out.reshape(real.shape[:2] + (-1,))[1:]  # a view of every row after the first
-        rows.real = real[1:, :, :cols.shape[1]]
-        rows.imag = 0.0
-        rows.imag[..., live] = real[1:, :, cols.shape[1]:]
+        def kick_drift(cols, real):
+            for j, (f, g) in enumerate(zip(*cols[0].tolist())):
+                real[:, 0, j], real[:, 1, j] = _kick_drift(cells.jump, cells.length, f, g)
+        real_march(kick_drift, [out[0]], out[1:])
     bad = ~np.isfinite(out.reshape(len(out), -1)[1:]).all(axis=1)
     if bad.any():
         x = float(cells.end[np.argmax(bad)])

@@ -176,11 +176,16 @@ def convergence_certificate(terms) -> str | None:
     return None
 
 
+def check_threshold(threshold: float | None) -> None:
+    """ValueError unless ``threshold`` is None or finite (nan and inf never fire, -inf always)."""
+    if threshold is not None and not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 def build_report(criterion: str, terms, threshold: float | None = None,
                  notes=()) -> CriterionReport:
     """Assemble a CriterionReport, issuing a verdict only on a certificate."""
-    if threshold is not None and not np.isfinite(threshold):  # nan, inf: never fires; -inf: always
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    check_threshold(threshold)
     arr = np.array(terms, dtype=float)
     terms = tuple(arr.tolist())
     clean = bool((arr >= 0.0).all())  # False for negative and NaN terms

@@ -2,7 +2,8 @@
 
 Each function here redoes one march the plain way: one ``np.linalg.solve``
 (in ``inverse_march``, one product with the stored inverse) per lattice
-step, one ``invert`` per kernel row, and one ``np.block`` jump and one
+step, on real columns for real blocks as sldl does, one ``invert`` per
+kernel row, and one ``np.block`` jump and one
 ``expm`` per continuous cell (``matrix_step``), in the same float operation
 order as the stacked code. Step and delta models at lam = 0 have real jumps
 and propagators, and ``flow`` marches their states as real columns (the
@@ -13,7 +14,9 @@ Python floats, as sldl's scalar march does; ``matrix_step`` stays available
 for them as the per-cell BLAS march. ``expm`` and ``piece_system`` are kept
 here one matrix and one piece at a time: the exponential scales, expands
 and squares a single matrix, and each general or distributional piece takes
-its own ``invert``.
+its own ``invert``. ``complex_march`` and ``complex_t4_term`` keep the lattice
+code of the time when every block stack was complex128: an order-1 march in
+Python complex arithmetic, and t4 grams of complex matrices.
 The tests compare with ``np.array_equal`` (``tobytes`` for
 ``inverse_march``, and ``==`` for the residual float), so any change of
 that order shows. ``nodes_to_Z`` rescales one node at a time,
@@ -58,26 +61,48 @@ from sldl.quasidiff import (
 
 
 def march(blocks, prev, cur, start, stop):
-    """u_{m+1} = -solve(B_m, A_m u_m + B*_{m-1} u_{m-1}) for m = start .. stop - 1."""
+    """u_{m+1} = -solve(B_m, A_m u_m + B*_{m-1} u_{m-1}) for m = start .. stop - 1, in complex128.
+
+    A complex solve divides by a real B_m through its reciprocal, so at order
+    1 the real parts are those of the product with B_m^-1, real or complex.
+    """
+    A, B = blocks.A.astype(complex), blocks.B.astype(complex)
     out = []
     for m in range(start, stop):
-        rhs = blocks.A[m] @ cur + blocks.B[m - 1].conj().T @ prev
-        prev, cur = cur, -np.linalg.solve(blocks.B[m], rhs)
+        rhs = A[m] @ cur + B[m - 1].conj().T @ prev
+        prev, cur = cur, -np.linalg.solve(B[m], rhs)
         out.append(cur)
     return out
+
+
+def lattice_columns(prev, cur):
+    """(prev, cur) as real column arrays, and the indices of their imaginary columns.
+
+    Every real part comes first, then each imaginary column in which prev or
+    cur is not all zero.
+    """
+    cols = [np.asarray(y, dtype=complex).reshape(len(y), -1) for y in (prev, cur)]
+    live = [j for j in range(cols[0].shape[1]) if any(c[:, j].imag.any() for c in cols)]
+    return [np.hstack([c.real, c.imag[:, live]]) for c in cols], live
 
 
 def inverse_march(blocks, prev, cur, start, stop):
     """u_{m+1} = -(B_m^-1 @ (A_m @ u_m + B*_{m-1} @ u_{m-1})), one matmul step at a time.
 
     The step takes B_m^-1 from ``blocks.B_inv``. A solve reaches the same
-    values, but not always the same zero signs; this march fixes them.
+    values, but not always the same zero signs; this march fixes them. Real
+    blocks step the ``lattice_columns`` in float64, as sldl does, and the
+    states return complex.
     """
+    shape = np.shape(cur)
+    real = blocks.A.dtype == float
+    if real:
+        (prev, cur), live = lattice_columns(prev, cur)
     out = []
     for m in range(start, stop):
         rhs = blocks.A[m] @ cur + blocks.B_star[m - 1] @ prev
         prev, cur = cur, -(blocks.B_inv[m] @ rhs)
-        out.append(cur)
+        out.append(complex_state(cur, live, shape) if real else cur)
     return out
 
 
@@ -90,20 +115,21 @@ def discrete_cauchy(blocks, i, j, march=march):
     n = blocks.n
     if i == j:
         return np.zeros((n, n), dtype=complex)
-    first = invert(blocks.B[j])
+    first = invert(blocks.B[j]).astype(complex)
     steps = march(blocks, np.zeros((n, n), dtype=complex), first, j + 1, i)
     return steps[-1] if steps else first
 
 
 def t4_term(blocks, n_k, m_k):
+    """One row at a time, the grams in the blocks' dtype."""
     n = blocks.n
     eye = np.eye(2 * n)
-    gram = np.zeros((2 * n, 2 * n), dtype=complex)
+    gram = np.zeros((2 * n, 2 * n), dtype=blocks.A.dtype)
     total = 0.0
     for i in range(n_k, m_k):
         if i > n_k:
             (top,) = march(blocks, eye[n:], eye[:n], i, i + 1)
-            step = np.vstack([top, eye[:n]])
+            step = np.vstack([top.real if gram.dtype == float else top, eye[:n]])
             gram = step @ gram @ step.conj().T
         binv = invert(blocks.B[i])
         gram[:n, :n] += binv @ binv.conj().T
@@ -111,6 +137,53 @@ def t4_term(blocks, n_k, m_k):
         if not math.isfinite(total):
             raise ValueError(f"the t4 sum leaves the float range at row {i + 1}")
     return math.sqrt(total)
+
+
+# the lattice code as it was while every block stack was complex128
+
+
+def complex_stacks(blocks):
+    """(A, B_inv, B_star) of ``blocks`` as complex128 stacks, the inverse taken by LAPACK."""
+    A, B = blocks.A.astype(complex), blocks.B.astype(complex)
+    return A, np.linalg.inv(B), B.conj().swapaxes(-1, -2)
+
+
+def complex_march(blocks, prev, cur, start, stop):
+    """The order-1 march in Python complex arithmetic on ``complex_stacks``, as one list.
+
+    Each 0j + gives a product the +0 start of a BLAS accumulator.
+    """
+    A, B_inv, B_star = complex_stacks(blocks)
+    shape = np.shape(cur)
+    p, c = complex(np.asarray(prev).item()), complex(np.asarray(cur).item())
+    out = []
+    for m in range(start, stop):
+        a, b_inv, b_star = A[m, 0, 0].item(), B_inv[m, 0, 0].item(), B_star[m - 1, 0, 0].item()
+        p, c = c, -(0j + b_inv * ((0j + a * c) + (0j + b_star * p)))
+        out.append(np.full(shape, c, dtype=complex))
+    return out
+
+
+def complex_t4_term(blocks, n_k, m_k):
+    """t4_term with complex128 steps, shares and grams on ``complex_stacks``."""
+    n = blocks.n
+    A, B_inv, B_star = complex_stacks(blocks)
+    s = slice(n_k, m_k)
+    eye = np.eye(2 * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = -(B_inv[s][1:] @ (A[s][1:] @ eye[:n] + B_star[s][:-1] @ eye[n:]))
+        steps = np.concatenate([top, np.broadcast_to(eye[:n], top.shape)], axis=1)
+        adjoints = np.ascontiguousarray(steps.conj().swapaxes(-1, -2))
+        shares = B_inv[s] @ B_inv[s].conj().swapaxes(-1, -2)
+        grams = np.zeros((len(shares), 2 * n, 2 * n), dtype=complex)
+        tops, left = grams[:, :n, :n], np.empty((2 * n, 2 * n), dtype=complex)
+        tops[:1] += shares[:1]
+        for step, adjoint, gram, nxt, share, tl in zip(steps, adjoints, grams, grams[1:],
+                                                       shares[1:], tops[1:]):
+            np.matmul(np.matmul(step, gram, out=left), adjoint, out=nxt)
+            tl += share
+        totals = np.cumsum(np.concatenate([[0.0], np.trace(tops, axis1=1, axis2=2).real]))
+    return math.sqrt(totals[-1])
 
 
 # ---------------------------------------------------------------------------

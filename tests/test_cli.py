@@ -462,6 +462,20 @@ def test_a_threshold_that_is_not_finite_exits_2(capsys, leaf_files, title, value
     assert captured.err == f"error: threshold must be finite, got {value}\n"
 
 
+def test_a_squared_norm_past_the_float_range_prints_no_warning(capsys):
+    # the finite solution u_k ~ 1e10^k has squared norms past the float range
+    argv = ["jacobi", "recurrence", "--d", "const:1", "--H", "const:1e10", "--count", "40",
+            "--u0", "1", "--u1", "1", "--steps", "30"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)["result"]["reports"][0]
+    assert report["verdict"] == "DivergesProven"
+    assert report["terms"][:3] == [1.0, 1.0, 1e20] and report["terms"][-1] == math.inf
+
+
 MODEL_FILES = {
     "step_sigma": FREE_MODEL,
     "delta_nodes": DELTA_MODEL,

@@ -15,6 +15,7 @@ from conftest import (
     random_symmetric,
     step_sigma_models,
 )
+import sldl.criteria as criteria
 from sldl import (
     DeltaNodes,
     Diagonal,
@@ -365,7 +366,7 @@ def test_empty_spans_give_exact_zeros(n):
             assert np.array_equal(kernel_square_integrals(model, a, a), np.zeros((n, n)))
             assert solution_norm_integral(model, a, a) == 0.0
             # a span without cells keeps its zero row between spans that have some
-            rows = _exact(_kernel_pass, model, [(0.0, cut), (a, a), (cut, model.X)])
+            rows = _exact(_kernel_pass, model, [(0.0, cut), (a, a), (cut, model.X)], "kernels")
             assert np.array_equal(rows[1], np.zeros((n, n)))
             assert rows[2].tobytes() == kernel_square_integrals(model, cut, model.X).tobytes()
 
@@ -559,6 +560,28 @@ def test_an_overflowing_series_names_its_first_failing_interval(qs, a):
     with pytest.raises(ValueError) as caught:
         t1_series(model, IntervalSeq.unit(3))
     assert str(caught.value) == f"kernel quadrature overflowed on ({a}, {a + 1.0})"
+
+
+def test_an_overflow_names_the_quantity_that_overflowed():
+    # a delta cell of length 1e80: no kernel is integrated for the solution norm
+    model = DeltaNodes(1, (1e80, 2e80), [[[1.0]], [[-1.0]]], 3e80)
+    with pytest.raises(ValueError) as caught:
+        solution_norm_integral(model, 0.0, 3e80)
+    assert str(caught.value) == "the solution norm integral overflowed on (0.0, 3e+80)"
+    with pytest.raises(ValueError) as caught:
+        kernel_square_integrals(model, 0.0, 3e80)
+    assert str(caught.value) == "kernel quadrature overflowed on (0.0, 3e+80)"
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_t1_refuses_a_threshold_that_is_not_finite_before_its_kernel_pass(monkeypatch, threshold):
+    def kernel_pass(model, spans):
+        raise AssertionError("the kernel pass ran")
+
+    monkeypatch.setattr(criteria, "_kernel_pass", kernel_pass)
+    with pytest.raises(ValueError) as caught:
+        t1_series(FREE, IntervalSeq.unit(3), threshold=threshold)
+    assert str(caught.value) == f"threshold must be finite, got {threshold}"
 
 
 @pytest.mark.parametrize("qs", [(0.0, 4e307, 0.0), (0.0, 0.0, 4e307), (0.0, 1e300, 4e307)])

@@ -36,7 +36,7 @@ def ill_conditioned(cond: float, seed: int) -> np.ndarray:
 def lattice(cond: float) -> JacobiBlocks:
     """Unit-spacing n = 2 blocks (A_k = I, B_k = -I / 2) whose B_5 has the given condition."""
     base = blocks_from_delta([1.0] * 12, np.zeros((11, 2, 2)))
-    B = base.B.copy()
+    B = base.B.astype(complex)  # lattice blocks are real
     B[5] = -0.5 * ill_conditioned(cond, 5)
     return JacobiBlocks(2, base.A, B)
 

@@ -294,13 +294,20 @@ def _lattice_blocks(kind):
 
 @pytest.mark.parametrize("kind", ["harmonic-cancel", "perturbed-n1", "perturbed-n2", "const-n2"])
 def test_stacked_march_equals_the_per_step_solve(kind):
+    # the complex per-step solve divides by B_m through its reciprocal, so its
+    # values are those of the real march, except the vector steps of perturbed
+    # n = 2 blocks, where a real matrix-vector product may round an entry
+    # apart from the complex one; there the per-step product with the stored
+    # inverse on real columns is the reference (test_lattice_march_accuracy
+    # bounds both against a 50-digit march)
     blocks = _lattice_blocks(kind)
     n, count = blocks.n, len(blocks.B)
+    march = reference_march.inverse_march if kind == "perturbed-n2" else reference_march.march
     rng = np.random.default_rng(11)
     for u0, u1 in ((np.ones(n), np.zeros(n)), (np.zeros(n), np.ones(n)),
                    (rng.normal(size=n), rng.normal(size=n))):
         assert np.array_equal(solve_recurrence(blocks, u0, u1, count),
-                              reference_march.solve_recurrence(blocks, u0, u1, count))
+                              reference_march.solve_recurrence(blocks, u0, u1, count, march))
     for i, j in ((4, 3), (5, 3), (1200, 150), (count - 1, 1)):
         assert np.array_equal(discrete_cauchy(blocks, i, j),
                               reference_march.discrete_cauchy(blocks, i, j))
@@ -310,19 +317,50 @@ def test_stacked_march_equals_the_per_step_solve(kind):
 
 @pytest.mark.parametrize("kind", ["harmonic-cancel", "perturbed-n1", "perturbed-n2", "const-n2"])
 def test_march_keeps_every_bit_and_zero_sign_of_the_matmul_step(kind):
-    # n = 1 steps in Python complex arithmetic, n >= 2 by matmul; both must
-    # give the bytes of one matmul step per lattice step, signed zeros included
+    # lattice blocks are real: n = 1 steps in Python floats, n >= 2 by real
+    # matmul; both must give the real parts of one real matmul step per
+    # lattice step, signed zeros included, and imaginary parts +0.0
     blocks = _lattice_blocks(kind)
     n, count = blocks.n, len(blocks.B)
     step = reference_march.inverse_march
+    zero_imag = lambda u: not (u.imag.any() or np.signbit(u.imag).any())
     for u0, u1 in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, 0.0), (1.0, -0.0),
                    (-0.0, 1.0), (-1.0, 0.0)):
         u0, u1 = np.full(n, u0), np.full(n, u1)
-        assert (solve_recurrence(blocks, u0, u1, count).tobytes()
-                == reference_march.solve_recurrence(blocks, u0, u1, count, step).tobytes())
+        got = solve_recurrence(blocks, u0, u1, count)
+        want = reference_march.solve_recurrence(blocks, u0, u1, count, step)
+        assert got.real.tobytes() == want.real.tobytes() and zero_imag(got)
     for i, j in ((4, 3), (5, 3), (6, 3), (1200, 150), (count - 1, 1)):
-        assert (discrete_cauchy(blocks, i, j).tobytes()
-                == reference_march.discrete_cauchy(blocks, i, j, step).tobytes())
+        got = discrete_cauchy(blocks, i, j)
+        want = reference_march.discrete_cauchy(blocks, i, j, step)
+        assert got.real.tobytes() == want.real.tobytes() and zero_imag(got)
+
+
+@pytest.mark.parametrize("kind", ["harmonic-cancel", "perturbed-n1"])
+def test_real_order_1_lattices_keep_the_bits_of_the_complex_loop(kind):
+    # the float march, its reciprocal inverses and its real t4 grams against the
+    # complex128 code they replace: real parts bit for bit, and imaginary parts
+    # too where a complex seed puts them in the march, else +0.0
+    blocks = _lattice_blocks(kind)
+    count = len(blocks.B)
+    old = reference_march.complex_march
+
+    def same(got, want):
+        imag = want.imag if want.imag.any() else np.zeros(want.shape)
+        return got.real.tobytes() == want.real.tobytes() and got.imag.tobytes() == imag.tobytes()
+
+    rng = np.random.default_rng(5)
+    for u0, u1 in ((1.0, 0.0), (0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (rng.normal(), 1j),
+                   (rng.normal() + 1j * rng.normal(), rng.normal())):
+        assert same(solve_recurrence(blocks, [u0], [u1], count),
+                    reference_march.solve_recurrence(blocks, [u0], [u1], count, old))
+    assert blocks.B_inv.dtype == float
+    assert blocks.B_inv.tobytes() == np.linalg.inv(blocks.B.astype(complex)).real.tobytes()
+    for i, j in ((4, 3), (5, 3), (1200, 150), (count - 1, 1)):
+        assert same(discrete_cauchy(blocks, i, j),
+                    reference_march.discrete_cauchy(blocks, i, j, old))
+    for n_k, m_k in ((1, 1), (1, 2), (1, 200), (700, 899), (count - 201, count - 2)):
+        assert t4_term(blocks, n_k, m_k) == reference_march.complex_t4_term(blocks, n_k, m_k)
 
 
 def test_t4_term_at_order_3_equals_the_per_row_march():
@@ -448,7 +486,7 @@ def test_ill_conditioned_block_is_inverted_by_every_kernel():
     b = ill_conditioned_block()
     assert condition(b) == pytest.approx(1e7, rel=1e-6)
     base = constant_blocks(14, n=2)
-    B = base.B.copy()
+    B = base.B.astype(complex)  # lattice blocks are real
     B[9] = b
     blocks = JacobiBlocks(2, base.A, B)
     u0, u1 = [1.0, 0.0], [0.0, 1.0]
@@ -674,9 +712,12 @@ def test_lattice_array_passes_equal_the_term_at_a_time_references(kind):
     d, H = _lattice(kind)
     N = len(d) - 3
     blocks = blocks_from_delta(d, H)
+    # the complex stacks of the block-at-a-time division hold the real blocks' bits
     A, B = reference_lattice.block_stacks(d, H)
-    assert blocks.A.tobytes() == A.tobytes()
-    assert blocks.B.tobytes() == B.tobytes()
+    assert not (A.imag.any() or B.imag.any())
+    assert blocks.A.dtype == blocks.B.dtype == float
+    assert blocks.A.tobytes() == A.real.tobytes()
+    assert blocks.B.tobytes() == B.real.tobytes()
     for window in (d, d[:N + 2], d[:100], d[:13]):
         assert repr(_power_exponent(window)) == repr(reference_lattice.power_exponent(window))
     rep = carleman_report(blocks, N)

@@ -38,6 +38,7 @@ from sldl.quasidiff import (
     OffGridError,
     _cells,
     _grid_index,
+    _march,
     _piece_generators,
     expm,
     model_from_json,
@@ -225,6 +226,24 @@ def test_propagation_is_a_flow(ms, md):
         scale = max(1.0, float(np.linalg.norm(direct.f)), float(np.linalg.norm(direct.f1)))
         assert np.linalg.norm(stepped.f - direct.f) <= 1e-12 * scale
         assert np.linalg.norm(stepped.f1 - direct.f1) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_complex_state_marches_as_its_real_and_imaginary_parts(n):
+    # real cells march the real parts of the state columns and the imaginary
+    # parts of the columns that have any as separate real columns: each part
+    # is the march of that part alone, and an imaginary part that was zero
+    # stays +0.0
+    rng = np.random.default_rng(30 + n)
+    h = rng.uniform(-2.0, 2.0, (12, n, n))
+    model = DeltaNodes(n, tuple(0.5 + k for k in range(12)), h + h.transpose(0, 2, 1), 12.5)
+    cells = _cells(model, 0.0, [(0.2, 11.9)])
+    y = rng.normal(size=(2 * n, 3)) + 1j * rng.normal(size=(2 * n, 3))
+    y[:, 1] = y[:, 1].real
+    got = _march(cells, y)
+    re, im = _march(cells, y.real).real, _march(cells, y.imag).real
+    im[..., 1] = 0.0
+    assert got.real.tobytes() == re.tobytes() and got.imag.tobytes() == im.tobytes()
 
 
 def test_propagate_rejects_bad_range():
