@@ -70,6 +70,11 @@ STEP2 = {"n": 2, "X": 30.5, "variant": "step_sigma",
 HUGE_STEP_JUMP2 = {"n": 2, "X": 3.0, "variant": "step_sigma", "cuts": [0.0, 0.5, 1.5],
                    "values": [[[0.0, 0.0], [0.0, 0.0]], [[1e200, 0.5], [0.5, -1e200]],
                               [[0.0, 0.0], [0.0, 0.0]]]}
+# real symmetric jumps with imaginary parts within the Hermitian tolerance, as
+# [re, im] pairs: a delta model, and order-2 jumps for --H file:
+TILTED_DELTA = {**DELTA, "nodes": [{"x": e["x"], "H": [[[e["H"][0][0], 1e-12 * (-1) ** k]]]}
+                                   for k, e in enumerate(DELTA["nodes"])]}
+TILTED_JUMPS = [[[[1.0, 1e-12], [0.5, -3e-11]], [[0.5, 3e-11], [-1.0, 0.0]]]] * 9
 FIXTURES = {
     "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
     "nocuts.json": {k: v for k, v in FREE.items() if k != "cuts"},
@@ -81,6 +86,7 @@ FIXTURES = {
     "step60.json": STEP60, "huge-step-jump.json": HUGE_STEP_JUMP,
     "huge-spacings.json": HUGE_SPACINGS, "huge-intervals.json": [[0.0, 2e80]],
     "step2.json": STEP2, "huge-step-jump2.json": HUGE_STEP_JUMP2,
+    "delta-tilted.json": TILTED_DELTA, "jumps-tilted.json": TILTED_JUMPS,
     "intervals.json": {"intervals": [[0.0, 1.0], [2.0, 4.0], [5.0, 8.0]]},
     "markers-only.json": {"markers": [0.5]},
     "t5.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
@@ -283,6 +289,13 @@ INVOCATIONS = [
     " --H file:jumps2.json --i 8 --j 1",
     "jacobi t4 --d list:0.3,1.7,0.9,2.2,0.45,1.3,0.8,1.1,0.6,1.9 --n 2 --H file:jumps2.json"
     " --segments 1-4,4-8",
+    # imaginary parts within the Hermitian tolerance read from JSON: a delta model, jump
+    # files, and blocks whose provenance jumps and A_0 carry them
+    "classify --model delta-tilted.json --intervals unit:5 --N 10 --segments 2-4,5-8",
+    "bridge residual --model delta-tilted.json",
+    "jacobi build --d const:1 --n 2 --H file:jumps-tilted.json --count 10",
+    "jacobi t7 --d power:0.5 --n 2 --H file:jumps-tilted.json --N 4 --count 10",
+    "classify --blocks tilted-blocks.json --segments 1-5,6-10",
 ]
 
 
@@ -336,6 +349,11 @@ def main() -> None:
     # lattice blocks whose file claims storage from A_1 or A_2
     offset = {k: {**blocks_to_json(blocks_from_delta([1.0] * 6, np.zeros((5, 1, 1)))), "offset": k}
               for k in (1, 2)}
+    # n = 2 lattice blocks whose A_0 and provenance jumps have imaginary parts of 1e-12
+    tilted = blocks_to_json(blocks_from_delta([1.0] * 14, np.full((13, 2, 2), 0.5)))
+    tilted["A"][0] = matrix_to_json(1e-12j * np.eye(2))
+    tilted["provenance"]["H"] = [matrix_to_json(np.array(h) + 1e-12j)
+                                 for h in tilted["provenance"]["H"]]
     # a 20-piece n = 2 general triple, pieces of length about 1
     rng = np.random.default_rng(20)
     cplx = lambda b: rng.uniform(-b, b, (20, 2, 2)) + 1j * rng.uniform(-b, b, (20, 2, 2))
@@ -348,7 +366,7 @@ def main() -> None:
                  "R": [matrix_to_json(m) for m in cplx(0.5)]}
     fixtures = {**FIXTURES, "illcond.json": illcond, "illcond-b7.json": illcond_b7,
                 "general20.json": general20,
-                "growing.json": growing, "free-cs.json": free_cs,
+                "growing.json": growing, "free-cs.json": free_cs, "tilted-blocks.json": tilted,
                 "offset-1.json": offset[1], "offset-2.json": offset[2],
                 "christ-stolz-2000.json": model_to_json(
                     DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}

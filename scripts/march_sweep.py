@@ -7,7 +7,8 @@ to 10^5 spacings, with and without its first-use B^-1 stack,
 christ-stolz lattice at orders 1 and 2 (blocks built outside the timing, so
 the time includes the first-use B^-1 stack), ``t4_term`` over segments of
 50 to 2000 and of 2500 to 10^5 rows of the order-1 lattice, ``t7_check`` on 2000 to 10^5
-christ-stolz spacings (N = half of them, less one),
+christ-stolz spacings (N = half of them, less one), ``Lattice`` construction
+and ``cor3_check`` (N = their number less three) on the same spacings,
 ``build_report`` on harmonic windows of 10^3 to 10^5 terms (no certificate
 fires, so every pass runs), ``canonical_json`` of the JSON form of such
 a report with 10^3 to 10^5 floats (terms and partial sums),
@@ -35,8 +36,9 @@ The host's speed drifts between and within runs, so every repeat is
 preceded by a timing of the reference kernel of ``perfbench/hostspeed.py``
 (loaded by path) and scaled by ``REFERENCE_S / reference`` of its own
 reference. Prints one JSON object: per function, size -> {"s": raw median
-seconds, "corrected_s": median of the host-corrected repeats, "reference_s":
-median reference time}.
+seconds, "corrected_s": median of the host-corrected repeats, "corrected_iqr_s":
+their interquartile range, "reference_s": median reference time}; a ratio of
+corrected medians between two trees is read against both rows' IQRs.
 Comparing two source trees is two runs:
 
 Usage: python scripts/march_sweep.py [SRC] [REPEATS]   # SRC holds the sldl package;
@@ -69,8 +71,17 @@ def load_hostspeed():
     return module
 
 
+def iqr(values) -> float:
+    """Interquartile range of ``values``, 0.0 for a single value."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def sweep(jobs, repeats: int, hostspeed) -> dict:
-    """Medians of ``repeats`` timings of every job, raw and each host-corrected.
+    """Medians of ``repeats`` timings of every job, raw and each host-corrected,
+    and the interquartile range of the corrected ones.
 
     A job is (row, size, fn, setup), timed as fn(setup()) with ``setup`` run
     outside the timing. One untimed pass over all jobs comes first, so
@@ -94,6 +105,7 @@ def sweep(jobs, repeats: int, hostspeed) -> dict:
     out, median = {}, statistics.median
     for (row, size, _, _), (times, corrected, references) in zip(jobs, samples):
         out.setdefault(row, {})[size] = {"s": median(times), "corrected_s": median(corrected),
+                                         "corrected_iqr_s": iqr(corrected),
                                          "reference_s": median(references)}
     return out
 
@@ -107,9 +119,10 @@ def main() -> None:
     import numpy as np
     from sldl import (DeltaNodes, Diagonal, GeneralTriple, IntervalSeq, OffDiagonal, QuasiState,
                       StepSigma, blocks_from_delta, build_report, christ_stolz_family, cor2_series,
-                      equivalence_residual, fundamental_pair, kernel_square_integrals,
+                      cor3_check, equivalence_residual, fundamental_pair, kernel_square_integrals,
                       solution_norm_integral, solve_recurrence, t1_series, t4_term, t7_check)
     from sldl.cli import canonical_json
+    from sldl.jacobi import Lattice
 
     jobs = []
 
@@ -163,6 +176,9 @@ def main() -> None:
               lambda count=count: cor2_series(d[:count], H2[:count - 1], OffDiagonal(1, 2)))
         timed("t7_check", count,
               lambda count=count: t7_check(d[:count], H[:count - 1], count // 2 - 1))
+        timed("Lattice", count, lambda count=count: Lattice(d[:count], H[:count - 1]))
+        timed("cor3_check", count,
+              lambda count=count: cor3_check(d[:count], H[:count - 1], count - 3))
     rng = np.random.default_rng(400)
 
     def general_triple(n, cells):

@@ -119,7 +119,7 @@ class ClassifyConfig:
 
 def nodes_to_Z(f_at_nodes, d) -> np.ndarray:
     """Rescaled node samples Z_k = sqrt(d_k + d_{k+1}) f(x_k), k = 1..len(d)-1, as rows."""
-    d = np.array(list(map(float, d)))
+    d = np.asarray(d, dtype=float)
     f = np.asarray(f_at_nodes, dtype=complex)
     if len(f) != len(d):
         raise ShapeMismatchError("need one node sample per spacing")
@@ -206,9 +206,9 @@ def _lattice(problem) -> Lattice:
     """The delta lattice of a problem (its spacings and jumps, or its blocks' provenance)."""
     if isinstance(problem, DeltaNodes):
         return Lattice(problem.spacings, problem.jumps)
-    if isinstance(problem, StepSigma) and len(problem.cuts) >= 3:
-        d = tuple(b - a for a, b in zip(problem.cuts, problem.cuts[1:]))
-        return Lattice(d, np.diff(problem.values, axis=0))
+    if isinstance(problem, StepSigma):  # a difference of values may double their asymmetry
+        h = np.diff(problem.values, axis=0)
+        return Lattice(np.diff(problem.cuts), np.triu(h) + np.triu(h, 1).swapaxes(1, 2))
     if isinstance(problem, JacobiBlocks) and problem.provenance is not None:
         return problem.provenance
     return Lattice((), ())  # no lattice

@@ -368,7 +368,7 @@ class OffDiagonal:
 def _channel_entries(channel, mats: np.ndarray) -> tuple[np.ndarray, bool]:
     """The channel's entry of every jump in the stack, and whether the channel is diagonal.
 
-    Diagonal entries are real, off-diagonal ones complex.
+    Diagonal entries are taken real, off-diagonal ones in the stack's dtype.
     """
     n = mats.shape[1]
     if isinstance(channel, Diagonal):
@@ -478,9 +478,8 @@ def cor2_lattice(lat: Lattice, channel, threshold: float | None = None) -> Crite
     off-diagonal (d_k d_{k+1})^(3/2) |h_ij|. Term k needs d_{k+1}, so the
     series runs over k = 1 .. min(len(d) - 1, len(H)).
     """
-    d = np.array(lat.d)
-    count = min(len(d) - 1, len(lat.H))
-    terms = _lattice_terms(channel, lat.H[:count], d[:count], d[1:count + 1])
+    count = min(len(lat.d) - 1, len(lat.H))
+    terms = _lattice_terms(channel, lat.H[:count], lat.d[:count], lat.d[1:count + 1])
     return build_report("cor2", terms, threshold=threshold)
 
 
@@ -514,7 +513,7 @@ def t2_predicate(model: LinearSigma, intervals: IntervalSeq) -> T2Result:
             raise ValueError("intervals exceed the model domain")
         for i in range(len(model.knots) - 1):
             if (model.knots[i] < b and model.knots[i + 1] > a
-                    and float(np.min(np.linalg.eigvalsh(model.slope(i).real))) < -PSD_TOL):
+                    and float(np.min(np.linalg.eigvalsh(model.slope(i)))) < -PSD_TOL):
                 ok = False
     terms = [(b - a) ** 2 for a, b in intervals.intervals]
     notes = () if ok else ("sigma' indefinite on some interval",)

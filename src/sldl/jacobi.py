@@ -20,13 +20,14 @@ certify the completely indeterminate (limit circle) case.
 
 Sequence storage: each block or jump sequence is one read-only (K, n, n)
 array, and the block formulas and series terms above are array expressions
-over it. A lattice is one ``Lattice``, checked once on construction; its
-jumps are real (float64), and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I
-are one lazily built stack that A_k, t7 and cor3 slice; the (d, H) entry
-points build a Lattice for the lattice forms. ``JacobiBlocks`` stores A and
-B as float64 when all their imaginary parts are zero, as for every lattice,
-and as complex128 otherwise. The recurrence marches step with the lazily
-built stacks B_inv and B_star: each step is three BLAS products into
+over it. A lattice is one ``Lattice``, checked once on construction: its
+spacings are one float64 array and its jumps one float64 stack, which every
+lattice form slices as they are (Python-float terms take ``tolist``), and
+its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I are one lazily built stack
+that A_k, t7 and cor3 slice; the (d, H) entry points build a Lattice for the
+lattice forms. ``JacobiBlocks`` stores A and B in the dtype ``as_stack``
+gives them, float64 for every lattice. The recurrence marches step with the
+lazily built stacks B_inv and B_star: each step is three BLAS products into
 preallocated buffers, or three Python products at order n = 1. On real
 blocks the march steps the real and the nonzero imaginary parts of the state
 columns in float64 and writes them back into its complex output. Storage
@@ -82,28 +83,24 @@ class IndexOutOfRangeError(IndexError):
 class Lattice:
     """Spacings d_k = x_k - x_{k-1} and real symmetric jumps H_k of a delta lattice.
 
-    Checked once, on construction: ``d`` becomes a tuple of positive finite
-    floats and ``H`` one read-only (K, n, n) float64 symmetric stack; the
-    lattice criteria and blocks read it as it is.
+    Checked once, on construction: ``d`` becomes one read-only float64 array
+    of positive finite spacings, each entry taken by ``float``, and ``H`` one
+    read-only (K, n, n) float64 symmetric stack (``real_symmetric``); the
+    lattice criteria and blocks read both as they are.
     """
 
-    d: tuple[float, ...]
+    d: np.ndarray
     H: np.ndarray
 
     def __post_init__(self):
-        d = tuple(map(float, self.d))
-        x = np.array(d)
-        if not (x > 0.0).all():  # NaN fails too
+        d = np.fromiter(map(float, self.d), float)
+        if not (d > 0.0).all():  # NaN fails too
             raise NonPositiveSpacingError("spacings must be strictly positive")
-        if (x == math.inf).any():
+        if (d == math.inf).any():
             raise ValueError("spacings must be finite")
+        d.flags.writeable = False
         object.__setattr__(self, "d", d)
-        H = real_symmetric(as_stack(self.H, dtype=None), "jump matrices")
-        if H.dtype == complex:
-            # the one place that drops the imaginary parts (at most HERMITIAN_TOL)
-            # that the real-symmetric check lets through
-            H = as_stack(H.real, dtype=None)
-        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "H", real_symmetric(self.H, "jump matrices"))
 
     @cached_property
     def shifted_jumps(self) -> np.ndarray:
@@ -114,9 +111,8 @@ class Lattice:
         diagonal entries, as 1/d does in Python, and no NaN or warning.
         """
         count = max(min(len(self.H), len(self.d) - 1), 0)
-        x = np.array(self.d[:count + 1])
         with np.errstate(over="ignore"):
-            recip = 1.0 / x[:-1] + 1.0 / x[1:]
+            recip = 1.0 / self.d[:count] + 1.0 / self.d[1:count + 1]
         out = self.H[:count] + 0.0
         for i in range(out.shape[1]):
             out[:, i, i] += recip
@@ -127,7 +123,7 @@ class Lattice:
 def cancel_jumps(d, n: int = 1) -> np.ndarray:
     """H_k = -(1/d_k + 1/d_{k+1}) I, k = 1 .. len(d) - 1; d is checked as a Lattice's."""
     zero = Lattice(d, np.zeros((max(len(d) - 1, 0), n, n)))
-    return as_stack(-zero.shifted_jumps, n, None)  # rejects inf
+    return as_stack(-zero.shifted_jumps, n)  # rejects inf
 
 
 def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.ndarray]:
@@ -147,7 +143,8 @@ def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.n
 @dataclass(frozen=True, eq=False)
 class JacobiBlocks:
     """Blocks A_k, B_k from slot 0, as read-only float64 stacks when every imaginary
-    part of both is zero, as complex128 stacks otherwise."""
+    part of both is zero, as complex128 stacks otherwise (a real stack paired with a
+    complex one is promoted)."""
 
     n: int
     A: np.ndarray
@@ -155,9 +152,10 @@ class JacobiBlocks:
     provenance: Lattice | None = None
 
     def __post_init__(self):
-        A, B = as_stack(self.A, self.n, None), as_stack(self.B, self.n, None)
+        A, B = as_stack(self.A, self.n), as_stack(self.B, self.n)
         if A.dtype != B.dtype:
-            A, B = as_stack(A, self.n), as_stack(B, self.n)
+            A, B = A.astype(complex), B.astype(complex)
+            A.flags.writeable = B.flags.writeable = False
         if not is_hermitian(A, HERMITIAN_TOL):
             raise ValueError("diagonal blocks must be Hermitian")
         if not np.all(condition(B) <= COND_LIMIT):
@@ -221,15 +219,14 @@ def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
     if boundary is None:
         a0, b0 = np.zeros((n, n)), -np.eye(n)
     else:
-        a0, b0 = real_symmetric(as_stack(boundary, n, None), "boundary blocks")
+        a0, b0 = real_symmetric(boundary, "boundary blocks", n)
     # r_{k+1}^2 = d_k + d_{k+1}; one square root per r_{k+1} r_{k+2} keeps
     # integer-valued products exact (d == 1 gives exactly 2.0). A takes the
     # product with 1 / r^2: the bits of the complex division by r^2 it replaces
-    dd = np.array(lat.d)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r2 = (dd[:-1] + dd[1:])[:, None, None]
+        r2 = (lat.d[:-1] + lat.d[1:])[:, None, None]
         A = lat.shifted_jumps[:m - 1] * (1.0 / r2)
-        B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * dd[1:-1, None, None])
+        B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * lat.d[1:-1, None, None])
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("lattice blocks overflow: spacings too small or jumps too large")
     return JacobiBlocks(n, np.concatenate([a0[None], A]), np.concatenate([b0[None], B]), lat)
@@ -400,7 +397,7 @@ def t4_report(blocks: JacobiBlocks, segments) -> CriterionReport:
 
 def _power_exponent(d) -> float | None:
     """Common power-law exponent of the tail of d, or None."""
-    tail = np.array(d[len(d) // 2:], dtype=float)
+    tail = np.asarray(d[len(d) // 2:], dtype=float)
     if len(tail) < 6 or (tail <= 0.0).any():
         return None
     k = np.arange(len(d) // 2 + 1, len(d) // 2 + len(tail), dtype=float)
@@ -466,8 +463,7 @@ def carleman_spacing_bounds(d, n: int = 1) -> bool:
     if len(lat.d) < 3:
         raise ValueError("need at least three spacings")
     rn = math.sqrt(n)
-    val = 1.0 / frobenius_norm(blocks_from_lattice(lat).B[1:])
-    d = np.array(lat.d)
+    val, d = 1.0 / frobenius_norm(blocks_from_lattice(lat).B[1:]), lat.d
     lower = d[1:-1] ** 2 / rn
     upper = (d[:-2] ** 2 + 6.0 * d[1:-1] ** 2 + d[2:] ** 2) / (4.0 * rn)
     slack = 1e-12 * np.maximum(np.maximum(lower, val), upper)
@@ -506,17 +502,16 @@ def t7_lattice(lat: Lattice, N: int) -> T7Result:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    d = lat.d
-    if len(d) < 2 * N + 2:
+    if len(lat.d) < 2 * N + 2:
         raise IndexOutOfRangeError(f"need at least {2 * N + 2} spacings for N = {N}")
     if len(lat.H) < 2 * N + 1:
         raise IndexOutOfRangeError(f"need at least {2 * N + 1} jumps for N = {N}")
     # math.log and math.exp, not numpy's, which may differ in the last bit: log d_k
     # and log r_{k+1}^2 = log(d_k + d_{k+1}) for k = 1 .. 2N + 1, each taken once
     logs = lambda v: np.array(list(map(math.log, v)))
-    norms, x = frobenius_norm(lat.shifted_jumps[:2 * N + 1]), np.array(d[:2 * N + 2])
+    norms, x = frobenius_norm(lat.shifted_jumps[:2 * N + 1]), lat.d[:2 * N + 2]
     with np.errstate(over="ignore"):
-        log_d, log_r2 = logs(d[:2 * N + 1]), logs((x[:-1] + x[1:]).tolist())
+        log_d, log_r2 = logs(x[:-1].tolist()), logs((x[:-1] + x[1:]).tolist())
     series_a, series_b, logs_a = [], [], []
     for s in (1, 2):
         # 2 log ratio_j, summed in j order from the first log ratio; the jump and
@@ -569,15 +564,14 @@ def cor3_lattice(lat: Lattice, N: int) -> Cor3Result:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    d = lat.d
-    if len(d) < N + 3:
+    if len(lat.d) < N + 3:
         raise IndexOutOfRangeError(f"need at least {N + 3} spacings for N = {N}")
     if len(lat.H) < N:
         raise IndexOutOfRangeError(f"need at least {N} jumps for N = {N}")
 
     # over k = 2..N, slice [j:N - 1 + j] picks index k - 2 + j of x[i] = d_{i+1}
     # and of r2[i] = d_{i+1} + d_{i+2} = r_{i+2}^2
-    x = np.array(d[:N + 3])
+    x = lat.d[:N + 3]
     with np.errstate(over="ignore", invalid="ignore"):  # huge spacings give inf, as in Python
         r2 = x[:-1] + x[1:]
         lhs = np.sqrt(r2[:N - 1] * r2[3:N + 2]) * x[1:N] * x[3:N + 2]
@@ -593,7 +587,7 @@ def cor3_lattice(lat: Lattice, N: int) -> Cor3Result:
     # Python's v ** 2, which numpy's square may differ from in the last bit,
     # and which raises where the square leaves the float range
     cond2 = build_report("cor3_spacing",
-                         [v ** 2 if v * v < math.inf else math.inf for v in d[:N]])
+                         [v ** 2 if v * v < math.inf else math.inf for v in x[:N].tolist()])
     cond3 = build_report("cor3_jump", jump_terms)
     certified = cond1 and cond2.verdict == CONVERGES and cond3.verdict == CONVERGES
     return Cor3Result(cond1, direction, cond2, cond3, certified)
@@ -612,7 +606,7 @@ def blocks_to_json(blocks: JacobiBlocks) -> dict:
     prov = blocks.provenance
     if prov is not None:  # a jump past the last block is not written
         default = not blocks.A[0].any() and (blocks.B[0] == -np.eye(blocks.n)).all()
-        out["provenance"] = {"d": list(prov.d),
+        out["provenance"] = {"d": prov.d.tolist(),
                              "H": [matrix_to_json(h) for h in prov.H[:len(prov.d) - 1]],
                              "boundary_default": bool(default)}
     return out
@@ -644,8 +638,7 @@ def blocks_from_json(obj: dict) -> JacobiBlocks:
         prov = None
         if "provenance" in obj:
             p = obj["provenance"]
-            prov = Lattice(tuple(float(v) for v in p["d"]),
-                           as_stack([matrix_from_json(h, n) for h in p["H"]], n))
+            prov = Lattice(p["d"], as_stack([matrix_from_json(h, n) for h in p["H"]], n))
             # the lattice criteria read the provenance in place of the blocks
             _check_provenance(A, B, prov)
     except KeyError as exc:

@@ -1,14 +1,14 @@
 """Dense linear algebra for small matrix orders.
 
-All matrices in this package are square numpy arrays of dtype complex128 or,
-where the data is real, float64: lattice jumps and blocks, and the stacks
-that step and delta models march with at lam = 0. A matrix sequence is one
-read-only (K, n, n) stack, validated by one ``as_stack`` call; the checks
-below act on the trailing two axes of either dtype, without a complex copy
-of real data, so one rule serves a matrix and a stack. The norm used
-everywhere is the Frobenius norm, which is self-adjoint (invariant under
-conjugate transposition); every series criterion in the package is stated
-in terms of it.
+All matrices in this package are square numpy arrays whose dtype follows
+the data: float64 where every imaginary part is zero, complex128 otherwise.
+A matrix sequence is one read-only (K, n, n) stack, validated by one
+``as_stack`` call, or by ``real_symmetric``, the one place that drops
+imaginary parts (within HERMITIAN_TOL). The checks below act on the trailing
+two axes of either dtype, so one rule serves a matrix and a stack. The norm
+used everywhere is the Frobenius norm, which is self-adjoint (invariant
+under conjugate transposition); every series criterion in the package is
+stated in terms of it.
 """
 
 from __future__ import annotations
@@ -33,23 +33,23 @@ class NonSymmetricError(ValueError):
     """A matrix that must be real symmetric is not (within HERMITIAN_TOL)."""
 
 
-def as_stack(entries, n: int | None = None, dtype=complex) -> np.ndarray:
-    """Validate and freeze a matrix sequence as one (K, n, n) array of ``dtype``.
+def as_stack(entries, n: int | None = None) -> np.ndarray:
+    """Validate and freeze a matrix sequence as one read-only (K, n, n) array.
 
     Accepts anything ``np.array`` does; a sequence of scalars is a stack of
     1 x 1 matrices and an empty sequence a stack of K = 0 (of order n, or 1).
     Entries must be finite and every matrix square of one order, checked
-    against ``n`` when given. ``dtype=None`` follows the data: float64 when
-    every imaginary part is exactly zero (real data takes no complex copy),
-    complex128 otherwise. The returned array is a read-only copy.
+    against ``n`` when given. The dtype follows the data: float64 when every
+    imaginary part is exactly zero (ints and bools too; real data takes no
+    complex copy), complex128 otherwise. The returned array is a copy.
     """
     try:
         # C order: a strided source, such as a broadcast, must be viewable as floats below
-        m = np.array(entries, dtype=dtype, order="C")
+        m = np.array(entries, order="C")
     except ValueError as exc:
         raise ShapeMismatchError("matrices of one sequence must share one order") from exc
-    if dtype is None and not (m.dtype.kind == "c" and m.imag.any()):
-        m = np.asarray(m.real, dtype=float, order="C")
+    cplx = m.dtype.kind == "c" and m.imag.any()
+    m = np.asarray(m if cplx else m.real, dtype=complex if cplx else float, order="C")
     if m.ndim == 1:
         m = m.reshape(-1, 1, 1) if len(m) or n is None else m.reshape(0, n, n)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
@@ -64,7 +64,7 @@ def as_stack(entries, n: int | None = None, dtype=complex) -> np.ndarray:
 
 def as_matrix(entries, n: int | None = None) -> np.ndarray:
     """as_stack of the one matrix ``entries`` (a scalar is 1 x 1), unstacked."""
-    return as_stack(np.asarray(entries, dtype=complex)[None], n)[0]
+    return as_stack(np.asarray(entries)[None], n)[0]
 
 
 def _inexact(m) -> np.ndarray:
@@ -131,11 +131,13 @@ def is_hermitian(m, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(m - np.swapaxes(m, -1, -2).conj()) <= tol))
 
 
-def real_symmetric(m: np.ndarray, what: str) -> np.ndarray:
-    """The validated matrix or stack ``m``, checked to be real symmetric within HERMITIAN_TOL."""
+def real_symmetric(entries, what: str, n: int | None = None) -> np.ndarray:
+    """``as_stack(entries, n)`` checked real symmetric within HERMITIAN_TOL, as read-only
+    float64: the one place that drops imaginary parts (at most HERMITIAN_TOL)."""
+    m = as_stack(entries, n)
     if not (np.all(np.abs(m.imag) <= HERMITIAN_TOL) and is_hermitian(m, HERMITIAN_TOL)):
         raise NonSymmetricError(f"{what} must be real symmetric")
-    return m
+    return as_stack(m.real) if m.dtype == complex else m
 
 
 def real_march(march, starts, out: np.ndarray) -> None:

@@ -8,17 +8,20 @@ Y = (f, f1), where f1 = P (f' - R f) is the first quasi-derivative and
 
 Step and delta models share one shape, ``StepModel``: cuts, the sigma value
 of each piece and the stack ``cell_jumps``; a delta model is the step model
-whose sigma jumps by H_k at node x_k. Coefficients are piecewise constant,
-so propagation across a piece is an exact matrix exponential. One cell
-walker, ``_cells``, enumerates the pieces of one or more spans and picks the
-working coordinates: classical (f, f') with free flights and jumps of f' for
-step and delta models, (f, f1) with the piece generator otherwise. It stacks
-each cell's jump and propagator up front (closed forms, or one stacked
-``expm`` call). At lam = 0 the jumps and flights of step and delta models
-are real, and so are their stacks; at order 1 it builds no matrices at all,
-and each cell's jump is its dS as a Python float. One march,
-``_march``, writes the state after every cell into a preallocated complex
-stack, from which transfer matrices and node samples are read by index.
+whose sigma jumps by H_k at node x_k. Their sigma values and jumps, and the
+values of ``LinearSigma``, are float64 stacks as ``real_symmetric`` returns
+them; general and distributional pieces are complex128 stacks. Coefficients
+are piecewise constant, so propagation across a piece is an exact matrix
+exponential. One cell walker, ``_cells``, enumerates the pieces of one or
+more spans and picks the working coordinates: classical (f, f') with free
+flights and jumps of f' for step and delta models, (f, f1) with the piece
+generator otherwise. It stacks each cell's jump and propagator up front
+(closed forms, or one stacked ``expm`` call). At lam = 0 the jumps and
+flights of step and delta models are real, and so are their stacks; at
+order 1 it builds no matrices at all, and each cell's jump is its dS as a
+Python float. One march, ``_march``, writes the state after every cell into
+a preallocated complex stack, from which transfer matrices and node samples
+are read by index.
 Real cells march the real and the nonzero imaginary parts of the state
 columns as float64 columns: a kick f' = dS f + f' and drift f = f + L f'
 per cell in Python floats where it has the dS, BLAS products of the real
@@ -95,11 +98,10 @@ def _check_cuts(cuts, X: float) -> tuple[float, ...]:
 
 def _freeze_sigma(model, cuts, values, changes) -> None:
     """Store cuts, values and ``cell_jumps``, the dS that start cells: the values, then
-    their changes at the cuts after the first, ``values`` a view of it. The stack is
-    real: this is the one place that drops the imaginary parts (at most HERMITIAN_TOL)
-    that the real-symmetric check lets through. The first dS past the float range is
-    a ValueError that names its cut."""
-    stack = np.concatenate([values.real, changes.real])
+    their changes at the cuts after the first, ``values`` a view of it. Both come from
+    ``real_symmetric`` stacks, so the stack is float64. The first dS past the float
+    range is a ValueError that names its cut."""
+    stack = np.concatenate([values, changes])
     bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
     if len(bad):
         k = bad[0] - len(cuts)
@@ -128,7 +130,7 @@ class StepSigma:
 
     def __post_init__(self):
         cuts = _check_cuts(self.cuts, self.X)
-        vals = real_symmetric(as_stack(self.values, self.n), "sigma piece")
+        vals = real_symmetric(self.values, "sigma piece", self.n)
         if len(vals) != len(cuts):
             raise ShapeMismatchError("need one sigma value per piece")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -160,7 +162,7 @@ class DeltaNodes:
         if not len(x) or x[0] <= 0.0:
             raise ValueError("nodes must be positive")
         nodes = _increasing(x, "nodes")
-        jumps = real_symmetric(as_stack(self.jumps, self.n), "jump matrix")
+        jumps = real_symmetric(self.jumps, "jump matrix", self.n)
         if len(jumps) != len(nodes):
             raise ShapeMismatchError("need one jump matrix per node")
         object.__setattr__(self, "nodes", tuple(nodes))
@@ -201,12 +203,14 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
     Each stack needs one piece per cut; those named in ``hermitian`` must
     be Hermitian and the first, the leading coefficient, invertible (a
     finite condition estimate at most COND_LIMIT, as in ``invert``).
-    ``generators`` is the lam = 0 generator stack ``model._system`` builds
-    from the leading pieces' inverses.
+    The stacks are complex128 even for real data, and so is ``generators``,
+    the lam = 0 generator stack ``model._system`` builds from the leading
+    pieces' inverses, from which ``_piece_generators`` subtracts a complex lam.
     """
     object.__setattr__(model, "cuts", _check_cuts(model.cuts, model.X))
     for name in names:
-        seq = as_stack(getattr(model, name), model.n)
+        seq = as_stack(getattr(model, name), model.n).astype(complex, copy=False)
+        seq.flags.writeable = False
         if len(seq) != len(model.cuts):
             raise ShapeMismatchError(f"need one {name} piece per cut")
         if name in hermitian and not is_hermitian(seq, HERMITIAN_TOL):
@@ -281,7 +285,7 @@ class LinearSigma:
         if len(x) < 2 or x[0] != 0.0:
             raise ValueError("knots must start at 0.0 and contain the endpoint")
         knots = tuple(_increasing(x, "knots"))
-        vals = real_symmetric(as_stack(self.values, self.n), "sigma values")
+        vals = real_symmetric(self.values, "sigma values", self.n)
         if len(vals) != len(knots):
             raise ShapeMismatchError("need one sigma value per knot")
         object.__setattr__(self, "knots", knots)

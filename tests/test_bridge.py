@@ -234,6 +234,27 @@ def test_classify_free_lattice_evidence():
     assert by_name["t7"].verdict == "NotCertified"
 
 
+@pytest.mark.parametrize("cuts", [2, 3, 6])
+def test_classify_step_values_asymmetric_within_the_tolerance(cuts):
+    # each value passes the real-symmetric check, while a difference of two with
+    # opposite asymmetries does not: the lattice reads the upper triangles
+    from sldl import StepSigma
+    from sldl.matcore import HERMITIAN_TOL
+
+    rng = np.random.default_rng(cuts)
+    upper = [np.triu(rng.uniform(-1.0, 1.0, (2, 2))) for _ in range(cuts)]
+    tilt = np.array([[0.0, 0.9 * HERMITIAN_TOL], [0.0, 0.0]])
+    tilted = [u + np.triu(u, 1).T + (tilt if k % 2 else tilt.T) for k, u in enumerate(upper)]
+    mirrored = [np.triu(v) + np.triu(v, 1).T for v in tilted]
+    config = ClassifyConfig(criteria=("cor2", "carleman", "t7", "cor3"))
+    got, want = (classify_detailed(StepSigma(2, tuple(map(float, range(cuts))), values,
+                                             float(cuts)), config)
+                 for values in (tilted, mirrored))
+    assert got[0] == want[0]
+    assert [r.to_json() for r in got[1]] == [r.to_json() for r in want[1]]
+    assert len(got[1]) == {2: 0, 3: 3, 6: 10}[cuts]  # 3 cor2 channels, then 7 block reports
+
+
 def test_classify_harmonic_zero_jumps_inconclusive():
     d = tuple(1.0 / k for k in range(1, 80))
     model = DeltaNodes.from_spacings(1, d, tuple(np.zeros((1, 1)) for _ in d))
@@ -458,7 +479,7 @@ def _records():
 def test_lattice_stacks_are_read_only():
     d, H = christ_stolz_family(6, 2)
     lat = blocks_from_delta(d, H).provenance
-    assert lat.d == d
+    assert np.array_equal(lat.d, d) and lat.d.dtype == float and not lat.d.flags.writeable
     for stack in (lat.H, lat.shifted_jumps):
         assert not stack.flags.writeable
         with pytest.raises(ValueError):

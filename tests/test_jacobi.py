@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from sldl import (
 from sldl.jacobi import (
     IndexOutOfRangeError,
     JacobiBlocks,
+    Lattice,
     NonPositiveSpacingError,
     _power_exponent,
     blocks_from_json,
@@ -106,6 +108,30 @@ def test_blocks_validation():
         JacobiBlocks(1, (np.array([[1j]]),), (np.eye(1),))
     with pytest.raises(ValueError):
         JacobiBlocks(1, (np.eye(1),), (np.zeros((1, 1)),))
+
+
+@pytest.mark.parametrize("d, error, message", [
+    ([[1.0, 2.0], [3.0, 4.0]], TypeError, "float() argument"),
+    ([[1.0], 2.0], TypeError, "float() argument"),
+    (np.ones((3, 2)), TypeError, "array"),
+    (3.0, TypeError, "not iterable"),
+    ([1.0, math.inf, 2.0], ValueError, "spacings must be finite"),
+    ([1.0, math.nan, 2.0], NonPositiveSpacingError, "spacings must be strictly positive"),
+    ([1.0, -math.inf, 2.0], NonPositiveSpacingError, "spacings must be strictly positive"),
+    ([1.0, 0.0, 2.0], NonPositiveSpacingError, "spacings must be strictly positive"),
+    ([1.0, -1.0, 2.0], NonPositiveSpacingError, "spacings must be strictly positive"),
+])
+def test_lattice_rejects_bad_spacings(d, error, message):
+    # each spacing is taken by float(): nested spacings are a TypeError, not an array
+    with pytest.raises(error, match=re.escape(message)) as info:
+        Lattice(d, np.zeros((2, 1, 1)))
+    assert type(info.value) is error
+
+
+def test_lattice_spacings_are_one_read_only_float_array():
+    lat = Lattice((1, True, "0.5", np.float32(0.25)), np.zeros((3, 1, 1)))
+    assert lat.d.dtype == float and lat.d.shape == (4,) and not lat.d.flags.writeable
+    assert lat.d.tolist() == [1.0, 1.0, 0.5, 0.25]
 
 
 # ---------------------------------------------------------------------------
@@ -796,4 +822,5 @@ def test_blocks_json_roundtrip():
         assert np.array_equal(a, b)
     for a, b in zip(back.B, blocks.B):
         assert np.array_equal(a, b)
-    assert back.provenance.d == blocks.provenance.d
+    assert np.array_equal(back.provenance.d, blocks.provenance.d)
+    assert back.provenance.d.dtype == float and not back.provenance.d.flags.writeable

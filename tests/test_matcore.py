@@ -186,12 +186,30 @@ def test_as_stack_shapes():
     assert as_stack([], 3).shape == (0, 3, 3)
     assert as_stack([1.0, 2.0]).shape == (2, 1, 1)
     stack = as_stack([np.eye(2), 2 * np.eye(2)], 2)
-    assert stack.dtype == complex and not stack.flags.writeable
+    assert stack.dtype == float and not stack.flags.writeable
     assert as_matrix(3.0).shape == (1, 1)
     with pytest.raises(ShapeMismatchError):
         as_stack([np.eye(2), np.eye(3)])
     with pytest.raises(ShapeMismatchError):
         as_stack([np.eye(2)], 3)
+
+
+@pytest.mark.parametrize("entries, dtype", [
+    ([[[1, 2], [3, 4]]], float),
+    ([True, False], float),
+    ([0.5, -2.0], float),
+    (np.array([[[1.0 + 0j]], [[2.0 - 0j]]]), float),
+    (np.array([[[1.0, 2.0], [3.0, 4.0]]]) + 0j * np.array([[[1.0, -1.0], [-1.0, 1.0]]]), float),
+    (np.array([1.0 + 0j], dtype=np.complex64), float),
+    (np.array([1.0, 2.0 + 1e-300j]), complex),
+    ([[[1.0, 1j], [-1j, 1.0]]], complex),
+    (np.array([1.0 + 1j], dtype=np.complex64), complex),
+])
+def test_as_stack_dtype_follows_the_data(entries, dtype):
+    # float64 when every imaginary part is zero (either sign), complex128 otherwise
+    stack = as_stack(entries)
+    assert stack.dtype == dtype and not stack.flags.writeable
+    assert np.array_equal(stack, np.asarray(entries, dtype=complex).reshape(stack.shape))
 
 
 def test_a_broadcast_stack_equals_the_explicit_list():

@@ -23,6 +23,7 @@ from sldl import (
     LinearSigma,
     QuasiState,
     StepSigma,
+    bridge,
     cauchy_kernel,
     classify,
     fundamental_pair,
@@ -474,6 +475,37 @@ def test_sigma_drops_imaginary_parts_within_the_hermitian_tolerance(n):
             assert transfer(got, lam, 0.2, 2.5).tobytes() == transfer(want, lam, 0.2, 2.5).tobytes()
         assert t1_series(got, intervals).terms == t1_series(want, intervals).terms
         assert solution_norm_integral(got, 0.5, 2.5) == solution_norm_integral(want, 0.5, 2.5)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_real_symmetric_data_is_stored_once_as_float64(n):
+    # imaginary parts within HERMITIAN_TOL are dropped in one place: a delta model's
+    # jumps, its cell jumps after the values and its lattice's jumps are the same bytes
+    rng = np.random.default_rng(50 + n)
+    real = np.array([random_symmetric(rng, n, 2.0) for _ in range(5)])
+    model = DeltaNodes(n, (0.5, 1.0, 1.75, 2.0, 3.5), real + 1e-12j * np.ones((n, n)), 4.0)
+    lat = bridge._lattice(model)
+    for stack in (model.jumps, model.cell_jumps, lat.H):
+        assert stack.dtype == np.float64 and not stack.flags.writeable
+    assert model.jumps.tobytes() == model.cell_jumps[len(model.cuts):].tobytes()
+    assert model.jumps.tobytes() == lat.H.tobytes() == real.tobytes()
+    tilted = LinearSigma(n, (0.0, 1.0), real[:2] + 1e-12j).values
+    assert tilted.dtype == np.float64 and tilted.tobytes() == real[:2].tobytes()
+
+
+def test_general_and_distributional_pieces_stay_complex():
+    # real-valued pieces too: their generators take a complex lam in place
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    models = {("P", "Q", "R"): GeneralTriple(2, (0.0, 1.0), (eye, 2 * eye), (zero, eye),
+                                             (zero, zero), 2.0),
+              ("P0", "Q0", "P1"): Distributional(2, (0.0, 1.0), (eye, 2 * eye), (zero, eye),
+                                                 (eye, zero), 2.0)}
+    for names, model in models.items():
+        for name in names:
+            assert getattr(model, name).dtype == complex
+            assert not getattr(model, name).flags.writeable
+        assert model.generators.dtype == complex
+        assert _piece_generators(model, 0.5 - 0.25j, [0, 1]).dtype == complex
 
 
 @pytest.mark.parametrize("grid, message", [
