@@ -5,7 +5,9 @@ Times ``blocks_from_delta`` on christ-stolz spacings and jumps of 2500
 to 10^5 spacings, with and without its first-use B^-1 stack,
 ``solve_recurrence`` over 2500 to 10^5 steps of the
 christ-stolz lattice at orders 1 and 2 (blocks built outside the timing, so
-the time includes the first-use B^-1 stack), ``t4_term`` over segments of
+the time includes the first-use B^-1 stack), ``l2_tail_report`` of the
+order-1 solutions of 2500 to 10^5 steps, ``carleman_report`` (N = the
+steps) on the christ-stolz blocks of the same sizes, ``t4_term`` over segments of
 50 to 2000 and of 2500 to 10^5 rows of the order-1 lattice, ``t7_check`` on 2000 to 10^5
 christ-stolz spacings (N = half of them, less one), ``Lattice`` construction
 and ``cor3_check`` (N = their number less three) on the same spacings,
@@ -118,8 +120,9 @@ def main() -> None:
     sys.path.insert(0, str(src.resolve()))
     import numpy as np
     from sldl import (DeltaNodes, Diagonal, GeneralTriple, IntervalSeq, OffDiagonal, QuasiState,
-                      StepSigma, blocks_from_delta, build_report, christ_stolz_family, cor2_series,
-                      cor3_check, equivalence_residual, fundamental_pair, kernel_square_integrals,
+                      StepSigma, blocks_from_delta, build_report, carleman_report,
+                      christ_stolz_family, cor2_series, cor3_check, equivalence_residual,
+                      fundamental_pair, kernel_square_integrals, l2_tail_report,
                       solution_norm_integral, solve_recurrence, t1_series, t4_term, t7_check)
     from sldl.cli import canonical_json
     from sldl.jacobi import Lattice
@@ -146,6 +149,12 @@ def main() -> None:
                   lambda blocks, u0=u0, u1=u1, steps=steps: solve_recurrence(blocks, u0, u1, steps),
                   lambda jumps=jumps, steps=steps: blocks_from_delta(d[:steps + 2],
                                                                      jumps[:steps + 1]))
+    for steps in STEPS:  # the series reports of the order-1 march, built outside the timing
+        blocks = blocks_from_delta(d[:steps + 2], H[:steps + 1])
+        solution = solve_recurrence(blocks, [1.0], [0.0], steps)
+        timed("l2_tail_report", steps, lambda solution=solution: l2_tail_report(solution))
+        timed("carleman_report", steps,
+              lambda blocks=blocks, steps=steps: carleman_report(blocks, steps))
     blocks = blocks_from_delta(d[:max(ROWS) + 3], H[:max(ROWS) + 2])
     blocks.B_inv  # built once, outside the timing
     for rows in ROWS:

@@ -174,8 +174,8 @@ def l2_tail_report(Z) -> CriterionReport:
     z = np.asarray(Z, dtype=complex)
     if not len(z):
         raise ValueError("empty sequence")
-    # a Python float's ** 2 rounds as the per-vector np.float64 ** 2 did
-    terms = [v ** 2 for v in _row_norms(z.reshape(len(z), -1)).tolist()]
+    with np.errstate(over="ignore"):  # one correctly rounded product; past the float range, inf
+        terms = np.square(_row_norms(z.reshape(len(z), -1)))
     return build_report("l2", terms,
                         notes=("trend certificate on a finite window",))
 

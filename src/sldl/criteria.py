@@ -515,6 +515,6 @@ def t2_predicate(model: LinearSigma, intervals: IntervalSeq) -> T2Result:
             if (model.knots[i] < b and model.knots[i + 1] > a
                     and float(np.min(np.linalg.eigvalsh(model.slope(i)))) < -PSD_TOL):
                 ok = False
-    terms = [(b - a) ** 2 for a, b in intervals.intervals]
+    terms = [(b - a) * (b - a) for a, b in intervals.intervals]  # one correctly rounded product
     notes = () if ok else ("sigma' indefinite on some interval",)
     return T2Result(ok, build_report("t2", terms, notes=notes))

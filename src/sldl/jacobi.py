@@ -22,7 +22,7 @@ Sequence storage: each block or jump sequence is one read-only (K, n, n)
 array, and the block formulas and series terms above are array expressions
 over it. A lattice is one ``Lattice``, checked once on construction: its
 spacings are one float64 array and its jumps one float64 stack, which every
-lattice form slices as they are (Python-float terms take ``tolist``), and
+lattice form slices as they are (its libm logs and exps take ``tolist``), and
 its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I are one lazily built stack
 that A_k, t7 and cor3 slice; the (d, H) entry points build a Lattice for the
 lattice forms. ``JacobiBlocks`` stores A and B in the dtype ``as_stack``
@@ -395,6 +395,11 @@ def t4_report(blocks: JacobiBlocks, segments) -> CriterionReport:
 # determinacy series
 
 
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """math.log or math.exp of each entry of x; numpy's may differ in the last bit."""
+    return np.fromiter(map(f, x.tolist()), float, len(x))
+
+
 def _power_exponent(d) -> float | None:
     """Common power-law exponent of the tail of d, or None."""
     tail = np.asarray(d[len(d) // 2:], dtype=float)
@@ -402,10 +407,7 @@ def _power_exponent(d) -> float | None:
         return None
     k = np.arange(len(d) // 2 + 1, len(d) // 2 + len(tail), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = (tail[1:] / tail[:-1]).tolist()
-        # math.log, not np.log, which may differ in the last bit
-        ps = (np.array(list(map(math.log, ratios)))
-              / np.array(list(map(math.log, ((k + 1.0) / k).tolist()))))
+        ps = _libm(math.log, tail[1:] / tail[:-1]) / _libm(math.log, (k + 1.0) / k)
         mean = sum(ps.tolist()) / len(ps)
         spread = max(np.abs(ps - mean).tolist())  # Python's max skips a NaN after the first
     if spread <= 1e-6 * max(1.0, abs(mean)):
@@ -440,8 +442,7 @@ def carleman_report(blocks: JacobiBlocks, N: int) -> CriterionReport:
         raise ValueError("N must be at least 1")
     if N >= len(blocks.B):
         raise IndexOutOfRangeError(f"B_1 .. B_{N} not all stored")
-    terms = (1.0 / frobenius_norm(blocks.B[1:N + 1])).tolist()
-    report = build_report("carleman", terms)
+    report = build_report("carleman", 1.0 / frobenius_norm(blocks.B[1:N + 1]))
     if report.verdict != DIVERGES and blocks.provenance is not None:
         d = blocks.provenance.d[:N + 2]
         basis = spacing_square_divergence(d)
@@ -506,12 +507,10 @@ def t7_lattice(lat: Lattice, N: int) -> T7Result:
         raise IndexOutOfRangeError(f"need at least {2 * N + 2} spacings for N = {N}")
     if len(lat.H) < 2 * N + 1:
         raise IndexOutOfRangeError(f"need at least {2 * N + 1} jumps for N = {N}")
-    # math.log and math.exp, not numpy's, which may differ in the last bit: log d_k
-    # and log r_{k+1}^2 = log(d_k + d_{k+1}) for k = 1 .. 2N + 1, each taken once
-    logs = lambda v: np.array(list(map(math.log, v)))
+    # log d_k and log r_{k+1}^2 = log(d_k + d_{k+1}) for k = 1 .. 2N + 1, each taken once
     norms, x = frobenius_norm(lat.shifted_jumps[:2 * N + 1]), lat.d[:2 * N + 2]
     with np.errstate(over="ignore"):
-        log_d, log_r2 = logs(x[:-1].tolist()), logs((x[:-1] + x[1:]).tolist())
+        log_d, log_r2 = _libm(math.log, x[:-1]), _libm(math.log, x[:-1] + x[1:])
     series_a, series_b, logs_a = [], [], []
     for s in (1, 2):
         # 2 log ratio_j, summed in j order from the first log ratio; the jump and
@@ -519,16 +518,16 @@ def t7_lattice(lat: Lattice, N: int) -> T7Result:
         lr2 = 2.0 * np.cumsum(log_d[s:2 * N + s:2] - log_d[s - 1:2 * N + s - 1:2])
         nf = norms[s:2 * N + s:2]
         live = nf != 0.0
-        log_t = np.concatenate([log_r2[s:2 * N + s:2] + lr2, lr2[live] + logs(nf[live].tolist())])
+        log_t = np.concatenate([log_r2[s:2 * N + s:2] + lr2, lr2[live] + _libm(math.log, nf[live])])
         terms, fit = np.full(len(log_t), math.inf), ~(log_t >= _LOG_MAX)  # NaN takes exp
-        terms[fit] = list(map(math.exp, log_t[fit].tolist()))
+        terms[fit] = _libm(math.exp, log_t[fit])
         tb = np.zeros(N)
         tb[live] = terms[N:]
         overflowed = int(np.count_nonzero(~fit[:N]))
         notes = ((f"{overflowed} terms overflow; log values kept in log_terms_a",)
                  if overflowed else ())
-        series_a.append(build_report(f"t7_a_s{s}", terms[:N].tolist(), notes=notes))
-        series_b.append(build_report(f"t7_b_s{s}", tb.tolist()))
+        series_a.append(build_report(f"t7_a_s{s}", terms[:N], notes=notes))
+        series_b.append(build_report(f"t7_b_s{s}", tb))
         logs_a.append(tuple(log_t[:N].tolist()))
     certified = all(r.verdict == CONVERGES for r in series_a + series_b)
     return T7Result(tuple(series_a), tuple(series_b), tuple(logs_a), certified)
@@ -580,14 +579,12 @@ def cor3_lattice(lat: Lattice, N: int) -> Cor3Result:
         above = not np.any(lhs < rhs - tol)
         below = not np.any(lhs > rhs + tol)
         jump_terms = x[1:N + 1] * frobenius_norm(lat.shifted_jumps[:N])
+        spacing_terms = np.square(x[:N])  # one correctly rounded product each
     cond1 = above or below
     direction = ("equal" if above and below else
                  ">=" if above else "<=" if below else "mixed")
 
-    # Python's v ** 2, which numpy's square may differ from in the last bit,
-    # and which raises where the square leaves the float range
-    cond2 = build_report("cor3_spacing",
-                         [v ** 2 if v * v < math.inf else math.inf for v in x[:N].tolist()])
+    cond2 = build_report("cor3_spacing", spacing_terms)
     cond3 = build_report("cor3_jump", jump_terms)
     certified = cond1 and cond2.verdict == CONVERGES and cond3.verdict == CONVERGES
     return Cor3Result(cond1, direction, cond2, cond3, certified)

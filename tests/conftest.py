@@ -1,7 +1,26 @@
+from fractions import Fraction
+
 import hypothesis.strategies as st
 import numpy as np
 
 from sldl import DeltaNodes, Distributional, GeneralTriple, StepSigma
+
+
+def exact_square(v: float) -> float:
+    """The correctly rounded square of v, from exact rational arithmetic."""
+    return float(Fraction(v) ** 2)
+
+
+def spread_floats(seed: int, count: int = 20_000) -> np.ndarray:
+    """Seeded positive floats between 10^-150 and 10^150, so their squares stay normal.
+
+    The C library's ``pow`` (Python's ``v ** 2``) may miss the correctly
+    rounded square by one ulp; the square-rule tests assert that this set
+    holds such values.
+    """
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 2.0, count) * 10.0 ** rng.integers(-150, 150, count)
+
 
 _ENTRY = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
 

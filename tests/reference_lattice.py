@@ -1,11 +1,11 @@
 """Term-at-a-time references for the array passes of ``sldl.jacobi``.
 
 Each function here computes its terms one lattice index at a time, with
-the float operations of the array code: Python ``**`` for the cor3
-spacing squares, ``math.log`` for the power-law exponent, products
-``a * a`` where numpy squares, and one numpy expression per block (so a
-complex block divided by a float takes numpy's complex division, and a
-block norm is ``frobenius_norm`` of that one block). The
+the float operations of the array code: ``math.log`` for the power-law
+exponent, products ``a * a`` where numpy squares (the cor3 spacing squares
+among them), and one numpy expression per block (so a complex block
+divided by a float takes numpy's complex division, and a block norm is
+``frobenius_norm`` of that one block). The
 tests compare with ``tobytes`` and ``==``, so any change of an operation
 or of its order shows. A shifted jump H_k + (1/d_k + 1/d_{k+1}) I takes the
 reciprocal sum on its diagonal only, so an infinite sum leaves the
@@ -72,7 +72,7 @@ def cor3(d, H, N: int):
         above = above and not lhs < rhs - tol
         below = below and not lhs > rhs + tol
     direction = "equal" if above and below else ">=" if above else "<=" if below else "mixed"
-    spacing = [d[k - 1] ** 2 for k in range(1, N + 1)]
+    spacing = [d[k - 1] * d[k - 1] for k in range(1, N + 1)]
     jump = [d[k] * frobenius_norm(shifted_jump(d, H, k)) for k in range(1, N + 1)]
     return (above or below, direction, build_report("cor3_spacing", spacing),
             build_report("cor3_jump", jump))

@@ -1,22 +1,25 @@
 import json
 import math
+import warnings
 from functools import cached_property
 
 import numpy as np
 import pytest
 import reference_march
 
-from conftest import random_symmetric
+from conftest import exact_square, random_symmetric, spread_floats
 from sldl import (
     ClassifyConfig,
     ConflictingEvidenceError,
     DeltaNodes,
     Evidence,
     IntervalSeq,
+    LinearSigma,
     QuasiState,
     blocks_from_delta,
     christ_stolz_family,
     classify,
+    cor3_check,
     equivalence_residual,
     gallery,
     gallery_entry,
@@ -24,6 +27,7 @@ from sldl import (
     nodes_to_Z,
     resolve_classification,
     solve_recurrence,
+    t2_predicate,
 )
 from sldl.bridge import CRITERIA, classify_detailed
 from sldl.jacobi import Lattice, cancel_jumps
@@ -166,7 +170,7 @@ def test_l2_geometric_sequence_converges():
 
 
 def per_row_l2_terms(z):
-    return [float(np.linalg.norm(np.asarray(zk).reshape(-1)) ** 2) for zk in z]
+    return [float(np.square(np.linalg.norm(np.asarray(zk).reshape(-1)))) for zk in z]
 
 
 def test_l2_terms_equal_the_per_row_norms():
@@ -181,6 +185,31 @@ def test_l2_terms_equal_the_per_row_norms():
         seqs.append(rng.normal(size=(2000, n)) + 1j * rng.normal(size=(2000, n)))
     for z in seqs:
         assert np.array_equal(l2_tail_report(z).terms, per_row_l2_terms(z))
+
+
+def test_l2_terms_are_the_correctly_rounded_squares():
+    """An n = 1 term is fl(u * u) wherever the row norm sqrt(fl(u * u)) is |u| again."""
+    d, H = christ_stolz_family(20_002)
+    march = solve_recurrence(blocks_from_delta(d, H), [1.0], [0.0], 20_000)
+    assert not march.imag.any()
+    for u in (np.abs(march.real[:, 0]), spread_floats(2602)):
+        terms = np.array(l2_tail_report(u.reshape(-1, 1)).terms)
+        keep = np.sqrt(u * u) == u
+        assert keep.mean() > 0.5
+        assert any(v ** 2 != v * v for v in u[keep].tolist())  # where pow misrounds
+        assert terms[keep].tolist() == [exact_square(v) for v in u[keep].tolist()]
+
+
+def test_squares_past_the_float_range_read_inf_and_zero_without_warnings():
+    linear = LinearSigma(1, (0.0, 1e300), (np.zeros((1, 1)), np.eye(1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        l2 = l2_tail_report([[1e200], [1e-200], [1e154 + 1e-200j]]).terms
+        cor3 = cor3_check((1e200, 1e-200, 1e154, 1.0, 1.0, 1.0), np.zeros((5, 1, 1)), 3).cond2
+        t2 = t2_predicate(linear, IntervalSeq(((0.0, 1e-200), (1.0, 1e200)))).series
+    assert l2 == (math.inf, 0.0, 1e308)
+    assert cor3.terms == (math.inf, 0.0, 1e308)
+    assert t2.terms == (0.0, math.inf)
 
 
 def test_l2_empty_rejected():

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from conftest import (
     delta_models,
     distributional_models,
+    exact_square,
     general_triple_models,
     random_symmetric,
+    spread_floats,
     step_sigma_models,
 )
 import sldl.criteria as criteria
@@ -709,6 +711,12 @@ def test_t2_monotone_linear_sigma():
     assert res.hypothesis_ok
     assert res.series.verdict == DIVERGES
     assert res.limit_point_certified
+
+
+def test_t2_terms_are_the_correctly_rounded_squares():
+    w = next(v for v in spread_floats(2604).tolist() if v ** 2 != v * v)
+    model = LinearSigma(1, (0.0, 1e300), (np.zeros((1, 1)), np.eye(1)))
+    assert t2_predicate(model, IntervalSeq(((0.0, w),))).series.terms == (exact_square(w),)
 
 
 def test_t2_indefinite_slope():

@@ -7,6 +7,7 @@ import pytest
 import reference_lattice
 import reference_march
 from hypothesis import given, settings
+from conftest import exact_square, spread_floats
 from hypothesis import strategies as st
 
 from sldl import (
@@ -714,6 +715,14 @@ def test_cor3_cancel_family_certified():
     res = cor3_check(d, H, 200)
     assert res.limit_circle_certified
     assert all(t == 0.0 for t in res.cond3.terms)
+
+
+def test_cor3_spacing_terms_are_the_correctly_rounded_squares():
+    for d in (spread_floats(2603), np.array(christ_stolz_family(20_002)[0])):
+        N = len(d) - 3
+        assert any(v ** 2 != v * v for v in d[:N].tolist())  # where pow misrounds
+        res = cor3_check(d, np.zeros((N, 1, 1)), N)
+        assert list(res.cond2.terms) == [exact_square(v) for v in d[:N].tolist()]
 
 
 def _lattice(kind):
