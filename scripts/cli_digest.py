@@ -192,6 +192,8 @@ INVOCATIONS = [
     "jacobi carleman --d const:1 --N 20",
     "jacobi carleman --data lattice.json",
     "jacobi carleman",
+    # a spacing ratio of the tail underflows to 0.0: no power-law exponent
+    "jacobi carleman --d list:1,1,1,1,1,1,1,1,1e150,1e-175,1,2,3,5,7,11 --H const:0 --N 12",
     "jacobi t7 --d harmonic --H cancel --N 20 --count 50",
     "jacobi t7 --data lattice.json",
     "jacobi t7 --d list:1,1,1,1 --N 5",

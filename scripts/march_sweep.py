@@ -33,6 +33,9 @@ models with 10 to 400 unit pieces (the real Gram loop),
 each as the median of repeated runs in one process with BLAS on one thread: one
 untimed warm-up pass over every function and size, then REPEATS timed
 passes, so the repeats of one function and size are a whole pass apart.
+Each timed pass runs the jobs in its own order, shuffled from the fixed
+SHUFFLE_SEED, the same for every tree: a job can speed up or slow down the
+next through the allocator state it leaves.
 
 The host's speed drifts between and within runs, so every repeat is
 preceded by a timing of the reference kernel of ``perfbench/hostspeed.py``
@@ -51,6 +54,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import random
 import statistics
 import sys
 import time
@@ -63,6 +67,7 @@ TERMS = (1000, 10_000, 100_000)
 NODES = (500, 1000, 2000, 5000, 10_000)
 SPACINGS = (2000, 5000, 10_000, 20_000, 50_000, 100_000)
 CELLS = (10, 25, 50, 100, 200, 400)
+SHUFFLE_SEED = 2027
 
 
 def load_hostspeed():
@@ -88,15 +93,20 @@ def sweep(jobs, repeats: int, hostspeed) -> dict:
     A job is (row, size, fn, setup), timed as fn(setup()) with ``setup`` run
     outside the timing. One untimed pass over all jobs comes first, so
     first-use work (caches, lazy stacks, allocator growth) lands in no
-    repeat; then each timed pass runs every job once, so the repeats of one
-    job are a whole pass apart and a slow phase of the host spoils at most a
-    few of them. The reference is timed right before the repeat it corrects.
+    repeat; then each timed pass runs every job once, in an order shuffled
+    from SHUFFLE_SEED, so the repeats of one job are a whole pass apart, a
+    slow phase of the host spoils at most a few of them, and no job is timed
+    always after the same one. The reference is timed right before the
+    repeat it corrects.
     """
     for _, _, fn, setup in jobs:
         fn(setup())
     samples = [([], [], []) for _ in jobs]
+    order, rng = list(range(len(jobs))), random.Random(SHUFFLE_SEED)
     for _ in range(repeats):
-        for (_, _, fn, setup), (times, corrected, references) in zip(jobs, samples):
+        rng.shuffle(order)
+        for i in order:
+            (_, _, fn, setup), (times, corrected, references) = jobs[i], samples[i]
             arg = setup()
             reference = hostspeed.reference_time()
             t0 = time.perf_counter()

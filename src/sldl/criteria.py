@@ -487,7 +487,7 @@ def cor2_lattice(lat: Lattice, channel, threshold: float | None = None) -> Crite
 # monotone-potential test (code t2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class T2Result:
     hypothesis_ok: bool
     series: CriterionReport

@@ -260,9 +260,11 @@ def _steps(A, B_inv, B_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray)
     """out[m] = u_{m+1} = -B_inv[m] (A[m] u_m + B_star[m] u_{m-1}), from (u_-1, u_0) = (prev, cur).
 
     The states are (n,) or (n, k) arrays in the blocks' dtype. At order 1 each
-    column steps in Python floats or complex numbers; each 0.0 + (0j + for
-    complex blocks) gives a product the +0 start of the BLAS accumulator, so
-    zero signs and every bit match the BLAS loop of order n >= 2.
+    column steps in Python floats or complex numbers; the 0.0 + (0j + for complex
+    blocks) gives the product the +0 start of the BLAS accumulator, so zero signs
+    and every bit match the BLAS loop of order n >= 2. A zero + on each summand
+    would change only zero signs, which the products keep and that add turns into
+    +0.0, inf and NaN included (which NaN two NaNs give is CPython's choice).
     """
     if len(cur) == 1:
         zero = 0.0 if A.dtype == float else 0j
@@ -271,7 +273,7 @@ def _steps(A, B_inv, B_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray)
         for j, (p, c) in enumerate(zip(prev.reshape(-1).tolist(), cur.reshape(-1).tolist())):
             col = []
             for a, b_inv, b_star in zip(*entries):
-                p, c = c, -(zero + b_inv * ((zero + a * c) + (zero + b_star * p)))
+                p, c = c, -(zero + b_inv * (a * c + b_star * p))
                 col.append(c)
             cols[:, j] = col
     else:
@@ -407,7 +409,10 @@ def _power_exponent(d) -> float | None:
         return None
     k = np.arange(len(d) // 2 + 1, len(d) // 2 + len(tail), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        ps = _libm(math.log, tail[1:] / tail[:-1]) / _libm(math.log, (k + 1.0) / k)
+        ratios = tail[1:] / tail[:-1]
+        if not ((0.0 < ratios) & (ratios < math.inf)).all():
+            return None  # a ratio underflowed to 0.0 or overflowed: no power law
+        ps = _libm(math.log, ratios) / _libm(math.log, (k + 1.0) / k)
         mean = sum(ps.tolist()) / len(ps)
         spread = max(np.abs(ps - mean).tolist())  # Python's max skips a NaN after the first
     if spread <= 1e-6 * max(1.0, abs(mean)):
@@ -471,13 +476,15 @@ def carleman_spacing_bounds(d, n: int = 1) -> bool:
     return bool(np.all((val >= lower - slack) & (val <= upper + slack)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class T7Result:
-    """Product-series check; s indexes the two lattice parities (1 and 2)."""
+    """Product-series check; s indexes the two lattice parities (1 and 2).
+
+    ``log_terms_a`` holds the logs of the ``series_a`` terms as read-only float64 arrays."""
 
     series_a: tuple[CriterionReport, CriterionReport]
     series_b: tuple[CriterionReport, CriterionReport]
-    log_terms_a: tuple[tuple[float, ...], tuple[float, ...]]
+    log_terms_a: tuple[np.ndarray, np.ndarray]
     limit_circle_certified: bool
 
     def reports(self):
@@ -528,12 +535,13 @@ def t7_lattice(lat: Lattice, N: int) -> T7Result:
                  if overflowed else ())
         series_a.append(build_report(f"t7_a_s{s}", terms[:N], notes=notes))
         series_b.append(build_report(f"t7_b_s{s}", tb))
-        logs_a.append(tuple(log_t[:N].tolist()))
+        log_t.flags.writeable = False
+        logs_a.append(log_t[:N])
     certified = all(r.verdict == CONVERGES for r in series_a + series_b)
     return T7Result(tuple(series_a), tuple(series_b), tuple(logs_a), certified)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cor3Result:
     """Monotone-comparability variant of the product-series check."""
 

@@ -5,7 +5,7 @@ whose divergence or convergence carries the spectral information. On a
 finite window neither property is decidable, so verdicts are issued only
 when an explicit certificate fires, and the certificate is named in
 ``verdict_basis``. Anything else stays Inconclusive, and so does every
-window that contains a NaN term.
+window that contains a NaN term. Reports hold read-only float64 arrays.
 
 Divergence certificates (lower bound on infinitely many terms, assuming
 the observed structure continues):
@@ -47,20 +47,29 @@ VERDICT_POLICY = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriterionReport:
+    """Term window, running sums and verdict; ``terms`` and ``partial_sums`` are frozen
+    into read-only float64 arrays, one copy each, and reports compare by identity."""
+
     criterion: str
-    terms: tuple[float, ...]
-    partial_sums: tuple[float, ...]
+    terms: np.ndarray
+    partial_sums: np.ndarray
     verdict: str
     verdict_basis: str
     notes: tuple[str, ...] = field(default=())
 
+    def __post_init__(self):
+        for name in ("terms", "partial_sums"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
     def to_json(self) -> dict:
         out = {
             "criterion": self.criterion,
-            "terms": list(self.terms),
-            "partial_sums": list(self.partial_sums),
+            "terms": self.terms.tolist(),
+            "partial_sums": self.partial_sums.tolist(),
             "verdict": self.verdict,
             "verdict_basis": self.verdict_basis,
         }
@@ -76,11 +85,11 @@ _AS_FLOATS = np.errstate(over="ignore", invalid="ignore")
 
 
 @_AS_FLOATS
-def partial_sums(terms) -> tuple[float, ...]:
-    """Running sums of the terms, added in sequence from +0.0."""
+def partial_sums(terms) -> np.ndarray:
+    """Running sums of the terms, added in sequence from +0.0, as a float64 array."""
     # cumsum adds in sequence like a running ``acc += t``; adding 0.0 turns
     # the -0.0 sums of leading -0.0 terms into that loop's 0.0
-    return tuple((np.asarray(terms, dtype=float).cumsum() + 0.0).tolist())
+    return np.asarray(terms, dtype=float).cumsum() + 0.0
 
 
 def _tail(terms):
@@ -186,26 +195,19 @@ def build_report(criterion: str, terms, threshold: float | None = None,
                  notes=()) -> CriterionReport:
     """Assemble a CriterionReport, issuing a verdict only on a certificate."""
     check_threshold(threshold)
-    arr = np.array(terms, dtype=float)
-    terms = tuple(arr.tolist())
-    clean = bool((arr >= 0.0).all())  # False for negative and NaN terms
-    if not clean and (arr < 0.0).any():
+    terms = np.asarray(terms, dtype=float)  # the report takes its own copy
+    clean = bool((terms >= 0.0).all())  # False for negative and NaN terms
+    if not clean and (terms < 0.0).any():
         raise ValueError("criterion terms must be nonnegative")
-    sums = partial_sums(arr)
-    if not terms:
-        return CriterionReport(criterion, (), (), INCONCLUSIVE,
-                               "empty term sequence", tuple(notes))
-    # NaN fails every comparison, so the certificates would read it as passing
-    if not clean:
-        nan_at = int(np.isnan(arr).argmax())
-        return CriterionReport(criterion, terms, sums, INCONCLUSIVE,
-                               f"terms[{nan_at}] is NaN; no certificate applies", tuple(notes))
-    basis = divergence_certificate(arr, threshold)
-    if basis is not None:
-        return CriterionReport(criterion, terms, sums, DIVERGES, basis, tuple(notes))
-    basis = convergence_certificate(arr)
-    if basis is not None:
-        return CriterionReport(criterion, terms, sums, CONVERGES, basis, tuple(notes))
-    return CriterionReport(criterion, terms, sums, INCONCLUSIVE,
-                           "no divergence or convergence certificate fired",
-                           tuple(notes))
+    if not len(terms):
+        verdict, basis = INCONCLUSIVE, "empty term sequence"
+    elif not clean:  # NaN fails every comparison, so the certificates would read it as passing
+        nan_at = int(np.isnan(terms).argmax())
+        verdict, basis = INCONCLUSIVE, f"terms[{nan_at}] is NaN; no certificate applies"
+    elif (basis := divergence_certificate(terms, threshold)) is not None:
+        verdict = DIVERGES
+    elif (basis := convergence_certificate(terms)) is not None:
+        verdict = CONVERGES
+    else:
+        verdict, basis = INCONCLUSIVE, "no divergence or convergence certificate fired"
+    return CriterionReport(criterion, terms, partial_sums(terms), verdict, basis, tuple(notes))

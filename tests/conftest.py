@@ -11,6 +11,16 @@ def exact_square(v: float) -> float:
     return float(Fraction(v) ** 2)
 
 
+def frozen_floats(got, want) -> bool:
+    """True when ``got`` is a read-only float64 array with the shape and bits of ``want``.
+
+    Bits tell -0.0 from 0.0 and read NaN as equal to the same NaN.
+    """
+    want = np.array(want, dtype=float)
+    return (isinstance(got, np.ndarray) and got.dtype == np.float64 and not got.flags.writeable
+            and got.shape == want.shape and got.tobytes() == want.tobytes())
+
+
 def spread_floats(seed: int, count: int = 20_000) -> np.ndarray:
     """Seeded positive floats between 10^-150 and 10^150, so their squares stay normal.
 

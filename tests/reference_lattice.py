@@ -51,7 +51,10 @@ def power_exponent(d):
     for i in range(len(tail) - 1):
         if tail[i] <= 0.0 or tail[i + 1] <= 0.0:
             return None
-        ps.append(math.log(tail[i + 1] / tail[i]) / math.log((k0 + i + 1) / (k0 + i)))
+        ratio = tail[i + 1] / tail[i]
+        if ratio == 0.0 or ratio == math.inf:  # underflowed or overflowed: no power law
+            return None
+        ps.append(math.log(ratio) / math.log((k0 + i + 1) / (k0 + i)))
     mean = sum(ps) / len(ps)
     if max(abs(p - mean) for p in ps) <= 1e-6 * max(1.0, abs(mean)):
         return mean

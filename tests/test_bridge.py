@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import reference_march
 
-from conftest import exact_square, random_symmetric, spread_floats
+from conftest import exact_square, frozen_floats, random_symmetric, spread_floats
 from sldl import (
     ClassifyConfig,
     ConflictingEvidenceError,
@@ -28,11 +28,12 @@ from sldl import (
     resolve_classification,
     solve_recurrence,
     t2_predicate,
+    t7_check,
 )
 from sldl.bridge import CRITERIA, classify_detailed
 from sldl.jacobi import Lattice, cancel_jumps
 from sldl.matcore import ShapeMismatchError
-from sldl.reports import CONVERGES, DIVERGES
+from sldl.reports import CONVERGES, DIVERGES, build_report
 
 
 def free_lattice(count=30, n=1):
@@ -207,9 +208,9 @@ def test_squares_past_the_float_range_read_inf_and_zero_without_warnings():
         l2 = l2_tail_report([[1e200], [1e-200], [1e154 + 1e-200j]]).terms
         cor3 = cor3_check((1e200, 1e-200, 1e154, 1.0, 1.0, 1.0), np.zeros((5, 1, 1)), 3).cond2
         t2 = t2_predicate(linear, IntervalSeq(((0.0, 1e-200), (1.0, 1e200)))).series
-    assert l2 == (math.inf, 0.0, 1e308)
-    assert cor3.terms == (math.inf, 0.0, 1e308)
-    assert t2.terms == (0.0, math.inf)
+    assert frozen_floats(l2, (math.inf, 0.0, 1e308))
+    assert frozen_floats(cor3.terms, (math.inf, 0.0, 1e308))
+    assert frozen_floats(t2.terms, (0.0, math.inf))
 
 
 def test_l2_empty_rejected():
@@ -502,6 +503,11 @@ def _records():
         "QuasiState": lambda: QuasiState([0.0], [1.0]),
         "FundamentalPair": lambda: fundamental_pair(free_lattice(4), 0.0, [0.0, 1.5]),
         "GalleryEntry": lambda: gallery_entry("free-lattice"),
+        "CriterionReport": lambda: build_report("x", [1.0, 2.0]),
+        "T7Result": lambda: t7_check(*christ_stolz_family(6), 2),
+        "Cor3Result": lambda: cor3_check(*christ_stolz_family(6), 3),
+        "T2Result": lambda: t2_predicate(LinearSigma(1, (0.0, 1.0), (zero, eye)),
+                                         IntervalSeq.unit(1)),
     }
 
 

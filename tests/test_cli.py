@@ -75,6 +75,15 @@ def test_jacobi_carleman_constant_spacings(capsys):
     assert rep["verdict"] == "DivergesProven"
 
 
+def test_jacobi_carleman_with_a_spacing_ratio_that_underflows(capsys):
+    # exited 2 with "error: math domain error" from the power-law exponent
+    code, doc = run_json(capsys, ["jacobi", "carleman", "--d",
+                                  "list:1,1,1,1,1,1,1,1,1e150,1e-175,1,2,3,5,7,11",
+                                  "--H", "const:0", "--N", "12"])
+    assert code == 0
+    assert doc["result"]["reports"][0]["verdict"] == "Inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # remaining subcommand surface
 

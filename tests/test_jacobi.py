@@ -7,7 +7,7 @@ import pytest
 import reference_lattice
 import reference_march
 from hypothesis import given, settings
-from conftest import exact_square, spread_floats
+from conftest import exact_square, frozen_floats, spread_floats
 from hypothesis import strategies as st
 
 from sldl import (
@@ -28,13 +28,14 @@ from sldl.jacobi import (
     Lattice,
     NonPositiveSpacingError,
     _power_exponent,
+    _steps,
     blocks_from_json,
     blocks_to_json,
     cancel_jumps,
     recurrence_summands,
 )
 from sldl.matcore import NonSymmetricError, condition, frobenius_norm
-from sldl.reports import CONVERGES, DIVERGES, build_report
+from sldl.reports import CONVERGES, DIVERGES, INCONCLUSIVE, build_report
 
 
 def constant_blocks(count=12, n=1):
@@ -597,6 +598,15 @@ def test_carleman_needs_stored_blocks():
         carleman_report(blocks, 10)
 
 
+def test_carleman_takes_no_power_law_from_a_spacing_ratio_that_underflows():
+    # the tail ratio 1e-175 / 1e150 reads 0.0, and log(0.0) raised a math domain error
+    d = [1.0] * 8 + [1e150, 1e-175, 1.0, 2.0, 3.0, 5.0, 7.0, 11.0]
+    assert _power_exponent(d[:14]) is None
+    rep = carleman_report(blocks_from_delta(d, np.zeros((15, 1, 1))), 12)
+    assert (rep.verdict, rep.verdict_basis) == (
+        INCONCLUSIVE, "no divergence or convergence certificate fired")
+
+
 def test_spacing_bounds_examples():
     assert carleman_spacing_bounds([1.0, 1.0, 1.0])
     assert carleman_spacing_bounds([1.0, 4.0, 1.0])
@@ -773,7 +783,7 @@ def assert_t7_equals_the_term_loop(d, H, N):
         a, b = res.series_a[s], res.series_b[s]
         assert np.array(a.terms).tobytes() == np.array(ta).tobytes()
         assert np.array(b.terms).tobytes() == np.array(tb).tobytes()
-        assert repr(res.log_terms_a[s]) == repr(tuple(la))
+        assert frozen_floats(res.log_terms_a[s], la)
         assert (a.notes != ()) == (overflowed > 0) and all(str(overflowed) in v for v in a.notes)
         assert repr((a, b)) == repr((build_report(a.criterion, ta, notes=a.notes),
                                      build_report(b.criterion, tb)))
@@ -797,13 +807,43 @@ def test_t7_of_extreme_lattices_equals_the_term_loop(d, n):
 
 
 @pytest.mark.parametrize("d", [
-    (1e-300, 1e10) * 8,  # ratios past the float range: inf exponents
-    (1e10, 1e-300) * 8,  # the same after a finite one, which Python's max keeps
+    (1e-300, 1e10) * 8,  # ratios past the float range: no exponent
+    (1e10, 1e-300) * 8,  # the same after a finite one, where Python's max kept inf
     (1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
     (1.0,) * 12 + (float("nan"),),
 ])
 def test_power_exponent_of_extreme_tails_equals_the_loop(d):
     assert repr(_power_exponent(d)) == repr(reference_lattice.power_exponent(d))
+
+
+_STEP_VALUES = st.sampled_from([0.0, -0.0, 0.5, -3.0, 5e-324, 1e308, math.inf, -math.inf,
+                                 math.nan, -math.nan])
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_order_1_steps_keep_the_bits_of_a_zero_add_on_every_summand(data, cplx):
+    # the step takes one 0.0 + (0j +) on the product; one on each summand as well
+    # changes no bit, zero signs and inf included. Where two NaNs meet, CPython
+    # returns either one (its specialized float operations take the other operand
+    # from its generic ones), so NaNs compare as one NaN
+    entry = st.builds(complex, _STEP_VALUES, _STEP_VALUES) if cplx else _STEP_VALUES
+    dtype, zero = (complex, 0j) if cplx else (float, 0.0)
+    m = data.draw(st.integers(1, 6))
+    A, B_inv, B_star = (np.array(data.draw(st.lists(entry, min_size=m, max_size=m)),
+                                 dtype=dtype).reshape(m, 1, 1) for _ in range(3))
+    p, c = data.draw(entry), data.draw(entry)
+    out = np.empty((m, 1), dtype=dtype)
+    _steps(A, B_inv, B_star, np.array([p], dtype=dtype), np.array([c], dtype=dtype), out)
+    want = []
+    for a, b_inv, b_star in zip(A.ravel().tolist(), B_inv.ravel().tolist(),
+                                B_star.ravel().tolist()):
+        p, c = c, -(zero + b_inv * ((zero + a * c) + (zero + b_star * p)))
+        want.append(c)
+    got, want = out.ravel().view(float), np.array(want, dtype=dtype).view(float)
+    nan = np.isnan(got)
+    assert (nan == np.isnan(want)).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 import math
 
+import numpy as np
 import pytest
+import reference_json
 import reference_reports
+from conftest import frozen_floats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sldl.cli import canonical_json
 from sldl.reports import (
     CONVERGES,
     DIVERGES,
     INCONCLUSIVE,
+    CriterionReport,
     build_report,
     convergence_certificate,
     divergence_certificate,
@@ -27,7 +32,19 @@ def test_partial_sums_nondecreasing_and_consistent():
 def test_empty_terms_inconclusive():
     rep = build_report("t1", [])
     assert rep.verdict == INCONCLUSIVE
-    assert rep.terms == () and rep.partial_sums == ()
+    assert frozen_floats(rep.terms, ()) and frozen_floats(rep.partial_sums, ())
+
+
+def test_reports_hold_their_own_read_only_arrays():
+    terms = np.array([1.0, -0.0, 2.0])
+    rep = build_report("x", terms)
+    by_hand = CriterionReport("x", terms, [1.0, 1.0, 3.0], INCONCLUSIVE, "by hand")
+    terms[0] = 5.0
+    for got in (rep, by_hand):
+        assert frozen_floats(got.terms, (1.0, -0.0, 2.0))
+        assert frozen_floats(got.partial_sums, (1.0, 1.0, 3.0))
+        with pytest.raises(ValueError):
+            got.terms[0] = 0.0
 
 
 def test_constant_terms_diverge():
@@ -171,13 +188,25 @@ def term_windows(draw):
 @settings(max_examples=400, deadline=None)
 def test_report_equals_the_term_at_a_time_reference(terms, threshold):
     rep = build_report("x", terms, threshold=threshold)
-    want = reference_reports.report(terms, threshold)
-    got = (rep.terms, rep.partial_sums, rep.verdict, rep.verdict_basis)
-    assert repr(got) == repr(want)  # repr tells -0.0 from 0.0 and reads NaN as equal
-    assert all(type(v) is float for v in rep.terms + rep.partial_sums)
+    want_terms, want_sums, *want = reference_reports.report(terms, threshold)
+    assert frozen_floats(rep.terms, want_terms) and frozen_floats(rep.partial_sums, want_sums)
+    assert [rep.verdict, rep.verdict_basis] == want
     if not any(map(math.isnan, terms)):
         assert (divergence_certificate(terms, threshold)
                 == reference_reports.divergence_certificate(terms, threshold))
         assert convergence_certificate(terms) == reference_reports.convergence_certificate(terms)
     tail = terms[len(terms) // 2:]
     assert periodic_positive_floor(tail) == reference_reports.periodic_positive_floor(tail)
+
+
+@given(term_windows(), st.none() | st.floats(0.0, 20.0))
+@settings(max_examples=300, deadline=None)
+def test_report_json_equals_the_encoded_reference_report(terms, threshold):
+    # -0.0, inf, NaN and empty windows; the floats are made only by to_json
+    rep = build_report("x", terms, threshold=threshold, notes=("a note",))
+    for values in (rep.terms, rep.partial_sums):
+        assert values.dtype == np.float64 and not values.flags.writeable
+    want_terms, want_sums, verdict, basis = reference_reports.report(terms, threshold)
+    want = {"criterion": "x", "terms": list(want_terms), "partial_sums": list(want_sums),
+            "verdict": verdict, "verdict_basis": basis, "notes": ["a note"]}
+    assert canonical_json(rep.to_json()) == reference_json.canonical_json(want)
