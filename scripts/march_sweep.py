@@ -4,8 +4,10 @@
 Times ``blocks_from_delta`` on christ-stolz spacings and jumps of 2500
 to 10^5 spacings, with and without its first-use B^-1 stack,
 ``solve_recurrence`` over 2500 to 10^5 steps of the
-christ-stolz lattice at orders 1 and 2 (blocks built outside the timing, so
-the time includes the first-use B^-1 stack), ``l2_tail_report`` of the
+christ-stolz lattice at orders 1 and 2, from real seeds and from seeds with an
+imaginary part (complex states on real blocks; no workload or command line
+runs these), with the blocks built outside the timing, so
+the time includes the first-use B^-1 stack, ``l2_tail_report`` of the
 order-1 solutions of 2500 to 10^5 steps, ``carleman_report`` (N = the
 steps) on the christ-stolz blocks of the same sizes, ``t4_term`` over segments of
 50 to 2000 and of 2500 to 10^5 rows of the order-1 lattice, ``t7_check`` on 2000 to 10^5
@@ -154,7 +156,9 @@ def main() -> None:
     cancel2 = christ_stolz_family(len(d), 2)[1]
     for steps in STEPS:  # the blocks are built anew for each repeat, outside the timing
         for label, jumps, u0, u1 in (("", H, [1.0], [0.0]),
-                                     (" n=2", cancel2, [1.0, 0.5], [0.0, 1.0])):
+                                     (" n=2", cancel2, [1.0, 0.5], [0.0, 1.0]),
+                                     (" complex seed", H, [1.0 + 0.5j], [0.0]),
+                                     (" n=2 complex seed", cancel2, [1.0, 0.5j], [0.0, 1.0])):
             timed("solve_recurrence" + label, steps,
                   lambda blocks, u0=u0, u1=u1, steps=steps: solve_recurrence(blocks, u0, u1, steps),
                   lambda jumps=jumps, steps=steps: blocks_from_delta(d[:steps + 2],

@@ -40,7 +40,7 @@ from .jacobi import (
     t4_report,
     t7_lattice,
 )
-from .matcore import ShapeMismatchError
+from .matcore import ShapeMismatchError, inexact
 from .quasidiff import (
     CoefficientModel,
     DeltaNodes,
@@ -120,21 +120,22 @@ class ClassifyConfig:
 def nodes_to_Z(f_at_nodes, d) -> np.ndarray:
     """Rescaled node samples Z_k = sqrt(d_k + d_{k+1}) f(x_k), k = 1..len(d)-1, as rows."""
     d = np.asarray(d, dtype=float)
-    f = np.asarray(f_at_nodes, dtype=complex)
+    f = inexact(f_at_nodes)
     if len(f) != len(d):
         raise ShapeMismatchError("need one node sample per spacing")
     return np.sqrt(d[:-1] + d[1:])[:, None] * f.reshape(len(f), -1 if len(f) else 0)[:-1]
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of a (K, n) complex array, with its float operations.
+    """np.linalg.norm of each row of a (K, n) array, with its float operations.
 
-    Like the single-vector norm, each row takes the dot products of its real
-    and of its imaginary parts, so every value equals that row's norm bit for bit.
+    Like the single-vector norm, each row takes its dot product, or for a
+    complex array the dot products of its real and of its imaginary parts,
+    so every value equals that row's norm bit for bit.
     """
     dot = lambda x: (x[:, None, :] @ x[:, :, None])[:, 0, 0]
     with np.errstate(over="ignore"):  # a finite row whose square overflows has norm inf
-        return np.sqrt(dot(v.real) + dot(v.imag))
+        return np.sqrt(dot(v.real) + dot(v.imag) if v.dtype == complex else dot(v))
 
 
 def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) -> float:
@@ -158,8 +159,8 @@ def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) 
         raise ValueError(f"need at least count + 3 = {count + 3} nodes, have {m}")
     lat, y = _lattice(model), np.concatenate([seed_state.f, seed_state.f1])
     samples = _march(_cells(model, 0.0, [(0.0, model.nodes[-1])]), y)[1:, :model.n]
-    blocks = blocks_from_lattice(lat)
-    u = np.vstack([np.zeros((1, model.n), dtype=complex), nodes_to_Z(samples, lat.d)])
+    blocks, z = blocks_from_lattice(lat), nodes_to_Z(samples, lat.d)
+    u = np.vstack([np.zeros((1, model.n), dtype=z.dtype), z])
     parts = recurrence_summands(blocks, u, 2, count + 2)
     scale = np.maximum(1.0, np.maximum.reduce([_row_norms(p) for p in parts]))
     return float(np.max(_row_norms(parts[0] + parts[1] + parts[2]) / scale))
@@ -171,7 +172,7 @@ def l2_tail_report(Z) -> CriterionReport:
     ConvergesBounded is a trend certificate on the computed window, not a
     proof of square summability; classification never relies on it alone.
     """
-    z = np.asarray(Z, dtype=complex)
+    z = inexact(Z)
     if not len(z):
         raise ValueError("empty sequence")
     with np.errstate(over="ignore"):  # one correctly rounded product; past the float range, inf

@@ -271,7 +271,7 @@ def parse_vector(spec: str, n: int) -> np.ndarray:
         raise ConfigError(f"expected {n} components in {spec!r}")
     if not all(math.isfinite(v) for v in vals):
         raise ConfigError(f"components of {spec!r} must be finite")
-    return np.array(vals, dtype=complex)
+    return np.array(vals)
 
 
 def load_problem(path: str):

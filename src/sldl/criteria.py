@@ -28,7 +28,7 @@ drifts them, and the traces of every cell are one batched product after it.
 Order-1 step and delta models carry their one 2 x 2 Gram matrix as three
 Python floats, kicked and drifted per cell. Solution norms read the states
 of one march from 0 and sum tr(t* W t) over the cells of [a, b], with the
-same cell integrals W, in one einsum for every model.
+same cell integrals W, in one batched product for every model.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _solution_norm_pass(model, spans) -> np.ndarray:
     """
     ((a, b),), n = spans, model.n
     cells = _cells(model, 0.0, [(0.0, b)], stops=(a,))
-    states = _march(cells, np.eye(2 * n, dtype=complex))
+    states = _march(cells, np.eye(2 * n))
     first = int(np.searchsorted(cells.end, a, side="right"))
     t = states[first:-1]
     if isinstance(model, StepModel):  # whose cell integrals read the lengths only
@@ -233,7 +233,7 @@ def _solution_norm_pass(model, spans) -> np.ndarray:
     else:
         cells = cells._replace(gen=cells.gen[first:], prop=cells.prop[first:])
     w = _cell_integrals(model, cells._replace(length=cells.length[first:]))[0]
-    return np.array([np.einsum("cji,cjk,cki->", t.conj(), w.sum(axis=1), t).real])
+    return np.array([(t.conj() * (w.sum(axis=1) @ t)).real.sum()])
 
 
 def _exact(one_pass, model, spans, what: str) -> np.ndarray:

@@ -28,9 +28,9 @@ that A_k, t7 and cor3 slice; the (d, H) entry points build a Lattice for the
 lattice forms. ``JacobiBlocks`` stores A and B in the dtype ``as_stack``
 gives them, float64 for every lattice. The recurrence marches step with the
 lazily built stacks B_inv and B_star: each step is three BLAS products into
-preallocated buffers, or three Python products at order n = 1. On real
-blocks the march steps the real and the nonzero imaginary parts of the state
-columns in float64 and writes them back into its complex output. Storage
+preallocated buffers, or three Python products at order n = 1. States take
+the dtype of the blocks and the start together: float64 when both are real,
+complex128 otherwise. Storage
 starts at A_0, B_0: slot k holds A_k and B_k. All spacing indices k in this
 module are 1-based to match the recurrence above.
 """
@@ -50,10 +50,10 @@ from .matcore import (
     as_stack,
     condition,
     frobenius_norm,
+    inexact,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
-    real_march,
     real_symmetric,
 )
 from .reports import (
@@ -242,7 +242,7 @@ def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
 
 
 def _as_vec(v, n: int) -> np.ndarray:
-    arr = np.asarray(v, dtype=complex).reshape(-1)
+    arr = inexact(v).reshape(-1)
     if arr.size != n:
         raise ShapeMismatchError(f"expected a vector of length {n}")
     return arr
@@ -262,9 +262,10 @@ def _steps(A, B_inv, B_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray)
     The states are (n,) or (n, k) arrays in the blocks' dtype. At order 1 each
     column steps in Python floats or complex numbers; the 0.0 + (0j + for complex
     blocks) gives the product the +0 start of the BLAS accumulator, so zero signs
-    and every bit match the BLAS loop of order n >= 2. A zero + on each summand
-    would change only zero signs, which the products keep and that add turns into
-    +0.0, inf and NaN included (which NaN two NaNs give is CPython's choice).
+    and every bit match the BLAS loop of order n >= 2, NaN signs aside: where two
+    NaNs meet, CPython returns either one, depending on how warm its interpreter
+    is. A zero + on each summand would change only zero signs, which the products
+    keep and that add turns into +0.0, inf and NaN included.
     """
     if len(cur) == 1:
         zero = 0.0 if A.dtype == float else 0j
@@ -288,22 +289,20 @@ def _steps(A, B_inv, B_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray)
 def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray:
     """The stack u_{start+1} .. u_stop of u_{m+1} = -B_m^{-1} (A_m u_m + B*_{m-1} u_{m-1}).
 
-    (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike;
-    the stack is complex. Real blocks march the state columns in float64
-    (``real_march``). Raises IndexOutOfRangeError before the first step if a
-    block is not stored, and ValueError naming the first step whose state
-    leaves the float range.
+    (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike.
+    The stack is float64 when the blocks and (prev, cur) are real and
+    complex128 otherwise; complex states on real blocks march on complex
+    copies of the blocks they read. Raises IndexOutOfRangeError before the
+    first step if a block is not stored, and ValueError naming the first step
+    whose state leaves the float range.
     """
-    prev, cur = np.asarray(prev, dtype=complex), np.asarray(cur, dtype=complex)
-    out = np.empty((max(stop - start, 0),) + cur.shape, dtype=complex)
+    dtype = np.result_type(blocks.A, prev, cur)
+    out = np.empty((max(stop - start, 0),) + cur.shape, dtype=dtype)
     if start >= stop:
         return out
     s = blocks._stored(start - 1, stop)
-    A, B_inv, B_star = blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1]
-    if A.dtype == float:
-        real_march(lambda cols, real: _steps(A, B_inv, B_star, *cols, real), [prev, cur], out)
-    else:
-        _steps(A, B_inv, B_star, prev, cur, out)
+    _steps(*(x.astype(dtype, copy=False) for x in (
+        blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1], prev, cur)), out)
     bad = ~np.isfinite(out.reshape(len(out), -1)).all(axis=1)
     if bad.any():
         m = start + int(np.argmax(bad))
@@ -314,30 +313,31 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
 def solve_recurrence(blocks: JacobiBlocks, u0, u1, count: int) -> np.ndarray:
     """March u_{j+1} = -B_j^{-1} (A_j u_j + B*_{j-1} u_{j-1}) from (u_0, u_1).
 
-    Returns the first ``count`` entries; (lu)_j = 0 holds for
+    Returns the first ``count`` entries, float64 when the blocks and (u_0, u_1)
+    are real and complex128 otherwise; (lu)_j = 0 holds for
     1 <= j <= count - 2. Raises ValueError if an entry leaves the float range.
     """
     if count < 2:
         raise ValueError("count must be at least 2")
-    n = blocks.n
-    out = np.empty((count, n), dtype=complex)
-    out[0] = _as_vec(u0, n)
-    out[1] = _as_vec(u1, n)
-    out[2:] = _march(blocks, out[0], out[1], 1, count - 1)
+    u0, u1 = _as_vec(u0, blocks.n), _as_vec(u1, blocks.n)
+    out = np.empty((count, blocks.n), dtype=np.result_type(blocks.A, u0, u1))
+    out[0], out[1] = u0, u1
+    out[2:] = _march(blocks, u0, u1, 1, count - 1)
     return out
 
 
 def discrete_cauchy(blocks: JacobiBlocks, i: int, j: int) -> np.ndarray:
-    """Matrix solution K_ij of the recurrence with K_jj = O, K_{j+1,j} = B_j^{-1}."""
+    """Matrix solution K_ij of the recurrence with K_jj = O, K_{j+1,j} = B_j^{-1}, in the
+    blocks' dtype."""
     if j < 1 or i < j:
         raise IndexOutOfRangeError("need 1 <= j <= i")
-    n = blocks.n
+    zeros = np.zeros((blocks.n, blocks.n), dtype=blocks.B.dtype)
     if i == j:
-        return np.zeros((n, n), dtype=complex)
-    first = blocks.B_inv[blocks._stored(j, j + 1)][0].astype(complex)
+        return zeros
+    first = blocks.B_inv[blocks._stored(j, j + 1)][0]
     if i == j + 1:
-        return first
-    return _march(blocks, np.zeros((n, n), dtype=complex), first, j + 1, i)[-1]
+        return first.copy()
+    return _march(blocks, zeros, first, j + 1, i)[-1]
 
 
 def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:

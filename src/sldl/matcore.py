@@ -1,7 +1,10 @@
 """Dense linear algebra for small matrix orders.
 
-All matrices in this package are square numpy arrays whose dtype follows
-the data: float64 where every imaginary part is zero, complex128 otherwise.
+All arrays in this package, matrices and the states marched from them
+alike, follow one dtype rule, ``inexact``: float64 where every imaginary
+part is exactly zero, complex128 otherwise. The one exception is the piece
+stacks of general and distributional models, which ``_freeze_pieces`` casts
+to complex128 because their generators take a complex lam in place.
 A matrix sequence is one read-only (K, n, n) stack, validated by one
 ``as_stack`` call, or by ``real_symmetric``, the one place that drops
 imaginary parts (within HERMITIAN_TOL). The checks below act on the trailing
@@ -33,23 +36,32 @@ class NonSymmetricError(ValueError):
     """A matrix that must be real symmetric is not (within HERMITIAN_TOL)."""
 
 
+def inexact(m) -> np.ndarray:
+    """m in C order as float64 when every imaginary part is exactly zero (ints and
+    bools too; real data takes no complex copy), as complex128 otherwise.
+
+    The one dtype rule of the package; real data comes back as it is when it
+    is float64 in C order already.
+    """
+    m = np.asarray(m)
+    cplx = m.dtype.kind == "c" and m.imag.any()
+    return np.asarray(m if cplx else m.real, dtype=complex if cplx else float, order="C")
+
+
 def as_stack(entries, n: int | None = None) -> np.ndarray:
     """Validate and freeze a matrix sequence as one read-only (K, n, n) array.
 
     Accepts anything ``np.array`` does; a sequence of scalars is a stack of
     1 x 1 matrices and an empty sequence a stack of K = 0 (of order n, or 1).
     Entries must be finite and every matrix square of one order, checked
-    against ``n`` when given. The dtype follows the data: float64 when every
-    imaginary part is exactly zero (ints and bools too; real data takes no
-    complex copy), complex128 otherwise. The returned array is a copy.
+    against ``n`` when given. The dtype follows the data by ``inexact``. The
+    returned array is a copy.
     """
     try:
-        # C order: a strided source, such as a broadcast, must be viewable as floats below
-        m = np.array(entries, order="C")
+        m = np.array(entries)
     except ValueError as exc:
         raise ShapeMismatchError("matrices of one sequence must share one order") from exc
-    cplx = m.dtype.kind == "c" and m.imag.any()
-    m = np.asarray(m if cplx else m.real, dtype=complex if cplx else float, order="C")
+    m = inexact(m)  # C order: a strided source, such as a broadcast, is viewed as floats below
     if m.ndim == 1:
         m = m.reshape(-1, 1, 1) if len(m) or n is None else m.reshape(0, n, n)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
@@ -67,11 +79,6 @@ def as_matrix(entries, n: int | None = None) -> np.ndarray:
     return as_stack(np.asarray(entries)[None], n)[0]
 
 
-def _inexact(m) -> np.ndarray:
-    """m as a complex128 array if it holds complex values, else as a float64 one."""
-    return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
-
-
 def frobenius_norm(m):
     """Self-adjoint matrix norm: (sum of squared entry moduli)**0.5.
 
@@ -79,7 +86,7 @@ def frobenius_norm(m):
     norms for a stack. Entries whose squares leave the float range do not
     turn a representable norm into inf or 0.
     """
-    m = _inexact(m)
+    m = inexact(m)
     with np.errstate(over="ignore"):
         a = np.abs(m)
         norm = np.sqrt(np.sum(a ** 2, axis=(-2, -1)))
@@ -103,7 +110,7 @@ def condition(m):
     nonzero entry and inf otherwise, the values ``np.linalg.cond`` gives a
     1 x 1 matrix without its SVD; orders n >= 2 take ``np.linalg.cond``.
     """
-    m = _inexact(m)
+    m = inexact(m)
     if m.shape[-2:] == (1, 1):
         entry = m[..., 0, 0]
         return np.where(np.isfinite(entry) & (entry != 0), 1.0, np.inf)
@@ -115,9 +122,10 @@ def invert(m) -> np.ndarray:
 
     Raises SingularMatrixError when a condition estimate exceeds
     COND_LIMIT; otherwise one batched ``np.linalg.inv``, whose residual is
-    of order eps times the condition estimate. A real matrix has a real inverse.
+    of order eps times the condition estimate. A matrix whose imaginary parts
+    are all zero has a real inverse.
     """
-    m = _inexact(m)
+    m = inexact(m)
     cond = condition(m)
     if not np.all(cond <= COND_LIMIT):
         raise SingularMatrixError(f"condition estimate {np.max(cond):.3e} exceeds {COND_LIMIT:.0e}")
@@ -126,7 +134,7 @@ def invert(m) -> np.ndarray:
 
 def is_hermitian(m, tol: float = 0.0) -> bool:
     """True iff |m_ij - conj(m_ji)| <= tol for a matrix, or for every matrix of a stack."""
-    m = _inexact(m)
+    m = inexact(m)
     with np.errstate(over="ignore"):  # a difference past the float range fails
         return bool(np.all(np.abs(m - np.swapaxes(m, -1, -2).conj()) <= tol))
 
@@ -138,28 +146,6 @@ def real_symmetric(entries, what: str, n: int | None = None) -> np.ndarray:
     if not (np.all(np.abs(m.imag) <= HERMITIAN_TOL) and is_hermitian(m, HERMITIAN_TOL)):
         raise NonSymmetricError(f"{what} must be real symmetric")
     return as_stack(m.real) if m.dtype == complex else m
-
-
-def real_march(march, starts, out: np.ndarray) -> None:
-    """Fill the complex stack ``out`` by a real march of the columns of complex states.
-
-    ``starts`` are complex states of one shape, (m,) or (m, k), and ``out``
-    the (len(out),) + that shape stack the march fills. ``march(columns,
-    real)`` gets each start as one float64 (m, j) array, the real parts of
-    its columns and then the imaginary parts of the columns in which some
-    start has a nonzero one, and fills the float64 (len(out), m, j) stack
-    ``real``. ``out`` takes the two parts back; imaginary parts that were zero
-    in every start are +0.0.
-    """
-    cols = [s.reshape(len(s), -1) for s in starts]
-    width = cols[0].shape[1]
-    live = np.flatnonzero(np.any([c.imag.any(axis=0) for c in cols], axis=0))
-    real = np.empty((len(out), len(cols[0]), width + len(live)))
-    march([np.concatenate([c.real, c.imag[:, live]], axis=1) for c in cols], real)
-    rows = out.reshape(real.shape[:2] + (width,))  # a view: out is C ordered
-    rows.real = real[..., :width]
-    rows.imag = 0.0
-    rows.imag[..., live] = real[..., width:]
 
 
 def matrix_to_json(m) -> list:

@@ -20,14 +20,12 @@ generator otherwise. It stacks each cell's jump and propagator up front
 flights of step and delta models are real, and so are their stacks; at
 order 1 it builds no matrices at all, and each cell's jump is its dS as a
 Python float. One march, ``_march``, writes the state after every cell into
-a preallocated complex stack, from which transfer matrices and node samples
-are read by index.
-Real cells march the real and the nonzero imaginary parts of the state
-columns as float64 columns: a kick f' = dS f + f' and drift f = f + L f'
-per cell in Python floats where it has the dS, BLAS products of the real
-stacks otherwise. Complex cells (lam != 0, general and distributional
-models) take complex BLAS products. Classical samples go back to quasi
-coordinates by one subtraction, f1 = f' - sigma f.
+a preallocated stack, from which transfer matrices and node samples are read
+by index. The stack is float64 when the cells and the start are real, and
+complex128 otherwise (lam != 0, general and distributional models, complex
+starts). Each cell is a kick f' = dS f + f' and a drift f = f + L f' in
+Python numbers where it has the dS, BLAS products otherwise. Classical
+samples go back to quasi coordinates by one subtraction, f1 = f' - sigma f.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -49,10 +47,10 @@ from .matcore import (
     as_stack,
     condition,
     frobenius_norm,
+    inexact,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
-    real_march,
     real_symmetric,
 )
 
@@ -203,9 +201,10 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
     Each stack needs one piece per cut; those named in ``hermitian`` must
     be Hermitian and the first, the leading coefficient, invertible (a
     finite condition estimate at most COND_LIMIT, as in ``invert``).
-    The stacks are complex128 even for real data, and so is ``generators``,
-    the lam = 0 generator stack ``model._system`` builds from the leading
-    pieces' inverses, from which ``_piece_generators`` subtracts a complex lam.
+    The stacks are complex128 even for real data, the one exception to the
+    dtype rule of ``matcore.inexact``, and so is ``generators``, the lam = 0
+    generator stack ``model._system`` builds from the leading pieces'
+    inverses, from which ``_piece_generators`` subtracts a complex lam in place.
     """
     object.__setattr__(model, "cuts", _check_cuts(model.cuts, model.X))
     for name in names:
@@ -485,29 +484,24 @@ def _products(cells: Cells, y: np.ndarray, out: np.ndarray) -> None:
 def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     """y, then in row c + 1 its working-coordinate value after cell c of one span, as one stack.
 
-    Step and delta models at lam = 0 have real cells, and march in float64:
-    the real parts of the state columns, then their imaginary parts where
-    they are not all zero, as real columns, written back into the complex
-    stack (imaginary parts that were zero stay +0.0) by ``real_march``, as
-    the lattice march does. At order 1
-    (``cells.prop`` None) each column steps in Python floats: a kick
+    The stack is float64 when the cells and y are real (step and delta
+    models at lam = 0, real starts) and complex128 otherwise. At order 1 and
+    lam = 0 (``cells.prop`` None) each column steps in Python numbers: a kick
     f' = dS f + f' where the cell starts with a jump, then the drift
     f = f + L f'. Two roundings each, where a BLAS kernel may fuse one, so
-    the floats do not depend on the BLAS build. Otherwise, and for complex
-    cells, the columns go through ``_products``. A state that leaves the
-    float range is a ValueError naming the end x of the first such cell.
+    the floats do not depend on the BLAS build. Otherwise the state goes
+    through ``_products``. A state that leaves the float range is a
+    ValueError naming the end x of the first such cell.
     """
-    out = np.empty((len(cells.length) + 1,) + y.shape, dtype=complex)
+    dtype = np.result_type(y, float if cells.prop is None else cells.prop)
+    out = np.empty((len(cells.length) + 1,) + y.shape, dtype=dtype)
     out[0] = y
-    if cells.prop is not None and cells.prop.dtype == complex:
+    if cells.prop is not None:
         _products(cells, out[0], out[1:])
-    elif cells.prop is not None:
-        real_march(lambda cols, real: _products(cells, cols[0], real), [out[0]], out[1:])
     else:
-        def kick_drift(cols, real):
-            for j, (f, g) in enumerate(zip(*cols[0].tolist())):
-                real[:, 0, j], real[:, 1, j] = _kick_drift(cells.jump, cells.length, f, g)
-        real_march(kick_drift, [out[0]], out[1:])
+        cols = out[1:].reshape(len(out) - 1, 2, y.size // 2)  # a view: out is C ordered
+        for j, (f, g) in enumerate(zip(*y.reshape(2, -1).tolist())):
+            cols[:, 0, j], cols[:, 1, j] = _kick_drift(cells.jump, cells.length, f, g)
     bad = ~np.isfinite(out.reshape(len(out), -1)[1:]).all(axis=1)
     if bad.any():
         x = float(cells.end[np.argmax(bad)])
@@ -531,7 +525,7 @@ def transfer(model, lam: complex, x0: float, x1: float) -> np.ndarray:
     if not 0.0 <= x0 <= x1 <= model.X:
         raise ValueError("need 0 <= x0 <= x1 <= X")
     cells = _cells(model, lam, [(x0, x1)])
-    m = _march(cells, np.eye(2 * model.n, dtype=complex))[-1]
+    m = _march(cells, np.eye(2 * model.n))[-1]
     if cells.piece:
         _to_quasi(model, cells.piece[-1], m)
     return m
@@ -545,8 +539,8 @@ class QuasiState:
     f1: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=complex).reshape(-1)
-        f1 = np.asarray(self.f1, dtype=complex).reshape(-1)
+        # copies: a frozen state never aliases its caller's arrays
+        f, f1 = (inexact(np.array(v)).reshape(-1) for v in (self.f, self.f1))
         if f.shape != f1.shape or f.size < 1:
             raise ShapeMismatchError("f and f1 must share the same length")
         f.flags.writeable = False
@@ -626,7 +620,7 @@ def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
         raise ValueError("grid exceeds the model domain")
     cells = _cells(model, lam, [(0.0, grid[-1])], stops=grid)
     at = np.searchsorted(cells.end, grid[1:])  # the cells that end at the grid points
-    t = _march(cells, np.eye(2 * model.n, dtype=complex))
+    t = _march(cells, np.eye(2 * model.n))
     if len(at) < len(cells.end):
         t = t[np.concatenate([[0], at + 1])]
     _to_quasi(model, np.array(cells.piece, dtype=int)[at], t[1:])

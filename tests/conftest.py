@@ -21,6 +21,24 @@ def frozen_floats(got, want) -> bool:
             and got.shape == want.shape and got.tobytes() == want.tobytes())
 
 
+def real_parts(z) -> np.ndarray:
+    """The real parts of a complex reference whose imaginary parts are all zero, as a
+    C-ordered float64 array: what sldl gives for real data."""
+    z = np.asarray(z)
+    assert z.dtype == np.complex128 and not z.imag.any()
+    return np.ascontiguousarray(z.real)
+
+
+def report_key(rep) -> tuple:
+    """Everything a criterion report holds, exactly, as one tuple to compare by ==.
+
+    Criterion, verdict, basis and notes as they are; terms and partial sums by
+    dtype, shape and bytes, so -0.0 differs from 0.0 and a NaN equals the same NaN.
+    """
+    arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (rep.terms, rep.partial_sums))
+    return (rep.criterion, rep.verdict, rep.verdict_basis, rep.notes) + arrays
+
+
 def spread_floats(seed: int, count: int = 20_000) -> np.ndarray:
     """Seeded positive floats between 10^-150 and 10^150, so their squares stay normal.
 

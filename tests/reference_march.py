@@ -2,16 +2,21 @@
 
 Each function here redoes one march the plain way: one ``np.linalg.solve``
 (in ``inverse_march``, one product with the stored inverse) per lattice
-step, on real columns for real blocks as sldl does, one ``invert`` per
+step, on real columns for real blocks, one ``invert`` per
 kernel row, and one ``np.block`` jump and one
 ``expm`` per continuous cell (``matrix_step``), in the same float operation
 order as the stacked code. Step and delta models at lam = 0 have real jumps
 and propagators, and ``flow`` marches their states as real columns (the
-real parts, then the imaginary parts that are not all zero), as sldl does.
+real parts, then the imaginary parts that are not all zero).
 Order-1 step and delta models at lam = 0 march by ``kick_drift`` instead:
 each cell reads dS from its jump matrix and updates each real column in
 Python floats, as sldl's scalar march does; ``matrix_step`` stays available
-for them as the per-cell BLAS march. ``expm`` and ``piece_system`` are kept
+for them as the per-cell BLAS march. The marches here return complex
+states. sldl marches a real start on real blocks or cells in float64 with
+the float operations of these real columns, so its states are the real
+parts of these, whose imaginary parts are zero; a start with an imaginary
+part it marches in complex arithmetic on the real blocks or cells, which
+may round apart from the real columns at n >= 2 (the accuracy tests bound it). ``expm`` and ``piece_system`` are kept
 here one matrix and one piece at a time: the exponential scales, expands
 and squares a single matrix, and each general or distributional piece takes
 its own ``invert``. ``complex_march`` and ``complex_t4_term`` keep the lattice
@@ -19,7 +24,9 @@ code of the time when every block stack was complex128: an order-1 march in
 Python complex arithmetic, and t4 grams of complex matrices.
 The tests compare with ``np.array_equal`` (``tobytes`` for
 ``inverse_march``, and ``==`` for the residual float), so any change of
-that order shows. ``nodes_to_Z`` rescales one node at a time,
+that order shows. ``nodes_to_Z`` rescales one node at a time, in float64
+when the samples are real (imaginary parts exactly zero), as sldl does, and
+``equivalence_residual`` takes its summands in that dtype;
 ``grid_index`` scans the whole grid, ``to_quasi`` subtracts sigma f from f'
 one sample at a time, and ``interval_kernel_pass`` is the exact kernel pass
 over one interval alone, with its own Gram loop: three Python floats per
@@ -91,8 +98,8 @@ def inverse_march(blocks, prev, cur, start, stop):
 
     The step takes B_m^-1 from ``blocks.B_inv``. A solve reaches the same
     values, but not always the same zero signs; this march fixes them. Real
-    blocks step the ``lattice_columns`` in float64, as sldl does, and the
-    states return complex.
+    blocks step the ``lattice_columns`` in float64, the float operations of
+    sldl's march from a real start, and the states return complex.
     """
     shape = np.shape(cur)
     real = blocks.A.dtype == float
@@ -388,16 +395,21 @@ def fundamental_samples(model, lam, grid, step=None):
 
 
 def nodes_to_Z(f_at_nodes, d):
-    """Z_k = sqrt(d_k + d_{k+1}) f(x_k), one node at a time."""
+    """Z_k = sqrt(d_k + d_{k+1}) f(x_k), one node at a time: in float64 when every
+    sample's imaginary parts are exactly zero (or it has none), in complex128 otherwise."""
     d = [float(v) for v in d]
-    samples = [np.asarray(f, dtype=complex).reshape(-1) for f in f_at_nodes]
+    samples = [np.asarray(f).reshape(-1) for f in f_at_nodes]
+    dtype = complex if any(np.iscomplexobj(f) and f.imag.any() for f in samples) else float
+    samples = [(f if dtype is complex else f.real).astype(dtype) for f in samples]
     return np.array([np.sqrt(d[k - 1] + d[k]) * samples[k - 1] for k in range(1, len(d))])
 
 
 def equivalence_residual(model, count, seed_state):
+    """The residual with the summands in the dtype of Z: real matrix-vector products for real Z."""
     y = np.concatenate([seed_state.f, seed_state.f1])
     samples = [y[:model.n] for _, y, _ in flow(model, 0.0, y, 0.0, model.nodes[-1])]
-    u = np.vstack([np.zeros((1, model.n), dtype=complex), nodes_to_Z(samples, model.spacings)])
+    z = nodes_to_Z(samples, model.spacings)
+    u = np.vstack([np.zeros((1, model.n), dtype=z.dtype), z])
     blocks = blocks_from_delta(model.spacings, model.jumps)
     worst = 0.0
     for k in range(2, count + 2):

@@ -134,6 +134,7 @@ def test_random_delta_residual_equals_the_per_k_loop():
         d = rng.uniform(0.05, 2.0, 40)
         model = DeltaNodes.from_spacings(n, d, [random_symmetric(rng, n, 5.0) for _ in d])
         state = QuasiState(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        assert state.f.dtype == state.f1.dtype == np.float64  # so Z and the summands are real
         for count in (1, 20, 37):
             assert (equivalence_residual(model, count, state)
                     == reference_march.equivalence_residual(model, count, state))
@@ -143,9 +144,11 @@ def test_nodes_to_Z_equals_the_per_node_rescaling_on_2000_nodes():
     d, H = christ_stolz_family(2001)
     model = DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000])
     samples = reference_march.fundamental_samples(model, 0.0, (0.0,) + model.nodes)[1:, :1, 0]
-    for n, f in ((1, samples), (2, samples @ np.array([[1.0, -0.5j]]))):
+    # complex samples with zero imaginary parts rescale in float64, others in complex128
+    for n, f, dtype in ((1, samples, np.float64), (2, samples @ np.array([[1.0, -0.5j]]), np.complex128)):
         got, want = nodes_to_Z(f, model.spacings), reference_march.nodes_to_Z(list(f), model.spacings)
-        assert got.shape == (1999, n) and got.tobytes() == want.tobytes()
+        assert got.shape == (1999, n) and got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("count", [0, -4])

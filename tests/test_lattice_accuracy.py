@@ -1,8 +1,11 @@
 """Accuracy of the lattice recurrence march, against a 50-digit reference.
 
 Lattice blocks are real, and ``solve_recurrence`` and ``discrete_cauchy``
-march the real and imaginary columns of the state in float64: Python floats
-at order 1, BLAS products at order n >= 2. The reference marches
+march a real state in float64 and a state with an imaginary part in
+complex128 on the same blocks: Python numbers at order 1, BLAS products at
+order n >= 2. Every fixture marches one seed with an imaginary part; the
+christ-stolz blocks of order 2 also march the seed ([1, 0.5i], [0, 1]) of
+``scripts/march_sweep.py``. The reference marches
 u_{k+1} = -B_k^{-1} (A_k u_k + B*_{k-1} u_{k-1}) in 50-digit arithmetic
 (mpmath) on the same stored float blocks, with B_k^{-1} taken to 50 digits.
 The bound is fixed: on every fixture the worst error of the states,
@@ -34,6 +37,8 @@ def lattice(kind):
     d, H = christ_stolz_family(STEPS + 2)
     if kind == "christ-stolz":
         return blocks_from_delta(d, H)
+    if kind == "christ-stolz-2":
+        return blocks_from_delta(*christ_stolz_family(STEPS + 2, 2))
     n = int(kind[-1])
     rng = np.random.default_rng(40 + n)
     a = rng.uniform(-0.5, 0.5, (len(H), n, n))
@@ -65,13 +70,15 @@ def worst_error(got, ref) -> float:
     return worst
 
 
-@pytest.mark.parametrize("kind", ["christ-stolz", "perturbed-1", "perturbed-2"])
+@pytest.mark.parametrize("kind", ["christ-stolz", "christ-stolz-2", "perturbed-1", "perturbed-2"])
 def test_lattice_march_accuracy(mp, kind):
     blocks = lattice(kind)
     n = blocks.n
     rng = np.random.default_rng(7)
     seeds = [(np.ones(n), np.zeros(n)), (np.zeros(n), np.ones(n)),
              (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n))]
+    if kind == "christ-stolz-2":
+        seeds.append((np.array([1.0, 0.5j]), np.array([0.0, 1.0])))
     for u0, u1 in seeds:
         ref = mp_march(mp, blocks, u0, u1, 1, STEPS - 1)
         new = worst_error(solve_recurrence(blocks, u0, u1, STEPS)[2:], ref)

@@ -29,6 +29,7 @@ from sldl.matcore import (
     as_matrix,
     as_stack,
     condition,
+    inexact,
     matrix_from_json,
     matrix_to_json,
 )
@@ -210,6 +211,46 @@ def test_as_stack_dtype_follows_the_data(entries, dtype):
     stack = as_stack(entries)
     assert stack.dtype == dtype and not stack.flags.writeable
     assert np.array_equal(stack, np.asarray(entries, dtype=complex).reshape(stack.shape))
+
+
+_STRIDED = np.arange(24.0).reshape(4, 6)[::2, ::3]
+
+
+@pytest.mark.parametrize("value, dtype", [
+    (np.array([3, -2]), np.float64),
+    (np.array([True, False]), np.float64),
+    (np.array([0.5, -0.0]), np.float64),
+    (np.array([1.0 + 0.0j, -2.0 + 0.0j]), np.float64),
+    (np.array([complex(1.0, -0.0), complex(-0.0, 0.0)]), np.float64),
+    (np.array([complex(1.0, 5e-324)]), np.complex128),
+    (np.array([1.0, 2.0 - 1j], dtype=np.complex64), np.complex128),
+    (_STRIDED, np.float64),
+    (_STRIDED.T + 0j, np.float64),
+    ((_STRIDED + 1j).T, np.complex128),
+])
+def test_inexact_is_the_one_dtype_rule(value, dtype):
+    # float64 when every imaginary part is exactly zero, of either sign (ints and
+    # bools too), complex128 otherwise; always C ordered, with the values kept
+    got = inexact(value)
+    assert got.dtype == dtype and got.flags.c_contiguous and got.shape == value.shape
+    want = value.real if dtype == np.float64 else value
+    assert got.tobytes() == np.ascontiguousarray(want, dtype=dtype).tobytes()
+    assert as_stack(value.reshape(-1)).dtype == dtype  # as_stack takes the same rule
+
+
+def test_invert_and_condition_drop_zero_imaginary_parts():
+    # a complex matrix whose imaginary parts are all zero inverts, and takes its
+    # condition estimate, as the real matrix: a real inverse, the real SVD
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3):
+        real = rng.normal(size=(5, n, n)) + 3.0 * np.eye(n)
+        zero_imag = real + 0j
+        zero_imag.imag[::2] = -0.0
+        assert invert(zero_imag).dtype == np.float64
+        assert invert(zero_imag).tobytes() == invert(real).tobytes()
+        assert condition(zero_imag).dtype == np.float64
+        assert condition(zero_imag).tobytes() == condition(real).tobytes()
+        assert frobenius_norm(zero_imag).tobytes() == frobenius_norm(real).tobytes()
 
 
 def test_a_broadcast_stack_equals_the_explicit_list():

@@ -13,6 +13,7 @@ from conftest import (
     frozen_floats,
     general_triple_models,
     random_symmetric,
+    real_parts,
     step_sigma_models,
 )
 from oracle_poly import AdmissiblePoly, pairing_integral
@@ -336,9 +337,13 @@ def test_christ_stolz_pair_and_transfer_equal_the_per_cell_march():
     grid = (0.0,) + model.nodes
     assert len(grid) == 2001
     pair = fundamental_pair(model, 0.0, grid)
-    assert same_bits(stacked_samples(pair), reference_march.fundamental_samples(model, 0.0, grid))
+    assert pair.samples.dtype == np.float64  # real cells and a real start
+    want = real_parts(reference_march.fundamental_samples(model, 0.0, grid))
+    assert same_bits(stacked_samples(pair), want)
     for x0, x1 in ((0.0, model.X), (0.25, model.nodes[1500] + 1e-3)):
-        assert same_bits(transfer(model, 0.0, x0, x1), reference_march.transfer(model, 0.0, x0, x1))
+        got = transfer(model, 0.0, x0, x1)
+        assert got.dtype == np.float64
+        assert same_bits(got, real_parts(reference_march.transfer(model, 0.0, x0, x1)))
 
 
 @st.composite
@@ -356,11 +361,15 @@ def grids_off_the_cuts(draw, model):
        st.data(), st.sampled_from([0.0, 0.5]))
 @settings(max_examples=40, deadline=None)
 def test_pair_and_transfer_equal_the_per_cell_march(model, data, lam):
+    # real cells (step and delta models at lam = 0) give float64: the real parts
+    # of the complex references, whose imaginary parts are zero
     grid, x0 = data.draw(grids_off_the_cuts(model))
+    want = real_parts if reference_march.real_cells(model, lam) else lambda z: z
     pair = fundamental_pair(model, lam, grid)
-    assert same_bits(stacked_samples(pair), reference_march.fundamental_samples(model, lam, grid))
-    assert same_bits(transfer(model, lam, x0, model.X), reference_march.transfer(model, lam, x0, model.X))
-    assert same_bits(transfer(model, lam, 0.0, x0), reference_march.transfer(model, lam, 0.0, x0))
+    samples = reference_march.fundamental_samples(model, lam, grid)
+    assert same_bits(stacked_samples(pair), want(samples))
+    for a, b in ((x0, model.X), (0.0, x0)):
+        assert same_bits(transfer(model, lam, a, b), want(reference_march.transfer(model, lam, a, b)))
 
 
 _PIECE_MODELS = st.one_of(general_triple_models(max_n=3), distributional_models())
