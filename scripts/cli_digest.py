@@ -298,6 +298,10 @@ INVOCATIONS = [
     "jacobi build --d const:1 --n 2 --H file:jumps-tilted.json --count 10",
     "jacobi t7 --d power:0.5 --n 2 --H file:jumps-tilted.json --N 4 --count 10",
     "classify --blocks tilted-blocks.json --segments 1-5,6-10",
+    # an order-2 lattice whose rotated jumps are symmetric only to rounding, and a t4
+    # segment past the float range: classify gives Inconclusive evidence, not exit 2
+    "classify --model rotated.json",
+    "classify --blocks t4-overflow.json --segments 1-40,41-120,121-300",
 ]
 
 
@@ -327,7 +331,7 @@ def main() -> None:
     import numpy as np
     from sldl import DeltaNodes, blocks_from_delta, christ_stolz_family
     from sldl.cli import run
-    from sldl.jacobi import blocks_to_json
+    from sldl.jacobi import blocks_to_json, cancel_jumps
     from sldl.matcore import matrix_to_json
     from sldl.quasidiff import model_to_json
 
@@ -356,6 +360,13 @@ def main() -> None:
     tilted["A"][0] = matrix_to_json(1e-12j * np.eye(2))
     tilted["provenance"]["H"] = [matrix_to_json(np.array(h) + 1e-12j)
                                  for h in tilted["provenance"]["H"]]
+    # n = 2 delta model, d_k = 1/k over 1200 spacings, jumps Q diag(cancel_k, 0) Q^T for
+    # a rotation Q by 0.3 rad; unit-spacing blocks of 600 spacings with jumps 8
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot, hd = np.array([[c, -s], [s, c]]), [1.0 / k for k in range(1, 1201)]
+    cancel = cancel_jumps(hd)[:, 0, 0, None, None] * np.array([[1.0, 0.0], [0.0, 0.0]])
+    rotated = DeltaNodes.from_spacings(2, hd[:-1], rot @ cancel @ rot.T, tail=hd[-1])
+    t4_overflow = blocks_to_json(blocks_from_delta([1.0] * 600, np.full((599, 1, 1), 8.0)))
     # a 20-piece n = 2 general triple, pieces of length about 1
     rng = np.random.default_rng(20)
     cplx = lambda b: rng.uniform(-b, b, (20, 2, 2)) + 1j * rng.uniform(-b, b, (20, 2, 2))
@@ -370,6 +381,7 @@ def main() -> None:
                 "general20.json": general20,
                 "growing.json": growing, "free-cs.json": free_cs, "tilted-blocks.json": tilted,
                 "offset-1.json": offset[1], "offset-2.json": offset[2],
+                "rotated.json": model_to_json(rotated), "t4-overflow.json": t4_overflow,
                 "christ-stolz-2000.json": model_to_json(
                     DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}
 

@@ -40,7 +40,7 @@ from .jacobi import (
     t4_report,
     t7_lattice,
 )
-from .matcore import ShapeMismatchError, inexact
+from .matcore import FloatRangeError, ShapeMismatchError, inexact
 from .quasidiff import (
     CoefficientModel,
     DeltaNodes,
@@ -50,7 +50,7 @@ from .quasidiff import (
     _cells,
     _march,
 )
-from .reports import DIVERGES, CriterionReport, build_report
+from .reports import DIVERGES, INCONCLUSIVE, CriterionReport, build_report
 
 LIMIT_POINT = "LimitPoint"
 LIMIT_CIRCLE = "LimitCircle"
@@ -207,9 +207,8 @@ def _lattice(problem) -> Lattice:
     """The delta lattice of a problem (its spacings and jumps, or its blocks' provenance)."""
     if isinstance(problem, DeltaNodes):
         return Lattice(problem.spacings, problem.jumps)
-    if isinstance(problem, StepSigma):  # a difference of values may double their asymmetry
-        h = np.diff(problem.values, axis=0)
-        return Lattice(np.diff(problem.cuts), np.triu(h) + np.triu(h, 1).swapaxes(1, 2))
+    if isinstance(problem, StepSigma):  # its changes of sigma at the cuts after the first
+        return Lattice(np.diff(problem.cuts), problem.cell_jumps[len(problem.cuts):])
     if isinstance(problem, JacobiBlocks) and problem.provenance is not None:
         return problem.provenance
     return Lattice((), ())  # no lattice
@@ -341,10 +340,14 @@ def classify_detailed(problem, config: ClassifyConfig | None = None):
     for crit in CRITERIA:
         if config.criteria is not None and crit.code not in config.criteria:
             continue
-        for tag, reps, verdict, basis in crit.run(subject):
-            reports.extend(reps)
-            fired = verdict in (DIVERGES, CERTIFIED)
-            evidence.append(Evidence(tag, verdict, basis, crit.implies if fired else None))
+        try:
+            for tag, reps, verdict, basis in crit.run(subject):
+                reports.extend(reps)
+                fired = verdict in (DIVERGES, CERTIFIED)
+                evidence.append(Evidence(tag, verdict, basis, crit.implies if fired else None))
+                sides.add(crit.side)
+        except FloatRangeError as exc:  # this error alone: the criterion is Inconclusive
+            evidence.append(Evidence(crit.code, INCONCLUSIVE, f"not evaluated: {exc}"))
             sides.add(crit.side)
     if len(sides) == 2:
         side = "Both"

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import Lattice
-from .matcore import ShapeMismatchError, as_stack
+from .matcore import FloatRangeError, ShapeMismatchError, as_stack
 from .quasidiff import (
     FundamentalPair,
     LinearSigma,
@@ -238,7 +238,7 @@ def _solution_norm_pass(model, spans) -> np.ndarray:
 
 def _exact(one_pass, model, spans, what: str) -> np.ndarray:
     """one_pass(model, spans), a row per span [a, b], overflow quiet; a non-finite row
-    raises a ValueError that names ``what`` overflowed, and on which span."""
+    raises a FloatRangeError that names ``what`` overflowed, and on which span."""
     if not all(0.0 <= a <= b <= model.X for a, b in spans):
         raise ValueError("need 0 <= a <= b <= X")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,7 +246,7 @@ def _exact(one_pass, model, spans, what: str) -> np.ndarray:
     finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
     if not finite.all():
         a, b = spans[int(finite.argmin())]
-        raise ValueError(f"{what} overflowed on ({a}, {b})")
+        raise FloatRangeError(f"{what} overflowed on ({a}, {b})")
     return out
 
 
@@ -404,7 +404,7 @@ def _jump_terms(channel, jumps, count: int, diag_term, offdiag_term) -> list[flo
     ``offdiag_term`` the moduli of its off-diagonal ones. A series without
     terms checks nothing, its channel included. The first term that is not
     finite (a product or power past the float range, or inf times 0) raises
-    ValueError naming it (1-based).
+    FloatRangeError naming it (1-based).
     """
     mats = as_stack(jumps)
     if len(mats) != count:
@@ -416,7 +416,7 @@ def _jump_terms(channel, jumps, count: int, diag_term, offdiag_term) -> list[flo
         terms = diag_term(entries) if diag else offdiag_term(_in_python(abs, entries))
     bad = ~np.isfinite(terms)
     if bad.any():
-        raise ValueError(f"the jump series leaves the float range at term {bad.argmax() + 1}")
+        raise FloatRangeError(f"the jump series leaves the float range at term {bad.argmax() + 1}")
     return terms.tolist()
 
 

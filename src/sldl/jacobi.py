@@ -21,18 +21,18 @@ certify the completely indeterminate (limit circle) case.
 Sequence storage: each block or jump sequence is one read-only (K, n, n)
 array, and the block formulas and series terms above are array expressions
 over it. A lattice is one ``Lattice``, checked once on construction: its
-spacings are one float64 array and its jumps one float64 stack, which every
-lattice form slices as they are (its libm logs and exps take ``tolist``), and
-its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I are one lazily built stack
-that A_k, t7 and cor3 slice; the (d, H) entry points build a Lattice for the
-lattice forms. ``JacobiBlocks`` stores A and B in the dtype ``as_stack``
-gives them, float64 for every lattice. The recurrence marches step with the
-lazily built stacks B_inv and B_star: each step is three BLAS products into
-preallocated buffers, or three Python products at order n = 1. States take
-the dtype of the blocks and the start together: float64 when both are real,
-complex128 otherwise. Storage
-starts at A_0, B_0: slot k holds A_k and B_k. All spacing indices k in this
-module are 1-based to match the recurrence above.
+spacings are one float64 array and its jumps one exactly symmetric float64
+stack, which every lattice form slices as they are (its libm logs and exps
+take ``tolist``), and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I are one
+lazily built stack that A_k, t7 and cor3 slice; the (d, H) entry points build
+a Lattice for the lattice forms. ``JacobiBlocks`` stores A exactly Hermitian
+and B as ``as_stack`` gives it, float64 for every lattice. The recurrence
+marches step with the lazily built stacks B_inv and B_star: each step is
+three BLAS products into preallocated buffers, or three Python products at
+order n = 1. States take the dtype of the blocks and the start together:
+float64 when both are real, complex128 otherwise. Storage starts at A_0,
+B_0: slot k holds A_k and B_k. All spacing indices k in this module are
+1-based to match the recurrence above.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ import numpy as np
 
 from .matcore import (
     COND_LIMIT,
-    HERMITIAN_TOL,
+    FloatRangeError,
     ShapeMismatchError,
     as_stack,
     condition,
     frobenius_norm,
+    hermitian,
     inexact,
-    is_hermitian,
     matrix_from_json,
     matrix_to_json,
     real_symmetric,
@@ -85,7 +85,7 @@ class Lattice:
 
     Checked once, on construction: ``d`` becomes one read-only float64 array
     of positive finite spacings, each entry taken by ``float``, and ``H`` one
-    read-only (K, n, n) float64 symmetric stack (``real_symmetric``); the
+    read-only (K, n, n) float64 exactly symmetric stack (``real_symmetric``); the
     lattice criteria and blocks read both as they are.
     """
 
@@ -144,7 +144,7 @@ def christ_stolz_family(count: int, n: int = 1) -> tuple[tuple[float, ...], np.n
 class JacobiBlocks:
     """Blocks A_k, B_k from slot 0, as read-only float64 stacks when every imaginary
     part of both is zero, as complex128 stacks otherwise (a real stack paired with a
-    complex one is promoted)."""
+    complex one is promoted); A in its exact Hermitian form (``matcore.hermitian``)."""
 
     n: int
     A: np.ndarray
@@ -152,12 +152,10 @@ class JacobiBlocks:
     provenance: Lattice | None = None
 
     def __post_init__(self):
-        A, B = as_stack(self.A, self.n), as_stack(self.B, self.n)
+        A, B = hermitian(self.A, "diagonal blocks", self.n), as_stack(self.B, self.n)
         if A.dtype != B.dtype:
             A, B = A.astype(complex), B.astype(complex)
             A.flags.writeable = B.flags.writeable = False
-        if not is_hermitian(A, HERMITIAN_TOL):
-            raise ValueError("diagonal blocks must be Hermitian")
         if not np.all(condition(B) <= COND_LIMIT):
             raise ValueError("off-diagonal blocks must be invertible")
         object.__setattr__(self, "A", A)
@@ -208,7 +206,7 @@ def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
 
     Needs len(H) >= len(d) - 1; an extra trailing jump is ignored. The
     boundary pair (A_0, B_0) defaults to (O, -I) and is only stored, never
-    used by the determinacy criteria.
+    used by the determinacy criteria. A block past the float range is a FloatRangeError.
     """
     m = len(lat.d)
     if m < 2:
@@ -228,7 +226,7 @@ def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
         A = lat.shifted_jumps[:m - 1] * (1.0 / r2)
         B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * lat.d[1:-1, None, None])
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("lattice blocks overflow: spacings too small or jumps too large")
+        raise FloatRangeError("lattice blocks overflow: spacings too small or jumps too large")
     return JacobiBlocks(n, np.concatenate([a0[None], A]), np.concatenate([b0[None], B]), lat)
 
 
@@ -293,7 +291,7 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     The stack is float64 when the blocks and (prev, cur) are real and
     complex128 otherwise; complex states on real blocks march on complex
     copies of the blocks they read. Raises IndexOutOfRangeError before the
-    first step if a block is not stored, and ValueError naming the first step
+    first step if a block is not stored, and FloatRangeError naming the first step
     whose state leaves the float range.
     """
     dtype = np.result_type(blocks.A, prev, cur)
@@ -306,7 +304,7 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     bad = ~np.isfinite(out.reshape(len(out), -1)).all(axis=1)
     if bad.any():
         m = start + int(np.argmax(bad))
-        raise ValueError(f"the recurrence leaves the float range at step {m} (u_{m + 1})")
+        raise FloatRangeError(f"the recurrence leaves the float range at step {m} (u_{m + 1})")
     return out
 
 
@@ -315,7 +313,7 @@ def solve_recurrence(blocks: JacobiBlocks, u0, u1, count: int) -> np.ndarray:
 
     Returns the first ``count`` entries, float64 when the blocks and (u_0, u_1)
     are real and complex128 otherwise; (lu)_j = 0 holds for
-    1 <= j <= count - 2. Raises ValueError if an entry leaves the float range.
+    1 <= j <= count - 2. Raises FloatRangeError if an entry leaves the float range.
     """
     if count < 2:
         raise ValueError("count must be at least 2")
@@ -347,7 +345,7 @@ def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
     S_j = (K_ij; K_{i-1,j}), n_k <= j < i, whose top-left trace is row i's
     share; each row steps gram by the recurrence and adds (B_i^{-1}; O). The row
     steps and the grams are stacks in the blocks' dtype, the traces summed in
-    row order at the end; ValueError names the first row at which the sum
+    row order at the end; FloatRangeError names the first row at which the sum
     leaves the float range.
     """
     if n_k < 1 or m_k < n_k:
@@ -371,7 +369,7 @@ def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
         totals = np.cumsum(np.concatenate([[0.0], np.trace(tops, axis1=1, axis2=2).real]))
     bad = ~np.isfinite(totals)
     if bad.any():
-        raise ValueError(f"the t4 sum leaves the float range at row {n_k + int(np.argmax(bad))}")
+        raise FloatRangeError(f"the t4 sum leaves the float range at row {n_k + bad.argmax()}")
     return math.sqrt(totals[-1])
 
 
@@ -638,7 +636,7 @@ def blocks_from_json(obj: dict) -> JacobiBlocks:
         n = int(obj["n"])
         if obj.get("offset", 0) != 0:
             raise ValueError("blocks JSON key 'offset' must be 0: storage starts at A_0, B_0")
-        A = as_stack([matrix_from_json(a, n) for a in obj["A"]], n)
+        A = hermitian([matrix_from_json(a, n) for a in obj["A"]], "diagonal blocks", n)
         B = as_stack([matrix_from_json(b, n) for b in obj["B"]], n)
         prov = None
         if "provenance" in obj:

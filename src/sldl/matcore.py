@@ -6,12 +6,13 @@ part is exactly zero, complex128 otherwise. The one exception is the piece
 stacks of general and distributional models, which ``_freeze_pieces`` casts
 to complex128 because their generators take a complex lam in place.
 A matrix sequence is one read-only (K, n, n) stack, validated by one
-``as_stack`` call, or by ``real_symmetric``, the one place that drops
-imaginary parts (within HERMITIAN_TOL). The checks below act on the trailing
-two axes of either dtype, so one rule serves a matrix and a stack. The norm
-used everywhere is the Frobenius norm, which is self-adjoint (invariant
-under conjugate transposition); every series criterion in the package is
-stated in terms of it.
+``as_stack`` call; a self-adjoint one by ``hermitian`` or ``real_symmetric``
+(the one place that drops imaginary parts), which alone decide what that is:
+within HERMITIAN_TOL, stored exactly Hermitian, each entry below the diagonal
+the conjugate of its mirror and the diagonal real. The checks below act on
+the trailing two axes of either dtype, so one rule serves a matrix and a stack.
+The Frobenius norm, used everywhere, is self-adjoint (invariant under
+conjugate transposition); every series criterion is stated in terms of it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ class ShapeMismatchError(ValueError):
 
 
 class NonSymmetricError(ValueError):
-    """A matrix that must be real symmetric is not (within HERMITIAN_TOL)."""
+    """A matrix that must be real symmetric or Hermitian is not (within HERMITIAN_TOL)."""
+
+
+class FloatRangeError(ValueError):
+    """A computed value leaves the float range."""
 
 
 def inexact(m) -> np.ndarray:
@@ -139,13 +144,33 @@ def is_hermitian(m, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(m - np.swapaxes(m, -1, -2).conj()) <= tol))
 
 
+def _exact_hermitian(m: np.ndarray, error: str, real: bool = False) -> np.ndarray:
+    """as_stack's m checked Hermitian within HERMITIAN_TOL, then written in place as its exact
+    Hermitian form; with ``real`` its real part, in a copy for complex m."""
+    if not is_hermitian(m, HERMITIAN_TOL):
+        raise NonSymmetricError(error)
+    m.flags.writeable = True
+    for i in range(m.shape[1]):  # copied, not computed: no sign of zero moves
+        m[:, i, :i] = m[:, :i, i].conj()
+        if m.dtype == complex:
+            m.imag[:, i, i] = 0.0
+    m = inexact(m.real if real else m)
+    m.flags.writeable = False
+    return m
+
+
+def hermitian(entries, what: str, n: int | None = None) -> np.ndarray:
+    """``as_stack(entries, n)`` checked Hermitian, in its exact Hermitian form (see above)."""
+    return _exact_hermitian(as_stack(entries, n), f"{what} must be Hermitian")
+
+
 def real_symmetric(entries, what: str, n: int | None = None) -> np.ndarray:
-    """``as_stack(entries, n)`` checked real symmetric within HERMITIAN_TOL, as read-only
-    float64: the one place that drops imaginary parts (at most HERMITIAN_TOL)."""
-    m = as_stack(entries, n)
-    if not (np.all(np.abs(m.imag) <= HERMITIAN_TOL) and is_hermitian(m, HERMITIAN_TOL)):
-        raise NonSymmetricError(f"{what} must be real symmetric")
-    return as_stack(m.real) if m.dtype == complex else m
+    """``as_stack(entries, n)`` checked real symmetric within HERMITIAN_TOL, exactly symmetric
+    in read-only float64: the one place that drops imaginary parts (at most HERMITIAN_TOL)."""
+    m, error = as_stack(entries, n), f"{what} must be real symmetric"
+    if m.dtype == complex and not np.all(np.abs(m.imag) <= HERMITIAN_TOL):
+        raise NonSymmetricError(error)
+    return _exact_hermitian(m, error, real=True)
 
 
 def matrix_to_json(m) -> list:

@@ -9,8 +9,8 @@ Y = (f, f1), where f1 = P (f' - R f) is the first quasi-derivative and
 Step and delta models share one shape, ``StepModel``: cuts, the sigma value
 of each piece and the stack ``cell_jumps``; a delta model is the step model
 whose sigma jumps by H_k at node x_k. Their sigma values and jumps, and the
-values of ``LinearSigma``, are float64 stacks as ``real_symmetric`` returns
-them; general and distributional pieces are complex128 stacks. Coefficients
+values of ``LinearSigma``, are exactly symmetric float64 stacks; general and
+distributional pieces are complex128 stacks (``matcore.hermitian``). Coefficients
 are piecewise constant, so propagation across a piece is an exact matrix
 exponential. One cell walker, ``_cells``, enumerates the pieces of one or
 more spans and picks the working coordinates: classical (f, f') with free
@@ -42,13 +42,13 @@ import numpy as np
 
 from .matcore import (
     COND_LIMIT,
-    HERMITIAN_TOL,
+    FloatRangeError,
     ShapeMismatchError,
     as_stack,
     condition,
     frobenius_norm,
+    hermitian,
     inexact,
-    is_hermitian,
     matrix_from_json,
     matrix_to_json,
     real_symmetric,
@@ -97,8 +97,8 @@ def _check_cuts(cuts, X: float) -> tuple[float, ...]:
 def _freeze_sigma(model, cuts, values, changes) -> None:
     """Store cuts, values and ``cell_jumps``, the dS that start cells: the values, then
     their changes at the cuts after the first, ``values`` a view of it. Both come from
-    ``real_symmetric`` stacks, so the stack is float64. The first dS past the float
-    range is a ValueError that names its cut."""
+    ``real_symmetric`` stacks, so the stack is float64 and exactly symmetric. The first
+    dS past the float range is a ValueError that names its cut."""
     stack = np.concatenate([values, changes])
     bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
     if len(bad):
@@ -195,12 +195,12 @@ class DeltaNodes:
         return cls(n, nodes, jumps, nodes[-1] + tail, spacings)
 
 
-def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
+def _freeze_pieces(model, names: tuple[str, ...], hermitian_names: tuple[str, ...]):
     """Check the cuts, replace each named piece sequence by its validated stack, build generators.
 
-    Each stack needs one piece per cut; those named in ``hermitian`` must
-    be Hermitian and the first, the leading coefficient, invertible (a
-    finite condition estimate at most COND_LIMIT, as in ``invert``).
+    Each stack needs one piece per cut; those named in ``hermitian_names`` go
+    through ``matcore.hermitian``, and the first, the leading coefficient, must
+    be invertible (a finite condition estimate at most COND_LIMIT, as in ``invert``).
     The stacks are complex128 even for real data, the one exception to the
     dtype rule of ``matcore.inexact``, and so is ``generators``, the lam = 0
     generator stack ``model._system`` builds from the leading pieces'
@@ -208,12 +208,13 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian: tuple[str, ...]):
     """
     object.__setattr__(model, "cuts", _check_cuts(model.cuts, model.X))
     for name in names:
-        seq = as_stack(getattr(model, name), model.n).astype(complex, copy=False)
-        seq.flags.writeable = False
+        seq = as_stack(getattr(model, name), model.n)
         if len(seq) != len(model.cuts):
             raise ShapeMismatchError(f"need one {name} piece per cut")
-        if name in hermitian and not is_hermitian(seq, HERMITIAN_TOL):
-            raise ValueError(f"{name} pieces must be Hermitian")
+        if name in hermitian_names:
+            seq = hermitian(seq, f"{name} pieces")
+        seq = seq.astype(complex, copy=False)
+        seq.flags.writeable = False
         if name == names[0] and not np.all(condition(seq) <= COND_LIMIT):
             raise SingularPieceError(f"{name} pieces must be invertible")
         object.__setattr__(model, name, seq)
@@ -235,7 +236,7 @@ class GeneralTriple:
     generators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _freeze_pieces(self, ("P", "Q", "R"), hermitian=("P", "Q"))
+        _freeze_pieces(self, ("P", "Q", "R"), hermitian_names=("P", "Q"))
 
     def _system(self, pinv: np.ndarray) -> np.ndarray:
         return np.block([[self.R, pinv], [self.Q, -self.R.conj().swapaxes(1, 2)]])
@@ -259,7 +260,7 @@ class Distributional:
 
     def __post_init__(self):
         names = ("P0", "Q0", "P1")
-        _freeze_pieces(self, names, hermitian=names)
+        _freeze_pieces(self, names, hermitian_names=names)
 
     def _system(self, pinv: np.ndarray) -> np.ndarray:
         phi = self.P1 + 1j * self.Q0
@@ -334,10 +335,10 @@ for _k in range(1, 7):
 
 
 def _scaling_exponent(norm: float) -> int:
-    """s = ceil(log2(norm / 0.5)), or 0 for norm <= 0.5; ValueError where 2.0 ** s would overflow."""
+    """s = ceil(log2(norm / 0.5)), or 0 for norm <= 0.5; FloatRangeError where 2.0 ** s overflows."""
     e = 0.0 if norm <= 0.5 else math.log2(norm / 0.5)
     if not e <= 1023.0:  # inf and NaN too
-        raise ValueError(f"the matrix exponential cannot scale a norm of {norm:.3e}")
+        raise FloatRangeError(f"the matrix exponential cannot scale a norm of {norm:.3e}")
     return math.ceil(e)
 
 
@@ -491,7 +492,7 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     f = f + L f'. Two roundings each, where a BLAS kernel may fuse one, so
     the floats do not depend on the BLAS build. Otherwise the state goes
     through ``_products``. A state that leaves the float range is a
-    ValueError naming the end x of the first such cell.
+    FloatRangeError naming the end x of the first such cell.
     """
     dtype = np.result_type(y, float if cells.prop is None else cells.prop)
     out = np.empty((len(cells.length) + 1,) + y.shape, dtype=dtype)
@@ -505,7 +506,7 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(out.reshape(len(out), -1)[1:]).all(axis=1)
     if bad.any():
         x = float(cells.end[np.argmax(bad)])
-        raise ValueError(f"the march leaves the float range at x = {x}")
+        raise FloatRangeError(f"the march leaves the float range at x = {x}")
     return out
 
 

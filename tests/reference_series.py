@@ -13,8 +13,8 @@ stack as the lattice they form: positive finite spacings, real symmetric
 jumps.
 
 Range policy, as in sldl: a term that is not finite (a product or power
-past the float range, or an infinity times 0) raises ValueError naming
-it. The generator checks are the old ones, which let a NaN node, cut or
+past the float range, or an infinity times 0) raises FloatRangeError
+naming it. The generator checks are the old ones, which let a NaN node, cut or
 spacing through; they serve as references on finite input only, and sldl
 rejects those NaNs.
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from sldl.criteria import Diagonal, OffDiagonal
 from sldl.jacobi import NonPositiveSpacingError
-from sldl.matcore import NonSymmetricError, ShapeMismatchError, as_stack
+from sldl.matcore import FloatRangeError, NonSymmetricError, ShapeMismatchError, as_stack
 from sldl.reports import build_report
 
 
@@ -58,7 +58,7 @@ def _in_range(term, k: int) -> float:
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"the jump series leaves the float range at term {k}")
+        raise FloatRangeError(f"the jump series leaves the float range at term {k}")
     return value
 
 

@@ -269,8 +269,8 @@ def test_classify_free_lattice_evidence():
 
 @pytest.mark.parametrize("cuts", [2, 3, 6])
 def test_classify_step_values_asymmetric_within_the_tolerance(cuts):
-    # each value passes the real-symmetric check, while a difference of two with
-    # opposite asymmetries does not: the lattice reads the upper triangles
+    # each value passes the real-symmetric check and is stored as its upper
+    # triangle mirrored, so the lattice's changes of sigma are symmetric too
     from sldl import StepSigma
     from sldl.matcore import HERMITIAN_TOL
 
@@ -374,6 +374,101 @@ def test_classify_builds_one_lattice_and_one_shifted_stack(monkeypatch):
     verdict, _ = classify_detailed(entry.problem, entry.config)
     assert {"cor2:diag:1", "carleman", "t7", "cor3"} <= {e.criterion for e in verdict.evidence}
     assert counts == {"lattices": 1, "shifted": 1}
+
+
+def _t4_overflow():
+    """Unit spacings, jumps 8 and 600 nodes: the t4 sum of segment 121-300 overflows."""
+    return (blocks_from_delta([1.0] * 600, np.full((599, 1, 1), 8.0)),
+            ClassifyConfig(segments=((1, 40), (41, 120), (121, 300))))
+
+
+def test_classify_takes_an_overflowing_criterion_as_inconclusive_evidence():
+    # the t4 sum leaves the float range at row 277; classify raised that error
+    blocks, config = _t4_overflow()
+    verdict, reports = classify_detailed(blocks, config)
+    by_name = {e.criterion: e for e in verdict.evidence}
+    t4 = by_name["t4"]
+    assert (t4.verdict, t4.implies) == ("Inconclusive", None)
+    assert t4.basis == "not evaluated: the t4 sum leaves the float range at row 277"
+    assert all(r.criterion != "t4" for r in reports)
+    # the other criteria are unchanged, so carleman still certifies
+    without = classify_detailed(blocks, ClassifyConfig())[0]
+    assert verdict.classification == without.classification == "LimitPoint"
+    assert [e for e in verdict.evidence if e.criterion != "t4"] == list(without.evidence)
+
+
+def _float_range_sites():
+    from sldl import (Diagonal, GeneralTriple, StepSigma, cor2_series,
+                      kernel_square_integrals, t4_term)
+    from sldl.quasidiff import transfer
+
+    huge_step = StepSigma(1, (0.0, 0.5, 1.5), [[[0.0]], [[1e200]], [[0.0]]], 3.0)
+    huge_delta = DeltaNodes(1, [float(k) for k in range(1, 41)], [[[1e200]]] * 40, 41.0)
+    return {
+        "criteria._exact": (lambda: kernel_square_integrals(huge_step, 0.0, 1.0),
+                            "kernel quadrature overflowed on (0.0, 1.0)"),
+        "criteria._jump_terms": (lambda: cor2_series([1e160] * 5, np.zeros((4, 1, 1)),
+                                                     Diagonal(1)),
+                                 "the jump series leaves the float range at term 1"),
+        "quasidiff._scaling_exponent": (
+            lambda: kernel_square_integrals(GeneralTriple(1, (0.0,), [[[1.0]]], [[[4e307]]],
+                                                          [[[0.0]]], 1.0), 0.0, 1.0),
+            "the matrix exponential cannot scale a norm of 6.928e+307"),
+        "quasidiff._march": (lambda: transfer(huge_delta, 0.0, 0.0, 41.0),
+                             "the march leaves the float range at x = 3.0"),
+        "jacobi.blocks_from_lattice": (
+            lambda: blocks_from_delta([1e-300] * 4, np.full((3, 1, 1), -1.0)),
+            "lattice blocks overflow: spacings too small or jumps too large"),
+        "jacobi._march": (
+            lambda: solve_recurrence(blocks_from_delta([1.0] * 100, np.full((99, 1, 1), 1e300)),
+                                     [1.0], [1.0], 100),
+            "the recurrence leaves the float range at step 2 (u_3)"),
+        "jacobi.t4_term": (
+            lambda: t4_term(blocks_from_delta([1.0] * 50, np.full((49, 1, 1), 1e200)), 1, 40),
+            "the t4 sum leaves the float range at row 3"),
+    }
+
+
+@pytest.mark.parametrize("site", [
+    "criteria._exact", "criteria._jump_terms", "quasidiff._scaling_exponent", "quasidiff._march",
+    "jacobi.blocks_from_lattice", "jacobi._march", "jacobi.t4_term"])
+def test_each_float_range_failure_raises_float_range_error(site):
+    # a ValueError, so the single-criterion leaves keep exit 2, and the one class
+    # classify takes as Inconclusive evidence
+    from sldl.matcore import FloatRangeError
+
+    build, message = _float_range_sites()[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError) as caught:
+            build()
+    assert str(caught.value) == message and isinstance(caught.value, ValueError)
+
+
+def test_classify_catches_only_the_float_range_error(monkeypatch):
+    # a criterion's items before the error are kept; any other error propagates
+    import sldl.bridge as bridge
+    from sldl.matcore import FloatRangeError
+
+    def runner(error):
+        def run(s):
+            yield "cor2:diag:1", [], "ConvergesBounded", "first"
+            raise error
+        return run
+
+    model = free_lattice(30)
+    for error in (FloatRangeError("past the range"), ValueError("past the range")):
+        patched = tuple(c._replace(run=runner(error)) if c.code == "cor2" else c
+                        for c in CRITERIA)
+        monkeypatch.setattr(bridge, "CRITERIA", patched)
+        if type(error) is ValueError:
+            with pytest.raises(ValueError, match="^past the range$"):
+                classify_detailed(model, ClassifyConfig(N=20))
+            continue
+        evidence = classify_detailed(model, ClassifyConfig(N=20))[0].evidence
+        assert [(e.criterion, e.verdict, e.basis) for e in evidence[:2]] == [
+            ("cor2:diag:1", "ConvergesBounded", "first"),
+            ("cor2", "Inconclusive", "not evaluated: past the range")]
 
 
 def test_classify_reports_align_with_evidence():

@@ -19,7 +19,7 @@ import sldl
 import sldl.cli as cli
 from sldl.bridge import CRITERIA, ClassifyConfig, classify_detailed
 from sldl.cli import build_parser, canonical_json, run, validate_report
-from sldl.jacobi import blocks_from_delta, blocks_to_json, christ_stolz_family
+from sldl.jacobi import blocks_from_delta, blocks_to_json, cancel_jumps, christ_stolz_family
 from sldl.matcore import matrix_to_json
 from sldl.criteria import IntervalSeq, t1_series
 from sldl.quasidiff import DeltaNodes, GeneralTriple, StepSigma, model_to_json
@@ -655,6 +655,38 @@ def test_marches_that_overflow_exit_2(capsys, tmp_path, monkeypatch, argv, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_classify_exits_0_where_one_criterion_overflows(capsys, tmp_path):
+    # classify exited 2 with "the t4 sum leaves the float range at row 277", while
+    # carleman certifies; the jacobi t4 leaf keeps exit 2 (above)
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(blocks_to_json(blocks_from_delta([1.0] * 600,
+                                                                np.full((599, 1, 1), 8.0)))))
+    code, doc = run_json(capsys, ["classify", "--blocks", str(path),
+                                  "--segments", "1-40,41-120,121-300"])
+    assert code == 0
+    verdict = doc["result"]["verdict"]
+    assert verdict["classification"] == "LimitPoint"
+    assert {"criterion": "t4", "verdict": "Inconclusive",
+            "basis": "not evaluated: the t4 sum leaves the float range at row 277"
+            } in verdict["evidence"]
+
+
+def test_classify_of_a_rotated_lattice_exits_0(capsys, tmp_path):
+    # n = 2, d_k = 1/k, jumps Q diag(cancel_k, 0) Q^T at 0.3 rad: the jumps pass the
+    # real-symmetric check (asymmetric by 1.1e-13), and A_k = shifted / r^2 took that
+    # asymmetry past the tolerance, so classify exited 2 with "diagonal blocks must be
+    # Hermitian"; the jumps are now stored mirrored
+    c, s = math.cos(0.3), math.sin(0.3)
+    q, d = np.array([[c, -s], [s, c]]), [1.0 / k for k in range(1, 1201)]
+    cancel = cancel_jumps(d)[:, 0, 0, None, None] * np.array([[1.0, 0.0], [0.0, 0.0]])
+    model = DeltaNodes.from_spacings(2, d[:-1], q @ cancel @ q.T, tail=d[-1])
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    code, doc = run_json(capsys, ["classify", "--model", str(path)])
+    assert code == 0
+    assert doc["result"]["verdict"]["classification"] == "Inconclusive"
 
 
 @pytest.mark.parametrize("argv, data", [

@@ -861,6 +861,21 @@ def test_blocks_json_refuses_a_nonzero_offset():
     assert len(blocks_from_json(obj).B) == 5
 
 
+def test_blocks_json_asymmetric_within_the_tolerance_matches_its_provenance():
+    # a file whose A_k and provenance jumps carry asymmetries within the tolerance
+    # below the diagonal, as stored before the exact Hermitian form: both sides are
+    # read as their upper triangles, mirrored, so the blocks equal their provenance's
+    H = np.array([[[1.0, 0.5], [0.5, -2.0]]] * 5)
+    blocks = blocks_from_delta([1.0] * 6, H)
+    obj = blocks_to_json(blocks)
+    for k in range(1, 5):
+        obj["provenance"]["H"][k][1][0] += 0.5e-10
+        obj["A"][k + 1][1][0] -= 0.3e-10
+    back = blocks_from_json(obj)
+    assert back.A.tobytes() == blocks.A.tobytes()
+    assert back.provenance.H.tobytes() == blocks.provenance.H.tobytes()
+
+
 def test_blocks_json_roundtrip():
     d = [1.0, 0.5, 2.0, 1.5]
     H = [np.array([[v]]) for v in (0.5, -1.0, 2.0, 0.0)]

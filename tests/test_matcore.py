@@ -21,17 +21,21 @@ from sldl import (
     t7_check,
 )
 from sldl.jacobi import blocks_from_json
+from sldl.jacobi import Lattice, blocks_from_lattice, cancel_jumps
 from sldl.matcore import (
     COND_LIMIT,
+    HERMITIAN_TOL,
     NonSymmetricError,
     ShapeMismatchError,
     SingularMatrixError,
     as_matrix,
     as_stack,
     condition,
+    hermitian,
     inexact,
     matrix_from_json,
     matrix_to_json,
+    real_symmetric,
 )
 from sldl.quasidiff import SingularPieceError
 
@@ -326,15 +330,15 @@ LAST_BAD_CASES = [
     ("cor3_check", "nonsymmetric", NonSymmetricError),
     ("DeltaNodes", "nonsymmetric", NonSymmetricError),
     ("StepSigma", "nonsymmetric", NonSymmetricError),
-    ("JacobiBlocks.A", "nonsymmetric", ValueError),
+    ("JacobiBlocks.A", "nonsymmetric", NonSymmetricError),
     ("JacobiBlocks.B", "singular", ValueError),
-    ("GeneralTriple.P", "nonsymmetric", ValueError),
+    ("GeneralTriple.P", "nonsymmetric", NonSymmetricError),
     ("GeneralTriple.P", "singular", SingularPieceError),
-    ("GeneralTriple.Q", "nonsymmetric", ValueError),
-    ("Distributional.P0", "nonsymmetric", ValueError),
+    ("GeneralTriple.Q", "nonsymmetric", NonSymmetricError),
+    ("Distributional.P0", "nonsymmetric", NonSymmetricError),
     ("Distributional.P0", "singular", SingularPieceError),
-    ("Distributional.Q0", "nonsymmetric", ValueError),
-    ("Distributional.P1", "nonsymmetric", ValueError),
+    ("Distributional.Q0", "nonsymmetric", NonSymmetricError),
+    ("Distributional.P1", "nonsymmetric", NonSymmetricError),
 ]
 
 
@@ -351,3 +355,114 @@ def test_empty_block_sequences_accepted():
     blocks = blocks_from_json({"n": 1, "A": [[[0.0]]], "B": []})
     assert blocks.B.shape == (0, 1, 1) and blocks.A.shape == (1, 1, 1)
     assert JacobiBlocks(2, [], []).A.shape == (0, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the exact Hermitian form of validated self-adjoint stacks
+
+TOL = HERMITIAN_TOL
+# name: (entries, the stack ``hermitian`` stores, whether ``real_symmetric`` stores it
+# too or refuses); every stored entry below the diagonal is its mirror's conjugate,
+# copied, and every entry on or above the diagonal keeps its bits, imaginary parts
+# of the diagonal aside
+EXACT_FORMS = {
+    "real within the tolerance": (
+        [[[1.0, 0.3], [0.3 + 0.9 * TOL, 2.0]], [[0.5, -0.7 - 0.4 * TOL], [-0.7, 0.25]]],
+        np.array([[[1.0, 0.3], [0.3, 2.0]], [[0.5, -0.7 - 0.4 * TOL], [-0.7 - 0.4 * TOL, 0.25]]]),
+        True),
+    "-0.0 above the diagonal": (
+        [[[1.0, -0.0], [0.0, 2.0]]], np.array([[[1.0, -0.0], [-0.0, 2.0]]]), True),
+    "-0.0 on the diagonal": (
+        [[[-0.0, 0.5], [0.5, -0.0]]], np.array([[[-0.0, 0.5], [0.5, -0.0]]]), True),
+    "complex Hermitian": (
+        [[[1.0 + 0.4 * TOL * 1j, 0.5 - 0.25j], [0.5 + 0.25j + 0.9 * TOL, 2.0 - 0.1 * TOL * 1j]]],
+        np.array([[[1.0, 0.5 - 0.25j], [0.5 + 0.25j, 2.0]]]), False),
+    "imaginary parts on the diagonal only": (
+        [[[1.0 + 0.4 * TOL * 1j, -0.5], [-0.5, complex(-0.0, -0.3 * TOL)]]],
+        np.array([[[1.0, -0.5], [-0.5, -0.0]]]), True),
+    "order 1": (
+        np.array([3.0, -0.0, 5e-324, -1e308]).reshape(-1, 1, 1),
+        np.array([3.0, -0.0, 5e-324, -1e308]).reshape(-1, 1, 1), True),
+    "order 1, imaginary parts within the tolerance": (
+        np.array([3.0 + 0.4 * TOL * 1j, -0.0 - 0.1 * TOL * 1j]).reshape(-1, 1, 1),
+        np.array([3.0, -0.0]).reshape(-1, 1, 1), True),
+    "order 3, real": (
+        [[[1.0, 2.0, 3.0], [2.0 - 0.5 * TOL, 4.0, -0.0], [3.0, 0.0, 5.0]]],
+        np.array([[[1.0, 2.0, 3.0], [2.0, 4.0, -0.0], [3.0, -0.0, 5.0]]]), True),
+}
+
+
+def _same_bytes(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes() and not got.flags.writeable)
+
+
+@pytest.mark.parametrize("name", list(EXACT_FORMS))
+def test_validated_stacks_are_stored_in_their_exact_hermitian_form(name):
+    entries, want, real = EXACT_FORMS[name]
+    before = np.array(entries)
+    assert _same_bytes(hermitian(entries, "pieces"), want)
+    if real:
+        assert _same_bytes(real_symmetric(entries, "pieces"), want)
+    else:
+        with pytest.raises(NonSymmetricError, match="^pieces must be real symmetric$"):
+            real_symmetric(entries, "pieces")
+    assert np.array(entries).tobytes() == before.tobytes()  # the input is not written
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_exact_form_copies_the_upper_triangle(n):
+    rng = np.random.default_rng(40 + n)
+    upper = rng.normal(size=(30, n, n)) + 1j * rng.normal(size=(30, n, n))
+    herm = upper + upper.conj().swapaxes(1, 2)
+    tilt = rng.uniform(-0.3, 0.3, herm.shape) + 0.3j * rng.uniform(-1.0, 1.0, herm.shape)
+    tilted = herm + tilt * TOL
+    got = hermitian(tilted, "pieces", n)
+    assert got.dtype == (complex if n > 1 else float) and is_hermitian(got)
+    assert (got == got.conj().swapaxes(1, 2)).all()
+    rows, cols = np.triu_indices(n, 1)
+    assert got[:, rows, cols].tobytes() == tilted[:, rows, cols].tobytes()
+    assert got.real.diagonal(0, 1, 2).tobytes() == tilted.real.diagonal(0, 1, 2).tobytes()
+    real = real_symmetric(tilted.real, "jumps", n)
+    assert real.dtype == float and (real == real.swapaxes(1, 2)).all()
+    assert real[:, rows, cols].tobytes() == tilted.real[:, rows, cols].tobytes()
+    # an exactly Hermitian stack keeps its bytes
+    assert hermitian(got, "pieces").tobytes() == got.tobytes()
+    assert real_symmetric(real, "jumps").tobytes() == real.tobytes()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m: hermitian(m, "pieces"), "pieces must be Hermitian"),
+    (lambda m: real_symmetric(m, "jump matrices"), "jump matrices must be real symmetric"),
+    (lambda m: JacobiBlocks(2, m, [-np.eye(2)] * len(m)), "diagonal blocks must be Hermitian"),
+    (lambda m: GeneralTriple(2, (0.0,), m, [GOOD], [GOOD], 1.0), "P pieces must be Hermitian"),
+    (lambda m: GeneralTriple(2, (0.0,), [np.eye(2)], m, [GOOD], 1.0),
+     "Q pieces must be Hermitian"),
+    (lambda m: Distributional(2, (0.0,), [np.eye(2)], [GOOD], m, 1.0),
+     "P1 pieces must be Hermitian"),
+])
+@pytest.mark.parametrize("tilt", [[[0.0, 1.1 * TOL], [0.0, 0.0]], [[0.0, 0.0], [-1.1 * TOL, 0.0]],
+                                  [[0.6j * TOL, 0.0], [0.0, 0.0]]])
+def test_asymmetry_past_the_tolerance_raises_with_the_unchanged_messages(build, message, tilt):
+    # an imaginary diagonal part of 0.6 TOL is within real_symmetric's own bound on
+    # imaginary parts, and past the Hermitian check: |m_ii - conj(m_ii)| = 1.2 TOL
+    good = np.array([GOOD])
+    build(good)
+    with pytest.raises(NonSymmetricError, match=f"^{message}$"):
+        build(good + np.array(tilt))
+
+
+def test_blocks_from_lattice_accepts_a_rotated_lattice():
+    # n = 2, d_k = 1/k, jumps Q diag(cancel_k, 0) Q^T for a rotation Q by 0.3 rad: they
+    # are asymmetric at the rounding level (about 1e-13), which 1/r^2 amplified past
+    # the tolerance in A_k: "diagonal blocks must be Hermitian"
+    d = [1.0 / k for k in range(1, 1201)]
+    c, s = math.cos(0.3), math.sin(0.3)
+    q = np.array([[c, -s], [s, c]])
+    jumps = q @ (cancel_jumps(d)[:, 0, 0, None, None] * np.array([[1.0, 0.0], [0.0, 0.0]])) @ q.T
+    assert 0.0 < np.abs(jumps - jumps.swapaxes(1, 2)).max() <= TOL
+    lat = Lattice(d, jumps)
+    assert (lat.H == lat.H.swapaxes(1, 2)).all()
+    blocks = blocks_from_lattice(lat)
+    assert blocks.A.dtype == float and (blocks.A == blocks.A.swapaxes(1, 2)).all()
+    assert len(blocks.A) == len(d)
