@@ -34,6 +34,8 @@ GENERAL = {"n": 1, "X": 3.0, "variant": "general_triple", "cuts": [0.0, 1.5],
 DISTRIBUTIONAL = {"n": 1, "X": 3.0, "variant": "distributional", "cuts": [0.0, 1.0, 2.0],
                   "P0": [[[1.0]], [[1.5]], [[1.0]]], "Q0": [[[0.0]], [[0.5]], [[-0.5]]],
                   "P1": [[[0.0]], [[0.25]], [[0.0]]]}
+# Q0 = O: phi = P1 is real, and so are the generators
+DISTRIBUTIONAL_REAL = {**DISTRIBUTIONAL, "Q0": [[[0.0]]] * 3}
 STIFF = {"n": 1, "X": 1.0, "variant": "general_triple", "cuts": [0.0],
          "P": [[[1.0]]], "Q": [[[1e6]]], "R": [[[0.0]]]}
 HUGE_Q = {**STIFF, "Q": [[[4e307]]]}  # the exponential's scaling would pass 2^1023
@@ -79,7 +81,8 @@ FIXTURES = {
     "free.json": FREE, "delta.json": DELTA, "delta2.json": DELTA2,
     "nocuts.json": {k: v for k, v in FREE.items() if k != "cuts"},
     "linear.json": LINEAR, "general.json": GENERAL,
-    "distributional.json": DISTRIBUTIONAL, "stiff.json": STIFF, "huge-q.json": HUGE_Q,
+    "distributional.json": DISTRIBUTIONAL, "distributional-real.json": DISTRIBUTIONAL_REAL,
+    "stiff.json": STIFF, "huge-q.json": HUGE_Q,
     "nan-node.json": NAN_NODE, "nan-cut.json": NAN_CUT, "nan-knot.json": NAN_KNOT,
     "huge-jumps-1e200.json": HUGE_JUMPS[1e200], "huge-jumps-1e80.json": HUGE_JUMPS[1e80],
     "huge-sigma-delta.json": HUGE_SIGMA_DELTA, "huge-sigma-step.json": HUGE_SIGMA_STEP,
@@ -302,6 +305,9 @@ INVOCATIONS = [
     # segment past the float range: classify gives Inconclusive evidence, not exit 2
     "classify --model rotated.json",
     "classify --blocks t4-overflow.json --segments 1-40,41-120,121-300",
+    # real general and distributional models: float64 pieces, generators and cells
+    "criterion t1 --model general20-real.json --intervals unit:16",
+    "criterion t1 --model distributional-real.json --intervals unit:3",
 ]
 
 
@@ -377,8 +383,16 @@ def main() -> None:
                  "P": [matrix_to_json(m) for m in p @ adj(p) + np.eye(2)],
                  "Q": [matrix_to_json(m) for m in q + adj(q)],
                  "R": [matrix_to_json(m) for m in cplx(0.5)]}
+    # its real counterpart, from a generator of its own
+    rng = np.random.default_rng(21)
+    widths, p, q, r = rng.uniform(0.8, 1.2, 20), *rng.uniform(-1.0, 1.0, (3, 20, 2, 2))
+    general20_real = {"n": 2, "X": float(np.sum(widths)), "variant": "general_triple",
+                      "cuts": [0.0, *np.cumsum(widths[:-1]).tolist()],
+                      "P": [matrix_to_json(m) for m in 0.5 * p @ adj(p) + np.eye(2)],
+                      "Q": [matrix_to_json(m) for m in q + adj(q)],
+                      "R": [matrix_to_json(m) for m in 0.5 * r]}
     fixtures = {**FIXTURES, "illcond.json": illcond, "illcond-b7.json": illcond_b7,
-                "general20.json": general20,
+                "general20.json": general20, "general20-real.json": general20_real,
                 "growing.json": growing, "free-cs.json": free_cs, "tilted-blocks.json": tilted,
                 "offset-1.json": offset[1], "offset-2.json": offset[2],
                 "rotated.json": model_to_json(rotated), "t4-overflow.json": t4_overflow,

@@ -31,7 +31,10 @@ models with 10 to 400 unit cells (the scalar Gram and solution-norm passes),
 and ``solution_norm_integral`` over [X/2, X] of those n = 1 and the n = 2
 delta models (a window that starts inside the march from 0), and
 ``kernel_square_integrals`` over all cells of seeded n = 2 and n = 3 step
-models with 10 to 400 unit pieces (the real Gram loop),
+models with 10 to 400 unit pieces (the real Gram loop), and
+``kernel_square_integrals`` over all cells and ``t1_series`` over the unit
+intervals of seeded real n = 1 and n = 2 general triples with 10 to 400 unit
+cells (float64 generators, exponentials and Gram matrices),
 each as the median of repeated runs in one process with BLAS on one thread: one
 untimed warm-up pass over every function and size, then REPEATS timed
 passes, so the repeats of one function and size are a whole pass apart.
@@ -244,6 +247,17 @@ def main() -> None:
                               float(cells))
             timed(f"kernel_square_integrals step n={n}", cells,
                   lambda model=model: kernel_square_integrals(model, 0.0, model.X))
+    real_rng = np.random.default_rng(403)  # its own seed: the models above stay as they were
+    for cells in CELLS:
+        for n in (1, 2):
+            p, q, r = real_rng.uniform(-1.0, 1.0, (3, cells, n, n))
+            model = GeneralTriple(n, tuple(float(k) for k in range(cells)),
+                                  0.25 * p @ p.transpose(0, 2, 1) + np.eye(n),
+                                  q + q.transpose(0, 2, 1), 0.5 * r, float(cells))
+            timed(f"kernel_square_integrals general real n={n}", cells,
+                  lambda model=model: kernel_square_integrals(model, 0.0, model.X))
+            timed(f"t1_series general real n={n}", cells, lambda model=model, cells=cells:
+                  t1_series(model, IntervalSeq.unit(cells)))
     print(json.dumps(sweep(jobs, repeats, load_hostspeed())))
 
 

@@ -226,12 +226,18 @@ class _Subject:
         return _lattice(self.problem)
 
     @cached_property
+    def _built(self) -> JacobiBlocks | FloatRangeError | None:
+        try:
+            return blocks_from_lattice(self.lattice) if len(self.lattice.d) >= 3 else None
+        except FloatRangeError as exc:  # kept: each read of blocks raises it, none rebuilds
+            return exc
+
+    @property
     def blocks(self) -> JacobiBlocks | None:
-        if isinstance(self.problem, JacobiBlocks):
-            return self.problem
-        if len(self.lattice.d) >= 3:
-            return blocks_from_lattice(self.lattice)
-        return None
+        blocks = self.problem if isinstance(self.problem, JacobiBlocks) else self._built
+        if isinstance(blocks, FloatRangeError):
+            raise blocks
+        return blocks
 
 
 def _channels(n: int):

@@ -454,7 +454,7 @@ def _jacobi_build(args):
 def _jacobi_recurrence(args):
     echo, lat = _lattice(args, lambda a: max(a.steps, 3), "count", "steps", "u0", "u1")
     u, l2 = _recurrence(args, lat)
-    return echo, {"sequence": [matrix_to_json(v.reshape(1, -1))[0] for v in u],
+    return echo, {"sequence": [matrix_to_json(v) for v in u],
                   "reports": [l2]}
 
 

@@ -22,9 +22,9 @@ polynomials in the cell length for step and delta models, which march in
 classical coordinates whatever the accumulated potential, and for the other
 variants block matrix exponentials (Van Loan 1978), one of order 3m and one
 of order 2m per channel, for all cells of [a, b] in two stacked calls.
-Step and delta models of order n >= 2 carry real Gram matrices (their cells
-are real at lam = 0), the other models complex ones; the loop only kicks and
-drifts them, and the traces of every cell are one batched product after it.
+Gram matrices of order n >= 2 are real where the cells are (real coefficients
+at lam = 0) and complex otherwise; the loop only kicks and drifts them, and
+the traces of every cell are one batched product after it.
 Order-1 step and delta models carry their one 2 x 2 Gram matrix as three
 Python floats, kicked and drifted per cell. Solution norms read the states
 of one march from 0 and sum tr(t* W t) over the cells of [a, b], with the
@@ -105,10 +105,10 @@ def _van_loan(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = g.shape[-1]
     n, gh, k = m // 2, -g.conj().swapaxes(1, 2)[:, None], np.arange(m // 2)
-    w = np.zeros((len(g), n, 3 * m, 3 * m), dtype=complex)
+    w = np.zeros((len(g), n, 3 * m, 3 * m), dtype=g.dtype)
     w[..., :m, :m], w[..., m:2 * m, 2 * m:], w[:, k, k, m + k] = gh, np.eye(m), 1.0
     w[..., m:2 * m, m:2 * m] = w[..., 2 * m:, 2 * m:] = g[:, None]
-    v = np.zeros((len(g), n, 2 * m, 2 * m), dtype=complex)
+    v = np.zeros((len(g), n, 2 * m, 2 * m), dtype=g.dtype)
     v[..., :m, :m], v[..., m:, m:], v[:, k, n + k, m + n + k] = g[:, None], gh, 1.0
     return w, v
 

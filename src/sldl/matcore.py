@@ -2,9 +2,8 @@
 
 All arrays in this package, matrices and the states marched from them
 alike, follow one dtype rule, ``inexact``: float64 where every imaginary
-part is exactly zero, complex128 otherwise. The one exception is the piece
-stacks of general and distributional models, which ``_freeze_pieces`` casts
-to complex128 because their generators take a complex lam in place.
+part is exactly zero, complex128 otherwise. A complex dtype thus comes from
+complex data, or from a spectral parameter lam != 0 in the generators.
 A matrix sequence is one read-only (K, n, n) stack, validated by one
 ``as_stack`` call; a self-adjoint one by ``hermitian`` or ``real_symmetric``
 (the one place that drops imaginary parts), which alone decide what that is:
@@ -174,11 +173,9 @@ def real_symmetric(entries, what: str, n: int | None = None) -> np.ndarray:
 
 
 def matrix_to_json(m) -> list:
-    """Nested arrays of [re, im] pairs; real matrices collapse to plain numbers."""
-    m = np.asarray(m, dtype=complex)
-    if np.all(m.imag == 0.0):
-        return [[float(v.real) for v in row] for row in m]
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    """Nested arrays of [re, im] pairs; real matrices (by ``inexact``) collapse to plain numbers."""
+    m = inexact(m)
+    return (m if m.dtype == float else np.stack([m.real, m.imag], axis=-1)).tolist()
 
 
 def matrix_from_json(obj, n: int | None = None) -> np.ndarray:

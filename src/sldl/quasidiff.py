@@ -10,7 +10,7 @@ Step and delta models share one shape, ``StepModel``: cuts, the sigma value
 of each piece and the stack ``cell_jumps``; a delta model is the step model
 whose sigma jumps by H_k at node x_k. Their sigma values and jumps, and the
 values of ``LinearSigma``, are exactly symmetric float64 stacks; general and
-distributional pieces are complex128 stacks (``matcore.hermitian``). Coefficients
+distributional pieces and generators keep the dtype of their data. Coefficients
 are piecewise constant, so propagation across a piece is an exact matrix
 exponential. One cell walker, ``_cells``, enumerates the pieces of one or
 more spans and picks the working coordinates: classical (f, f') with free
@@ -22,10 +22,10 @@ order 1 it builds no matrices at all, and each cell's jump is its dS as a
 Python float. One march, ``_march``, writes the state after every cell into
 a preallocated stack, from which transfer matrices and node samples are read
 by index. The stack is float64 when the cells and the start are real, and
-complex128 otherwise (lam != 0, general and distributional models, complex
-starts). Each cell is a kick f' = dS f + f' and a drift f = f + L f' in
-Python numbers where it has the dS, BLAS products otherwise. Classical
-samples go back to quasi coordinates by one subtraction, f1 = f' - sigma f.
+complex128 otherwise (lam != 0, complex coefficients, complex starts). Each
+cell is a kick f' = dS f + f' and a drift f = f + L f' in Python numbers
+where it has the dS, BLAS products otherwise. Classical samples go back to
+quasi coordinates by one subtraction, f1 = f' - sigma f.
 
 Conventions: piece values are right-continuous, the k-th piece lives on
 [cut_k, cut_{k+1}) with the last piece closed at X, and cut_0 = 0.
@@ -201,10 +201,8 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian_names: tuple[str, ..
     Each stack needs one piece per cut; those named in ``hermitian_names`` go
     through ``matcore.hermitian``, and the first, the leading coefficient, must
     be invertible (a finite condition estimate at most COND_LIMIT, as in ``invert``).
-    The stacks are complex128 even for real data, the one exception to the
-    dtype rule of ``matcore.inexact``, and so is ``generators``, the lam = 0
-    generator stack ``model._system`` builds from the leading pieces'
-    inverses, from which ``_piece_generators`` subtracts a complex lam in place.
+    The stacks and ``generators``, the lam = 0 generators ``model._system`` builds
+    from the leading pieces' inverses, keep the dtype of their data (``inexact``).
     """
     object.__setattr__(model, "cuts", _check_cuts(model.cuts, model.X))
     for name in names:
@@ -213,8 +211,6 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian_names: tuple[str, ..
             raise ShapeMismatchError(f"need one {name} piece per cut")
         if name in hermitian_names:
             seq = hermitian(seq, f"{name} pieces")
-        seq = seq.astype(complex, copy=False)
-        seq.flags.writeable = False
         if name == names[0] and not np.all(condition(seq) <= COND_LIMIT):
             raise SingularPieceError(f"{name} pieces must be invertible")
         object.__setattr__(model, name, seq)
@@ -263,7 +259,7 @@ class Distributional:
         _freeze_pieces(self, names, hermitian_names=names)
 
     def _system(self, pinv: np.ndarray) -> np.ndarray:
-        phi = self.P1 + 1j * self.Q0
+        phi = inexact(self.P1 + 1j * self.Q0)  # real for Q0 = O and a real P1
         phs = phi.conj().swapaxes(1, 2)
         return np.block([[pinv @ phi, pinv], [-(phs @ pinv @ phi), -(phs @ pinv)]])
 
@@ -319,9 +315,10 @@ def piece_index(model, x: float) -> int:
 
 
 def _piece_generators(model, lam: complex, pieces: list[int]) -> np.ndarray:
-    """Stacked system matrices F - L of the listed pieces of a general or distributional model."""
+    """Stacked F - L of the listed pieces of a general or distributional model, complex at lam != 0."""
     gen, n = model.generators[pieces], model.n
     if lam != 0:
+        gen = gen.astype(complex, copy=False)
         gen[:, n:, :n] -= lam * np.eye(n)
     return gen
 
@@ -345,14 +342,14 @@ def _scaling_exponent(norm: float) -> int:
 def expm(a) -> np.ndarray:
     """Matrix exponential of a matrix, or of every matrix of a stack on the trailing two axes.
 
-    Pade(6, 6) with scaling so each scaled norm is <= 0.5, in one stacked
-    loop and one batched solve, each matrix squared back by its own exponent:
-    bit for bit the exponentials taken one matrix at a time. Matrices that
-    square to zero short-circuit to I + a: the lam = 0 cells of general or
-    distributional pieces such as R = Q = O (step and delta cells at lam = 0
-    never get here: ``_cells`` builds their I + L N).
+    Pade(6, 6) with scaling so each scaled norm is <= 0.5, in one stacked loop
+    and one batched solve, each matrix squared back by its own exponent, in the
+    input's float64 or complex128: bit for bit the exponentials taken one matrix
+    at a time. Matrices that square to zero short-circuit to I + a: the lam = 0
+    cells of general or distributional pieces such as R = Q = O (step and delta
+    cells at lam = 0 never get here: ``_cells`` builds their I + L N).
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     m, stack = a.shape[-1], a.reshape((-1,) + a.shape[-2:])
     out = np.eye(m) + stack
     live = np.flatnonzero((stack @ stack).any(axis=(1, 2)))

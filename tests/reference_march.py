@@ -5,8 +5,9 @@ Each function here redoes one march the plain way: one ``np.linalg.solve``
 step, on real columns for real blocks, one ``invert`` per
 kernel row, and one ``np.block`` jump and one
 ``expm`` per continuous cell (``matrix_step``), in the same float operation
-order as the stacked code. Step and delta models at lam = 0 have real jumps
-and propagators, and ``flow`` marches their states as real columns (the
+order as the stacked code. At lam = 0 step and delta models, and general and
+distributional models with real pieces, have real jumps and propagators
+(``real_cells``), and ``flow`` marches their states as real columns (the
 real parts, then the imaginary parts that are not all zero).
 Order-1 step and delta models at lam = 0 march by ``kick_drift`` instead:
 each cell reads dS from its jump matrix and updates each real column in
@@ -16,10 +17,11 @@ states. sldl marches a real start on real blocks or cells in float64 with
 the float operations of these real columns, so its states are the real
 parts of these, whose imaginary parts are zero; a start with an imaginary
 part it marches in complex arithmetic on the real blocks or cells, which
-may round apart from the real columns at n >= 2 (the accuracy tests bound it). ``expm`` and ``piece_system`` are kept
-here one matrix and one piece at a time: the exponential scales, expands
-and squares a single matrix, and each general or distributional piece takes
-its own ``invert``. ``complex_march`` and ``complex_t4_term`` keep the lattice
+may round apart from the real columns at n >= 2 (the accuracy tests bound
+it). ``expm`` and ``piece_system`` are kept here one matrix and one piece at
+a time, in the dtype of their data: the exponential scales, expands and
+squares a single matrix, and each general or distributional piece takes its
+own ``np.linalg.inv``. ``complex_march`` and ``complex_t4_term`` keep the lattice
 code of the time when every block stack was complex128: an order-1 march in
 Python complex arithmetic, and t4 grams of complex matrices.
 The tests compare with ``np.array_equal`` (``tobytes`` for
@@ -204,13 +206,12 @@ for _k in range(1, 7):
 def expm(a):
     """Pade(6, 6) exponential of one matrix, scaled so the scaled norm is <= 0.5.
 
-    An index-2 nilpotent matrix gives I + a, real where a is real.
+    Real where a is real; an index-2 nilpotent matrix gives I + a.
     """
     a = np.asarray(a)
     m = a.shape[0]
     if not (a @ a).any():
         return np.eye(m) + a
-    a = a.astype(complex)
     nrm = frobenius_norm(a)
     s = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
     b = a / (2.0 ** s)
@@ -232,36 +233,43 @@ def classical(model):
     return isinstance(model, (StepSigma, DeltaNodes))
 
 
-def block2n(tl, tr, bl, br, dtype=complex):
-    """The 2n x 2n matrix [[tl, tr], [bl, br]] of four order-n blocks, complex by default."""
-    return np.block([[tl, tr], [bl, br]]).astype(dtype)
+def block2n(tl, tr, bl, br, dtype=None):
+    """The 2n x 2n matrix [[tl, tr], [bl, br]] of four order-n blocks, in the blocks' dtype
+    unless ``dtype`` is given."""
+    return np.block([[tl, tr], [bl, br]]).astype(dtype or np.result_type(tl, tr, bl, br))
 
 
 def piece_system(model, lam, i):
-    """The 2n x 2n system matrix F - L on piece i, from that piece alone."""
+    """The 2n x 2n system matrix F - L on piece i, from that piece alone, in the dtype of the
+    model's stacks at lam = 0 (complex at lam != 0): its inverse of the leading piece is in
+    that piece stack's dtype, and phi = P1 + i Q0 is real where it is real on every piece."""
     n = model.n
     if classical(model):
         s = model.values[i]
         f = block2n(s, np.eye(n), -(s @ s), -s)
     elif isinstance(model, GeneralTriple):
         p, q, r = model.P[i], model.Q[i], model.R[i]
-        pinv = invert(p)
+        pinv = np.linalg.inv(p)
         f = block2n(r, pinv, q, -r.conj().T)
     else:
         assert isinstance(model, Distributional)
-        pinv = invert(model.P0[i])
+        pinv = np.linalg.inv(model.P0[i])
         phi = model.P1[i] + 1j * model.Q0[i]
+        if not (model.P1 + 1j * model.Q0).imag.any():  # Q0 = O and P1 real
+            phi = phi.real
         phs = phi.conj().T
         f = block2n(pinv @ phi, pinv, -(phs @ pinv @ phi), -(phs @ pinv))
     if lam != 0:
-        f = f.copy()
+        f = f.astype(complex)
         f[n:, :n] -= lam * np.eye(n)
     return f
 
 
 def real_cells(model, lam):
-    """Step and delta models at lam = 0: real jumps and flights."""
-    return classical(model) and lam == 0
+    """Cells with real jumps and generators: lam = 0 and real piece systems (step and
+    delta models, and general and distributional models with real pieces)."""
+    return lam == 0 and (classical(model) or all(
+        piece_system(model, 0.0, i).dtype == float for i in range(len(model.cuts))))
 
 
 def cells(model, lam, x0, x1, stops=()):

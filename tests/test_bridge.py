@@ -31,7 +31,7 @@ from sldl import (
     t7_check,
 )
 from sldl.bridge import CRITERIA, classify_detailed
-from sldl.jacobi import Lattice, cancel_jumps
+from sldl.jacobi import Lattice, blocks_from_lattice, cancel_jumps
 from sldl.matcore import ShapeMismatchError
 from sldl.reports import CONVERGES, DIVERGES, build_report
 
@@ -469,6 +469,28 @@ def test_classify_catches_only_the_float_range_error(monkeypatch):
         assert [(e.criterion, e.verdict, e.basis) for e in evidence[:2]] == [
             ("cor2:diag:1", "ConvergesBounded", "first"),
             ("cor2", "Inconclusive", "not evaluated: past the range")]
+
+
+def test_classify_builds_overflowing_blocks_once(monkeypatch):
+    # carleman and t4 both read the blocks: the FloatRangeError of the one build is
+    # kept and raised again, so each criterion gives the same Inconclusive item
+    import sldl.bridge as bridge
+
+    calls = []
+
+    def counted(lat):
+        calls.append(lat)
+        return blocks_from_lattice(lat)
+
+    monkeypatch.setattr(bridge, "blocks_from_lattice", counted)
+    model = DeltaNodes.from_spacings(1, [1e-300] * 40, np.zeros((40, 1, 1)))
+    verdict, _ = classify_detailed(model, ClassifyConfig(segments=((1, 5), (6, 10))))
+    assert len(calls) == 1
+    basis = "not evaluated: lattice blocks overflow: spacings too small or jumps too large"
+    assert [(e.criterion, e.verdict, e.basis) for e in verdict.evidence[1:3]] == [
+        ("carleman", "Inconclusive", basis), ("t4", "Inconclusive", basis)]
+    assert [e.criterion for e in verdict.evidence] == ["cor2:diag:1", "carleman", "t4", "t7",
+                                                       "cor3"]
 
 
 def test_classify_reports_align_with_evidence():

@@ -14,17 +14,25 @@ checked where no single output is known:
   a rotated lattice may lose a certificate that rests on an exact
   cancellation (Inconclusive), but never gains an opposite one or raises
   once ``Lattice`` has accepted its jumps;
-- a ``DeltaNodes`` model and the blocks of its lattice are one operator.
+- a ``DeltaNodes`` model and the blocks of its lattice are one operator;
+- a step model ``StepSigma(S)`` and the general triple P = I, R = S,
+  Q = -S^2 are one operator, marched by different code: free flights and
+  jumps in classical coordinates for the one, matrix exponentials of the
+  piece generators for the other. Their t1 terms agree within a bound fixed
+  in advance, and so do their t1 verdicts.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import random_symmetric
+from reference_march import exact_t1_square
 
-from sldl import DeltaNodes, classify
+from sldl import DeltaNodes, GeneralTriple, IntervalSeq, StepSigma, classify, t1_series
 from sldl.bridge import classify_detailed
 from sldl.jacobi import Lattice, blocks_from_lattice, cancel_jumps
+from sldl.quasidiff import _cells, fundamental_pair
 
 COUNT = 400  # spacings; the models have one node and one jump per spacing
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -99,3 +107,27 @@ def test_a_model_and_the_blocks_of_its_lattice_classify_alike(name):
     model = _model(d, H)
     blocks = blocks_from_lattice(Lattice(model.spacings, model.jumps))
     assert classify(blocks).classification == classify(model).classification
+
+
+T1_TOL = 32 * np.finfo(float).eps  # relative, fixed before the first run
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_a_step_model_and_its_general_triple_give_the_same_t1(n, seed):
+    rng = np.random.default_rng(seed)
+    cuts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, 9))]).tolist()
+    sigma = np.array([random_symmetric(rng, n, 2.0) for _ in cuts])
+    X = cuts[-1] + 0.5
+    step = StepSigma(n, cuts, sigma, X)
+    general = GeneralTriple(n, cuts, [np.eye(n)] * len(cuts), -(sigma @ sigma), sigma, X)
+    marks = np.linspace(0.0, X, 6).tolist()
+    intervals = IntervalSeq(tuple(zip(marks, marks[1:])))
+    got, want = t1_series(general, intervals), t1_series(step, intervals)
+    for term, (a, b) in zip(got.terms.tolist(), intervals.intervals):
+        exact = math.sqrt(exact_t1_square(step, a, b))
+        assert abs(term - exact) <= T1_TOL * exact
+    assert got.verdict == want.verdict
+    # real coefficients: the general model's cells and states are float64
+    assert _cells(general, 0.0, [(0.0, X)]).prop.dtype == np.float64
+    assert fundamental_pair(general, 0.0, marks).samples.dtype == np.float64

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -180,6 +181,26 @@ def test_real_matrix_json_plain_numbers():
     out = matrix_to_json(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert out == [[1.0, 2.0], [3.0, 4.0]]
     assert np.array_equal(matrix_from_json(out), np.array([[1, 2], [3, 4]], dtype=complex))
+
+
+def test_matrix_json_decides_real_by_the_dtype_rule():
+    # imaginary parts of -0.0 collapse as +0.0 ones do; one nonzero one keeps every pair,
+    # each entry a Python float, as the per-entry rule wrote them
+    def per_entry(m):
+        m = np.asarray(m, dtype=complex)
+        if np.all(m.imag == 0.0):
+            return [[float(v.real) for v in row] for row in m]
+        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+    real = np.array([[1.5, -0.0], [0.0, -2.0]])
+    negative_zeros = real.astype(complex)
+    negative_zeros.imag = -0.0
+    cases = [real, real + 0j, negative_zeros, np.array([[1, 2], [3, 4]]),
+             real + 1j * np.array([[0.0, 1e-300], [-1e-300, -0.0]]), np.array([[-0.0 - 0.0j]])]
+    for m in cases:
+        got = matrix_to_json(m)
+        assert json.dumps(got) == json.dumps(per_entry(m))
+        assert all(type(v) is float for v in np.ravel(got).tolist())
 
 
 # ---------------------------------------------------------------------------

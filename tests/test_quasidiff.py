@@ -188,13 +188,16 @@ def expm_stacks(draw):
 @given(expm_stacks())
 @settings(max_examples=60, deadline=None)
 def test_stacked_expm_equals_the_one_matrix_exponentials_bit_for_bit(stack):
-    with np.errstate(over="ignore", invalid="ignore"):  # norms near 1e3 overflow, alike
-        got = expm(stack)
-        single = np.array([expm(a) for a in stack], dtype=complex).reshape(stack.shape)
-        reference = np.array([reference_march.expm(a) for a in stack],
-                             dtype=complex).reshape(stack.shape)
-    assert same_bits(got, single)
-    assert same_bits(got, reference)
+    # complex stacks, and their real parts: a real stack has a real exponential
+    for a in (stack, np.ascontiguousarray(stack.real)):
+        with np.errstate(over="ignore", invalid="ignore"):  # norms near 1e3 overflow, alike
+            got = expm(a)
+            single = np.array([expm(m) for m in a], dtype=a.dtype).reshape(a.shape)
+            reference = np.array([reference_march.expm(m) for m in a],
+                                 dtype=a.dtype).reshape(a.shape)
+        assert got.dtype == a.dtype
+        assert same_bits(got, single)
+        assert same_bits(got, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -503,19 +506,29 @@ def test_real_symmetric_data_is_stored_once_as_float64(n):
     assert tilted.dtype == np.float64 and tilted.tobytes() == real[:2].tobytes()
 
 
-def test_general_and_distributional_pieces_stay_complex():
-    # real-valued pieces too: their generators take a complex lam in place
-    eye, zero = np.eye(2), np.zeros((2, 2))
-    models = {("P", "Q", "R"): GeneralTriple(2, (0.0, 1.0), (eye, 2 * eye), (zero, eye),
-                                             (zero, zero), 2.0),
-              ("P0", "Q0", "P1"): Distributional(2, (0.0, 1.0), (eye, 2 * eye), (zero, eye),
-                                                 (eye, zero), 2.0)}
-    for names, model in models.items():
-        for name in names:
-            assert getattr(model, name).dtype == complex
+def test_general_and_distributional_pieces_follow_the_dtype_rule():
+    # each piece stack in the dtype of its data, read-only; the lam = 0 generators real
+    # where the pieces and phi = P1 + i Q0 are; a spectral parameter off zero makes them complex
+    eye, zero, skew = np.eye(2), np.zeros((2, 2)), np.array([[0.0, 1j], [-1j, 0.0]])
+    real, cplx = np.float64, np.complex128
+    cases = [
+        (GeneralTriple(2, (0.0, 1.0), (eye, 2 * eye), (zero, eye), (zero, zero), 2.0),
+         {"P": real, "Q": real, "R": real}, real),
+        (GeneralTriple(2, (0.0, 1.0), (eye, 2 * eye), (skew, eye), (zero, eye), 2.0),
+         {"P": real, "Q": cplx, "R": real}, cplx),
+        (Distributional(2, (0.0, 1.0), (eye, 2 * eye), (zero, zero), (eye, zero), 2.0),
+         {"P0": real, "Q0": real, "P1": real}, real),
+        (Distributional(2, (0.0, 1.0), (eye, 2 * eye), (zero, eye), (eye, zero), 2.0),
+         {"P0": real, "Q0": real, "P1": real}, cplx),
+    ]
+    for model, stacks, generators in cases:
+        for name, dtype in stacks.items():
+            assert getattr(model, name).dtype == dtype
             assert not getattr(model, name).flags.writeable
-        assert model.generators.dtype == complex
-        assert _piece_generators(model, 0.5 - 0.25j, [0, 1]).dtype == complex
+        assert model.generators.dtype == generators
+        assert _piece_generators(model, 0.0, [0, 1]).dtype == generators
+        for lam in (0.5, 0.5 - 0.25j):
+            assert _piece_generators(model, lam, [0, 1]).dtype == cplx
 
 
 @pytest.mark.parametrize("grid, message", [

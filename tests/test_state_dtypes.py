@@ -4,8 +4,8 @@ The marches and everything read off them follow the one dtype rule of
 ``matcore.inexact``. Real blocks or cells with a real start give float64, and
 its bytes are the real parts of the complex references in
 ``reference_march``, whose imaginary parts are zero. A start with an
-imaginary part, complex blocks, a spectral parameter off zero and general
-triples give complex128.
+imaginary part, complex blocks or coefficients and a spectral parameter off
+zero give complex128.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from sldl.jacobi import (
 )
 from sldl.quasidiff import (
     DeltaNodes,
+    Distributional,
     GeneralTriple,
     QuasiState,
     StepSigma,
@@ -43,7 +44,8 @@ def lattices():
 
 
 def models():
-    """Real step and delta models of orders 1 and 2."""
+    """Real step and delta models of orders 1 and 2, a real general triple of order 1 and a
+    real distributional model of order 2 with Q0 = O."""
     rng = np.random.default_rng(31)
     out = []
     for n in (1, 2):
@@ -51,11 +53,21 @@ def models():
         out.append(DeltaNodes(n, tuple(0.7 * k for k in range(1, 7)), jumps, 5.1))
         out.append(StepSigma(n, (0.0, 1.3, 2.9), [random_symmetric(rng, n, 2.0) for _ in range(3)],
                              4.0))
+    out.append(real_triple())
+    p0 = [np.eye(2) + random_symmetric(rng, 2, 0.3) for _ in range(3)]
+    p1 = [random_symmetric(rng, 2, 1.0) for _ in range(3)]
+    out.append(Distributional(2, (0.0, 1.3, 2.9), p0, [np.zeros((2, 2))] * 3, p1, 4.0))
     return out
 
 
+def real_triple(r=0.25):
+    """A general triple of order 1 with real P and Q and second R piece ``r``."""
+    return GeneralTriple(1, (0.0, 1.5), [[[1.0]], [[2.0]]], [[[0.5]], [[-0.5]]],
+                         [[[0.0]], [[r]]], 4.0)
+
+
 LATTICES = ["christ-stolz", "christ-stolz-2", "perturbed-2"]
-MODELS = ["delta-1", "step-1", "delta-2", "step-2"]
+MODELS = ["delta-1", "step-1", "delta-2", "step-2", "general-1", "distributional-2"]
 GRID = (0.0, 0.35, 1.3, 2.2, 3.5, 4.0)
 
 
@@ -129,15 +141,16 @@ def test_complex_cells_and_complex_states_give_complex128(model):
     assert moved.f.dtype == moved.f1.dtype == np.complex128
 
 
-def test_general_triples_stay_complex128_with_real_coefficients():
-    # their pieces are cast to complex128, the one exception to the dtype rule
-    model = GeneralTriple(1, (0.0, 1.5), [[[1.0]], [[2.0]]], [[[0.5]], [[-0.5]]],
-                          [[[0.0]], [[0.25]]], 3.0)
-    assert model.P.dtype == np.complex128
-    pair = fundamental_pair(model, 0.0, (0.0, 1.0, 3.0))
-    assert pair.samples.dtype == np.complex128 and not pair.samples.imag.any()
-    assert transfer(model, 0.0, 0.0, 3.0).dtype == np.complex128
-    assert cauchy_kernel(pair, 3.0, 1.0).dtype == np.complex128
+def test_general_triples_march_in_the_dtype_of_their_coefficients():
+    # real coefficients give float64 at lam = 0, as every real model does; a complex R
+    # piece gives complex128, and so does a spectral parameter off zero
+    for model, dtype in ((real_triple(), np.float64), (real_triple(0.25 + 0.5j), np.complex128)):
+        assert model.R.dtype == model.generators.dtype == dtype
+        pair = fundamental_pair(model, 0.0, (0.0, 1.0, 3.0))
+        assert pair.samples.dtype == dtype
+        assert transfer(model, 0.0, 0.0, 3.0).dtype == dtype
+        assert cauchy_kernel(pair, 3.0, 1.0).dtype == dtype
+        assert transfer(model, 0.5, 0.0, 3.0).dtype == np.complex128
 
 
 def test_node_samples_rescale_in_the_dtype_of_their_data():
