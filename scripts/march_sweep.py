@@ -34,7 +34,10 @@ delta models (a window that starts inside the march from 0), and
 models with 10 to 400 unit pieces (the real Gram loop), and
 ``kernel_square_integrals`` over all cells and ``t1_series`` over the unit
 intervals of seeded real n = 1 and n = 2 general triples with 10 to 400 unit
-cells (float64 generators, exponentials and Gram matrices),
+cells (float64 generators, exponentials and Gram matrices), ``t2_predicate``
+on sigma = x I over 10 to 10^4 unit pieces and as many unit intervals
+(K = P), and ``canonical_json`` of the envelope that
+``sldl classify --gallery christ-stolz`` prints (size: its bytes),
 each as the median of repeated runs in one process with BLAS on one thread: one
 untimed warm-up pass over every function and size, then REPEATS timed
 passes, so the repeats of one function and size are a whole pass apart.
@@ -55,7 +58,9 @@ Usage: python scripts/march_sweep.py [SRC] [REPEATS]   # SRC holds the sldl pack
                                                        # default: this checkout's src/, 9
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -72,6 +77,7 @@ TERMS = (1000, 10_000, 100_000)
 NODES = (500, 1000, 2000, 5000, 10_000)
 SPACINGS = (2000, 5000, 10_000, 20_000, 50_000, 100_000)
 CELLS = (10, 25, 50, 100, 200, 400)
+PIECES = (10, 100, 1000, 10_000)
 SHUFFLE_SEED = 2027
 
 
@@ -134,11 +140,13 @@ def main() -> None:
         os.environ[var] = "1"  # before numpy loads
     sys.path.insert(0, str(src.resolve()))
     import numpy as np
-    from sldl import (DeltaNodes, Diagonal, GeneralTriple, IntervalSeq, OffDiagonal, QuasiState,
-                      StepSigma, blocks_from_delta, build_report, carleman_report,
+    from sldl import (DeltaNodes, Diagonal, GeneralTriple, IntervalSeq, LinearSigma, OffDiagonal,
+                      QuasiState, StepSigma, blocks_from_delta, build_report, carleman_report,
                       christ_stolz_family, cor2_series, cor3_check, equivalence_residual,
                       fundamental_pair, kernel_square_integrals, l2_tail_report,
-                      solution_norm_integral, solve_recurrence, t1_series, t4_term, t7_check)
+                      solution_norm_integral, solve_recurrence, t1_series, t2_predicate, t4_term,
+                      t7_check)
+    from sldl import cli
     from sldl.cli import canonical_json
     from sldl.jacobi import Lattice
 
@@ -258,6 +266,18 @@ def main() -> None:
                   lambda model=model: kernel_square_integrals(model, 0.0, model.X))
             timed(f"t1_series general real n={n}", cells, lambda model=model, cells=cells:
                   t1_series(model, IntervalSeq.unit(cells)))
+    for pieces in PIECES:
+        model = LinearSigma(1, tuple(float(k) for k in range(pieces + 1)),
+                            np.arange(pieces + 1.0)[:, None, None])
+        timed("t2_predicate", pieces, lambda model=model, intervals=IntervalSeq.unit(pieces):
+              t2_predicate(model, intervals))
+    envelopes = []  # the envelope run passes to canonical_json, caught on its way
+    cli.canonical_json = lambda envelope: envelopes.append(envelope) or canonical_json(envelope)
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        cli.run(["classify", "--gallery", "christ-stolz"])
+    cli.canonical_json = canonical_json
+    timed("canonical_json classify christ-stolz", len(text.getvalue()) - 1,
+          lambda: canonical_json(envelopes[0]))
     print(json.dumps(sweep(jobs, repeats, load_hostspeed())))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -437,11 +437,18 @@ _GALLERY = {"free-lattice": _free_lattice, "christ-stolz": _christ_stolz,
 
 
 def gallery() -> list[GalleryEntry]:
-    """Reference problems with their expected classifications."""
-    return [build() for build in _GALLERY.values()]
+    """Reference problems with their expected classifications, as ``gallery_entry`` holds them."""
+    return [gallery_entry(name) for name in _GALLERY]
 
 
+@cache
 def gallery_entry(name: str) -> GalleryEntry:
+    """The named entry, built on its first lookup and shared by every later one.
+
+    Sharing is safe: entries, models and configs are frozen records and every
+    array they reach is read-only. An unknown name raises ``KeyError`` on every
+    call (``cache`` keeps no result of a call that raised).
+    """
     if name not in _GALLERY:
         raise KeyError(f"no gallery entry named {name!r}")
     return _GALLERY[name]()

@@ -91,40 +91,63 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+@functools.lru_cache(maxsize=64)
+def _float_run_format(count: int) -> str:
+    """``"%.17g,%.17g,…"`` for a run of ``count`` floats; a report repeats its lengths."""
+    return ",".join(["%.17g"] * count)
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: insertion order kept, floats at 17 significant digits.
 
+    One walk appends the pieces of the text to a list, joined once at the end.
     A non-empty list or tuple of plain floats is formatted by one ``%``
     operation; ``'%.17g' % x`` is ``format(x, ".17g")``, and its text has an
     "n" only for NaN and infinities, which take the per-item path.
     """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
+    out: list[str] = []
+    _encode(obj, out)
+    return "".join(out)
+
+
+def _encode(obj, out: list[str]) -> None:
     if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(f"{_quote(str(k))}:{canonical_json(v)}"
-                         for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
+        out.append(_quote(obj))
+    elif isinstance(obj, float):
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, dict):
+        sep = "{"
+        for k, v in obj.items():
+            out.append(f"{sep}{_quote(str(k))}:")
+            _encode(v, out)
+            sep = ","
+        out.append("}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
         if obj and set(map(type, obj)) == {float}:
-            text = ",".join(["%.17g"] * len(obj)) % tuple(obj)
+            text = _float_run_format(len(obj)) % tuple(obj)
             if "n" not in text:
-                return "[" + text + "]"
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, (np.floating,)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return str(int(obj))
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+                out += ("[", text, "]")
+                return
+        sep = "["
+        for v in obj:
+            out.append(sep)
+            _encode(v, out)
+            sep = ","
+        out.append("]" if obj else "[]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, np.floating):
+        out.append(_fmt_float(float(obj)))
+    elif isinstance(obj, np.integer):
+        out.append(str(int(obj)))
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def make_envelope(command: str, config: dict, result: dict) -> dict:

@@ -504,17 +504,27 @@ def t2_predicate(model: LinearSigma, intervals: IntervalSeq) -> T2Result:
     on each piece overlapping each interval, and the series of squared
     interval lengths must diverge; certification requires both. Only a
     LinearSigma model is taken; any other type is a VariantUnsupportedError.
+
+    Time is linear in intervals plus pieces: piece i meets (a, b) when
+    knots[i] < b and knots[i + 1] > a, so each interval covers one range of
+    pieces, found by ``searchsorted``; the slopes of the pieces some range
+    covers, and only those, are taken as ``LinearSigma.slope`` takes them and
+    go to one batched ``eigvalsh``.
     """
     if not isinstance(model, LinearSigma):
         raise VariantUnsupportedError(f"no sigma description for {type(model)!r}")
-    ok = True
-    for a, b in intervals.intervals:
-        if b > model.X:
-            raise ValueError("intervals exceed the model domain")
-        for i in range(len(model.knots) - 1):
-            if (model.knots[i] < b and model.knots[i + 1] > a
-                    and float(np.min(np.linalg.eigvalsh(model.slope(i)))) < -PSD_TOL):
-                ok = False
+    if intervals.intervals and intervals.intervals[-1][1] > model.X:
+        raise ValueError("intervals exceed the model domain")
+    knots = np.array(model.knots)
+    starts, ends = np.array(intervals.intervals).reshape(-1, 2).T
+    pieces = len(knots) - 1
+    # +1 where a range starts and -1 past its end: a running sum > 0 marks the covered pieces
+    edges = (np.bincount(np.searchsorted(knots, starts, side="right") - 1, minlength=pieces + 1)
+             - np.bincount(np.searchsorted(knots, ends, side="left"), minlength=pieces + 1))
+    met = np.flatnonzero(edges.cumsum()[:pieces])
+    slopes = ((model.values[met + 1] - model.values[met])
+              / (knots[met + 1] - knots[met])[:, None, None])
+    ok = not (np.linalg.eigvalsh(slopes).min(axis=-1) < -PSD_TOL).any()
     terms = [(b - a) * (b - a) for a, b in intervals.intervals]  # one correctly rounded product
     notes = () if ok else ("sigma' indefinite on some interval",)
     return T2Result(ok, build_report("t2", terms, notes=notes))

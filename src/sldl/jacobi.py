@@ -84,16 +84,21 @@ class Lattice:
     """Spacings d_k = x_k - x_{k-1} and real symmetric jumps H_k of a delta lattice.
 
     Checked once, on construction: ``d`` becomes one read-only float64 array
-    of positive finite spacings, each entry taken by ``float``, and ``H`` one
-    read-only (K, n, n) float64 exactly symmetric stack (``real_symmetric``); the
-    lattice criteria and blocks read both as they are.
+    of positive finite spacings (a copy of a 1-D float64 array, or else each
+    entry taken by ``float``), and ``H`` one read-only (K, n, n) float64
+    exactly symmetric stack (``real_symmetric``); the lattice criteria and
+    blocks read both as they are.
     """
 
     d: np.ndarray
     H: np.ndarray
 
     def __post_init__(self):
-        d = np.fromiter(map(float, self.d), float)
+        d = self.d
+        if isinstance(d, np.ndarray) and d.dtype == np.float64 and d.ndim == 1:
+            d = np.array(d)
+        else:
+            d = np.fromiter(map(float, d), float)
         if not (d > 0.0).all():  # NaN fails too
             raise NonPositiveSpacingError("spacings must be strictly positive")
         if (d == math.inf).any():

@@ -202,7 +202,8 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian_names: tuple[str, ..
     through ``matcore.hermitian``, and the first, the leading coefficient, must
     be invertible (a finite condition estimate at most COND_LIMIT, as in ``invert``).
     The stacks and ``generators``, the lam = 0 generators ``model._system`` builds
-    from the leading pieces' inverses, keep the dtype of their data (``inexact``).
+    from the leading pieces' inverses, keep the dtype of their data (``inexact``)
+    and are read-only.
     """
     object.__setattr__(model, "cuts", _check_cuts(model.cuts, model.X))
     for name in names:
@@ -215,8 +216,9 @@ def _freeze_pieces(model, names: tuple[str, ...], hermitian_names: tuple[str, ..
             raise SingularPieceError(f"{name} pieces must be invertible")
         object.__setattr__(model, name, seq)
     object.__setattr__(model, "X", float(model.X))
-    inv = np.linalg.inv(getattr(model, names[0]))
-    object.__setattr__(model, "generators", model._system(inv))
+    generators = model._system(np.linalg.inv(getattr(model, names[0])))
+    generators.flags.writeable = False
+    object.__setattr__(model, "generators", generators)
 
 
 @dataclass(frozen=True, eq=False)

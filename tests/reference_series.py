@@ -1,4 +1,4 @@
-"""Per-term jump series and per-element node and cut checks, the plain way.
+"""Per-term jump series, per-element node and cut checks and per-piece t2, the plain way.
 
 The jump series of sldl (``t5_series``, ``cor1_series``, ``cor2_series``)
 take their channel entries as one slice of the jump stack and their terms
@@ -6,7 +6,10 @@ as array expressions; the node and cut checks of ``DeltaNodes`` and the
 piecewise models are array tests. The functions here redo both one
 element at a time in Python floats: each jump term resolves its channel
 on its own matrix and is checked right after it is computed, and the
-checks walk the nodes, spacings and cuts with generators. Tests compare
+checks walk the nodes, spacings and cuts with generators. ``t2_predicate``
+walks every (interval, piece) pair, one ``eigvalsh`` of ``LinearSigma.slope``
+per piece that meets the interval, where sldl batches the slopes of the
+covered pieces. Tests compare
 the two by ``tobytes`` and ``repr``, and compare exception classes and
 messages. ``cor2_series`` first checks its spacings and its whole jump
 stack as the lattice they form: positive finite spacings, real symmetric
@@ -24,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from sldl.criteria import Diagonal, OffDiagonal
+from sldl.criteria import PSD_TOL, Diagonal, OffDiagonal
 from sldl.jacobi import NonPositiveSpacingError
 from sldl.matcore import FloatRangeError, NonSymmetricError, ShapeMismatchError, as_stack
 from sldl.reports import build_report
@@ -154,3 +157,16 @@ def delta_nodes_fields(nodes, X: float, spacings=None):
 def from_spacings_nodes(spacings) -> tuple[float, ...]:
     """The node positions DeltaNodes.from_spacings stores: running sums of the spacings."""
     return tuple(accumulate(float(v) for v in spacings))
+
+
+def t2_predicate(model, intervals) -> tuple[bool, list[float]]:
+    """(hypothesis_ok, terms) of ``criteria.t2_predicate``, one piece of one interval at a time."""
+    ok = True
+    for a, b in intervals.intervals:
+        if b > model.X:
+            raise ValueError("intervals exceed the model domain")
+        for i in range(len(model.knots) - 1):
+            if (model.knots[i] < b and model.knots[i + 1] > a
+                    and float(np.min(np.linalg.eigvalsh(model.slope(i)))) < -PSD_TOL):
+                ok = False
+    return ok, [(b - a) * (b - a) for a, b in intervals.intervals]

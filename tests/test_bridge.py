@@ -534,12 +534,23 @@ def test_gallery_run_builds_each_entry_once(monkeypatch, capsys):
             calls[name] = calls.get(name, 0) + 1
             return build()
         monkeypatch.setitem(bridge._GALLERY, name, counted)
+    bridge.gallery_entry.cache_clear()
     assert run(["gallery", "run"]) == 0
     assert calls == {name: 1 for name in bridge._GALLERY}
-    calls.clear()
+    # built once per process: later lookups share the first entries
+    assert run(["gallery", "run"]) == 0
     assert run(["gallery", "run", "christ-stolz"]) == 0
-    assert calls == {"christ-stolz": 1}
+    assert calls == {name: 1 for name in bridge._GALLERY}
     capsys.readouterr()
+
+
+def test_gallery_shares_its_entries_and_rejects_unknown_names_every_time():
+    entries = gallery()
+    assert entries == gallery() and entries is not gallery()
+    assert [gallery_entry(e.name) for e in entries] == entries  # entries compare by identity
+    for _ in range(2):
+        with pytest.raises(KeyError, match="no gallery entry named 'nope'"):
+            gallery_entry("nope")
 
 
 def test_gallery_verdicts_deterministic():
@@ -607,7 +618,7 @@ def test_classify_never_contradicts_a_known_truth(name):
 
 
 def _records():
-    from sldl import (Distributional, GeneralTriple, LinearSigma, StepSigma,
+    from sldl import (Distributional, GeneralTriple, LinearSigma, StepSigma, bridge,
                       fundamental_pair)
 
     zero, eye = np.zeros((1, 1)), np.eye(1)
@@ -622,7 +633,7 @@ def _records():
         "LinearSigma": lambda: LinearSigma(1, (0.0, 1.0), (zero, eye)),
         "QuasiState": lambda: QuasiState([0.0], [1.0]),
         "FundamentalPair": lambda: fundamental_pair(free_lattice(4), 0.0, [0.0, 1.5]),
-        "GalleryEntry": lambda: gallery_entry("free-lattice"),
+        "GalleryEntry": lambda: bridge._GALLERY["free-lattice"](),  # fresh; gallery_entry shares one
         "CriterionReport": lambda: build_report("x", [1.0, 2.0]),
         "T7Result": lambda: t7_check(*christ_stolz_family(6), 2),
         "Cor3Result": lambda: cor3_check(*christ_stolz_family(6), 3),
@@ -643,6 +654,64 @@ def test_lattice_stacks_are_read_only():
     assert np.signbit(H[:, 0, 1]).all()
     assert lat.H.dtype == lat.shifted_jumps.dtype == float
     assert lat.shifted_jumps.tobytes() == np.zeros((5, 2, 2)).tobytes()
+
+
+@pytest.mark.parametrize("d", [[1.0, 0.5, 1e-300, 1e300, 5e-324, 3.0], [], [1.0, 0.0],
+                               [1.0, -0.0], [2.0, -1.0], [1.0, math.nan], [1.0, math.inf]])
+def test_lattice_takes_a_float_array_and_a_tuple_alike(d):
+    outcomes = []
+    for spacings in (tuple(d), np.array(d, dtype=float)):
+        try:
+            lat = Lattice(spacings, np.zeros((max(len(d) - 1, 0), 1, 1)))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append(frozen_floats(lat.d, d) and lat.d.tobytes())
+    assert outcomes[0] == outcomes[1] and outcomes[0] is not False
+
+
+def test_lattice_copies_a_float_array():
+    d = spread_floats(3101, 1000)
+    lat = Lattice(d, np.zeros((999, 1, 1)))
+    assert lat.d.tobytes() == Lattice(tuple(d.tolist()), lat.H).d.tobytes()
+    d[0] = 7.0
+    assert lat.d[0] != 7.0 and d.flags.writeable and not lat.d.flags.writeable
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from obj through sldl records, tuples, lists and dicts."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _arrays(value, seen)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value, seen)
+    elif type(obj).__module__.startswith("sldl."):
+        for name, attr in vars(type(obj)).items():
+            if isinstance(attr, cached_property):
+                getattr(obj, name)  # the lazy stacks are fields too, once read
+        yield from _arrays(vars(obj), seen)
+
+
+def test_models_and_gallery_entries_hold_no_writeable_array():
+    from sldl import Distributional, GeneralTriple
+    from sldl.quasidiff import CoefficientModel
+
+    one, half = np.eye(1), 0.5 * np.eye(1)
+    records = [make() for make in _records().values()] + [
+        GeneralTriple(1, (0.0, 1.0), (one, 2.0 * one), (half, -half), (1j * half, half), 2.0),
+        Distributional(1, (0.0, 1.0), (one, one), (half, -half), (half, half), 2.0)]
+    assert {*CoefficientModel.__args__, LinearSigma} <= {type(r) for r in records}
+    for entry in gallery():
+        entry.run()  # a shared entry must come out of a run as it went in
+    for obj in records + gallery():
+        arrays = list(_arrays(obj, set()))
+        assert arrays and [a.shape for a in arrays if a.flags.writeable] == [], type(obj)
 
 
 @pytest.mark.parametrize("name", list(_records()))

@@ -1,10 +1,12 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import reference_march
+import reference_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -751,3 +753,83 @@ def test_t2_variant_support():
     flat = StepSigma(1, (0.0, 1.0), (np.eye(1), np.eye(1)), 3.0)
     with pytest.raises(VariantUnsupportedError, match="no sigma description for"):
         t2_predicate(flat, IntervalSeq.unit(3))
+
+
+def _t2_case(seed):
+    """A seeded LinearSigma, mostly with PSD slopes, and intervals that end on knots and between.
+
+    Half the cases take consecutive points as intervals, so neighbours share
+    an end; the others pair the points off.
+    """
+    rng = np.random.default_rng(seed)
+    n, pieces = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+    knots = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, pieces))))
+    values = [np.zeros((n, n))]
+    for h in np.diff(knots):
+        g = rng.uniform(-1.0, 1.0, (n, n))
+        slope = random_symmetric(rng, n, 1.0) if rng.random() < 0.02 else g @ g.T
+        values.append(values[-1] + h * slope)
+    model = LinearSigma(n, tuple(knots.tolist()), values)
+    points = np.concatenate((rng.choice(knots, min(len(knots), 8), replace=False),
+                             rng.uniform(0.0, model.X, 8)))
+    points = np.unique(points)
+    pairs = zip(points[:-1], points[1:]) if rng.random() < 0.5 else zip(points[::2], points[1::2])
+    return model, IntervalSeq(tuple((float(a), float(b)) for a, b in pairs))
+
+
+def test_t2_matches_the_per_piece_loop_on_random_models():
+    outcomes = set()
+    for seed in range(3101, 3261):
+        model, intervals = _t2_case(seed)
+        got = t2_predicate(model, intervals)
+        ok, terms = reference_series.t2_predicate(model, intervals)
+        assert got.hypothesis_ok is ok
+        assert frozen_floats(got.series.terms, terms)
+        assert got.series.notes == (() if ok else ("sigma' indefinite on some interval",))
+        outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("slope", [0.0, -0.0, criteria.PSD_TOL, -criteria.PSD_TOL,
+                                   float(np.nextafter(-criteria.PSD_TOL, -np.inf))])
+def test_t2_slopes_at_the_tolerance(n, slope):
+    # the middle piece's slope is exactly ``slope`` (a difference over a unit length)
+    # in the last channel; (1, 2) meets only it, and (0, 1) and (2, 3) end on its knots
+    rise = np.diag([1.0] * (n - 1) + [0.0])
+    top = rise + np.diag([0.0] * (n - 1) + [slope])
+    model = LinearSigma(n, (0.0, 1.0, 2.0, 3.0),
+                        (np.zeros((n, n)), rise, rise + top, rise + top + np.eye(n)))
+    for intervals in (((1.0, 2.0),), ((0.0, 1.0), (2.0, 3.0)), ((0.5, 1.5),)):
+        seq = IntervalSeq(intervals)
+        got = t2_predicate(model, seq)
+        assert got.hypothesis_ok is reference_series.t2_predicate(model, seq)[0]
+    assert t2_predicate(model, IntervalSeq(((1.0, 2.0),))).hypothesis_ok is (slope >= -1e-10)
+    assert t2_predicate(model, IntervalSeq(((0.0, 1.0), (2.0, 3.0)))).hypothesis_ok
+
+
+def test_t2_evaluates_no_piece_outside_the_intervals():
+    # the middle piece's slope overflows; no interval meets it, so it raises no warning
+    big = np.finfo(float).max
+    model = LinearSigma(1, (0.0, 1.0, 2.0, 3.0),
+                        (np.zeros((1, 1)), np.full((1, 1), big), np.full((1, 1), -big),
+                         np.full((1, 1), -big)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = t2_predicate(model, IntervalSeq(((0.0, 1.0), (2.0, 3.0))))
+        empty = t2_predicate(model, IntervalSeq(()))
+    assert got.hypothesis_ok and frozen_floats(got.series.terms, [1.0, 1.0])
+    assert empty.hypothesis_ok and frozen_floats(empty.series.terms, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        met = t2_predicate(model, IntervalSeq(((0.5, 1.5),)))
+        assert met.hypothesis_ok is reference_series.t2_predicate(
+            model, IntervalSeq(((0.5, 1.5),)))[0]
+
+
+def test_t2_intervals_past_the_domain():
+    model = LinearSigma(1, (0.0, 2.0), (np.zeros((1, 1)), np.eye(1)))
+    for intervals in (((0.0, 2.5),), ((0.0, 1.0), (1.5, 2.0 + 1e-12))):
+        for fn in (t2_predicate, reference_series.t2_predicate):
+            with pytest.raises(ValueError, match="^intervals exceed the model domain$"):
+                fn(model, IntervalSeq(intervals))
