@@ -8,11 +8,13 @@ christ-stolz lattice at orders 1 and 2, from real seeds and from seeds with an
 imaginary part (complex states on real blocks; no workload or command line
 runs these), with the blocks built outside the timing, so
 the time includes the first-use B^-1 stack, ``l2_tail_report`` of the
-order-1 solutions of 2500 to 10^5 steps, ``carleman_report`` (N = the
+order-1 solutions of 2500 to 10^5 steps, ``build_report`` on those reports'
+terms (an l2 tail with alternating zeros), ``carleman_report`` (N = the
 steps) on the christ-stolz blocks of the same sizes, ``t4_term`` over segments of
-50 to 2000 and of 2500 to 10^5 rows of the order-1 lattice, ``t7_check`` on 2000 to 10^5
+50 to 2000 and of 2500 to 10^5 rows of the order-1 lattice, ``t7_check`` on 2500 to 10^5
 christ-stolz spacings (N = half of them, less one), ``Lattice`` construction
-and ``cor3_check`` (N = their number less three) on the same spacings,
+from the spacings as a tuple and ``cor3_check`` (N = their number less three)
+on the same spacings,
 ``build_report`` on harmonic windows of 10^3 to 10^5 terms (no certificate
 fires, so every pass runs), ``canonical_json`` of the JSON form of such
 a report with 10^3 to 10^5 floats (terms and partial sums),
@@ -178,6 +180,8 @@ def main() -> None:
         blocks = blocks_from_delta(d[:steps + 2], H[:steps + 1])
         solution = solve_recurrence(blocks, [1.0], [0.0], steps)
         timed("l2_tail_report", steps, lambda solution=solution: l2_tail_report(solution))
+        terms = l2_tail_report(solution).terms
+        timed("build_report l2 tail", steps, lambda terms=terms: build_report("l2", terms))
         timed("carleman_report", steps,
               lambda blocks=blocks, steps=steps: carleman_report(blocks, steps))
     blocks = blocks_from_delta(d[:max(ROWS) + 3], H[:max(ROWS) + 2])
@@ -196,7 +200,7 @@ def main() -> None:
     state = QuasiState([0.3], [1.0])
     for nodes in NODES:
         model = DeltaNodes.from_spacings(1, d[:nodes], H[:nodes], tail=d[nodes])
-        grid = (0.0,) + model.nodes
+        grid = (0.0, *model.nodes)
         timed("fundamental_pair", nodes,
               lambda model=model, grid=grid: fundamental_pair(model, 0.0, grid))
         timed("equivalence_residual", nodes,
@@ -208,6 +212,7 @@ def main() -> None:
               lambda count=count: cor2_series(d[:count], H[:count - 1], Diagonal(1)))
         timed("cor2_series offdiag", count,
               lambda count=count: cor2_series(d[:count], H2[:count - 1], OffDiagonal(1, 2)))
+    for count in STEPS:  # the spacings as the tuple christ_stolz_family gives
         timed("t7_check", count,
               lambda count=count: t7_check(d[:count], H[:count - 1], count // 2 - 1))
         timed("Lattice", count, lambda count=count: Lattice(d[:count], H[:count - 1]))

@@ -98,7 +98,7 @@ class Lattice:
         if isinstance(d, np.ndarray) and d.dtype == np.float64 and d.ndim == 1:
             d = np.array(d)
         else:
-            d = np.fromiter(map(float, d), float)
+            d = _float_spacings(d)
         if not (d > 0.0).all():  # NaN fails too
             raise NonPositiveSpacingError("spacings must be strictly positive")
         if (d == math.inf).any():
@@ -123,6 +123,25 @@ class Lattice:
             out[:, i, i] += recip
         out.flags.writeable = False
         return out
+
+
+def _float_spacings(d) -> np.ndarray:
+    """Each entry of d by ``float``, in one ``fromiter`` pass when that agrees.
+
+    ``fromiter`` reads None as NaN and raises ValueError on a nested entry,
+    where ``float`` raises TypeError; so a pass that raises or holds a NaN is
+    redone entry by entry, and the error or NaN is ``float``'s own. An
+    iterator is read into a tuple first, so that it can be read twice.
+    """
+    if iter(d) is d:
+        d = tuple(d)
+    try:
+        out = np.fromiter(d, float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or np.isnan(out).any():
+        out = np.fromiter(map(float, d), float)
+    return out
 
 
 def cancel_jumps(d, n: int = 1) -> np.ndarray:
@@ -427,11 +446,26 @@ def spacing_square_divergence(d) -> str | None:
     """Certificate that sum d_k^2 diverges, from the structure of d."""
     if len(d) < 8:
         return None
-    hit = periodic_positive_floor(d[len(d) // 2:])
+    h = len(d) // 2
+    hit = periodic_positive_floor(d[h:])
     if hit is not None:
         floor, p = hit
         kind = "constant" if p == 1 else f"periodic (period {p})"
         return f"eventually {kind} spacings with floor {floor:.6g}"
+    # The power-law basis needs every local exponent of the tail within
+    # 1e-6 max(1, |p|) of their mean p, and p >= -1/2 - 1e-12, so the first
+    # one, ps_0, is at least -1/2 - 1.000001e-6 whenever the basis is given
+    # (for |p| > 1, p > 1 and ps_0 > 0). ps_0 is computed here with the float
+    # operations of _power_exponent, so it is the same float; the rounding of
+    # the mean and the spread is ~1e-12 relative, far inside the 1e-5 margin.
+    # Below -1/2 - 1e-5 the answer is None, without the logs of the tail.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        first = np.asarray(d[h:h + 2], dtype=float)
+        ratio = first[1] / first[0]
+    if 0.0 < ratio < math.inf:
+        k = h + 1.0
+        if math.log(ratio) / math.log((k + 1.0) / k) < -0.5 - 1e-5:
+            return None
     p = _power_exponent(d)
     if p is not None and p >= -0.5 - 1e-12:
         return f"power-law spacings with exponent {p:.6g} >= -1/2"

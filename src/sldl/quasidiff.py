@@ -414,21 +414,25 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     classical = isinstance(model, StepModel)
     delta = model if isinstance(model, DeltaNodes) else None
     cuts = piece_cuts(model)
+    last, X = len(cuts) - 1, model.X
+    spacings = delta.spacings if delta is not None else None
     pieces, jumped, picks, lengths, ends, first = [], [], [], [], [], []
+    count = 0  # len(pieces)
     for x0, x1 in spans:
-        first.append(len(pieces))
+        first.append(count)
         marks = iter([x for x in stops if x0 < x < x1])
         i, pos, mark = piece_index(model, x0), x0, next(marks, x1)
         while pos < x1:
-            end = cuts[i + 1] if i + 1 < len(cuts) else model.X
-            stop = min(end, mark)
+            end = cuts[i + 1] if i < last else X
+            stop = mark if mark < end else end  # min(end, mark): end on a tie
             if classical and (pos == x0 or pos == cuts[i]):
-                jumped.append(len(pieces))
-                picks.append(i if pos == x0 else len(cuts) - 1 + i)
-            full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
+                jumped.append(count)
+                picks.append(i if pos == x0 else last + i)
+            full = spacings is not None and pos == cuts[i] and stop == end and i < last
             pieces.append(i)
-            lengths.append(delta.spacings[i] if full else stop - pos)
+            lengths.append(spacings[i] if full else stop - pos)
             ends.append(stop)
+            count += 1
             if stop == mark:
                 mark = next(marks, x1)
             if stop == end:

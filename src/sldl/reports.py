@@ -104,15 +104,18 @@ def periodic_positive_floor(tail) -> tuple[float, int] | None:
     for p in (1, 2, 3, 4):
         if len(tail) < 2 * p:
             break
+        # every later period's floor is the min of a tail[-p:] that holds this
+        # one, so a floor that is not positive (or NaN) ends the search
+        floor = float(tail[-p:].min())
+        if not floor > 0.0:
+            return None
         # |a - b| <= rtol max(|a|, |b|, 1e-300) for every pair p apart; the
-        # last pair alone rules out most tails
-        if not abs(tail[-1] - tail[-1 - p]) <= _PERIOD_RTOL * max(size[-1], size[-1 - p]):
+        # last and the first pair alone rule out most tails
+        if not (abs(tail[-1] - tail[-1 - p]) <= _PERIOD_RTOL * max(size[-1], size[-1 - p])
+                and abs(tail[p] - tail[0]) <= _PERIOD_RTOL * max(size[p], size[0])):
             continue
         if (np.abs(tail[p:] - tail[:-p]) <= _PERIOD_RTOL * np.maximum(size[p:], size[:-p])).all():
-            floor = float(tail[-p:].min())
-            if floor > 0.0:
-                return floor, p
-            return None
+            return floor, p
     return None
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -138,3 +139,50 @@ def distributional_models(draw, max_n=3, max_pieces=3):
 def random_symmetric(rng, n, bound):
     a = rng.uniform(-bound, bound, (n, n))
     return (a + a.T) / 2.0
+
+
+_ODD_SPACINGS = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2e-308, 1e-300, math.nan,
+                                 math.inf, -1.0, 1e300, 1e308])
+# exponents at and around the power-law threshold -1/2 and the fallback's
+# early exit below it at -1/2 - 1e-5
+_NEAR_HALF = [-0.5 + s * e for s in (1.0, -1.0)
+              for e in (0.0, 1e-12, 1e-7, 1e-6, 1.000001e-6, 2e-6, 9.9e-6, 1e-5, 1.01e-5, 2e-5)]
+
+
+@st.composite
+def power_law_spacings(draw):
+    """c k^p over a window of k, p in [-3, 1] or near -1/2, noisy, perturbed or with odd entries."""
+    count = draw(st.integers(8, 300))
+    start = draw(st.sampled_from([1, 2, 17, 1000, 123_456]))
+    p = draw(st.floats(-3.0, 1.0) | st.sampled_from(_NEAR_HALF) | st.floats(-0.50002, -0.49998))
+    scale = draw(st.sampled_from([1.0, 3.0, 1e-200, 1e200]))
+    d = [scale * float(k) ** p for k in range(start, start + count)]
+    noise = draw(st.sampled_from([0.0, 0.0, 1e-15, 1e-9, 1e-7, 1e-6, 1e-3]))
+    if noise:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        d = (np.array(d) * (1.0 + rng.uniform(-noise, noise, count))).tolist()
+    if draw(st.booleans()):  # move the first local exponent of the tail alone
+        d[count // 2 + 1] *= draw(st.sampled_from([1.0 - 1e-6, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-6,
+                                                   0.5, 2.0]))
+    for _ in range(draw(st.integers(0, 2))):
+        d[draw(st.integers(0, count - 1))] = draw(_ODD_SPACINGS)
+    return tuple(d)
+
+
+@st.composite
+def periodic_tails(draw):
+    """A free prefix, then periods 1-4 with positive, zero, subnormal or NaN entries,
+    jittered inside or outside the period tolerance, with zero runs."""
+    period = draw(st.lists(st.floats(0.0, 10.0) | _ODD_SPACINGS, min_size=1, max_size=4))
+    count = draw(st.integers(0, 80))
+    tail = [period[i % len(period)] for i in range(count)]
+    for _ in range(draw(st.integers(0, 3))):
+        if tail:
+            tail[draw(st.integers(0, count - 1))] *= 1.0 + draw(
+                st.sampled_from([1e-12, 5e-10, 1e-9, 2e-9, 1e-6]))
+    if tail and draw(st.booleans()):
+        i = draw(st.integers(0, count - 1))
+        run = len(tail[i:i + draw(st.integers(1, 6))])
+        tail[i:i + run] = [0.0] * run
+    prefix = draw(st.lists(st.floats(0.0, 10.0) | _ODD_SPACINGS, max_size=12))
+    return tuple(prefix + tail)

@@ -9,12 +9,17 @@ divided by a float takes numpy's complex division, and a block norm is
 tests compare with ``tobytes`` and ``==``, so any change of an operation
 or of its order shows. A shifted jump H_k + (1/d_k + 1/d_{k+1}) I takes the
 reciprocal sum on its diagonal only, so an infinite sum leaves the
-off-diagonal entries finite.
+off-diagonal entries finite. ``spacing_square_divergence`` decides on the
+whole tail, from the term-at-a-time periodic floor and ``power_exponent``,
+with no early exit; ``float_spacings`` takes each spacing by ``float``, as
+``Lattice`` did before it converted them in one pass.
 """
 
 import math
 
 import numpy as np
+
+from reference_reports import periodic_positive_floor
 
 from sldl.matcore import frobenius_norm
 from sldl.reports import build_report
@@ -59,6 +64,24 @@ def power_exponent(d):
     if max(abs(p - mean) for p in ps) <= 1e-6 * max(1.0, abs(mean)):
         return mean
     return None
+
+
+def spacing_square_divergence(d):
+    if len(d) < 8:
+        return None
+    hit = periodic_positive_floor(d[len(d) // 2:])
+    if hit is not None:
+        floor, p = hit
+        kind = "constant" if p == 1 else f"periodic (period {p})"
+        return f"eventually {kind} spacings with floor {floor:.6g}"
+    p = power_exponent(d)
+    if p is not None and p >= -0.5 - 1e-12:
+        return f"power-law spacings with exponent {p:.6g} >= -1/2"
+    return None
+
+
+def float_spacings(d) -> np.ndarray:
+    return np.fromiter(map(float, d), float)
 
 
 def carleman_terms(blocks, N: int) -> list[float]:

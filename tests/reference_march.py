@@ -44,7 +44,10 @@ integer arithmetic with 140 fraction bits (about 42 digits), from the same
 float generators and lengths, as an accuracy reference for t1 terms of
 general and distributional models; ``exact_t1_square`` redoes it for step and
 delta models of any order in Fraction arithmetic, from the float jumps and
-lengths.
+lengths. ``stacked_cells`` keeps sldl's stacked cell walk as it was before
+its loop invariants were hoisted (``len(cuts)``, ``model.X`` and
+``delta.spacings`` read per cell, ``min(end, mark)``), so the hoisted walk
+can be compared with it field by field.
 """
 
 import math
@@ -56,14 +59,19 @@ from sldl.criteria import _cell_integrals
 from sldl.jacobi import blocks_from_delta
 from sldl.matcore import frobenius_norm, invert
 from sldl.quasidiff import (
+    Cells,
     DeltaNodes,
     Distributional,
     GeneralTriple,
+    StepModel,
     StepSigma,
     _cells,
+    _jumps,
+    _piece_generators,
     piece_cuts,
     piece_index,
 )
+from sldl.quasidiff import expm as stacked_expm
 
 # ---------------------------------------------------------------------------
 # lattice side
@@ -306,6 +314,51 @@ def cells(model, lam, x0, x1, stops=()):
         if stop == end:
             i += 1
         pos = stop
+
+
+def stacked_cells(model, lam, spans, stops=()):
+    """sldl's ``_cells`` with its walk as it was: the same fields, values and types."""
+    classical = isinstance(model, StepModel)
+    delta = model if isinstance(model, DeltaNodes) else None
+    cuts = piece_cuts(model)
+    pieces, jumped, picks, lengths, ends, first = [], [], [], [], [], []
+    for x0, x1 in spans:
+        first.append(len(pieces))
+        marks = iter([x for x in stops if x0 < x < x1])
+        i, pos, mark = piece_index(model, x0), x0, next(marks, x1)
+        while pos < x1:
+            end = cuts[i + 1] if i + 1 < len(cuts) else model.X
+            stop = min(end, mark)
+            if classical and (pos == x0 or pos == cuts[i]):
+                jumped.append(len(pieces))
+                picks.append(i if pos == x0 else len(cuts) - 1 + i)
+            full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
+            pieces.append(i)
+            lengths.append(delta.spacings[i] if full else stop - pos)
+            ends.append(stop)
+            if stop == mark:
+                mark = next(marks, x1)
+            if stop == end:
+                i += 1
+            pos = stop
+    n, m, ends = model.n, 2 * model.n, np.array(ends)
+    jump = [None] * len(pieces)
+    if classical and n == 1 and lam == 0:
+        for c, ds in zip(jumped, model.cell_jumps[picks, 0, 0].tolist()):
+            jump[c] = ds
+        return Cells(pieces, jump, None, lengths, ends, None, first)
+    if not classical:
+        gen = _piece_generators(model, lam, pieces)
+    else:
+        flight = np.eye(m, k=n, dtype=float if lam == 0 else complex)
+        if lam != 0:
+            flight[n:, :n] = -lam * np.eye(n)
+        gen = np.broadcast_to(flight, (len(pieces), m, m))
+        for c, matrix in zip(jumped, _jumps(model.cell_jumps[picks], flight.dtype)):
+            jump[c] = matrix
+    scaled = gen * np.array(lengths)[:, None, None]
+    prop = np.eye(m) + scaled if classical and lam == 0 else stacked_expm(scaled)
+    return Cells(pieces, jump, gen, lengths, ends, prop, first)
 
 
 def matrix_step(jump, gen, length, y):

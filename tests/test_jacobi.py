@@ -7,7 +7,14 @@ import pytest
 import reference_lattice
 import reference_march
 from hypothesis import given, settings
-from conftest import exact_square, frozen_floats, report_key, spread_floats
+from conftest import (
+    exact_square,
+    frozen_floats,
+    periodic_tails,
+    power_law_spacings,
+    report_key,
+    spread_floats,
+)
 from hypothesis import strategies as st
 
 from sldl import (
@@ -33,6 +40,7 @@ from sldl.jacobi import (
     blocks_to_json,
     cancel_jumps,
     recurrence_summands,
+    spacing_square_divergence,
 )
 from sldl.matcore import NonSymmetricError, condition, frobenius_norm
 from sldl.reports import CONVERGES, DIVERGES, INCONCLUSIVE, build_report
@@ -134,6 +142,61 @@ def test_lattice_spacings_are_one_read_only_float_array():
     lat = Lattice((1, True, "0.5", np.float32(0.25)), np.zeros((3, 1, 1)))
     assert lat.d.dtype == float and lat.d.shape == (4,) and not lat.d.flags.writeable
     assert lat.d.tolist() == [1.0, 1.0, 0.5, 0.25]
+
+
+# the spacings a caller may pass, each as the same values in another container
+_SPACING_FORMS = {
+    "tuple": lambda: (1.0, 0.5, 2.0, 5e-324, 1e300),
+    "list": lambda: [1.0, 0.5, 2.0, 5e-324, 1e300],
+    "ndarray slice": lambda: np.array([1.0, 9.0, 0.5, 9.0, 2.0, 9.0, 5e-324])[::2],
+    "float32 array": lambda: np.array([1.0, 0.1, 3.0], dtype=np.float32),
+    "int array": lambda: np.arange(1, 6),
+    "generator": lambda: (1.0 / k for k in range(1, 7)),
+    "ints": lambda: (1, 2, 3, 2**53 + 1),
+    "strs": lambda: ("1.5", " 2 ", "1_000", "1e-310", b"0.25"),
+    "numpy scalars": lambda: (np.float64(0.5), np.float32(0.1), np.int64(3), np.bool_(True)),
+    "mixed": lambda: [1, True, "0.5", np.float32(0.25), 2.0],
+}
+
+
+@pytest.mark.parametrize("form", sorted(_SPACING_FORMS))
+def test_lattice_takes_each_spacing_as_float_does(form):
+    want = reference_lattice.float_spacings(_SPACING_FORMS[form]())
+    assert Lattice(_SPACING_FORMS[form](), np.zeros((3, 1, 1))).d.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [
+    [1.0, None, 2.0],
+    (x for x in (1.0, 2.0, None)),
+    [1.0, [2.0]],
+    [(1.0,), 2.0],
+    [np.array([1.0])],
+    [np.array(2.0), {}],
+    ["abc"],
+    ["0x10"],
+    [10**400],
+    [1j],
+    [1.0, object()],
+])
+def test_lattice_raises_the_error_float_raises(d):
+    # one fromiter pass reads None as NaN and a nested entry as a ValueError; the
+    # spacings are then taken again by float(), so its error class and message show
+    d = list(d)
+    with pytest.raises(Exception) as want:
+        reference_lattice.float_spacings(d)
+    for form in (d, tuple(d), iter(d)):
+        with pytest.raises(type(want.value)) as got:
+            Lattice(form, np.zeros((2, 1, 1)))
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+@given(st.lists(st.floats(5e-324, 1e308) | st.integers(1, 10**300), min_size=1, max_size=40),
+       st.sampled_from([tuple, list, iter, np.array]))
+@settings(max_examples=200, deadline=None)
+def test_lattice_spacings_hold_the_bits_float_gives(values, form):
+    d = form(values) if form is not np.array else np.array(values, dtype=float)
+    lat = Lattice(d, np.zeros((len(values), 1, 1)))
+    assert lat.d.tobytes() == reference_lattice.float_spacings(values).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +877,34 @@ def test_t7_of_extreme_lattices_equals_the_term_loop(d, n):
 ])
 def test_power_exponent_of_extreme_tails_equals_the_loop(d):
     assert repr(_power_exponent(d)) == repr(reference_lattice.power_exponent(d))
+
+
+@given(power_law_spacings())
+@settings(max_examples=600, deadline=None)
+def test_spacing_fallback_equals_the_whole_tail_decision(d):
+    # the early exit on the first local exponent gives what the whole tail gives
+    got = spacing_square_divergence(d)
+    assert got == reference_lattice.spacing_square_divergence(d)
+    assert got == spacing_square_divergence(np.array(d))
+
+
+@given(periodic_tails())
+@settings(max_examples=400, deadline=None)
+def test_spacing_fallback_of_periodic_tails_equals_the_whole_tail_decision(d):
+    assert spacing_square_divergence(d) == reference_lattice.spacing_square_divergence(d)
+
+
+def spike_spacings(count: int) -> tuple[float, ...]:
+    """d_k = k^-2, except d_k = 1 at k = 4^j (j >= 1)."""
+    spikes = {4**j for j in range(1, 20)}
+    return tuple(1.0 if k in spikes else float(k) ** -2 for k in range(1, count + 1))
+
+
+@pytest.mark.parametrize("count", [8, 9, 16, 17, 64, 65, 100, 1000, 4097, 20_000])
+def test_spacing_fallback_of_the_spike_lattice_equals_the_whole_tail_decision(count):
+    for d in (spike_spacings(count), christ_stolz_family(count)[0],
+              tuple(float(k) ** -0.5 for k in range(1, count + 1))):
+        assert spacing_square_divergence(d) == reference_lattice.spacing_square_divergence(d)
 
 
 _STEP_VALUES = st.sampled_from([0.0, -0.0, 0.5, -3.0, 5e-324, 1e308, math.inf, -math.inf,

@@ -432,6 +432,32 @@ def test_cells_equal_the_per_cell_reference(model, data, lam):
     assert same_bits(cells.prop, np.array(want, dtype=dtype).reshape(-1, m, m))
 
 
+def same_entries(a, b) -> bool:
+    """The same Python type and, unless None, the same bits."""
+    return type(a) is type(b) and (b is None or same_bits(a, b))
+
+
+def same_cells(got, want) -> bool:
+    """Every field of two Cells records; the list fields entry by entry."""
+    return all(len(a) == len(b) and all(map(same_entries, a, b)) if type(b) is list
+               else same_entries(a, b) for a, b in zip(got, want))
+
+
+@given(st.one_of(step_sigma_models(), delta_models(), _PIECE_MODELS), st.data(),
+       st.sampled_from([0.0, 0.5, 1j]), st.sampled_from([float, np.float64]))
+@settings(max_examples=200, deadline=None)
+def test_cells_walk_equals_the_walk_before_its_invariants_were_hoisted(model, data, lam, kind):
+    """Multi-span calls, stops on and off the cuts, empty spans and spans to X."""
+    spans, stops = data.draw(spans_on_and_off_the_cuts(model))
+    points = sorted({*piece_cuts(model), model.X})
+    spans = spans + [(x, x) for x in data.draw(st.lists(st.sampled_from(points), max_size=2))]
+    spans = spans + [(0.0, model.X)] * data.draw(st.integers(0, 1))
+    spans = [(kind(x0), kind(x1)) for x0, x1 in spans]
+    stops = [kind(x) for x in stops]
+    got = _cells(model, lam, spans, stops=stops)
+    assert same_cells(got, reference_march.stacked_cells(model, lam, spans, stops=stops))
+
+
 def test_order_one_cells_at_lam_zero_build_no_matrix_stacks(monkeypatch):
     # the march, the kernel and solution-norm passes and the pair read jump and length only
     def refuse(*args):

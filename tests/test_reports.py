@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import reference_json
 import reference_reports
-from conftest import frozen_floats
+from conftest import frozen_floats, periodic_tails, power_law_spacings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,6 +196,30 @@ def test_report_equals_the_term_at_a_time_reference(terms, threshold):
                 == reference_reports.divergence_certificate(terms, threshold))
         assert convergence_certificate(terms) == reference_reports.convergence_certificate(terms)
     tail = terms[len(terms) // 2:]
+    assert periodic_positive_floor(tail) == reference_reports.periodic_positive_floor(tail)
+
+
+@given(periodic_tails() | power_law_spacings())
+@settings(max_examples=600, deadline=None)
+def test_periodic_floor_exits_equal_the_full_scan(tail):
+    # a floor that is not positive ends the search, and the first pair may rule a
+    # period out before the scan; both give what the full scan of every period gives
+    want = reference_reports.periodic_positive_floor(tail)
+    for got in (periodic_positive_floor(tail), periodic_positive_floor(np.array(tail))):
+        assert got == want and (got is None or type(got[0]) is float)
+
+
+@pytest.mark.parametrize("tail", [
+    [1.0, 0.0] * 10_000,  # an l2 tail with alternating zeros: subnormal products at p = 2
+    [0.0] * 20_000,  # a zero t7 (b) tail
+    [0.0] * 7 + [1.0],
+    [1.0] * 7 + [0.0],
+    [2.0, 1.0, 3.0] * 5 + [math.nan],
+    [math.nan] + [2.0, 1.0, 3.0] * 5,
+    [3.0, 5e-324] * 4,
+    [1e-300, 1.0] * 4,
+])
+def test_periodic_floor_of_zero_and_nan_tails_equals_the_full_scan(tail):
     assert periodic_positive_floor(tail) == reference_reports.periodic_positive_floor(tail)
 
 
