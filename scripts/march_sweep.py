@@ -2,12 +2,14 @@
 """Timing sweep of the lattice and delta-model marches over problem size.
 
 Times ``blocks_from_delta`` on christ-stolz spacings and jumps of 2500
-to 10^5 spacings, with and without its first-use B^-1 stack,
-``solve_recurrence`` over 2500 to 10^5 steps of the
+to 10^5 spacings, with and without its first-use B^-1 stack, and with it at
+order 2, ``solve_recurrence`` over 2500 to 10^5 steps of the
 christ-stolz lattice at orders 1 and 2, from real seeds and from seeds with an
 imaginary part (complex states on real blocks; no workload or command line
-runs these), with the blocks built outside the timing, so
-the time includes the first-use B^-1 stack, ``l2_tail_report`` of the
+runs these), and of perturbed christ-stolz lattices at orders 1 and 2 (jumps
+H_k + S_k with seeded symmetric S_k, so A_k != O: the step loops, where the
+christ-stolz rows march as running products), with the blocks built outside
+the timing, so the time includes the first-use B^-1 stack, ``l2_tail_report`` of the
 order-1 solutions of 2500 to 10^5 steps, ``build_report`` on those reports'
 terms (an l2 tail with alternating zeros), ``carleman_report`` (N = the
 steps) on the christ-stolz blocks of the same sizes, ``t4_term`` over segments of
@@ -167,11 +169,21 @@ def main() -> None:
               lambda steps=steps: blocks_from_delta(d[:steps], H[:steps - 1]).B_inv)
     H2 = np.asarray(H) * np.array([[1.0, 0.5], [0.5, 1.0]])
     cancel2 = christ_stolz_family(len(d), 2)[1]
+    for steps in STEPS:
+        timed("blocks_from_delta n=2 B_inv", steps,
+              lambda steps=steps: blocks_from_delta(d[:steps], cancel2[:steps - 1]).B_inv)
+    perturbed_rng = np.random.default_rng(404)  # its own seed: the models below stay as they were
+    perturbed = {}
+    for n, jumps in ((1, H), (2, cancel2)):
+        s = perturbed_rng.uniform(-0.25, 0.25, (len(jumps), n, n))
+        perturbed[n] = jumps + s + s.transpose(0, 2, 1)
     for steps in STEPS:  # the blocks are built anew for each repeat, outside the timing
         for label, jumps, u0, u1 in (("", H, [1.0], [0.0]),
                                      (" n=2", cancel2, [1.0, 0.5], [0.0, 1.0]),
                                      (" complex seed", H, [1.0 + 0.5j], [0.0]),
-                                     (" n=2 complex seed", cancel2, [1.0, 0.5j], [0.0, 1.0])):
+                                     (" n=2 complex seed", cancel2, [1.0, 0.5j], [0.0, 1.0]),
+                                     (" perturbed", perturbed[1], [1.0], [0.0]),
+                                     (" perturbed n=2", perturbed[2], [1.0, 0.5], [0.0, 1.0])):
             timed("solve_recurrence" + label, steps,
                   lambda blocks, u0=u0, u1=u1, steps=steps: solve_recurrence(blocks, u0, u1, steps),
                   lambda jumps=jumps, steps=steps: blocks_from_delta(d[:steps + 2],

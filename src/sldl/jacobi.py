@@ -27,12 +27,12 @@ take ``tolist``), and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I are one
 lazily built stack that A_k, t7 and cor3 slice; the (d, H) entry points build
 a Lattice for the lattice forms. ``JacobiBlocks`` stores A exactly Hermitian
 and B as ``as_stack`` gives it, float64 for every lattice. The recurrence
-marches step with the lazily built stacks B_inv and B_star: each step is
-three BLAS products into preallocated buffers, or three Python products at
-order n = 1. States take the dtype of the blocks and the start together:
-float64 when both are real, complex128 otherwise. Storage starts at A_0,
-B_0: slot k holds A_k and B_k. All spacing indices k in this module are
-1-based to match the recurrence above.
+marches step with the lazily built stacks B_inv and B_star: three BLAS products
+into buffers per step, or three Python products at order n = 1; a march that
+reads only zero A_k and real scalar B_k = b_k I from a finite start (every
+``cancel`` lattice) is one running product of b_k factors per parity. States
+take the dtype of blocks and start: float64 when both are real, complex128
+otherwise. Slot k holds A_k and B_k from A_0, B_0; indices k are 1-based.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     real_symmetric,
+    scalars,
 )
 from .reports import (
     CONVERGES,
@@ -189,11 +190,11 @@ class JacobiBlocks:
     def B_inv(self) -> np.ndarray:
         """Read-only stack of the inverses B_k^-1, stored like B, built on first use.
 
-        The condition of every B_k was checked on construction. Real blocks of
-        order 1 take the reciprocals 1.0 / B_k, the bits of LAPACK's inverse.
+        The condition of every B_k was checked on construction. Real stacks of scalars b_k I
+        (every order-1 stack is one) take (1.0 / b_k) I: LAPACK's bits, zero signs included.
         """
-        real = self.B.dtype == float
-        inv = 1.0 / self.B if real and self.n == 1 else np.linalg.inv(self.B)
+        b = scalars(self.B) if self.B.dtype == float else None
+        inv = np.linalg.inv(self.B) if b is None else (1.0 / b)[:, None, None] * np.eye(self.n)
         inv.flags.writeable = False
         return inv
 
@@ -308,6 +309,19 @@ def _steps(A, B_inv, B_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray)
                 prev, cur = cur, np.negative(b_inv.dot(t1, t2), out=row)
 
 
+def _products(b_inv, b_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray) -> None:
+    """``_steps`` for A = O, scalar blocks and finite seeds: u_{m+1} = -(b_inv[m] (b_star[m]
+    u_{m-1})), so each parity is one running product of its seed and b_star, -b_inv in turn
+    (real and imaginary parts apart), rounded as the step rounds; a zero reads -(0.0 + +-0)."""
+    rows, factors = out.reshape(len(out), -1).view(float), np.stack([b_star, -b_inv], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for parity, seed in enumerate((prev, cur)):
+            chain = np.empty((1 + 2 * len(factors[parity::2]), rows.shape[1]))
+            chain[0], chain[1:] = seed.reshape(-1).view(float), factors[parity::2].reshape(-1, 1)
+            rows[parity::2] = np.multiply.accumulate(chain, axis=0, out=chain)[2::2]
+    rows[rows == 0.0] = -0.0
+
+
 def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray:
     """The stack u_{start+1} .. u_stop of u_{m+1} = -B_m^{-1} (A_m u_m + B*_{m-1} u_{m-1}).
 
@@ -323,8 +337,13 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     if start >= stop:
         return out
     s = blocks._stored(start - 1, stop)
-    _steps(*(x.astype(dtype, copy=False) for x in (
-        blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1], prev, cur)), out)
+    prev, cur = prev.astype(dtype, copy=False), cur.astype(dtype, copy=False)
+    if (blocks.B.dtype == float and not blocks.A[s][1:].any() and np.isfinite([prev, cur]).all()
+            and scalars(blocks.B[s]) is not None):  # on the rows this march reads
+        _products(blocks.B_inv[s][1:, 0, 0], blocks.B[s][:-1, 0, 0], prev, cur, out)
+    else:
+        _steps(*(x.astype(dtype, copy=False) for x in (
+            blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1])), prev, cur, out)
     bad = ~np.isfinite(out.reshape(len(out), -1)).all(axis=1)
     if bad.any():
         m = start + int(np.argmax(bad))

@@ -106,19 +106,25 @@ def frobenius_norm(m):
     return float(norm) if norm.ndim == 0 else norm
 
 
+def scalars(m: np.ndarray) -> np.ndarray | None:
+    """The c_k of matrices c_k I (every 1 x 1 matrix is one), or None if one is not."""
+    c, eye = m[..., 0, 0], np.eye(m.shape[-1], dtype=bool)
+    scalar = len(eye) == 1 or ((m[..., eye] == c[..., None]).all() and not m[..., ~eye].any())
+    return c if scalar else None
+
+
 def condition(m):
     """2-norm condition estimate of a matrix, or of every matrix of a stack.
 
     The one condition rule: a matrix is invertible here when its estimate
-    is at most COND_LIMIT. At order 1 the estimate is 1.0 for a finite
-    nonzero entry and inf otherwise, the values ``np.linalg.cond`` gives a
-    1 x 1 matrix without its SVD; orders n >= 2 take ``np.linalg.cond``.
+    is at most COND_LIMIT. A stack of scalars c I (``scalars``) reads 1.0 for a
+    finite nonzero c and inf otherwise, without an SVD: ``np.linalg.cond``'s values
+    bar a complex c of modulus near overflow. Other stacks take ``np.linalg.cond``.
     """
     m = inexact(m)
-    if m.shape[-2:] == (1, 1):
-        entry = m[..., 0, 0]
-        return np.where(np.isfinite(entry) & (entry != 0), 1.0, np.inf)
-    return np.linalg.cond(m)
+    if (c := scalars(m)) is None:
+        return np.linalg.cond(m)
+    return np.where(np.isfinite(c) & (c != 0), 1.0, np.inf)[()]
 
 
 def invert(m) -> np.ndarray:

@@ -12,7 +12,10 @@ reciprocal sum on its diagonal only, so an infinite sum leaves the
 off-diagonal entries finite. ``spacing_square_divergence`` decides on the
 whole tail, from the term-at-a-time periodic floor and ``power_exponent``,
 with no early exit; ``float_spacings`` takes each spacing by ``float``, as
-``Lattice`` did before it converted them in one pass.
+``Lattice`` did before it converted them in one pass. ``weyl_log_sums`` is
+an independent oracle for the limit point / limit circle truth of an order-1
+lattice: Weyl's alternative at z = i, read from one solution of the
+recurrence, marched in Python complex numbers.
 """
 
 import math
@@ -128,4 +131,29 @@ def t7(d, H, N: int):
                 log_b = 2.0 * lr + math.log(nf)
                 tb.append(math.inf if log_b >= log_max else math.exp(log_b))
         out.append((ta, tb, la, overflowed))
+    return out
+
+
+def weyl_log_sums(blocks, count: int) -> list[float]:
+    """log sum_{j <= k} |u_j|^2 for k = 1 .. count - 1 (entry k - 1), order-1 blocks.
+
+    u solves u_{k+1} = -B_k^-1 ((A_k - i) u_k + B*_{k-1} u_{k-1}) from
+    (u_0, u_1) = (0, 1), the recurrence (lu)_k = i u_k for k >= 1. The state
+    and the sum are divided by 1e100 and 1e200 whenever |u_k| > 1e100, and
+    the log of the scale is carried, so the sums of limit point lattices,
+    which grow exponentially, stay in range. The sums diverge in the limit
+    point case and converge in the limit circle case (Weyl's alternative;
+    N. I. Akhiezer, The Classical Moment Problem, 1965, ch. 1).
+    """
+    assert blocks.n == 1
+    A, B = blocks.A[:count, 0, 0].tolist(), blocks.B[:count, 0, 0].tolist()
+    prev, cur, total, log_scale = 0j, 1 + 0j, 1.0, 0.0
+    out = [math.log(total)]
+    for k in range(1, count - 1):
+        prev, cur = cur, -((A[k] - 1j) * cur + B[k - 1].conjugate() * prev) / B[k]
+        if abs(cur) > 1e100:
+            prev, cur, total = prev / 1e100, cur / 1e100, total / 1e200
+            log_scale += 2.0 * math.log(1e100)
+        total += abs(cur) ** 2
+        out.append(math.log(total) + log_scale)
     return out

@@ -18,17 +18,20 @@ from conftest import (
 from hypothesis import strategies as st
 
 from sldl import (
+    DeltaNodes,
     blocks_from_delta,
     carleman_report,
     carleman_spacing_bounds,
     christ_stolz_family,
     cor3_check,
     discrete_cauchy,
+    jacobi,
     solve_recurrence,
     t4_report,
     t4_term,
     t7_check,
 )
+from sldl.bridge import ClassifyConfig, classify_detailed
 from sldl.jacobi import (
     IndexOutOfRangeError,
     JacobiBlocks,
@@ -42,7 +45,7 @@ from sldl.jacobi import (
     recurrence_summands,
     spacing_square_divergence,
 )
-from sldl.matcore import NonSymmetricError, condition, frobenius_norm
+from sldl.matcore import FloatRangeError, NonSymmetricError, condition, frobenius_norm
 from sldl.reports import CONVERGES, DIVERGES, INCONCLUSIVE, build_report
 
 
@@ -935,6 +938,206 @@ def test_order_1_steps_keep_the_bits_of_a_zero_add_on_every_summand(data, cplx):
     nan = np.isnan(got)
     assert (nan == np.isnan(want)).all()
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# zero-diagonal marches: two running products
+
+
+def cancel_lattice(seed: int):
+    """(d, H) of a seeded ``cancel`` lattice: order 1 .. 3, 5 .. 300 spacings scaled by 10^e."""
+    rng = np.random.default_rng([seed, 34])
+    n, count = int(rng.integers(1, 4)), int(rng.integers(5, 301))
+    scale = 10.0 ** int(rng.choice([-150, -3, 0, 3, 150]))
+    d = tuple((scale * rng.uniform(0.1, 2.0, count)).tolist())
+    return d, cancel_jumps(d, n)
+
+
+FINITE_SEEDS = [(1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (-0.0, 0.0), (1e200, 1.0), (1.0, -1e200),
+                (1 + 2j, 0.5j), (0.25, -3j), (-0.0 + 1e-300j, 1e200 - 0.0j)]
+NONFINITE_SEEDS = [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+                   (complex(1.0, math.nan), 1j), (1.0, complex(math.inf, 0.0))]
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record every call of ``sldl.jacobi.<name>``, which still runs."""
+    calls, real = [], getattr(jacobi, name)
+    monkeypatch.setattr(jacobi, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def reference_error(states, first_step: int) -> str | None:
+    """The FloatRangeError message of a march whose steps first_step, ... give ``states``."""
+    for r, state in enumerate(states):
+        if not np.isfinite(state).all():
+            m = first_step + r
+            return f"the recurrence leaves the float range at step {m} (u_{m + 1})"
+    return None
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal by bytes and sign bits; ``want`` is complex, and real for a real ``got``."""
+    want = want.astype(got.dtype) if got.dtype == complex else want.real
+    return (got.tobytes() == want.tobytes()
+            and np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float))))
+
+
+def check_against_the_matmul_step(blocks, u0, u1, pairs):
+    """solve_recurrence and discrete_cauchy against ``reference_march.inverse_march``: the same
+    bits, or the same FloatRangeError message where the reference leaves the float range."""
+    step, count, n = reference_march.inverse_march, len(blocks.B), blocks.n
+    u0, u1 = np.full(n, u0), np.full(n, u1)
+    with np.errstate(all="ignore"):
+        want = step(blocks, u0.astype(complex), u1.astype(complex), 1, count - 1)
+    error = reference_error(want, 1)
+    if error is None:
+        assert same_bits(solve_recurrence(blocks, u0, u1, count), np.array([u0, u1, *want]))
+    else:
+        with pytest.raises(FloatRangeError, match=re.escape(error)):
+            solve_recurrence(blocks, u0, u1, count)
+    for i, j in pairs:
+        first = np.linalg.inv(blocks.B[j]).astype(complex)
+        with np.errstate(all="ignore"):
+            want = step(blocks, np.zeros((n, n), dtype=complex), first, j + 1, i)
+        error = reference_error(want, j + 1)
+        if error is None:
+            assert same_bits(discrete_cauchy(blocks, i, j), want[-1] if want else first)
+        else:
+            with pytest.raises(FloatRangeError, match=re.escape(error)):
+                discrete_cauchy(blocks, i, j)
+
+
+def cauchy_pairs(count: int):
+    return [(j + 1, j) for j in (1, count - 2)] + [(count - 1, 1), (max(count // 2, 3), 2),
+                                                    (count - 1, count // 3 + 1)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_zero_diagonal_marches_keep_every_bit_of_the_matmul_step(seed, monkeypatch):
+    # every A_k of a cancel lattice is O and every B_k a real scalar, so finite
+    # seeds march as two running products; the matmul step per lattice step
+    # gives the same bits and zero signs, and the same first step out of range
+    d, H = cancel_lattice(seed)
+    blocks = blocks_from_delta(d, H)
+    loops = count_calls(monkeypatch, "_steps")
+    for u0, u1 in FINITE_SEEDS:
+        check_against_the_matmul_step(blocks, u0, u1, cauchy_pairs(len(blocks.B)))
+    assert not loops
+
+
+def loop_march(blocks, u0, u1, count):
+    """The recurrence by ``_steps`` alone on the stacks ``_march`` passes it."""
+    dtype = np.result_type(blocks.A, u0, u1)
+    out = np.empty((count - 2, blocks.n), dtype=dtype)
+    s = slice(0, count - 1)
+    with np.errstate(all="ignore"):
+        _steps(*(np.asarray(x).astype(dtype) for x in (
+            blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1], u0, u1)), out)
+    return out
+
+
+def check_the_loop(blocks, u0, u1):
+    """solve_recurrence against ``loop_march``: the same bits, or the FloatRangeError
+    of its first row out of the float range."""
+    count = len(blocks.B)
+    u0, u1 = np.full(blocks.n, u0), np.full(blocks.n, u1)
+    want = loop_march(blocks, u0, u1, count)
+    error = reference_error(want, 1)
+    if error is None:
+        want = np.array([u0, u1, *want], dtype=want.dtype)
+        assert solve_recurrence(blocks, u0, u1, count).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(FloatRangeError, match=re.escape(error)):
+            solve_recurrence(blocks, u0, u1, count)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nonfinite_seeds_take_the_loop(seed, monkeypatch):
+    # the loop lets a NaN cross the parities through 0 * inf, so its first bad
+    # row is not the running products'; such seeds keep it
+    blocks = blocks_from_delta(*cancel_lattice(seed))
+    products = count_calls(monkeypatch, "_products")
+    for u0, u1 in NONFINITE_SEEDS:
+        check_the_loop(blocks, u0, u1)
+    assert not products
+
+
+def off_lattice_forms(seed: int):
+    """Blocks of a cancel lattice that the running products may not march from u_0:
+    one nonzero A entry, a non-scalar boundary B_0, and complex scalar B without provenance."""
+    d, H = cancel_lattice(seed)
+    n, rng = H.shape[1], np.random.default_rng([seed, 35])
+    bumped = np.array(H)
+    k = int(rng.integers(len(H) - 2))  # A_{k+1}, read by the march from u_0
+    bumped[k, 0, 0] += 0.5 * abs(H[k, 0, 0])
+    yield blocks_from_delta(d, bumped)
+    if n > 1:
+        s = rng.uniform(-0.5, 0.5, (n, n))
+        yield blocks_from_delta(d, H, boundary=(np.zeros((n, n)), np.eye(n) + s + s.T))
+    obj = blocks_to_json(blocks_from_delta(d, H))
+    del obj["provenance"]
+    turn = complex(math.cos(0.3), math.sin(0.3))
+    obj["B"] = [[[[(x * turn).real, (x * turn).imag] for x in row] for row in b] for b in obj["B"]]
+    yield blocks_from_json(obj)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_marches_off_the_zero_diagonal_keep_the_loop(seed, monkeypatch):
+    products = count_calls(monkeypatch, "_products")
+    for blocks in off_lattice_forms(seed):
+        products.clear()
+        for u0, u1 in FINITE_SEEDS:
+            check_the_loop(blocks, u0, u1)
+        assert not products
+        if blocks.B.dtype == float:  # the matmul step's bits; a K_ij march may skip B_0
+            for u0, u1 in FINITE_SEEDS[:4]:
+                check_against_the_matmul_step(blocks, u0, u1, cauchy_pairs(len(blocks.B)))
+
+
+def test_a_march_past_a_non_scalar_boundary_takes_the_running_products(monkeypatch):
+    # B_0 is read by the first step of solve_recurrence only; a kernel K_ij,
+    # j >= 1, never reads it, so its march runs the products on LAPACK's B^-1
+    d, H = christ_stolz_family(400, 2)
+    blocks = blocks_from_delta(d, H, boundary=(np.zeros((2, 2)), [[2.0, 0.5], [0.5, 1.0]]))
+    products = count_calls(monkeypatch, "_products")
+    check_against_the_matmul_step(blocks, 1.0, 0.0, [(398, 1), (300, 7)])
+    assert len(products) == 2
+
+
+# ---------------------------------------------------------------------------
+# Weyl's alternative at z = i: the oracle of the spike lattice
+
+
+def test_weyl_oracle_steps_up_at_every_spike_of_the_spike_lattice():
+    # d_k = 1 at k = 4^j makes 1 / ||B_k|| about 1 there, so Carleman's series
+    # diverges and the truth is limit point; the oracle's sums step up at
+    # each spike, to the values ROADMAP records, and stay flat between spikes
+    d = spike_spacings(20_001)
+    blocks = blocks_from_delta(d, cancel_jumps(d))
+    logs = reference_lattice.weyl_log_sums(blocks, len(blocks.B))
+    spikes = [4**j for j in range(1, 8)]
+    after = [round(logs[k - 1], 1) for k in spikes]  # log sum_{j <= k} |u_j|^2
+    assert after == [2.3, 10.7, 24.6, 44.0, 69.0, 99.5, 135.5]
+    for k, nxt in zip(spikes, spikes[1:] + [len(logs)]):
+        assert logs[k + 1] - logs[k - 1] < 0.2  # the step at the spike is done by u_{k+2}
+        assert logs[nxt - 3] - logs[k + 1] < 0.05
+
+
+def test_weyl_oracle_converges_on_christ_stolz():
+    d, H = christ_stolz_family(20_001)
+    logs = reference_lattice.weyl_log_sums(blocks_from_delta(d, H), 20_000)
+    assert round(logs[-1], 3) == 0.971  # k = 19,999
+    assert logs[-1] - logs[9_998] < 1e-3
+
+
+@pytest.mark.xfail(strict=True, reason="t7 certifies LimitCircle on the spike lattice from a "
+                                       "window that holds no spike (ROADMAP item 2)")
+@pytest.mark.parametrize("count, N", [(20_001, 100), (20_001, 300), (20_001, 500), (1_000, 300)])
+def test_classify_of_the_spike_lattice_is_not_limit_circle(count, N):
+    d = spike_spacings(count)
+    model = DeltaNodes.from_spacings(1, d[:-1], cancel_jumps(d), tail=d[-1])
+    verdict, _ = classify_detailed(model, ClassifyConfig(N=N))
+    assert verdict.classification != "LimitCircle"
 
 
 # ---------------------------------------------------------------------------

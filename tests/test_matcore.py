@@ -37,6 +37,7 @@ from sldl.matcore import (
     matrix_from_json,
     matrix_to_json,
     real_symmetric,
+    scalars,
 )
 from sldl.quasidiff import SingularPieceError
 
@@ -99,6 +100,83 @@ def test_order_one_condition_rule_is_np_linalg_cond():
     with pytest.raises(SingularMatrixError):
         invert(np.array([[np.nan]]))
     assert condition(np.zeros((0, 1, 1))).shape == (0,)
+
+
+def scalar_entries(rng, count: int) -> np.ndarray:
+    """Signed magnitudes 10^U(-300, 300), with zeros, subnormals and entries near overflow."""
+    c = 10.0 ** rng.uniform(-300.0, 300.0, count) * rng.choice([-1.0, 1.0], count)
+    c[:12] = [5e-324, -5e-324, 1e-310, -2.0**-1022, 1.7976931348623157e308, -1.7e308,
+              1.0, -1.0, 0.0, -0.0, 2.0**-1074 * 3, -1e308]
+    return c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scalar_condition_rule_is_np_linalg_cond(n):
+    # every c I reads 1.0 when c is finite and nonzero and inf when it is zero,
+    # as np.linalg.cond gives it, without the SVD; real and complex c alike (a
+    # complex c of modulus near 1.8e308 reads 1.0 or inf by the SVD's scaling)
+    rng = np.random.default_rng(n)
+    c = scalar_entries(rng, 2000)
+    turns = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(c)))
+    for entries in (c, np.where(np.abs(c) < 1e300, c * turns, c)):
+        stack = entries[:, None, None] * np.eye(n)
+        assert scalars(inexact(stack)) is not None
+        got = condition(stack)
+        assert got.tobytes() == np.linalg.cond(stack).tobytes()
+        assert set(got[entries != 0].tolist()) == {1.0}
+        assert set(got[entries == 0].tolist()) == {np.inf}
+        for m in stack[:40]:
+            one = condition(m)
+            assert one == np.linalg.cond(m) and type(one) is type(np.linalg.cond(m))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacks_with_a_non_scalar_matrix_take_np_linalg_cond(n):
+    rng = np.random.default_rng(10 + n)
+    stack = scalar_entries(rng, 200)[12:, None, None] * np.eye(n)
+    cases = []
+    for i, j, value in ((0, 0, 1.5), (n - 1, n - 1, -2.0), (0, n - 1, 1e-300), (n - 1, 0, -5e-324)):
+        mixed = stack.copy()
+        mixed[7, i, j] = mixed[7, 0, 0] * value if i == j else value
+        cases.append(mixed)
+    diagonal = rng.uniform(0.5, 2.0, (200, n)) * np.exp(rng.uniform(-20.0, 20.0, (200, 1)))
+    cases.append(np.apply_along_axis(np.diag, 1, diagonal))  # diagonal, not scalar: the SVD
+    for mixed in cases:
+        assert scalars(mixed) is None
+        assert condition(mixed).tobytes() == np.linalg.cond(mixed).tobytes()
+    assert scalars(np.full((1, n, n), np.nan)) is None
+    # inf I is a scalar matrix, estimated inf, as np.linalg.cond estimates it
+    infinite = np.diag(np.full(n, np.inf))
+    assert scalars(infinite) == np.inf and condition(infinite) == np.inf
+    with pytest.raises(SingularMatrixError):
+        invert(infinite)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_real_scalar_B_inv_is_the_lapack_inverse(n):
+    # (1.0 / b) I has the bits of LAPACK's inverse of b I, zero signs included,
+    # for either sign of b; the stack holds no other block
+    rng = np.random.default_rng(20 + n)
+    b = scalar_entries(rng, 3000)[12:]
+    b = b[np.abs(b) > 1e-300]  # 1 / b within the float range
+    B = b[:, None, None] * np.eye(n)
+    blocks = JacobiBlocks(n, np.zeros((len(B), n, n)), B)
+    want = np.linalg.inv(B)
+    assert blocks.B_inv.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(blocks.B_inv), np.signbit(want))
+    assert np.signbit(blocks.B_inv[b < 0]).all(axis=(1, 2)).all()  # -0.0 off the diagonal
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_complex_scalar_B_inv_keeps_lapack(n):
+    # a complex 1 / b rounds apart from LAPACK's inverse of b I, so complex
+    # blocks keep LAPACK's bits
+    rng = np.random.default_rng(30 + n)
+    b = np.exp(rng.uniform(-5.0, 5.0, 500) + 1j * rng.uniform(0.0, 2.0 * np.pi, 500))
+    B = b[:, None, None] * np.eye(n)
+    blocks = JacobiBlocks(n, np.zeros((len(B), n, n)), B)
+    assert blocks.B_inv.tobytes() == np.linalg.inv(B).tobytes()
+    assert (blocks.B_inv != (1.0 / b)[:, None, None] * np.eye(n)).any()
 
 
 def test_invert_identity_and_diagonal():
