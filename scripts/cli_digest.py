@@ -104,6 +104,21 @@ FIXTURES = {
     "nonsym.json": [[[0.0, 0.0], [0.0, 0.0]]] * 8 + [[[0.0, 1.0], [0.0, 0.0]]],
 }
 
+# files written as they are: numbers that json reads but int, float or complex
+# cannot take, and nesting json cannot read
+HUGE = str(10 ** 400)
+RAW_FIXTURES = {
+    "model-n-inf.json": '{"n": 1e999, "X": 2.0, "variant": "delta_nodes", '
+                        '"nodes": [{"x": 1.0, "H": [[0.0]]}]}',
+    "lattice-N-inf.json": '{"d": [1.0, 1.0, 1.0, 1.0, 1.0, 1.0], '
+                          '"H": [[[0.0]], [[0.0]], [[0.0]], [[0.0]], [[0.0]]], "N": 1e999}',
+    "lattice-huge-d.json": '{"d": [' + HUGE + ', 1.0, 1.0], "H": [[[0.0]], [[0.0]]]}',
+    "jumps-huge.json": "[[[" + HUGE + "]]]",
+    "model-huge-x.json": '{"n": 1, "X": 2.0, "variant": "delta_nodes", '
+                         '"nodes": [{"x": ' + HUGE + ', "H": [[0.0]]}]}',
+    "deep.json": "[" * 3000 + "]" * 3000,
+}
+
 HELP = [[], ["classify"], ["criterion"], ["jacobi"], ["bridge"], ["gallery"]]
 HELP += [["criterion", c] for c in ("t1", "t2", "t5", "cor1", "cor2")]
 HELP += [["jacobi", op] for op in ("build", "recurrence", "cauchy", "t4", "carleman",
@@ -309,6 +324,17 @@ INVOCATIONS = [
     "criterion t1 --model general20-real.json --intervals unit:16",
     "criterion t1 --model distributional-real.json --intervals unit:3",
 ]
+# after the help screens: numbers past the range of int, float or complex, and deep nesting
+RANGE_INVOCATIONS = [
+    "classify --model model-n-inf.json",
+    "classify --blocks blocks-n-inf.json",
+    "jacobi t7 --data lattice-N-inf.json",
+    "jacobi build --data lattice-huge-d.json",
+    "jacobi build --d const:1 --count 2 --H file:jumps-huge.json",
+    "bridge residual --model model-huge-x.json",
+    "jacobi build --d file:deep.json",
+    "classify --model deep.json",
+]
 
 
 def _sha(text: str) -> str:
@@ -399,13 +425,21 @@ def main() -> None:
                 "christ-stolz-2000.json": model_to_json(
                     DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}
 
+    # a blocks file whose order reads 1e999
+    blocks_n_inf = json.dumps(blocks_to_json(blocks_from_delta([1.0] * 6, np.zeros((5, 1, 1)))))
+    blocks_n_inf = blocks_n_inf.replace('"n": 1', '"n": 1e999', 1)
+    raw_fixtures = {**RAW_FIXTURES, "blocks-n-inf.json": blocks_n_inf}
+
     argvs = [a.split() for a in INVOCATIONS] + [h + ["--help"] for h in HELP]
+    argvs += [a.split() for a in RANGE_INVOCATIONS]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for name, obj in fixtures.items():
                 pathlib.Path(name).write_text(json.dumps(obj), encoding="utf-8")
+            for name, text in raw_fixtures.items():
+                pathlib.Path(name).write_text(text, encoding="utf-8")
             for argv in argvs:
                 out, err, code = invoke(run, argv)
                 print(_sha(out), _sha(err), code, " ".join(argv))

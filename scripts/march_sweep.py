@@ -21,10 +21,13 @@ on the same spacings,
 fires, so every pass runs), ``canonical_json`` of the JSON form of such
 a report with 10^3 to 10^5 floats (terms and partial sums),
 ``fundamental_pair`` and ``equivalence_residual`` on christ-stolz delta
-models of 500 to 10^4 nodes, ``DeltaNodes.from_spacings`` and
-``cor2_series`` (the diagonal channel of the order-1 family, and the
-off-diagonal channel of an order-2 lattice whose jumps are its jumps times
-[[1, 1/2], [1/2, 1]]) on 2000 to 10^5 christ-stolz spacings, and
+models of 500 to 10^4 nodes, ``DeltaNodes.from_spacings``, ``DeltaNodes``
+from the nodes (their running sums, as a list), ``classify_detailed`` with
+the default config (one model per size, so every repeat but the first sees
+what the model keeps between calls) and ``cor2_series`` (the diagonal
+channel of the order-1 family, and the off-diagonal channel of an order-2
+lattice whose jumps are its jumps times [[1, 1/2], [1/2, 1]]) on 2000 to
+10^5 christ-stolz spacings, and
 ``kernel_square_integrals`` over all cells of seeded n = 2 delta models
 and n = 1, 2 and 3 general triples with 10 to 400 unit cells (at n = 3 the
 parent's fused Van Loan block had order 66), and ``t1_series`` over the
@@ -152,6 +155,7 @@ def main() -> None:
                       t7_check)
     from sldl import cli
     from sldl.cli import canonical_json
+    from sldl.bridge import classify_detailed
     from sldl.jacobi import Lattice
 
     jobs = []
@@ -220,6 +224,11 @@ def main() -> None:
     for count in SPACINGS:
         timed("DeltaNodes.from_spacings", count, lambda count=count: DeltaNodes.from_spacings(
             1, d[:count], H[:count], tail=d[count]))
+        nodes = np.cumsum(d[:count]).tolist()
+        timed("DeltaNodes nodes", count, lambda count=count, nodes=nodes: DeltaNodes(
+            1, nodes, H[:count], nodes[-1] + d[count]))
+        model = DeltaNodes.from_spacings(1, d[:count], H[:count], tail=d[count])
+        timed("classify_detailed", count, lambda model=model: classify_detailed(model))
         timed("cor2_series diag", count,
               lambda count=count: cor2_series(d[:count], H[:count - 1], Diagonal(1)))
         timed("cor2_series offdiag", count,

@@ -157,7 +157,7 @@ def equivalence_residual(model: DeltaNodes, count: int, seed_state: QuasiState) 
     m = len(model.nodes)
     if m < count + 3:
         raise ValueError(f"need at least count + 3 = {count + 3} nodes, have {m}")
-    lat, y = _lattice(model), np.concatenate([seed_state.f, seed_state.f1])
+    lat, y = model.lattice, np.concatenate([seed_state.f, seed_state.f1])
     samples = _march(_cells(model, 0.0, [(0.0, model.nodes[-1])]), y)[1:, :model.n]
     blocks, z = blocks_from_lattice(lat), nodes_to_Z(samples, lat.d)
     u = np.vstack([np.zeros((1, model.n), dtype=z.dtype), z])
@@ -204,9 +204,9 @@ def resolve_classification(evidence) -> str:
 
 
 def _lattice(problem) -> Lattice:
-    """The delta lattice of a problem (its spacings and jumps, or its blocks' provenance)."""
+    """The delta lattice of a problem (its own, its changes of sigma, or its blocks' provenance)."""
     if isinstance(problem, DeltaNodes):
-        return Lattice(problem.spacings, problem.jumps)
+        return problem.lattice
     if isinstance(problem, StepSigma):  # its changes of sigma at the cuts after the first
         return Lattice(np.diff(problem.cuts), problem.cell_jumps[len(problem.cuts):])
     if isinstance(problem, JacobiBlocks) and problem.provenance is not None:

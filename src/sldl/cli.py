@@ -195,7 +195,7 @@ def _load_json(path: str, *keys):
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"bad JSON in {path}: {exc}") from exc
     for key in keys if isinstance(obj, dict) else ():
         if key not in obj:
@@ -231,14 +231,14 @@ def parse_spacings(spec: str, count: int) -> tuple[float, ...]:
 
 
 def parse_jumps(spec: str, d, n: int):
-    count, eye = len(d) - 1, np.eye(n)
+    count = max(len(d) - 1, 0)
     if spec == "zero":
-        return tuple(np.zeros((n, n)) for _ in range(count))
+        return np.zeros((count, n, n))
     if spec.startswith("const:"):
         v = float(spec[6:])
         if not math.isfinite(v):
             raise ConfigError(f"jump value {v} is not finite")
-        return tuple(v * eye for _ in range(count))
+        return np.broadcast_to(v * np.eye(n), (count, n, n))  # -0.0 off the diagonal for v < 0
     if spec == "cancel":
         return cancel_jumps(d, n)
     if spec.startswith("file:"):
@@ -655,7 +655,7 @@ def run(argv=None) -> int:
     except ConflictingEvidenceError as exc:
         print(f"conflicting evidence: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, KeyError, TypeError, IndexError, MemoryError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     envelope = make_envelope(args.title, echo, result)

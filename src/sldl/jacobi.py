@@ -21,11 +21,11 @@ certify the completely indeterminate (limit circle) case.
 Sequence storage: each block or jump sequence is one read-only (K, n, n)
 array, and the block formulas and series terms above are array expressions
 over it. A lattice is one ``Lattice``, checked once on construction: its
-spacings are one float64 array and its jumps one exactly symmetric float64
+spacings are one float64 array (``matcore.floats``) and its jumps one exactly symmetric float64
 stack, which every lattice form slices as they are (its libm logs and exps
 take ``tolist``), and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I are one
 lazily built stack that A_k, t7 and cor3 slice; the (d, H) entry points build
-a Lattice for the lattice forms. ``JacobiBlocks`` stores A exactly Hermitian
+a Lattice, and a delta model holds its own. ``JacobiBlocks`` stores A exactly Hermitian
 and B as ``as_stack`` gives it, float64 for every lattice. The recurrence
 marches step with the lazily built stacks B_inv and B_star: three BLAS products
 into buffers per step, or three Python products at order n = 1; a march that
@@ -49,6 +49,7 @@ from .matcore import (
     ShapeMismatchError,
     as_stack,
     condition,
+    floats,
     frobenius_norm,
     hermitian,
     inexact,
@@ -85,21 +86,16 @@ class Lattice:
     """Spacings d_k = x_k - x_{k-1} and real symmetric jumps H_k of a delta lattice.
 
     Checked once, on construction: ``d`` becomes one read-only float64 array
-    of positive finite spacings (a copy of a 1-D float64 array, or else each
-    entry taken by ``float``), and ``H`` one read-only (K, n, n) float64
-    exactly symmetric stack (``real_symmetric``); the lattice criteria and
-    blocks read both as they are.
+    of positive finite spacings (``matcore.floats``), and ``H`` one read-only
+    (K, n, n) float64 exactly symmetric stack (``real_symmetric``); the
+    lattice criteria and blocks read both as they are.
     """
 
     d: np.ndarray
     H: np.ndarray
 
     def __post_init__(self):
-        d = self.d
-        if isinstance(d, np.ndarray) and d.dtype == np.float64 and d.ndim == 1:
-            d = np.array(d)
-        else:
-            d = _float_spacings(d)
+        d = floats(self.d)
         if not (d > 0.0).all():  # NaN fails too
             raise NonPositiveSpacingError("spacings must be strictly positive")
         if (d == math.inf).any():
@@ -124,25 +120,6 @@ class Lattice:
             out[:, i, i] += recip
         out.flags.writeable = False
         return out
-
-
-def _float_spacings(d) -> np.ndarray:
-    """Each entry of d by ``float``, in one ``fromiter`` pass when that agrees.
-
-    ``fromiter`` reads None as NaN and raises ValueError on a nested entry,
-    where ``float`` raises TypeError; so a pass that raises or holds a NaN is
-    redone entry by entry, and the error or NaN is ``float``'s own. An
-    iterator is read into a tuple first, so that it can be read twice.
-    """
-    if iter(d) is d:
-        d = tuple(d)
-    try:
-        out = np.fromiter(d, float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or np.isnan(out).any():
-        out = np.fromiter(map(float, d), float)
-    return out
 
 
 def cancel_jumps(d, n: int = 1) -> np.ndarray:

@@ -3,7 +3,8 @@
 All arrays in this package, matrices and the states marched from them
 alike, follow one dtype rule, ``inexact``: float64 where every imaginary
 part is exactly zero, complex128 otherwise. A complex dtype thus comes from
-complex data, or from a spectral parameter lam != 0 in the generators.
+complex data, or from a spectral parameter lam != 0 in the generators; a
+float sequence (spacings, nodes, cuts, knots, grids) takes one rule, ``floats``.
 A matrix sequence is one read-only (K, n, n) stack, validated by one
 ``as_stack`` call; a self-adjoint one by ``hermitian`` or ``real_symmetric``
 (the one place that drops imaginary parts), which alone decide what that is:
@@ -50,6 +51,23 @@ def inexact(m) -> np.ndarray:
     m = np.asarray(m)
     cplx = m.dtype.kind == "c" and m.imag.any()
     return np.asarray(m if cplx else m.real, dtype=complex if cplx else float, order="C")
+
+
+def floats(values) -> np.ndarray:
+    """A new 1-D float64 array of the entries: a copy of a 1-D float64 array, else each
+    entry by ``float``, with its errors and NaNs. One ``fromiter`` pass reads None as NaN
+    and a nested entry as a ValueError (``float``: TypeError), so a pass that raises or
+    holds a NaN is redone entry by entry; an iterator is read into a tuple first."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+        return np.array(values)
+    values = tuple(values) if iter(values) is values else values
+    try:
+        out = np.fromiter(values, float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or np.isnan(out).any():
+        out = np.fromiter(map(float, values), float)
+    return out
 
 
 def as_stack(entries, n: int | None = None) -> np.ndarray:

@@ -8,7 +8,10 @@ Y = (f, f1), where f1 = P (f' - R f) is the first quasi-derivative and
 
 Step and delta models share one shape, ``StepModel``: cuts, the sigma value
 of each piece and the stack ``cell_jumps``; a delta model is the step model
-whose sigma jumps by H_k at node x_k. Their sigma values and jumps, and the
+whose sigma jumps by H_k at node x_k, and holds the ``jacobi.Lattice`` of its
+spacings and jumps, built once (its ``spacings`` and ``jumps`` are that
+lattice's arrays; nodes and cuts stay tuples of floats, read per cell by the
+walk). Their sigma values and jumps, and the
 values of ``LinearSigma``, are exactly symmetric float64 stacks; general and
 distributional pieces and generators keep the dtype of their data. Coefficients
 are piecewise constant, so propagation across a piece is an exact matrix
@@ -40,12 +43,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jacobi import Lattice
 from .matcore import (
     COND_LIMIT,
     FloatRangeError,
     ShapeMismatchError,
     as_stack,
     condition,
+    floats,
     frobenius_norm,
     hermitian,
     inexact,
@@ -71,27 +76,23 @@ class VariantUnsupportedError(TypeError):
 # coefficient models
 
 
-def _floats(values) -> np.ndarray:
-    return np.array(list(map(float, values)))
-
-
-def _increasing(x: np.ndarray, what: str) -> list[float]:
-    """The floats x, checked finite and strictly increasing; ``what`` names them in errors."""
+def _increasing(x: np.ndarray, what: str) -> tuple[float, ...]:
+    """The floats x as a tuple, checked finite and strictly increasing; ``what`` names them."""
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite")
     if not (x[1:] > x[:-1]).all():
         raise ValueError(f"{what} must be strictly increasing")
-    return x.tolist()
+    return tuple(x.tolist())
 
 
 def _check_cuts(cuts, X: float) -> tuple[float, ...]:
-    c = _floats(cuts)
+    c = floats(cuts)
     if not len(c) or c[0] != 0.0:
         raise ValueError("piece cuts must start at 0.0")
     cuts = _increasing(c, "piece cuts")
     if not X > cuts[-1]:
         raise ValueError("domain end X must exceed the last cut")
-    return tuple(cuts)
+    return cuts
 
 
 def _freeze_sigma(model, cuts, values, changes) -> None:
@@ -143,56 +144,56 @@ class DeltaNodes:
 
     As a step model its cuts are 0 and the nodes, and its values the running
     sums sigma = H_1 + ... + H_k after x_k, each within the float range; f1 is
-    continuous across nodes while f' jumps by H_k f(x_k).
+    continuous across nodes while f' jumps by H_k f(x_k). ``lattice`` holds the
+    spacings (given, or the node differences) and jumps, checked once; ``spacings``
+    and ``jumps`` are its read-only float64 arrays, and ``nodes`` a tuple of floats.
     """
 
     n: int
     nodes: tuple[float, ...]
     jumps: np.ndarray
     X: float
-    spacings: tuple[float, ...] | None = None
+    spacings: np.ndarray | None = None
+    lattice: Lattice = field(init=False, repr=False)
     cuts: tuple[float, ...] = field(init=False, repr=False)
     values: np.ndarray = field(init=False, repr=False)
     cell_jumps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = _floats(self.nodes)
+        x = floats(self.nodes)
         if not len(x) or x[0] <= 0.0:
             raise ValueError("nodes must be positive")
         nodes = _increasing(x, "nodes")
         jumps = real_symmetric(self.jumps, "jump matrix", self.n)
         if len(jumps) != len(nodes):
             raise ShapeMismatchError("need one jump matrix per node")
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "X", float(self.X))
+        X = float(self.X)
         if self.spacings is None:
             sp = np.diff(x, prepend=0.0)
         else:
-            sp = _floats(self.spacings)
+            sp = floats(self.spacings)
             if len(sp) != len(x) or not (sp > 0.0).all():  # NaN fails too
                 raise ValueError("spacings must be positive, one per node")
             if (np.abs(np.cumsum(sp) - x) > 1e-9 * np.maximum(1.0, x)).any():
                 raise ValueError("spacings are inconsistent with the nodes")
-        object.__setattr__(self, "spacings", tuple(sp.tolist()))
-        if not self.X > nodes[-1]:
+        if not X > nodes[-1]:
             raise ValueError("domain end X must exceed the last cut")
+        lattice = Lattice(sp, jumps)
+        for name, value in (("nodes", nodes), ("X", X), ("lattice", lattice),
+                            ("spacings", lattice.d), ("jumps", lattice.H)):
+            object.__setattr__(self, name, value)
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.cumsum(np.concatenate([np.zeros((1, self.n, self.n)), jumps]), axis=0)
-        _freeze_sigma(self, (0.0, *nodes), values, jumps)
+        _freeze_sigma(self, (0.0,) + nodes, values, jumps)
 
     @classmethod
     def from_spacings(cls, n: int, spacings, jumps, tail: float = 1.0) -> "DeltaNodes":
-        """Build from exact spacings d_k = x_k - x_{k-1}.
-
-        Stores the given spacings verbatim (node positions are their
-        cumulative sums), so lattice families defined through spacings
-        keep their defining float identities; the domain extends ``tail``
-        past the last node.
-        """
-        spacings = list(map(float, spacings))
-        nodes = np.cumsum(spacings).tolist()
-        return cls(n, nodes, jumps, nodes[-1] + tail, spacings)
+        """Build from exact spacings d_k = x_k - x_{k-1}, stored verbatim (the nodes are
+        their running sums), so lattice families defined through spacings keep their
+        defining float identities; the domain extends ``tail`` past the last node."""
+        spacings = floats(spacings)
+        nodes = np.cumsum(spacings)
+        return cls(n, nodes, jumps, (nodes[-1] if len(nodes) else 0.0) + tail, spacings)
 
 
 def _freeze_pieces(model, names: tuple[str, ...], hermitian_names: tuple[str, ...]):
@@ -279,10 +280,10 @@ class LinearSigma:
     values: np.ndarray
 
     def __post_init__(self):
-        x = _floats(self.knots)
+        x = floats(self.knots)
         if len(x) < 2 or x[0] != 0.0:
             raise ValueError("knots must start at 0.0 and contain the endpoint")
-        knots = tuple(_increasing(x, "knots"))
+        knots = _increasing(x, "knots")
         vals = real_symmetric(self.values, "sigma values", self.n)
         if len(vals) != len(knots):
             raise ShapeMismatchError("need one sigma value per knot")
@@ -399,7 +400,7 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     coordinates (f, f'), since quasi generators carry sigma**2 and lose about
     that factor once the accumulated potential is large: a free flight inside
     each cell, a jump by the change of sigma at each cut (the stored jump and
-    spacing for full delta cells), and a first jump by sigma itself, from
+    spacing, a float, for full delta cells), and a first jump by sigma itself, from
     (f, f1) into (f, f'), that ``_to_quasi`` undoes; all dS are gathered from
     ``model.cell_jumps`` by one index. At lam = 0 the flight generator N is
     nilpotent and its propagators are I + length * N in closed form, which is
@@ -412,10 +413,10 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     propagators come from one stacked ``expm`` call.
     """
     classical = isinstance(model, StepModel)
-    delta = model if isinstance(model, DeltaNodes) else None
     cuts = piece_cuts(model)
     last, X = len(cuts) - 1, model.X
-    spacings = delta.spacings if delta is not None else None
+    # a memoryview's entries read as Python floats, one per full delta cell
+    spacings = memoryview(model.spacings) if isinstance(model, DeltaNodes) else None
     pieces, jumped, picks, lengths, ends, first = [], [], [], [], [], []
     count = 0  # len(pieces)
     for x0, x1 in spans:
@@ -616,10 +617,10 @@ def fundamental_pair(model, lam: complex, grid) -> FundamentalPair:
     One working-coordinate march over [0, grid[-1]], its cells also ending at
     the grid points; the samples, picked by index, alone go back to quasi coordinates.
     """
-    g = _floats(grid)
+    g = floats(grid)
     if not len(g) or g[0] != 0.0:
         raise ValueError("grid must start at 0.0")
-    grid = tuple(_increasing(g, "grid"))
+    grid = _increasing(g, "grid")
     if grid[-1] > model.X:
         raise ValueError("grid exceeds the model domain")
     cells = _cells(model, lam, [(0.0, grid[-1])], stops=grid)
@@ -691,7 +692,7 @@ _VARIANTS = {
     "distributional": (Distributional, ("n", "cuts", "P0", "Q0", "P1", "X")),
     "linear_sigma": (LinearSigma, ("n", "knots", "values")),
 }
-_NUMBERS = {"n": int, "X": float, "cuts": list, "knots": list, "spacings": list}
+_NUMBERS = {"n": int, "X": float, "cuts": list, "knots": list, "spacings": np.ndarray.tolist}
 
 
 def model_to_json(model) -> dict:

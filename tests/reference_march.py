@@ -45,8 +45,8 @@ float generators and lengths, as an accuracy reference for t1 terms of
 general and distributional models; ``exact_t1_square`` redoes it for step and
 delta models of any order in Fraction arithmetic, from the float jumps and
 lengths. ``stacked_cells`` keeps sldl's stacked cell walk as it was before
-its loop invariants were hoisted (``len(cuts)``, ``model.X`` and
-``delta.spacings`` read per cell, ``min(end, mark)``), so the hoisted walk
+its loop invariants were hoisted (``len(cuts)``, ``model.X`` and a
+``delta.spacings`` entry, as a float, read per cell, ``min(end, mark)``), so the hoisted walk
 can be compared with it field by field.
 """
 
@@ -308,7 +308,7 @@ def cells(model, lam, x0, x1, stops=()):
             if ds is not None:
                 jump = block2n(eye, 0 * eye, ds, eye, dtype)
         full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
-        yield i, jump, gen, (delta.spacings[i] if full else stop - pos), stop
+        yield i, jump, gen, (float(delta.spacings[i]) if full else stop - pos), stop
         if stop == mark:
             mark = next(marks, x1)
         if stop == end:
@@ -334,7 +334,7 @@ def stacked_cells(model, lam, spans, stops=()):
                 picks.append(i if pos == x0 else len(cuts) - 1 + i)
             full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
             pieces.append(i)
-            lengths.append(delta.spacings[i] if full else stop - pos)
+            lengths.append(float(delta.spacings[i]) if full else stop - pos)
             ends.append(stop)
             if stop == mark:
                 mark = next(marks, x1)

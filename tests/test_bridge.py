@@ -353,9 +353,11 @@ def test_gallery_evidence_codes_and_sides_come_from_the_table():
 
 
 def test_classify_builds_one_lattice_and_one_shifted_stack(monkeypatch):
-    # every lattice criterion and the blocks read one validated Lattice: its
-    # checks and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I run once
-    entry = gallery_entry("christ-stolz")
+    # a delta model holds one validated Lattice: over the model's lifetime its
+    # checks and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I run once, however
+    # often classify and the equivalence residual read it
+    d, H = christ_stolz_family(2001)
+    config = gallery_entry("christ-stolz").config
     counts = {"lattices": 0, "shifted": 0}
     validate, shift = Lattice.__post_init__, Lattice.shifted_jumps.func
 
@@ -371,8 +373,11 @@ def test_classify_builds_one_lattice_and_one_shifted_stack(monkeypatch):
     shifted.__set_name__(Lattice, "shifted_jumps")
     monkeypatch.setattr(Lattice, "__post_init__", counted_validate)
     monkeypatch.setattr(Lattice, "shifted_jumps", shifted)
-    verdict, _ = classify_detailed(entry.problem, entry.config)
-    assert {"cor2:diag:1", "carleman", "t7", "cor3"} <= {e.criterion for e in verdict.evidence}
+    model = DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000])
+    for _ in range(2):
+        verdict, _ = classify_detailed(model, config)
+        assert {"cor2:diag:1", "carleman", "t7", "cor3"} <= {e.criterion for e in verdict.evidence}
+    assert equivalence_residual(model, 1997, QuasiState([0.0], [1.0])) <= 1e-11
     assert counts == {"lattices": 1, "shifted": 1}
 
 

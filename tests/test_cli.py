@@ -827,6 +827,60 @@ def test_bridge_l2_on_no_spacings_exits_2(capsys, tmp_path):
     assert capsys.readouterr().err == "error: need at least two spacings\n"
 
 
+def _raw(obj, key, text):
+    """JSON of obj with the value of ``key`` written as the literal ``text``."""
+    return json.dumps({**obj, key: "@"}).replace('"@"', text)
+
+
+HUGE = 10 ** 400  # a JSON integer past the float range
+UNIT_LATTICE = {"d": [1.0] * 12, "H": [[[0.0]]] * 11}
+ONE_NODE = {"n": 1, "X": 2.0, "variant": "delta_nodes", "nodes": [{"x": 1.0, "H": [[0.0]]}]}
+# numbers that json reads but int, float or complex cannot take, and nesting json cannot read
+OUT_OF_RANGE_FILES = {
+    "model-n-inf.json": _raw(ONE_NODE, "n", "1e999"),
+    "blocks-n-inf.json": _raw(blocks_to_json(blocks_from_delta([1.0] * 6, [[[0.0]]] * 5)),
+                              "n", "1e999"),
+    "lattice-N-inf.json": _raw(UNIT_LATTICE, "N", "1e999"),
+    "lattice-huge-d.json": json.dumps({**UNIT_LATTICE, "d": [HUGE] + [1.0] * 11}),
+    "lattice-huge-H.json": json.dumps({**UNIT_LATTICE, "H": [[[HUGE]]] + [[[0.0]]] * 10}),
+    "jumps-huge.json": json.dumps([[[HUGE]]] * 11),
+    "model-huge-x.json": json.dumps({**ONE_NODE, "nodes": [{"x": HUGE, "H": [[0.0]]}]}),
+    "model-huge-H.json": json.dumps({**ONE_NODE, "nodes": [{"x": 1.0, "H": [[HUGE]]}]}),
+    "deep.json": "[" * 3000 + "]" * 3000,
+}
+INF_TO_INT = "cannot convert float infinity to integer"
+INT_TO_FLOAT = "int too large to convert to float"
+DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--model", "model-n-inf.json"], INF_TO_INT),
+    (["bridge", "residual", "--model", "model-n-inf.json"], INF_TO_INT),
+    (["classify", "--blocks", "blocks-n-inf.json"], INF_TO_INT),
+    (["jacobi", "t7", "--data", "lattice-N-inf.json"], INF_TO_INT),
+    (["jacobi", "build", "--data", "lattice-huge-d.json"], INT_TO_FLOAT),
+    (["jacobi", "build", "--data", "lattice-huge-H.json"], INT_TO_FLOAT),
+    (["jacobi", "build", "--d", "const:1", "--count", "12", "--H", "file:jumps-huge.json"],
+     INT_TO_FLOAT),
+    (["classify", "--model", "model-huge-x.json"], INT_TO_FLOAT),
+    (["classify", "--model", "model-huge-H.json"], INT_TO_FLOAT),
+    (["jacobi", "build", "--d", "file:deep.json"], f"bad JSON in deep.json: {DEEP}"),
+    (["classify", "--model", "deep.json"], f"bad JSON in deep.json: {DEEP}"),
+], ids=["model-n", "residual-n", "blocks-n", "t7-N", "d-entry", "H-entry", "jump-file",
+        "node-x", "node-H", "deep-d", "deep-model"])
+def test_numbers_past_the_float_range_and_deep_nesting_exit_2(capsys, tmp_path, monkeypatch,
+                                                              argv, message):
+    # int, float and complex raised OverflowError, and json.load RecursionError:
+    # a traceback and exit status 1
+    monkeypatch.chdir(tmp_path)
+    for name, text in OUT_OF_RANGE_FILES.items():
+        Path(name).write_text(text)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
     # bridge l2 --n=1000 asks numpy for a (1000, 1000, 1000) complex stack;
     # the handler raises what numpy raises instead of allocating it

@@ -3,7 +3,8 @@
 Each leaf draws argvs that argparse accepts, with edge values in every
 option: 0, negative counts, nan and inf, empty and one-element ``list:``
 specs, ``const:0``, files without the keys a command needs, matrices of
-mixed order, and files of the wrong kind. Whatever it is given, ``run``
+mixed order, files of the wrong kind, numbers past what int and float take,
+and nesting too deep for json. Whatever it is given, ``run``
 must return 0, 2 or 3 without raising, and a failure must leave exactly
 one ``error:`` or ``conflicting evidence:`` line on stderr. Drawn sizes
 stay at or below 10**3.
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from sldl.bridge import CRITERIA, gallery
 from sldl.cli import run
 from sldl.jacobi import blocks_from_delta, blocks_to_json
-from test_cli import COMMAND_PATHS, LEAF_FILES
+from test_cli import COMMAND_PATHS, LEAF_FILES, OUT_OF_RANGE_FILES
 
 ZERO2 = [[0.0, 0.0], [0.0, 0.0]]
 WALK_FILES = {
@@ -60,6 +61,7 @@ WALK_FILES = {
     "empty-object.json": "{}",
     "number.json": "3",
     "not-json.json": "{",
+    **OUT_OF_RANGE_FILES,
 }
 
 NUMBERS = ["0", "-1", "1", "2.5", "1e-300", "nan", "inf", "-inf"]

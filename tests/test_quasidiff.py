@@ -753,10 +753,29 @@ def test_delta_normalizes_to_cumulative_step():
 
 def test_delta_spacings_and_from_spacings():
     m = DeltaNodes(1, (0.5, 2.0), (np.zeros((1, 1)),) * 2, 3.0)
-    assert m.spacings == (0.5, 1.5)
+    assert frozen_floats(m.spacings, (0.5, 1.5))
     d = (0.3, 0.7, 1.1)
     m2 = DeltaNodes.from_spacings(1, d, (np.zeros((1, 1)),) * 3)
-    assert m2.spacings == d
+    assert frozen_floats(m2.spacings, d)
+
+
+def test_from_spacings_without_spacings_raises_the_constructors_error():
+    # the domain end read the last node of an empty list: an IndexError
+    with pytest.raises(ValueError, match="^nodes must be positive$"):
+        DeltaNodes.from_spacings(1, [], np.zeros((0, 1, 1)))
+
+
+def test_a_delta_model_holds_its_lattice_and_reads_its_spacings_and_jumps_from_it():
+    d, jumps = [0.5, 0.25, 1.0], [[[1.0]], [[-2.0]], [[0.5]]]
+    spaced = DeltaNodes.from_spacings(1, d, jumps)
+    read_back = model_from_json(json.loads(json.dumps(model_to_json(spaced))))
+    for model in (DeltaNodes(1, np.cumsum(d).tolist(), jumps, 3.0), spaced, read_back):
+        assert model.spacings is model.lattice.d and model.jumps is model.lattice.H
+        assert not model.spacings.flags.writeable and not model.jumps.flags.writeable
+        assert frozen_floats(model.spacings, np.diff(model.nodes, prepend=0.0))
+        # nodes stay a tuple, so a grid built by concatenation keeps its leading 0.0
+        grid = (0.0,) + model.nodes
+        assert type(grid) is tuple and len(grid) == len(model.nodes) + 1 and grid[0] == 0.0
 
 
 def test_delta_spacings_inconsistent_at_last_node():
@@ -828,13 +847,16 @@ def test_every_variant_round_trips_exactly_through_the_model_codec(model):
     mine, theirs = vars(model), vars(back)
     assert mine.keys() == theirs.keys()
     for key, value in mine.items():
-        assert np.array_equal(theirs[key], value), key
+        pairs = [(theirs[key], value)]
+        if key == "lattice":  # a delta model's lattice, by its arrays
+            pairs = [(theirs[key].d, value.d), (theirs[key].H, value.H)]
+        assert all(np.array_equal(a, b) for a, b in pairs), key
 
 
 def test_christ_stolz_read_back_from_the_codec_is_limit_circle():
     entry = gallery_entry("christ-stolz")
     back = model_from_json(json.loads(json.dumps(model_to_json(entry.problem))))
-    assert back.spacings == entry.problem.spacings
+    assert frozen_floats(back.spacings, entry.problem.spacings)
     assert classify(back, entry.config).classification == "LimitCircle"
 
 
@@ -842,7 +864,7 @@ def test_model_codec_names_a_missing_key():
     obj = model_to_json(_one_model_per_variant()[1])
     # spacings are optional: without them a delta model takes the node differences
     spacings = obj.pop("spacings")
-    assert model_from_json(obj).spacings == tuple(spacings)
+    assert frozen_floats(model_from_json(obj).spacings, spacings)
     for key in obj:
         with pytest.raises(ValueError, match=f"coefficient model JSON has no key '{key}'"):
             model_from_json({k: v for k, v in obj.items() if k != key})
