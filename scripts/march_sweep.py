@@ -13,10 +13,11 @@ the timing, so the time includes the first-use B^-1 stack, ``l2_tail_report`` of
 order-1 solutions of 2500 to 10^5 steps, ``build_report`` on those reports'
 terms (an l2 tail with alternating zeros), ``carleman_report`` (N = the
 steps) on the christ-stolz blocks of the same sizes, ``t4_term`` over segments of
-50 to 2000 and of 2500 to 10^5 rows of the order-1 lattice, ``t7_check`` on 2500 to 10^5
-christ-stolz spacings (N = half of them, less one), ``Lattice`` construction
-from the spacings as a tuple and ``cor3_check`` (N = their number less three)
-on the same spacings,
+50 to 2000 and of 2500 to 10^5 rows of the order-1 lattice, of the order-2 ``cancel``
+lattice (both on the scalar chains) and of the perturbed order-1 lattice (the matmul
+loop), ``t7_check`` on 2500 to 10^5 christ-stolz spacings (N = half of them, less one),
+``Lattice`` construction from the spacings as a tuple and ``cor3_check`` (N = their number
+less three) on the same spacings,
 ``build_report`` on harmonic windows of 10^3 to 10^5 terms (no certificate
 fires, so every pass runs), ``canonical_json`` of the JSON form of such
 a report with 10^3 to 10^5 floats (terms and partial sums),
@@ -57,12 +58,19 @@ preceded by a timing of the reference kernel of ``perfbench/hostspeed.py``
 (loaded by path) and scaled by ``REFERENCE_S / reference`` of its own
 reference. Prints one JSON object: per function, size -> {"s": raw median
 seconds, "corrected_s": median of the host-corrected repeats, "corrected_iqr_s":
-their interquartile range, "reference_s": median reference time}; a ratio of
-corrected medians between two trees is read against both rows' IQRs.
-Comparing two source trees is two runs:
+their interquartile range, "reference_s": median reference time}.
 
-Usage: python scripts/march_sweep.py [SRC] [REPEATS]   # SRC holds the sldl package;
-                                                       # default: this checkout's src/, 9
+Two source trees are compared in one process: ``--pair PARENT CHANGE`` imports the sldl
+package of each under its own name, builds every job once per tree and times each repeat
+of a job on both trees back to back, the parent first on even repeats and the change first
+on odd ones, so a drift of the host reaches both alike. It prints both trees' rows and, per
+function and size, the ratio of the change's corrected median to the parent's with both
+interquartile ranges (a ratio is read against them). ROW names restrict the timing to those
+functions (the jobs of every function are still built).
+
+Usage: python scripts/march_sweep.py [SRC] [REPEATS] [ROW ...]   # SRC holds the sldl package;
+                                                                  # default: this checkout's src/, 9
+       python scripts/march_sweep.py --pair PARENT_SRC CHANGE_SRC [REPEATS] [ROW ...]
 """
 
 import contextlib
@@ -104,48 +112,102 @@ def iqr(values) -> float:
     return q3 - q1
 
 
-def sweep(jobs, repeats: int, hostspeed) -> dict:
-    """Medians of ``repeats`` timings of every job, raw and each host-corrected,
+def load_tree(src, name: str):
+    """The sldl package of the source tree ``src``, imported as the top-level package ``name``;
+    its modules import one another relatively, so two trees live side by side."""
+    init = pathlib.Path(src).resolve() / "sldl" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    sys.modules[name] = package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return package
+
+
+@contextlib.contextmanager
+def as_sldl(package):
+    """While the jobs are built, ``from sldl... import`` reads ``package``'s modules."""
+    name = package.__name__
+    alias = {"sldl" + key[len(name):]: module for key, module in list(sys.modules.items())
+             if key == name or key.startswith(name + ".")}
+    sys.modules.update(alias)
+    try:
+        yield
+    finally:
+        for key in alias:
+            del sys.modules[key]
+
+
+def sweep(trees, repeats: int, hostspeed) -> list:
+    """Per tree, the medians of ``repeats`` timings of every job, raw and each host-corrected,
     and the interquartile range of the corrected ones.
 
-    A job is (row, size, fn, setup), timed as fn(setup()) with ``setup`` run
+    ``trees`` holds one job list per source tree, the same (row, size) jobs in the same
+    order. A job is (row, size, fn, setup), timed as fn(setup()) with ``setup`` run
     outside the timing. One untimed pass over all jobs comes first, so
     first-use work (caches, lazy stacks, allocator growth) lands in no
-    repeat; then each timed pass runs every job once, in an order shuffled
+    repeat; then each timed pass runs every job once per tree, in an order shuffled
     from SHUFFLE_SEED, so the repeats of one job are a whole pass apart, a
     slow phase of the host spoils at most a few of them, and no job is timed
-    always after the same one. The reference is timed right before the
-    repeat it corrects.
+    always after the same one; the trees take turns to go first. The reference is
+    timed right before the repeat it corrects.
     """
-    for _, _, fn, setup in jobs:
-        fn(setup())
-    samples = [([], [], []) for _ in jobs]
-    order, rng = list(range(len(jobs))), random.Random(SHUFFLE_SEED)
-    for _ in range(repeats):
+    for jobs in trees:
+        for _, _, fn, setup in jobs:
+            fn(setup())
+    samples = [[([], [], []) for _ in jobs] for jobs in trees]
+    order, rng = list(range(len(trees[0]))), random.Random(SHUFFLE_SEED)
+    for repeat in range(repeats):
         rng.shuffle(order)
+        turn = list(range(len(trees)))[::-1 if repeat % 2 else 1]
         for i in order:
-            (_, _, fn, setup), (times, corrected, references) = jobs[i], samples[i]
-            arg = setup()
-            reference = hostspeed.reference_time()
-            t0 = time.perf_counter()
-            fn(arg)
-            times.append(time.perf_counter() - t0)
-            corrected.append(hostspeed.corrected(times[-1], reference))
-            references.append(reference)
-    out, median = {}, statistics.median
-    for (row, size, _, _), (times, corrected, references) in zip(jobs, samples):
-        out.setdefault(row, {})[size] = {"s": median(times), "corrected_s": median(corrected),
-                                         "corrected_iqr_s": iqr(corrected),
-                                         "reference_s": median(references)}
-    return out
+            for t in turn:
+                (_, _, fn, setup), (times, corrected, references) = trees[t][i], samples[t][i]
+                arg = setup()
+                reference = hostspeed.reference_time()
+                t0 = time.perf_counter()
+                fn(arg)
+                times.append(time.perf_counter() - t0)
+                corrected.append(hostspeed.corrected(times[-1], reference))
+                references.append(reference)
+    outs, median = [], statistics.median
+    for jobs, tree_samples in zip(trees, samples):
+        out = {}
+        for (row, size, _, _), (times, corrected, references) in zip(jobs, tree_samples):
+            out.setdefault(row, {})[size] = {"s": median(times), "corrected_s": median(corrected),
+                                             "corrected_iqr_s": iqr(corrected),
+                                             "reference_s": median(references)}
+        outs.append(out)
+    return outs
+
+
+def ratios(parent: dict, change: dict) -> dict:
+    """Per row and size, the change's corrected median over the parent's, with both IQRs."""
+    return {row: {size: {"ratio": change[row][size]["corrected_s"] / p["corrected_s"],
+                         "parent_iqr_s": p["corrected_iqr_s"],
+                         "change_iqr_s": change[row][size]["corrected_iqr_s"]}
+                  for size, p in sizes.items()}
+            for row, sizes in parent.items()}
 
 
 def main() -> None:
-    src = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ROOT / "src")
-    repeats = int(sys.argv[2]) if len(sys.argv) > 2 else 9
+    args = sys.argv[1:]
+    pair = args[:1] == ["--pair"]
+    srcs = args[1:3] if pair else args[:1] or [ROOT / "src"]
+    rest = args[3:] if pair else args[1:]
+    repeats = int(rest[0]) if rest else 9
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads
-    sys.path.insert(0, str(src.resolve()))
+    trees = []
+    for i, src in enumerate(srcs):
+        with as_sldl(load_tree(src, f"sldl_tree{i}")):
+            trees.append([job for job in build_jobs() if not rest[1:] or job[0] in rest[1:]])
+    outs = sweep(trees, repeats, load_hostspeed())
+    print(json.dumps({"parent": outs[0], "change": outs[1], "ratio": ratios(*outs)} if pair
+                     else outs[0]))
+
+
+def build_jobs() -> list:
+    """The sweep's (row, size, fn, setup) jobs, on the sldl package imported as ``sldl``."""
     import numpy as np
     from sldl import (DeltaNodes, Diagonal, GeneralTriple, IntervalSeq, LinearSigma, OffDiagonal,
                       QuasiState, StepSigma, blocks_from_delta, build_report, carleman_report,
@@ -208,6 +270,12 @@ def main() -> None:
     long_blocks.B_inv
     for rows in STEPS:
         timed("t4_term", rows, lambda rows=rows: t4_term(long_blocks, 1, rows))
+    for label, jumps in ((" n=2", cancel2), (" perturbed", perturbed[1])):
+        t4_blocks = blocks_from_delta(d[:max(STEPS) + 2], jumps[:max(STEPS) + 1])
+        t4_blocks.B_inv
+        for rows in ROWS + STEPS:
+            timed("t4_term" + label, rows,
+                  lambda t4_blocks=t4_blocks, rows=rows: t4_term(t4_blocks, 1, rows))
     for terms in TERMS:
         harmonic = [1.0 / k for k in range(1, terms + 1)]
         timed("build_report", terms, lambda harmonic=harmonic: build_report("x", harmonic))
@@ -304,7 +372,7 @@ def main() -> None:
     cli.canonical_json = canonical_json
     timed("canonical_json classify christ-stolz", len(text.getvalue()) - 1,
           lambda: canonical_json(envelopes[0]))
-    print(json.dumps(sweep(jobs, repeats, load_hostspeed())))
+    return jobs
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ from .jacobi import (
     t4_report,
     t7_lattice,
 )
-from .matcore import matrix_from_json, matrix_to_json
+from .matcore import floats, matrix_from_json, matrix_to_json
 from .quasidiff import DeltaNodes, LinearSigma, QuasiState, model_from_json
 from .reports import VERDICT_POLICY
 
@@ -211,7 +211,7 @@ def _load_data(path: str, *keys):
     return obj
 
 
-def parse_spacings(spec: str, count: int) -> tuple[float, ...]:
+def parse_spacings(spec: str, count: int) -> tuple[float, ...] | np.ndarray:
     if spec.startswith("const:"):
         v = float(spec[6:])
         return (v,) * count
@@ -224,9 +224,9 @@ def parse_spacings(spec: str, count: int) -> tuple[float, ...]:
         except OverflowError:
             raise ConfigError(f"spacing spec {spec!r} overflows a float") from None
     if spec.startswith("list:"):
-        return tuple(float(v) for v in spec[5:].split(","))
+        return floats(spec[5:].split(","))
     if spec.startswith("file:"):
-        return tuple(float(v) for v in _load_json(spec[5:]))
+        return floats(_load_json(spec[5:]))
     raise ConfigError(f"unknown spacing spec {spec!r}")
 
 
@@ -448,7 +448,7 @@ def _lattice(args, min_count, *keys):
     """
     if args.data:
         obj = _load_data(args.data, "d", "H")
-        d = tuple(float(v) for v in obj["d"])
+        d = floats(obj["d"])
         if "N" in obj:
             args.N = int(obj["N"])
     elif args.d:

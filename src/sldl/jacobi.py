@@ -18,21 +18,19 @@ diagnostics: a divergent sum of 1 / ||B_k|| certifies the determinate
 (limit point) case; the paired product series checks (codes t7 and cor3)
 certify the completely indeterminate (limit circle) case.
 
-Sequence storage: each block or jump sequence is one read-only (K, n, n)
-array, and the block formulas and series terms above are array expressions
-over it. A lattice is one ``Lattice``, checked once on construction: its
-spacings are one float64 array (``matcore.floats``) and its jumps one exactly symmetric float64
-stack, which every lattice form slices as they are (its libm logs and exps
-take ``tolist``), and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I are one
-lazily built stack that A_k, t7 and cor3 slice; the (d, H) entry points build
-a Lattice, and a delta model holds its own. ``JacobiBlocks`` stores A exactly Hermitian
-and B as ``as_stack`` gives it, float64 for every lattice. The recurrence
-marches step with the lazily built stacks B_inv and B_star: three BLAS products
-into buffers per step, or three Python products at order n = 1; a march that
-reads only zero A_k and real scalar B_k = b_k I from a finite start (every
-``cancel`` lattice) is one running product of b_k factors per parity. States
-take the dtype of blocks and start: float64 when both are real, complex128
-otherwise. Slot k holds A_k and B_k from A_0, B_0; indices k are 1-based.
+Sequence storage: each block or jump sequence is one read-only (K, n, n) array, and the block
+formulas and series terms above are array expressions over it. A lattice is one ``Lattice``, its
+data checked once (a delta model checks its own and hands them over): one float64 array of
+spacings (``matcore.floats``) and one exactly symmetric float64 stack of jumps, which every lattice
+form slices as they are (its libm logs and exps take ``tolist``), and one lazily built stack of
+the shifted jumps H_k + (1/d_k + 1/d_{k+1}) I that A_k, t7 and cor3 slice. ``JacobiBlocks`` stores
+A exactly Hermitian and B as ``as_stack`` gives it, float64 for every lattice. The recurrence
+marches with the lazily built stacks B_inv and B_star: three BLAS products into buffers per
+step, or three Python products at order n = 1, and t4 steps a 2n x 2n gram by two matmuls per
+row. Where every A_k read is O and every B_k a real b_k I (every ``cancel`` lattice), a march
+from a finite start is one running product of b_k factors per parity, and t4's rows are two
+scalar chains in Python floats. States take the dtype of blocks and start: float64 when both
+are real, complex128 otherwise. Slot k holds A_k and B_k from A_0, B_0; indices k are 1-based.
 """
 
 from __future__ import annotations
@@ -103,6 +101,15 @@ class Lattice:
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "H", real_symmetric(self.H, "jump matrices"))
+
+    @classmethod
+    def checked(cls, d: np.ndarray, H: np.ndarray) -> Lattice:
+        """The Lattice of d and H checked by the caller as construction checks them: d a new
+        1-D float64 array of positive finite spacings, made read-only, H ``real_symmetric``'s."""
+        d.flags.writeable = False
+        lat = object.__new__(cls)
+        lat.__dict__.update(d=d, H=H)  # the frozen fields, set as __post_init__ sets them
+        return lat
 
     @cached_property
     def shifted_jumps(self) -> np.ndarray:
@@ -299,6 +306,11 @@ def _products(b_inv, b_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray)
     rows[rows == 0.0] = -0.0
 
 
+def _zero_diagonal(blocks: JacobiBlocks, s: slice) -> np.ndarray | None:
+    """The b_k of real B_k = b_k I, k in s, if every A_k the rows s read (A[s][1:]) is O."""
+    return None if blocks.B.dtype != float or blocks.A[s][1:].any() else scalars(blocks.B[s])
+
+
 def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray:
     """The stack u_{start+1} .. u_stop of u_{m+1} = -B_m^{-1} (A_m u_m + B*_{m-1} u_{m-1}).
 
@@ -315,9 +327,9 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
         return out
     s = blocks._stored(start - 1, stop)
     prev, cur = prev.astype(dtype, copy=False), cur.astype(dtype, copy=False)
-    if (blocks.B.dtype == float and not blocks.A[s][1:].any() and np.isfinite([prev, cur]).all()
-            and scalars(blocks.B[s]) is not None):  # on the rows this march reads
-        _products(blocks.B_inv[s][1:, 0, 0], blocks.B[s][:-1, 0, 0], prev, cur, out)
+    b = _zero_diagonal(blocks, s)
+    if b is not None and np.isfinite([prev, cur]).all():
+        _products(blocks.B_inv[s][1:, 0, 0], b[:-1], prev, cur, out)
     else:
         _steps(*(x.astype(dtype, copy=False) for x in (
             blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1])), prev, cur, out)
@@ -358,35 +370,53 @@ def discrete_cauchy(blocks: JacobiBlocks, i: int, j: int) -> np.ndarray:
     return _march(blocks, zeros, first, j + 1, i)[-1]
 
 
+def _t4_grams(blocks: JacobiBlocks, s: slice) -> np.ndarray:
+    """t4's row traces over the rows s: gram = sum_j S_j S_j* over the stacked columns
+    S_j = (K_ij; K_{i-1,j}), whose top-left trace is row i's share; each row steps gram
+    by the recurrence and adds (B_i^{-1}; O), two matmuls on stacks in the blocks' dtype."""
+    n, dtype, eye = blocks.n, blocks.A.dtype, np.eye(2 * blocks.n)
+    top = -(blocks.B_inv[s][1:] @ (blocks.A[s][1:] @ eye[:n] + blocks.B_star[s][:-1] @ eye[n:]))
+    steps = np.concatenate([top, np.broadcast_to(eye[:n], top.shape)], axis=1)
+    adjoints = np.ascontiguousarray(_adjoint(steps))
+    shares = blocks.B_inv[s] @ _adjoint(blocks.B_inv[s])
+    grams = np.zeros((len(shares), 2 * n, 2 * n), dtype=dtype)  # gram after each row
+    tops, left = grams[:, :n, :n], np.empty((2 * n, 2 * n), dtype=dtype)
+    tops[:1] += shares[:1]
+    for step, adjoint, gram, nxt, share, tl in zip(steps, adjoints, grams, grams[1:],
+                                                   shares[1:], tops[1:]):
+        np.matmul(np.matmul(step, gram, out=left), adjoint, out=nxt)
+        tl += share
+    return np.trace(tops, axis1=1, axis2=2).real
+
+
+def _t4_chain(b_inv: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """``_t4_grams`` for real A = O, B = b I: each product there has one nonzero term per entry,
+    so gram = diag(p I, q I) steps as p <- c (c q) + s, q <- p, c = b_i^-1 b_{i-1} (its sign
+    squares away), s = (b_i^-1)^2, in Python floats with the loop's bits, non-finite p alike."""
+    cs, ss = (b_inv[1:] * b[:-1]).tolist(), (b_inv * b_inv).tolist()
+    ps = [0.0] + ss[:1]  # q, p before the second row
+    for c, s in zip(cs, ss[1:]):
+        ps.append(c * ps[-2] * c + s)
+    ps = np.array(ps[1:])  # the n equal diagonal entries summed as np.trace sums them:
+    return ps if n == 1 else np.trace(ps[:, None, None] * np.eye(n), axis1=1, axis2=2)
+
+
 def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
     """(sum_{i=n_k}^{m_k} sum_{j=n_k}^{i} ||K_ij||_F^2)^(1/2) for one segment.
 
-    One step per row i: gram = sum_j S_j S_j* over the stacked columns
-    S_j = (K_ij; K_{i-1,j}), n_k <= j < i, whose top-left trace is row i's
-    share; each row steps gram by the recurrence and adds (B_i^{-1}; O). The row
-    steps and the grams are stacks in the blocks' dtype, the traces summed in
-    row order at the end; FloatRangeError names the first row at which the sum
-    leaves the float range.
+    Row i's share, the trace of sum_j K_ij K_ij*, steps as two scalar chains (``_t4_chain``)
+    where every A_i read is O and every B_i a real b_i I (each ``cancel`` lattice), else by
+    2n x 2n matmuls (``_t4_grams``), with the same bits; the shares are summed in row order
+    from 0.0, and FloatRangeError names the first row where the sum leaves the float range.
     """
     if n_k < 1 or m_k < n_k:
         raise IndexOutOfRangeError("need 1 <= n_k <= m_k")
-    n, dtype = blocks.n, blocks.A.dtype
     s = blocks._stored(n_k, m_k)  # row i + 1 > n_k + 1 steps with A_i, B_i^-1, B*_{i-1}
-    eye = np.eye(2 * n)
+    b = _zero_diagonal(blocks, s)
     with np.errstate(over="ignore", invalid="ignore"):
-        top = -(blocks.B_inv[s][1:] @ (blocks.A[s][1:] @ eye[:n] + blocks.B_star[s][:-1] @ eye[n:]))
-        steps = np.concatenate([top, np.broadcast_to(eye[:n], top.shape)], axis=1)
-        adjoints = np.ascontiguousarray(_adjoint(steps))
-        shares = blocks.B_inv[s] @ _adjoint(blocks.B_inv[s])
-        grams = np.zeros((len(shares), 2 * n, 2 * n), dtype=dtype)  # gram after each row
-        tops, left = grams[:, :n, :n], np.empty((2 * n, 2 * n), dtype=dtype)
-        tops[:1] += shares[:1]
-        for step, adjoint, gram, nxt, share, tl in zip(steps, adjoints, grams, grams[1:],
-                                                       shares[1:], tops[1:]):
-            np.matmul(np.matmul(step, gram, out=left), adjoint, out=nxt)
-            tl += share
-        # the running sum of the row traces from 0.0, added in row order
-        totals = np.cumsum(np.concatenate([[0.0], np.trace(tops, axis1=1, axis2=2).real]))
+        traces = (_t4_grams(blocks, s) if b is None else
+                  _t4_chain(blocks.B_inv[s][:, 0, 0], b, blocks.n))
+        totals = np.cumsum(np.concatenate([[0.0], traces]))
     bad = ~np.isfinite(totals)
     if bad.any():
         raise FloatRangeError(f"the t4 sum leaves the float range at row {n_k + bad.argmax()}")

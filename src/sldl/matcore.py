@@ -63,7 +63,7 @@ def floats(values) -> np.ndarray:
     values = tuple(values) if iter(values) is values else values
     try:
         out = np.fromiter(values, float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or np.isnan(out).any():
         out = np.fromiter(map(float, values), float)

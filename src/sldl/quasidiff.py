@@ -178,7 +178,7 @@ class DeltaNodes:
                 raise ValueError("spacings are inconsistent with the nodes")
         if not X > nodes[-1]:
             raise ValueError("domain end X must exceed the last cut")
-        lattice = Lattice(sp, jumps)
+        lattice = Lattice.checked(sp, jumps)  # sp and jumps are checked above
         for name, value in (("nodes", nodes), ("X", X), ("lattice", lattice),
                             ("spacings", lattice.d), ("jumps", lattice.H)):
             object.__setattr__(self, name, value)

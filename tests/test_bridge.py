@@ -353,17 +353,22 @@ def test_gallery_evidence_codes_and_sides_come_from_the_table():
 
 
 def test_classify_builds_one_lattice_and_one_shifted_stack(monkeypatch):
-    # a delta model holds one validated Lattice: over the model's lifetime its
-    # checks and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I run once, however
-    # often classify and the equivalence residual read it
+    # a delta model holds one validated Lattice: over the model's lifetime one
+    # Lattice is built (by the constructor, or from the data the model checked)
+    # and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I once, however often
+    # classify and the equivalence residual read it
     d, H = christ_stolz_family(2001)
     config = gallery_entry("christ-stolz").config
     counts = {"lattices": 0, "shifted": 0}
-    validate, shift = Lattice.__post_init__, Lattice.shifted_jumps.func
+    validate, shift, checked = Lattice.__post_init__, Lattice.shifted_jumps.func, Lattice.checked
 
     def counted_validate(self):
         counts["lattices"] += 1
         validate(self)
+
+    def counted_checked(d, H):
+        counts["lattices"] += 1
+        return checked(d, H)
 
     def counted_shift(self):
         counts["shifted"] += 1
@@ -372,6 +377,7 @@ def test_classify_builds_one_lattice_and_one_shifted_stack(monkeypatch):
     shifted = cached_property(counted_shift)
     shifted.__set_name__(Lattice, "shifted_jumps")
     monkeypatch.setattr(Lattice, "__post_init__", counted_validate)
+    monkeypatch.setattr(Lattice, "checked", staticmethod(counted_checked))
     monkeypatch.setattr(Lattice, "shifted_jumps", shifted)
     model = DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000])
     for _ in range(2):

@@ -159,6 +159,49 @@ def test_jacobi_data_file_input(capsys, tmp_path):
     assert code == 2  # neither --d nor --data
 
 
+SPACING_ENTRIES = ["1_0", " 2 ", "nan", "inf", "-inf", "1e999", "abc", "", "-0", "0x10", "1e-400",
+                   "0.25", "١٢"]
+
+
+def spacing_outcome(convert, entries):
+    """The spacings ``convert`` reads from ``entries`` as float64 bytes, or its error."""
+    try:
+        return np.array(convert(entries), dtype=float).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entry", SPACING_ENTRIES)
+def test_list_and_file_spacings_take_each_entry_as_float_does(tmp_path, entry):
+    entries = ["1", entry, "0.5"]
+    want = spacing_outcome(lambda v: tuple(float(x) for x in v), entries)
+    assert spacing_outcome(lambda v: cli.parse_spacings("list:" + ",".join(v), 3), entries) == want
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(entries))
+    assert spacing_outcome(lambda v: cli.parse_spacings(f"file:{path}", 3), entries) == want
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("1_0", None), (" 2 ", None), ("nan", "spacings must be strictly positive"),
+    ("inf", "spacings must be finite"), ("1e999", "spacings must be finite"),
+    ("abc", "could not convert string to float: 'abc'"),
+    ("", "could not convert string to float: ''"),
+])
+def test_spacing_entries_exit_as_float_reads_them(capsys, tmp_path, entry, message):
+    # the list: spec and a --data file's d, each taken once by float()
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"d": ["1", entry, "0.5", "2"], "H": [[[0.0]]] * 3}))
+    for argv in (["jacobi", "build", "--d", f"list:1,{entry},0.5,2"],
+                 ["jacobi", "build", "--data", str(path)]):
+        code, captured = run(argv), capsys.readouterr()
+        assert code == (0 if message is None else 2)
+        if message is None:
+            d = json.loads(captured.out)["result"]["blocks"]["provenance"]["d"]
+            assert d == [1.0, float(entry), 0.5, 2.0] and captured.err == ""
+        else:
+            assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_jacobi_t7_and_cor3(capsys):
     code, doc = run_json(capsys, ["jacobi", "t7", "--d", "harmonic", "--H", "cancel",
                                   "--n", "1", "--N", "40", "--count", "90"])

@@ -180,10 +180,14 @@ def test_lattice_takes_each_spacing_as_float_does(form):
     [10**400],
     [1j],
     [1.0, object()],
+    [None, 10**400],
+    [1.0, [2.0], 10**400],
+    ["abc", 10**400],
 ])
 def test_lattice_raises_the_error_float_raises(d):
-    # one fromiter pass reads None as NaN and a nested entry as a ValueError; the
-    # spacings are then taken again by float(), so its error class and message show
+    # one fromiter pass reads None as NaN, a nested entry as a ValueError and raises
+    # OverflowError past an earlier None; the spacings are then taken again by float(),
+    # so its error class and message show
     d = list(d)
     with pytest.raises(Exception) as want:
         reference_lattice.float_spacings(d)
@@ -1102,6 +1106,106 @@ def test_a_march_past_a_non_scalar_boundary_takes_the_running_products(monkeypat
     products = count_calls(monkeypatch, "_products")
     check_against_the_matmul_step(blocks, 1.0, 0.0, [(398, 1), (300, 7)])
     assert len(products) == 2
+
+
+# ---------------------------------------------------------------------------
+# zero-diagonal t4 rows: two scalar chains
+
+
+def t4_outcome(blocks, n_k, m_k) -> str:
+    """t4_term's value bits, or its FloatRangeError message."""
+    try:
+        return t4_term(blocks, n_k, m_k).hex()
+    except FloatRangeError as exc:
+        return str(exc)
+
+
+def loop_outcomes(blocks, segments, monkeypatch) -> list:
+    """``t4_outcome`` of each segment with every row on the matmul loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(jacobi, "_zero_diagonal", lambda blocks, s: None)
+        return [t4_outcome(blocks, n_k, m_k) for n_k, m_k in segments]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_christ_stolz_t4_chains_keep_the_bits_of_the_per_row_march(n, monkeypatch):
+    blocks = blocks_from_delta(*christ_stolz_family(402, n))
+    last = len(blocks.B)  # m_k = last reads B_{last - 1}, the last stored block
+    segments = [(1, 1), (1, 2), (1, 200), (5, 5), (5, 6), (120, 319), (last - 199, last),
+                (last - 1, last), (last, last), (1, last)]
+    chains = count_calls(monkeypatch, "_t4_chain")
+    loops = count_calls(monkeypatch, "_t4_grams")
+    for n_k, m_k in segments:
+        got = t4_term(blocks, n_k, m_k)
+        assert got.hex() == reference_march.t4_term(blocks, n_k, m_k).hex()
+        assert (got == 0.0) == (n_k == m_k)
+    assert len(chains) == len(segments) and not loops
+
+
+def zero_diagonal_blocks(seed: int) -> JacobiBlocks:
+    """Seeded blocks A_k = O (-0.0 entries in some) and B_k = b_k I of order 1, 2, 3 or 7 (where
+    n p and the trace of p I may round apart), with |b_k| = e^x, x uniform on [-w, w] for w in
+    5, 50 and 400, and either sign (a negative b_k puts -0.0 off the diagonal)."""
+    rng = np.random.default_rng([seed, 37])
+    n, count = int(rng.choice([1, 2, 3, 7])), int(rng.integers(3, 150))
+    w = [5.0, 50.0, 400.0][seed % 3]
+    b = rng.choice([-1.0, 1.0], count) * np.exp(rng.uniform(-w, w, count))
+    A = np.zeros((count, n, n)) * rng.choice([-1.0, 1.0], (count, 1, 1))
+    return JacobiBlocks(n, A, b[:, None, None] * np.eye(n))
+
+
+def test_zero_diagonal_t4_rows_keep_the_bits_and_errors_of_the_matmul_loop(monkeypatch):
+    # every product of the loop has one nonzero term per entry on these rows, and
+    # it meets 0 * inf only past a non-finite row, where the chains are too
+    outcomes = []
+    for seed in range(45):
+        blocks = zero_diagonal_blocks(seed)
+        count, rng = len(blocks.B), np.random.default_rng([seed, 38])
+        segments = [(1, count), (count, count), (count - 1, count), (1, 2)] + [
+            tuple(sorted(rng.integers(1, count + 1, 2).tolist())) for _ in range(12)]
+        chains = count_calls(monkeypatch, "_t4_chain")
+        got = [t4_outcome(blocks, n_k, m_k) for n_k, m_k in segments]
+        assert len(chains) == len(segments)
+        assert got == loop_outcomes(blocks, segments, monkeypatch)
+        outcomes += got
+    errors = sum(o.startswith("the t4 sum leaves the float range") for o in outcomes)
+    assert 50 <= errors <= len(outcomes) - 200
+
+
+def test_t4_rows_off_the_zero_diagonal_keep_the_matmul_loop(monkeypatch):
+    # the predicate reads the rows a segment reads, A_{n_k+1} .. A_{m_k-1} and
+    # B_{n_k} .. B_{m_k-1}: an unread nonzero A_k or non-scalar B_k leaves the chains
+    d, H = christ_stolz_family(60, 2)
+    base = blocks_from_delta(d, H)
+    s = np.random.default_rng(39).uniform(-0.5, 0.5, H.shape)
+    bumped = np.array(H)
+    bumped[19] += np.eye(2)  # H_20, so A_20 != O
+    B = np.array(base.B)
+    B[30, 0, 1] = B[30, 1, 0] = 1e-3 * B[30, 0, 0]
+    obj = blocks_to_json(base)
+    del obj["provenance"]
+    turn = complex(math.cos(0.3), math.sin(0.3))
+    obj["B"] = [[[[(x * turn).real, (x * turn).imag] for x in row] for row in b] for b in obj["B"]]
+    cases = [  # blocks, segment, whether it takes the matmul loop
+        (blocks_from_delta(d, H + s + s.transpose(0, 2, 1)), (5, 40), True),
+        (blocks_from_delta(d, bumped), (19, 21), True),
+        (blocks_from_delta(d, bumped), (20, 40), False),
+        (blocks_from_delta(d, bumped), (1, 20), False),
+        (JacobiBlocks(2, base.A, B), (30, 31), True),
+        (JacobiBlocks(2, base.A, B), (29, 45), True),
+        (JacobiBlocks(2, base.A, B), (31, 50), False),
+        (JacobiBlocks(2, base.A, B), (10, 30), False),
+        (blocks_from_json(obj), (1, 40), True),
+        (base, (1, 59), False),
+    ]
+    loops = count_calls(monkeypatch, "_t4_grams")
+    for blocks, segment, loop in cases:
+        loops.clear()
+        got = t4_outcome(blocks, *segment)
+        assert len(loops) == loop
+        assert got == loop_outcomes(blocks, [segment], monkeypatch)[0]
+        if blocks.B.dtype == float:
+            assert float.fromhex(got) == reference_march.t4_term(blocks, *segment)
 
 
 # ---------------------------------------------------------------------------

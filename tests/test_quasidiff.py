@@ -36,6 +36,8 @@ from sldl import (
     solution_norm_integral,
     t1_series,
 )
+from sldl import matcore
+from sldl.jacobi import Lattice, christ_stolz_family
 from sldl.matcore import HERMITIAN_TOL, frobenius_norm
 from sldl.quasidiff import (
     OffGridError,
@@ -776,6 +778,30 @@ def test_a_delta_model_holds_its_lattice_and_reads_its_spacings_and_jumps_from_i
         # nodes stay a tuple, so a grid built by concatenation keeps its leading 0.0
         grid = (0.0,) + model.nodes
         assert type(grid) is tuple and len(grid) == len(model.nodes) + 1 and grid[0] == 0.0
+
+
+def test_a_delta_model_checks_its_jumps_once(monkeypatch):
+    # the model checks its jumps for its own messages and hands its lattice the
+    # checked stack; the lattice equals the one construction checks anew
+    calls, real = [], matcore.is_hermitian
+    monkeypatch.setattr(matcore, "is_hermitian", lambda *args: calls.append(args) or real(*args))
+    d, jumps = christ_stolz_family(300, 2)
+    d = d[:-1]  # one jump per node
+    spaced = DeltaNodes.from_spacings(2, d, jumps)
+    doc = json.loads(json.dumps(model_to_json(spaced)))
+    builds = (lambda: DeltaNodes.from_spacings(2, d, jumps),
+              lambda: DeltaNodes(2, np.cumsum(d).tolist(), tuple(jumps), 10.0),
+              lambda: DeltaNodes(2, np.cumsum(d), jumps, 10.0, d),
+              lambda: model_from_json(doc))
+    for build in builds:
+        calls.clear()
+        model = build()
+        assert len(calls) == 1
+        fresh = Lattice(model.spacings, model.jumps)
+        assert model.lattice.d.tobytes() == fresh.d.tobytes()
+        assert model.lattice.H.tobytes() == fresh.H.tobytes()
+        assert model.spacings is model.lattice.d and model.jumps is model.lattice.H
+        assert not model.spacings.flags.writeable and not model.jumps.flags.writeable
 
 
 def test_delta_spacings_inconsistent_at_last_node():
