@@ -56,6 +56,10 @@ HUGE_JUMPS = {h: {"n": 1, "X": 41.0, "variant": "delta_nodes",
 STEP60 = {"n": 1, "X": 60.5, "variant": "step_sigma",
           "cuts": [0.0, *(k + (k % 7) / 8 for k in range(1, 60))],
           "values": [[[((37 * k) % 13 - 6) / 4]] for k in range(60)]}
+# an order-1 step model of 40 unit pieces with one sigma value: its lattice has
+# d_k = 1 and zero changes of sigma, so carleman certifies LimitPoint
+STEP40_FLAT = {"n": 1, "X": 41.0, "variant": "step_sigma", "cuts": [float(k) for k in range(41)],
+               "values": [[[0.75]]] * 41}
 # order-1 models whose kernel quadrature overflows: a huge change of sigma inside
 # the first unit interval, and a delta cell of length 1e80
 HUGE_STEP_JUMP = {"n": 1, "X": 3.0, "variant": "step_sigma", "cuts": [0.0, 0.5, 1.5],
@@ -86,7 +90,7 @@ FIXTURES = {
     "nan-node.json": NAN_NODE, "nan-cut.json": NAN_CUT, "nan-knot.json": NAN_KNOT,
     "huge-jumps-1e200.json": HUGE_JUMPS[1e200], "huge-jumps-1e80.json": HUGE_JUMPS[1e80],
     "huge-sigma-delta.json": HUGE_SIGMA_DELTA, "huge-sigma-step.json": HUGE_SIGMA_STEP,
-    "step60.json": STEP60, "huge-step-jump.json": HUGE_STEP_JUMP,
+    "step60.json": STEP60, "step40-flat.json": STEP40_FLAT, "huge-step-jump.json": HUGE_STEP_JUMP,
     "huge-spacings.json": HUGE_SPACINGS, "huge-intervals.json": [[0.0, 2e80]],
     "step2.json": STEP2, "huge-step-jump2.json": HUGE_STEP_JUMP2,
     "delta-tilted.json": TILTED_DELTA, "jumps-tilted.json": TILTED_JUMPS,
@@ -323,6 +327,11 @@ INVOCATIONS = [
     # real general and distributional models: float64 pieces, generators and cells
     "criterion t1 --model general20-real.json --intervals unit:16",
     "criterion t1 --model distributional-real.json --intervals unit:3",
+    # order-1 step models classified through the lattice of their changes of sigma
+    "classify --model step60.json",
+    "classify --model step60.json --N 5 --criteria t7,cor3,carleman",
+    "classify --model step60.json --N 29",
+    "classify --model step40-flat.json",
 ]
 # after the help screens: numbers past the range of int, float or complex, and deep nesting
 RANGE_INVOCATIONS = [

@@ -44,7 +44,10 @@ models with 10 to 400 unit pieces (the real Gram loop), and
 intervals of seeded real n = 1 and n = 2 general triples with 10 to 400 unit
 cells (float64 generators, exponentials and Gram matrices), ``t2_predicate``
 on sigma = x I over 10 to 10^4 unit pieces and as many unit intervals
-(K = P), and ``canonical_json`` of the envelope that
+(K = P), ``classify_detailed`` with the default config of the order-1 step model of 60
+pieces that ``scripts/cli_digest.py`` writes as step60.json, and ``t1_series`` over the
+unit intervals of seeded n = 1 and n = 2 step models with 5 and 40 unit pieces (every
+cell full: its length is its lattice spacing), and ``canonical_json`` of the envelope that
 ``sldl classify --gallery christ-stolz`` prints (size: its bytes),
 each as the median of repeated runs in one process with BLAS on one thread: one
 untimed warm-up pass over every function and size, then REPEATS timed
@@ -365,6 +368,17 @@ def build_jobs() -> list:
                             np.arange(pieces + 1.0)[:, None, None])
         timed("t2_predicate", pieces, lambda model=model, intervals=IntervalSeq.unit(pieces):
               t2_predicate(model, intervals))
+    step60 = StepSigma(1, (0.0, *(k + (k % 7) / 8 for k in range(1, 60))),
+                       [[[((37 * k) % 13 - 6) / 4]] for k in range(60)], 60.5)
+    timed("classify_detailed step", 60, lambda: classify_detailed(step60))
+    lattice_rng = np.random.default_rng(405)  # its own seed: the models above stay as they were
+    for cells in (5, 40):
+        for n in (1, 2):
+            h = lattice_rng.uniform(-1.0, 1.0, (cells, n, n))
+            model = StepSigma(n, tuple(float(k) for k in range(cells)), h + h.transpose(0, 2, 1),
+                              float(cells))
+            timed(f"t1_series step n={n}", cells, lambda model=model, cells=cells:
+                  t1_series(model, IntervalSeq.unit(cells)))
     envelopes = []  # the envelope run passes to canonical_json, caught on its way
     cli.canonical_json = lambda envelope: envelopes.append(envelope) or canonical_json(envelope)
     with contextlib.redirect_stdout(io.StringIO()) as text:

@@ -46,7 +46,7 @@ from .quasidiff import (
     DeltaNodes,
     LinearSigma,
     QuasiState,
-    StepSigma,
+    StepModel,
     _cells,
     _march,
 )
@@ -204,11 +204,9 @@ def resolve_classification(evidence) -> str:
 
 
 def _lattice(problem) -> Lattice:
-    """The delta lattice of a problem (its own, its changes of sigma, or its blocks' provenance)."""
-    if isinstance(problem, DeltaNodes):
+    """The delta lattice of a problem: a step model's own, or its blocks' provenance."""
+    if isinstance(problem, StepModel):
         return problem.lattice
-    if isinstance(problem, StepSigma):  # its changes of sigma at the cuts after the first
-        return Lattice(np.diff(problem.cuts), problem.cell_jumps[len(problem.cuts):])
     if isinstance(problem, JacobiBlocks) and problem.provenance is not None:
         return problem.provenance
     return Lattice((), ())  # no lattice

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import Lattice
-from .matcore import FloatRangeError, ShapeMismatchError, as_stack
+from .matcore import FloatRangeError, ShapeMismatchError, as_stack, first_nonfinite
 from .quasidiff import (
     FundamentalPair,
     LinearSigma,
@@ -243,9 +243,8 @@ def _exact(one_pass, model, spans, what: str) -> np.ndarray:
         raise ValueError("need 0 <= a <= b <= X")
     with np.errstate(over="ignore", invalid="ignore"):
         out = one_pass(model, spans)
-    finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
-    if not finite.all():
-        a, b = spans[int(finite.argmin())]
+    if (k := first_nonfinite(out)) is not None:
+        a, b = spans[k]
         raise FloatRangeError(f"{what} overflowed on ({a}, {b})")
     return out
 
@@ -414,9 +413,8 @@ def _jump_terms(channel, jumps, count: int, diag_term, offdiag_term) -> list[flo
     entries, diag = _channel_entries(channel, mats)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         terms = diag_term(entries) if diag else offdiag_term(_in_python(abs, entries))
-    bad = ~np.isfinite(terms)
-    if bad.any():
-        raise FloatRangeError(f"the jump series leaves the float range at term {bad.argmax() + 1}")
+    if (k := first_nonfinite(terms)) is not None:
+        raise FloatRangeError(f"the jump series leaves the float range at term {k + 1}")
     return terms.tolist()
 
 

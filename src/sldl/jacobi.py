@@ -47,6 +47,7 @@ from .matcore import (
     ShapeMismatchError,
     as_stack,
     condition,
+    first_nonfinite,
     floats,
     frobenius_norm,
     hermitian,
@@ -104,8 +105,9 @@ class Lattice:
 
     @classmethod
     def checked(cls, d: np.ndarray, H: np.ndarray) -> Lattice:
-        """The Lattice of d and H checked by the caller as construction checks them: d a new
-        1-D float64 array of positive finite spacings, made read-only, H ``real_symmetric``'s."""
+        """The Lattice of d and H checked by the caller, a step model's ``_freeze_sigma``, as
+        construction checks them: d a new 1-D float64 array of positive finite spacings, made
+        read-only, H a read-only exactly symmetric float64 stack."""
         d.flags.writeable = False
         lat = object.__new__(cls)
         lat.__dict__.update(d=d, H=H)  # the frozen fields, set as __post_init__ sets them
@@ -333,10 +335,9 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     else:
         _steps(*(x.astype(dtype, copy=False) for x in (
             blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1])), prev, cur, out)
-    bad = ~np.isfinite(out.reshape(len(out), -1)).all(axis=1)
-    if bad.any():
-        m = start + int(np.argmax(bad))
-        raise FloatRangeError(f"the recurrence leaves the float range at step {m} (u_{m + 1})")
+    if (k := first_nonfinite(out)) is not None:
+        raise FloatRangeError(f"the recurrence leaves the float range at step {start + k} "
+                              f"(u_{start + k + 1})")
     return out
 
 
@@ -417,9 +418,8 @@ def t4_term(blocks: JacobiBlocks, n_k: int, m_k: int) -> float:
         traces = (_t4_grams(blocks, s) if b is None else
                   _t4_chain(blocks.B_inv[s][:, 0, 0], b, blocks.n))
         totals = np.cumsum(np.concatenate([[0.0], traces]))
-    bad = ~np.isfinite(totals)
-    if bad.any():
-        raise FloatRangeError(f"the t4 sum leaves the float range at row {n_k + bad.argmax()}")
+    if (k := first_nonfinite(totals)) is not None:
+        raise FloatRangeError(f"the t4 sum leaves the float range at row {n_k + k}")
     return math.sqrt(totals[-1])
 
 

@@ -70,6 +70,13 @@ def floats(values) -> np.ndarray:
     return out
 
 
+def first_nonfinite(a: np.ndarray) -> int | None:
+    """The index along axis 0 of the first entry (a value, a row or a matrix) that holds a
+    non-finite value, or None."""
+    finite = np.isfinite(a)
+    return None if finite.all() else int(finite.all(axis=tuple(range(1, a.ndim))).argmin())
+
+
 def as_stack(entries, n: int | None = None) -> np.ndarray:
     """Validate and freeze a matrix sequence as one read-only (K, n, n) array.
 

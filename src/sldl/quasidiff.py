@@ -7,11 +7,11 @@ Y = (f, f1), where f1 = P (f' - R f) is the first quasi-derivative and
     F = [[R, P^-1], [Q, -R*]],      L = [[O, O], [lam*I, O]].
 
 Step and delta models share one shape, ``StepModel``: cuts, the sigma value
-of each piece and the stack ``cell_jumps``; a delta model is the step model
-whose sigma jumps by H_k at node x_k, and holds the ``jacobi.Lattice`` of its
-spacings and jumps, built once (its ``spacings`` and ``jumps`` are that
-lattice's arrays; nodes and cuts stay tuples of floats, read per cell by the
-walk). Their sigma values and jumps, and the
+of each piece, the stack ``cell_jumps`` and the ``jacobi.Lattice`` of the
+spacings between the cuts and the changes of sigma at them, built once; a delta
+model is the step model whose sigma jumps by H_k at node x_k (its ``spacings``
+and ``jumps`` are its lattice's arrays; nodes and cuts stay tuples of floats,
+read per cell by the walk). Their sigma values and jumps, and the
 values of ``LinearSigma``, are exactly symmetric float64 stacks; general and
 distributional pieces and generators keep the dtype of their data. Coefficients
 are piecewise constant, so propagation across a piece is an exact matrix
@@ -50,6 +50,7 @@ from .matcore import (
     ShapeMismatchError,
     as_stack,
     condition,
+    first_nonfinite,
     floats,
     frobenius_norm,
     hermitian,
@@ -95,21 +96,18 @@ def _check_cuts(cuts, X: float) -> tuple[float, ...]:
     return cuts
 
 
-def _freeze_sigma(model, cuts, values, changes) -> None:
-    """Store cuts, values and ``cell_jumps``, the dS that start cells: the values, then
-    their changes at the cuts after the first, ``values`` a view of it. Both come from
-    ``real_symmetric`` stacks, so the stack is float64 and exactly symmetric. The first
-    dS past the float range is a ValueError that names its cut."""
+def _freeze_sigma(model, cuts, values, changes, lengths: np.ndarray) -> None:
+    """The one place a step model's lattice is built. ``cell_jumps`` holds the dS that start cells,
+    the values and then their changes at the cuts after the first, exactly symmetric float64
+    (``real_symmetric`` stacks); ``values`` and the lattice's H view it, and ``lengths``, between
+    the cuts, are its spacings. The first dS past the float range is a ValueError naming its cut."""
     stack = np.concatenate([values, changes])
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
-    if len(bad):
-        k = bad[0] - len(cuts)
-        what, x = ("sigma", cuts[bad[0]]) if k < 0 else ("the change of sigma", cuts[k + 1])
-        raise ValueError(f"{what} leaves the float range at x = {x}")
+    if (k := first_nonfinite(stack)) is not None:
+        what, c = ("sigma", k) if k < len(cuts) else ("the change of sigma", k - len(cuts) + 1)
+        raise ValueError(f"{what} leaves the float range at x = {cuts[c]}")
     stack.flags.writeable = False
-    object.__setattr__(model, "cuts", cuts)
-    object.__setattr__(model, "values", stack[:len(cuts)])
-    object.__setattr__(model, "cell_jumps", stack)
+    model.__dict__.update(cuts=cuts, values=stack[:len(cuts)], cell_jumps=stack,
+                          lattice=Lattice.checked(lengths, stack[len(cuts):]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +116,8 @@ class StepSigma:
 
     Realizes P = I, R = sigma, Q = -sigma**2, i.e. the step form of the
     expression -f'' + sigma' f. Piece k carries values[k]; every change of
-    sigma at a cut is within the float range.
+    sigma at a cut is within the float range. ``lattice`` is the delta lattice
+    of the cuts after the first: their spacings and the changes of sigma there.
     """
 
     n: int
@@ -126,15 +125,17 @@ class StepSigma:
     values: np.ndarray
     X: float
     cell_jumps: np.ndarray = field(init=False, repr=False)
+    lattice: Lattice = field(init=False, repr=False)
 
     def __post_init__(self):
-        cuts = _check_cuts(self.cuts, self.X)
+        c = floats(self.cuts)  # an array: the lengths take no second conversion
+        cuts = _check_cuts(c, self.X)
         vals = real_symmetric(self.values, "sigma piece", self.n)
         if len(vals) != len(cuts):
             raise ShapeMismatchError("need one sigma value per piece")
         with np.errstate(over="ignore", invalid="ignore"):
             changes = np.diff(vals, axis=0)
-        _freeze_sigma(self, cuts, vals, changes)
+        _freeze_sigma(self, cuts, vals, changes, np.diff(c))
         object.__setattr__(self, "X", float(self.X))
 
 
@@ -145,8 +146,8 @@ class DeltaNodes:
     As a step model its cuts are 0 and the nodes, and its values the running
     sums sigma = H_1 + ... + H_k after x_k, each within the float range; f1 is
     continuous across nodes while f' jumps by H_k f(x_k). ``lattice`` holds the
-    spacings (given, or the node differences) and jumps, checked once; ``spacings``
-    and ``jumps`` are its read-only float64 arrays, and ``nodes`` a tuple of floats.
+    spacings (given, or the node differences) and jumps; ``spacings`` and ``jumps``
+    are its read-only float64 arrays, and ``nodes`` a tuple of floats.
     """
 
     n: int
@@ -178,13 +179,10 @@ class DeltaNodes:
                 raise ValueError("spacings are inconsistent with the nodes")
         if not X > nodes[-1]:
             raise ValueError("domain end X must exceed the last cut")
-        lattice = Lattice.checked(sp, jumps)  # sp and jumps are checked above
-        for name, value in (("nodes", nodes), ("X", X), ("lattice", lattice),
-                            ("spacings", lattice.d), ("jumps", lattice.H)):
-            object.__setattr__(self, name, value)
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.cumsum(np.concatenate([np.zeros((1, self.n, self.n)), jumps]), axis=0)
-        _freeze_sigma(self, (0.0,) + nodes, values, jumps)
+        _freeze_sigma(self, (0.0,) + nodes, values, jumps, sp)
+        self.__dict__.update(nodes=nodes, X=X, spacings=self.lattice.d, jumps=self.lattice.H)
 
     @classmethod
     def from_spacings(cls, n: int, spacings, jumps, tail: float = 1.0) -> "DeltaNodes":
@@ -399,8 +397,8 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     array of the cells' end points. Step and delta models work in classical
     coordinates (f, f'), since quasi generators carry sigma**2 and lose about
     that factor once the accumulated potential is large: a free flight inside
-    each cell, a jump by the change of sigma at each cut (the stored jump and
-    spacing, a float, for full delta cells), and a first jump by sigma itself, from
+    each cell, a jump by the change of sigma at each cut (and, a float, the lattice
+    spacing as the length of each full cell), and a first jump by sigma itself, from
     (f, f1) into (f, f'), that ``_to_quasi`` undoes; all dS are gathered from
     ``model.cell_jumps`` by one index. At lam = 0 the flight generator N is
     nilpotent and its propagators are I + length * N in closed form, which is
@@ -415,8 +413,8 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     classical = isinstance(model, StepModel)
     cuts = piece_cuts(model)
     last, X = len(cuts) - 1, model.X
-    # a memoryview's entries read as Python floats, one per full delta cell
-    spacings = memoryview(model.spacings) if isinstance(model, DeltaNodes) else None
+    # a memoryview's entries read as Python floats, one per full cell of a step model
+    spacings = memoryview(model.lattice.d) if classical else None
     pieces, jumped, picks, lengths, ends, first = [], [], [], [], [], []
     count = 0  # len(pieces)
     for x0, x1 in spans:
@@ -429,7 +427,7 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
             if classical and (pos == x0 or pos == cuts[i]):
                 jumped.append(count)
                 picks.append(i if pos == x0 else last + i)
-            full = spacings is not None and pos == cuts[i] and stop == end and i < last
+            full = classical and pos == cuts[i] and stop == end and i < last
             pieces.append(i)
             lengths.append(spacings[i] if full else stop - pos)
             ends.append(stop)
@@ -507,10 +505,8 @@ def _march(cells: Cells, y: np.ndarray) -> np.ndarray:
         cols = out[1:].reshape(len(out) - 1, 2, y.size // 2)  # a view: out is C ordered
         for j, (f, g) in enumerate(zip(*y.reshape(2, -1).tolist())):
             cols[:, 0, j], cols[:, 1, j] = _kick_drift(cells.jump, cells.length, f, g)
-    bad = ~np.isfinite(out.reshape(len(out), -1)[1:]).all(axis=1)
-    if bad.any():
-        x = float(cells.end[np.argmax(bad)])
-        raise FloatRangeError(f"the march leaves the float range at x = {x}")
+    if (k := first_nonfinite(out[1:])) is not None:
+        raise FloatRangeError(f"the march leaves the float range at x = {float(cells.end[k])}")
     return out
 
 

@@ -46,8 +46,8 @@ general and distributional models; ``exact_t1_square`` redoes it for step and
 delta models of any order in Fraction arithmetic, from the float jumps and
 lengths. ``stacked_cells`` keeps sldl's stacked cell walk as it was before
 its loop invariants were hoisted (``len(cuts)``, ``model.X`` and a
-``delta.spacings`` entry, as a float, read per cell, ``min(end, mark)``), so the hoisted walk
-can be compared with it field by field.
+``model.lattice.d`` entry, as a float, read per full cell of a step or delta model,
+``min(end, mark)``), so the hoisted walk can be compared with it field by field.
 """
 
 import math
@@ -307,8 +307,8 @@ def cells(model, lam, x0, x1, stops=()):
                 ds = delta.jumps[i - 1].real if delta else model.values[i] - model.values[i - 1]
             if ds is not None:
                 jump = block2n(eye, 0 * eye, ds, eye, dtype)
-        full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
-        yield i, jump, gen, (float(delta.spacings[i]) if full else stop - pos), stop
+        full = classical(model) and pos == cuts[i] and stop == end and i < len(cuts) - 1
+        yield i, jump, gen, (float(model.lattice.d[i]) if full else stop - pos), stop
         if stop == mark:
             mark = next(marks, x1)
         if stop == end:
@@ -319,7 +319,6 @@ def cells(model, lam, x0, x1, stops=()):
 def stacked_cells(model, lam, spans, stops=()):
     """sldl's ``_cells`` with its walk as it was: the same fields, values and types."""
     classical = isinstance(model, StepModel)
-    delta = model if isinstance(model, DeltaNodes) else None
     cuts = piece_cuts(model)
     pieces, jumped, picks, lengths, ends, first = [], [], [], [], [], []
     for x0, x1 in spans:
@@ -332,9 +331,9 @@ def stacked_cells(model, lam, spans, stops=()):
             if classical and (pos == x0 or pos == cuts[i]):
                 jumped.append(len(pieces))
                 picks.append(i if pos == x0 else len(cuts) - 1 + i)
-            full = delta is not None and pos == cuts[i] and stop == end and i < len(cuts) - 1
+            full = classical and pos == cuts[i] and stop == end and i < len(cuts) - 1
             pieces.append(i)
-            lengths.append(float(delta.spacings[i]) if full else stop - pos)
+            lengths.append(float(model.lattice.d[i]) if full else stop - pos)
             ends.append(stop)
             if stop == mark:
                 mark = next(marks, x1)

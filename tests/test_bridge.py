@@ -33,6 +33,7 @@ from sldl import (
 from sldl.bridge import CRITERIA, classify_detailed
 from sldl.jacobi import Lattice, blocks_from_lattice, cancel_jumps
 from sldl.matcore import ShapeMismatchError
+from sldl.quasidiff import StepModel, StepSigma
 from sldl.reports import CONVERGES, DIVERGES, build_report
 
 
@@ -387,6 +388,22 @@ def test_classify_builds_one_lattice_and_one_shifted_stack(monkeypatch):
     assert counts == {"lattices": 1, "shifted": 1}
 
 
+def test_classify_of_a_step_model_builds_no_lattice(monkeypatch):
+    # a step model holds the lattice of its changes of sigma, built with the model;
+    # classify and its lattice criteria read that one
+    cuts = (0.0, *(k + (k % 7) / 8 for k in range(1, 60)))
+    model = StepSigma(1, cuts, [[[((37 * k) % 13 - 6) / 4]] for k in range(60)], 60.5)
+    built = []
+    validate, checked = Lattice.__post_init__, Lattice.checked
+    monkeypatch.setattr(Lattice, "__post_init__", lambda self: built.append(self) or validate(self))
+    monkeypatch.setattr(Lattice, "checked", staticmethod(
+        lambda d, H: built.append(d) or checked(d, H)))
+    for config in (ClassifyConfig(), ClassifyConfig(N=5, criteria=("t7", "cor3", "carleman"))):
+        verdict, _ = classify_detailed(model, config)
+        assert {"carleman", "t7", "cor3"} <= {e.criterion for e in verdict.evidence}
+    assert built == []
+
+
 def _t4_overflow():
     """Unit spacings, jumps 8 and 600 nodes: the t4 sum of segment 121-300 overflows."""
     return (blocks_from_delta([1.0] * 600, np.full((599, 1, 1), 8.0)),
@@ -723,6 +740,8 @@ def test_models_and_gallery_entries_hold_no_writeable_array():
     for obj in records + gallery():
         arrays = list(_arrays(obj, set()))
         assert arrays and [a.shape for a in arrays if a.flags.writeable] == [], type(obj)
+        if isinstance(obj, StepModel):  # the walk reaches a step model's lattice
+            assert {id(obj.lattice.d), id(obj.lattice.H)} <= {id(a) for a in arrays}
 
 
 @pytest.mark.parametrize("name", list(_records()))

@@ -32,6 +32,7 @@ from sldl.matcore import (
     as_matrix,
     as_stack,
     condition,
+    first_nonfinite,
     hermitian,
     inexact,
     matrix_from_json,
@@ -448,6 +449,29 @@ def test_batched_checks_see_the_last_matrix(name, kind, error):
     build(-np.eye(2))  # a good last matrix is accepted
     with pytest.raises(error):
         build(BAD[kind])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_first_nonfinite_names_the_first_entry_along_axis_0(bad):
+    # a value, a row or a matrix counts as one entry; any non-finite part marks it
+    assert first_nonfinite(np.array([1.0, 2.0, bad, bad])) == 2
+    assert first_nonfinite(np.array([bad, 1.0])) == 0
+    assert first_nonfinite(np.array([1.0, -2.0, 0.0])) is None
+    stack = np.zeros((4, 2, 2))
+    assert first_nonfinite(stack) is None
+    stack[3, 0, 0], stack[1, 1, 0] = bad, bad
+    assert first_nonfinite(stack) == 1
+    rows = np.ones((3, 5))
+    rows[2, 4] = bad
+    assert first_nonfinite(rows) == 2
+    z = np.ones((3, 2, 2), dtype=complex)
+    assert first_nonfinite(z) is None
+    z[2, 0, 1] = complex(1.0, bad)  # an imaginary part alone
+    assert first_nonfinite(z) == 2
+    z[1, 1, 1] = complex(bad, 0.0)
+    assert first_nonfinite(z) == 1
+    for empty in (np.zeros(0), np.zeros((0, 3, 3)), np.zeros((0, 2), dtype=complex)):
+        assert first_nonfinite(empty) is None
 
 
 def test_empty_block_sequences_accepted():

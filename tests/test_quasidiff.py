@@ -774,6 +774,7 @@ def test_a_delta_model_holds_its_lattice_and_reads_its_spacings_and_jumps_from_i
     for model in (DeltaNodes(1, np.cumsum(d).tolist(), jumps, 3.0), spaced, read_back):
         assert model.spacings is model.lattice.d and model.jumps is model.lattice.H
         assert not model.spacings.flags.writeable and not model.jumps.flags.writeable
+        assert np.shares_memory(model.jumps, model.cell_jumps)  # one stack, no copy
         assert frozen_floats(model.spacings, np.diff(model.nodes, prepend=0.0))
         # nodes stay a tuple, so a grid built by concatenation keeps its leading 0.0
         grid = (0.0,) + model.nodes
@@ -802,6 +803,25 @@ def test_a_delta_model_checks_its_jumps_once(monkeypatch):
         assert model.lattice.H.tobytes() == fresh.H.tobytes()
         assert model.spacings is model.lattice.d and model.jumps is model.lattice.H
         assert not model.spacings.flags.writeable and not model.jumps.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_step_model_holds_the_lattice_of_its_changes_of_sigma(n):
+    # the spacings between its cuts and the changes of sigma at the cuts after the
+    # first, the bytes of the lattice construction checks anew; H views the cell jumps
+    rng = np.random.default_rng(90 + n)
+    for pieces in (1, 2, 9):
+        cuts = (0.0, *np.cumsum(rng.uniform(0.05, 2.0, pieces - 1)).tolist())
+        values = [random_symmetric(rng, n, 3.0) for _ in range(pieces)]
+        model = StepSigma(n, cuts, values, cuts[-1] + 0.5)
+        lat = model.lattice
+        fresh = Lattice(np.diff(model.cuts), model.cell_jumps[len(model.cuts):])
+        assert lat.d.tobytes() == fresh.d.tobytes() and lat.H.tobytes() == fresh.H.tobytes()
+        assert lat.d.shape == (pieces - 1,) and lat.H.shape == (pieces - 1, n, n)
+        assert lat.d.dtype == lat.H.dtype == np.float64
+        assert not lat.d.flags.writeable and not lat.H.flags.writeable
+        assert pieces == 1 or np.shares_memory(lat.H, model.cell_jumps)  # an empty view holds none
+        assert bridge._lattice(model) is lat
 
 
 def test_delta_spacings_inconsistent_at_last_node():
@@ -874,7 +894,7 @@ def test_every_variant_round_trips_exactly_through_the_model_codec(model):
     assert mine.keys() == theirs.keys()
     for key, value in mine.items():
         pairs = [(theirs[key], value)]
-        if key == "lattice":  # a delta model's lattice, by its arrays
+        if key == "lattice":  # a step or delta model's lattice, by its arrays
             pairs = [(theirs[key].d, value.d), (theirs[key].H, value.H)]
         assert all(np.array_equal(a, b) for a, b in pairs), key
 
