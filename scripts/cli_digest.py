@@ -105,6 +105,7 @@ FIXTURES = {
                      "H": [[[-(k + 1.0 / (k + 1))]] for k in range(1, 24)], "N": 8},
     "spacings.json": [0.5 + 0.1 * k for k in range(40)],
     "jumps2.json": [[[1.0, 0.5], [0.5, -1.0]]] * 9,
+    "jumps3.json": [[[1.0, 0.5, -0.25], [0.5, -1.0, 0.75], [-0.25, 0.75, 0.5]]] * 9,
     "nonsym.json": [[[0.0, 0.0], [0.0, 0.0]]] * 8 + [[[0.0, 1.0], [0.0, 0.0]]],
 }
 
@@ -332,6 +333,14 @@ INVOCATIONS = [
     "classify --model step60.json --N 5 --criteria t7,cor3,carleman",
     "classify --model step60.json --N 29",
     "classify --model step40-flat.json",
+    # scalar off-diagonal blocks, one BLAS product per step: a march past the float range,
+    # and on an uneven lattice with jumps an order-3 vector state, and an order-3 matrix
+    # state, whose nine entries keep the loop of three BLAS products
+    "jacobi recurrence --d const:1 --n 2 --H const:1e300 --u0 1,1 --u1 1,-0.5 --steps 100",
+    "jacobi recurrence --d list:0.3,1.7,0.9,2.2,0.45,1.3,0.8,1.1,0.6,1.9 --n 3"
+    " --H file:jumps3.json --u0 1,-0.5,0 --u1=-0,1,0.25 --steps 9",
+    "jacobi cauchy --d list:0.3,1.7,0.9,2.2,0.45,1.3,0.8,1.1,0.6,1.9 --n 3"
+    " --H file:jumps3.json --i 8 --j 1",
 ]
 # after the help screens: numbers past the range of int, float or complex, and deep nesting
 RANGE_INVOCATIONS = [

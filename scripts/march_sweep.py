@@ -9,7 +9,9 @@ imaginary part (complex states on real blocks; no workload or command line
 runs these), and of perturbed christ-stolz lattices at orders 1 and 2 (jumps
 H_k + S_k with seeded symmetric S_k, so A_k != O: the step loops, where the
 christ-stolz rows march as running products), with the blocks built outside
-the timing, so the time includes the first-use B^-1 stack, ``l2_tail_report`` of the
+the timing, so the time includes the first-use B^-1 stack, and, built the same way,
+``solve_recurrence`` of a perturbed order-3 lattice and ``discrete_cauchy`` K_{i,1} of the
+perturbed order-2 lattice (matrix states) over as many steps, ``l2_tail_report`` of the
 order-1 solutions of 2500 to 10^5 steps, ``build_report`` on those reports'
 terms (an l2 tail with alternating zeros), ``carleman_report`` (N = the
 steps) on the christ-stolz blocks of the same sizes, ``t4_term`` over segments of
@@ -22,7 +24,9 @@ less three) on the same spacings,
 fires, so every pass runs), ``canonical_json`` of the JSON form of such
 a report with 10^3 to 10^5 floats (terms and partial sums),
 ``fundamental_pair`` and ``equivalence_residual`` on christ-stolz delta
-models of 500 to 10^4 nodes, ``DeltaNodes.from_spacings``, ``DeltaNodes``
+models of 500 to 10^4 nodes, and ``fundamental_pair`` of those models on the midpoints
+of their cells (a grid off the cuts, which the cell walk marches),
+``DeltaNodes.from_spacings``, ``DeltaNodes``
 from the nodes (their running sums, as a list), ``classify_detailed`` with
 the default config (one model per size, so every repeat but the first sees
 what the model keeps between calls) and ``cor2_series`` (the diagonal
@@ -214,10 +218,10 @@ def build_jobs() -> list:
     import numpy as np
     from sldl import (DeltaNodes, Diagonal, GeneralTriple, IntervalSeq, LinearSigma, OffDiagonal,
                       QuasiState, StepSigma, blocks_from_delta, build_report, carleman_report,
-                      christ_stolz_family, cor2_series, cor3_check, equivalence_residual,
-                      fundamental_pair, kernel_square_integrals, l2_tail_report,
-                      solution_norm_integral, solve_recurrence, t1_series, t2_predicate, t4_term,
-                      t7_check)
+                      christ_stolz_family, cor2_series, cor3_check, discrete_cauchy,
+                      equivalence_residual, fundamental_pair, kernel_square_integrals,
+                      l2_tail_report, solution_norm_integral, solve_recurrence, t1_series,
+                      t2_predicate, t4_term, t7_check)
     from sldl import cli
     from sldl.cli import canonical_json
     from sldl.bridge import classify_detailed
@@ -257,6 +261,17 @@ def build_jobs() -> list:
                   lambda blocks, u0=u0, u1=u1, steps=steps: solve_recurrence(blocks, u0, u1, steps),
                   lambda jumps=jumps, steps=steps: blocks_from_delta(d[:steps + 2],
                                                                      jumps[:steps + 1]))
+    perturbed_rng = np.random.default_rng(406)  # its own seed: the models above stay as they were
+    s = perturbed_rng.uniform(-0.25, 0.25, (len(d) - 1, 3, 3))
+    perturbed[3] = christ_stolz_family(len(d), 3)[1] + s + s.transpose(0, 2, 1)
+    for steps in STEPS:  # order 3 steps and K_ij of order 2, the blocks built as above
+        timed("solve_recurrence perturbed n=3", steps,
+              lambda blocks, steps=steps: solve_recurrence(blocks, [1.0, 0.5, 0.25],
+                                                           [0.0, 1.0, -1.0], steps),
+              lambda steps=steps: blocks_from_delta(d[:steps + 2], perturbed[3][:steps + 1]))
+        timed("discrete_cauchy perturbed n=2", steps,
+              lambda blocks, steps=steps: discrete_cauchy(blocks, steps, 1),
+              lambda steps=steps: blocks_from_delta(d[:steps + 2], perturbed[2][:steps + 1]))
     for steps in STEPS:  # the series reports of the order-1 march, built outside the timing
         blocks = blocks_from_delta(d[:steps + 2], H[:steps + 1])
         solution = solve_recurrence(blocks, [1.0], [0.0], steps)
@@ -292,6 +307,10 @@ def build_jobs() -> list:
               lambda model=model, grid=grid: fundamental_pair(model, 0.0, grid))
         timed("equivalence_residual", nodes,
               lambda model=model, nodes=nodes: equivalence_residual(model, nodes - 3, state))
+        # the cell midpoints: every span cut off the cuts takes the walk
+        off = (0.0, *((np.array(grid[:-1]) + grid[1:]) / 2).tolist())
+        timed("fundamental_pair off the cuts", nodes,
+              lambda model=model, off=off: fundamental_pair(model, 0.0, off))
     for count in SPACINGS:
         timed("DeltaNodes.from_spacings", count, lambda count=count: DeltaNodes.from_spacings(
             1, d[:count], H[:count], tail=d[count]))

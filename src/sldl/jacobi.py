@@ -25,12 +25,15 @@ spacings (``matcore.floats``) and one exactly symmetric float64 stack of jumps, 
 form slices as they are (its libm logs and exps take ``tolist``), and one lazily built stack of
 the shifted jumps H_k + (1/d_k + 1/d_{k+1}) I that A_k, t7 and cor3 slice. ``JacobiBlocks`` stores
 A exactly Hermitian and B as ``as_stack`` gives it, float64 for every lattice. The recurrence
-marches with the lazily built stacks B_inv and B_star: three BLAS products into buffers per
-step, or three Python products at order n = 1, and t4 steps a 2n x 2n gram by two matmuls per
-row. Where every A_k read is O and every B_k a real b_k I (every ``cancel`` lattice), a march
-from a finite start is one running product of b_k factors per parity, and t4's rows are two
-scalar chains in Python floats. States take the dtype of blocks and start: float64 when both
-are real, complex128 otherwise. Slot k holds A_k and B_k from A_0, B_0; indices k are 1-based.
+marches with the lazily built stacks B_inv and B_star. Where every B_k read is a scalar b_k I
+(every lattice's blocks, and every order-1 stack), a step of a real state of up to six entries
+is one BLAS product A_k u_k and Python arithmetic on the entries, at order 1 Python products
+alone; other states and blocks take three BLAS products into buffers per step. t4 steps a 2n x 2n
+gram by two matmuls per row. Where every A_k read is O as well (every ``cancel`` lattice), a
+march from a finite start is one running product of b_k factors per parity, and t4's rows are
+two scalar chains in Python floats. States take the dtype of blocks and start: float64 when
+both are real, complex128 otherwise. Slot k holds A_k and B_k from A_0, B_0; indices k are
+1-based.
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ from .reports import (
 )
 
 _LOG_MAX = math.log(np.finfo(float).max)
+# the most state entries a scalar-B step takes in Python floats: from about 7 on, their
+# arithmetic costs more than the two BLAS products it saves (n = 4 .. 8, 2500 steps)
+_SCALAR_STEP_ENTRIES = 6
 
 
 class NonPositiveSpacingError(ValueError):
@@ -268,31 +274,51 @@ def recurrence_summands(blocks: JacobiBlocks, u: np.ndarray, lo: int, hi: int):
 def _steps(A, B_inv, B_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray) -> None:
     """out[m] = u_{m+1} = -B_inv[m] (A[m] u_m + B_star[m] u_{m-1}), from (u_-1, u_0) = (prev, cur).
 
-    The states are (n,) or (n, k) arrays in the blocks' dtype. At order 1 each
-    column steps in Python floats or complex numbers; the 0.0 + (0j + for complex
-    blocks) gives the product the +0 start of the BLAS accumulator, so zero signs
-    and every bit match the BLAS loop of order n >= 2, NaN signs aside: where two
-    NaNs meet, CPython returns either one, depending on how warm its interpreter
-    is. A zero + on each summand would change only zero signs, which the products
-    keep and that add turns into +0.0, inf and NaN included.
+    The states are (n,) or (n, k) arrays in the blocks' dtype, n >= 2; each step is three
+    BLAS products into buffers (a Python sum would lose the FMA of the kernel). ``_march``
+    takes it for complex states, states of more than ``_SCALAR_STEP_ENTRIES`` entries and
+    off-diagonal blocks that are not all scalar.
     """
+    t1, t2 = np.empty_like(cur), np.empty_like(cur)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b_inv, b_star, row in zip(A, B_inv, B_star, out):
+            np.add(a.dot(cur, t1), b_star.dot(prev, t2), out=t1)
+            prev, cur = cur, np.negative(b_inv.dot(t1, t2), out=row)
+
+
+def _scalar_steps(A, b_inv: list, b_star: list, prev: np.ndarray, cur: np.ndarray,
+                  out: np.ndarray) -> None:
+    """``_steps`` for B_m = b_m I, b_inv and b_star lists of Python numbers: each state entry
+    steps as -(0.0 + b_inv[m] (x + b_star[m] p)), x its entry of A[m] u_m and p of u_{m-1}.
+
+    x is a u_m at order 1, where each column steps alone in Python floats or complex numbers
+    (0j + for complex blocks), and one BLAS product at n >= 2 (real states; a Python sum would
+    lose the FMA of the kernel). A BLAS product with b I starts from +0 and adds only exact
+    zeros to one product, so the 0.0 + gives every zero the sign of ``_steps`` and every bit
+    matches; a NaN of 0 * inf there is an inf here, in the same row. NaN signs aside: where
+    two NaNs meet, CPython returns either one, depending on how warm its interpreter is. A
+    zero + on each summand would change only zero signs, which the products keep and that
+    add turns into +0.0, inf and NaN included.
+    """
+    zero, rows = 0.0 if out.dtype == float else 0j, out.reshape(len(out), -1)
+    ps, cs = prev.reshape(-1).tolist(), cur.reshape(-1).tolist()
     if len(cur) == 1:
-        zero = 0.0 if A.dtype == float else 0j
-        entries = [x[:, 0, 0].tolist() for x in (A, B_inv, B_star)]
-        cols = out.reshape(len(out), -1)
-        for j, (p, c) in enumerate(zip(prev.reshape(-1).tolist(), cur.reshape(-1).tolist())):
+        entries = A[:, 0, 0].tolist()
+        for j, (p, c) in enumerate(zip(ps, cs)):
             col = []
-            for a, b_inv, b_star in zip(*entries):
-                p, c = c, -(zero + b_inv * (a * c + b_star * p))
+            for a, bi, bs in zip(entries, b_inv, b_star):
+                p, c = c, -(zero + bi * (a * c + bs * p))
                 col.append(c)
-            cols[:, j] = col
-    else:
-        # n >= 2: one BLAS call per product, into buffers (Python sums would lose its FMA)
-        t1, t2 = np.empty_like(cur), np.empty_like(cur)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a, b_inv, b_star, row in zip(A, B_inv, B_star, out):
-                np.add(a.dot(cur, t1), b_star.dot(prev, t2), out=t1)
-                prev, cur = cur, np.negative(b_inv.dot(t1, t2), out=row)
+            rows[:, j] = col
+        return
+    au = np.empty(cur.shape, dtype=out.dtype)
+    flat = au.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, bi, bs, state, row in zip(A, b_inv, b_star, out, rows):
+            a.dot(cur, au)
+            ps, cs = cs, [-(zero + bi * (x + bs * p)) for x, p in zip(flat.tolist(), ps)]
+            row[:] = cs
+            cur = state
 
 
 def _products(b_inv, b_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray) -> None:
@@ -319,9 +345,12 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike.
     The stack is float64 when the blocks and (prev, cur) are real and
     complex128 otherwise; complex states on real blocks march on complex
-    copies of the blocks they read. Raises IndexOutOfRangeError before the
-    first step if a block is not stored, and FloatRangeError naming the first step
-    whose state leaves the float range.
+    copies of the blocks they read. The steps are ``_products`` from a finite
+    start where every A_k read is O and every B_k a real b_k I, ``_scalar_steps``
+    at order 1 and where every B_k read is a real b_k I and a real state has at
+    most ``_SCALAR_STEP_ENTRIES`` entries, and ``_steps`` otherwise.
+    Raises IndexOutOfRangeError before the first step if a block is not stored,
+    and FloatRangeError naming the first step whose state leaves the float range.
     """
     dtype = np.result_type(blocks.A, prev, cur)
     out = np.empty((max(stop - start, 0),) + cur.shape, dtype=dtype)
@@ -333,8 +362,13 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     if b is not None and np.isfinite([prev, cur]).all():
         _products(blocks.B_inv[s][1:, 0, 0], b[:-1], prev, cur, out)
     else:
-        _steps(*(x.astype(dtype, copy=False) for x in (
-            blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1])), prev, cur, out)
+        A, B_inv, B_star = (x.astype(dtype, copy=False) for x in (
+            blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1]))
+        if blocks.n == 1 or (dtype == float and cur.size <= _SCALAR_STEP_ENTRIES
+                             and scalars(blocks.B[s]) is not None):
+            _scalar_steps(A, B_inv[:, 0, 0].tolist(), B_star[:, 0, 0].tolist(), prev, cur, out)
+        else:
+            _steps(A, B_inv, B_star, prev, cur, out)
     if (k := first_nonfinite(out)) is not None:
         raise FloatRangeError(f"the recurrence leaves the float range at step {start + k} "
                               f"(u_{start + k + 1})")

@@ -16,7 +16,8 @@ values of ``LinearSigma``, are exactly symmetric float64 stacks; general and
 distributional pieces and generators keep the dtype of their data. Coefficients
 are piecewise constant, so propagation across a piece is an exact matrix
 exponential. One cell walker, ``_cells``, enumerates the pieces of one or
-more spans and picks the working coordinates: classical (f, f') with free
+more spans (slicing the runs of whole pieces between two cuts) and picks the
+working coordinates: classical (f, f') with free
 flights and jumps of f' for step and delta models, (f, f1) with the piece
 generator otherwise. It stacks each cell's jump and propagator up front
 (closed forms, or one stacked ``expm`` call). At lam = 0 the jumps and
@@ -381,6 +382,16 @@ def _jumps(ds: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _cut_span(cuts: tuple[float, ...], i: int, x0, x1, inner: list) -> int | None:
+    """j if the span [x0, x1] of piece i runs from cuts[i] to a cut cuts[j], j >= i + 2, and
+    its stops inside are none or exactly cuts[i + 1 .. j - 1]: two or more whole pieces, which
+    slices list faster than the walk (a single piece the walk lists faster); else None."""
+    if cuts[i] != x0 or not x0 < x1 <= cuts[-1] or not x1 > cuts[i + 1]:
+        return None
+    j = bisect_left(cuts, x1, i + 2)
+    return j if cuts[j] == x1 and (not inner or inner == list(cuts[i + 1:j])) else None
+
+
 # per cell: piece, jump (or None), generator, length, end and propagator; the first
 # cell of each span; at order 1 and lam = 0 each jump is the cell's dS as a Python
 # float, and the generator and propagator stacks are None
@@ -391,7 +402,9 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     """The cells of the spans [x0, x1], with every state-independent operator stacked.
 
     Cells are the pieces clipped to each span, walked alone, and cut again at
-    the sorted points ``stops``; ``jump`` (or None) applies at the cell's
+    the sorted points ``stops``; a span of two or more whole pieces of a step or
+    delta model (``_cut_span``) takes them by slices of the cuts and the lattice
+    spacings instead, with the walk's fields. ``jump`` (or None) applies at the cell's
     start and ``prop`` = exp(generator * length) carries the state across;
     ``first`` holds the index of each span's first cell and ``end`` is an
     array of the cells' end points. Step and delta models work in classical
@@ -419,8 +432,19 @@ def _cells(model, lam: complex, spans, stops=()) -> Cells:
     count = 0  # len(pieces)
     for x0, x1 in spans:
         first.append(count)
-        marks = iter([x for x in stops if x0 < x < x1])
-        i, pos, mark = piece_index(model, x0), x0, next(marks, x1)
+        inner = [x for x in stops if x0 < x < x1] if stops else []
+        i = piece_index(model, x0)
+        if classical and (j := _cut_span(cuts, i, x0, x1, inner)) is not None:
+            # whole pieces i .. j - 1, each jumped, each of its lattice spacing: no walk
+            pieces.extend(range(i, j))
+            jumped.extend(range(count, count + j - i))
+            picks.extend([i, *range(last + i + 1, last + j)])
+            lengths.extend(spacings[i:j].tolist())
+            ends.extend(cuts[i + 1:j + 1])
+            count += j - i
+            continue
+        marks = iter(inner)
+        pos, mark = x0, next(marks, x1)
         while pos < x1:
             end = cuts[i + 1] if i < last else X
             stop = mark if mark < end else end  # min(end, mark): end on a tie

@@ -38,6 +38,7 @@ from sldl.jacobi import (
     Lattice,
     NonPositiveSpacingError,
     _power_exponent,
+    _scalar_steps,
     _steps,
     blocks_from_json,
     blocks_to_json,
@@ -45,7 +46,13 @@ from sldl.jacobi import (
     recurrence_summands,
     spacing_square_divergence,
 )
-from sldl.matcore import FloatRangeError, NonSymmetricError, condition, frobenius_norm
+from sldl.matcore import (
+    FloatRangeError,
+    NonSymmetricError,
+    condition,
+    first_nonfinite,
+    frobenius_norm,
+)
 from sldl.reports import CONVERGES, DIVERGES, INCONCLUSIVE, build_report
 
 
@@ -932,7 +939,8 @@ def test_order_1_steps_keep_the_bits_of_a_zero_add_on_every_summand(data, cplx):
                                  dtype=dtype).reshape(m, 1, 1) for _ in range(3))
     p, c = data.draw(entry), data.draw(entry)
     out = np.empty((m, 1), dtype=dtype)
-    _steps(A, B_inv, B_star, np.array([p], dtype=dtype), np.array([c], dtype=dtype), out)
+    _scalar_steps(A, B_inv.ravel().tolist(), B_star.ravel().tolist(),
+                  np.array([p], dtype=dtype), np.array([c], dtype=dtype), out)
     want = []
     for a, b_inv, b_star in zip(A.ravel().tolist(), B_inv.ravel().tolist(),
                                 B_star.ravel().tolist()):
@@ -1030,13 +1038,18 @@ def test_zero_diagonal_marches_keep_every_bit_of_the_matmul_step(seed, monkeypat
 
 
 def loop_march(blocks, u0, u1, count):
-    """The recurrence by ``_steps`` alone on the stacks ``_march`` passes it."""
+    """The recurrence by a step loop alone on the stacks ``_march`` passes it: the Python
+    loop of ``_scalar_steps`` at order 1, the three BLAS products of ``_steps`` above it."""
     dtype = np.result_type(blocks.A, u0, u1)
     out = np.empty((count - 2, blocks.n), dtype=dtype)
     s = slice(0, count - 1)
+    A, B_inv, B_star, u0, u1 = (np.asarray(x).astype(dtype) for x in (
+        blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1], u0, u1))
     with np.errstate(all="ignore"):
-        _steps(*(np.asarray(x).astype(dtype) for x in (
-            blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1], u0, u1)), out)
+        if blocks.n == 1:
+            _scalar_steps(A, B_inv.ravel().tolist(), B_star.ravel().tolist(), u0, u1, out)
+        else:
+            _steps(A, B_inv, B_star, u0, u1, out)
     return out
 
 
@@ -1106,6 +1119,147 @@ def test_a_march_past_a_non_scalar_boundary_takes_the_running_products(monkeypat
     products = count_calls(monkeypatch, "_products")
     check_against_the_matmul_step(blocks, 1.0, 0.0, [(398, 1), (300, 7)])
     assert len(products) == 2
+
+
+# ---------------------------------------------------------------------------
+# scalar off-diagonal marches: one BLAS product per step
+
+
+def scalar_b_blocks(rng, n: int, count: int, spread: float) -> JacobiBlocks:
+    """Real blocks without provenance: B_k = b_k I, |b_k| = e^U(-spread, spread) of either sign,
+    and symmetric A_k, some O and some with zero rows and columns of either zero sign."""
+    a = rng.uniform(-2.0, 2.0, (count, n, n))
+    A = a + a.transpose(0, 2, 1)
+    for k, i in zip(*np.nonzero(rng.random((count, n)) < 0.3)):
+        A[k, i, :] = A[k, :, i] = rng.choice([0.0, -0.0])
+    A[rng.random(count) < 0.1] = 0.0
+    b = rng.choice([-1.0, 1.0], count) * np.exp(rng.uniform(-spread, spread, count))
+    return JacobiBlocks(n, A, b[:, None, None] * np.eye(n))
+
+
+def perturbed_lattice_blocks(rng, n: int, count: int) -> JacobiBlocks:
+    """The blocks of a seeded lattice with its provenance: spacings U(0.1, 2) and jumps
+    ``cancel_jumps`` + S_k, S_k symmetric with entries up to 0.5, so A_k != O."""
+    d = tuple(rng.uniform(0.1, 2.0, count).tolist())
+    s = rng.uniform(-0.25, 0.25, (count - 1, n, n))
+    return blocks_from_delta(d, cancel_jumps(d, n) + s + s.transpose(0, 2, 1))
+
+
+def three_product_march(blocks, prev, cur, start: int, stop: int) -> np.ndarray:
+    """u_{start+1} .. u_stop by ``_steps``, the loop of three BLAS products per step, on the
+    stacks ``_march`` reads."""
+    s = slice(start - 1, stop)
+    out = np.empty((stop - start,) + np.shape(cur))
+    with np.errstate(all="ignore"):
+        _steps(blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1], prev, cur, out)
+    return out
+
+
+def scalar_step_march(blocks, prev, cur, start: int, stop: int) -> np.ndarray:
+    """``three_product_march`` by ``_scalar_steps``, whatever the size of the states."""
+    s = slice(start - 1, stop)
+    out = np.empty((stop - start,) + np.shape(cur))
+    with np.errstate(all="ignore"):
+        _scalar_steps(blocks.A[s][1:], blocks.B_inv[s][1:, 0, 0].tolist(),
+                      blocks.B_star[s][:-1, 0, 0].tolist(), prev, cur, out)
+    return out
+
+
+def check_scalar_marches(blocks, u0, u1) -> list:
+    """solve_recurrence from (u0, u1), K_ij of ``cauchy_pairs`` and a march of (n, 2) states,
+    each against ``three_product_march``: the same bytes, or the FloatRangeError of its first
+    row out of the float range; and ``scalar_step_march`` of each, whichever step the march
+    takes for its states, against it in the same way. Returns whether each march left the
+    float range."""
+    count, n = len(blocks.B), blocks.n
+    wide = np.stack([u0, u1], axis=1), np.stack([u1, -u0], axis=1)
+    cases = [(u0, u1, 1, count - 1, lambda: solve_recurrence(blocks, u0, u1, count)[2:]),
+             (*wide, 1, count - 1, lambda: jacobi._march(blocks, *wide, 1, count - 1))]
+    cases += [(np.zeros((n, n)), blocks.B_inv[j], j + 1, i,
+               lambda i=i, j=j: discrete_cauchy(blocks, i, j)[None])
+              for i, j in cauchy_pairs(count) if i > j + 1]
+    outcomes = []
+    for prev, cur, start, stop, march in cases:
+        want = three_product_march(blocks, prev, cur, start, stop)
+        scalar = scalar_step_march(blocks, prev, cur, start, stop)
+        error = reference_error(want, start)
+        assert reference_error(scalar, start) == error
+        if error is None:
+            got = march()
+            assert got.tobytes() == want[-len(got):].tobytes()
+            assert scalar.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(FloatRangeError, match=re.escape(error)):
+                march()
+            k = first_nonfinite(want)
+            assert scalar[:k].tobytes() == want[:k].tobytes()
+        outcomes.append(error is not None)
+    return outcomes
+
+
+_SEED_ENTRIES = [0.0, -0.0, 1.0, -0.5, 3.0, 1e-300, -1e300]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_scalar_b_marches_keep_the_bytes_of_the_three_product_loop(n, seed, monkeypatch):
+    # every B_k read is b_k I: one BLAS product A_k u_k per step, the rest in Python
+    # floats, with the loop's bytes and zero signs and its first step out of range;
+    # states of more than six entries march on the loop
+    rng = np.random.default_rng([seed, n, 40])
+    loops, scalar = count_calls(monkeypatch, "_steps"), count_calls(monkeypatch, "_scalar_steps")
+    outcomes = []
+    for spread in (0.5, 3.0, 30.0):
+        for blocks in (scalar_b_blocks(rng, n, int(rng.integers(5, 150)), spread),
+                       perturbed_lattice_blocks(rng, n, int(rng.integers(5, 150)))):
+            for u0, u1 in rng.choice(_SEED_ENTRIES, (2, 2, n)):
+                outcomes += check_scalar_marches(blocks, u0, u1)
+    assert set(outcomes) == {False, True}  # marches that overflow, and marches that do not
+    assert scalar and all(cur.size > 6 for _, _, _, _, cur, _ in loops)
+
+
+@given(st.integers(2, 3), st.integers(3, 400), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.5, 3.0, 30.0]), st.lists(st.sampled_from(_SEED_ENTRIES), min_size=6,
+                                                   max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_drawn_scalar_b_marches_keep_the_bytes_of_the_three_product_loop(n, count, seed,
+                                                                        spread, entries):
+    blocks = scalar_b_blocks(np.random.default_rng(seed), n, count, spread)
+    check_scalar_marches(blocks, np.array(entries[:n]), np.array(entries[3:3 + n]))
+
+
+def test_complex_states_and_non_scalar_blocks_keep_the_three_product_loop(monkeypatch):
+    rng = np.random.default_rng(41)
+    blocks = perturbed_lattice_blocks(rng, 2, 60)
+    loops, scalar = count_calls(monkeypatch, "_steps"), count_calls(monkeypatch, "_scalar_steps")
+
+    def took(march) -> str:
+        loops.clear()
+        scalar.clear()
+        march()
+        return "loop" * len(loops) + "scalar" * len(scalar)
+
+    seeds = ([1.0, -0.0], [0.0, 1.0])
+    assert took(lambda: solve_recurrence(blocks, *seeds, 50)) == "scalar"
+    assert took(lambda: discrete_cauchy(blocks, 40, 3)) == "scalar"
+    assert took(lambda: solve_recurrence(blocks, [1.0, 0.5j], [0.0, 1.0], 50)) == "loop"
+    obj = blocks_to_json(blocks)
+    del obj["provenance"]
+    obj["B"][7][0][1] = obj["B"][7][1][0] = 0.25  # B_7 is not a scalar matrix
+    bumped = blocks_from_json(obj)
+    assert took(lambda: solve_recurrence(bumped, *seeds, 50)) == "loop"
+    assert took(lambda: discrete_cauchy(bumped, 40, 10)) == "scalar"  # reads B_10 .. B_39
+    boundary = blocks_from_delta(blocks.provenance.d, blocks.provenance.H,
+                                 boundary=(np.zeros((2, 2)), [[2.0, 0.5], [0.5, 1.0]]))
+    assert took(lambda: solve_recurrence(boundary, *seeds, 50)) == "loop"
+    assert took(lambda: discrete_cauchy(boundary, 40, 1)) == "scalar"  # B_0 is not read
+    order_1 = perturbed_lattice_blocks(rng, 1, 60)  # the order-1 loop, complex states too
+    for u0 in (1.0, 1.0 + 0.5j):
+        assert took(lambda: solve_recurrence(order_1, [u0], [0.0], 50)) == "scalar"
+    # states of more than six entries keep the loop: three entries, then nine
+    order_3 = perturbed_lattice_blocks(rng, 3, 60)
+    assert took(lambda: solve_recurrence(order_3, [1.0, 0.0, 0.5], [0.0, 1.0, 0.0], 50)) == "scalar"
+    assert took(lambda: discrete_cauchy(order_3, 40, 3)) == "loop"
 
 
 # ---------------------------------------------------------------------------

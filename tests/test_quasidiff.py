@@ -460,6 +460,80 @@ def test_cells_walk_equals_the_walk_before_its_invariants_were_hoisted(model, da
     assert same_cells(got, reference_march.stacked_cells(model, lam, spans, stops=stops))
 
 
+def count_cut_spans(monkeypatch) -> list:
+    """The value of every ``_cut_span`` call, which still runs: j for a span of whole pieces,
+    which ``_cells`` slices, None for one that it walks."""
+    calls, real = [], quasidiff._cut_span
+    monkeypatch.setattr(quasidiff, "_cut_span", lambda *args: calls.append(real(*args)) or calls[-1])
+    return calls
+
+
+def models_on_twelve_cuts(n: int, seed: int):
+    """A step model, a delta model on the same uneven cuts, and a delta model whose
+    spacings are stored verbatim (its cuts are their running sums), all seeded."""
+    rng = np.random.default_rng([seed, n, 40])
+    spacings = rng.uniform(0.2, 1.5, 11)
+    cuts = (0.0, *np.cumsum(spacings).tolist())
+    values = [random_symmetric(rng, n, 2.0) for _ in cuts]
+    return (StepSigma(n, cuts, values, cuts[-1] + 0.75),
+            DeltaNodes(n, cuts[1:], values[1:], cuts[-1] + 0.75),
+            DeltaNodes.from_spacings(n, spacings, values[1:], tail=0.75))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("lam", [0.0, 0.5j])
+@pytest.mark.parametrize("n", [1, 2])
+def test_spans_of_whole_pieces_are_sliced_with_the_fields_of_the_walk(n, lam, seed, monkeypatch):
+    # spans from a cut to a cut two or more pieces on, stopped nowhere inside or at every
+    # cut inside, are sliced; every other span is walked; both give the walk's fields,
+    # Python-float lengths, end bytes, jump types and values and first cells included
+    taken = count_cut_spans(monkeypatch)
+    for model in models_on_twelve_cuts(n, seed):
+        c, X = model.cuts, model.X
+        mid = [(a + b) / 2 for a, b in zip(c, (*c[1:], X))]
+        cases = [  # spans, stops, and whether each span is sliced
+            ([(c[0], c[-1])], (), [True]),
+            ([(c[2], c[9])], c, [True]),
+            ([(c[2], c[9])], c[3:9], [True]),
+            ([(c[2], c[9])], c[::2], [False]),
+            ([(c[2], c[9])], c[3:8], [False]),
+            ([(c[1], c[6])], mid, [False]),
+            ([(c[3], X)], (), [False]),
+            ([(c[3], c[-1])], (X,), [True]),
+            ([(mid[0], c[4])], (), [False]),
+            ([(c[4], mid[8])], (), [False]),
+            ([(c[3], c[4])], (), [False]),
+            ([(c[5], c[5])], (), [False]),
+            ([(c[0], c[6]), (c[6], c[-1]), (mid[2], mid[7]), (c[7], X)], (), [True, True, False,
+                                                                                False]),
+            ([(c[0], c[6]), (c[6], c[-1])], (c[3], mid[8]), [False, False]),
+            ([(c[0], c[6]), (c[6], c[-1])], (*c[1:6], mid[8]), [True, False]),
+        ]
+        for spans, stops, sliced in cases:
+            taken.clear()
+            got = _cells(model, lam, spans, stops=stops)
+            assert same_cells(got, reference_march.stacked_cells(model, lam, spans, stops=stops))
+            assert [j is not None for j in taken] == sliced
+        if n == 1 and lam == 0:
+            assert {type(x) for x in _cells(model, lam, [(c[0], c[-1])]).length} == {float}
+
+
+def test_node_grids_and_residuals_slice_and_grids_off_the_nodes_walk(monkeypatch):
+    d, H = christ_stolz_family(301)
+    model = DeltaNodes.from_spacings(1, d[:300], H[:300], tail=d[300])
+    taken = count_cut_spans(monkeypatch)
+    fundamental_pair(model, 0.0, (0.0, *model.nodes))
+    fundamental_pair(model, 0.0, (0.0, *model.nodes[:150]))
+    bridge.equivalence_residual(model, 200, QuasiState([0.3], [1.0]))
+    assert taken == [300, 150, 300]
+    taken.clear()
+    grid = (0.0, *((np.array(model.nodes[:-1]) + model.nodes[1:]) / 2).tolist())
+    fundamental_pair(model, 0.0, grid)
+    fundamental_pair(model, 0.0, (0.0, *model.nodes[:100:2]))
+    t1_series(model, IntervalSeq(((0.0, model.X),)))
+    assert taken == [None] * 3
+
+
 def test_order_one_cells_at_lam_zero_build_no_matrix_stacks(monkeypatch):
     # the march, the kernel and solution-norm passes and the pair read jump and length only
     def refuse(*args):
