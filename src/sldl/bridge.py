@@ -4,7 +4,7 @@ A delta-interaction model and its block-lattice counterpart describe the
 same operator: sampling a solution f at the nodes and rescaling,
 Z_k = r_{k+1} f(x_k) with r_{k+1} = sqrt(d_k + d_{k+1}), turns the node
 jump conditions into the three-term block recurrence built by
-``jacobi.blocks_from_delta``. ``equivalence_residual`` checks that
+``jacobi.blocks_from_lattice``. ``equivalence_residual`` checks that
 correspondence numerically and is the package's central cross-check; if
 it fails, something upstream is miscounted.
 

@@ -31,6 +31,10 @@ import sys
 import numpy as np
 
 from .bridge import (
+    INCONCLUSIVE_CLASS,
+    LIMIT_CIRCLE,
+    LIMIT_POINT,
+    NOT_LIMIT_CIRCLE,
     ClassifyConfig,
     ConflictingEvidenceError,
     classify_detailed,
@@ -64,11 +68,11 @@ from .jacobi import (
 )
 from .matcore import floats, matrix_from_json, matrix_to_json
 from .quasidiff import DeltaNodes, LinearSigma, QuasiState, model_from_json
-from .reports import VERDICT_POLICY
+from .reports import CONVERGES, DIVERGES, INCONCLUSIVE, VERDICT_POLICY
 
 SCHEMA = "sldl/1"
-VERDICTS = ("DivergesProven", "ConvergesBounded", "Inconclusive")
-CLASSIFICATIONS = ("LimitPoint", "LimitCircle", "NotLimitCircle", "Inconclusive")
+VERDICTS = (DIVERGES, CONVERGES, INCONCLUSIVE)
+CLASSIFICATIONS = (LIMIT_POINT, LIMIT_CIRCLE, NOT_LIMIT_CIRCLE, INCONCLUSIVE_CLASS)
 
 
 class ConfigError(ValueError):
@@ -422,9 +426,8 @@ def _criterion_t5(args):
 
 def _criterion_cor1(args):
     data = _load_data(args.data, "lengths", "jumps")
-    jumps = [matrix_from_json(h) for h in data["jumps"]]
-    rep = cor1_series(data["lengths"], jumps, parse_channel(args.channel),
-                      threshold=args.threshold)
+    rep = cor1_series(data["lengths"], [matrix_from_json(h) for h in data["jumps"]],
+                      parse_channel(args.channel), threshold=args.threshold)
     return _echo(args, "criterion", "data", "channel", "threshold"), {"reports": [rep.to_json()]}
 
 

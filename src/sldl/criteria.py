@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import Lattice
-from .matcore import FloatRangeError, ShapeMismatchError, as_stack, first_nonfinite
+from .matcore import FloatRangeError, ShapeMismatchError, first_nonfinite, hermitian
 from .quasidiff import (
     FundamentalPair,
     LinearSigma,
@@ -195,7 +195,7 @@ def _kick_kernel_pass(cells, count: int) -> np.ndarray:
     b' = (b + L c) + L^2/2, c' = c + L, each sum in the order of the matrix
     products. Its error is within four times that of the per-cell complex
     matrix loop on the fixtures of ``tests/test_kernel_accuracy.py``, not on
-    all models (ROADMAP item 7). The powers of L are those of
+    all models (ROADMAP item 11). The powers of L are those of
     ``_cell_integrals``; a float product past the float range is inf, as in
     numpy.
     """
@@ -396,16 +396,15 @@ def _in_python(op, values: np.ndarray) -> np.ndarray:
     return np.array([one(v) for v in values.tolist()])
 
 
-def _jump_terms(channel, jumps, count: int, diag_term, offdiag_term) -> list[float]:
+def _jump_terms(channel, mats: np.ndarray, count: int, diag_term, offdiag_term) -> list[float]:
     """The terms of a jump series over ``count`` jumps in ``channel``, all in the float range.
 
-    ``diag_term`` maps the channel's real diagonal entries to the terms and
-    ``offdiag_term`` the moduli of its off-diagonal ones. A series without
-    terms checks nothing, its channel included. The first term that is not
-    finite (a product or power past the float range, or inf times 0) raises
-    FloatRangeError naming it (1-based).
+    ``mats`` is a stack its series checked (``hermitian``, or the ``Lattice``'s). ``diag_term``
+    maps the channel's real diagonal entries to the terms and ``offdiag_term`` the moduli of
+    its off-diagonal ones. A series without terms checks nothing, its channel included. The
+    first term that is not finite (a product or power past the float range, or inf times 0)
+    raises FloatRangeError naming it (1-based).
     """
-    mats = as_stack(jumps)
     if len(mats) != count:
         raise ShapeMismatchError(f"need {count} jump matrices, got {len(mats)}")
     if not count:
@@ -418,14 +417,14 @@ def _jump_terms(channel, jumps, count: int, diag_term, offdiag_term) -> list[flo
     return terms.tolist()
 
 
-def _lattice_terms(channel, jumps, rho: np.ndarray, s: np.ndarray) -> list[float]:
+def _lattice_terms(channel, mats: np.ndarray, rho: np.ndarray, s: np.ndarray) -> list[float]:
     """Terms of jumps at distances rho and s from their intervals' ends.
 
     Diagonal channel: rho s sqrt(rho + s) sqrt|h_ii + 1.5 (1/rho + 1/s)|.
     Off-diagonal channel: (rho s)^(3/2) |h_ij|.
     """
     return _jump_terms(
-        channel, jumps, len(rho),
+        channel, mats, len(rho),
         lambda e: rho * s * np.sqrt(rho + s) * np.sqrt(np.abs(e + 1.5 * (1.0 / rho + 1.0 / s))),
         lambda a: _in_python(lambda b: b ** 1.5, rho * s) * a)
 
@@ -434,19 +433,19 @@ def t5_series(intervals: IntervalSeq, jumps, channel,
               threshold: float | None = None) -> CriterionReport:
     """Jump series over marked intervals; divergence means not limit circle.
 
-    Terms are _lattice_terms with rho = c - a and s = b - c for marker c.
+    Terms are _lattice_terms with rho = c - a and s = b - c for marker c; jumps Hermitian.
     """
     if intervals.markers is None:
         raise ValueError("jump series needs interval markers")
     ab, c = np.array(intervals.intervals).reshape(-1, 2), np.array(intervals.markers)
-    terms = _lattice_terms(channel, jumps, c - ab[:, 0], ab[:, 1] - c)
+    terms = _lattice_terms(channel, hermitian(jumps, "jump matrices"), c - ab[:, 0], ab[:, 1] - c)
     name = "t5_offdiag" if isinstance(channel, OffDiagonal) else "t5_diag"
     return build_report(name, terms, threshold=threshold)
 
 
 def cor1_series(lengths, jumps, channel,
                 threshold: float | None = None) -> CriterionReport:
-    """Midpoint-marker specialization; lengths are the full interval lengths.
+    """Midpoint-marker specialization; lengths are the full interval lengths, jumps Hermitian.
 
     Diagonal terms: rho^(5/2) sqrt|h_ii + 6/rho|; off-diagonal: rho^3 |h_ij|.
     """
@@ -457,7 +456,7 @@ def cor1_series(lengths, jumps, channel,
         raise ValueError("interval lengths must be finite")
     rho = np.array(lengths)
     terms = _jump_terms(
-        channel, jumps, len(rho),
+        channel, hermitian(jumps, "jump matrices"), len(rho),
         lambda e: _in_python(lambda r: r ** 2.5, rho) * np.sqrt(np.abs(e + 6.0 / rho)),
         lambda a: _in_python(lambda r: r ** 3, rho) * a)
     return build_report("cor1", terms, threshold=threshold)
@@ -474,7 +473,7 @@ def cor2_lattice(lat: Lattice, channel, threshold: float | None = None) -> Crite
     Terms are _lattice_terms with rho = d_k and s = d_{k+1}: diagonal terms
     d_k d_{k+1} sqrt(d_k + d_{k+1}) sqrt|h_ii + 1.5 (1/d_k + 1/d_{k+1})|,
     off-diagonal (d_k d_{k+1})^(3/2) |h_ij|. Term k needs d_{k+1}, so the
-    series runs over k = 1 .. min(len(d) - 1, len(H)).
+    series runs over k = 1 .. min(len(d) - 1, len(H)), on the lattice's checked jumps.
     """
     count = min(len(lat.d) - 1, len(lat.H))
     terms = _lattice_terms(channel, lat.H[:count], lat.d[:count], lat.d[1:count + 1])

@@ -12,7 +12,7 @@ d_k = x_k - x_{k-1}, jumps H_k, and r_{k+1} = sqrt(d_k + d_{k+1}),
     A_k = [H_k + (1/d_k + 1/d_{k+1}) I] / r_{k+1}^2,
     B_k = -I / (r_{k+1} r_{k+2} d_{k+1}),          k = 1, 2, ...
 
-while A_0, B_0 are free boundary blocks (defaults O and -I, stored with
+while A_0, B_0 are free boundary blocks (O and -I for a lattice, stored with
 the others so reports are reproducible). The determinacy tests here are series
 diagnostics: a divergent sum of 1 / ||B_k|| certifies the determinate
 (limit point) case; the paired product series checks (codes t7 and cor3)
@@ -26,7 +26,7 @@ form slices as they are (its libm logs and exps take ``tolist``), and one lazily
 the shifted jumps H_k + (1/d_k + 1/d_{k+1}) I that A_k, t7 and cor3 slice. ``JacobiBlocks`` stores
 A exactly Hermitian and B as ``as_stack`` gives it, float64 for every lattice. The recurrence
 marches with the lazily built stacks B_inv and B_star. Where every B_k read is a scalar b_k I
-(every lattice's blocks, and every order-1 stack), a step of a real state of up to six entries
+(every lattice's blocks, and every order-1 stack), a step of a real vector of up to six entries
 is one BLAS product A_k u_k and Python arithmetic on the entries, at order 1 Python products
 alone; other states and blocks take three BLAS products into buffers per step. t4 steps a 2n x 2n
 gram by two matmuls per row. Where every A_k read is O as well (every ``cancel`` lattice), a
@@ -218,12 +218,12 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return (m.conj() if m.dtype == complex else m).swapaxes(-1, -2)
 
 
-def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
+def blocks_from_lattice(lat: Lattice) -> JacobiBlocks:
     """Blocks of the lattice correspondence, with ``lat`` as their provenance.
 
-    Needs len(H) >= len(d) - 1; an extra trailing jump is ignored. The
-    boundary pair (A_0, B_0) defaults to (O, -I) and is only stored, never
-    used by the determinacy criteria. A block past the float range is a FloatRangeError.
+    Needs len(H) >= len(d) - 1; an extra trailing jump is ignored. (A_0, B_0) is (O, -I),
+    only stored, never used by the determinacy criteria (another pair enters by blocks JSON
+    or the ``JacobiBlocks`` constructor). A block past the float range is a FloatRangeError.
     """
     m = len(lat.d)
     if m < 2:
@@ -231,10 +231,6 @@ def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
     if len(lat.H) not in (m - 1, m):
         raise ShapeMismatchError(f"need {m - 1} (or {m}) jumps for {m} spacings")
     n = lat.H.shape[1]
-    if boundary is None:
-        a0, b0 = np.zeros((n, n)), -np.eye(n)
-    else:
-        a0, b0 = real_symmetric(boundary, "boundary blocks", n)
     # r_{k+1}^2 = d_k + d_{k+1}; one square root per r_{k+1} r_{k+2} keeps
     # integer-valued products exact (d == 1 gives exactly 2.0). A takes the
     # product with 1 / r^2: the bits of the complex division by r^2 it replaces
@@ -244,12 +240,13 @@ def blocks_from_lattice(lat: Lattice, boundary=None) -> JacobiBlocks:
         B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * lat.d[1:-1, None, None])
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise FloatRangeError("lattice blocks overflow: spacings too small or jumps too large")
-    return JacobiBlocks(n, np.concatenate([a0[None], A]), np.concatenate([b0[None], B]), lat)
+    return JacobiBlocks(n, np.concatenate([np.zeros((1, n, n)), A]),
+                        np.concatenate([-np.eye(n)[None], B]), lat)
 
 
-def blocks_from_delta(d, H, boundary=None) -> JacobiBlocks:
+def blocks_from_delta(d, H) -> JacobiBlocks:
     """``blocks_from_lattice`` of the lattice (d, H)."""
-    return blocks_from_lattice(Lattice(d, H), boundary)
+    return blocks_from_lattice(Lattice(d, H))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +273,8 @@ def _steps(A, B_inv, B_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray)
 
     The states are (n,) or (n, k) arrays in the blocks' dtype, n >= 2; each step is three
     BLAS products into buffers (a Python sum would lose the FMA of the kernel). ``_march``
-    takes it for complex states, states of more than ``_SCALAR_STEP_ENTRIES`` entries and
-    off-diagonal blocks that are not all scalar.
+    takes it for complex states, matrix states, vectors of more than ``_SCALAR_STEP_ENTRIES``
+    entries and off-diagonal blocks that are not all scalar.
     """
     t1, t2 = np.empty_like(cur), np.empty_like(cur)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -292,10 +289,12 @@ def _scalar_steps(A, b_inv: list, b_star: list, prev: np.ndarray, cur: np.ndarra
     steps as -(0.0 + b_inv[m] (x + b_star[m] p)), x its entry of A[m] u_m and p of u_{m-1}.
 
     x is a u_m at order 1, where each column steps alone in Python floats or complex numbers
-    (0j + for complex blocks), and one BLAS product at n >= 2 (real states; a Python sum would
-    lose the FMA of the kernel). A BLAS product with b I starts from +0 and adds only exact
-    zeros to one product, so the 0.0 + gives every zero the sign of ``_steps`` and every bit
-    matches; a NaN of 0 * inf there is an inf here, in the same row. NaN signs aside: where
+    (0j + for complex blocks), and one BLAS product at n >= 2 (real vectors; a Python sum would
+    lose the FMA of the kernel). A BLAS matrix-vector product with b I starts from +0 and adds
+    only exact zeros to one product, so the 0.0 + gives every zero the sign of ``_steps`` and
+    every bit matches; a NaN of 0 * inf there is an inf here, in the same row. A matrix-matrix
+    product starts from its first product instead: a zero whose products are all -0 stays -0,
+    which no 0.0 + copies, so matrix states at n >= 2 keep ``_steps``. NaN signs aside: where
     two NaNs meet, CPython returns either one, depending on how warm its interpreter is. A
     zero + on each summand would change only zero signs, which the products keep and that
     add turns into +0.0, inf and NaN included.
@@ -311,14 +310,12 @@ def _scalar_steps(A, b_inv: list, b_star: list, prev: np.ndarray, cur: np.ndarra
                 col.append(c)
             rows[:, j] = col
         return
-    au = np.empty(cur.shape, dtype=out.dtype)
-    flat = au.reshape(-1)
+    au = np.empty_like(cur)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, bi, bs, state, row in zip(A, b_inv, b_star, out, rows):
+        for a, bi, bs, row in zip(A, b_inv, b_star, out):
             a.dot(cur, au)
-            ps, cs = cs, [-(zero + bi * (x + bs * p)) for x, p in zip(flat.tolist(), ps)]
-            row[:] = cs
-            cur = state
+            ps, cs = cs, [-(zero + bi * (x + bs * p)) for x, p in zip(au.tolist(), ps)]
+            row[:], cur = cs, row
 
 
 def _products(b_inv, b_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray) -> None:
@@ -347,8 +344,8 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     complex128 otherwise; complex states on real blocks march on complex
     copies of the blocks they read. The steps are ``_products`` from a finite
     start where every A_k read is O and every B_k a real b_k I, ``_scalar_steps``
-    at order 1 and where every B_k read is a real b_k I and a real state has at
-    most ``_SCALAR_STEP_ENTRIES`` entries, and ``_steps`` otherwise.
+    at order 1 and where every B_k read is a real b_k I and the state is a real
+    vector of at most ``_SCALAR_STEP_ENTRIES`` entries, and ``_steps`` otherwise.
     Raises IndexOutOfRangeError before the first step if a block is not stored,
     and FloatRangeError naming the first step whose state leaves the float range.
     """
@@ -364,7 +361,7 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     else:
         A, B_inv, B_star = (x.astype(dtype, copy=False) for x in (
             blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1]))
-        if blocks.n == 1 or (dtype == float and cur.size <= _SCALAR_STEP_ENTRIES
+        if blocks.n == 1 or (dtype == float and cur.ndim == 1 and len(cur) <= _SCALAR_STEP_ENTRIES
                              and scalars(blocks.B[s]) is not None):
             _scalar_steps(A, B_inv[:, 0, 0].tolist(), B_star[:, 0, 0].tolist(), prev, cur, out)
         else:

@@ -11,9 +11,12 @@ walks every (interval, piece) pair, one ``eigvalsh`` of ``LinearSigma.slope``
 per piece that meets the interval, where sldl batches the slopes of the
 covered pieces. Tests compare
 the two by ``tobytes`` and ``repr``, and compare exception classes and
-messages. ``cor2_series`` first checks its spacings and its whole jump
-stack as the lattice they form: positive finite spacings, real symmetric
-jumps.
+messages. ``t5_series`` and ``cor1_series`` check their jump stack Hermitian,
+one matrix at a time, before they count it; ``cor2_series`` first checks its
+spacings and its whole jump stack as the lattice they form: positive finite
+spacings, real symmetric jumps. Both rules store a stack exactly
+self-adjoint from its upper triangle, so an off-diagonal channel reads the
+entry above the diagonal (its modulus is its mirror's).
 
 Range policy, as in sldl: a term that is not finite (a product or power
 past the float range, or an infinity times 0) raises FloatRangeError
@@ -40,6 +43,19 @@ def jump_list(jumps, count: int) -> np.ndarray:
     return mats
 
 
+def hermitian_jump_list(jumps, count: int) -> np.ndarray:
+    """The jumps of t5 and cor1: each matrix Hermitian within 1e-10, then ``count`` of them."""
+    mats = as_stack(jumps)
+    for h in mats:
+        with np.errstate(over="ignore"):  # a difference past the float range fails
+            asymmetry = np.abs(h - h.conj().T).max()
+        if asymmetry > 1e-10:
+            raise NonSymmetricError("jump matrices must be Hermitian")
+    if len(mats) != count:
+        raise ShapeMismatchError(f"need {count} jump matrices, got {len(mats)}")
+    return mats
+
+
 def channel_entry(channel, h: np.ndarray):
     n = h.shape[0]
     if isinstance(channel, Diagonal):
@@ -50,7 +66,7 @@ def channel_entry(channel, h: np.ndarray):
         i, j = channel.i, channel.j
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise ValueError(f"bad off-diagonal channel ({i}, {j}) for order {n}")
-        return complex(h[i - 1, j - 1]), False
+        return complex(h[min(i, j) - 1, max(i, j) - 1]), False
     raise TypeError("channel must be Diagonal or OffDiagonal")
 
 
@@ -76,7 +92,7 @@ def jump_term(channel, h: np.ndarray, rho: float, s: float, k: int) -> float:
 def t5_series(intervals, jumps, channel):
     if intervals.markers is None:
         raise ValueError("jump series needs interval markers")
-    mats = jump_list(jumps, len(intervals))
+    mats = hermitian_jump_list(jumps, len(intervals))
     marked = zip(intervals.intervals, intervals.markers, mats)
     terms = [jump_term(channel, h, c - a, b - c, k) for k, ((a, b), c, h) in enumerate(marked, 1)]
     name = "t5_offdiag" if isinstance(channel, OffDiagonal) else "t5_diag"
@@ -89,7 +105,7 @@ def cor1_series(lengths, jumps, channel):
         raise ValueError("interval lengths must be positive")
     if math.inf in lengths:
         raise ValueError("interval lengths must be finite")
-    mats = jump_list(jumps, len(lengths))
+    mats = hermitian_jump_list(jumps, len(lengths))
     terms = []
     for k, (rho, h) in enumerate(zip(lengths, mats), 1):
         entry, diag = channel_entry(channel, h)

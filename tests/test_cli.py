@@ -1195,6 +1195,44 @@ def test_diagonal_jump_terms_out_of_the_float_range_exit_2(capsys, tmp_path, arg
     assert captured.err == "error: the jump series leaves the float range at term 1\n"
 
 
+SKEW_JUMPS = [[[0.0, 1.0], [5.0, 0.0]]] * 2
+HERMITIAN_JUMPS = [[[1.5, [0.25, 0.5]], [[0.25, -0.5], -2.0]],
+                   [[0.0, [0.0, -1.0]], [[0.0, 1.0], 4.0]]]
+
+
+@pytest.mark.parametrize("command, data", [
+    ("t5", {"intervals": [[0.0, 2.0], [3.0, 5.5]], "markers": [0.5, 4.0]}),
+    ("cor1", {"lengths": [2.0, 0.75]}),
+])
+@pytest.mark.parametrize("jumps", [SKEW_JUMPS, [[[[1.0, 1e-6]]]] * 2], ids=["skew", "imaginary"])
+@pytest.mark.parametrize("channel", ["diag:1", "offdiag:1,2", "offdiag:2,1"])
+def test_jump_series_refuse_jumps_that_are_not_hermitian(capsys, tmp_path, command, data, jumps,
+                                                         channel):
+    # the skew jumps gave terms from h_12 = 1 on channel offdiag:1,2 and from h_21 = 5 on
+    # offdiag:2,1, and an imaginary diagonal part was dropped, all with exit status 0
+    path = tmp_path / "jumps.json"
+    path.write_text(json.dumps({**data, "jumps": jumps}))
+    assert run(["criterion", command, "--data", str(path), "--channel", channel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: jump matrices must be Hermitian\n"
+
+
+@pytest.mark.parametrize("command, data, terms", [
+    ("t5", {"intervals": [[0.0, 2.0], [3.0, 5.5]], "markers": [0.5, 4.0]},
+     ["0x1.73ce704fb7b24p-2", "0x1.d64d51e0db1c6p+0"]),
+    ("cor1", {"lengths": [2.0, 0.75]}, ["0x1.1e3779b97f4a8p+2", "0x1.b000000000000p-2"]),
+])
+@pytest.mark.parametrize("channel", ["offdiag:1,2", "offdiag:2,1"])
+def test_jump_series_read_complex_hermitian_jumps(capsys, tmp_path, command, data, terms,
+                                                  channel):
+    path = tmp_path / "jumps.json"
+    path.write_text(json.dumps({**data, "jumps": HERMITIAN_JUMPS}))
+    code, doc = run_json(capsys, ["criterion", command, "--data", str(path), "--channel", channel])
+    assert code == 0
+    assert doc["result"]["reports"][0]["terms"] == [float.fromhex(t) for t in terms]
+
+
 @pytest.mark.parametrize("model, message", [
     ({"n": 1, "X": 5.0, "variant": "delta_nodes",
       "nodes": [{"x": 1.0, "H": [[1.0]]}, {"x": math.nan, "H": [[2.0]]},

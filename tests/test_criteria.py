@@ -21,6 +21,7 @@ from conftest import (
     step_sigma_models,
 )
 import sldl.criteria as criteria
+import sldl.matcore as matcore
 from sldl import (
     DeltaNodes,
     Diagonal,
@@ -45,7 +46,8 @@ from sldl import (
     t2_predicate,
     t5_series,
 )
-from sldl.matcore import ShapeMismatchError, condition, matrix_to_json
+from sldl.bridge import ClassifyConfig, classify_detailed
+from sldl.matcore import NonSymmetricError, ShapeMismatchError, condition, matrix_to_json
 from sldl.quasidiff import (
     OffGridError,
     VariantUnsupportedError,
@@ -673,6 +675,68 @@ def test_cor1_values():
     assert rep.terms[0] == pytest.approx(2.0 ** 2.5 * math.sqrt(3.0))
     rep = cor1_series([1.5], [np.array([[0.0, 2.0], [2.0, 0.0]])], OffDiagonal(1, 2))
     assert rep.terms[0] == pytest.approx(1.5 ** 3 * 2.0)
+
+
+JUMP_SEQ = IntervalSeq(((0.0, 2.0), (3.0, 5.5)), markers=(0.5, 4.0))
+REAL_JUMPS = np.array([[[1.5, -0.75], [-0.75, 2.0]], [[-3.0, 0.3], [0.3, 0.5]]])
+COMPLEX_JUMPS = np.array([[[1.5, 0.25 + 0.5j], [0.25 - 0.5j, -2.0]], [[0.0, -1.0j], [1.0j, 4.0]]])
+# the terms of t5 (on JUMP_SEQ) and cor1 (lengths 2 and 0.75) before either checked its jumps
+HERMITIAN_TERMS = {
+    ("real", Diagonal(1)): (["0x1.3e655eefe1368p+1", "0x1.ad5336963eefcp+0"],
+                           ["0x1.8000000000000p+3", "0x1.16dad43bc9c5bp+0"]),
+    ("real", Diagonal(2)): (["0x1.4c8dc2e423980p+1", "0x1.06e825da8fc2bp+2"],
+                           ["0x1.94c583ada5b53p+3", "0x1.6b95099a6200ap+0"]),
+    ("real", OffDiagonal(1, 2)): (["0x1.f2d4a45635640p-2", "0x1.1a2e6453b6aaap-1"],
+                                 ["0x1.8000000000000p+2", "0x1.0333333333333p-3"]),
+    ("complex", Diagonal(1)): (["0x1.3e655eefe1368p+1", "0x1.e000000000001p+1"],
+                              ["0x1.8000000000000p+3", "0x1.60b9fd68a4555p+0"]),
+    ("complex", Diagonal(2)): (["0x1.8000000000001p+0", "0x1.82fd05f129838p+2"],
+                              ["0x1.6a09e667f3bcdp+2", "0x1.b000000000000p+0"]),
+    ("complex", OffDiagonal(1, 2)): (["0x1.73ce704fb7b24p-2", "0x1.d64d51e0db1c6p+0"],
+                                    ["0x1.1e3779b97f4a8p+2", "0x1.b000000000000p-2"]),
+}
+
+
+@pytest.mark.parametrize("kind, channel", HERMITIAN_TERMS)
+def test_t5_and_cor1_keep_their_terms_on_hermitian_jumps(kind, channel):
+    jumps = REAL_JUMPS if kind == "real" else COMPLEX_JUMPS
+    t5_terms, cor1_terms = HERMITIAN_TERMS[kind, channel]
+    mirror = OffDiagonal(channel.j, channel.i) if isinstance(channel, OffDiagonal) else channel
+    for ch in (channel, mirror):  # |h_ji| = |h_ij|
+        assert frozen_floats(t5_series(JUMP_SEQ, jumps, ch).terms, [*map(float.fromhex, t5_terms)])
+        assert frozen_floats(cor1_series([2.0, 0.75], jumps, ch).terms,
+                             [*map(float.fromhex, cor1_terms)])
+
+
+@pytest.mark.parametrize("jumps", [
+    np.array([[[0.0, 1.0], [5.0, 0.0]]] * 2),  # skew: h_21 != conj(h_12)
+    COMPLEX_JUMPS + 1e-9j * np.eye(2),  # an imaginary diagonal part past the tolerance
+    REAL_JUMPS + np.array([[0.0, 0.0], [1e-9, 0.0]]),
+])
+def test_t5_and_cor1_refuse_jumps_that_are_not_hermitian(jumps):
+    with pytest.raises(NonSymmetricError, match="^jump matrices must be Hermitian$"):
+        t5_series(JUMP_SEQ, jumps, Diagonal(1))
+    with pytest.raises(NonSymmetricError, match="^jump matrices must be Hermitian$"):
+        cor1_series([2.0, 0.75], jumps, OffDiagonal(1, 2))
+
+
+def test_cor2_reads_the_checked_stack_of_its_lattice(monkeypatch):
+    # the lattice checked its jumps once; a channel of cor2 re-stacks none of them
+    d, H = christ_stolz_family(2001, 2)
+    model = DeltaNodes.from_spacings(2, d[:2000], H[:2000], tail=d[2000])
+    calls = []
+
+    def spy(stack):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return stack(*args, **kwargs)
+        return counted
+    for module in (criteria, matcore):  # criteria's own name for it, if it imports one
+        if hasattr(module, "as_stack"):
+            monkeypatch.setattr(module, "as_stack", spy(module.as_stack))
+    _, reports = classify_detailed(model, ClassifyConfig(criteria=("cor2",)))
+    assert [r.criterion for r in reports] == ["cor2"] * 3  # diag:1, diag:2, offdiag:1,2
+    assert calls == []
 
 
 def test_cor2_values_and_t5_consistency():

@@ -56,11 +56,18 @@ from sldl.matcore import (
 from sldl.reports import CONVERGES, DIVERGES, INCONCLUSIVE, build_report
 
 
+def with_boundary(blocks: JacobiBlocks, a0, b0) -> JacobiBlocks:
+    """``blocks`` with the boundary pair (A_0, B_0) spliced in, built by the constructor."""
+    A = np.concatenate([np.asarray(a0)[None], blocks.A[1:]])
+    B = np.concatenate([np.asarray(b0)[None], blocks.B[1:]])
+    return JacobiBlocks(blocks.n, A, B, blocks.provenance)
+
+
 def constant_blocks(count=12, n=1):
     """Uniform lattice blocks, boundary pair included (A_j = I, B_j = -I/2)."""
     d = [1.0] * count
     H = [np.zeros((n, n))] * count
-    return blocks_from_delta(d, H, boundary=(np.eye(n), -np.eye(n) / 2.0))
+    return with_boundary(blocks_from_delta(d, H), np.eye(n), -np.eye(n) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +115,35 @@ def test_vectorized_blocks_are_bit_exact(n):
 def test_blocks_boundary_override():
     a0 = np.array([[2.0]])
     b0 = np.array([[3.0]])
-    blocks = blocks_from_delta([1.0] * 4, [np.zeros((1, 1))] * 4, boundary=(a0, b0))
+    lattice = blocks_from_delta([1.0] * 4, [np.zeros((1, 1))] * 4)
+    blocks = with_boundary(lattice, a0, b0)
     assert np.array_equal(blocks.A[0], a0)
     assert blocks_to_json(blocks)["provenance"]["boundary_default"] is False
     # the written flag tests the stored pair, so an explicit (O, -I) is the default
-    explicit = blocks_from_delta([1.0] * 4, [np.zeros((1, 1))] * 4,
-                                 boundary=(np.zeros((1, 1)), -np.eye(1)))
+    explicit = with_boundary(lattice, np.zeros((1, 1)), -np.eye(1))
     assert blocks_to_json(explicit)["provenance"]["boundary_default"] is True
+    # the lattice builders store (O, -I) and take no other pair
+    with pytest.raises(TypeError):
+        blocks_from_delta([1.0] * 4, [np.zeros((1, 1))] * 4, boundary=(a0, b0))
+    with pytest.raises(TypeError):
+        jacobi.blocks_from_lattice(lattice.provenance, (a0, b0))
+
+
+def test_a_custom_boundary_pair_takes_the_rule_of_the_blocks():
+    # A_0 Hermitian and B_0 invertible, as for every slot: a complex Hermitian B_0 and a
+    # real non-symmetric one enter through the constructor and through blocks JSON alike
+    lattice = blocks_from_delta([1.0] * 6, np.zeros((5, 2, 2)))
+    for b0 in ([[2.0, 0.5j], [-0.5j, 1.0]], [[2.0, 0.5], [0.0, 1.0]]):
+        blocks = with_boundary(lattice, [[1.0, 0.25], [0.25, 0.0]], b0)
+        assert np.array_equal(blocks.B[0], b0)
+        assert np.array_equal(blocks.B[1:], lattice.B[1:])
+        again = blocks_from_json(blocks_to_json(blocks))
+        assert np.array_equal(again.A, blocks.A) and np.array_equal(again.B, blocks.B)
+        assert blocks_to_json(again)["provenance"]["boundary_default"] is False
+    with pytest.raises(NonSymmetricError, match="^diagonal blocks must be Hermitian$"):
+        with_boundary(lattice, [[1.0, 0.25], [0.0, 0.0]], -np.eye(2))
+    with pytest.raises(ValueError, match="^off-diagonal blocks must be invertible$"):
+        with_boundary(lattice, np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_blocks_validation():
@@ -908,10 +937,10 @@ def test_spacing_fallback_of_periodic_tails_equals_the_whole_tail_decision(d):
     assert spacing_square_divergence(d) == reference_lattice.spacing_square_divergence(d)
 
 
-def spike_spacings(count: int) -> tuple[float, ...]:
-    """d_k = k^-2, except d_k = 1 at k = 4^j (j >= 1)."""
-    spikes = {4**j for j in range(1, 20)}
-    return tuple(1.0 if k in spikes else float(k) ** -2 for k in range(1, count + 1))
+def spike_spacings(count: int, base: int = 4, p: float = 2.0) -> tuple[float, ...]:
+    """d_k = k^-p, except d_k = 1 at k = base^j (j >= 1)."""
+    spikes = {base**j for j in range(1, 20)}
+    return tuple(1.0 if k in spikes else float(k) ** -p for k in range(1, count + 1))
 
 
 @pytest.mark.parametrize("count", [8, 9, 16, 17, 64, 65, 100, 1000, 4097, 20_000])
@@ -1090,7 +1119,7 @@ def off_lattice_forms(seed: int):
     yield blocks_from_delta(d, bumped)
     if n > 1:
         s = rng.uniform(-0.5, 0.5, (n, n))
-        yield blocks_from_delta(d, H, boundary=(np.zeros((n, n)), np.eye(n) + s + s.T))
+        yield with_boundary(blocks_from_delta(d, H), np.zeros((n, n)), np.eye(n) + s + s.T)
     obj = blocks_to_json(blocks_from_delta(d, H))
     del obj["provenance"]
     turn = complex(math.cos(0.3), math.sin(0.3))
@@ -1115,7 +1144,7 @@ def test_a_march_past_a_non_scalar_boundary_takes_the_running_products(monkeypat
     # B_0 is read by the first step of solve_recurrence only; a kernel K_ij,
     # j >= 1, never reads it, so its march runs the products on LAPACK's B^-1
     d, H = christ_stolz_family(400, 2)
-    blocks = blocks_from_delta(d, H, boundary=(np.zeros((2, 2)), [[2.0, 0.5], [0.5, 1.0]]))
+    blocks = with_boundary(blocks_from_delta(d, H), np.zeros((2, 2)), [[2.0, 0.5], [0.5, 1.0]])
     products = count_calls(monkeypatch, "_products")
     check_against_the_matmul_step(blocks, 1.0, 0.0, [(398, 1), (300, 7)])
     assert len(products) == 2
@@ -1156,7 +1185,7 @@ def three_product_march(blocks, prev, cur, start: int, stop: int) -> np.ndarray:
 
 
 def scalar_step_march(blocks, prev, cur, start: int, stop: int) -> np.ndarray:
-    """``three_product_march`` by ``_scalar_steps``, whatever the size of the states."""
+    """``three_product_march`` of vector states by ``_scalar_steps``, whatever their size."""
     s = slice(start - 1, stop)
     out = np.empty((stop - start,) + np.shape(cur))
     with np.errstate(all="ignore"):
@@ -1168,9 +1197,9 @@ def scalar_step_march(blocks, prev, cur, start: int, stop: int) -> np.ndarray:
 def check_scalar_marches(blocks, u0, u1) -> list:
     """solve_recurrence from (u0, u1), K_ij of ``cauchy_pairs`` and a march of (n, 2) states,
     each against ``three_product_march``: the same bytes, or the FloatRangeError of its first
-    row out of the float range; and ``scalar_step_march`` of each, whichever step the march
-    takes for its states, against it in the same way. Returns whether each march left the
-    float range."""
+    row out of the float range; and ``scalar_step_march`` of each vector march, whichever step
+    the march takes for its states, against it in the same way. Returns whether each march
+    left the float range."""
     count, n = len(blocks.B), blocks.n
     wide = np.stack([u0, u1], axis=1), np.stack([u1, -u0], axis=1)
     cases = [(u0, u1, 1, count - 1, lambda: solve_recurrence(blocks, u0, u1, count)[2:]),
@@ -1181,7 +1210,8 @@ def check_scalar_marches(blocks, u0, u1) -> list:
     outcomes = []
     for prev, cur, start, stop, march in cases:
         want = three_product_march(blocks, prev, cur, start, stop)
-        scalar = scalar_step_march(blocks, prev, cur, start, stop)
+        # a matrix product keeps a zero of -0 products at -0, which no 0.0 + copies
+        scalar = scalar_step_march(blocks, prev, cur, start, stop) if cur.ndim == 1 else want
         error = reference_error(want, start)
         assert reference_error(scalar, start) == error
         if error is None:
@@ -1205,7 +1235,7 @@ _SEED_ENTRIES = [0.0, -0.0, 1.0, -0.5, 3.0, 1e-300, -1e300]
 def test_scalar_b_marches_keep_the_bytes_of_the_three_product_loop(n, seed, monkeypatch):
     # every B_k read is b_k I: one BLAS product A_k u_k per step, the rest in Python
     # floats, with the loop's bytes and zero signs and its first step out of range;
-    # states of more than six entries march on the loop
+    # matrix states and vectors of more than six entries march on the loop
     rng = np.random.default_rng([seed, n, 40])
     loops, scalar = count_calls(monkeypatch, "_steps"), count_calls(monkeypatch, "_scalar_steps")
     outcomes = []
@@ -1215,7 +1245,7 @@ def test_scalar_b_marches_keep_the_bytes_of_the_three_product_loop(n, seed, monk
             for u0, u1 in rng.choice(_SEED_ENTRIES, (2, 2, n)):
                 outcomes += check_scalar_marches(blocks, u0, u1)
     assert set(outcomes) == {False, True}  # marches that overflow, and marches that do not
-    assert scalar and all(cur.size > 6 for _, _, _, _, cur, _ in loops)
+    assert scalar and all(cur.ndim == 2 or cur.size > 6 for _, _, _, _, cur, _ in loops)
 
 
 @given(st.integers(2, 3), st.integers(3, 400), st.integers(0, 2 ** 32 - 1),
@@ -1241,18 +1271,18 @@ def test_complex_states_and_non_scalar_blocks_keep_the_three_product_loop(monkey
 
     seeds = ([1.0, -0.0], [0.0, 1.0])
     assert took(lambda: solve_recurrence(blocks, *seeds, 50)) == "scalar"
-    assert took(lambda: discrete_cauchy(blocks, 40, 3)) == "scalar"
+    assert took(lambda: discrete_cauchy(blocks, 40, 3)) == "loop"  # a matrix state
     assert took(lambda: solve_recurrence(blocks, [1.0, 0.5j], [0.0, 1.0], 50)) == "loop"
     obj = blocks_to_json(blocks)
     del obj["provenance"]
     obj["B"][7][0][1] = obj["B"][7][1][0] = 0.25  # B_7 is not a scalar matrix
     bumped = blocks_from_json(obj)
     assert took(lambda: solve_recurrence(bumped, *seeds, 50)) == "loop"
-    assert took(lambda: discrete_cauchy(bumped, 40, 10)) == "scalar"  # reads B_10 .. B_39
-    boundary = blocks_from_delta(blocks.provenance.d, blocks.provenance.H,
-                                 boundary=(np.zeros((2, 2)), [[2.0, 0.5], [0.5, 1.0]]))
+    vectors = tuple(np.array(u) for u in seeds)
+    assert took(lambda: jacobi._march(bumped, *vectors, 10, 40)) == "scalar"  # B_9 .. B_39
+    boundary = with_boundary(blocks, np.zeros((2, 2)), [[2.0, 0.5], [0.5, 1.0]])
     assert took(lambda: solve_recurrence(boundary, *seeds, 50)) == "loop"
-    assert took(lambda: discrete_cauchy(boundary, 40, 1)) == "scalar"  # B_0 is not read
+    assert took(lambda: jacobi._march(boundary, *vectors, 2, 40)) == "scalar"  # not B_0
     order_1 = perturbed_lattice_blocks(rng, 1, 60)  # the order-1 loop, complex states too
     for u0 in (1.0, 1.0 + 0.5j):
         assert took(lambda: solve_recurrence(order_1, [u0], [0.0], 50)) == "scalar"
@@ -1394,6 +1424,20 @@ def test_weyl_oracle_converges_on_christ_stolz():
 def test_classify_of_the_spike_lattice_is_not_limit_circle(count, N):
     d = spike_spacings(count)
     model = DeltaNodes.from_spacings(1, d[:-1], cancel_jumps(d), tail=d[-1])
+    verdict, _ = classify_detailed(model, ClassifyConfig(N=N))
+    assert verdict.classification != "LimitCircle"
+
+
+@pytest.mark.xfail(strict=True, reason="t7 alone certifies LimitCircle on spike lattices whose "
+                                       "Carleman series diverges (ROADMAP item 2)")
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("base, count, N", [(3, 2001, 100), (5, 2001, 300), (8, 2001, 100),
+                                            (16, 5001, 400)])
+def test_classify_of_other_spike_lattices_is_not_limit_circle(base, count, N, n):
+    # ROADMAP item 3's F1 rows: d_k = 1 at k = base^j makes 1 / ||B_k|| about 1 / sqrt(n)
+    # there, so Carleman's series diverges and the truth is limit point
+    d = spike_spacings(count, base)
+    model = DeltaNodes.from_spacings(n, d[:-1], cancel_jumps(d, n), tail=d[-1])
     verdict, _ = classify_detailed(model, ClassifyConfig(N=N))
     assert verdict.classification != "LimitCircle"
 

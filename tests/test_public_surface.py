@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
 
 # the (d, H) entry points, each a thin wrapper that builds a jacobi.Lattice
 LATTICE_SIGNATURES = {
-    "blocks_from_delta": "(d, H, boundary=None)",
+    "blocks_from_delta": "(d, H)",
     "t7_check": "(d, H, N: 'int')",
     "cor3_check": "(d, H, N: 'int')",
     "cor2_series": "(d, jumps, channel, threshold: 'float | None' = None)",

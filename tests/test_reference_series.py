@@ -53,6 +53,16 @@ def mirrored(mats: np.ndarray) -> np.ndarray:
     return np.where(np.triu(np.ones(real.shape[-2:], dtype=bool)), real, real.swapaxes(-1, -2))
 
 
+def hermitian_mirrored(mats: np.ndarray) -> np.ndarray:
+    """Hermitian stack of the upper triangles of ``mats``, each entry below the diagonal the
+    conjugate of its mirror, and the diagonal real: the jumps t5 and cor1 accept."""
+    upper = np.triu(np.ones(mats.shape[-2:], dtype=bool), 1)
+    out = np.where(upper, mats, mats.swapaxes(-1, -2).conj())
+    k = np.arange(mats.shape[-1])
+    out[..., k, k] = out[..., k, k].real
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.lists(SPACING, min_size=1, max_size=12))
 def test_cor2_matches_the_per_term_series(data, d):
@@ -76,6 +86,8 @@ def test_t5_matches_the_per_term_series(data, widths):
     except ValueError:  # a marker that rounds onto an end of its interval
         assume(False)
     mats, channel = data.draw(stacks_and_channels(len(bounds)))
+    if data.draw(st.booleans()):  # the jumps t5 accepts; others raise
+        mats = hermitian_mirrored(mats)
     assert (outcome(t5_series, intervals, mats, channel)
             == outcome(ref.t5_series, intervals, mats, channel))
 
@@ -84,11 +96,15 @@ def test_t5_matches_the_per_term_series(data, widths):
 @given(st.data(), st.lists(SPACING, max_size=10))
 def test_cor1_matches_the_per_term_series(data, lengths):
     mats, channel = data.draw(stacks_and_channels(len(lengths)))
+    if data.draw(st.booleans()):  # the jumps cor1 accepts; others raise
+        mats = hermitian_mirrored(mats)
     assert (outcome(cor1_series, lengths, mats, channel)
             == outcome(ref.cor1_series, lengths, mats, channel))
 
 
 ONE, TWO = np.zeros((1, 1)), np.zeros((2, 2))
+SKEW, IMAGINARY = np.array([[0.0, 1.0], [5.0, 0.0]]), np.array([[1j]])
+TILTED = np.array([[0.0, 1.0], [1.0 + 5e-11, 0.0]])  # Hermitian within the tolerance
 
 
 @pytest.mark.parametrize("series, args", [
@@ -113,6 +129,12 @@ ONE, TWO = np.zeros((1, 1)), np.zeros((2, 2))
     (cor1_series, ([math.inf], [ONE], Diagonal(1))),
     (cor1_series, ([1e-320, 2.0], [ONE, ONE], Diagonal(1))),
     (cor1_series, ([2.0, 1e150], [TWO, TWO], OffDiagonal(2, 1))),
+    (t5_series, (IntervalSeq(((0.0, 2.0),), (1.0,)), [SKEW], OffDiagonal(1, 2))),
+    (t5_series, (IntervalSeq(((0.0, 2.0),), (1.0,)), [SKEW, SKEW], OffDiagonal(1, 2))),
+    (t5_series, (IntervalSeq(((0.0, 2.0),), (1.0,)), [TILTED], OffDiagonal(2, 1))),
+    (cor1_series, ([2.0], [IMAGINARY], Diagonal(1))),
+    (cor1_series, ([2.0, 2.0], [SKEW], Diagonal(1))),
+    (cor1_series, ([2.0], [TILTED], OffDiagonal(2, 1))),
 ])
 def test_bad_channels_mixed_orders_and_empty_windows_fail_as_the_reference(series, args):
     reference = {cor2_series: ref.cor2_series, t5_series: ref.t5_series,
