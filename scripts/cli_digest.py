@@ -107,6 +107,15 @@ FIXTURES = {
     "jumps2.json": [[[1.0, 0.5], [0.5, -1.0]]] * 9,
     "jumps3.json": [[[1.0, 0.5, -0.25], [0.5, -1.0, 0.75], [-0.25, 0.75, 0.5]]] * 9,
     "nonsym.json": [[[0.0, 0.0], [0.0, 0.0]]] * 8 + [[[0.0, 1.0], [0.0, 0.0]]],
+    # matrix sequences as the JSON reader sees them: Hermitian jumps that mix numbers
+    # and [re, im] pairs within a matrix and across matrices, a string entry, 1 x 1
+    # jumps for --n 2, and a lattice whose jump holds a row that is not a list
+    "t5-mixed.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
+                      "jumps": [[[0.5, [0.25, 0.5]], [[0.25, -0.5], [-1.0, -0.0]]],
+                                [[1, 0.0], [False, [2.0, 0.0]]]]},
+    "cor1-string.json": {"lengths": [2.0, 2.0], "jumps": [[[0.0]], [["1.5"]]]},
+    "jumps1.json": [[[1.0]]] * 9,
+    "lattice-row.json": {"d": [1.0] * 12, "H": [[[0.0]]] * 2 + [[0.0]] + [[[0.0]]] * 8, "N": 3},
 }
 
 # files written as they are: numbers that json reads but int, float or complex
@@ -353,6 +362,14 @@ RANGE_INVOCATIONS = [
     "jacobi build --d file:deep.json",
     "classify --model deep.json",
 ]
+# after those: the JSON matrix reader on mixed entries and on one fault each
+READER_INVOCATIONS = [
+    "criterion t5 --data t5-mixed.json --channel offdiag:1,2",
+    "criterion cor1 --data cor1-string.json --channel diag:1",
+    "criterion cor2 --d const:1 --H file:jumps1.json --n 2 --count 10 --channel diag:1",
+    "jacobi t7 --data lattice-row.json",
+    "classify --blocks nan-b.json",
+]
 
 
 def _sha(text: str) -> str:
@@ -405,6 +422,9 @@ def main() -> None:
     # lattice blocks whose file claims storage from A_1 or A_2
     offset = {k: {**blocks_to_json(blocks_from_delta([1.0] * 6, np.zeros((5, 1, 1)))), "offset": k}
               for k in (1, 2)}
+    # lattice blocks with a NaN in B_3
+    nan_b = blocks_to_json(blocks_from_delta([1.0] * 6, np.zeros((5, 1, 1))))
+    nan_b["B"][3] = [[float("nan")]]
     # n = 2 lattice blocks whose A_0 and provenance jumps have imaginary parts of 1e-12
     tilted = blocks_to_json(blocks_from_delta([1.0] * 14, np.full((13, 2, 2), 0.5)))
     tilted["A"][0] = matrix_to_json(1e-12j * np.eye(2))
@@ -438,7 +458,7 @@ def main() -> None:
     fixtures = {**FIXTURES, "illcond.json": illcond, "illcond-b7.json": illcond_b7,
                 "general20.json": general20, "general20-real.json": general20_real,
                 "growing.json": growing, "free-cs.json": free_cs, "tilted-blocks.json": tilted,
-                "offset-1.json": offset[1], "offset-2.json": offset[2],
+                "offset-1.json": offset[1], "offset-2.json": offset[2], "nan-b.json": nan_b,
                 "rotated.json": model_to_json(rotated), "t4-overflow.json": t4_overflow,
                 "christ-stolz-2000.json": model_to_json(
                     DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}
@@ -449,7 +469,7 @@ def main() -> None:
     raw_fixtures = {**RAW_FIXTURES, "blocks-n-inf.json": blocks_n_inf}
 
     argvs = [a.split() for a in INVOCATIONS] + [h + ["--help"] for h in HELP]
-    argvs += [a.split() for a in RANGE_INVOCATIONS]
+    argvs += [a.split() for a in RANGE_INVOCATIONS + READER_INVOCATIONS]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)

@@ -57,6 +57,7 @@ LIMIT_CIRCLE = "LimitCircle"
 NOT_LIMIT_CIRCLE = "NotLimitCircle"
 INCONCLUSIVE_CLASS = "Inconclusive"
 CERTIFIED = "Certified"
+SIDES = (CONTINUOUS, DISCRETE, BOTH) = ("Continuous", "Discrete", "Both")  # of a verdict
 
 
 class ConflictingEvidenceError(RuntimeError):
@@ -303,7 +304,7 @@ def _run_cor3(s):
         yield _check("cor3", res.reports(), res.limit_circle_certified, basis)
 
 
-# One classify criterion: its code, its side ("Continuous" or "Discrete"),
+# One classify criterion: its code, its side (CONTINUOUS or DISCRETE),
 # the classification a fired certificate implies, and its runner.
 # run(subject) yields (tag, reports, verdict, basis) for each evidence
 # item, and nothing when the criterion does not apply.
@@ -312,13 +313,13 @@ Criterion = namedtuple("Criterion", "code side implies run")
 
 # Run order is report and evidence order.
 CRITERIA = (
-    Criterion("t1", "Continuous", NOT_LIMIT_CIRCLE, _run_t1),
-    Criterion("t2", "Continuous", LIMIT_POINT, _run_t2),
-    Criterion("cor2", "Continuous", NOT_LIMIT_CIRCLE, _run_cor2),
-    Criterion("carleman", "Discrete", LIMIT_POINT, _run_carleman),
-    Criterion("t4", "Discrete", NOT_LIMIT_CIRCLE, _run_t4),
-    Criterion("t7", "Discrete", LIMIT_CIRCLE, _run_t7),
-    Criterion("cor3", "Discrete", LIMIT_CIRCLE, _run_cor3),
+    Criterion("t1", CONTINUOUS, NOT_LIMIT_CIRCLE, _run_t1),
+    Criterion("t2", CONTINUOUS, LIMIT_POINT, _run_t2),
+    Criterion("cor2", CONTINUOUS, NOT_LIMIT_CIRCLE, _run_cor2),
+    Criterion("carleman", DISCRETE, LIMIT_POINT, _run_carleman),
+    Criterion("t4", DISCRETE, NOT_LIMIT_CIRCLE, _run_t4),
+    Criterion("t7", DISCRETE, LIMIT_CIRCLE, _run_t7),
+    Criterion("cor3", DISCRETE, LIMIT_CIRCLE, _run_cor3),
 )
 
 
@@ -353,14 +354,10 @@ def classify_detailed(problem, config: ClassifyConfig | None = None):
         except FloatRangeError as exc:  # this error alone: the criterion is Inconclusive
             evidence.append(Evidence(crit.code, INCONCLUSIVE, f"not evaluated: {exc}"))
             sides.add(crit.side)
-    if len(sides) == 2:
-        side = "Both"
-    elif sides:
-        side = sides.pop()
-    else:
-        side = "Continuous" if isinstance(problem, CoefficientModel | LinearSigma) else "Discrete"
-    classification = resolve_classification(evidence)
-    return Verdict(classification, tuple(evidence), side), reports
+    if not sides:
+        sides.add(CONTINUOUS if isinstance(problem, CoefficientModel | LinearSigma) else DISCRETE)
+    side = BOTH if len(sides) == 2 else sides.pop()
+    return Verdict(resolve_classification(evidence), tuple(evidence), side), reports
 
 
 # ---------------------------------------------------------------------------

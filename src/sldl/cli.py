@@ -35,6 +35,7 @@ from .bridge import (
     LIMIT_CIRCLE,
     LIMIT_POINT,
     NOT_LIMIT_CIRCLE,
+    SIDES,
     ClassifyConfig,
     ConflictingEvidenceError,
     classify_detailed,
@@ -66,7 +67,7 @@ from .jacobi import (
     t4_report,
     t7_lattice,
 )
-from .matcore import floats, matrix_from_json, matrix_to_json
+from .matcore import as_stack, floats, matrices_from_json, matrix_to_json
 from .quasidiff import DeltaNodes, LinearSigma, QuasiState, model_from_json
 from .reports import CONVERGES, DIVERGES, INCONCLUSIVE, VERDICT_POLICY
 
@@ -180,7 +181,7 @@ def validate_report(obj: dict) -> None:
     if verdict is not None:
         if verdict.get("classification") not in CLASSIFICATIONS:
             raise ValueError("bad classification")
-        if verdict.get("side") not in ("Continuous", "Discrete", "Both"):
+        if verdict.get("side") not in SIDES:
             raise ValueError("bad side")
         for ev in verdict.get("evidence", []):
             for key in ("criterion", "verdict", "basis"):
@@ -246,7 +247,7 @@ def parse_jumps(spec: str, d, n: int):
     if spec == "cancel":
         return cancel_jumps(d, n)
     if spec.startswith("file:"):
-        return tuple(matrix_from_json(h, n) for h in _load_json(spec[5:]))
+        return as_stack(matrices_from_json(_load_json(spec[5:])), n)  # Lattice takes no n
     raise ConfigError(f"unknown jump spec {spec!r}")
 
 
@@ -419,14 +420,14 @@ def _criterion_t5(args):
     data = _load_data(args.data, "intervals", "markers", "jumps")
     intervals = IntervalSeq(tuple(tuple(iv) for iv in data["intervals"]),
                             tuple(data["markers"]))
-    jumps = [matrix_from_json(h) for h in data["jumps"]]
+    jumps = matrices_from_json(data["jumps"])
     rep = t5_series(intervals, jumps, parse_channel(args.channel), threshold=args.threshold)
     return _echo(args, "criterion", "data", "channel", "threshold"), {"reports": [rep.to_json()]}
 
 
 def _criterion_cor1(args):
     data = _load_data(args.data, "lengths", "jumps")
-    rep = cor1_series(data["lengths"], [matrix_from_json(h) for h in data["jumps"]],
+    rep = cor1_series(data["lengths"], matrices_from_json(data["jumps"]),
                       parse_channel(args.channel), threshold=args.threshold)
     return _echo(args, "criterion", "data", "channel", "threshold"), {"reports": [rep.to_json()]}
 
@@ -460,8 +461,7 @@ def _lattice(args, min_count, *keys):
         raise ConfigError("give --d (with optional --H) or --data")
     if len(d) < min_count(args):
         raise ConfigError(f"need at least {min_count(args)} spacings")
-    jumps = (tuple(matrix_from_json(h) for h in obj["H"]) if args.data
-             else parse_jumps(args.H, d, args.n))
+    jumps = matrices_from_json(obj["H"]) if args.data else parse_jumps(args.H, d, args.n)
     return _echo(args, "op", "d", "H", "n", "data", *keys), Lattice(d, jumps)
 
 

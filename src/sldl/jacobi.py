@@ -55,7 +55,7 @@ from .matcore import (
     frobenius_norm,
     hermitian,
     inexact,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
     real_symmetric,
     scalars,
@@ -732,12 +732,12 @@ def blocks_from_json(obj: dict) -> JacobiBlocks:
         n = int(obj["n"])
         if obj.get("offset", 0) != 0:
             raise ValueError("blocks JSON key 'offset' must be 0: storage starts at A_0, B_0")
-        A = hermitian([matrix_from_json(a, n) for a in obj["A"]], "diagonal blocks", n)
-        B = as_stack([matrix_from_json(b, n) for b in obj["B"]], n)
+        A = hermitian(matrices_from_json(obj["A"]), "diagonal blocks", n)
+        B = as_stack(matrices_from_json(obj["B"]), n)
         prov = None
         if "provenance" in obj:
             p = obj["provenance"]
-            prov = Lattice(p["d"], as_stack([matrix_from_json(h, n) for h in p["H"]], n))
+            prov = Lattice(p["d"], as_stack(matrices_from_json(p["H"]), n))
             # the lattice criteria read the provenance in place of the blocks
             _check_provenance(A, B, prov)
     except KeyError as exc:

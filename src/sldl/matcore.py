@@ -5,8 +5,9 @@ alike, follow one dtype rule, ``inexact``: float64 where every imaginary
 part is exactly zero, complex128 otherwise. A complex dtype thus comes from
 complex data, or from a spectral parameter lam != 0 in the generators; a
 float sequence (spacings, nodes, cuts, knots, grids) takes one rule, ``floats``.
-A matrix sequence is one read-only (K, n, n) stack, validated by one
-``as_stack`` call; a self-adjoint one by ``hermitian`` or ``real_symmetric``
+A matrix sequence is one read-only (K, n, n) stack, validated by one ``as_stack``
+call (after ``matrices_from_json`` for one read from JSON, which checks its form
+only); a self-adjoint one by ``hermitian`` or ``real_symmetric``
 (the one place that drops imaginary parts), which alone decide what that is:
 within HERMITIAN_TOL, stored exactly Hermitian, each entry below the diagonal
 the conjugate of its mirror and the diagonal real. The checks below act on
@@ -209,21 +210,25 @@ def matrix_to_json(m) -> list:
     return (m if m.dtype == float else np.stack([m.real, m.imag], axis=-1)).tolist()
 
 
-def matrix_from_json(obj, n: int | None = None) -> np.ndarray:
-    """Parse the JSON matrix form: entries are numbers or [re, im] pairs."""
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("matrix JSON must be a non-empty list of rows")
-    rows = []
-    for row in obj:
-        if not isinstance(row, list):
-            raise ValueError("matrix JSON rows must be lists")
-        vals = []
-        for v in row:
-            if isinstance(v, (int, float)):
-                vals.append(complex(v))
-            elif isinstance(v, list) and len(v) == 2:
-                vals.append(complex(float(v[0]), float(v[1])))
-            else:
-                raise ValueError(f"bad matrix entry {v!r}")
-        rows.append(vals)
-    return as_matrix(rows, n)
+def matrices_from_json(objs) -> list:
+    """A JSON matrix sequence checked for its form alone, as nested values for the one check of
+    the stack that owns them; a matrix whose pairs have no nonzero imaginary part reads as real."""
+    out = []
+    for obj in objs:
+        if not isinstance(obj, list) or not obj:
+            raise ValueError("matrix JSON must be a non-empty list of rows")
+        rows, imag = [], []  # imag: the imaginary parts of its pairs
+        for row in obj:
+            if not isinstance(row, list):
+                raise ValueError("matrix JSON rows must be lists")
+            rows.append(vals := [])
+            for v in row:
+                if isinstance(v, (int, float)):
+                    vals.append(float(v))
+                elif isinstance(v, list) and len(v) == 2:
+                    vals.append(complex(float(v[0]), float(v[1])))
+                    imag.append(vals[-1].imag)
+                else:
+                    raise ValueError(f"bad matrix entry {v!r}")
+        out.append([[v.real for v in r] for r in rows] if imag and not any(imag) else rows)
+    return out

@@ -56,7 +56,7 @@ from .matcore import (
     frobenius_norm,
     hermitian,
     inexact,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
     real_symmetric,
 )
@@ -736,17 +736,15 @@ def model_from_json(obj: dict) -> CoefficientModel | LinearSigma:
         if obj["variant"] not in _VARIANTS:
             raise ValueError(f"unknown coefficient variant {obj['variant']!r}")
         cls, keys = _VARIANTS[obj["variant"]]
-        n, args = int(obj["n"]), []
+        args = []
         for key in keys:
             if key == "nodes":
                 args.append(tuple(float(e["x"]) for e in obj[key]))
-                args.append(tuple(matrix_from_json(e["H"], n) for e in obj[key]))
+                args.append(matrices_from_json([e["H"] for e in obj[key]]))
             elif key == "spacings":
                 args.append(obj.get(key))
-            elif key in _NUMBERS:
-                args.append(_NUMBERS[key](obj[key]))
             else:
-                args.append(tuple(matrix_from_json(v, n) for v in obj[key]))
+                args.append(_NUMBERS.get(key, matrices_from_json)(obj[key]))
     except KeyError as exc:
         raise ValueError(f"coefficient model JSON has no key {exc}") from None
     return cls(*args)

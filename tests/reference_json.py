@@ -1,15 +1,25 @@
-"""Item-at-a-time reference for ``sldl.cli.canonical_json``.
+"""Item-at-a-time references for sldl's JSON writer and its matrix reader.
 
-This is the encoder before float runs were formatted in one ``%``
-operation: one ``format(x, ".17g")`` call per float, ``json.dumps`` per
-string and key. The tests require ``canonical_json`` to give the same
-text on every document.
+``canonical_json`` is the encoder before float runs were formatted in one
+``%`` operation: one ``format(x, ".17g")`` call per float, ``json.dumps``
+per string and key. The tests require ``sldl.cli.canonical_json`` to give
+the same text on every document.
+
+``stack_from_json`` is the matrix-at-a-time reader of a JSON matrix
+sequence: each matrix parsed and checked alone as a 1 x n x n stack
+(``matrix_from_json`` and ``as_matrix``), then the checked matrices
+stacked. The tests require ``as_stack(matrices_from_json(objs), n)`` to
+give the same stack, or the same error, save for the two cases in which
+a whole sequence is checked at once: matrices of different shapes, and a
+sequence with faults in two matrices.
 """
 
 import json
 import math
 
 import numpy as np
+
+from sldl.matcore import as_stack
 
 
 def _fmt_float(x: float) -> str:
@@ -44,3 +54,30 @@ def canonical_json(obj) -> str:
     if isinstance(obj, (np.integer,)):
         return str(int(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def as_matrix(entries, n: int | None = None) -> np.ndarray:
+    return as_stack(np.asarray(entries)[None], n)[0]
+
+
+def matrix_from_json(obj, n: int | None = None) -> np.ndarray:
+    if not isinstance(obj, list) or not obj:
+        raise ValueError("matrix JSON must be a non-empty list of rows")
+    rows = []
+    for row in obj:
+        if not isinstance(row, list):
+            raise ValueError("matrix JSON rows must be lists")
+        vals = []
+        for v in row:
+            if isinstance(v, (int, float)):
+                vals.append(complex(v))
+            elif isinstance(v, list) and len(v) == 2:
+                vals.append(complex(float(v[0]), float(v[1])))
+            else:
+                raise ValueError(f"bad matrix entry {v!r}")
+        rows.append(vals)
+    return as_matrix(rows, n)
+
+
+def stack_from_json(objs, n: int | None = None) -> np.ndarray:
+    return as_stack([matrix_from_json(obj, n) for obj in objs], n)

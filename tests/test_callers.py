@@ -16,6 +16,7 @@ SRC = Path(sldl.__file__).resolve().parent
 # module.name -> its caller outside src/sldl
 OUTSIDE_CALLERS = {
     "cli.validate_report": "perfbench/workloads.py",
+    "matcore.as_matrix": "perfbench/tracer.py",
     "quasidiff.wronskian_residual": "perfbench/workloads.py",
     "quasidiff.model_to_json": "scripts/cli_digest.py",
 }

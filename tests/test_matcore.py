@@ -1,10 +1,13 @@
 import json
 import math
+import sys
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import reference_json
 from conftest import complex_matrices
 from sldl import (
     DeltaNodes,
@@ -14,6 +17,7 @@ from sldl import (
     JacobiBlocks,
     StepSigma,
     blocks_from_delta,
+    christ_stolz_family,
     cor2_series,
     cor3_check,
     frobenius_norm,
@@ -21,7 +25,7 @@ from sldl import (
     is_hermitian,
     t7_check,
 )
-from sldl.jacobi import blocks_from_json
+from sldl.jacobi import blocks_from_json, blocks_to_json
 from sldl.jacobi import Lattice, blocks_from_lattice, cancel_jumps
 from sldl.matcore import (
     COND_LIMIT,
@@ -35,12 +39,12 @@ from sldl.matcore import (
     first_nonfinite,
     hermitian,
     inexact,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
     real_symmetric,
     scalars,
 )
-from sldl.quasidiff import SingularPieceError
+from sldl.quasidiff import SingularPieceError, model_from_json, model_to_json
 
 
 def test_frobenius_identity_is_sqrt_n():
@@ -252,14 +256,15 @@ def test_invert_involution(a):
 @given(complex_matrices())
 @settings(max_examples=40, deadline=None)
 def test_matrix_json_roundtrip(a):
-    back = matrix_from_json(matrix_to_json(a))
+    back = as_stack(matrices_from_json([matrix_to_json(a)]))[0]
     assert np.allclose(back, a, atol=1e-15)
 
 
 def test_real_matrix_json_plain_numbers():
     out = matrix_to_json(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert out == [[1.0, 2.0], [3.0, 4.0]]
-    assert np.array_equal(matrix_from_json(out), np.array([[1, 2], [3, 4]], dtype=complex))
+    back = as_stack(matrices_from_json([out]))
+    assert back.dtype == float and np.array_equal(back, [[[1, 2], [3, 4]]])
 
 
 def test_matrix_json_decides_real_by_the_dtype_rule():
@@ -280,6 +285,130 @@ def test_matrix_json_decides_real_by_the_dtype_rule():
         got = matrix_to_json(m)
         assert json.dumps(got) == json.dumps(per_entry(m))
         assert all(type(v) is float for v in np.ravel(got).tolist())
+
+
+# ---------------------------------------------------------------------------
+# matrix sequences read from JSON: one form pass, then the stack's one check
+
+# parts of an entry: numbers json reads (ints and bools too, past int64 and inside the
+# float range), zeros of both signs, and parts that one of the checks refuses
+_PART = st.one_of(st.sampled_from([0.0, -0.0, 1, -2, True, 2 ** 70, 2 ** 1023]),
+                  st.floats(-4.0, 4.0))
+_BAD_PART = st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, "1.5", "x", None])
+_ENTRY = st.one_of(_PART, st.lists(_PART, min_size=2, max_size=2))
+_BAD_ENTRY = st.one_of(_BAD_PART, st.lists(_PART, max_size=3).filter(lambda v: len(v) != 2),
+                       st.tuples(_PART, _BAD_PART).map(list),
+                       st.tuples(_BAD_PART, _PART).map(list))
+
+
+@st.composite
+def json_sequences(draw):
+    """(a JSON matrix sequence, an order to check it against or None). Its matrices mix
+    numbers and [re, im] pairs; about half the draws hold one or two faults: a bad
+    entry, a row that is not a list, a ragged row, a matrix that is not a list of rows,
+    a matrix of another order, a matrix that is not square."""
+    m, count = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    seq = [[[draw(_ENTRY) for _ in range(m)] for _ in range(m)] for _ in range(count)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if count else 0):
+        k = draw(st.integers(0, count - 1))
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        fault = draw(st.sampled_from(["entry", "row", "ragged", "matrix", "order", "square"]))
+        if fault == "matrix":
+            seq[k] = draw(st.sampled_from([[], 1.0, None, "m"]))
+        elif fault == "order":
+            seq[k] = [[draw(_ENTRY) for _ in range(m + 1)] for _ in range(m + 1)]
+        elif not (isinstance(seq[k], list) and len(seq[k]) > i and isinstance(seq[k][i], list)):
+            continue  # a matrix or row the first fault took
+        elif fault == "square":
+            seq[k] = [row + [0.0] if isinstance(row, list) else row for row in seq[k]]
+        elif fault == "row":
+            seq[k][i] = draw(st.sampled_from([1.0, None, "row"]))
+        elif fault == "ragged":
+            seq[k][i] = seq[k][i] + [0.0]
+        else:
+            seq[k][i][j] = draw(_BAD_ENTRY)
+    return seq, draw(st.sampled_from([None, m, m % 3 + 1]))
+
+
+def _read(read, seq, n):
+    """The stack ``read`` gives, as dtype, shape, bytes and writeable, or its error."""
+    try:
+        m = read(seq, n)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return m.dtype.str, m.shape, m.tobytes(), m.flags.writeable
+
+
+def _shape(obj):
+    rows = obj if isinstance(obj, list) and all(isinstance(r, list) for r in obj) else None
+    return (len(rows), len(rows[0])) if rows and len({len(r) for r in rows}) == 1 else None
+
+
+ONE_ORDER = (ShapeMismatchError, "matrices of one sequence must share one order")
+
+
+@given(json_sequences())
+@settings(max_examples=400, deadline=None)
+def test_one_pass_reads_the_stack_the_matrix_at_a_time_reader_read(case):
+    # the same stack, bit for bit, or the same error; where a whole sequence is checked at
+    # once, matrices of different shapes (or without one) share one error, and of faults
+    # in two matrices either may be named
+    seq, n = case
+    want = _read(reference_json.stack_from_json, seq, n)
+    got = _read(lambda s, n: as_stack(matrices_from_json(s), n), seq, n)
+    if got != want:
+        assert isinstance(want[0], type)
+        faults = {_read(reference_json.stack_from_json, [m], n) for m in seq} - {
+            _read(reference_json.stack_from_json, [], n)}
+        differ = len({_shape(m) for m in seq}) > 1 or None in map(_shape, seq)
+        assert (got == ONE_ORDER and differ) or (len(faults) >= 2 and got in faults)
+
+
+def test_a_real_matrix_written_as_pairs_reads_as_real():
+    # its -0.0 imaginary parts leave no sign in a complex stack, as they left none when
+    # each matrix was checked alone; a complex matrix keeps every sign
+    seq = [[[[1.0, -0.0]]], [[[0.0, 1.0]]], [[[-0.0, -0.0]]]]
+    got = as_stack(matrices_from_json(seq))
+    assert got.tobytes() == reference_json.stack_from_json(seq).tobytes()
+    assert got.dtype == complex and not np.signbit(got.imag).any()
+    seq = [[[[1.0, -0.0], [0.0, 2.0]], [[0.0, -2.0], 3.0]]]
+    signs = np.signbit(as_stack(matrices_from_json(seq)).imag).tolist()
+    assert signs == [[[True, False], [True, False]]]
+
+
+def test_numbers_and_pairs_mix_within_and_across_matrices():
+    seq = [[[0.5, [0.25, 0.5]], [[0.25, -0.5], -1]], [[1, 0.0], [False, [2.0, 0.0]]]]
+    got, want = (hermitian(s, "jump matrices") for s in (matrices_from_json(seq),
+                                                         reference_json.stack_from_json(seq)))
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+    ints = as_stack(matrices_from_json([[[True]], [[2 ** 70]], [[4.5]]]))
+    assert ints.dtype == float and ints.tolist() == [[[1.0]], [[2.0 ** 70]], [[4.5]]]
+
+
+def test_the_json_readers_check_each_sequence_once(monkeypatch):
+    # one as_stack call per stack, however many matrices it holds
+    calls, real = [], as_stack
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("sldl")]:
+        if getattr(module, "as_stack", None) is real:
+            monkeypatch.setattr(module, "as_stack", spy)
+
+    def count(read, obj):
+        calls.clear()
+        read(json.loads(json.dumps(obj)))
+        return len(calls)
+
+    counts = []
+    for K in (10, 1000):
+        d, H = christ_stolz_family(K + 1, 2)
+        model = DeltaNodes.from_spacings(2, d[:K], H[:K], tail=d[K])
+        counts.append((count(blocks_from_json, blocks_to_json(blocks_from_delta(d, H))),
+                       count(model_from_json, model_to_json(model))))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
