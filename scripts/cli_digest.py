@@ -112,7 +112,7 @@ FIXTURES = {
     # jumps for --n 2, and a lattice whose jump holds a row that is not a list
     "t5-mixed.json": {"intervals": [[0.0, 2.0], [3.0, 5.0]], "markers": [1.0, 4.0],
                       "jumps": [[[0.5, [0.25, 0.5]], [[0.25, -0.5], [-1.0, -0.0]]],
-                                [[1, 0.0], [False, [2.0, 0.0]]]]},
+                                [[1, 0.0], [0, [2.0, 0.0]]]]},
     "cor1-string.json": {"lengths": [2.0, 2.0], "jumps": [[[0.0]], [["1.5"]]]},
     "jumps1.json": [[[1.0]]] * 9,
     "lattice-row.json": {"d": [1.0] * 12, "H": [[[0.0]]] * 2 + [[0.0]] + [[[0.0]]] * 8, "N": 3},

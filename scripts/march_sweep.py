@@ -19,7 +19,8 @@ steps) on the christ-stolz blocks of the same sizes, ``t4_term`` over segments o
 lattice (both on the scalar chains) and of the perturbed order-1 lattice (the matmul
 loop), ``t7_check`` on 2500 to 10^5 christ-stolz spacings (N = half of them, less one),
 ``Lattice`` construction from the spacings as a tuple and ``cor3_check`` (N = their number
-less three) on the same spacings,
+less three) on the same spacings, ``t7_lattice`` on christ-stolz lattices of 10^3 to 10^5
+spacings built outside the timing (its libm logs and exps alone),
 ``build_report`` on harmonic windows of 10^3 to 10^5 terms (no certificate
 fires, so every pass runs), ``canonical_json`` of the JSON form of such
 a report with 10^3 to 10^5 floats (terms and partial sums),
@@ -100,6 +101,7 @@ NODES = (500, 1000, 2000, 5000, 10_000)
 SPACINGS = (2000, 5000, 10_000, 20_000, 50_000, 100_000)
 CELLS = (10, 25, 50, 100, 200, 400)
 PIECES = (10, 100, 1000, 10_000)
+LIBM_SPACINGS = (1000, 10_000, 100_000)
 SHUFFLE_SEED = 2027
 
 
@@ -225,7 +227,7 @@ def build_jobs() -> list:
     from sldl import cli
     from sldl.cli import canonical_json
     from sldl.bridge import classify_detailed
-    from sldl.jacobi import Lattice
+    from sldl.jacobi import Lattice, t7_lattice
 
     jobs = []
 
@@ -329,6 +331,11 @@ def build_jobs() -> list:
         timed("Lattice", count, lambda count=count: Lattice(d[:count], H[:count - 1]))
         timed("cor3_check", count,
               lambda count=count: cor3_check(d[:count], H[:count - 1], count - 3))
+    for count in LIBM_SPACINGS:
+        lattice = Lattice(d[:count], H[:count - 1])
+        lattice.shifted_jumps  # built once, outside the timing
+        timed("t7_lattice", count,
+              lambda lattice=lattice, count=count: t7_lattice(lattice, count // 2 - 1))
     rng = np.random.default_rng(400)
 
     def general_triple(n, cells):

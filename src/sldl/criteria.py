@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import Lattice
-from .matcore import FloatRangeError, ShapeMismatchError, first_nonfinite, hermitian
+from .matcore import FloatRangeError, ShapeMismatchError, first_nonfinite, hermitian, libm
 from .quasidiff import (
     FundamentalPair,
     LinearSigma,
@@ -382,20 +382,6 @@ def _channel_entries(channel, mats: np.ndarray) -> tuple[np.ndarray, bool]:
     raise TypeError("channel must be Diagonal or OffDiagonal")
 
 
-def _in_python(op, values: np.ndarray) -> np.ndarray:
-    """op of each value in Python arithmetic, inf where it leaves the float range.
-
-    Python's ``**`` and complex ``abs`` need not round as numpy's power and
-    absolute value do, so the terms keep them.
-    """
-    def one(v):
-        try:
-            return op(v)
-        except OverflowError:
-            return math.inf
-    return np.array([one(v) for v in values.tolist()])
-
-
 def _jump_terms(channel, mats: np.ndarray, count: int, diag_term, offdiag_term) -> list[float]:
     """The terms of a jump series over ``count`` jumps in ``channel``, all in the float range.
 
@@ -411,7 +397,7 @@ def _jump_terms(channel, mats: np.ndarray, count: int, diag_term, offdiag_term) 
         return []
     entries, diag = _channel_entries(channel, mats)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        terms = diag_term(entries) if diag else offdiag_term(_in_python(abs, entries))
+        terms = diag_term(entries) if diag else offdiag_term(libm(np.absolute, entries))
     if (k := first_nonfinite(terms)) is not None:
         raise FloatRangeError(f"the jump series leaves the float range at term {k + 1}")
     return terms.tolist()
@@ -426,7 +412,7 @@ def _lattice_terms(channel, mats: np.ndarray, rho: np.ndarray, s: np.ndarray) ->
     return _jump_terms(
         channel, mats, len(rho),
         lambda e: rho * s * np.sqrt(rho + s) * np.sqrt(np.abs(e + 1.5 * (1.0 / rho + 1.0 / s))),
-        lambda a: _in_python(lambda b: b ** 1.5, rho * s) * a)
+        lambda a: libm(np.power, rho * s, 1.5) * a)
 
 
 def t5_series(intervals: IntervalSeq, jumps, channel,
@@ -457,8 +443,8 @@ def cor1_series(lengths, jumps, channel,
     rho = np.array(lengths)
     terms = _jump_terms(
         channel, hermitian(jumps, "jump matrices"), len(rho),
-        lambda e: _in_python(lambda r: r ** 2.5, rho) * np.sqrt(np.abs(e + 6.0 / rho)),
-        lambda a: _in_python(lambda r: r ** 3, rho) * a)
+        lambda e: libm(np.power, rho, 2.5) * np.sqrt(np.abs(e + 6.0 / rho)),
+        lambda a: libm(np.power, rho, 3.0) * a)
     return build_report("cor1", terms, threshold=threshold)
 
 

@@ -22,7 +22,8 @@ Sequence storage: each block or jump sequence is one read-only (K, n, n) array, 
 formulas and series terms above are array expressions over it. A lattice is one ``Lattice``, its
 data checked once (a delta model checks its own and hands them over): one float64 array of
 spacings (``matcore.floats``) and one exactly symmetric float64 stack of jumps, which every lattice
-form slices as they are (its libm logs and exps take ``tolist``), and one lazily built stack of
+form slices as they are (t7's logs and exps are ``matcore.libm`` passes, with the bits of
+``math.log`` and ``math.exp``), and one lazily built stack of
 the shifted jumps H_k + (1/d_k + 1/d_{k+1}) I that A_k, t7 and cor3 slice. ``JacobiBlocks`` stores
 A exactly Hermitian and B as ``as_stack`` gives it, float64 for every lattice. The recurrence
 marches with the lazily built stacks B_inv and B_star. Where every B_k read is a scalar b_k I
@@ -55,6 +56,7 @@ from .matcore import (
     frobenius_norm,
     hermitian,
     inexact,
+    libm,
     matrices_from_json,
     matrix_to_json,
     real_symmetric,
@@ -476,11 +478,6 @@ def t4_report(blocks: JacobiBlocks, segments) -> CriterionReport:
 # determinacy series
 
 
-def _libm(f, x: np.ndarray) -> np.ndarray:
-    """math.log or math.exp of each entry of x; numpy's may differ in the last bit."""
-    return np.fromiter(map(f, x.tolist()), float, len(x))
-
-
 def _power_exponent(d) -> float | None:
     """Common power-law exponent of the tail of d, or None."""
     tail = np.asarray(d[len(d) // 2:], dtype=float)
@@ -491,7 +488,7 @@ def _power_exponent(d) -> float | None:
         ratios = tail[1:] / tail[:-1]
         if not ((0.0 < ratios) & (ratios < math.inf)).all():
             return None  # a ratio underflowed to 0.0 or overflowed: no power law
-        ps = _libm(math.log, ratios) / _libm(math.log, (k + 1.0) / k)
+        ps = libm(np.log, ratios) / libm(np.log, (k + 1.0) / k)
         mean = sum(ps.tolist()) / len(ps)
         spread = max(np.abs(ps - mean).tolist())  # Python's max skips a NaN after the first
     if spread <= 1e-6 * max(1.0, abs(mean)):
@@ -611,7 +608,7 @@ def t7_lattice(lat: Lattice, N: int) -> T7Result:
     # log d_k and log r_{k+1}^2 = log(d_k + d_{k+1}) for k = 1 .. 2N + 1, each taken once
     norms, x = frobenius_norm(lat.shifted_jumps[:2 * N + 1]), lat.d[:2 * N + 2]
     with np.errstate(over="ignore"):
-        log_d, log_r2 = _libm(math.log, x[:-1]), _libm(math.log, x[:-1] + x[1:])
+        log_d, log_r2 = libm(np.log, x[:-1]), libm(np.log, x[:-1] + x[1:])
     series_a, series_b, logs_a = [], [], []
     for s in (1, 2):
         # 2 log ratio_j, summed in j order from the first log ratio; the jump and
@@ -619,9 +616,9 @@ def t7_lattice(lat: Lattice, N: int) -> T7Result:
         lr2 = 2.0 * np.cumsum(log_d[s:2 * N + s:2] - log_d[s - 1:2 * N + s - 1:2])
         nf = norms[s:2 * N + s:2]
         live = nf != 0.0
-        log_t = np.concatenate([log_r2[s:2 * N + s:2] + lr2, lr2[live] + _libm(math.log, nf[live])])
+        log_t = np.concatenate([log_r2[s:2 * N + s:2] + lr2, lr2[live] + libm(np.log, nf[live])])
         terms, fit = np.full(len(log_t), math.inf), ~(log_t >= _LOG_MAX)  # NaN takes exp
-        terms[fit] = _libm(math.exp, log_t[fit])
+        terms[fit] = libm(np.exp, log_t[fit])
         tb = np.zeros(N)
         tb[live] = terms[N:]
         overflowed = int(np.count_nonzero(~fit[:N]))

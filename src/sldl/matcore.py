@@ -14,9 +14,14 @@ the conjugate of its mirror and the diagonal real. The checks below act on
 the trailing two axes of either dtype, so one rule serves a matrix and a stack.
 The Frobenius norm, used everywhere, is self-adjoint (invariant under
 conjugate transposition); every series criterion is stated in terms of it.
+Where a term takes a log, exp, power or complex modulus, ``libm`` computes it
+over an array with the bits of Python's per-entry op.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -76,6 +81,79 @@ def first_nonfinite(a: np.ndarray) -> int | None:
     non-finite value, or None."""
     finite = np.isfinite(a)
     return None if finite.all() else int(finite.all(axis=tuple(range(1, a.ndim))).argmin())
+
+
+_PYTHON_OPS = {np.log: math.log, np.exp: math.exp, np.absolute: abs}
+# per op, inputs on which numpy 2.4's forward (SIMD) loops differ from the C library on AVX-512
+_HARD_INPUTS = {
+    (np.log,): ("0x1.cdaba4456ad42p-2", "0x1.8f9901269bb4cp-1", "0x1.ece5fe9e41a3ep-1"),
+    (np.exp,): ("0x1.8aef40d3cdeacp+8", "-0x1.b4cc6633e8051p+8", "0x1.f1225ac37d4b8p+8"),
+    (np.power, 1.5): ("0x1.30e2e724486bap+15", "0x1.6e14463b3f850p+640", "0x1.40b572b5424b0p+128"),
+    (np.power, 2.5): ("0x1.32d2482e31624p+47", "0x1.44ed31c5bb4c8p-43", "0x1.1de3c0c51b73ap-372"),
+    (np.power, 3.0): ("0x1.eacb81d6cef65p+208", "0x1.176c418779382p+129", "0x1.c056d477725d5p+313"),
+    (np.absolute,): (("-0x1.4db6694938761p-1", "-0x1.28bcf544d4b8ep-3"),
+                     ("0x1.6be5117f62314p+451", "-0x1.725d67ff8f1a0p+431"),
+                     ("0x1.9eebb6ec55762p-2", "-0x1.7d270fe07d0aap-5")),
+}
+
+
+def libm(ufunc, x, *consts) -> np.ndarray:
+    """``ufunc(x, *consts)`` of a 1-D array with the bits of Python's op on each entry: ``math.log``
+    and ``math.exp`` for np.log and np.exp, ``v ** c`` for np.power with a constant c, ``abs`` for
+    np.absolute; inf where Python's op overflows. A new float64 array.
+
+    numpy's SIMD loops for these ufuncs round differently from the C library that Python calls,
+    but they take forward strides only: on a negative stride numpy takes its scalar loop, which
+    calls that library (log, exp, pow, hypot). So the ufunc runs on ``x[::-1]`` and its result is
+    reversed back. numpy does not document that fallback, so the first use of each op in a
+    process checks it on a fixed probe (``_reversed_is_exact``); an op that fails it maps
+    Python's op over the entries.
+    """
+    x = np.asarray(x)
+    return _reversed(ufunc, x, consts) if _reversed_is_exact(ufunc, consts) else _in_python(
+        ufunc, x, consts)
+
+
+def _reversed(ufunc, x: np.ndarray, consts: tuple) -> np.ndarray:
+    """``libm``'s numpy pass: the ufunc on a view of x with a negative stride, reversed back."""
+    rev = (x if x.strides[0] > 0 else np.array(x))[::-1]  # a copy has a forward stride
+    with np.errstate(over="ignore", under="ignore"):
+        return ufunc(rev, *consts)[::-1].copy()
+
+
+def _in_python(ufunc, x: np.ndarray, consts: tuple) -> np.ndarray:
+    """``libm``'s op of each entry of x by Python's op, inf where it raises OverflowError."""
+    op = (lambda v, c=float(consts[0]): v ** c) if ufunc is np.power else _PYTHON_OPS[ufunc]
+
+    def one(v):
+        try:
+            return op(v)
+        except OverflowError:
+            return math.inf
+    return np.fromiter(map(one, x.tolist()), float, len(x))
+
+
+@functools.cache
+def _reversed_is_exact(ufunc, consts: tuple) -> bool:
+    """True when ``libm``'s reversed pass gives Python's bits on a fixed probe, at sizes 1, 2,
+    17 and all of it: the op's hard inputs, then 2048 spread over its domain by Weyl sequences
+    (floats from subnormal to the largest, exponents past both ends of exp's range, complex
+    numbers of either sign)."""
+    weyl = lambda a: np.arange(2048) * a % 1.0  # equidistributed in [0, 1) for irrational a
+    spread = lambda a, b: np.ldexp(1.0 + weyl(a), (-1074 + 2098 * weyl(b)).astype(int))
+    hard = _HARD_INPUTS.get((ufunc, *consts), ())
+    if ufunc is np.exp:
+        x = np.concatenate([[float.fromhex(v) for v in hard], -746.0 + 1456.0 * weyl(2 ** 0.5)])
+    elif ufunc is np.absolute:
+        sign = lambda a: np.where(weyl(a) < 0.5, -1.0, 1.0)
+        x = np.concatenate([[complex(float.fromhex(a), float.fromhex(b)) for a, b in hard],
+                            sign(7 ** 0.5) * spread(2 ** 0.5, 3 ** 0.5)
+                            + 1j * sign(11 ** 0.5) * spread(5 ** 0.5, 6 ** 0.5)])
+    else:
+        x = np.concatenate([[float.fromhex(v) for v in hard], spread(2 ** 0.5, 3 ** 0.5)])
+    want = _in_python(ufunc, x, consts)
+    return all(_reversed(ufunc, x[:k], consts).tobytes() == want[:k].tobytes()
+               for k in (1, 2, 17, len(x)))
 
 
 def as_stack(entries, n: int | None = None) -> np.ndarray:
@@ -210,9 +288,15 @@ def matrix_to_json(m) -> list:
     return (m if m.dtype == float else np.stack([m.real, m.imag], axis=-1)).tolist()
 
 
+def _json_number(v) -> bool:
+    """True for a JSON number: an int or a float, not a bool (an int to Python) nor a str."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def matrices_from_json(objs) -> list:
     """A JSON matrix sequence checked for its form alone, as nested values for the one check of
-    the stack that owns them; a matrix whose pairs have no nonzero imaginary part reads as real."""
+    the stack that owns them; a matrix whose pairs have no nonzero imaginary part reads as real.
+    An entry is a number or an [re, im] pair of numbers, by one rule (``_json_number``)."""
     out = []
     for obj in objs:
         if not isinstance(obj, list) or not obj:
@@ -223,9 +307,9 @@ def matrices_from_json(objs) -> list:
                 raise ValueError("matrix JSON rows must be lists")
             rows.append(vals := [])
             for v in row:
-                if isinstance(v, (int, float)):
+                if _json_number(v):
                     vals.append(float(v))
-                elif isinstance(v, list) and len(v) == 2:
+                elif isinstance(v, list) and len(v) == 2 and all(map(_json_number, v)):
                     vals.append(complex(float(v[0]), float(v[1])))
                     imag.append(vals[-1].imag)
                 else:

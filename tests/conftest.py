@@ -3,13 +3,23 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 
-from sldl import DeltaNodes, Distributional, GeneralTriple, StepSigma
+from sldl import DeltaNodes, Distributional, GeneralTriple, StepSigma, matcore
 
 
 def exact_square(v: float) -> float:
     """The correctly rounded square of v, from exact rational arithmetic."""
     return float(Fraction(v) ** 2)
+
+
+@pytest.fixture(params=["reversed", "per-entry"])
+def libm_path(request, monkeypatch):
+    """Runs a test once with ``matcore.libm``'s reversed numpy pass and once with the per-entry
+    Python map that a failed probe keeps."""
+    if request.param == "per-entry":
+        monkeypatch.setattr(matcore, "_reversed_is_exact", lambda ufunc, consts: False)
+    return request.param
 
 
 def frozen_floats(got, want) -> bool:

@@ -11,7 +11,8 @@ sequence: each matrix parsed and checked alone as a 1 x n x n stack
 stacked. The tests require ``as_stack(matrices_from_json(objs), n)`` to
 give the same stack, or the same error, save for the two cases in which
 a whole sequence is checked at once: matrices of different shapes, and a
-sequence with faults in two matrices.
+sequence with faults in two matrices. An entry is a number or an [re, im] pair
+of numbers; a number is an int or a float, never a bool or a str.
 """
 
 import json
@@ -60,6 +61,10 @@ def as_matrix(entries, n: int | None = None) -> np.ndarray:
     return as_stack(np.asarray(entries)[None], n)[0]
 
 
+def _number(v) -> bool:
+    return type(v) in (int, float)
+
+
 def matrix_from_json(obj, n: int | None = None) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError("matrix JSON must be a non-empty list of rows")
@@ -69,9 +74,9 @@ def matrix_from_json(obj, n: int | None = None) -> np.ndarray:
             raise ValueError("matrix JSON rows must be lists")
         vals = []
         for v in row:
-            if isinstance(v, (int, float)):
+            if _number(v):
                 vals.append(complex(v))
-            elif isinstance(v, list) and len(v) == 2:
+            elif isinstance(v, list) and len(v) == 2 and _number(v[0]) and _number(v[1]):
                 vals.append(complex(float(v[0]), float(v[1])))
             else:
                 raise ValueError(f"bad matrix entry {v!r}")

@@ -36,6 +36,17 @@ from sldl.matcore import FloatRangeError, NonSymmetricError, ShapeMismatchError,
 from sldl.reports import build_report
 
 
+def in_python(op, values) -> np.ndarray:
+    """op of each value in Python arithmetic, inf where it raises OverflowError: the per-entry
+    pass the jump series and t7 took for ``abs``, ``**``, ``math.log`` and ``math.exp``."""
+    def one(v):
+        try:
+            return op(v)
+        except OverflowError:
+            return math.inf
+    return np.array([one(v) for v in np.asarray(values).tolist()], dtype=float)
+
+
 def jump_list(jumps, count: int) -> np.ndarray:
     mats = as_stack(jumps)
     if len(mats) != count:

@@ -848,6 +848,20 @@ def test_cor1_checks_its_lengths(capsys, tmp_path, length, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("jumps, entry", [
+    ([[[["1.5", "0"]]], [[1.0]]], "['1.5', '0']"),  # exited 0 with a term of 12
+    ([[[True]], [[1.0]]], "True"),  # exited 0
+    ([[["1.5"]], [[1.0]]], "'1.5'"),
+])
+def test_jump_entries_and_pair_parts_must_be_json_numbers(capsys, tmp_path, jumps, entry):
+    path = tmp_path / "cor1.json"
+    path.write_text(json.dumps({"lengths": [2.0, 2.0], "jumps": jumps}))
+    assert run(["criterion", "cor1", "--data", str(path), "--channel", "diag:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad matrix entry {entry}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["jacobi", "build", "--n", "0", "--d", "const:1", "--H", "cancel"],
     ["jacobi", "build", "--n", "-1", "--d", "const:1", "--H", "cancel"],

@@ -912,6 +912,31 @@ def test_t7_of_extreme_lattices_equals_the_term_loop(d, n):
             assert_t7_equals_the_term_loop(d, H, 1)
 
 
+def _wide_lattice(kind):
+    """Spacings from near 1e-300 to near 1e300, whose products leave the float range."""
+    rng = np.random.default_rng(4401)
+    if kind == "alternating":
+        return (1e-300, 1e300) * 2001, np.zeros((4001, 1, 1))
+    n = int(kind[-1])
+    a = rng.uniform(-2.0, 2.0, (4001, n, n))
+    return 10.0 ** rng.uniform(-300.0, 300.0, 4002), a + a.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("kind", ["christ-stolz", "power", "wide-1", "wide-2", "alternating"])
+def test_t7_and_the_power_exponent_on_either_libm_path_equal_the_term_loops(libm_path, kind):
+    # t7's logs and exps and the exponent's logs are libm passes: their reversed numpy
+    # pass and the per-entry map a failed probe keeps give the term loop's bits
+    wide = kind not in ("christ-stolz", "power")
+    d, H = _wide_lattice(kind) if wide else _lattice(kind)
+    with np.errstate(over="ignore", under="ignore"):
+        assert_t7_equals_the_term_loop(d, H, (len(d) - 2) // 2)
+        for window in (d, d[:len(d) // 3]):
+            assert repr(_power_exponent(window)) == repr(reference_lattice.power_exponent(window))
+    if wide:  # terms past the float range read inf and keep their logs
+        notes = [r.notes for r in t7_check(d, H, (len(d) - 2) // 2).series_a]
+        assert any("overflow" in note for note in sum(notes, ()))
+
+
 @pytest.mark.parametrize("d", [
     (1e-300, 1e10) * 8,  # ratios past the float range: no exponent
     (1e10, 1e-300) * 8,  # the same after a finite one, where Python's max kept inf

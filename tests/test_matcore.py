@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import reference_json
+import reference_series
 from conftest import complex_matrices
 from sldl import (
     DeltaNodes,
@@ -45,6 +47,7 @@ from sldl.matcore import (
     scalars,
 )
 from sldl.quasidiff import SingularPieceError, model_from_json, model_to_json
+from sldl import matcore
 
 
 def test_frobenius_identity_is_sqrt_n():
@@ -292,9 +295,10 @@ def test_matrix_json_decides_real_by_the_dtype_rule():
 
 # parts of an entry: numbers json reads (ints and bools too, past int64 and inside the
 # float range), zeros of both signs, and parts that one of the checks refuses
-_PART = st.one_of(st.sampled_from([0.0, -0.0, 1, -2, True, 2 ** 70, 2 ** 1023]),
+_PART = st.one_of(st.sampled_from([0.0, -0.0, 1, -2, 2 ** 70, 2 ** 1023]),
                   st.floats(-4.0, 4.0))
-_BAD_PART = st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, "1.5", "x", None])
+_BAD_PART = st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, "1.5", "x", None, True,
+                             False])
 _ENTRY = st.one_of(_PART, st.lists(_PART, min_size=2, max_size=2))
 _BAD_ENTRY = st.one_of(_BAD_PART, st.lists(_PART, max_size=3).filter(lambda v: len(v) != 2),
                        st.tuples(_PART, _BAD_PART).map(list),
@@ -377,12 +381,21 @@ def test_a_real_matrix_written_as_pairs_reads_as_real():
 
 
 def test_numbers_and_pairs_mix_within_and_across_matrices():
-    seq = [[[0.5, [0.25, 0.5]], [[0.25, -0.5], -1]], [[1, 0.0], [False, [2.0, 0.0]]]]
+    seq = [[[0.5, [0.25, 0.5]], [[0.25, -0.5], -1]], [[1, 0.0], [0, [2.0, 0.0]]]]
     got, want = (hermitian(s, "jump matrices") for s in (matrices_from_json(seq),
                                                          reference_json.stack_from_json(seq)))
     assert got.dtype == complex and got.tobytes() == want.tobytes()
-    ints = as_stack(matrices_from_json([[[True]], [[2 ** 70]], [[4.5]]]))
+    ints = as_stack(matrices_from_json([[[1]], [[2 ** 70]], [[4.5]]]))
     assert ints.dtype == float and ints.tolist() == [[[1.0]], [[2.0 ** 70]], [[4.5]]]
+
+
+@pytest.mark.parametrize("entry", [True, False, "1.5", ["1.5", 0.0], [1.5, "0"], [True, 0.0],
+                                   [1.5, False], [None, 1.0]])
+def test_entries_and_pair_parts_are_json_numbers_by_one_rule(entry):
+    # a pair's parts were read by float, so strings and bools passed inside pairs
+    for read in (matrices_from_json, reference_json.stack_from_json):
+        with pytest.raises(ValueError, match=r"^bad matrix entry "):
+            read([[[entry]], [[1.0]]])
 
 
 def test_the_json_readers_check_each_sequence_once(monkeypatch):
@@ -718,3 +731,96 @@ def test_blocks_from_lattice_accepts_a_rotated_lattice():
     blocks = blocks_from_lattice(lat)
     assert blocks.A.dtype == float and (blocks.A == blocks.A.swapaxes(1, 2)).all()
     assert len(blocks.A) == len(d)
+
+
+# ---------------------------------------------------------------------------
+# libm: numpy passes with the bits of Python's per-entry ops
+
+def _libm_inputs(ufunc, size: int, seed: int) -> np.ndarray:
+    """Seeded inputs over the op's domain: floats from subnormal to near the float maximum
+    (their powers past the float range), exponents past both ends of exp's range, complex
+    numbers of either sign and every magnitude."""
+    rng = np.random.default_rng(seed)
+    spread = lambda: np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1074, 1024, size))
+    if ufunc is np.exp:
+        return rng.uniform(-746.0, 710.0, size)
+    if ufunc is np.absolute:
+        signs = rng.choice([-1.0, 1.0], (2, size))
+        return signs[0] * spread() + 1j * signs[1] * spread()
+    return spread()
+
+
+_LIBM_OPS = [(np.log, (), math.log), (np.exp, (), math.exp),
+             (np.power, (1.5,), lambda v: v ** 1.5), (np.power, (2.5,), lambda v: v ** 2.5),
+             (np.power, (3.0,), lambda v: v ** 3), (np.absolute, (), abs)]
+_LIBM_IDS = ["log", "exp", "pow1.5", "pow2.5", "pow3", "abs"]
+
+
+def _hard_inputs(ufunc, consts) -> np.ndarray:
+    hard = matcore._HARD_INPUTS[(ufunc, *consts)]
+    if ufunc is np.absolute:
+        return np.array([complex(float.fromhex(a), float.fromhex(b)) for a, b in hard])
+    return np.array([float.fromhex(v) for v in hard])
+
+
+@pytest.mark.parametrize("ufunc, consts, op", _LIBM_OPS, ids=_LIBM_IDS)
+@pytest.mark.parametrize("size", [0, 1, 2, 17, 100_000])
+def test_libm_has_the_bits_of_pythons_op(libm_path, ufunc, consts, op, size):
+    x = _libm_inputs(ufunc, size, 4400 + size)
+    hard = _hard_inputs(ufunc, consts)[:size]
+    x[:len(hard)] = hard  # the hard inputs lead: on them numpy's forward loops round differently
+    if size > len(hard):  # and a range edge ends: past the float range but for log
+        x[-1] = {np.log: 5e-324, np.exp: 709.8, np.absolute: 1.5e308 - 1.5e308j}.get(ufunc, 1e308)
+    want = reference_series.in_python(op, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning of an overflow escapes
+        got = matcore.libm(ufunc, x, *consts)
+        strided = matcore.libm(ufunc, np.repeat(x, 3)[1::3], *consts)
+        backward = matcore.libm(ufunc, x[::-1].copy()[::-1], *consts)
+    for out in (got, strided, backward):
+        assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable
+        assert out.tobytes() == want.tobytes()
+    assert size < 3 or np.isinf(want[-1]) == (ufunc is not np.log)  # overflows read inf
+
+
+@pytest.mark.parametrize("ufunc, consts, op", _LIBM_OPS, ids=_LIBM_IDS)
+def test_libm_returns_a_new_array_and_leaves_its_input(ufunc, consts, op):
+    x = _libm_inputs(ufunc, 64, 4411)
+    before = x.tobytes()
+    got = matcore.libm(ufunc, x, *consts)
+    assert not np.shares_memory(got, x) and x.tobytes() == before
+
+
+@pytest.mark.parametrize("ufunc, consts, op", _LIBM_OPS, ids=_LIBM_IDS)
+def test_a_failed_probe_keeps_the_per_entry_python_map(monkeypatch, ufunc, consts, op):
+    x = np.concatenate([_hard_inputs(ufunc, consts), _libm_inputs(ufunc, 5000, 4412)])
+    fast = matcore.libm(ufunc, x, *consts)
+    maps = []
+    monkeypatch.setattr(matcore, "_reversed_is_exact", lambda ufunc, consts: False)
+    monkeypatch.setattr(matcore, "_in_python",
+                        lambda *args, real=matcore._in_python: maps.append(args) or real(*args))
+    kept = matcore.libm(ufunc, x, *consts)
+    assert len(maps) == 1 and kept.tobytes() == fast.tobytes()
+    assert kept.tobytes() == reference_series.in_python(op, x).tobytes()
+
+
+@pytest.mark.parametrize("ufunc, consts, op", _LIBM_OPS, ids=_LIBM_IDS)
+def test_the_probe_refuses_a_pass_that_takes_the_forward_loops(monkeypatch, ufunc, consts, op):
+    # a numpy whose loop on a negative stride rounds as its forward loop does fails the probe
+    hard = _hard_inputs(ufunc, consts)
+    with np.errstate(over="ignore"):
+        forward = ufunc(hard, *consts)
+    if forward.tobytes() == reference_series.in_python(op, hard).tobytes():
+        pytest.skip("numpy's forward loop rounds as the C library on this host")
+    forward_pass = lambda ufunc, x, consts: ufunc(x, *consts)
+    monkeypatch.setattr(matcore, "_reversed", forward_pass)
+    assert not matcore._reversed_is_exact.__wrapped__(ufunc, consts)
+
+
+def test_the_probe_runs_once_per_op_and_constant():
+    matcore._reversed_is_exact.cache_clear()
+    for _ in range(3):
+        for ufunc, consts, _ in _LIBM_OPS:
+            matcore.libm(ufunc, np.ones(4), *consts)
+    info = matcore._reversed_is_exact.cache_info()
+    assert (info.misses, info.currsize) == (len(_LIBM_OPS), len(_LIBM_OPS))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sldl.criteria import Diagonal, IntervalSeq, OffDiagonal, cor1_series, cor2_series, t5_series
 from sldl.jacobi import christ_stolz_family
+from sldl.matcore import FloatRangeError
 from sldl.quasidiff import DeltaNodes, _check_cuts
 
 # mostly moderate magnitudes, sometimes ones whose products, powers or
@@ -100,6 +101,58 @@ def test_cor1_matches_the_per_term_series(data, lengths):
         mats = hermitian_mirrored(mats)
     assert (outcome(cor1_series, lengths, mats, channel)
             == outcome(ref.cor1_series, lengths, mats, channel))
+
+
+def _wide(rng, spans, count: int) -> np.ndarray:
+    """``count`` seeded floats 10^U(lo, hi), split evenly over the (lo, hi) spans in order."""
+    parts = np.array_split(np.arange(count), len(spans))
+    return np.concatenate([10.0 ** rng.uniform(lo, hi, len(part))
+                           for (lo, hi), part in zip(spans, parts)])
+
+
+# exponent spans of the spacings: moderate to tiny (products and powers to subnormals and 0),
+# then, for "huge", past the float range, which the series names at its first term there
+WINDOWS = {"mixed": [(-300.0, 60.0)], "tiny": [(-305.0, -150.0)],
+           "huge": [(-300.0, 60.0), (100.0, 300.0)]}
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("n, channel", [(2, Diagonal(2)), (2, OffDiagonal(1, 2)),
+                                        (3, Diagonal(2)), (3, OffDiagonal(3, 2))])
+def test_cor2_at_length_matches_the_per_term_series_on_either_libm_path(libm_path, n, channel,
+                                                                        window):
+    rng = np.random.default_rng(4402 + n)
+    d = _wide(rng, WINDOWS[window], 3001)
+    a = rng.uniform(-50.0, 50.0, (3000, n, n))
+    jumps = a + a.transpose(0, 2, 1)
+    got = outcome(cor2_series, d, jumps, channel)
+    assert got == outcome(ref.cor2_series, d, jumps, channel)
+    assert (got[0] is FloatRangeError) == (window == "huge")
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("channel", [Diagonal(1), OffDiagonal(1, 2), OffDiagonal(2, 1)],
+                         ids=["diag", "offdiag-12", "offdiag-21"])
+def test_t5_and_cor1_at_length_match_the_per_term_series_on_either_libm_path(libm_path, channel,
+                                                                             window):
+    # complex Hermitian jumps: an off-diagonal modulus is a complex abs
+    rng = np.random.default_rng(4403)
+    count = 2000
+    jumps = hermitian_mirrored(_wide(rng, [(-200.0, 100.0)], 4 * count).reshape(count, 2, 2)
+                               * rng.choice([-1.0, 1.0], (count, 2, 2))
+                               + 1j * rng.uniform(-50.0, 50.0, (count, 2, 2)))
+    lengths = _wide(rng, WINDOWS[window], count)
+    got = outcome(cor1_series, lengths, jumps, channel)
+    assert got == outcome(ref.cor1_series, lengths, jumps, channel)
+    assert (got[0] is FloatRangeError) == (window == "huge")
+    # t5's intervals in ascending sizes, each the second half of its segment, so that no
+    # interval is lost to its offset; the marker splits the interval at rho / 2 from its start
+    rho = np.sort(lengths)
+    ends = np.cumsum(2.0 * rho + rho * rng.uniform(0.5, 2.0, count))
+    a = ends - (ends - np.concatenate([[0.0], ends[:-1]])) / 2.0
+    intervals = IntervalSeq(tuple(zip(a.tolist(), ends.tolist())), tuple((a + rho / 2).tolist()))
+    assert (outcome(t5_series, intervals, jumps, channel)
+            == outcome(ref.t5_series, intervals, jumps, channel))
 
 
 ONE, TWO = np.zeros((1, 1)), np.zeros((2, 2))
