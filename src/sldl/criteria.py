@@ -382,28 +382,29 @@ def _channel_entries(channel, mats: np.ndarray) -> tuple[np.ndarray, bool]:
     raise TypeError("channel must be Diagonal or OffDiagonal")
 
 
-def _jump_terms(channel, mats: np.ndarray, count: int, diag_term, offdiag_term) -> list[float]:
+def _jump_terms(channel, mats: np.ndarray, count: int, diag_term, offdiag_term) -> np.ndarray:
     """The terms of a jump series over ``count`` jumps in ``channel``, all in the float range.
 
     ``mats`` is a stack its series checked (``hermitian``, or the ``Lattice``'s). ``diag_term``
     maps the channel's real diagonal entries to the terms and ``offdiag_term`` the moduli of
     its off-diagonal ones. A series without terms checks nothing, its channel included. The
     first term that is not finite (a product or power past the float range, or inf times 0)
-    raises FloatRangeError naming it (1-based).
+    raises FloatRangeError naming it (1-based). The terms are one float64 array, which
+    ``build_report`` reads as it is.
     """
     if len(mats) != count:
         raise ShapeMismatchError(f"need {count} jump matrices, got {len(mats)}")
     if not count:
-        return []
+        return np.empty(0)
     entries, diag = _channel_entries(channel, mats)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         terms = diag_term(entries) if diag else offdiag_term(libm(np.absolute, entries))
     if (k := first_nonfinite(terms)) is not None:
         raise FloatRangeError(f"the jump series leaves the float range at term {k + 1}")
-    return terms.tolist()
+    return terms
 
 
-def _lattice_terms(channel, mats: np.ndarray, rho: np.ndarray, s: np.ndarray) -> list[float]:
+def _lattice_terms(channel, mats: np.ndarray, rho: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Terms of jumps at distances rho and s from their intervals' ends.
 
     Diagonal channel: rho s sqrt(rho + s) sqrt|h_ii + 1.5 (1/rho + 1/s)|.

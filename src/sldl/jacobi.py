@@ -28,13 +28,13 @@ the shifted jumps H_k + (1/d_k + 1/d_{k+1}) I that A_k, t7 and cor3 slice. ``Jac
 A exactly Hermitian and B as ``as_stack`` gives it, float64 for every lattice. The recurrence
 marches with the lazily built stacks B_inv and B_star. Where every B_k read is a scalar b_k I
 (every lattice's blocks, and every order-1 stack), a step of a real vector of up to six entries
-is one BLAS product A_k u_k and Python arithmetic on the entries, at order 1 Python products
-alone; other states and blocks take three BLAS products into buffers per step. t4 steps a 2n x 2n
-gram by two matmuls per row. Where every A_k read is O as well (every ``cancel`` lattice), a
-march from a finite start is one running product of b_k factors per parity, and t4's rows are
-two scalar chains in Python floats. States take the dtype of blocks and start: float64 when
-both are real, complex128 otherwise. Slot k holds A_k and B_k from A_0, B_0; indices k are
-1-based.
+is one BLAS product A_k u_k and Python arithmetic on the entries (at n = 2 on two unrolled
+Python floats, with no list), at order 1 Python products alone; other states and blocks take
+three BLAS products into buffers per step. t4 steps a 2n x 2n gram by two matmuls per row.
+Where every A_k read is O as well (every ``cancel`` lattice), a march from a finite start is one
+running product of b_k factors per parity, and t4's rows are two scalar chains in Python floats.
+States take the dtype of blocks and start: float64 when both are real, complex128 otherwise.
+Slot k holds A_k and B_k from A_0, B_0; indices k are 1-based.
 """
 
 from __future__ import annotations
@@ -292,14 +292,18 @@ def _scalar_steps(A, b_inv: list, b_star: list, prev: np.ndarray, cur: np.ndarra
 
     x is a u_m at order 1, where each column steps alone in Python floats or complex numbers
     (0j + for complex blocks), and one BLAS product at n >= 2 (real vectors; a Python sum would
-    lose the FMA of the kernel). A BLAS matrix-vector product with b I starts from +0 and adds
-    only exact zeros to one product, so the 0.0 + gives every zero the sign of ``_steps`` and
-    every bit matches; a NaN of 0 * inf there is an inf here, in the same row. A matrix-matrix
-    product starts from its first product instead: a zero whose products are all -0 stays -0,
-    which no 0.0 + copies, so matrix states at n >= 2 keep ``_steps``. NaN signs aside: where
-    two NaNs meet, CPython returns either one, depending on how warm its interpreter is. A
-    zero + on each summand would change only zero signs, which the products keep and that
-    add turns into +0.0, inf and NaN included.
+    lose the FMA of the kernel). At n = 2 the two entries step unrolled in Python floats, the
+    product read through a memoryview and the new entries written into their output row, which
+    is the next product's input; at n = 3 .. 6 the entries step as lists. A BLAS
+    matrix-vector product with b I starts from +0 and adds only exact zeros to one product, so
+    the 0.0 + gives every zero the sign of ``_steps`` and every bit matches; where its zero
+    off-diagonal entries make a NaN of 0 * inf, the entry here may be a number, in a row that
+    leaves the float range all the same. A matrix-matrix product starts from its first
+    product instead: a zero whose products are all -0 stays -0, which no 0.0 + copies, so
+    matrix states at n >= 2 keep ``_steps``. NaN signs aside: where two NaNs meet, CPython
+    returns either one, depending on how warm its interpreter is. A zero + on each summand
+    would change only zero signs, which the products keep and that add turns into +0.0, inf
+    and NaN included.
     """
     zero, rows = 0.0 if out.dtype == float else 0j, out.reshape(len(out), -1)
     ps, cs = prev.reshape(-1).tolist(), cur.reshape(-1).tolist()
@@ -314,6 +318,17 @@ def _scalar_steps(A, b_inv: list, b_star: list, prev: np.ndarray, cur: np.ndarra
         return
     au = np.empty_like(cur)
     with np.errstate(over="ignore", invalid="ignore"):
+        if cur.shape == (2,):
+            x = memoryview(au)
+            (p0, p1), (c0, c1) = ps, cs
+            for a, bi, bs, row in zip(A, b_inv, b_star, out):
+                a.dot(cur, au)
+                x0, x1 = x
+                p0, p1, c0, c1 = (c0, c1, -(0.0 + bi * (x0 + bs * p0)),
+                                  -(0.0 + bi * (x1 + bs * p1)))
+                row[0], row[1] = c0, c1
+                cur = row
+            return
         for a, bi, bs, row in zip(A, b_inv, b_star, out):
             a.dot(cur, au)
             ps, cs = cs, [-(zero + bi * (x + bs * p)) for x, p in zip(au.tolist(), ps)]

@@ -1283,6 +1283,66 @@ def test_drawn_scalar_b_marches_keep_the_bytes_of_the_three_product_loop(n, coun
     check_scalar_marches(blocks, np.array(entries[:n]), np.array(entries[3:3 + n]))
 
 
+_FINITE_ENTRIES = [0.0, -0.0, 0.5, -3.0, 1e-300, -1e-300, 1e300, -1e300]
+_TWO_ENTRY_VALUES = _FINITE_ENTRIES + [math.inf, -math.inf, math.nan]
+
+
+def drawn_floats(data, values, *shape) -> np.ndarray:
+    """A float64 array of the given shape, each entry drawn from ``values``."""
+    size = math.prod(shape)
+    return np.array(data.draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_two_entry_steps_keep_the_bytes_of_the_three_product_loop(data):
+    # the unrolled n = 2 step against _steps, on drawn A, b_inv, b_star and seeds, inf and
+    # NaN among them: every row before the first one out of the float range has the loop's
+    # bytes, and that row is the same. In it every entry the loop makes a number has its
+    # bytes; where the loop's zero off-diagonal entries make a NaN of 0 * inf, the Python
+    # step may make a number, and a NaN of either may carry either sign
+    m = data.draw(st.integers(1, 8))
+    A, b_inv, b_star = (drawn_floats(data, _TWO_ENTRY_VALUES, *shape)
+                        for shape in ((m, 2, 2), (m,), (m,)))
+    prev, cur = drawn_floats(data, _TWO_ENTRY_VALUES, 2, 2)
+    B_inv, B_star = np.zeros((2, m, 2, 2))
+    B_inv[:, 0, 0] = B_inv[:, 1, 1] = b_inv
+    B_star[:, 0, 0] = B_star[:, 1, 1] = b_star
+    got, want = np.empty((m, 2)), np.empty((m, 2))
+    _scalar_steps(A, b_inv.tolist(), b_star.tolist(), prev, cur, got)
+    _steps(A, B_inv, B_star, prev, cur, want)
+    k = first_nonfinite(want)
+    assert first_nonfinite(got) == k
+    if k is None:
+        assert got.tobytes() == want.tobytes()
+        return
+    assert got[:k].tobytes() == want[:k].tobytes()
+    number = ~np.isnan(want[k])
+    assert got[k][number].tobytes() == want[k][number].tobytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_drawn_two_entry_marches_leave_the_float_range_at_the_loops_step(data):
+    # solve_recurrence on symmetric A_k and real b_k I with entries from 1e-300 to 1e300,
+    # from seeds with inf and NaN among them: the three-product loop's bytes, or its
+    # FloatRangeError at the same step
+    m = data.draw(st.integers(1, 12))
+    upper = drawn_floats(data, _FINITE_ENTRIES, m + 1, 3)
+    A = upper[:, [0, 1, 1, 2]].reshape(m + 1, 2, 2)
+    b = drawn_floats(data, [v for v in _FINITE_ENTRIES if v], m + 1)
+    blocks = JacobiBlocks(2, A, b[:, None, None] * np.eye(2))
+    u0, u1 = drawn_floats(data, _TWO_ENTRY_VALUES, 2, 2)
+    want = three_product_march(blocks, u0, u1, 1, m + 1)
+    error = reference_error(want, 1)
+    if error is None:
+        assert solve_recurrence(blocks, u0, u1, m + 2)[2:].tobytes() == want.tobytes()
+    else:
+        with pytest.raises(FloatRangeError, match=re.escape(error)):
+            solve_recurrence(blocks, u0, u1, m + 2)
+
+
 def test_complex_states_and_non_scalar_blocks_keep_the_three_product_loop(monkeypatch):
     rng = np.random.default_rng(41)
     blocks = perturbed_lattice_blocks(rng, 2, 60)
