@@ -30,7 +30,8 @@ of their cells (a grid off the cuts, which the cell walk marches),
 ``DeltaNodes.from_spacings``, ``DeltaNodes``
 from the nodes (their running sums, as a list), ``classify_detailed`` with
 the default config (one model per size, so every repeat but the first sees
-what the model keeps between calls) and ``cor2_series`` (the diagonal
+what the model keeps between calls) at orders 1, 2 and 3 (jumps h_k I of the
+christ-stolz family) and ``cor2_series`` (the diagonal
 channel of the order-1 family, and the off-diagonal channel of an order-2
 lattice whose jumps are its jumps times [[1, 1/2], [1/2, 1]]) on 2000 to
 10^5 christ-stolz spacings, and
@@ -243,7 +244,7 @@ def build_jobs() -> list:
         timed("blocks_from_delta B_inv", steps,
               lambda steps=steps: blocks_from_delta(d[:steps], H[:steps - 1]).B_inv)
     H2 = np.asarray(H) * np.array([[1.0, 0.5], [0.5, 1.0]])
-    cancel2 = christ_stolz_family(len(d), 2)[1]
+    cancel2, cancel3 = (christ_stolz_family(len(d), n)[1] for n in (2, 3))
     for steps in STEPS:
         timed("blocks_from_delta n=2 B_inv", steps,
               lambda steps=steps: blocks_from_delta(d[:steps], cancel2[:steps - 1]).B_inv)
@@ -265,7 +266,7 @@ def build_jobs() -> list:
                                                                      jumps[:steps + 1]))
     perturbed_rng = np.random.default_rng(406)  # its own seed: the models above stay as they were
     s = perturbed_rng.uniform(-0.25, 0.25, (len(d) - 1, 3, 3))
-    perturbed[3] = christ_stolz_family(len(d), 3)[1] + s + s.transpose(0, 2, 1)
+    perturbed[3] = cancel3 + s + s.transpose(0, 2, 1)
     for steps in STEPS:  # order 3 steps and K_ij of order 2, the blocks built as above
         timed("solve_recurrence perturbed n=3", steps,
               lambda blocks, steps=steps: solve_recurrence(blocks, [1.0, 0.5, 0.25],
@@ -321,6 +322,10 @@ def build_jobs() -> list:
             1, nodes, H[:count], nodes[-1] + d[count]))
         model = DeltaNodes.from_spacings(1, d[:count], H[:count], tail=d[count])
         timed("classify_detailed", count, lambda model=model: classify_detailed(model))
+        for n, jumps in ((2, cancel2), (3, cancel3)):
+            model = DeltaNodes.from_spacings(n, d[:count], jumps[:count], tail=d[count])
+            timed(f"classify_detailed n={n}", count,
+                  lambda model=model: classify_detailed(model))
         timed("cor2_series diag", count,
               lambda count=count: cor2_series(d[:count], H[:count - 1], Diagonal(1)))
         timed("cor2_series offdiag", count,

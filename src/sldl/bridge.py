@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -92,9 +92,9 @@ class Verdict:
 class ClassifyConfig:
     """Horizon and data selection for classify.
 
-    intervals feed the interval series (t1) and the monotonicity test
-    (t2); segments feed the discrete segment series (t4); N bounds every
-    lattice series; criteria, when given, picks which CRITERIA codes run.
+    intervals feed t1 and t2, segments t4; criteria, when given, picks which CRITERIA codes
+    run. The lattice criteria read the first N + 2 spacings (carleman), the largest segment
+    end + 2 (t4), 2N + 2 (t7), N + 3 (cor3) and every stored spacing (cor2).
     """
 
     intervals: IntervalSeq | None = None
@@ -213,30 +213,19 @@ def _lattice(problem) -> Lattice:
     return Lattice((), ())  # no lattice
 
 
-class _Subject:
-    """A problem under classification and, each built once on first use, its lattice and blocks."""
+# A problem under classification, its config and its delta lattice
+_Subject = namedtuple("_Subject", "problem config lattice")
 
-    def __init__(self, problem, config: ClassifyConfig):
-        self.problem = problem
-        self.config = config
 
-    @cached_property
-    def lattice(self) -> Lattice:
-        return _lattice(self.problem)
-
-    @cached_property
-    def _built(self) -> JacobiBlocks | FloatRangeError | None:
-        try:
-            return blocks_from_lattice(self.lattice) if len(self.lattice.d) >= 3 else None
-        except FloatRangeError as exc:  # kept: each read of blocks raises it, none rebuilds
-            return exc
-
-    @property
-    def blocks(self) -> JacobiBlocks | None:
-        blocks = self.problem if isinstance(self.problem, JacobiBlocks) else self._built
-        if isinstance(blocks, FloatRangeError):
-            raise blocks
-        return blocks
+def _blocks(s: _Subject, rows: int) -> JacobiBlocks | None:
+    """The blocks through B_rows a block criterion reads: a blocks problem's own, else those of
+    the lattice's first rows + 2 spacings (all if fewer; None below three) on views of its checked
+    arrays. Each criterion builds its own, so a FloatRangeError of its window is its own."""
+    if isinstance(s.problem, JacobiBlocks):
+        return s.problem
+    stop = max(rows, 1) + 2
+    d, H = s.lattice.d[:stop], s.lattice.H[:stop]
+    return blocks_from_lattice(Lattice.checked(d, H)) if len(d) >= 3 else None
 
 
 def _channels(n: int):
@@ -276,14 +265,15 @@ def _run_cor2(s):
 
 
 def _run_carleman(s):
-    if s.blocks is not None and len(s.blocks.B) >= 2:
-        n_eff = min(s.config.N, len(s.blocks.B) - 1)
-        yield _series("carleman", carleman_report(s.blocks, n_eff))
+    blocks = _blocks(s, s.config.N)
+    if blocks is not None and len(blocks.B) >= 2:
+        yield _series("carleman", carleman_report(blocks, min(s.config.N, len(blocks.B) - 1)))
 
 
 def _run_t4(s):
-    if s.config.segments and s.blocks is not None:
-        yield _series("t4", t4_report(s.blocks, s.config.segments))
+    segments = s.config.segments
+    if segments and (blocks := _blocks(s, max(m for _, m in segments))) is not None:
+        yield _series("t4", t4_report(blocks, segments))
 
 
 def _run_t7(s):
@@ -338,7 +328,7 @@ def classify(problem, config: ClassifyConfig | None = None) -> Verdict:
 def classify_detailed(problem, config: ClassifyConfig | None = None):
     """classify plus the full list of CriterionReports behind the evidence."""
     config = config or ClassifyConfig()
-    subject = _Subject(problem, config)
+    subject = _Subject(problem, config, _lattice(problem))
     evidence: list[Evidence] = []
     reports: list[CriterionReport] = []
     sides = set()

@@ -67,7 +67,7 @@ from .jacobi import (
     t4_report,
     t7_lattice,
 )
-from .matcore import as_stack, floats, matrices_from_json, matrix_to_json
+from .matcore import floats, matrices_from_json, matrix_to_json
 from .quasidiff import DeltaNodes, LinearSigma, QuasiState, model_from_json
 from .reports import CONVERGES, DIVERGES, INCONCLUSIVE, VERDICT_POLICY
 
@@ -246,8 +246,11 @@ def parse_jumps(spec: str, d, n: int):
         return np.broadcast_to(v * np.eye(n), (count, n, n))  # -0.0 off the diagonal for v < 0
     if spec == "cancel":
         return cancel_jumps(d, n)
-    if spec.startswith("file:"):
-        return as_stack(matrices_from_json(_load_json(spec[5:])), n)  # Lattice takes no n
+    if spec.startswith("file:"):  # checked once, by the Lattice; it takes no n
+        jumps = matrices_from_json(_load_json(spec[5:]))
+        if jumps and len(jumps[0]) != n:
+            raise ConfigError(f"expected order {n}, got {len(jumps[0])}")
+        return jumps
     raise ConfigError(f"unknown jump spec {spec!r}")
 
 
@@ -448,9 +451,13 @@ def _lattice(args, min_count, *keys):
     ``min_count(args)`` is evaluated after a data file's own N has taken
     effect; shorthand-generated spacings are extended to meet it. The count
     is checked before the jumps are read, since ``cancel`` jumps need two
-    spacings each. The echo holds op, d, H, n and data, then ``keys``.
+    spacings each. A data file's jumps set n (a given --n must equal their
+    order), and it refuses --d and --H. The echo holds op, d, H, n and data,
+    then ``keys``.
     """
     if args.data:
+        if args.d is not None or args.H is not None:
+            raise ConfigError("--data holds d and H; drop --d and --H")
         obj = _load_data(args.data, "d", "H")
         d = floats(obj["d"])
         if "N" in obj:
@@ -461,8 +468,14 @@ def _lattice(args, min_count, *keys):
         raise ConfigError("give --d (with optional --H) or --data")
     if len(d) < min_count(args):
         raise ConfigError(f"need at least {min_count(args)} spacings")
-    jumps = matrices_from_json(obj["H"]) if args.data else parse_jumps(args.H, d, args.n)
-    return _echo(args, "op", "d", "H", "n", "data", *keys), Lattice(d, jumps)
+    if args.data:
+        lat = Lattice(d, matrices_from_json(obj["H"]))
+        if args.n not in (None, lat.H.shape[1]):
+            raise ConfigError(f"expected order {args.n}, got {lat.H.shape[1]}")
+        args.n = lat.H.shape[1]
+    else:
+        lat = Lattice(d, parse_jumps(args.H, d, args.n))
+    return _echo(args, "op", "d", "H", "n", "data", *keys), lat
 
 
 def _recurrence(args, lat):
@@ -569,8 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report here instead of stdout")
     common.add_argument("--format", choices=("json", "text"), default="json")
     lattice = argparse.ArgumentParser(add_help=False)
-    lattice.add_argument("--H", default="zero")
-    lattice.add_argument("--n", type=int, default=1)
+    lattice.add_argument("--H")  # "zero" and 1 unless --data; run() resolves them
+    lattice.add_argument("--n", type=int)
     lattice.add_argument("--count", type=int, default=50)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -651,8 +664,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "H") and not getattr(args, "data", None):  # the shorthands' defaults
+        args.H = "zero" if args.H is None else args.H
+        args.n = 1 if args.n is None else args.n
     try:
-        if getattr(args, "n", 1) < 1:
+        if getattr(args, "n", None) is not None and args.n < 1:
             raise ConfigError("--n must be at least 1")
         echo, result = globals()[args.handler](args)
     except ConflictingEvidenceError as exc:

@@ -31,8 +31,9 @@ marches with the lazily built stacks B_inv and B_star. Where every B_k read is a
 is one BLAS product A_k u_k and Python arithmetic on the entries (at n = 2 on two unrolled
 Python floats, with no list), at order 1 Python products alone; other states and blocks take
 three BLAS products into buffers per step. t4 steps a 2n x 2n gram by two matmuls per row.
-Where every A_k read is O as well (every ``cancel`` lattice), a march from a finite start is one
-running product of b_k factors per parity, and t4's rows are two scalar chains in Python floats.
+Where every A_k read is O as well (every ``cancel`` lattice), a march from a finite vector (or
+order-1) start is one running product of b_k factors per parity, and t4's rows are two scalar
+chains in Python floats.
 States take the dtype of blocks and start: float64 when both are real, complex128 otherwise.
 Slot k holds A_k and B_k from A_0, B_0; indices k are 1-based.
 """
@@ -113,9 +114,10 @@ class Lattice:
 
     @classmethod
     def checked(cls, d: np.ndarray, H: np.ndarray) -> Lattice:
-        """The Lattice of d and H checked by the caller, a step model's ``_freeze_sigma``, as
-        construction checks them: d a new 1-D float64 array of positive finite spacings, made
-        read-only, H a read-only exactly symmetric float64 stack."""
+        """The Lattice of d and H checked by the caller as construction checks them (a step
+        model's ``_freeze_sigma``, or classify's windows of a Lattice): d a 1-D float64 array of
+        positive finite spacings, new (made read-only here) or a view of a checked one, H a
+        read-only exactly symmetric float64 stack."""
         d.flags.writeable = False
         lat = object.__new__(cls)
         lat.__dict__.update(d=d, H=H)  # the frozen fields, set as __post_init__ sets them
@@ -360,9 +362,11 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     The stack is float64 when the blocks and (prev, cur) are real and
     complex128 otherwise; complex states on real blocks march on complex
     copies of the blocks they read. The steps are ``_products`` from a finite
-    start where every A_k read is O and every B_k a real b_k I, ``_scalar_steps``
-    at order 1 and where every B_k read is a real b_k I and the state is a real
-    vector of at most ``_SCALAR_STEP_ENTRIES`` entries, and ``_steps`` otherwise.
+    vector or order-1 start where every A_k read is O and every B_k a real b_k I
+    (a matrix product may give +0 where the running products write every zero
+    -0), ``_scalar_steps`` at order 1 and where every B_k read is
+    a real b_k I and the state is a real vector of at most
+    ``_SCALAR_STEP_ENTRIES`` entries, and ``_steps`` otherwise.
     Raises IndexOutOfRangeError before the first step if a block is not stored,
     and FloatRangeError naming the first step whose state leaves the float range.
     """
@@ -373,7 +377,7 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     s = blocks._stored(start - 1, stop)
     prev, cur = prev.astype(dtype, copy=False), cur.astype(dtype, copy=False)
     b = _zero_diagonal(blocks, s)
-    if b is not None and np.isfinite([prev, cur]).all():
+    if b is not None and (blocks.n == 1 or cur.ndim == 1) and np.isfinite([prev, cur]).all():
         _products(blocks.B_inv[s][1:, 0, 0], b[:-1], prev, cur, out)
     else:
         A, B_inv, B_star = (x.astype(dtype, copy=False) for x in (

@@ -357,51 +357,110 @@ def test_classify_builds_one_lattice_and_one_shifted_stack(monkeypatch):
     # a delta model holds one validated Lattice: over the model's lifetime one
     # Lattice is built (by the constructor, or from the data the model checked)
     # and its shifted jumps H_k + (1/d_k + 1/d_{k+1}) I once, however often
-    # classify and the equivalence residual read it
+    # classify and the equivalence residual read it. carleman's blocks stand on
+    # a window of it, one per classify: views of its first N + 2 spacings, with
+    # shifted jumps over that window alone
     d, H = christ_stolz_family(2001)
     config = gallery_entry("christ-stolz").config
-    counts = {"lattices": 0, "shifted": 0}
+    built, shifted = [], []
     validate, shift, checked = Lattice.__post_init__, Lattice.shifted_jumps.func, Lattice.checked
 
     def counted_validate(self):
-        counts["lattices"] += 1
+        built.append(self)
         validate(self)
 
     def counted_checked(d, H):
-        counts["lattices"] += 1
-        return checked(d, H)
+        built.append(checked(d, H))
+        return built[-1]
 
     def counted_shift(self):
-        counts["shifted"] += 1
+        shifted.append(self)
         return shift(self)
 
-    shifted = cached_property(counted_shift)
-    shifted.__set_name__(Lattice, "shifted_jumps")
+    counted = cached_property(counted_shift)
+    counted.__set_name__(Lattice, "shifted_jumps")
     monkeypatch.setattr(Lattice, "__post_init__", counted_validate)
     monkeypatch.setattr(Lattice, "checked", staticmethod(counted_checked))
-    monkeypatch.setattr(Lattice, "shifted_jumps", shifted)
+    monkeypatch.setattr(Lattice, "shifted_jumps", counted)
     model = DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000])
     for _ in range(2):
         verdict, _ = classify_detailed(model, config)
         assert {"cor2:diag:1", "carleman", "t7", "cor3"} <= {e.criterion for e in verdict.evidence}
     assert equivalence_residual(model, 1997, QuasiState([0.0], [1.0])) <= 1e-11
-    assert counts == {"lattices": 1, "shifted": 1}
+    lattice = model.lattice
+    windows = [lat for lat in built if lat is not lattice]
+    assert len(built) == 3 and len(windows) == 2
+    assert [lat for lat in shifted if lat is not lattice] == windows
+    assert len(shifted) == 3
+    for w in windows:  # views, neither copied nor checked again
+        assert len(w.d) == config.N + 2
+        assert np.shares_memory(w.d, lattice.d) and np.shares_memory(w.H, lattice.H)
 
 
 def test_classify_of_a_step_model_builds_no_lattice(monkeypatch):
     # a step model holds the lattice of its changes of sigma, built with the model;
-    # classify and its lattice criteria read that one
+    # classify and its lattice criteria read that one, and carleman's blocks a view
+    # of its first N + 2 spacings
     cuts = (0.0, *(k + (k % 7) / 8 for k in range(1, 60)))
     model = StepSigma(1, cuts, [[[((37 * k) % 13 - 6) / 4]] for k in range(60)], 60.5)
-    built = []
+    validated, windows = [], []
     validate, checked = Lattice.__post_init__, Lattice.checked
-    monkeypatch.setattr(Lattice, "__post_init__", lambda self: built.append(self) or validate(self))
+    monkeypatch.setattr(Lattice, "__post_init__",
+                        lambda self: validated.append(self) or validate(self))
     monkeypatch.setattr(Lattice, "checked", staticmethod(
-        lambda d, H: built.append(d) or checked(d, H)))
-    for config in (ClassifyConfig(), ClassifyConfig(N=5, criteria=("t7", "cor3", "carleman"))):
+        lambda d, H: windows.append(d) or checked(d, H)))
+    configs = (ClassifyConfig(), ClassifyConfig(N=5, criteria=("t7", "cor3", "carleman")))
+    for config in configs:
         verdict, _ = classify_detailed(model, config)
         assert {"carleman", "t7", "cor3"} <= {e.criterion for e in verdict.evidence}
-    assert built == []
+    assert validated == []
+    assert [len(d) for d in windows] == [min(len(model.lattice.d), c.N + 2) for c in configs]
+    assert all(np.shares_memory(d, model.lattice.d) for d in windows)
+
+
+def test_classify_builds_blocks_over_each_criterions_window_alone(monkeypatch):
+    # carleman reads B_1 .. B_N, the blocks of the first N + 2 spacings, and t4 the
+    # rows up to its largest segment end; neither builds the blocks of the whole lattice
+    import sldl.bridge as bridge
+
+    built = []
+    monkeypatch.setattr(bridge, "blocks_from_lattice",
+                        lambda lat: built.append(len(lat.d)) or blocks_from_lattice(lat))
+    d, H = christ_stolz_family(10_001)
+    model = DeltaNodes.from_spacings(1, d[:10_000], H[:10_000], tail=d[10_000])
+    classify_detailed(model, ClassifyConfig(N=200))
+    assert built == [202]
+    built.clear()
+    classify_detailed(model, ClassifyConfig(N=200, segments=((1, 100), (101, 300))))
+    assert built == [202, 302]
+
+
+def test_a_block_past_the_float_range_outside_carlemans_window_keeps_its_proof():
+    # d_k = 1/4 with one jump of 1e308 at k = 150 makes A_150 overflow. carleman at
+    # N = 50 reads B_1 .. B_50 only, so its divergence proof stands: one finite jump
+    # is a finite-rank perturbation of a limit point lattice. t4 over rows that
+    # reach A_150 cannot build them
+    H = np.zeros((200, 1, 1))
+    H[149] = 1e308
+    model = DeltaNodes.from_spacings(1, [0.25] * 200, H)
+    verdict, _ = classify_detailed(model, ClassifyConfig(N=50, segments=((1, 40), (100, 160))))
+    by_name = {e.criterion: e for e in verdict.evidence}
+    assert verdict.classification == "LimitPoint"
+    assert (by_name["carleman"].verdict, by_name["carleman"].implies) == (DIVERGES, "LimitPoint")
+    assert by_name["carleman"].basis.startswith("eventually constant positive terms")
+    assert (by_name["t4"].verdict, by_name["t4"].basis) == (
+        "Inconclusive",
+        "not evaluated: lattice blocks overflow: spacings too small or jumps too large")
+    # two spacings of 1e300 at the end make B_198 = -0 (r_199^2 r_200^2 overflows), a
+    # singular block whose build raised ValueError out of classify; past N + 2 = 52
+    # spacings it is never built
+    model = DeltaNodes.from_spacings(1, [1.0] * 198 + [1e300] * 2, np.zeros((200, 1, 1)),
+                                     tail=1e300)
+    with pytest.raises(ValueError, match="^off-diagonal blocks must be invertible$"):
+        blocks_from_lattice(model.lattice)
+    verdict, _ = classify_detailed(model, ClassifyConfig(N=50))
+    assert verdict.classification == "LimitPoint"
+    assert [e.verdict for e in verdict.evidence if e.criterion == "carleman"] == [DIVERGES]
 
 
 def _t4_overflow():
@@ -500,8 +559,9 @@ def test_classify_catches_only_the_float_range_error(monkeypatch):
 
 
 def test_classify_builds_overflowing_blocks_once(monkeypatch):
-    # carleman and t4 both read the blocks: the FloatRangeError of the one build is
-    # kept and raised again, so each criterion gives the same Inconclusive item
+    # carleman and t4 each build the blocks of their own window once, here all 40
+    # spacings (N + 2 = 202) and the first 12 (segment end 10 + 2); both windows
+    # overflow, so each criterion gives the same Inconclusive item
     import sldl.bridge as bridge
 
     calls = []
@@ -513,7 +573,7 @@ def test_classify_builds_overflowing_blocks_once(monkeypatch):
     monkeypatch.setattr(bridge, "blocks_from_lattice", counted)
     model = DeltaNodes.from_spacings(1, [1e-300] * 40, np.zeros((40, 1, 1)))
     verdict, _ = classify_detailed(model, ClassifyConfig(segments=((1, 5), (6, 10))))
-    assert len(calls) == 1
+    assert [len(lat.d) for lat in calls] == [40, 12]
     basis = "not evaluated: lattice blocks overflow: spacings too small or jumps too large"
     assert [(e.criterion, e.verdict, e.basis) for e in verdict.evidence[1:3]] == [
         ("carleman", "Inconclusive", basis), ("t4", "Inconclusive", basis)]

@@ -1352,3 +1352,109 @@ def test_one_parser_per_process_answers_as_a_fresh_one(capsys, monkeypatch, leaf
             for each in (argv, interludes[k % 2]):
                 assert _outcome(capsys, each) == fresh[tuple(each)], each
     assert build_parser() is parser
+
+
+# ---------------------------------------------------------------------------
+# exit 3, report validation and what --data reads
+
+
+def test_conflicting_certificates_exit_3_with_one_line(capsys, monkeypatch):
+    # carleman certifies LimitPoint and t7 LimitCircle: classify raises, run exits 3
+    import sldl.bridge as bridge
+
+    fired = {"carleman": "DivergesProven", "t7": "Certified"}
+
+    def runner(code):
+        def run_criterion(s):
+            yield code, [], fired[code], "forced"
+        return run_criterion
+
+    monkeypatch.setattr(bridge, "CRITERIA", tuple(
+        c._replace(run=runner(c.code)) if c.code in fired else c for c in CRITERIA))
+    assert run(["classify", "--gallery", "free-lattice"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("conflicting evidence: limit circle certified by ['t7']")
+
+
+def _valid_report(capsys):
+    code, doc = run_json(capsys, ["classify", "--gallery", "free-lattice"])
+    assert code == 0 and doc["result"]["verdict"]["evidence"]
+    return doc
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _set(path, value):
+    def change(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    *[(_drop(key), f"report is missing key {key!r}")
+      for key in ("schema", "command", "config", "policy", "result")],
+    (_set(["schema"], "sldl/2"), "unknown schema 'sldl/2'"),
+    (_set(["result"], []), "result must be an object"),
+    *[(lambda doc, key=key: doc["result"]["reports"][0].pop(key),
+       f"criterion report missing {key!r}")
+      for key in ("criterion", "terms", "partial_sums", "verdict", "verdict_basis")],
+    (_set(["result", "reports", 0, "verdict"], "Proven"), "unknown verdict 'Proven'"),
+    (lambda doc: doc["result"]["reports"][0]["terms"].pop(),
+     "terms and partial_sums lengths differ"),
+    (_set(["result", "verdict", "classification"], "Indeterminate"), "bad classification"),
+    (_set(["result", "verdict", "side"], "Left"), "bad side"),
+    *[(lambda doc, key=key: doc["result"]["verdict"]["evidence"][0].pop(key),
+       f"evidence item missing {key!r}") for key in ("criterion", "verdict", "basis")],
+])
+def test_validate_report_names_each_rejection(capsys, change, message):
+    doc = _valid_report(capsys)
+    change(doc)
+    with pytest.raises(ValueError) as caught:
+        validate_report(doc)
+    assert str(caught.value) == message
+
+
+ORDER_2_LATTICE = {"d": [1.0] * 12, "H": [[[0.5, 0.0], [0.0, 0.5]]] * 11, "N": 4}
+
+
+@pytest.mark.parametrize("extra", [["--d", "harmonic"], ["--H", "cancel"],
+                                   ["--d", "harmonic", "--H", "cancel", "--n", "3"]])
+def test_data_refuses_the_shorthands_it_does_not_read(capsys, tmp_path, extra):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(ORDER_2_LATTICE))
+    assert run(["jacobi", "t7", "--data", str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --data holds d and H; drop --d and --H\n"
+
+
+def test_data_takes_its_order_from_its_jumps(capsys, tmp_path):
+    # the echo holds the order read and no --H; --u0 and --u1 are read at that order
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(ORDER_2_LATTICE))
+    recurrence = ["jacobi", "recurrence", "--data", str(path), "--u0", "0,0", "--u1", "1,0",
+                  "--steps", "6"]
+    for order in ([], ["--n", "2"]):
+        code, doc = run_json(capsys, ["jacobi", "t7", "--data", str(path), *order])
+        assert code == 0
+        assert (doc["config"]["d"], doc["config"]["H"], doc["config"]["n"]) == (None, None, 2)
+        code, doc = run_json(capsys, recurrence + order)
+        assert code == 0 and doc["config"]["n"] == 2
+        assert [len(u) for u in doc["result"]["sequence"]] == [2] * 6
+    assert run(recurrence + ["--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: expected order 3, got 2\n"
+
+
+def test_jump_file_of_another_order_exits_2(capsys, tmp_path):
+    path = tmp_path / "jumps2.json"
+    path.write_text(json.dumps(ORDER_2_LATTICE["H"]))
+    assert run(["criterion", "cor2", "--d", "const:1", "--count", "10",
+                "--H", f"file:{path}", "--channel", "diag:1"]) == 2
+    assert capsys.readouterr().err == "error: expected order 1, got 2\n"

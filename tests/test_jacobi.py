@@ -1081,14 +1081,15 @@ def cauchy_pairs(count: int):
 @pytest.mark.parametrize("seed", range(40))
 def test_zero_diagonal_marches_keep_every_bit_of_the_matmul_step(seed, monkeypatch):
     # every A_k of a cancel lattice is O and every B_k a real scalar, so finite
-    # seeds march as two running products; the matmul step per lattice step
-    # gives the same bits and zero signs, and the same first step out of range
+    # vector seeds (and every seed at order 1) march as two running products; the
+    # matmul step per lattice step gives the same bits and zero signs, and the same
+    # first step out of range. Kernels K_ij at n >= 2 are matrix states on _steps
     d, H = cancel_lattice(seed)
     blocks = blocks_from_delta(d, H)
-    loops = count_calls(monkeypatch, "_steps")
+    loops, products = count_calls(monkeypatch, "_steps"), count_calls(monkeypatch, "_products")
     for u0, u1 in FINITE_SEEDS:
         check_against_the_matmul_step(blocks, u0, u1, cauchy_pairs(len(blocks.B)))
-    assert not loops
+    assert products and all(blocks.n > 1 and cur.ndim == 2 for _, _, _, _, cur, _ in loops)
 
 
 def loop_march(blocks, u0, u1, count):
@@ -1166,12 +1167,19 @@ def test_marches_off_the_zero_diagonal_keep_the_loop(seed, monkeypatch):
 
 
 def test_a_march_past_a_non_scalar_boundary_takes_the_running_products(monkeypatch):
-    # B_0 is read by the first step of solve_recurrence only; a kernel K_ij,
-    # j >= 1, never reads it, so its march runs the products on LAPACK's B^-1
+    # B_0 is read by the first step of solve_recurrence only; a vector march from
+    # u_j, j >= 2, never reads it, so it runs the products on LAPACK's B^-1. The
+    # kernels K_ij are matrix states, which step by _steps at n = 2
     d, H = christ_stolz_family(400, 2)
     blocks = with_boundary(blocks_from_delta(d, H), np.zeros((2, 2)), [[2.0, 0.5], [0.5, 1.0]])
     products = count_calls(monkeypatch, "_products")
     check_against_the_matmul_step(blocks, 1.0, 0.0, [(398, 1), (300, 7)])
+    assert not products
+    prev, cur = np.array([1.0, -0.0]), np.array([-0.5, 3.0])
+    for start, stop in ((2, 398), (8, 300)):
+        want = reference_march.inverse_march(blocks, prev.astype(complex), cur.astype(complex),
+                                             start, stop)
+        assert same_bits(jacobi._march(blocks, prev, cur, start, stop), np.array(want))
     assert len(products) == 2
 
 
@@ -1273,14 +1281,33 @@ def test_scalar_b_marches_keep_the_bytes_of_the_three_product_loop(n, seed, monk
     assert scalar and all(cur.ndim == 2 or cur.size > 6 for _, _, _, _, cur, _ in loops)
 
 
+def zero_diagonal(blocks: JacobiBlocks) -> JacobiBlocks:
+    """``blocks`` with every A_k O."""
+    return JacobiBlocks(blocks.n, np.zeros_like(blocks.A), blocks.B)
+
+
 @given(st.integers(2, 3), st.integers(3, 400), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([0.5, 3.0, 30.0]), st.lists(st.sampled_from(_SEED_ENTRIES), min_size=6,
-                                                   max_size=6))
+       st.sampled_from([0.5, 3.0, 30.0, 300.0]), st.booleans(),
+       st.lists(st.sampled_from(_SEED_ENTRIES), min_size=6, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_drawn_scalar_b_marches_keep_the_bytes_of_the_three_product_loop(n, count, seed,
-                                                                        spread, entries):
+                                                                        spread, zero, entries):
     blocks = scalar_b_blocks(np.random.default_rng(seed), n, count, spread)
-    check_scalar_marches(blocks, np.array(entries[:n]), np.array(entries[3:3 + n]))
+    check_scalar_marches(zero_diagonal(blocks) if zero else blocks, np.array(entries[:n]),
+                         np.array(entries[3:3 + n]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_diagonal_matrix_marches_keep_the_bytes_of_the_three_product_loop(n):
+    # A = O and B_k = b_k I: vector states march as running products, (n, 2) and
+    # n x n states by _steps, all with the loop's bytes. The running products of
+    # matrix states wrote -0 where the loop's matrix product may give +0
+    rng = np.random.default_rng([n, 46])
+    for spread in (3.0, 30.0, 300.0):
+        for _ in range(30):
+            blocks = zero_diagonal(scalar_b_blocks(rng, n, int(rng.integers(5, 200)), spread))
+            for u0, u1 in rng.choice(_SEED_ENTRIES, (2, 2, n)):
+                check_scalar_marches(blocks, u0, u1)
 
 
 _FINITE_ENTRIES = [0.0, -0.0, 0.5, -3.0, 1e-300, -1e-300, 1e300, -1e300]
