@@ -26,14 +26,14 @@ form slices as they are (t7's logs and exps are ``matcore.libm`` passes, with th
 ``math.log`` and ``math.exp``), and one lazily built stack of
 the shifted jumps H_k + (1/d_k + 1/d_{k+1}) I that A_k, t7 and cor3 slice. ``JacobiBlocks`` stores
 A exactly Hermitian and B as ``as_stack`` gives it, float64 for every lattice. The recurrence
-marches with the lazily built stacks B_inv and B_star. Where every B_k read is a scalar b_k I
-(every lattice's blocks, and every order-1 stack), a step of a real vector of up to six entries
-is one BLAS product A_k u_k and Python arithmetic on the entries (at n = 2 on two unrolled
-Python floats, with no list), at order 1 Python products alone; other states and blocks take
-three BLAS products into buffers per step. t4 steps a 2n x 2n gram by two matmuls per row.
-Where every A_k read is O as well (every ``cancel`` lattice), a march from a finite vector (or
-order-1) start is one running product of b_k factors per parity, and t4's rows are two scalar
-chains in Python floats.
+marches with the lazily built stacks B_inv and B_star, by one of four loops. Where every A_k
+read is O and every B_k a real b_k I (every ``cancel`` lattice), a march from a finite vector
+(or order-1) start is one running product of b_k factors per parity. Otherwise an order-1 step
+is Python arithmetic alone; a step of a real 2-vector on real b_k I (every order-2 lattice) is
+one BLAS product A_k u_k and two unrolled Python floats; every other state, at any size, takes
+three BLAS products into buffers per step. t4 steps a 2n x 2n gram by two matmuls per row, and
+where every A_k read is O and every B_k a real b_k I its rows are two scalar chains in Python
+floats.
 States take the dtype of blocks and start: float64 when both are real, complex128 otherwise.
 Slot k holds A_k and B_k from A_0, B_0; indices k are 1-based.
 """
@@ -72,9 +72,6 @@ from .reports import (
 )
 
 _LOG_MAX = math.log(np.finfo(float).max)
-# the most state entries a scalar-B step takes in Python floats: from about 7 on, their
-# arithmetic costs more than the two BLAS products it saves (n = 4 .. 8, 2500 steps)
-_SCALAR_STEP_ENTRIES = 6
 
 
 class NonPositiveSpacingError(ValueError):
@@ -227,7 +224,8 @@ def blocks_from_lattice(lat: Lattice) -> JacobiBlocks:
 
     Needs len(H) >= len(d) - 1; an extra trailing jump is ignored. (A_0, B_0) is (O, -I),
     only stored, never used by the determinacy criteria (another pair enters by blocks JSON
-    or the ``JacobiBlocks`` constructor). A block past the float range is a FloatRangeError.
+    or the ``JacobiBlocks`` constructor). A block past the float range, or a B_k that
+    underflows to 0, is a FloatRangeError.
     """
     m = len(lat.d)
     if m < 2:
@@ -244,6 +242,8 @@ def blocks_from_lattice(lat: Lattice) -> JacobiBlocks:
         B = -np.eye(n) / (np.sqrt(r2[:-1] * r2[1:]) * lat.d[1:-1, None, None])
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise FloatRangeError("lattice blocks overflow: spacings too small or jumps too large")
+    if not B[:, 0, 0].all():
+        raise FloatRangeError("lattice blocks underflow: spacings too large")
     return JacobiBlocks(n, np.concatenate([np.zeros((1, n, n)), A]),
                         np.concatenate([-np.eye(n)[None], B]), lat)
 
@@ -277,8 +277,8 @@ def _steps(A, B_inv, B_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray)
 
     The states are (n,) or (n, k) arrays in the blocks' dtype, n >= 2; each step is three
     BLAS products into buffers (a Python sum would lose the FMA of the kernel). ``_march``
-    takes it for complex states, matrix states, vectors of more than ``_SCALAR_STEP_ENTRIES``
-    entries and off-diagonal blocks that are not all scalar.
+    takes it for every march at n >= 2 that ``_products`` and ``_order2_steps`` do not take:
+    complex states, matrix states, vectors of three or more entries and B_k not all scalar.
     """
     t1, t2 = np.empty_like(cur), np.empty_like(cur)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -287,54 +287,50 @@ def _steps(A, B_inv, B_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray)
             prev, cur = cur, np.negative(b_inv.dot(t1, t2), out=row)
 
 
-def _scalar_steps(A, b_inv: list, b_star: list, prev: np.ndarray, cur: np.ndarray,
+def _order1_steps(A, b_inv: list, b_star: list, prev: np.ndarray, cur: np.ndarray,
                   out: np.ndarray) -> None:
-    """``_steps`` for B_m = b_m I, b_inv and b_star lists of Python numbers: each state entry
-    steps as -(0.0 + b_inv[m] (x + b_star[m] p)), x its entry of A[m] u_m and p of u_{m-1}.
-
-    x is a u_m at order 1, where each column steps alone in Python floats or complex numbers
-    (0j + for complex blocks), and one BLAS product at n >= 2 (real vectors; a Python sum would
-    lose the FMA of the kernel). At n = 2 the two entries step unrolled in Python floats, the
-    product read through a memoryview and the new entries written into their output row, which
-    is the next product's input; at n = 3 .. 6 the entries step as lists. A BLAS
-    matrix-vector product with b I starts from +0 and adds only exact zeros to one product, so
-    the 0.0 + gives every zero the sign of ``_steps`` and every bit matches; where its zero
-    off-diagonal entries make a NaN of 0 * inf, the entry here may be a number, in a row that
-    leaves the float range all the same. A matrix-matrix product starts from its first
-    product instead: a zero whose products are all -0 stays -0, which no 0.0 + copies, so
-    matrix states at n >= 2 keep ``_steps``. NaN signs aside: where two NaNs meet, CPython
-    returns either one, depending on how warm its interpreter is. A zero + on each summand
-    would change only zero signs, which the products keep and that add turns into +0.0, inf
-    and NaN included.
+    """``_steps`` at order 1, b_inv and b_star lists of Python numbers: each column of the
+    states steps alone as u_{m+1} = -(0.0 + b_inv[m] (a_m u_m + b_star[m] u_{m-1})) in Python
+    floats, or complex numbers with 0j + for complex blocks. NaN signs aside (where two NaNs
+    meet, CPython returns either one, depending on how warm its interpreter is), every bit is
+    the matmul step's. A zero + on each summand would change only zero signs, which the
+    products keep and that add turns into +0.0, inf and NaN included.
     """
     zero, rows = 0.0 if out.dtype == float else 0j, out.reshape(len(out), -1)
-    ps, cs = prev.reshape(-1).tolist(), cur.reshape(-1).tolist()
-    if len(cur) == 1:
-        entries = A[:, 0, 0].tolist()
-        for j, (p, c) in enumerate(zip(ps, cs)):
-            col = []
-            for a, bi, bs in zip(entries, b_inv, b_star):
-                p, c = c, -(zero + bi * (a * c + bs * p))
-                col.append(c)
-            rows[:, j] = col
-        return
+    entries = A[:, 0, 0].tolist()
+    for j, (p, c) in enumerate(zip(prev.reshape(-1).tolist(), cur.reshape(-1).tolist())):
+        col = []
+        for a, bi, bs in zip(entries, b_inv, b_star):
+            p, c = c, -(zero + bi * (a * c + bs * p))
+            col.append(c)
+        rows[:, j] = col
+
+
+def _order2_steps(A, b_inv: list, b_star: list, prev: np.ndarray, cur: np.ndarray,
+                  out: np.ndarray) -> None:
+    """``_steps`` for real (2,) states and B_m = b_m I, b_inv and b_star lists of Python floats.
+
+    Each step is one BLAS product x = A[m] u_m (a Python sum would lose the FMA of the kernel),
+    read through a memoryview; the two entries step unrolled in Python floats as
+    -(0.0 + b_inv[m] (x + b_star[m] p)), p their entries of u_{m-1}, and are written into their
+    output row, which is the next product's input. A BLAS matrix-vector product with b I starts
+    from +0 and adds only exact zeros to one product, so the 0.0 + gives every zero the sign of
+    ``_steps`` and every bit matches; where its zero off-diagonal entries make a NaN of 0 * inf,
+    the entry here may be a number, in a row that leaves the float range all the same. A
+    matrix-matrix product starts from its first product instead: a zero whose products are all
+    -0 stays -0, which no 0.0 + copies, so matrix states keep ``_steps``.
+    """
     au = np.empty_like(cur)
+    x = memoryview(au)
+    (p0, p1), (c0, c1) = prev.tolist(), cur.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        if cur.shape == (2,):
-            x = memoryview(au)
-            (p0, p1), (c0, c1) = ps, cs
-            for a, bi, bs, row in zip(A, b_inv, b_star, out):
-                a.dot(cur, au)
-                x0, x1 = x
-                p0, p1, c0, c1 = (c0, c1, -(0.0 + bi * (x0 + bs * p0)),
-                                  -(0.0 + bi * (x1 + bs * p1)))
-                row[0], row[1] = c0, c1
-                cur = row
-            return
         for a, bi, bs, row in zip(A, b_inv, b_star, out):
             a.dot(cur, au)
-            ps, cs = cs, [-(zero + bi * (x + bs * p)) for x, p in zip(au.tolist(), ps)]
-            row[:], cur = cs, row
+            x0, x1 = x
+            p0, p1, c0, c1 = (c0, c1, -(0.0 + bi * (x0 + bs * p0)),
+                              -(0.0 + bi * (x1 + bs * p1)))
+            row[0], row[1] = c0, c1
+            cur = row
 
 
 def _products(b_inv, b_star, prev: np.ndarray, cur: np.ndarray, out: np.ndarray) -> None:
@@ -361,12 +357,12 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
     (prev, cur) = (u_{start-1}, u_start), vectors or n x n matrices alike.
     The stack is float64 when the blocks and (prev, cur) are real and
     complex128 otherwise; complex states on real blocks march on complex
-    copies of the blocks they read. The steps are ``_products`` from a finite
-    vector or order-1 start where every A_k read is O and every B_k a real b_k I
-    (a matrix product may give +0 where the running products write every zero
-    -0), ``_scalar_steps`` at order 1 and where every B_k read is
-    a real b_k I and the state is a real vector of at most
-    ``_SCALAR_STEP_ENTRIES`` entries, and ``_steps`` otherwise.
+    copies of the blocks they read. One ``scalars`` scan of the B_k read picks
+    the loop, the first that fits: ``_products`` where every B_k is a real b_k I,
+    every A_k read is O and the start a finite vector (or order 1; a matrix
+    product may give +0 where the running products write every zero -0);
+    ``_order1_steps`` at order 1; ``_order2_steps`` for real (2,) states on real
+    b_k I; ``_steps`` otherwise.
     Raises IndexOutOfRangeError before the first step if a block is not stored,
     and FloatRangeError naming the first step whose state leaves the float range.
     """
@@ -376,15 +372,17 @@ def _march(blocks: JacobiBlocks, prev, cur, start: int, stop: int) -> np.ndarray
         return out
     s = blocks._stored(start - 1, stop)
     prev, cur = prev.astype(dtype, copy=False), cur.astype(dtype, copy=False)
-    b = _zero_diagonal(blocks, s)
-    if b is not None and (blocks.n == 1 or cur.ndim == 1) and np.isfinite([prev, cur]).all():
+    b = scalars(blocks.B[s]) if blocks.B.dtype == float else None
+    if (b is not None and not blocks.A[s][1:].any() and (blocks.n == 1 or cur.ndim == 1)
+            and np.isfinite([prev, cur]).all()):
         _products(blocks.B_inv[s][1:, 0, 0], b[:-1], prev, cur, out)
     else:
         A, B_inv, B_star = (x.astype(dtype, copy=False) for x in (
             blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1]))
-        if blocks.n == 1 or (dtype == float and cur.ndim == 1 and len(cur) <= _SCALAR_STEP_ENTRIES
-                             and scalars(blocks.B[s]) is not None):
-            _scalar_steps(A, B_inv[:, 0, 0].tolist(), B_star[:, 0, 0].tolist(), prev, cur, out)
+        if blocks.n == 1:
+            _order1_steps(A, B_inv[:, 0, 0].tolist(), B_star[:, 0, 0].tolist(), prev, cur, out)
+        elif b is not None and dtype == float and cur.shape == (2,):
+            _order2_steps(A, B_inv[:, 0, 0].tolist(), B_star[:, 0, 0].tolist(), prev, cur, out)
         else:
             _steps(A, B_inv, B_star, prev, cur, out)
     if (k := first_nonfinite(out)) is not None:

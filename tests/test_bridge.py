@@ -32,7 +32,7 @@ from sldl import (
 )
 from sldl.bridge import CRITERIA, classify_detailed
 from sldl.jacobi import Lattice, blocks_from_lattice, cancel_jumps
-from sldl.matcore import ShapeMismatchError
+from sldl.matcore import FloatRangeError, ShapeMismatchError
 from sldl.quasidiff import StepModel, StepSigma
 from sldl.reports import CONVERGES, DIVERGES, build_report
 
@@ -451,16 +451,32 @@ def test_a_block_past_the_float_range_outside_carlemans_window_keeps_its_proof()
     assert (by_name["t4"].verdict, by_name["t4"].basis) == (
         "Inconclusive",
         "not evaluated: lattice blocks overflow: spacings too small or jumps too large")
-    # two spacings of 1e300 at the end make B_198 = -0 (r_199^2 r_200^2 overflows), a
-    # singular block whose build raised ValueError out of classify; past N + 2 = 52
-    # spacings it is never built
-    model = DeltaNodes.from_spacings(1, [1.0] * 198 + [1e300] * 2, np.zeros((200, 1, 1)),
-                                     tail=1e300)
-    with pytest.raises(ValueError, match="^off-diagonal blocks must be invertible$"):
-        blocks_from_lattice(model.lattice)
+    # two spacings of 1e300 at the end make B_198 = -0 (r_199^2 r_200^2 overflows); past
+    # N + 2 = 52 spacings it is never built
+    model = _zero_block_model()
     verdict, _ = classify_detailed(model, ClassifyConfig(N=50))
     assert verdict.classification == "LimitPoint"
     assert [e.verdict for e in verdict.evidence if e.criterion == "carleman"] == [DIVERGES]
+
+
+def _zero_block_model():
+    """198 unit spacings, then two of 1e300 (tail 1e300), zero jumps: B_198 reads -0."""
+    return DeltaNodes.from_spacings(1, [1.0] * 198 + [1e300] * 2, np.zeros((200, 1, 1)),
+                                    tail=1e300)
+
+
+def test_a_zero_block_inside_carlemans_window_is_inconclusive_evidence():
+    # B_198 = -0 is a block out of the float range, not a singular input: its build raised
+    # a plain ValueError ("off-diagonal blocks must be invertible") out of classify
+    model = _zero_block_model()
+    message = "lattice blocks underflow: spacings too large"
+    with pytest.raises(FloatRangeError, match=f"^{message}$"):
+        blocks_from_lattice(model.lattice)
+    verdict, reports = classify_detailed(model, ClassifyConfig(N=250))
+    carleman = [e for e in verdict.evidence if e.criterion == "carleman"]
+    assert [(e.verdict, e.basis, e.implies) for e in carleman] == [
+        ("Inconclusive", f"not evaluated: {message}", None)]
+    assert all(r.criterion != "carleman" for r in reports)
 
 
 def _t4_overflow():

@@ -827,11 +827,27 @@ def test_subnormal_spacings_give_infinite_jump_terms_not_nan(capsys, op, criteri
 
 
 def test_spacing_sums_that_overflow_exit_2_with_one_line(capsys):
-    # d_k + d_{k+1} printed a numpy overflow warning before the error
+    # d_k + d_{k+1} printed a numpy overflow warning before the error; B_1 reads -0
     assert run(["jacobi", "build", "--d", "const:1e308"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: off-diagonal blocks must be invertible\n"
+    assert captured.err == "error: lattice blocks underflow: spacings too large\n"
+
+
+def test_classify_of_a_lattice_with_a_zero_block_exits_0(capsys, tmp_path):
+    # two trailing spacings of 1e300 make B_198 = -0 inside carleman's window (N = 250):
+    # classify exited 2 with "off-diagonal blocks must be invertible"
+    model = DeltaNodes.from_spacings(1, [1.0] * 198 + [1e300] * 2, np.zeros((200, 1, 1)),
+                                     tail=1e300)
+    path = tmp_path / "zero-block.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    code, doc = run_json(capsys, ["classify", "--model", str(path), "--N", "250"])
+    assert code == 0
+    verdict = doc["result"]["verdict"]
+    assert verdict["classification"] == "Inconclusive"
+    assert {"criterion": "carleman", "verdict": "Inconclusive",
+            "basis": "not evaluated: lattice blocks underflow: spacings too large"
+            } in verdict["evidence"]
 
 
 @pytest.mark.parametrize("length, message", [

@@ -37,8 +37,9 @@ from sldl.jacobi import (
     JacobiBlocks,
     Lattice,
     NonPositiveSpacingError,
+    _order1_steps,
+    _order2_steps,
     _power_exponent,
-    _scalar_steps,
     _steps,
     blocks_from_json,
     blocks_to_json,
@@ -993,7 +994,7 @@ def test_order_1_steps_keep_the_bits_of_a_zero_add_on_every_summand(data, cplx):
                                  dtype=dtype).reshape(m, 1, 1) for _ in range(3))
     p, c = data.draw(entry), data.draw(entry)
     out = np.empty((m, 1), dtype=dtype)
-    _scalar_steps(A, B_inv.ravel().tolist(), B_star.ravel().tolist(),
+    _order1_steps(A, B_inv.ravel().tolist(), B_star.ravel().tolist(),
                   np.array([p], dtype=dtype), np.array([c], dtype=dtype), out)
     want = []
     for a, b_inv, b_star in zip(A.ravel().tolist(), B_inv.ravel().tolist(),
@@ -1094,7 +1095,7 @@ def test_zero_diagonal_marches_keep_every_bit_of_the_matmul_step(seed, monkeypat
 
 def loop_march(blocks, u0, u1, count):
     """The recurrence by a step loop alone on the stacks ``_march`` passes it: the Python
-    loop of ``_scalar_steps`` at order 1, the three BLAS products of ``_steps`` above it."""
+    loop of ``_order1_steps`` at order 1, the three BLAS products of ``_steps`` above it."""
     dtype = np.result_type(blocks.A, u0, u1)
     out = np.empty((count - 2, blocks.n), dtype=dtype)
     s = slice(0, count - 1)
@@ -1102,7 +1103,7 @@ def loop_march(blocks, u0, u1, count):
         blocks.A[s][1:], blocks.B_inv[s][1:], blocks.B_star[s][:-1], u0, u1))
     with np.errstate(all="ignore"):
         if blocks.n == 1:
-            _scalar_steps(A, B_inv.ravel().tolist(), B_star.ravel().tolist(), u0, u1, out)
+            _order1_steps(A, B_inv.ravel().tolist(), B_star.ravel().tolist(), u0, u1, out)
         else:
             _steps(A, B_inv, B_star, u0, u1, out)
     return out
@@ -1217,12 +1218,12 @@ def three_product_march(blocks, prev, cur, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def scalar_step_march(blocks, prev, cur, start: int, stop: int) -> np.ndarray:
-    """``three_product_march`` of vector states by ``_scalar_steps``, whatever their size."""
+def order2_step_march(blocks, prev, cur, start: int, stop: int) -> np.ndarray:
+    """``three_product_march`` of (2,) states by ``_order2_steps``."""
     s = slice(start - 1, stop)
     out = np.empty((stop - start,) + np.shape(cur))
     with np.errstate(all="ignore"):
-        _scalar_steps(blocks.A[s][1:], blocks.B_inv[s][1:, 0, 0].tolist(),
+        _order2_steps(blocks.A[s][1:], blocks.B_inv[s][1:, 0, 0].tolist(),
                       blocks.B_star[s][:-1, 0, 0].tolist(), prev, cur, out)
     return out
 
@@ -1230,7 +1231,7 @@ def scalar_step_march(blocks, prev, cur, start: int, stop: int) -> np.ndarray:
 def check_scalar_marches(blocks, u0, u1) -> list:
     """solve_recurrence from (u0, u1), K_ij of ``cauchy_pairs`` and a march of (n, 2) states,
     each against ``three_product_march``: the same bytes, or the FloatRangeError of its first
-    row out of the float range; and ``scalar_step_march`` of each vector march, whichever step
+    row out of the float range; and ``order2_step_march`` of each (2,) march, whichever step
     the march takes for its states, against it in the same way. Returns whether each march
     left the float range."""
     count, n = len(blocks.B), blocks.n
@@ -1243,8 +1244,9 @@ def check_scalar_marches(blocks, u0, u1) -> list:
     outcomes = []
     for prev, cur, start, stop, march in cases:
         want = three_product_march(blocks, prev, cur, start, stop)
-        # a matrix product keeps a zero of -0 products at -0, which no 0.0 + copies
-        scalar = scalar_step_march(blocks, prev, cur, start, stop) if cur.ndim == 1 else want
+        # a matrix product keeps a zero of -0 products at -0, which no 0.0 + copies, and
+        # vectors of three or more entries step by the loop itself
+        scalar = order2_step_march(blocks, prev, cur, start, stop) if cur.shape == (2,) else want
         error = reference_error(want, start)
         assert reference_error(scalar, start) == error
         if error is None:
@@ -1266,11 +1268,11 @@ _SEED_ENTRIES = [0.0, -0.0, 1.0, -0.5, 3.0, 1e-300, -1e300]
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_scalar_b_marches_keep_the_bytes_of_the_three_product_loop(n, seed, monkeypatch):
-    # every B_k read is b_k I: one BLAS product A_k u_k per step, the rest in Python
-    # floats, with the loop's bytes and zero signs and its first step out of range;
-    # matrix states and vectors of more than six entries march on the loop
+    # every B_k read is b_k I: at n = 2 one BLAS product A_k u_k per step, the rest in
+    # Python floats, with the loop's bytes and zero signs and its first step out of range;
+    # matrix states and vectors of three or more entries march on the loop
     rng = np.random.default_rng([seed, n, 40])
-    loops, scalar = count_calls(monkeypatch, "_steps"), count_calls(monkeypatch, "_scalar_steps")
+    loops, pair = count_calls(monkeypatch, "_steps"), count_calls(monkeypatch, "_order2_steps")
     outcomes = []
     for spread in (0.5, 3.0, 30.0):
         for blocks in (scalar_b_blocks(rng, n, int(rng.integers(5, 150)), spread),
@@ -1278,7 +1280,9 @@ def test_scalar_b_marches_keep_the_bytes_of_the_three_product_loop(n, seed, monk
             for u0, u1 in rng.choice(_SEED_ENTRIES, (2, 2, n)):
                 outcomes += check_scalar_marches(blocks, u0, u1)
     assert set(outcomes) == {False, True}  # marches that overflow, and marches that do not
-    assert scalar and all(cur.ndim == 2 or cur.size > 6 for _, _, _, _, cur, _ in loops)
+    assert bool(pair) == (n == 2)
+    assert all(cur.ndim == 2 or cur.size > 2 for _, _, _, _, cur, _ in loops)
+    assert (n > 2) == any(cur.ndim == 1 for _, _, _, _, cur, _ in loops)
 
 
 def zero_diagonal(blocks: JacobiBlocks) -> JacobiBlocks:
@@ -1337,7 +1341,7 @@ def test_two_entry_steps_keep_the_bytes_of_the_three_product_loop(data):
     B_inv[:, 0, 0] = B_inv[:, 1, 1] = b_inv
     B_star[:, 0, 0] = B_star[:, 1, 1] = b_star
     got, want = np.empty((m, 2)), np.empty((m, 2))
-    _scalar_steps(A, b_inv.tolist(), b_star.tolist(), prev, cur, got)
+    _order2_steps(A, b_inv.tolist(), b_star.tolist(), prev, cur, got)
     _steps(A, B_inv, B_star, prev, cur, want)
     k = first_nonfinite(want)
     assert first_nonfinite(got) == k
@@ -1373,35 +1377,55 @@ def test_drawn_two_entry_marches_leave_the_float_range_at_the_loops_step(data):
 def test_complex_states_and_non_scalar_blocks_keep_the_three_product_loop(monkeypatch):
     rng = np.random.default_rng(41)
     blocks = perturbed_lattice_blocks(rng, 2, 60)
-    loops, scalar = count_calls(monkeypatch, "_steps"), count_calls(monkeypatch, "_scalar_steps")
+    calls = {name: count_calls(monkeypatch, name)
+             for name in ("_steps", "_order1_steps", "_order2_steps")}
 
     def took(march) -> str:
-        loops.clear()
-        scalar.clear()
+        for c in calls.values():
+            c.clear()
         march()
-        return "loop" * len(loops) + "scalar" * len(scalar)
+        return "".join(name * len(c) for name, c in calls.items())
 
     seeds = ([1.0, -0.0], [0.0, 1.0])
-    assert took(lambda: solve_recurrence(blocks, *seeds, 50)) == "scalar"
-    assert took(lambda: discrete_cauchy(blocks, 40, 3)) == "loop"  # a matrix state
-    assert took(lambda: solve_recurrence(blocks, [1.0, 0.5j], [0.0, 1.0], 50)) == "loop"
+    assert took(lambda: solve_recurrence(blocks, *seeds, 50)) == "_order2_steps"
+    assert took(lambda: discrete_cauchy(blocks, 40, 3)) == "_steps"  # a matrix state
+    assert took(lambda: solve_recurrence(blocks, [1.0, 0.5j], [0.0, 1.0], 50)) == "_steps"
     obj = blocks_to_json(blocks)
     del obj["provenance"]
     obj["B"][7][0][1] = obj["B"][7][1][0] = 0.25  # B_7 is not a scalar matrix
     bumped = blocks_from_json(obj)
-    assert took(lambda: solve_recurrence(bumped, *seeds, 50)) == "loop"
+    assert took(lambda: solve_recurrence(bumped, *seeds, 50)) == "_steps"
     vectors = tuple(np.array(u) for u in seeds)
-    assert took(lambda: jacobi._march(bumped, *vectors, 10, 40)) == "scalar"  # B_9 .. B_39
+    assert took(lambda: jacobi._march(bumped, *vectors, 10, 40)) == "_order2_steps"  # B_9 ..
     boundary = with_boundary(blocks, np.zeros((2, 2)), [[2.0, 0.5], [0.5, 1.0]])
-    assert took(lambda: solve_recurrence(boundary, *seeds, 50)) == "loop"
-    assert took(lambda: jacobi._march(boundary, *vectors, 2, 40)) == "scalar"  # not B_0
+    assert took(lambda: solve_recurrence(boundary, *seeds, 50)) == "_steps"
+    assert took(lambda: jacobi._march(boundary, *vectors, 2, 40)) == "_order2_steps"  # not B_0
     order_1 = perturbed_lattice_blocks(rng, 1, 60)  # the order-1 loop, complex states too
     for u0 in (1.0, 1.0 + 0.5j):
-        assert took(lambda: solve_recurrence(order_1, [u0], [0.0], 50)) == "scalar"
-    # states of more than six entries keep the loop: three entries, then nine
+        assert took(lambda: solve_recurrence(order_1, [u0], [0.0], 50)) == "_order1_steps"
+    # vectors of three or more entries take the loop, as matrix states do
     order_3 = perturbed_lattice_blocks(rng, 3, 60)
-    assert took(lambda: solve_recurrence(order_3, [1.0, 0.0, 0.5], [0.0, 1.0, 0.0], 50)) == "scalar"
-    assert took(lambda: discrete_cauchy(order_3, 40, 3)) == "loop"
+    assert took(lambda: solve_recurrence(order_3, [1.0, 0.0, 0.5], [0.0, 1.0, 0.0], 50)) == "_steps"
+    assert took(lambda: discrete_cauchy(order_3, 40, 3)) == "_steps"
+
+
+def test_each_march_takes_one_of_four_loops_from_one_scan_of_b(monkeypatch):
+    # the running products on a cancel lattice, the order-1 and two-entry loops on
+    # perturbed lattices of orders 1 and 2, the three-product loop at order 3: each
+    # march picks its loop from one ``scalars`` scan of the B_k it reads
+    rng = np.random.default_rng(47)
+    names = ("_products", "_order1_steps", "_order2_steps", "_steps")
+    calls = {name: count_calls(monkeypatch, name) for name in names}
+    scans = count_calls(monkeypatch, "scalars")
+    lattices = [blocks_from_delta(*christ_stolz_family(80, 2))]
+    lattices += [perturbed_lattice_blocks(rng, n, 80) for n in (1, 2, 3)]
+    for blocks, name in zip(lattices, names):
+        blocks.B_inv  # its first use scans B as well
+        for c in (*calls.values(), scans):
+            c.clear()
+        solve_recurrence(blocks, np.ones(blocks.n), np.zeros(blocks.n), 60)
+        assert [k for k, c in calls.items() if c] == [name]
+        assert len(scans) == 1
 
 
 # ---------------------------------------------------------------------------
