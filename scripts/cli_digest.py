@@ -116,6 +116,16 @@ FIXTURES = {
     "cor1-string.json": {"lengths": [2.0, 2.0], "jumps": [[[0.0]], [["1.5"]]]},
     "jumps1.json": [[[1.0]]] * 9,
     "lattice-row.json": {"d": [1.0] * 12, "H": [[[0.0]]] * 2 + [[0.0]] + [[[0.0]]] * 8, "N": 3},
+    # a bool, a string or a fraction where a file holds a number, of each kind: a list of
+    # numbers, a number and an integer field; and a delta model of two nodes
+    "spacings-bool.json": [1.0, True, "0.5", 1.0],
+    "lattice-N-fraction.json": {"d": [1.0] * 12, "H": [[[0.0]]] * 11, "N": 2.9},
+    "lattice-N-bool.json": {"d": [1.0] * 12, "H": [[[0.0]]] * 11, "N": True},
+    "model-n-bool.json": {**FREE, "n": True, "X": "2.5"},
+    "model-X-string.json": {**FREE, "X": "2.5"},
+    "cor1-lengths-string.json": {"lengths": [1.0, "2"], "jumps": [[[0.0]], [[1.0]]]},
+    "intervals-bool.json": [[0, True], ["1", "2"]],
+    "delta-2.json": {**DELTA, "X": 3.0, "nodes": DELTA["nodes"][:2]},
 }
 
 # files written as they are: numbers that json reads but int, float or complex
@@ -370,6 +380,19 @@ READER_INVOCATIONS = [
     "jacobi t7 --data lattice-row.json",
     "classify --blocks nan-b.json",
 ]
+# after those: the one number rule on each kind of number a file holds, and a residual whose
+# default count, the node count less 3, is below 1
+NUMBER_INVOCATIONS = [
+    "jacobi build --d file:spacings-bool.json",
+    "jacobi t7 --data lattice-N-fraction.json",
+    "jacobi t7 --data lattice-N-bool.json",
+    "classify --model model-n-bool.json",
+    "classify --model model-X-string.json",
+    "criterion cor1 --data cor1-lengths-string.json --channel diag:1",
+    "criterion t1 --model free.json --intervals file:intervals-bool.json",
+    "classify --blocks blocks-offset-false.json",
+    "bridge residual --model delta-2.json",
+]
 
 
 def _sha(text: str) -> str:
@@ -425,6 +448,9 @@ def main() -> None:
     # lattice blocks with a NaN in B_3
     nan_b = blocks_to_json(blocks_from_delta([1.0] * 6, np.zeros((5, 1, 1))))
     nan_b["B"][3] = [[float("nan")]]
+    # lattice blocks whose offset reads false and order 1.0
+    offset_false = {**blocks_to_json(blocks_from_delta([1.0] * 6, np.zeros((5, 1, 1)))),
+                    "n": 1.0, "offset": False}
     # n = 2 lattice blocks whose A_0 and provenance jumps have imaginary parts of 1e-12
     tilted = blocks_to_json(blocks_from_delta([1.0] * 14, np.full((13, 2, 2), 0.5)))
     tilted["A"][0] = matrix_to_json(1e-12j * np.eye(2))
@@ -459,6 +485,7 @@ def main() -> None:
                 "general20.json": general20, "general20-real.json": general20_real,
                 "growing.json": growing, "free-cs.json": free_cs, "tilted-blocks.json": tilted,
                 "offset-1.json": offset[1], "offset-2.json": offset[2], "nan-b.json": nan_b,
+                "blocks-offset-false.json": offset_false,
                 "rotated.json": model_to_json(rotated), "t4-overflow.json": t4_overflow,
                 "christ-stolz-2000.json": model_to_json(
                     DeltaNodes.from_spacings(1, d[:2000], H[:2000], tail=d[2000]))}
@@ -469,7 +496,7 @@ def main() -> None:
     raw_fixtures = {**RAW_FIXTURES, "blocks-n-inf.json": blocks_n_inf}
 
     argvs = [a.split() for a in INVOCATIONS] + [h + ["--help"] for h in HELP]
-    argvs += [a.split() for a in RANGE_INVOCATIONS + READER_INVOCATIONS]
+    argvs += [a.split() for a in RANGE_INVOCATIONS + READER_INVOCATIONS + NUMBER_INVOCATIONS]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)

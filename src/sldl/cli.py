@@ -67,7 +67,7 @@ from .jacobi import (
     t4_report,
     t7_lattice,
 )
-from .matcore import floats, matrices_from_json, matrix_to_json
+from .matcore import floats, matrices_from_json, matrix_to_json, number_from_json
 from .quasidiff import DeltaNodes, LinearSigma, QuasiState, model_from_json
 from .reports import CONVERGES, DIVERGES, INCONCLUSIVE, VERDICT_POLICY
 
@@ -231,7 +231,7 @@ def parse_spacings(spec: str, count: int) -> tuple[float, ...] | np.ndarray:
     if spec.startswith("list:"):
         return floats(spec[5:].split(","))
     if spec.startswith("file:"):
-        return floats(_load_json(spec[5:]))
+        return number_from_json(_load_json(spec[5:]), f"spacings file {spec[5:]}", list)
     raise ConfigError(f"unknown spacing spec {spec!r}")
 
 
@@ -264,12 +264,20 @@ def parse_intervals(spec: str, X: float) -> IntervalSeq:
             raise ConfigError("intervals exceed the model domain")
         return IntervalSeq.unit(count)
     if spec.startswith("file:"):
-        obj = _load_json(spec[5:], "intervals")
-        if isinstance(obj, dict):
-            return IntervalSeq(tuple(tuple(iv) for iv in obj["intervals"]),
-                               tuple(obj["markers"]) if "markers" in obj else None)
-        return IntervalSeq(tuple(tuple(iv) for iv in obj))
+        return _intervals_from_json(_load_json(spec[5:], "intervals"))
     raise ConfigError(f"unknown interval spec {spec!r}")
+
+
+def _intervals_from_json(obj) -> IntervalSeq:
+    """The intervals of an interval file, or of t5 data: a list of [a, b] pairs, or an object
+    whose "intervals" holds them and whose optional "markers" holds one point inside each."""
+    ivs = obj["intervals"] if isinstance(obj, dict) else obj
+    if not isinstance(ivs, list) or not all(isinstance(iv, list) and len(iv) == 2 for iv in ivs):
+        raise ConfigError("'intervals' must be a list of [a, b] pairs")
+    ends = number_from_json([v for iv in ivs for v in iv], "'intervals'", list).tolist()
+    markers = (tuple(number_from_json(obj["markers"], "'markers'", list).tolist())
+               if isinstance(obj, dict) and "markers" in obj else None)
+    return IntervalSeq(tuple(zip(ends[::2], ends[1::2])), markers)
 
 
 def parse_segments(spec: str) -> tuple[tuple[int, int], ...]:
@@ -421,16 +429,15 @@ def _criterion_t2(args):
 
 def _criterion_t5(args):
     data = _load_data(args.data, "intervals", "markers", "jumps")
-    intervals = IntervalSeq(tuple(tuple(iv) for iv in data["intervals"]),
-                            tuple(data["markers"]))
-    jumps = matrices_from_json(data["jumps"])
+    intervals, jumps = _intervals_from_json(data), matrices_from_json(data["jumps"])
     rep = t5_series(intervals, jumps, parse_channel(args.channel), threshold=args.threshold)
     return _echo(args, "criterion", "data", "channel", "threshold"), {"reports": [rep.to_json()]}
 
 
 def _criterion_cor1(args):
     data = _load_data(args.data, "lengths", "jumps")
-    rep = cor1_series(data["lengths"], matrices_from_json(data["jumps"]),
+    rep = cor1_series(number_from_json(data["lengths"], "'lengths'", list),
+                      matrices_from_json(data["jumps"]),
                       parse_channel(args.channel), threshold=args.threshold)
     return _echo(args, "criterion", "data", "channel", "threshold"), {"reports": [rep.to_json()]}
 
@@ -459,9 +466,9 @@ def _lattice(args, min_count, *keys):
         if args.d is not None or args.H is not None:
             raise ConfigError("--data holds d and H; drop --d and --H")
         obj = _load_data(args.data, "d", "H")
-        d = floats(obj["d"])
+        d = number_from_json(obj["d"], "'d'", list)
         if "N" in obj:
-            args.N = int(obj["N"])
+            args.N = number_from_json(obj["N"], "'N'", int)
     elif args.d:
         d = parse_spacings(args.d, max(args.count, min_count(args)))
     else:
@@ -533,10 +540,12 @@ def _bridge_residual(args):
     problem = load_problem(args.model)
     if not isinstance(problem, DeltaNodes):
         raise ConfigError("bridge residual needs a delta_nodes model")
-    n = problem.n
+    n, m = problem.n, len(problem.nodes)
+    if args.count is None and m < 4:  # the default count, m - 3, is below 1
+        raise ConfigError(f"need at least 4 nodes, have {m}")
     seed = QuasiState(parse_vector(args.f, n) if args.f else np.zeros(n),
                       parse_vector(args.f1, n) if args.f1 else np.ones(n))
-    count = len(problem.nodes) - 3 if args.count is None else args.count
+    count = m - 3 if args.count is None else args.count
     res = equivalence_residual(problem, count, seed)
     return ({"op": "residual", "model": args.model, "count": count, "f": args.f, "f1": args.f1},
             {"residual": res})

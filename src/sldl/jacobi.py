@@ -60,6 +60,7 @@ from .matcore import (
     libm,
     matrices_from_json,
     matrix_to_json,
+    number_from_json,
     real_symmetric,
     scalars,
 )
@@ -743,15 +744,16 @@ def blocks_from_json(obj: dict) -> JacobiBlocks:
     The stored A_0 and B_0 are the boundary record; ``boundary_default`` is not read.
     """
     try:
-        n = int(obj["n"])
-        if obj.get("offset", 0) != 0:
+        n = number_from_json(obj["n"], "'n'", int)
+        if number_from_json(obj.get("offset", 0), "'offset'", int) != 0:
             raise ValueError("blocks JSON key 'offset' must be 0: storage starts at A_0, B_0")
         A = hermitian(matrices_from_json(obj["A"]), "diagonal blocks", n)
         B = as_stack(matrices_from_json(obj["B"]), n)
         prov = None
         if "provenance" in obj:
             p = obj["provenance"]
-            prov = Lattice(p["d"], as_stack(matrices_from_json(p["H"]), n))
+            prov = Lattice(number_from_json(p["d"], "'provenance.d'", list),
+                           as_stack(matrices_from_json(p["H"]), n))
             # the lattice criteria read the provenance in place of the blocks
             _check_provenance(A, B, prov)
     except KeyError as exc:

@@ -5,6 +5,8 @@ alike, follow one dtype rule, ``inexact``: float64 where every imaginary
 part is exactly zero, complex128 otherwise. A complex dtype thus comes from
 complex data, or from a spectral parameter lam != 0 in the generators; a
 float sequence (spacings, nodes, cuts, knots, grids) takes one rule, ``floats``.
+What a number in an input file is has one rule too, ``_json_number``: matrix entries
+are read by ``matrices_from_json``, and every other number by ``number_from_json``.
 A matrix sequence is one read-only (K, n, n) stack, validated by one ``as_stack``
 call (after ``matrices_from_json`` for one read from JSON, which checks its form
 only); a self-adjoint one by ``hermitian`` or ``real_symmetric``
@@ -21,7 +23,9 @@ over an array with the bits of Python's per-entry op.
 from __future__ import annotations
 
 import functools
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -60,19 +64,18 @@ def inexact(m) -> np.ndarray:
 
 
 def floats(values) -> np.ndarray:
-    """A new 1-D float64 array of the entries: a copy of a 1-D float64 array, else each
-    entry by ``float``, with its errors and NaNs. One ``fromiter`` pass reads None as NaN
-    and a nested entry as a ValueError (``float``: TypeError), so a pass that raises or
-    holds a NaN is redone entry by entry; an iterator is read into a tuple first."""
+    """A new 1-D float64 array of the entries: a copy of a 1-D float64 array, else each entry
+    by ``float``, with its errors. One ``struct`` pass packs a tuple or list (any other iterable
+    is read into a tuple first), converting every entry but a string as ``float`` does; a pass
+    that raises is redone entry by entry."""
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
         return np.array(values)
-    values = tuple(values) if iter(values) is values else values
+    values = values if isinstance(values, (tuple, list)) else tuple(values)
+    out = np.empty(len(values))
     try:
-        out = np.fromiter(values, float)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or np.isnan(out).any():
-        out = np.fromiter(map(float, values), float)
+        struct.pack_into(f"{len(values)}d", out, 0, *values)  # struct caches the format
+    except struct.error:
+        out = np.fromiter(map(float, values), float, len(values))
     return out
 
 
@@ -291,6 +294,34 @@ def matrix_to_json(m) -> list:
 def _json_number(v) -> bool:
     """True for a JSON number: an int or a float, not a bool (an int to Python) nor a str."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _json_text(v) -> str:
+    """A JSON value as an error message shows it: its text, or for a list or an object its kind."""
+    return {list: "a list", dict: "an object"}.get(type(v)) or json.dumps(v)
+
+
+def number_from_json(v, what: str, kind: type = float):
+    """A number of an input file other than a matrix entry, by the rule of ``_json_number``: for
+    ``kind`` float a float, for int an integer field (2 or 2.0 read 2, 2.9 is refused), for list
+    a list of numbers as a new float64 array (``floats``). Any other value is a ValueError that
+    names ``what``; a number past the range of int or float raises what ``int`` or ``float``
+    raises."""
+    if kind is list:
+        if not isinstance(v, list):
+            raise ValueError(f"{what} must be a list of numbers, not {_json_text(v)}")
+        # the rule reads an entry's type alone, so one entry of each type stands for all
+        if not all(map(_json_number, dict(zip(map(type, v), v)).values())):
+            bad = next(e for e in v if not _json_number(e))
+            raise ValueError(f"{what} must hold numbers only, not {_json_text(bad)}")
+        return floats(v)
+    if not _json_number(v):
+        raise ValueError(f"{what} must be a number, not {_json_text(v)}")
+    if kind is float:
+        return float(v)
+    if isinstance(v, float) and math.isfinite(v) and not v.is_integer():
+        raise ValueError(f"{what} must be an integer, not {_json_text(v)}")
+    return int(v)
 
 
 def matrices_from_json(objs) -> list:

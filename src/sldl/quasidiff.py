@@ -58,6 +58,7 @@ from .matcore import (
     inexact,
     matrices_from_json,
     matrix_to_json,
+    number_from_json,
     real_symmetric,
 )
 
@@ -704,7 +705,8 @@ def wronskian_residual(pair: FundamentalPair) -> float:
 
 # variant -> (model class, JSON keys in constructor order); delta_nodes' "nodes"
 # holds {"x", "H"} objects for the nodes and jumps, and its "spacings" may be left
-# out (the node differences); the keys not in _NUMBERS are matrices
+# out (the node differences); the keys in _NUMBERS hold numbers of that kind
+# (``number_from_json``), the others matrices
 _VARIANTS = {
     "step_sigma": (StepSigma, ("n", "cuts", "values", "X")),
     "delta_nodes": (DeltaNodes, ("n", "nodes", "X", "spacings")),
@@ -712,7 +714,7 @@ _VARIANTS = {
     "distributional": (Distributional, ("n", "cuts", "P0", "Q0", "P1", "X")),
     "linear_sigma": (LinearSigma, ("n", "knots", "values")),
 }
-_NUMBERS = {"n": int, "X": float, "cuts": list, "knots": list, "spacings": np.ndarray.tolist}
+_NUMBERS = {"n": int, "X": float, "cuts": list, "knots": list, "spacings": list}
 
 
 def model_to_json(model) -> dict:
@@ -723,6 +725,8 @@ def model_to_json(model) -> dict:
     for key in _VARIANTS[variant][1]:
         if key == "nodes":
             out[key] = [{"x": x, "H": matrix_to_json(h)} for x, h in zip(model.nodes, model.jumps)]
+        elif key == "spacings":
+            out[key] = model.spacings.tolist()
         elif key in _NUMBERS:
             out[key] = _NUMBERS[key](getattr(model, key))
         else:
@@ -739,12 +743,15 @@ def model_from_json(obj: dict) -> CoefficientModel | LinearSigma:
         args = []
         for key in keys:
             if key == "nodes":
-                args.append(tuple(float(e["x"]) for e in obj[key]))
+                args.append(number_from_json([e["x"] for e in obj[key]], "'nodes[].x'", list))
                 args.append(matrices_from_json([e["H"] for e in obj[key]]))
             elif key == "spacings":
-                args.append(obj.get(key))
+                value = obj.get(key)
+                args.append(None if value is None else number_from_json(value, "'spacings'", list))
+            elif key in _NUMBERS:
+                args.append(number_from_json(obj[key], f"'{key}'", _NUMBERS[key]))
             else:
-                args.append(_NUMBERS.get(key, matrices_from_json)(obj[key]))
+                args.append(matrices_from_json(obj[key]))
     except KeyError as exc:
         raise ValueError(f"coefficient model JSON has no key {exc}") from None
     return cls(*args)

@@ -172,13 +172,16 @@ def spacing_outcome(convert, entries):
 
 
 @pytest.mark.parametrize("entry", SPACING_ENTRIES)
-def test_list_and_file_spacings_take_each_entry_as_float_does(tmp_path, entry):
+def test_list_spacings_take_each_entry_as_float_does_and_file_spacings_refuse_strings(
+        tmp_path, entry):
     entries = ["1", entry, "0.5"]
     want = spacing_outcome(lambda v: tuple(float(x) for x in v), entries)
     assert spacing_outcome(lambda v: cli.parse_spacings("list:" + ",".join(v), 3), entries) == want
+    # a JSON file holds numbers, and a string is none, whatever float makes of it
     path = tmp_path / "d.json"
-    path.write_text(json.dumps(entries))
-    assert spacing_outcome(lambda v: cli.parse_spacings(f"file:{path}", 3), entries) == want
+    path.write_text(json.dumps([1.0, entry, 0.5]))
+    assert spacing_outcome(lambda v: cli.parse_spacings(f"file:{path}", 3), entries) == (
+        ValueError, f"spacings file {path} must hold numbers only, not {json.dumps(entry)}")
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -188,18 +191,20 @@ def test_list_and_file_spacings_take_each_entry_as_float_does(tmp_path, entry):
     ("", "could not convert string to float: ''"),
 ])
 def test_spacing_entries_exit_as_float_reads_them(capsys, tmp_path, entry, message):
-    # the list: spec and a --data file's d, each taken once by float()
+    # the list: spec takes each entry once by float(); a --data file's d holds JSON numbers
+    code, captured = run(["jacobi", "build", "--d", f"list:1,{entry},0.5,2"]), capsys.readouterr()
+    assert code == (0 if message is None else 2)
+    if message is None:
+        d = json.loads(captured.out)["result"]["blocks"]["provenance"]["d"]
+        assert d == [1.0, float(entry), 0.5, 2.0] and captured.err == ""
+    else:
+        assert captured.out == "" and captured.err == f"error: {message}\n"
     path = tmp_path / "lattice.json"
-    path.write_text(json.dumps({"d": ["1", entry, "0.5", "2"], "H": [[[0.0]]] * 3}))
-    for argv in (["jacobi", "build", "--d", f"list:1,{entry},0.5,2"],
-                 ["jacobi", "build", "--data", str(path)]):
-        code, captured = run(argv), capsys.readouterr()
-        assert code == (0 if message is None else 2)
-        if message is None:
-            d = json.loads(captured.out)["result"]["blocks"]["provenance"]["d"]
-            assert d == [1.0, float(entry), 0.5, 2.0] and captured.err == ""
-        else:
-            assert captured.out == "" and captured.err == f"error: {message}\n"
+    path.write_text(json.dumps({"d": [1.0, entry, 0.5, 2.0], "H": [[[0.0]]] * 3}))
+    assert run(["jacobi", "build", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 'd' must hold numbers only, not {json.dumps(entry)}\n"
 
 
 def test_jacobi_t7_and_cor3(capsys):
@@ -391,6 +396,18 @@ def test_bridge_residual_rejects_count_below_one(capsys, leaf_files, count):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: count must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3])
+def test_bridge_residual_on_fewer_than_four_nodes_names_the_node_count(capsys, tmp_path, nodes):
+    # the default count, nodes - 3, was refused as "count must be at least 1, got -1"
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({**DELTA_MODEL, "X": nodes + 1.0,
+                                "nodes": DELTA_MODEL["nodes"][:nodes]}))
+    assert run(["bridge", "residual", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need at least 4 nodes, have {nodes}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -952,6 +969,83 @@ def test_numbers_past_the_float_range_and_deep_nesting_exit_2(capsys, tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+FIELD_BLOCKS = blocks_to_json(blocks_from_delta([1.0] * 6, [[[0.0]]] * 5))
+T1_ON = ["criterion", "t1", "--model", "free.json", "--intervals"]
+# every number of an input file that is not a matrix entry: (id, argv, file, path of one
+# number in it, how the error names its field); the file is in.json
+FILE_FIELDS = [
+    ("d-file", ["jacobi", "build", "--d", "file:in.json"], [1.0] * 6, (2,),
+     "spacings file in.json"),
+    ("data-d", ["jacobi", "build", "--data", "in.json"], LEAF_FILES["lattice"], ("d", 2), "'d'"),
+    ("data-N", ["jacobi", "t7", "--data", "in.json"], LEAF_FILES["lattice"], ("N",), "'N'"),
+    ("interval-list", [*T1_ON, "file:in.json"], [[0.0, 1.0], [2.0, 3.0]], (1, 0),
+     "'intervals'"),
+    ("intervals", [*T1_ON, "file:in.json"], {"intervals": [[0.0, 1.0], [2.0, 3.0]]},
+     ("intervals", 0, 1), "'intervals'"),
+    ("markers", [*T1_ON, "file:in.json"], {"intervals": [[0.0, 2.0]], "markers": [1.0]},
+     ("markers", 0), "'markers'"),
+    ("t5-intervals", ["criterion", "t5", "--data", "in.json", "--channel", "diag:1"],
+     LEAF_FILES["t5"], ("intervals", 1, 1), "'intervals'"),
+    ("t5-markers", ["criterion", "t5", "--data", "in.json", "--channel", "diag:1"],
+     LEAF_FILES["t5"], ("markers", 1), "'markers'"),
+    ("cor1-lengths", ["criterion", "cor1", "--data", "in.json", "--channel", "diag:1"],
+     LEAF_FILES["cor1"], ("lengths", 1), "'lengths'"),
+    ("model-n", ["classify", "--model", "in.json"], FREE_MODEL, ("n",), "'n'"),
+    ("model-X", ["classify", "--model", "in.json"], FREE_MODEL, ("X",), "'X'"),
+    ("model-cuts", ["classify", "--model", "in.json"],
+     {**FREE_MODEL, "cuts": [0.0, 1.0], "values": [[[0.0]]] * 2}, ("cuts", 1), "'cuts'"),
+    ("model-knots", ["criterion", "t2", "--model", "in.json", "--intervals", "unit:3"],
+     LEAF_FILES["linear"], ("knots", 1), "'knots'"),
+    ("model-nodes-x", ["classify", "--model", "in.json"], DELTA_MODEL, ("nodes", 3, "x"),
+     "'nodes[].x'"),
+    ("model-spacings", ["classify", "--model", "in.json"], {**DELTA_MODEL, "spacings": [1.0] * 20},
+     ("spacings", 3), "'spacings'"),
+    ("blocks-n", ["classify", "--blocks", "in.json"], FIELD_BLOCKS, ("n",), "'n'"),
+    ("blocks-offset", ["classify", "--blocks", "in.json"], FIELD_BLOCKS, ("offset",), "'offset'"),
+    ("blocks-provenance-d", ["classify", "--blocks", "in.json"], FIELD_BLOCKS,
+     ("provenance", "d", 2), "'provenance.d'"),
+]
+INTEGER_FIELDS = ("data-N", "model-n", "blocks-n", "blocks-offset")
+FIELD_VALUES = [(case, value) for case in FILE_FIELDS for value in
+                (True, False, "1", None, *([2.5] if case[0] in INTEGER_FIELDS else []))]
+
+
+@pytest.mark.parametrize("case, value", FIELD_VALUES,
+                         ids=[f"{case[0]}-{json.dumps(v)}" for case, v in FIELD_VALUES])
+def test_a_bool_a_string_or_a_fraction_where_a_file_holds_a_number_exits_2(
+        capsys, tmp_path, monkeypatch, case, value):
+    # each of these but null was read as a number: true as 1, "1" as 1.0, 2.5 as 2
+    _, argv, obj, path, field = case
+    monkeypatch.chdir(tmp_path)
+    Path("free.json").write_text(json.dumps(FREE_MODEL))
+    doc = json.loads(json.dumps(obj))
+    _set(path, value)(doc)
+    Path("in.json").write_text(json.dumps(doc))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err
+
+
+@pytest.mark.parametrize("argv, obj, path, value", [
+    (["jacobi", "t7", "--data", "in.json"], LEAF_FILES["lattice"], ("N",), 4),
+    (["classify", "--model", "in.json"], FREE_MODEL, ("n",), 1),
+    (["classify", "--blocks", "in.json"], FIELD_BLOCKS, ("n",), 1),
+    (["classify", "--blocks", "in.json"], FIELD_BLOCKS, ("offset",), 0),
+], ids=["data-N", "model-n", "blocks-n", "blocks-offset"])
+def test_an_integer_field_reads_a_float_with_an_integral_value(capsys, tmp_path, monkeypatch,
+                                                                argv, obj, path, value):
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for v in (value, float(value)):
+        doc = json.loads(json.dumps(obj))
+        _set(path, v)(doc)
+        Path("in.json").write_text(json.dumps(doc))
+        outputs.append((run(argv), capsys.readouterr()))
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
 
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):

@@ -39,10 +39,12 @@ from sldl.matcore import (
     as_stack,
     condition,
     first_nonfinite,
+    floats,
     hermitian,
     inexact,
     matrices_from_json,
     matrix_to_json,
+    number_from_json,
     real_symmetric,
     scalars,
 )
@@ -396,6 +398,81 @@ def test_entries_and_pair_parts_are_json_numbers_by_one_rule(entry):
     for read in (matrices_from_json, reference_json.stack_from_json):
         with pytest.raises(ValueError, match=r"^bad matrix entry "):
             read([[[entry]], [[1.0]]])
+
+
+# entries float takes or refuses: signed zeros, NaN, infinities and subnormals, ints past 2**53
+# and past the float range, bools, numpy scalars, None, numeric strings and nested lists
+_FLOAT_ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2e-308]),
+    st.integers(-2 ** 1100, 2 ** 1100), st.integers(2 ** 53, 2 ** 54), st.booleans(),
+    st.floats(width=32).map(np.float32), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats().map(np.float64), st.none(),
+    st.sampled_from(["1.5", "-0", "nan", "1e999", " 2 ", "0x1p3", "1_000", "", "abc"]),
+    st.lists(st.floats(), max_size=2),
+)
+
+
+def _outcome(read, values):
+    """What read(values) gives: the array's dtype, shape and bits, or its exception."""
+    try:
+        out = read(values)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@given(st.lists(_FLOAT_ENTRIES, max_size=8) | st.lists(st.floats(), min_size=100, max_size=300),
+       st.sampled_from([list, tuple, iter]))
+@settings(max_examples=400, deadline=None)
+def test_floats_reads_each_entry_as_float_does(values, form):
+    want = _outcome(lambda v: np.fromiter(map(float, v), float), values)
+    assert _outcome(lambda v: floats(form(v)), values) == want
+
+
+@pytest.mark.parametrize("v, kind, want", [
+    (2, float, 2.0), (-0.0, float, -0.0), (math.inf, float, math.inf), (2, int, 2),
+    (2.0, int, 2), (-3.0, int, -3), (2 ** 70, int, 2 ** 70),
+    ([1, 2.5, -0.0], list, [1.0, 2.5, -0.0]),
+])
+def test_a_json_number_reads_as_its_kind(v, kind, want):
+    got = number_from_json(v, "'f'", kind)
+    if kind is list:
+        assert got.dtype == float and got.tobytes() == np.array(want).tobytes()
+    else:
+        assert type(got) is kind and repr(got) == repr(want)  # repr tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("v, kind, message", [
+    (True, float, "'f' must be a number, not true"),
+    ("2.5", float, "'f' must be a number, not \"2.5\""),
+    (None, float, "'f' must be a number, not null"),
+    ([1.0], float, "'f' must be a number, not a list"),
+    (False, int, "'f' must be a number, not false"),
+    ("2", int, "'f' must be a number, not \"2\""),
+    (2.9, int, "'f' must be an integer, not 2.9"),
+    (-0.5, int, "'f' must be an integer, not -0.5"),
+    ({"a": 1}, list, "'f' must be a list of numbers, not an object"),
+    ("1.5", list, "'f' must be a list of numbers, not \"1.5\""),
+    ([1.0, True, "0.5"], list, "'f' must hold numbers only, not true"),
+    ([1.0, [2.0]], list, "'f' must hold numbers only, not a list"),
+])
+def test_anything_but_a_json_number_is_refused_naming_the_field(v, kind, message):
+    with pytest.raises(ValueError) as exc:
+        number_from_json(v, "'f'", kind)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("v, kind, exc_type, message", [
+    (math.inf, int, OverflowError, "cannot convert float infinity to integer"),
+    (math.nan, int, ValueError, "cannot convert float NaN to integer"),
+    (10 ** 400, float, OverflowError, "int too large to convert to float"),
+    ([1.0, 10 ** 400], list, OverflowError, "int too large to convert to float"),
+])
+def test_numbers_past_the_range_of_int_or_float_raise_what_they_raise(v, kind, exc_type, message):
+    with pytest.raises(exc_type) as exc:
+        number_from_json(v, "'f'", kind)
+    assert type(exc.value) is exc_type and str(exc.value) == message
 
 
 def test_the_json_readers_check_each_sequence_once(monkeypatch):
